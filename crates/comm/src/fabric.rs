@@ -32,7 +32,7 @@ use std::time::{Duration, Instant};
 use ttg_model::sync::{AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex, Ordering};
 
 use crossbeam_channel::{unbounded, Receiver, Sender};
-use ttg_telemetry::{Counter, Gauge, MetricKey, Registry};
+use ttg_telemetry::{Counter, Gauge, Histogram, MetricKey, Registry};
 use ttg_transport::{
     local_mesh, Endpoint, Frame, Link, TransportError, TransportKind, TransportSpec,
 };
@@ -98,8 +98,28 @@ pub enum Packet {
         /// Serialized message body.
         payload: Vec<u8>,
     },
+    /// Outcome of a parked cross-process fetch, re-entering the requesting
+    /// rank's channel so its completion runs on the delivery thread
+    /// ([`Fabric::rma_complete`]).
+    Rma {
+        /// Request id the fetch was parked under.
+        req: u64,
+        /// How the fetch ended.
+        outcome: RmaOutcome,
+    },
     /// Orderly shutdown of the destination's progress loop.
     Shutdown,
+}
+
+/// How a parked cross-process fetch ended (see [`Packet::Rma`]).
+#[derive(Debug)]
+pub enum RmaOutcome {
+    /// The owner answered with the region bytes.
+    Data(Arc<Vec<u8>>),
+    /// The owner does not hold the region.
+    UnknownRegion,
+    /// No answer arrived within the fetch's deadline.
+    Expired,
 }
 
 /// Why a send could not be handed to the fabric.
@@ -315,6 +335,8 @@ impl From<RmaError> for CommError {
                 seq: Some(id),
                 detail: format!("region {id}"),
             },
+            // What went missing is the request's answer: reported on the
+            // link the request took, caller → owner.
             RmaError::Timeout {
                 caller,
                 owner,
@@ -322,8 +344,8 @@ impl From<RmaError> for CommError {
                 waited,
             } => CommError {
                 kind: CommErrorKind::RmaTimeout,
-                from: Some(owner),
-                to: Some(caller),
+                from: Some(caller),
+                to: Some(owner),
                 handler: None,
                 seq: Some(id),
                 detail: format!("expired after {waited:?}"),
@@ -406,6 +428,11 @@ pub struct FabricStats {
     rma_stale_gets: Counter,
     /// Entries evicted from the released-region LRU cache to make room.
     rma_released_evictions: Counter,
+    /// Most cross-process fetches ever parked at once on one rank.
+    rma_pending_hwm: Gauge,
+    /// Cross-process fetch latency, ns: `RmaReq` sent → completion starts
+    /// on the delivery thread (timeouts are not recorded).
+    rma_latency_ns: Histogram,
     /// Executions that missed their delivery deadline.
     delivery_deadline_misses: Counter,
     /// Per-rank bytes put on the wire (AM payloads + RMA reads served).
@@ -494,6 +521,14 @@ pub struct StatsSnapshot {
     pub rma_stale_gets: u64,
     /// Released-region LRU cache evictions.
     pub rma_released_evictions: u64,
+    /// Most cross-process fetches ever parked at once on one rank (> 1
+    /// means fetches overlapped).
+    pub rma_pending_hwm: u64,
+    /// Median cross-process fetch latency, ns (upper bound of its log₂
+    /// bucket; 0 when no remote fetch completed).
+    pub rma_latency_p50_ns: u64,
+    /// 99th-percentile cross-process fetch latency, ns (bucket bound).
+    pub rma_latency_p99_ns: u64,
     /// Delivery-deadline misses.
     pub delivery_deadline_misses: u64,
     /// Link-layer bytes handed to the OS (socket transports).
@@ -561,6 +596,8 @@ impl FabricStats {
             post_shutdown_sends: c("post_shutdown_sends"),
             rma_stale_gets: c("rma_stale_gets"),
             rma_released_evictions: c("rma_released_evictions"),
+            rma_pending_hwm: reg.gauge(MetricKey::global("comm", "rma_pending_hwm")),
+            rma_latency_ns: reg.histogram(MetricKey::global("comm", "rma_latency_ns")),
             delivery_deadline_misses: c("delivery_deadline_misses"),
             tx_bytes: (0..n)
                 .map(|r| reg.counter(MetricKey::ranked(r, "comm", "tx_bytes")))
@@ -598,6 +635,7 @@ impl FabricStats {
 
     /// Capture the current counter values.
     pub fn snapshot(&self) -> StatsSnapshot {
+        let rma_latency = self.rma_latency_ns.snapshot();
         StatsSnapshot {
             am_count: self.am_count.get(),
             am_bytes: self.am_bytes.get(),
@@ -620,6 +658,9 @@ impl FabricStats {
             post_shutdown_sends: self.post_shutdown_sends.get(),
             rma_stale_gets: self.rma_stale_gets.get(),
             rma_released_evictions: self.rma_released_evictions.get(),
+            rma_pending_hwm: self.rma_pending_hwm.get().max(0) as u64,
+            rma_latency_p50_ns: rma_latency.quantile_upper_bound(0.5),
+            rma_latency_p99_ns: rma_latency.quantile_upper_bound(0.99),
             delivery_deadline_misses: self.delivery_deadline_misses.get(),
             transport_tx_bytes: self.transport_tx_bytes.get(),
             transport_rx_bytes: self.transport_rx_bytes.get(),
@@ -788,15 +829,20 @@ struct RemoteState {
     endpoint: Arc<dyn Endpoint>,
     /// This process's rank.
     me: Rank,
+    /// One send link per peer (`None` at `me`), cached at construction:
+    /// `Endpoint::link` builds a fresh `Arc` per call.
+    links: Vec<Option<Arc<dyn Link>>>,
     /// Inter-process AMs sent / received by this rank (termination input).
     sent: AtomicU64,
     recvd: AtomicU64,
     /// Set when the coordinator declares global termination.
     done: AtomicBool,
     idle_probe: Mutex<Option<IdleProbe>>,
-    /// Outstanding cross-process RMA fetches by request id.
+    /// Next cross-process fetch request id.
     next_req: AtomicU64,
-    rma_waiters: Mutex<HashMap<u64, std::sync::mpsc::Sender<Option<Vec<u8>>>>>,
+    /// Parked cross-process RMA fetches by request id. Never held across
+    /// a completion or a channel send (`lockdoc`).
+    rma_waiters: Mutex<HashMap<u64, RmaWaiter>>,
     /// Barrier epochs this rank has entered so far.
     barrier_seq: AtomicU64,
     /// Highest released barrier epoch (waiters block on `barrier_cv`).
@@ -816,9 +862,13 @@ struct RemoteState {
 impl RemoteState {
     fn new(endpoint: Arc<dyn Endpoint>, kill_after: Option<u64>) -> RemoteState {
         let me = endpoint.rank();
+        let links = (0..endpoint.n_ranks())
+            .map(|peer| (peer != me).then(|| endpoint.link(peer)))
+            .collect();
         RemoteState {
             endpoint,
             me,
+            links,
             sent: AtomicU64::new(0),
             recvd: AtomicU64::new(0),
             done: AtomicBool::new(false),
@@ -832,6 +882,110 @@ impl RemoteState {
             term: Mutex::new(TermDriver::default()),
             kill_after,
             rx_frames: AtomicU64::new(0),
+        }
+    }
+
+    /// The cached send link to `peer` (never `me`).
+    fn link(&self, peer: Rank) -> &dyn Link {
+        self.links[peer]
+            .as_deref()
+            .expect("a rank holds no link to itself")
+    }
+}
+
+/// Continuation of a parked cross-process fetch: runs exactly once, on the
+/// requesting rank's delivery thread, with the region bytes or the reason
+/// there are none.
+pub type RmaCompletion = Box<dyn FnOnce(Result<Arc<Vec<u8>>, RmaError>) + Send>;
+
+/// A cross-process fetch waiting for its `RmaResp`.
+struct RmaWaiter {
+    caller: Rank,
+    owner: Rank,
+    id: RegionId,
+    issued: Instant,
+    deadline: Instant,
+    /// The sweep already queued this fetch's expiry packet.
+    expiring: bool,
+    complete: RmaCompletion,
+}
+
+/// What [`Fabric::rma_fetch`] found.
+#[must_use = "a remote fetch does nothing until it is parked"]
+pub enum RmaFetch<'a> {
+    /// The owner is hosted in this process: the region was read in place.
+    Ready(Result<Arc<Vec<u8>>, RmaError>),
+    /// The owner is another process: [`RemoteFetch::park`] a completion.
+    Remote(RemoteFetch<'a>),
+}
+
+/// A cross-process fetch not yet on the wire (see [`RmaFetch::Remote`]).
+pub struct RemoteFetch<'a> {
+    fabric: &'a Fabric,
+    rs: &'a RemoteState,
+    caller: Rank,
+    owner: Rank,
+    id: RegionId,
+}
+
+impl RemoteFetch<'_> {
+    /// Send `RmaReq` to the owner and park `complete` until the answer (or
+    /// the fetch's deadline) re-enters the rank's packet channel; the
+    /// caller — the delivery thread — moves on to its next packet. The
+    /// emulated RDMA property holds from the caller's side: no task code
+    /// on the owner runs, its *transport* thread serves the read, standing
+    /// in for its NIC.
+    ///
+    /// A parked fetch is an in-flight unit of its own, taken here while the
+    /// delivery that asked for it still holds its slot, so the rank never
+    /// reads as drained between the two and the termination detector
+    /// cannot fire with a completion outstanding.
+    pub fn park(self, complete: RmaCompletion) {
+        let RemoteFetch {
+            fabric,
+            rs,
+            caller,
+            owner,
+            id,
+        } = self;
+        let req = rs.next_req.fetch_add(1, Ordering::Relaxed);
+        let issued = Instant::now();
+        fabric.in_flight.fetch_add(1, Ordering::SeqCst);
+        let parked = {
+            let mut waiters = rs.rma_waiters.lock();
+            waiters.insert(
+                req,
+                RmaWaiter {
+                    caller,
+                    owner,
+                    id,
+                    issued,
+                    deadline: issued + fabric.rma_timeout(),
+                    expiring: false,
+                    complete,
+                },
+            );
+            waiters.len()
+        };
+        fabric.stats.rma_pending_hwm.set_max(parked as i64);
+        let sent = rs.link(owner).send(Frame::RmaReq {
+            from: rs.me as u32,
+            req,
+            region: id,
+        });
+        if let Err(e) = sent {
+            // Taken out in its own statement: the lock must be released
+            // before the completion runs.
+            let unsent = rs.rma_waiters.lock().remove(&req);
+            if let Some(w) = unsent {
+                let err = RmaError::Transport {
+                    caller,
+                    owner,
+                    id,
+                    detail: e.to_string(),
+                };
+                fabric.rma_finish(w, Err(err));
+            }
         }
     }
 }
@@ -1195,7 +1349,7 @@ impl Fabric {
                 rs.sent.fetch_add(1, Ordering::SeqCst);
                 // No local in-flight bump: the receiving process accounts
                 // for the packet when its sink enqueues it.
-                return match rs.endpoint.link(to).send(Frame::Am {
+                return match rs.link(to).send(Frame::Am {
                     from: from as u32,
                     handler,
                     seq: 0,
@@ -1471,26 +1625,33 @@ impl Fabric {
                     self.stats.post_shutdown_sends.inc();
                 }
             }
-            Frame::RmaReq { from, req, region } => {
+            Frame::RmaReq { req, region, .. } => {
                 // Serve the one-sided fetch from this process's region
-                // table. RMA traffic is counted on the owning process;
-                // the caller counts only its own rx bytes.
-                let data = self
-                    .rma_get_local(from as usize, rs.me, region)
-                    .ok()
-                    .map(|d| (*d).clone());
+                // table, straight out of the shared region bytes. RMA
+                // traffic is counted on the owning process; the caller
+                // counts only its own rx bytes. The requester is the
+                // connection's peer `src`, whatever the frame claims.
                 let reply = Frame::RmaResp {
                     from: rs.me as u32,
                     req,
-                    data,
+                    data: self.rma_get_local(src, rs.me, region).ok(),
                 };
-                if let Err(e) = rs.endpoint.link(from as usize).send(reply) {
-                    self.transport_send_failed(rs.me, from as usize, None, e);
+                if let Err(e) = rs.link(src).send(reply) {
+                    self.transport_send_failed(rs.me, src, None, e);
                 }
             }
             Frame::RmaResp { req, data, .. } => {
-                if let Some(tx) = rs.rma_waiters.lock().remove(&req) {
-                    let _ = tx.send(data);
+                // Re-enter the packet channel: the parked completion runs
+                // on the delivery thread, never on this reader.
+                let outcome = match data {
+                    Some(d) => RmaOutcome::Data(d),
+                    None => RmaOutcome::UnknownRegion,
+                };
+                if self.senders[rs.me]
+                    .send(Packet::Rma { req, outcome })
+                    .is_err()
+                {
+                    self.stats.post_shutdown_sends.inc();
                 }
             }
             Frame::BarrierEnter { epoch, .. } => {
@@ -1515,7 +1676,7 @@ impl Fabric {
                     epoch: o.epoch,
                     idle: o.idle,
                 };
-                if let Err(e) = rs.endpoint.link(0).send(reply) {
+                if let Err(e) = rs.link(0).send(reply) {
                     self.transport_send_failed(rs.me, 0, None, e);
                 }
             }
@@ -1629,7 +1790,7 @@ impl Fabric {
             let round = term.round;
             drop(term);
             for r in 1..self.n {
-                if let Err(e) = rs.endpoint.link(r).send(Frame::TermProbe { round }) {
+                if let Err(e) = rs.link(r).send(Frame::TermProbe { round }) {
                     self.transport_send_failed(0, r, None, e);
                 }
             }
@@ -1651,7 +1812,7 @@ impl Fabric {
             drop(term);
             rs.done.store(true, Ordering::SeqCst);
             for r in 1..self.n {
-                if let Err(e) = rs.endpoint.link(r).send(Frame::TermDone) {
+                if let Err(e) = rs.link(r).send(Frame::TermDone) {
                     self.transport_send_failed(0, r, None, e);
                 }
             }
@@ -1679,7 +1840,7 @@ impl Fabric {
         };
         if complete {
             for r in 1..self.n {
-                if let Err(e) = rs.endpoint.link(r).send(Frame::BarrierRelease { epoch }) {
+                if let Err(e) = rs.link(r).send(Frame::BarrierRelease { epoch }) {
                     self.transport_send_failed(0, r, None, e);
                 }
             }
@@ -2570,97 +2731,142 @@ impl Fabric {
         id
     }
 
-    /// One-sided fetch of a region owned by `owner`.
+    /// One-sided fetch of a region owned by `owner`, as a continuation.
     ///
-    /// The calling rank obtains a zero-copy handle to the region bytes —
-    /// emulating an RDMA read that does not involve the owner's CPU. The
-    /// fetch that satisfies the region's expected count triggers release.
+    /// An owner hosted in this process (every in-process fabric, or
+    /// `owner == me` of a multi-process rank) is read in place: the caller
+    /// obtains a zero-copy handle to the region bytes — emulating an RDMA
+    /// read that does not involve the owner's CPU — and completes inline,
+    /// nothing boxed. The fetch that satisfies the region's expected count
+    /// triggers release. An owner in another process yields a
+    /// [`RemoteFetch`] to [`park`](RemoteFetch::park) a completion on.
     ///
     /// A duplicate or late fetch of an already-released region is answered
     /// idempotently from a bounded cache of recently released regions; a
     /// fetch of a region the owner never held (or that has been evicted)
-    /// returns [`RmaError::UnknownRegion`] — never a panic.
-    pub fn rma_get(
-        &self,
-        caller: Rank,
-        owner: Rank,
-        id: RegionId,
-    ) -> Result<Arc<Vec<u8>>, RmaError> {
-        if let LinkLayer::Remote(rs) = &self.wire {
-            if owner != rs.me {
-                return self.rma_get_remote(rs, caller, owner, id);
-            }
+    /// ends in [`RmaError::UnknownRegion`] — never a panic.
+    pub fn rma_fetch(&self, caller: Rank, owner: Rank, id: RegionId) -> RmaFetch<'_> {
+        match &self.wire {
+            LinkLayer::Remote(rs) if owner != rs.me => RmaFetch::Remote(RemoteFetch {
+                fabric: self,
+                rs,
+                caller,
+                owner,
+                id,
+            }),
+            _ => RmaFetch::Ready(self.rma_get_local(caller, owner, id)),
         }
-        self.rma_get_local(caller, owner, id)
     }
 
-    /// Cross-process one-sided fetch: send `RmaReq` to the owner and block
-    /// (bounded) on the matching `RmaResp`. The emulated RDMA property is
-    /// preserved from the caller's perspective — no task code on the owner
-    /// runs — the owner's *transport* thread serves the read, standing in
-    /// for its NIC.
-    fn rma_get_remote(
-        &self,
-        rs: &RemoteState,
-        caller: Rank,
-        owner: Rank,
-        id: RegionId,
-    ) -> Result<Arc<Vec<u8>>, RmaError> {
-        let fail = |detail: String| RmaError::Transport {
-            caller,
-            owner,
-            id,
-            detail,
+    /// Run the completion of parked fetch `req` with `outcome` — the
+    /// delivery thread's handler for [`Packet::Rma`]. A request id that is
+    /// not parked (a late `RmaResp` after expiry, an id this rank never
+    /// issued) is dropped.
+    pub fn rma_complete(&self, req: u64, outcome: RmaOutcome) {
+        let LinkLayer::Remote(rs) = &self.wire else {
+            return;
         };
-        let req = rs.next_req.fetch_add(1, Ordering::Relaxed);
-        let (tx, rx) = std::sync::mpsc::channel();
-        rs.rma_waiters.lock().insert(req, tx);
-        let sent = rs.endpoint.link(owner).send(Frame::RmaReq {
-            from: rs.me as u32,
-            req,
-            region: id,
-        });
-        if let Err(e) = sent {
-            rs.rma_waiters.lock().remove(&req);
-            let err = fail(e.to_string());
-            self.record_error(CommError::from(err.clone()));
-            return Err(err);
+        let Some(w) = rs.rma_waiters.lock().remove(&req) else {
+            return;
+        };
+        if !matches!(outcome, RmaOutcome::Expired) {
+            let waited = w.issued.elapsed().as_nanos();
+            self.stats
+                .rma_latency_ns
+                .record(waited.min(u64::MAX as u128) as u64);
         }
-        let rma_timeout = self.rma_timeout();
-        match rx.recv_timeout(rma_timeout) {
-            Ok(Some(data)) => {
-                // The owning process fully accounts the RMA op; the caller
-                // counts only the bytes it took off its own wire.
-                self.stats.rx_bytes[caller].add(data.len() as u64);
-                Ok(Arc::new(data))
+        let (caller, owner, id) = (w.caller, w.owner, w.id);
+        let fetched = match outcome {
+            RmaOutcome::Data(data) => Ok(data),
+            RmaOutcome::UnknownRegion => Err(RmaError::UnknownRegion { caller, owner, id }),
+            RmaOutcome::Expired => Err(RmaError::Timeout {
+                caller,
+                owner,
+                id,
+                waited: w.deadline - w.issued,
+            }),
+        };
+        self.rma_finish(w, fetched);
+    }
+
+    /// Record the outcome of a parked fetch, run its completion, then
+    /// retire the in-flight slot the fetch held. The waiter is already out
+    /// of the table: no fabric lock is held while the completion runs.
+    fn rma_finish(&self, w: RmaWaiter, fetched: Result<Arc<Vec<u8>>, RmaError>) {
+        match &fetched {
+            // The owning process fully accounts the RMA op; the caller
+            // counts only the bytes it took off its own wire.
+            Ok(data) => self.stats.rx_bytes[w.caller].add(data.len() as u64),
+            Err(e) => self.record_error(CommError::from(e.clone())),
+        }
+        (w.complete)(fetched);
+        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// Queue an expiry packet for every parked fetch past its deadline
+    /// (driven by the executor's wait poll). The completion then runs on
+    /// the delivery thread with [`RmaError::Timeout`] — unless the
+    /// response wins the race to the channel, in which case the expiry
+    /// finds nothing parked and is dropped.
+    pub fn rma_sweep_expired(&self) {
+        let LinkLayer::Remote(rs) = &self.wire else {
+            return;
+        };
+        let expired: Vec<u64> = {
+            let mut waiters = rs.rma_waiters.lock();
+            if waiters.is_empty() {
+                return;
             }
-            Ok(None) => {
-                let err = RmaError::UnknownRegion { caller, owner, id };
-                self.record_error(CommError::from(err.clone()));
-                Err(err)
-            }
-            Err(_) => {
-                rs.rma_waiters.lock().remove(&req);
-                let err = RmaError::Timeout {
-                    caller,
-                    owner,
-                    id,
-                    waited: rma_timeout,
-                };
-                self.record_error(CommError {
-                    kind: CommErrorKind::RmaTimeout,
-                    from: Some(caller),
-                    to: Some(owner),
-                    handler: None,
-                    seq: None,
-                    detail: format!("rma request {req} expired after {rma_timeout:?}"),
-                });
-                Err(err)
+            let now = Instant::now();
+            waiters
+                .iter_mut()
+                .filter(|(_, w)| !w.expiring && w.deadline <= now)
+                .map(|(req, w)| {
+                    w.expiring = true;
+                    *req
+                })
+                .collect()
+        };
+        for req in expired {
+            let pkt = Packet::Rma {
+                req,
+                outcome: RmaOutcome::Expired,
+            };
+            if self.senders[rs.me].send(pkt).is_err() {
+                self.stats.post_shutdown_sends.inc();
             }
         }
     }
 
-    /// Same-process fetch from the region table (see [`Self::rma_get`]).
+    /// Cross-process fetches currently parked on this rank.
+    pub fn rma_parked(&self) -> usize {
+        match &self.wire {
+            LinkLayer::Remote(rs) => rs.rma_waiters.lock().len(),
+            _ => 0,
+        }
+    }
+
+    /// Fail every fetch still parked: the delivery thread calls this when
+    /// its loop ends, so a shutdown (a missed delivery deadline, say) with
+    /// fetches outstanding ends in coded TTG045s and released in-flight
+    /// slots instead of completions that never run.
+    pub fn rma_abandon_parked(&self) {
+        let LinkLayer::Remote(rs) = &self.wire else {
+            return;
+        };
+        let parked = std::mem::take(&mut *rs.rma_waiters.lock());
+        for (req, w) in parked {
+            let err = RmaError::Transport {
+                caller: w.caller,
+                owner: w.owner,
+                id: w.id,
+                detail: format!("rma request {req} abandoned: delivery thread shut down"),
+            };
+            self.rma_finish(w, Err(err));
+        }
+    }
+
+    /// Same-process fetch from the region table (see [`Self::rma_fetch`]).
     fn rma_get_local(
         &self,
         caller: Rank,
@@ -2769,7 +2975,7 @@ impl Fabric {
         let epoch = rs.barrier_seq.fetch_add(1, Ordering::SeqCst) + 1;
         if rs.me == 0 {
             self.barrier_arrive(rs, epoch);
-        } else if let Err(e) = rs.endpoint.link(0).send(Frame::BarrierEnter {
+        } else if let Err(e) = rs.link(0).send(Frame::BarrierEnter {
             from: rs.me as u32,
             epoch,
         }) {
@@ -2821,6 +3027,19 @@ fn progress_loop(fabric: Weak<Fabric>) {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;
+
+    /// Fetch on an in-process fabric, where every owner is hosted here.
+    fn local_get(
+        f: &Fabric,
+        caller: Rank,
+        owner: Rank,
+        id: RegionId,
+    ) -> Result<Arc<Vec<u8>>, RmaError> {
+        match f.rma_fetch(caller, owner, id) {
+            RmaFetch::Ready(fetched) => fetched,
+            RmaFetch::Remote(_) => panic!("an in-process fabric has no remote owner"),
+        }
+    }
 
     #[test]
     fn am_roundtrip_between_ranks() {
@@ -2892,12 +3111,12 @@ mod tests {
         );
         assert_eq!(fabric.live_regions(0), 1);
 
-        let d1 = fabric.rma_get(1, 0, id).unwrap();
+        let d1 = local_get(&fabric, 1, 0, id).unwrap();
         assert_eq!(d1.len(), 128);
         assert!(!released.load(Ordering::SeqCst));
         assert_eq!(fabric.live_regions(0), 1);
 
-        let d2 = fabric.rma_get(2, 0, id).unwrap();
+        let d2 = local_get(&fabric, 2, 0, id).unwrap();
         assert_eq!(d2.len(), 128);
         assert!(released.load(Ordering::SeqCst));
         assert_eq!(fabric.live_regions(0), 0);
@@ -2911,11 +3130,11 @@ mod tests {
     fn duplicate_get_after_release_is_idempotent() {
         let fabric = Fabric::new(2);
         let id = fabric.register_region(0, Arc::new(vec![5u8; 16]), 1, None);
-        let first = fabric.rma_get(1, 0, id).unwrap();
+        let first = local_get(&fabric, 1, 0, id).unwrap();
         assert_eq!(fabric.live_regions(0), 0);
         // A duplicated/late get racing the release: answered from the
         // idempotency cache, no panic, no double release.
-        let dup = fabric.rma_get(1, 0, id).unwrap();
+        let dup = local_get(&fabric, 1, 0, id).unwrap();
         assert_eq!(*dup, *first);
         let s = fabric.stats().snapshot();
         assert_eq!(s.rma_stale_gets, 1);
@@ -2929,22 +3148,22 @@ mod tests {
         // Release the probe region first, then churn the cache to one slot
         // short of evicting it.
         let probe = fabric.register_region(0, Arc::new(vec![9u8; 8]), 1, None);
-        let _ = fabric.rma_get(1, 0, probe).unwrap();
+        let _ = local_get(&fabric, 1, 0, probe).unwrap();
         for _ in 0..RELEASED_CACHE - 1 {
             let id = fabric.register_region(0, Arc::new(vec![0u8; 8]), 1, None);
-            let _ = fabric.rma_get(1, 0, id).unwrap();
+            let _ = local_get(&fabric, 1, 0, id).unwrap();
         }
         assert_eq!(fabric.stats().snapshot().rma_released_evictions, 0);
         // A stale hit refreshes the probe to most-recently-used...
-        let dup = fabric.rma_get(1, 0, probe).unwrap();
+        let dup = local_get(&fabric, 1, 0, probe).unwrap();
         assert_eq!(*dup, vec![9u8; 8]);
         // ...so the next release evicts the oldest *other* entry and the
         // probe stays answerable, while the cache stays at its cap.
         let id = fabric.register_region(0, Arc::new(vec![0u8; 8]), 1, None);
-        let _ = fabric.rma_get(1, 0, id).unwrap();
+        let _ = local_get(&fabric, 1, 0, id).unwrap();
         let s = fabric.stats().snapshot();
         assert_eq!(s.rma_released_evictions, 1);
-        let dup2 = fabric.rma_get(1, 0, probe).unwrap();
+        let dup2 = local_get(&fabric, 1, 0, probe).unwrap();
         assert_eq!(*dup2, vec![9u8; 8]);
         // Without the LRU refresh the probe (oldest insert) would have
         // been the eviction victim and this get would be UnknownRegion.
@@ -2953,9 +3172,7 @@ mod tests {
     #[test]
     fn unknown_region_is_structured_error_not_panic() {
         let fabric = Fabric::new(2);
-        let err = fabric
-            .rma_get(1, 0, 999)
-            .expect_err("unknown region must error");
+        let err = local_get(&fabric, 1, 0, 999).expect_err("unknown region must error");
         assert_eq!(
             err,
             RmaError::UnknownRegion {
@@ -3057,7 +3274,7 @@ mod tests {
                 }
                 Some(fresh)
             }
-            Packet::Shutdown => None,
+            Packet::Rma { .. } | Packet::Shutdown => None,
         }
     }
 
@@ -3429,47 +3646,143 @@ mod tests {
 
     #[test]
     fn rma_timeout_is_configurable_and_structured() {
-        // Rank 0's fabric fetches from rank 1, whose endpoint exists (the
-        // mesh handshake completes) but has no fabric attached — so no
-        // RmaResp ever arrives and the configured timeout must expire as
-        // a structured TTG049, never a hang or a panic.
+        // Rank 0's fabric fetches from rank 1, whose endpoint is played by
+        // this test: it sees every RmaReq and answers only when told to.
+        // The test also plays rank 0's delivery thread, handing each
+        // `Packet::Rma` to `rma_complete`.
+        type Fetched = Result<Arc<Vec<u8>>, RmaError>;
         let reg = Arc::new(Registry::new());
         let eps = ttg_transport::local_mesh(ttg_transport::TransportKind::Tcp, 2, &reg).unwrap();
+        let (req_tx, req_rx) = std::sync::mpsc::channel();
+        let req_tx = std::sync::Mutex::new(req_tx);
+        eps[1].start(Arc::new(move |_, res| {
+            if let Ok(Frame::RmaReq { req, region, .. }) = res {
+                let _ = req_tx.lock().unwrap().send((req, region));
+            }
+        }));
         let handle = ttg_transport::RemoteHandle {
             endpoint: Arc::clone(&eps[0]) as Arc<dyn Endpoint>,
             registry: Arc::clone(&reg),
         };
         let f = Fabric::with_transport(2, None, &TransportSpec::Remote(handle)).unwrap();
+        let rx0 = f.take_receiver(0);
+        let park = |id: RegionId| -> Arc<Mutex<Vec<Fetched>>> {
+            let got = Arc::new(Mutex::new(Vec::new()));
+            let sink = Arc::clone(&got);
+            match f.rma_fetch(0, 1, id) {
+                RmaFetch::Remote(fetch) => fetch.park(Box::new(move |res| sink.lock().push(res))),
+                RmaFetch::Ready(_) => panic!("rank 1 is another process"),
+            }
+            got
+        };
+        let owner_sees = || {
+            req_rx
+                .recv_timeout(Duration::from_secs(10))
+                .expect("the owner never saw the RmaReq")
+        };
+        let next_rma = || {
+            let give_up = Instant::now() + Duration::from_secs(10);
+            loop {
+                match rx0.try_recv() {
+                    Ok(Packet::Rma { req, outcome }) => return (req, outcome),
+                    Ok(other) => panic!("expected a Packet::Rma, got {other:?}"),
+                    Err(_) => {
+                        assert!(Instant::now() < give_up, "no Packet::Rma arrived");
+                        std::thread::yield_now();
+                    }
+                }
+            }
+        };
+
+        // Fetch A under the default deadline: parked, holding its own
+        // in-flight slot, and left alone by the sweep.
         assert_eq!(
             f.rma_timeout(),
             RMA_REMOTE_TIMEOUT,
             "default timeout must be the historical constant"
         );
-        f.set_rma_timeout(Duration::from_millis(50));
-        let start = Instant::now();
-        let err = f.rma_get(0, 1, 7).expect_err("silent owner must time out");
-        assert!(
-            matches!(
-                err,
-                RmaError::Timeout {
-                    caller: 0,
-                    owner: 1,
-                    id: 7,
-                    ..
-                }
-            ),
-            "got: {err}"
-        );
-        assert!(
-            start.elapsed() < Duration::from_secs(10),
-            "expiry must honor the configured timeout, not the default"
-        );
+        let got_a = park(7);
+        let (req_a, region_a) = owner_sees();
+        assert_eq!(region_a, 7);
+        assert_eq!((f.rma_parked(), f.packets_in_flight()), (1, 1));
+        f.rma_sweep_expired();
+        assert!(rx0.try_recv().is_err(), "swept a fetch before its deadline");
+
+        // Fetch B with no time at all: the silent owner expires it as
+        // exactly one TTG049, however often the sweep runs.
+        f.set_rma_timeout(Duration::ZERO);
+        let got_b = park(8);
+        let (req_b, _) = owner_sees();
+        f.rma_sweep_expired();
+        f.rma_sweep_expired();
+        let (req, outcome) = next_rma();
+        assert_eq!(req, req_b);
+        assert!(matches!(outcome, RmaOutcome::Expired));
+        assert!(rx0.try_recv().is_err(), "one expiry packet per fetch");
+        f.rma_complete(req, outcome);
+        {
+            let got = got_b.lock();
+            assert_eq!(got.len(), 1, "completion must run exactly once");
+            assert!(
+                matches!(
+                    got[0],
+                    Err(RmaError::Timeout {
+                        caller: 0,
+                        owner: 1,
+                        id: 8,
+                        ..
+                    })
+                ),
+                "got: {:?}",
+                got[0]
+            );
+        }
         let errs = f.take_errors();
         assert_eq!(errs.len(), 1, "{errs:?}");
         assert_eq!(errs[0].kind, CommErrorKind::RmaTimeout);
         assert_eq!(errs[0].code(), "TTG049");
-        assert_eq!(errs[0].from, Some(0));
-        assert_eq!(errs[0].to, Some(1));
+        assert_eq!((errs[0].from, errs[0].to), (Some(0), Some(1)));
+        assert_eq!(
+            (f.rma_parked(), f.packets_in_flight()),
+            (1, 1),
+            "B's slot must be released, A's still held"
+        );
+
+        // A late answer to the expired fetch and an answer to a request
+        // this rank never issued are dropped: no completion, no error.
+        let bytes = Arc::new(vec![3u8; 16]);
+        f.rma_complete(req_b, RmaOutcome::Data(Arc::clone(&bytes)));
+        f.rma_complete(9_999, RmaOutcome::UnknownRegion);
+        assert_eq!(got_b.lock().len(), 1);
+        assert!(f.take_errors().is_empty());
+        assert_eq!(f.packets_in_flight(), 1);
+
+        // The owner finally answers A over the real socket.
+        eps[1]
+            .link(0)
+            .send(Frame::RmaResp {
+                from: 1,
+                req: req_a,
+                data: Some(Arc::clone(&bytes)),
+            })
+            .unwrap();
+        let (req, outcome) = next_rma();
+        f.rma_complete(req, outcome);
+        assert_eq!(got_a.lock()[0].as_ref().unwrap(), &bytes);
+        assert_eq!((f.rma_parked(), f.packets_in_flight()), (0, 0));
+        let snap = f.stats().snapshot();
+        assert_eq!(snap.rma_pending_hwm, 2, "A and B were parked together");
+        assert!(snap.rma_latency_p50_ns > 0 && snap.rma_latency_p99_ns >= snap.rma_latency_p50_ns);
+
+        // Shutdown with a fetch parked: a coded TTG045, slot released.
+        let got_c = park(9);
+        f.rma_abandon_parked();
+        assert!(matches!(got_c.lock()[0], Err(RmaError::Transport { .. })));
+        let errs = f.take_errors();
+        assert_eq!(errs.len(), 1, "{errs:?}");
+        assert_eq!(errs[0].code(), "TTG045");
+        assert_eq!((f.rma_parked(), f.packets_in_flight()), (0, 0));
+
         f.shutdown_all();
         for ep in &eps {
             ep.shutdown();

@@ -319,16 +319,9 @@ impl Executor {
                                     // so quiescence never sees a gap.
                                     let batch = crate::batch::BatchScope::enter(&ctx2);
                                     if let Err(e) =
-                                        ctx2.node(handler).deliver_am(r, &payload, &ctx2)
+                                        ctx2.node(handler).deliver_am(r, from, &payload, &ctx2)
                                     {
-                                        ctx2.fabric.record_error(CommError {
-                                            kind: CommErrorKind::DeliveryFailed,
-                                            from: (from != usize::MAX).then_some(from),
-                                            to: Some(r),
-                                            handler: Some(handler),
-                                            seq: (seq != 0).then_some(seq),
-                                            detail: e.to_string(),
-                                        });
+                                        record_delivery_failed(&ctx2, from, r, handler, seq, &e);
                                     }
                                     drop(batch);
                                     ctx2.fabric.packet_processed();
@@ -340,9 +333,13 @@ impl Executor {
                                     // with the worker pool drained — the
                                     // consistent cut (DESIGN §13).
                                     if let Some(every) = ctx2.fabric.snapshot_interval() {
+                                        // A parked fetch's continuation is
+                                        // state outside the matching tables:
+                                        // no cut while one is outstanding
+                                        // (the next delivery retries).
                                         let due = if remote {
                                             rx_since_snap += 1;
-                                            rx_since_snap >= every
+                                            rx_since_snap >= every && ctx2.fabric.rma_parked() == 0
                                         } else {
                                             ctx2.fabric.snapshot_due(r)
                                         };
@@ -371,9 +368,17 @@ impl Executor {
                                         }
                                     }
                                 }
+                                // A parked splitmd fetch ended: its
+                                // continuation (batch scope and failure
+                                // report included) runs here, like any
+                                // other delivery.
+                                Packet::Rma { req, outcome } => {
+                                    ctx2.fabric.rma_complete(req, outcome)
+                                }
                                 Packet::Shutdown => break,
                             }
                         }
+                        ctx2.fabric.rma_abandon_parked();
                     })
                     .expect("failed to spawn comm thread"),
             );
@@ -473,6 +478,7 @@ impl Executor {
                 return;
             }
             self.ctx.fabric.drive_termination();
+            self.ctx.fabric.rma_sweep_expired();
             if let Some(t) = give_up {
                 if Instant::now() >= t {
                     self.ctx.fabric.count_deadline_miss();
@@ -536,6 +542,26 @@ impl Executor {
             recovery_events: self.ctx.fabric.take_recovery_events(),
         }
     }
+}
+
+/// Record a TTG043 for an active message (or its parked continuation) that
+/// arrived but could not be delivered.
+pub(crate) fn record_delivery_failed(
+    ctx: &RuntimeCtx,
+    from: usize,
+    to: usize,
+    handler: u32,
+    seq: u64,
+    e: &WireError,
+) {
+    ctx.fabric.record_error(CommError {
+        kind: CommErrorKind::DeliveryFailed,
+        from: (from != usize::MAX).then_some(from),
+        to: Some(to),
+        handler: Some(handler),
+        seq: (seq != 0).then_some(seq),
+        detail: e.to_string(),
+    });
 }
 
 /// Compose and persist one recovery snapshot for rank `r`: the comm-layer

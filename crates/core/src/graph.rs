@@ -45,7 +45,7 @@ impl GraphBuilder {
         F: Fn(&K, IS::Values, &Outs<'_, OS::Terms>) + Send + Sync + 'static,
     {
         let id = self.nodes.len() as u32;
-        let node = Arc::new(NodeInner::new(id, name, inputs.metas(), Arc::new(keymap)));
+        let node = NodeInner::new(id, name, inputs.metas(), Arc::new(keymap));
         node.set_topology(inputs.decls(), outputs.decls());
         inputs.connect(&node);
         let terms = outputs.terms();

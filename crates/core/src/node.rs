@@ -11,11 +11,11 @@ use std::any::Any;
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
-use ttg_comm::{ReadBuf, WireError, WriteBuf};
+use ttg_comm::{ReadBuf, RmaError, RmaFetch, WireError, WriteBuf};
 
 use crate::ctx::RuntimeCtx;
 use crate::inspect::{EdgeDecl, KeymapProbe, MutationError, ReducerDecl, StuckEntry};
@@ -332,10 +332,15 @@ pub trait AnyNode: Send + Sync {
     /// Size the per-rank matching tables (called once by the executor).
     /// `workers_per_rank` sizes the lock stripes of each table.
     fn attach(&self, n_ranks: usize, workers_per_rank: usize);
-    /// Deliver a serialized active message addressed to this node.
+    /// Deliver a serialized active message sent by rank `from` and
+    /// addressed to this node. `Ok` means delivered — or, for a splitmd
+    /// value whose payload lives in another process, that its fetch is
+    /// parked and the delivery finishes (and reports its own failure) when
+    /// the fetch completes.
     fn deliver_am(
         &self,
         rank: usize,
+        from: usize,
         payload: &[u8],
         ctx: &Arc<RuntimeCtx>,
     ) -> Result<(), WireError>;
@@ -388,8 +393,31 @@ struct FrozenMaps<K: Key> {
     costmap: Option<CostMapFn<K>>,
 }
 
+/// A splitmd value between its metadata AM and its payload: everything
+/// the delivery needs once the fetch has completed.
+struct SplitmdArrival<K> {
+    rank: usize,
+    terminal: usize,
+    keys: Vec<K>,
+    from_task: u64,
+    src_rank: usize,
+}
+
+/// Ordering state of the asynchronous splitmd fetches: a `finalize` must
+/// not overtake values its sender shipped before it, and a value whose
+/// fetch is still parked has not been folded yet.
+struct FetchOrder<K> {
+    /// `(source rank, fetches parked)`; entries are removed at zero.
+    parked: Vec<(usize, usize)>,
+    /// Finalizes held behind parked fetches of their source, in arrival
+    /// order: `(source, rank, terminal, key)`.
+    held: Vec<(usize, usize, usize, K)>,
+}
+
 /// The shared implementation behind every template task.
 pub struct NodeInner<K: Key> {
+    /// Handle on this node for continuations that outlive a delivery.
+    me: Weak<NodeInner<K>>,
     /// Node id within the graph.
     pub id: u32,
     /// Node name (for traces and debugging).
@@ -407,13 +435,22 @@ pub struct NodeInner<K: Key> {
     executed: Arc<AtomicU64>,
     topo: OnceLock<(Vec<EdgeDecl>, Vec<EdgeDecl>)>,
     check_samples: RwLock<Vec<K>>,
+    /// Touched only when a fetch is parked or completes and when a
+    /// finalize AM arrives; released before any matching-table call.
+    fetch_order: Mutex<FetchOrder<K>>,
 }
 
 impl<K: Key> NodeInner<K> {
     /// Construct a node; `metas` has one entry per input terminal.
-    pub fn new(id: u32, name: &'static str, metas: Vec<InputMeta>, keymap: KeyMapFn<K>) -> Self {
+    pub fn new(
+        id: u32,
+        name: &'static str,
+        metas: Vec<InputMeta>,
+        keymap: KeyMapFn<K>,
+    ) -> Arc<Self> {
         let n_inputs = metas.len();
-        NodeInner {
+        Arc::new_cyclic(|me| NodeInner {
+            me: me.clone(),
             id,
             name,
             n_inputs,
@@ -428,7 +465,11 @@ impl<K: Key> NodeInner<K> {
             executed: Arc::new(AtomicU64::new(0)),
             topo: OnceLock::new(),
             check_samples: RwLock::new(Vec::new()),
-        }
+            fetch_order: Mutex::new(FetchOrder {
+                parked: Vec::new(),
+                held: Vec::new(),
+            }),
+        })
     }
 
     /// Install the task body (done once by `make_tt`).
@@ -866,6 +907,7 @@ impl<K: Key> AnyNode for NodeInner<K> {
     fn deliver_am(
         &self,
         rank: usize,
+        from: usize,
         payload: &[u8],
         ctx: &Arc<RuntimeCtx>,
     ) -> Result<(), WireError> {
@@ -898,29 +940,51 @@ impl<K: Key> AnyNode for NodeInner<K> {
                 for _ in 0..nkeys {
                     keys.push(K::decode(&mut r)?);
                 }
-                let md_bytes = r.remaining() as u64;
-                // Stage 2 of splitmd: one-sided fetch of the payload. A
-                // missing region is a structured wire error (surfaced as a
+                let md = r.take(r.remaining())?;
+                let arrival = SplitmdArrival {
+                    rank,
+                    terminal,
+                    keys,
+                    from_task,
+                    src_rank,
+                };
+                // Stage 2 of splitmd: one-sided fetch of the payload, with
+                // the rest of the delivery as its continuation. A missing
+                // region is a structured wire error (surfaced as a
                 // CommError by the comm thread), not a process abort.
-                let data = ctx
-                    .fabric
-                    .rma_get(rank, owner, region)
-                    .map_err(|e| WireError::new(e.to_string()))?;
-                let meta = self.meta(terminal);
-                let first = (meta.decode_splitmd)(&mut r, &data)?;
-                let bytes = md_bytes + data.len() as u64;
-                let msg = ctx.alloc_task_id();
-                self.deliver_decoded(
-                    rank, terminal, keys, first, from_task, src_rank, bytes, msg, ctx,
-                );
+                match ctx.fabric.rma_fetch(rank, owner, region) {
+                    RmaFetch::Ready(fetched) => self.complete_splitmd(arrival, md, fetched, ctx)?,
+                    RmaFetch::Remote(fetch) => {
+                        // The payload is in another process: park the
+                        // continuation and let the delivery thread move on.
+                        let node = self.me.upgrade().expect("node outlives its deliveries");
+                        let (md, ctx) = (md.to_vec(), Arc::clone(ctx));
+                        node.note_fetch_parked(from);
+                        fetch.park(Box::new(move |fetched| {
+                            node.finish_parked_splitmd(from, arrival, &md, fetched, &ctx)
+                        }));
+                    }
+                }
             }
             MSG_SET_SIZE => {
+                // A size is a count, not a position in the stream: it may
+                // pass values whose fetches are still parked.
                 let k = K::decode(&mut r)?;
                 let n = r.get_u64()? as usize;
                 self.set_stream_size(rank, terminal, k, n, ctx);
             }
             MSG_FINALIZE => {
                 let k = K::decode(&mut r)?;
+                // A finalize closes the stream at its position: hold it
+                // behind its sender's parked fetches (released by the last
+                // of them, inside that fetch's in-flight slot).
+                {
+                    let mut order = self.fetch_order.lock();
+                    if order.parked.iter().any(|&(src, _)| src == from) {
+                        order.held.push((from, rank, terminal, k));
+                        return Ok(());
+                    }
+                }
                 self.finalize_stream(rank, terminal, k, ctx);
             }
             t => return Err(WireError::new(format!("unknown AM type {}", t))),
@@ -1166,6 +1230,84 @@ impl<K: Key> AnyNode for NodeInner<K> {
 }
 
 impl<K: Key> NodeInner<K> {
+    /// The one splitmd completion, inline or parked: decode the value from
+    /// its metadata and fetched payload and deliver it to every key.
+    fn complete_splitmd(
+        &self,
+        arrival: SplitmdArrival<K>,
+        md: &[u8],
+        fetched: Result<Arc<Vec<u8>>, RmaError>,
+        ctx: &Arc<RuntimeCtx>,
+    ) -> Result<(), WireError> {
+        let data = fetched.map_err(|e| WireError::new(e.to_string()))?;
+        let meta = self.meta(arrival.terminal);
+        let first = (meta.decode_splitmd)(&mut ReadBuf::new(md), &data)?;
+        let bytes = (md.len() + data.len()) as u64;
+        let msg = ctx.alloc_task_id();
+        self.deliver_decoded(
+            arrival.rank,
+            arrival.terminal,
+            arrival.keys,
+            first,
+            arrival.from_task,
+            arrival.src_rank,
+            bytes,
+            msg,
+            ctx,
+        );
+        Ok(())
+    }
+
+    /// Count one more parked fetch of a value sent by rank `src`.
+    fn note_fetch_parked(&self, src: usize) {
+        let mut order = self.fetch_order.lock();
+        match order.parked.iter_mut().find(|(s, _)| *s == src) {
+            Some((_, n)) => *n += 1,
+            None => order.parked.push((src, 1)),
+        }
+    }
+
+    /// Continuation of a parked splitmd fetch, on the delivery thread: what
+    /// the comm loop does around an inline delivery (batch scope, failure
+    /// report), then the finalizes that waited for this source's fetches.
+    /// The fabric retires the fetch's in-flight slot when this returns —
+    /// after the batch has registered every task the value readied.
+    fn finish_parked_splitmd(
+        &self,
+        src: usize,
+        arrival: SplitmdArrival<K>,
+        md: &[u8],
+        fetched: Result<Arc<Vec<u8>>, RmaError>,
+        ctx: &Arc<RuntimeCtx>,
+    ) {
+        let _batch = crate::batch::BatchScope::enter(ctx);
+        let rank = arrival.rank;
+        if let Err(e) = self.complete_splitmd(arrival, md, fetched, ctx) {
+            crate::executor::record_delivery_failed(ctx, src, rank, self.id, 0, &e);
+        }
+        let released: Vec<(usize, usize, usize, K)> = {
+            let mut order = self.fetch_order.lock();
+            let at = order
+                .parked
+                .iter()
+                .position(|(s, _)| *s == src)
+                .expect("a completing fetch was noted when parked");
+            order.parked[at].1 -= 1;
+            if order.parked[at].1 > 0 {
+                return;
+            }
+            order.parked.swap_remove(at);
+            let (released, held) = std::mem::take(&mut order.held)
+                .into_iter()
+                .partition(|h| h.0 == src);
+            order.held = held;
+            released
+        };
+        for (_, rank, terminal, k) in released {
+            self.finalize_stream(rank, terminal, k, ctx);
+        }
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn deliver_decoded(
         &self,

@@ -540,11 +540,17 @@ fn child_main() {
         eprintln!("ttg-launch child rank {me}: writing results failed: {e}");
         std::process::exit(6);
     }
+    // The remote-fetch part is what CI's multiproc-smoke gates on:
+    // `rma_pending_hwm > 1` means splitmd fetches overlapped.
     println!(
-        "ttg-launch child rank {me}: {} tasks, {} owned tiles, {} B over the wire",
+        "ttg-launch child rank {me}: {} tasks, {} owned tiles, {} B over the wire, \
+         rma_pending_hwm={} rma_p50_us<={} rma_p99_us<={}",
         report.tasks,
         records.len(),
-        report.comm.transport_tx_bytes
+        report.comm.transport_tx_bytes,
+        report.comm.rma_pending_hwm,
+        report.comm.rma_latency_p50_ns / 1_000,
+        report.comm.rma_latency_p99_ns / 1_000
     );
 }
 

@@ -15,6 +15,8 @@
 //! malformed instead of allocating unboundedly — a garbage or hostile peer
 //! must not be able to OOM a rank.
 
+use std::sync::Arc;
+
 /// Handshake magic: `"TTGW"` as a little-endian u32.
 pub const MAGIC: u32 = 0x5747_5454;
 
@@ -92,8 +94,10 @@ pub enum Frame {
         from: u32,
         /// Request id being answered.
         req: u64,
-        /// Region bytes, or `None` if the region is unknown.
-        data: Option<Vec<u8>>,
+        /// Region bytes, or `None` if the region is unknown. Shared, so the
+        /// owner encodes straight from its region table and the requester
+        /// hands the decoded bytes on without another copy.
+        data: Option<Arc<Vec<u8>>>,
     },
     /// Barrier arrival notice, sent to the rank-0 coordinator.
     BarrierEnter {
@@ -436,7 +440,7 @@ fn decode_body(kind: u8, body: &[u8]) -> Result<Frame, FrameError> {
             let req = c.u64()?;
             let data = match c.u8()? {
                 0 => None,
-                1 => Some(c.rest()),
+                1 => Some(Arc::new(c.rest())),
                 t => {
                     return Err(FrameError::Malformed {
                         detail: format!("bad RmaResp tag {t}"),
@@ -640,7 +644,7 @@ mod tests {
             Frame::RmaResp {
                 from: 1,
                 req: 5,
-                data: Some(vec![9; 100]),
+                data: Some(Arc::new(vec![9; 100])),
             },
             Frame::RmaResp {
                 from: 1,

@@ -10,10 +10,12 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use ttg::apps::cholesky;
-use ttg::comm::TransportSpec;
-use ttg::linalg::TiledMatrix;
+use ttg::comm::{TransportSpec, Wire, WriteBuf};
+use ttg::core::node::{am_header, MSG_DATA_SPLITMD};
+use ttg::core::prelude::*;
+use ttg::linalg::{Dist2D, Tile, TiledMatrix};
 use ttg::transport::frame::MAGIC;
-use ttg::transport::{local_mesh, AddrSpec, Endpoint, Frame, TransportKind, PROTOCOL_VERSION};
+use ttg::transport::{local_mesh, AddrSpec, Endpoint, Frame, PROTOCOL_VERSION};
 
 fn factor(a: &TiledMatrix, transport: TransportSpec) -> (TiledMatrix, ttg::core::ExecReport) {
     let cfg = cholesky::ttg::Config {
@@ -149,6 +151,275 @@ fn gathered_write_of_mixed_frames_decodes_losslessly() {
         );
         std::thread::sleep(Duration::from_millis(5));
     }
+    for ep in &eps {
+        ep.shutdown();
+    }
+}
+
+/// One `TransportSpec::Remote` per rank of an `n`-rank UDS mesh living in
+/// this process: each executor built on one is a rank of a multi-process
+/// job in everything but its pid.
+fn remote_specs(n: usize) -> Vec<TransportSpec> {
+    let reg = Arc::new(ttg::telemetry::Registry::new());
+    local_mesh(TransportKind::Uds, n, &reg)
+        .expect("uds mesh")
+        .into_iter()
+        .map(|ep| {
+            TransportSpec::Remote(RemoteHandle {
+                endpoint: ep as Arc<dyn Endpoint>,
+                registry: Arc::clone(&reg),
+            })
+        })
+        .collect()
+}
+
+/// Run `rank_main(rank, spec)` for every spec on its own thread (SPMD).
+fn run_ranks<T: Send>(
+    specs: Vec<TransportSpec>,
+    rank_main: impl Fn(usize, TransportSpec) -> T + Sync,
+) -> Vec<T> {
+    std::thread::scope(|s| {
+        let handles: Vec<_> = specs
+            .into_iter()
+            .enumerate()
+            .map(|(r, spec)| {
+                let rank_main = &rank_main;
+                s.spawn(move || rank_main(r, spec))
+            })
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("rank thread panicked"))
+            .collect()
+    })
+}
+
+#[test]
+fn remote_cholesky_overlaps_fetches_and_stays_bit_exact() {
+    let (nt, nb) = (8, 16);
+    let a = TiledMatrix::random_spd(nt, nb, 2718);
+    let mut reference = a.clone();
+    reference.potrf_reference().expect("input is SPD");
+
+    let runs = run_ranks(remote_specs(2), |_, transport| {
+        let cfg = cholesky::ttg::Config {
+            ranks: 2,
+            workers: 1,
+            backend: ttg::parsec::backend(),
+            trace: false,
+            priorities: true,
+            faults: None,
+            transport,
+        };
+        cholesky::ttg::run(&a, &cfg)
+    });
+
+    let dist = Dist2D::for_ranks(2);
+    for i in 0..nt {
+        for j in 0..=i {
+            // Each rank's output holds exactly the tiles it owns.
+            let (l, _) = &runs[dist.owner(i, j)];
+            assert_eq!(
+                l.tile(i, j).data(),
+                reference.tile(i, j).data(),
+                "factor tile ({i}, {j}) differs from the serial reference"
+            );
+        }
+    }
+    for (rank, (_, report)) in runs.iter().enumerate() {
+        assert!(
+            report.comm_errors.is_empty(),
+            "rank {rank}: {:?}",
+            report.comm_errors
+        );
+        assert!(report.stuck.is_empty(), "rank {rank}: stuck keys");
+    }
+    // Both ranks share one registry, so either report carries the job's
+    // counters. A panel's tiles arrive as a burst of metadata AMs: were the
+    // delivery thread still blocking per fetch, the mark would stay at 1.
+    let comm = &runs[0].1.comm;
+    assert!(comm.rma_gets > 0, "no splitmd traffic crossed the ranks");
+    assert!(
+        comm.rma_pending_hwm > 1,
+        "fetches never overlapped (rma_pending_hwm = {})",
+        comm.rma_pending_hwm
+    );
+    assert!(comm.rma_latency_p50_ns > 0 && comm.rma_latency_p99_ns >= comm.rma_latency_p50_ns);
+}
+
+#[test]
+fn remote_streams_of_splitmd_values_fold_every_value() {
+    // Rank 1 streams tiles (splitmd: metadata AM + remote fetch) into a
+    // reducing terminal on rank 0. Key 0 is closed by a size sent *ahead*
+    // of the values (a count: it may pass them); key 1 by a `finalize` sent
+    // *behind* them, which must wait for their parked fetches — or the
+    // stream closes on a partial fold.
+    const N: u64 = 24;
+    let runs = run_ranks(remote_specs(2), |_, transport| {
+        let start: Edge<u32, Ctl> = Edge::new("start");
+        let values: Edge<u32, Tile> = Edge::new("values");
+        let mut g = GraphBuilder::new();
+        let folded = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&folded);
+        let reduce = g.make_tt(
+            "reduce",
+            (values.clone(),),
+            (),
+            |_: &u32| 0usize,
+            move |k, (sum,): (Tile,), _| sink.lock().unwrap().push((*k, sum)),
+        );
+        reduce
+            .set_input_reducer::<0>(|acc, t| acc.add_assign(&t), None)
+            .expect("pre-attach");
+        let stream = reduce.in_ref::<0>();
+        let produce = g.make_tt(
+            "produce",
+            (start,),
+            (values,),
+            |_: &u32| 1usize,
+            move |k, (_c,): (Ctl,), outs| {
+                if *k == 0 {
+                    stream.set_size(outs, k, N as usize);
+                }
+                for v in 1..=N {
+                    outs.send::<0>(*k, Tile::from_data(4, 4, vec![v as f64; 16]));
+                }
+                if *k == 1 {
+                    stream.finalize(outs, k);
+                }
+            },
+        );
+        let cfg = ExecConfig::distributed(2, 1, ttg::parsec::backend())
+            .with_transport(transport)
+            .with_deadline(Duration::from_secs(60));
+        let exec = Executor::new(g.build(), cfg);
+        for k in 0..2u32 {
+            produce.in_ref::<0>().seed(exec.ctx(), k, Ctl);
+        }
+        let report = exec.finish();
+        let folded = std::mem::take(&mut *folded.lock().unwrap());
+        (folded, report)
+    });
+
+    for (rank, (_, report)) in runs.iter().enumerate() {
+        assert!(
+            report.comm_errors.is_empty(),
+            "rank {rank}: {:?}",
+            report.comm_errors
+        );
+        assert!(report.stuck.is_empty(), "rank {rank}: {:?}", report.stuck);
+    }
+    let (mut folded, report) = runs.into_iter().next().expect("rank 0 ran");
+    folded.sort_by_key(|(k, _)| *k);
+    assert_eq!(folded.len(), 2, "both streams must close exactly once");
+    let full = (N * (N + 1) / 2) as f64;
+    for (k, sum) in &folded {
+        assert_eq!(
+            sum.data(),
+            &[full; 16][..],
+            "stream {k} closed on a partial fold"
+        );
+    }
+    assert_eq!(
+        report.comm.rma_gets,
+        2 * N,
+        "every value is one remote fetch"
+    );
+}
+
+#[test]
+fn remote_fetch_from_a_silent_owner_expires_degraded_not_hung() {
+    // Rank 0 is a real executor; rank 1 is this test, speaking the wire
+    // protocol by hand: it enters the start barrier, ships one splitmd
+    // metadata AM naming a region it will never serve, and answers the
+    // termination probes. The fetch must expire through the wait loop's
+    // sweep as one TTG049 plus the delivery's TTG043 — and release its
+    // in-flight slot, or rank 0 would never read idle and never finish.
+    let reg = Arc::new(ttg::telemetry::Registry::new());
+    let eps = local_mesh(TransportKind::Uds, 2, &reg).expect("uds mesh");
+    let to_rank0 = eps[1].link(0);
+    let probe_reply = eps[1].link(0);
+    let rma_reqs = Arc::new(Mutex::new(Vec::new()));
+    let seen = Arc::clone(&rma_reqs);
+    eps[1].start(Arc::new(move |_, res| match res {
+        Ok(Frame::TermProbe { round }) => {
+            let _ = probe_reply.send(Frame::TermReply {
+                from: 1,
+                round,
+                sent: 1,
+                recvd: 0,
+                epoch: 0,
+                idle: true,
+            });
+        }
+        Ok(Frame::RmaReq { region, .. }) => seen.lock().unwrap().push(region),
+        _ => {}
+    }));
+
+    let values: Edge<u32, Tile> = Edge::new("values");
+    let mut g = GraphBuilder::new();
+    let consume = g.make_tt(
+        "consume",
+        (values,),
+        (),
+        |_: &u32| 0usize,
+        |_, (_t,): (Tile,), _| panic!("the value never arrives"),
+    );
+    let cfg = ExecConfig::distributed(2, 1, ttg::parsec::backend())
+        .with_transport(TransportSpec::Remote(RemoteHandle {
+            endpoint: Arc::clone(&eps[0]) as Arc<dyn Endpoint>,
+            registry: Arc::clone(&reg),
+        }))
+        .with_rma_timeout(Duration::from_millis(50))
+        .with_deadline(Duration::from_secs(60));
+    let exec = Executor::new(g.build(), cfg);
+
+    to_rank0
+        .send(Frame::BarrierEnter { from: 1, epoch: 1 })
+        .unwrap();
+    let mut am = WriteBuf::new();
+    am_header(&mut am, 7, MSG_DATA_SPLITMD, 0);
+    am.put_u64(1); // source rank
+    am.put_u64(42); // region
+    am.put_u64(1); // owner
+    am.put_u32(1);
+    5u32.encode(&mut am);
+    Tile::zeros(4, 4).split_encode_md(&mut am);
+    to_rank0
+        .send(Frame::Am {
+            from: 1,
+            handler: consume.node_id(),
+            seq: 0,
+            payload: am.into_vec(),
+        })
+        .unwrap();
+
+    let report = exec.finish();
+    assert_eq!(
+        *rma_reqs.lock().unwrap(),
+        vec![42],
+        "one RmaReq for the region"
+    );
+    let codes: Vec<&str> = report.comm_errors.iter().map(|e| e.code()).collect();
+    assert_eq!(
+        codes.iter().filter(|c| **c == "TTG049").count(),
+        1,
+        "exactly one timeout: {:?}",
+        report.comm_errors
+    );
+    assert_eq!(
+        codes.iter().filter(|c| **c == "TTG043").count(),
+        1,
+        "the delivery must be reported failed: {:?}",
+        report.comm_errors
+    );
+    assert!(
+        !codes.contains(&"TTG041"),
+        "the run must terminate, not miss its deadline: {:?}",
+        report.comm_errors
+    );
+    assert_eq!(report.tasks, 0);
+    assert_eq!(report.comm.rma_pending_hwm, 1);
     for ep in &eps {
         ep.shutdown();
     }
