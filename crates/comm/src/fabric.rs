@@ -456,8 +456,12 @@ pub struct FabricStats {
     transport_tx_frames_coalesced: Counter,
     /// Frames a writer dropped after reconnect recovery failed.
     transport_tx_frames_abandoned: Counter,
-    /// Per-peer send-queue high-water marks (frames).
+    /// Frames whose body bypassed the coalescing buffer / the read buffer.
+    transport_tx_direct_frames: Counter,
+    transport_rx_direct_frames: Counter,
+    /// Per-peer send-queue high-water marks (frames, bytes).
     transport_queue_hwm: Vec<Gauge>,
+    transport_queue_bytes_hwm: Vec<Gauge>,
     /// Per-rank scheduler ready-queue high-water marks (jobs on one
     /// worker's queues).
     sched_ready_hwm: Vec<Gauge>,
@@ -553,6 +557,13 @@ pub struct StatsSnapshot {
     /// lifetime mark, surviving transport reconnects — the per-connection
     /// `send_queue_hwm` gauge resets on every establishment).
     pub transport_queue_hwm: u64,
+    /// The same mark in queued wire bytes (the transport's byte bound plus
+    /// one frame, unless ungated `RmaResp`/control frames piled up).
+    pub transport_queue_bytes_hwm: u64,
+    /// Frames sent with their body written from the buffer that held it.
+    pub transport_tx_direct_frames: u64,
+    /// Frames whose body was read from the socket into its final buffer.
+    pub transport_rx_direct_frames: u64,
     /// Highest single-worker ready-queue depth observed across ranks
     /// (jobs; mirrors `transport_queue_hwm` for the scheduler).
     pub sched_ready_hwm: u64,
@@ -574,6 +585,11 @@ impl FabricStats {
     fn new(reg: &Registry, n: usize) -> Self {
         let c = |name| reg.counter(MetricKey::global("comm", name));
         let t = |name| reg.counter(MetricKey::global("transport", name));
+        let per_rank = |subsystem: &'static str, name: &'static str| -> Vec<Gauge> {
+            (0..n)
+                .map(|r| reg.gauge(MetricKey::ranked(r, subsystem, name)))
+                .collect()
+        };
         FabricStats {
             am_count: c("am_count"),
             am_bytes: c("am_bytes"),
@@ -616,14 +632,13 @@ impl FabricStats {
             transport_tx_writes: t("tx_writes"),
             transport_tx_frames_coalesced: t("tx_frames_coalesced"),
             transport_tx_frames_abandoned: t("tx_frames_abandoned"),
-            transport_queue_hwm: (0..n)
-                .map(|r| reg.gauge(MetricKey::ranked(r, "transport", "send_queue_hwm_lifetime")))
-                .collect(),
+            transport_tx_direct_frames: t("tx_direct_frames"),
+            transport_rx_direct_frames: t("rx_direct_frames"),
+            transport_queue_hwm: per_rank("transport", "send_queue_hwm_lifetime"),
+            transport_queue_bytes_hwm: per_rank("transport", "send_queue_bytes_hwm_lifetime"),
             // Same keys the per-rank worker pools register under: the
             // registry dedups, so these handles share the pools' cells.
-            sched_ready_hwm: (0..n)
-                .map(|r| reg.gauge(MetricKey::ranked(r, "sched", "ready_hwm")))
-                .collect(),
+            sched_ready_hwm: per_rank("sched", "ready_hwm"),
             snapshots_taken: c("snapshots_taken"),
             snapshot_bytes: c("snapshot_bytes"),
             restores: c("restores"),
@@ -670,18 +685,11 @@ impl FabricStats {
             transport_tx_writes: self.transport_tx_writes.get(),
             transport_tx_frames_coalesced: self.transport_tx_frames_coalesced.get(),
             transport_tx_frames_abandoned: self.transport_tx_frames_abandoned.get(),
-            transport_queue_hwm: self
-                .transport_queue_hwm
-                .iter()
-                .map(|g| g.get().max(0) as u64)
-                .max()
-                .unwrap_or(0),
-            sched_ready_hwm: self
-                .sched_ready_hwm
-                .iter()
-                .map(|g| g.get().max(0) as u64)
-                .max()
-                .unwrap_or(0),
+            transport_tx_direct_frames: self.transport_tx_direct_frames.get(),
+            transport_rx_direct_frames: self.transport_rx_direct_frames.get(),
+            transport_queue_hwm: highest(&self.transport_queue_hwm),
+            transport_queue_bytes_hwm: highest(&self.transport_queue_bytes_hwm),
+            sched_ready_hwm: highest(&self.sched_ready_hwm),
             snapshots_taken: self.snapshots_taken.get(),
             snapshot_bytes: self.snapshot_bytes.get(),
             restores: self.restores.get(),
@@ -690,6 +698,15 @@ impl FabricStats {
             replay_dedup_hits: self.replay_dedup_hits.get(),
         }
     }
+}
+
+/// The highest of a set of per-rank high-water gauges.
+fn highest(marks: &[Gauge]) -> u64 {
+    marks
+        .iter()
+        .map(|g| g.get().max(0) as u64)
+        .max()
+        .unwrap_or(0)
 }
 
 impl StatsSnapshot {
@@ -1089,16 +1106,10 @@ impl Fabric {
                     .into_iter()
                     .map(|ep| ep as Arc<dyn Endpoint>)
                     .collect();
-                // Cache one link per ordered pair. Under the legacy wire
-                // mode (`TTG_WIRE_COALESCE_BUDGET=0`, the bench_wire
-                // baseline) the cache stays empty and every message
-                // allocates a fresh link, as the pre-overhaul fabric did —
-                // the A/B must reproduce that cost, not just the writer's.
-                let legacy = std::env::var("TTG_WIRE_COALESCE_BUDGET").as_deref() == Ok("0");
                 let mut links = Vec::with_capacity(n * n);
                 for f in 0..n {
                     for t in 0..n {
-                        links.push((!legacy && f != t).then(|| endpoints[f].link(t)));
+                        links.push((f != t).then(|| endpoints[f].link(t)));
                     }
                 }
                 LinkLayer::Mesh { endpoints, links }
@@ -1480,28 +1491,14 @@ impl Fabric {
         seq: u64,
         payload: Vec<u8>,
     ) -> Result<(), SendError> {
-        if let LinkLayer::Mesh { endpoints, links } = &self.wire {
-            if from != to && from < self.n {
-                let frame = Frame::Am {
-                    from: from as u32,
-                    handler,
-                    seq,
-                    payload,
-                };
-                // Cached link on the fast path; an empty cache entry means
-                // legacy mode, which allocates one per message.
-                let sent = match links[from * self.n + to].as_ref() {
-                    Some(link) => link.send(frame),
-                    None => endpoints[from].link(to).send(frame),
-                };
-                return match sent {
-                    Ok(()) => Ok(()),
-                    Err(e) => {
-                        self.transport_send_failed(from, to, Some(handler), e);
-                        Err(SendError { from, to })
-                    }
-                };
-            }
+        if let Some(link) = self.mesh_link(from, to) {
+            let sent = link.send(Frame::Am {
+                from: from as u32,
+                handler,
+                seq,
+                payload,
+            });
+            return self.mesh_sent(from, to, handler, sent);
         }
         match self.senders[to].send(Packet::Am {
             handler,
@@ -1515,6 +1512,51 @@ impl Fabric {
                 Err(SendError { from, to })
             }
         }
+    }
+
+    /// [`Fabric::phys_deliver`] for a payload the reliable layer keeps in
+    /// its retransmit map: a mesh link encodes from the shared buffer (or
+    /// queues another handle on it); only the channel path, which hands an
+    /// owned `Vec` to the receiver, copies it.
+    fn phys_deliver_shared(
+        &self,
+        from: Rank,
+        to: Rank,
+        handler: u32,
+        seq: u64,
+        payload: &Arc<Vec<u8>>,
+    ) -> Result<(), SendError> {
+        match self.mesh_link(from, to) {
+            Some(link) => {
+                let sent = link.send_am_shared(from as u32, handler, seq, payload);
+                self.mesh_sent(from, to, handler, sent)
+            }
+            None => self.phys_deliver(from, to, handler, seq, (**payload).clone()),
+        }
+    }
+
+    /// The socket link carrying `from → to`, if that pair crosses one:
+    /// loopback and external-seed sentinels (`from >= n`) never do.
+    fn mesh_link(&self, from: Rank, to: Rank) -> Option<&Arc<dyn Link>> {
+        match &self.wire {
+            LinkLayer::Mesh { links, .. } if from != to && from < self.n => {
+                links[from * self.n + to].as_ref()
+            }
+            _ => None,
+        }
+    }
+
+    fn mesh_sent(
+        &self,
+        from: Rank,
+        to: Rank,
+        handler: u32,
+        sent: Result<(), TransportError>,
+    ) -> Result<(), SendError> {
+        sent.map_err(|e| {
+            self.transport_send_failed(from, to, Some(handler), e);
+            SendError { from, to }
+        })
     }
 
     /// Socket-mesh receive sink for rank `to`: re-enter arriving AM frames
@@ -1912,7 +1954,7 @@ impl Fabric {
             // fabric while replays still sit unclassified in a channel.
             self.in_flight.fetch_add(1, Ordering::SeqCst);
             if self
-                .phys_deliver(from, to, handler, seq, (**payload).clone())
+                .phys_deliver_shared(from, to, handler, seq, payload)
                 .is_err()
             {
                 self.in_flight.fetch_sub(1, Ordering::SeqCst);
@@ -1969,7 +2011,7 @@ impl Fabric {
                     // Channel/link closure is already counted and recorded
                     // inside `phys_deliver`; the reliable layer will
                     // retransmit or abandon with its own reporting.
-                    let _ = self.phys_deliver(from, to, handler, seq, (**payload).clone());
+                    let _ = self.phys_deliver_shared(from, to, handler, seq, payload);
                 }
             }
         }
@@ -2197,17 +2239,13 @@ impl Fabric {
             .add(ranges.iter().map(|&(a, b)| b - a + 1).sum());
         let sender_row = li / self.n;
         let acker = li % self.n;
-        if sender_row < self.n && acker != sender_row {
-            if let LinkLayer::Mesh { endpoints, links } = &self.wire {
+        if sender_row < self.n {
+            if let Some(link) = self.mesh_link(acker, sender_row) {
                 let frame = Frame::AckRange {
                     from: acker as u32,
                     ranges: ranges.clone(),
                 };
-                let sent = match links[acker * self.n + sender_row].as_ref() {
-                    Some(link) => link.send(frame),
-                    None => endpoints[acker].link(sender_row).send(frame),
-                };
-                if sent.is_ok() {
+                if link.send(frame).is_ok() {
                     return; // applied on arrival in `mesh_rx`
                 }
                 // Wire teardown must not strand retransmit state: fall
@@ -2254,7 +2292,7 @@ impl Fabric {
                 self.stats.am_dropped_injected.inc();
                 continue;
             }
-            let _ = self.phys_deliver(d.from, d.to, d.handler, d.seq, (*d.payload).clone());
+            let _ = self.phys_deliver_shared(d.from, d.to, d.handler, d.seq, &d.payload);
         }
         // Flush ack accumulators whose oldest entry has aged past the
         // flush deadline — before the retransmit scan, so a due ack beats

@@ -544,13 +544,17 @@ fn child_main() {
     // `rma_pending_hwm > 1` means splitmd fetches overlapped.
     println!(
         "ttg-launch child rank {me}: {} tasks, {} owned tiles, {} B over the wire, \
-         rma_pending_hwm={} rma_p50_us<={} rma_p99_us<={}",
+         rma_pending_hwm={} rma_p50_us<={} rma_p99_us<={} \
+         send_queue_bytes_hwm={} tx_direct_frames={} rx_direct_frames={}",
         report.tasks,
         records.len(),
         report.comm.transport_tx_bytes,
         report.comm.rma_pending_hwm,
         report.comm.rma_latency_p50_ns / 1_000,
-        report.comm.rma_latency_p99_ns / 1_000
+        report.comm.rma_latency_p99_ns / 1_000,
+        report.comm.transport_queue_bytes_hwm,
+        report.comm.transport_tx_direct_frames,
+        report.comm.transport_rx_direct_frames
     );
 }
 

@@ -76,7 +76,8 @@ pub fn corpus() -> Vec<CorpusEntry> {
         CorpusEntry {
             name: "handshake_reader",
             invariant: "transport handshake/reader: no byte of frames riding behind \
-                        Hello is lost across the codec handoff",
+                        Hello is lost across the codec handoff, nor a staged byte of a \
+                        bulk frame across the handoff to its payload buffer",
             run: |cfg| handshake::check(cfg, handshake::Mutation::None),
             default_bound: 2,
         },

@@ -139,6 +139,20 @@ fn handshake_fresh_reader_codec_reproduces_pr7_desync() {
 }
 
 #[test]
+fn handshake_bulk_handoff_dropping_its_staged_prefix_starves_the_reader() {
+    // The bulk receive path's own hand-off (staged bytes → the payload's
+    // buffer): forgetting the payload bytes staged with the header is the
+    // same class of bug one layer down, and needs no preemption either.
+    let v = handshake::check(
+        Config::bounded(0),
+        handshake::Mutation::BulkDropsStagedPrefix,
+    )
+    .expect_err("bytes dropped at the bulk hand-off must be found");
+    assert_eq!(v.kind, ViolationKind::Assert, "got: {v}");
+    assert!(v.message.contains("dropped"), "got: {v}");
+}
+
+#[test]
 fn violations_replay_deterministically() {
     let a = wake::check(Config::bounded(3), wake::Mutation::BumpOutsideLock).unwrap_err();
     let b = wake::check(Config::bounded(3), wake::Mutation::BumpOutsideLock).unwrap_err();

@@ -14,7 +14,14 @@
 //! they materialize. Frames longer than [`MAX_FRAME`] are rejected as
 //! malformed instead of allocating unboundedly — a garbage or hostile peer
 //! must not be able to OOM a rank.
+//!
+//! Frames whose trailing byte field (`Am.payload`, `RmaResp.data`) reaches
+//! [`BULK_MIN`] take the **bulk path** (DESIGN §12): [`WireBatch`] queues
+//! the body by ownership and writes it with a vectored write, and
+//! [`FrameCodec::read_from`] reads it from the socket straight into its
+//! final buffer. The bytes on the wire are those of [`Frame::encode`].
 
+use std::io::{IoSlice, Read, Write};
 use std::sync::Arc;
 
 /// Handshake magic: `"TTGW"` as a little-endian u32.
@@ -27,6 +34,18 @@ pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Upper bound on the encoded size (kind + body) of a single frame.
 pub const MAX_FRAME: usize = 64 << 20;
+
+/// Smallest trailing byte field that takes the bulk path. Below it the
+/// copies it saves cost less than the reads it adds — one for the head,
+/// the body's own — where the read buffer would have taken several frames
+/// in one (measured: DESIGN §12).
+const BULK_MIN: usize = 32 * 1024;
+/// First allocation for a bulk body being received; beyond it the buffer
+/// grows with the bytes that arrive, not with the length announced.
+const BULK_FIRST_ALLOC: usize = 256 * 1024;
+/// Encoded bytes of an `Am` / `RmaResp` before the trailing byte field.
+const AM_HEAD: usize = 4 + 1 + 4 + 4 + 8;
+const RMA_RESP_HEAD: usize = 4 + 1 + 4 + 8 + 1;
 
 /// A unit of transport-level communication.
 ///
@@ -226,13 +245,35 @@ fn put_u32(out: &mut Vec<u8>, v: u32) {
 fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
+fn put_am_fields(out: &mut Vec<u8>, from: u32, handler: u32, seq: u64) {
+    out.push(K_AM);
+    put_u32(out, from);
+    put_u32(out, handler);
+    put_u64(out, seq);
+}
+/// Back-patch the length prefix of the frame encoded at `start`; `detached`
+/// counts trailing bytes that travel outside `out` (a bulk body).
+fn patch_len(out: &mut [u8], start: usize, detached: usize) {
+    let len = (out.len() - start - 4 + detached) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+}
 
 impl Frame {
     /// Append the length-prefixed encoding of this frame to `out`.
     /// Returns the number of bytes appended.
     pub fn encode(&self, out: &mut Vec<u8>) -> usize {
         let start = out.len();
-        put_u32(out, 0); // length back-patched below
+        let tail = self.encode_head(out);
+        out.extend_from_slice(tail);
+        patch_len(out, start, 0);
+        out.len() - start
+    }
+
+    /// Append everything but the trailing byte field (`Am.payload`,
+    /// `RmaResp.data`; empty for other kinds), which is returned. The
+    /// length prefix is left for [`patch_len`].
+    fn encode_head(&self, out: &mut Vec<u8>) -> &[u8] {
+        put_u32(out, 0); // length back-patched by `patch_len`
         match self {
             Frame::Hello {
                 magic,
@@ -252,11 +293,8 @@ impl Frame {
                 seq,
                 payload,
             } => {
-                out.push(K_AM);
-                put_u32(out, *from);
-                put_u32(out, *handler);
-                put_u64(out, *seq);
-                out.extend_from_slice(payload);
+                put_am_fields(out, *from, *handler, *seq);
+                return payload;
             }
             Frame::Ack { from, seq } => {
                 out.push(K_ACK);
@@ -282,12 +320,9 @@ impl Frame {
                 out.push(K_RMA_RESP);
                 put_u32(out, *from);
                 put_u64(out, *req);
-                match data {
-                    Some(d) => {
-                        out.push(1);
-                        out.extend_from_slice(d);
-                    }
-                    None => out.push(0),
+                out.push(u8::from(data.is_some()));
+                if let Some(d) = data {
+                    return d;
                 }
             }
             Frame::BarrierEnter { from, epoch } => {
@@ -325,9 +360,7 @@ impl Frame {
                 put_u32(out, *from);
             }
         }
-        let len = (out.len() - start - 4) as u32;
-        out[start..start + 4].copy_from_slice(&len.to_le_bytes());
-        out.len() - start
+        &[]
     }
 
     /// Encode into a fresh buffer.
@@ -335,6 +368,124 @@ impl Frame {
         let mut out = Vec::with_capacity(32);
         self.encode(&mut out);
         out
+    }
+}
+
+/// Encoded frames awaiting one gathered write (the socket send queue's
+/// storage, DESIGN §12). Small frames and the heads of bulk frames are
+/// encoded back to back into one coalescing buffer; a bulk body is held
+/// by ownership next to the offset it follows and reaches the socket by
+/// vectored write, never copied in user space.
+#[derive(Default)]
+pub struct WireBatch {
+    wire: Vec<u8>,
+    /// `(offset in wire the body follows, body)`, ascending. A body is the
+    /// sender's own buffer or another handle on the one an `RmaResp` or a
+    /// reliable retransmit entry shares.
+    bodies: Vec<(usize, Arc<Vec<u8>>)>,
+    frames: usize,
+    body_bytes: usize,
+}
+
+impl WireBatch {
+    /// Append `frame`; an `Am` payload buffer that was copied (not
+    /// queued) goes back to the pool.
+    pub fn push(&mut self, frame: Frame) {
+        let start = self.wire.len();
+        let tail = frame.encode_head(&mut self.wire);
+        let bulk = tail.len() >= BULK_MIN;
+        if !bulk {
+            self.wire.extend_from_slice(tail);
+        }
+        let body = match frame {
+            Frame::Am { payload, .. } if bulk => Some(Arc::new(payload)),
+            Frame::RmaResp { data, .. } if bulk => data,
+            Frame::Am { payload, .. } => {
+                crate::pool::recycle(payload);
+                None
+            }
+            _ => None,
+        };
+        self.seal(start, body);
+    }
+
+    /// Append an `Am` whose payload the caller keeps sharing (the reliable
+    /// layer's retransmit map): copied from the borrow when small, queued
+    /// as another handle on the same buffer when bulk.
+    pub fn push_am_shared(&mut self, from: u32, handler: u32, seq: u64, payload: &Arc<Vec<u8>>) {
+        let start = self.wire.len();
+        put_u32(&mut self.wire, 0);
+        put_am_fields(&mut self.wire, from, handler, seq);
+        let bulk = payload.len() >= BULK_MIN;
+        if !bulk {
+            self.wire.extend_from_slice(payload);
+        }
+        self.seal(start, bulk.then(|| Arc::clone(payload)));
+    }
+
+    /// Finish the frame encoded at `start`, whose trailing bytes are
+    /// either already in the buffer or detached as `body`.
+    fn seal(&mut self, start: usize, body: Option<Arc<Vec<u8>>>) {
+        let detached = body.as_ref().map_or(0, |b| b.len());
+        patch_len(&mut self.wire, start, detached);
+        if let Some(b) = body {
+            self.bodies.push((self.wire.len(), b));
+            self.body_bytes += detached;
+        }
+        self.frames += 1;
+    }
+
+    /// Frames held.
+    pub fn frames(&self) -> usize {
+        self.frames
+    }
+
+    /// Wire bytes held (coalescing buffer plus bulk bodies).
+    pub fn bytes(&self) -> usize {
+        self.wire.len() + self.body_bytes
+    }
+
+    /// Frames whose body is queued by ownership.
+    pub fn bulk_frames(&self) -> usize {
+        self.bodies.len()
+    }
+
+    /// Write every byte to `w`, in frame order, as vectored writes straight
+    /// from the buffers held; short writes are resumed. The batch is left
+    /// intact, so a failed write can be retried whole on a new connection.
+    pub fn write_to<W: Write>(&self, w: &mut W) -> std::io::Result<()> {
+        let mut io: Vec<IoSlice<'_>> = Vec::with_capacity(2 * self.bodies.len() + 1);
+        let mut at = 0;
+        for (off, body) in &self.bodies {
+            io.push(IoSlice::new(&self.wire[at..*off]));
+            io.push(IoSlice::new(body));
+            at = *off;
+        }
+        io.push(IoSlice::new(&self.wire[at..]));
+        io.retain(|s| !s.is_empty());
+        let mut left = &mut io[..];
+        while !left.is_empty() {
+            match w.write_vectored(left) {
+                Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+                Ok(n) => IoSlice::advance_slices(&mut left, n),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// Empty the batch, keeping its buffers' capacity; a bulk body nobody
+    /// else holds goes back to the pool.
+    pub fn clear(&mut self) {
+        self.wire.clear();
+        for (_, body) in self.bodies.drain(..) {
+            if let Ok(v) = Arc::try_unwrap(body) {
+                crate::pool::recycle(v);
+            }
+        }
+        self.frames = 0;
+        self.body_bytes = 0;
     }
 }
 
@@ -378,6 +529,9 @@ impl<'a> Cur<'a> {
     fn rest_pooled(&mut self) -> Vec<u8> {
         let tail = &self.b[self.at..];
         self.at = self.b.len();
+        if tail.is_empty() {
+            return Vec::new(); // also what a bulk frame's head decodes to
+        }
         let mut s = crate::pool::acquire(tail.len());
         s.extend_from_slice(tail);
         s
@@ -474,16 +628,36 @@ fn decode_body(kind: u8, body: &[u8]) -> Result<Frame, FrameError> {
     Ok(frame)
 }
 
+/// A bulk frame being received: decoded head, body so far, body length.
+struct Bulk {
+    head: Frame,
+    dest: Vec<u8>,
+    total: usize,
+}
+
+/// So [`FrameCodec::read_from`] has one error type: a stream that does not
+/// decode is `InvalidData`, a kind no socket read produces.
+impl From<FrameError> for std::io::Error {
+    fn from(e: FrameError) -> Self {
+        std::io::Error::new(std::io::ErrorKind::InvalidData, e)
+    }
+}
+
 /// Incremental frame decoder.
 ///
-/// Feed arbitrary byte chunks with [`push`](Self::push) and drain complete
-/// frames with [`next`](Self::next). Internal storage is compacted as
-/// frames are consumed, so memory use is bounded by the largest in-flight
-/// frame plus one read chunk.
+/// Feed arbitrary byte chunks with [`feed`](Self::feed) — or let
+/// [`read_from`](Self::read_from) pull them off a stream — and complete
+/// frames are handed to the callback as they materialize. Memory use is
+/// bounded by the largest in-flight frame plus one read chunk.
 #[derive(Default)]
 pub struct FrameCodec {
     buf: Vec<u8>,
     pos: usize,
+    bulk: Option<Bulk>,
+    /// The last read completed a bulk body: a run of them usually
+    /// follows, so peek only the next head and stay on the direct path.
+    after_bulk: bool,
+    bulk_frames: u64,
 }
 
 impl FrameCodec {
@@ -492,7 +666,8 @@ impl FrameCodec {
         Self::default()
     }
 
-    /// Append raw bytes read from the wire.
+    /// Append raw bytes read from the wire (handshake-style staging; the
+    /// steady-state receive path is [`feed`](Self::feed)).
     pub fn push(&mut self, bytes: &[u8]) {
         // Compact lazily: only when consumed prefix dominates the buffer.
         if self.pos > 4096 && self.pos * 2 > self.buf.len() {
@@ -502,7 +677,7 @@ impl FrameCodec {
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Decode the next complete frame, if one is buffered.
+    /// Decode the next complete frame staged by [`push`](Self::push).
     ///
     /// `Ok(None)` means more bytes are needed; an error poisons the stream
     /// (the caller must drop the connection — after a framing error there
@@ -511,7 +686,7 @@ impl FrameCodec {
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<Option<Frame>, FrameError> {
         let avail = self.buf.len() - self.pos;
-        if avail < 4 {
+        if avail < 4 || self.bulk.is_some() {
             return Ok(None);
         }
         let len = frame_len(&self.buf[self.pos..self.pos + 4])?;
@@ -525,65 +700,150 @@ impl FrameCodec {
         Ok(Some(frame))
     }
 
+    /// Frames so far whose body was received in place (the bulk path).
+    pub fn bulk_frames(&self) -> u64 {
+        self.bulk_frames
+    }
+
     /// Decode every complete frame in `bytes` straight from the caller's
-    /// read buffer, calling `out` per frame. Only a trailing partial
-    /// frame is copied into internal storage (completed by the next
-    /// call), so the bulk receive path pays zero buffer-to-buffer copies
-    /// — unlike [`push`](Self::push) + [`next`](Self::next), which stage
-    /// every byte through the internal buffer first. The two styles
-    /// compose: `feed` first finishes whatever `push` left behind.
-    ///
-    /// An error poisons the stream exactly like [`next`](Self::next).
+    /// read buffer, calling `out` per frame. Only a trailing partial frame
+    /// is copied into internal storage (completed by the next call); if it
+    /// announces a bulk body, its bytes move into their final buffer
+    /// instead and [`read_from`](Self::read_from) reads the rest there.
+    /// Bytes staged by [`push`](Self::push) are finished first. An error
+    /// poisons the stream exactly like [`next`](Self::next).
     pub fn feed<F: FnMut(Frame)>(
         &mut self,
         mut bytes: &[u8],
         out: &mut F,
     ) -> Result<(), FrameError> {
-        // Finish the partial frame carried over from the previous read,
-        // copying in only the bytes it still needs.
-        while self.buf.len() > self.pos {
-            let avail = self.buf.len() - self.pos;
-            let need = if avail < 4 {
-                4 - avail
-            } else {
-                let len = frame_len(&self.buf[self.pos..self.pos + 4])?;
-                (4 + len).saturating_sub(avail)
-            };
-            if need == 0 {
-                let frame = self.next()?.expect("frame is complete");
-                out(frame);
+        loop {
+            if let Some(b) = self.bulk.as_mut() {
+                let take = (b.total - b.dest.len()).min(bytes.len());
+                b.dest.extend_from_slice(&bytes[..take]);
+                bytes = &bytes[take..];
+                if b.dest.len() < b.total {
+                    return Ok(());
+                }
+                out(self.finish_bulk());
+            } else if self.buf.len() > self.pos {
+                // Top the staged partial frame up to what it needs in one
+                // piece; the need grows once the kind byte is known.
+                let staged = self.buf.len() - self.pos;
+                let (want, body) = contiguous_need(&self.buf[self.pos..])?;
+                if staged < want {
+                    let take = (want - staged).min(bytes.len());
+                    self.buf.extend_from_slice(&bytes[..take]);
+                    bytes = &bytes[take..];
+                    if take < want - staged {
+                        return Ok(());
+                    }
+                } else if body > 0 {
+                    // Only `push` stages past a head: feed that back in.
+                    self.bulk = Some(bulk_head(&self.buf[self.pos..self.pos + want], body)?);
+                    let rest = self.buf.split_off(self.pos + want);
+                    self.pos = self.buf.len();
+                    self.feed(&rest, out)?;
+                } else {
+                    out(self.next()?.expect("frame is complete"));
+                }
                 if self.pos == self.buf.len() {
                     self.buf.clear();
                     self.pos = 0;
                 }
-                continue;
-            }
-            if bytes.len() < need {
-                self.buf.extend_from_slice(bytes);
+            } else if bytes.is_empty() {
                 return Ok(());
+            } else {
+                let (want, body) = contiguous_need(bytes)?;
+                if bytes.len() < want {
+                    self.buf.extend_from_slice(bytes);
+                    return Ok(());
+                }
+                if body > 0 {
+                    self.bulk = Some(bulk_head(&bytes[..want], body)?);
+                } else {
+                    out(decode_body(bytes[4], &bytes[5..want])?);
+                }
+                bytes = &bytes[want..];
             }
-            self.buf.extend_from_slice(&bytes[..need]);
-            bytes = &bytes[need..];
         }
-        // Direct parse over the input; stash only the tail.
-        let mut pos = 0;
-        loop {
-            let avail = bytes.len() - pos;
-            if avail < 4 {
-                break;
-            }
-            let len = frame_len(&bytes[pos..pos + 4])?;
-            if avail < 4 + len {
-                break;
-            }
-            out(decode_body(bytes[pos + 4], &bytes[pos + 5..pos + 4 + len])?);
-            pos += 4 + len;
-        }
-        if pos < bytes.len() {
-            self.buf.extend_from_slice(&bytes[pos..]);
-        }
-        Ok(())
     }
+
+    fn finish_bulk(&mut self) -> Frame {
+        let Bulk { mut head, dest, .. } = self.bulk.take().expect("bulk in progress");
+        match &mut head {
+            Frame::Am { payload, .. } => *payload = dest,
+            Frame::RmaResp { data, .. } => *data = Some(Arc::new(dest)),
+            _ => {}
+        }
+        self.bulk_frames += 1;
+        head
+    }
+
+    /// One step of the receive path: read from `r` and hand every frame
+    /// that completes to `out`. While a bulk body is incomplete the read
+    /// goes into the body's own buffer (its spare capacity: no staging, no
+    /// zeroing) until the body is whole; otherwise it goes through
+    /// `scratch` and [`feed`](Self::feed). Returns the bytes
+    /// read; `Ok(0)` is end of stream, `UnexpectedEof` one that ended inside
+    /// a bulk body, `InvalidData` (a [`FrameError`] inside) a poisoned one.
+    pub fn read_from<R: Read, F: FnMut(Frame)>(
+        &mut self,
+        r: &mut R,
+        scratch: &mut [u8],
+        out: &mut F,
+    ) -> std::io::Result<usize> {
+        if let Some(b) = self.bulk.as_mut() {
+            let need = b.total - b.dest.len();
+            let got = r.take(need as u64).read_to_end(&mut b.dest)?;
+            if got < need {
+                return Err(std::io::ErrorKind::UnexpectedEof.into());
+            }
+            out(self.finish_bulk());
+            self.after_bulk = true;
+            return Ok(got);
+        }
+        let cap = if self.after_bulk {
+            AM_HEAD.min(scratch.len())
+        } else {
+            scratch.len()
+        };
+        self.after_bulk = false;
+        let got = r.read(&mut scratch[..cap])?;
+        self.feed(&scratch[..got], out)?;
+        Ok(got)
+    }
+}
+
+/// How many leading bytes of the frame starting at `b` (any prefix of it)
+/// must be contiguous to decode — a bulk frame's head, else the whole
+/// frame — and the length of the bulk body behind them (else 0).
+fn contiguous_need(b: &[u8]) -> Result<(usize, usize), FrameError> {
+    if b.len() < 4 {
+        return Ok((5, 0));
+    }
+    let len = frame_len(b)?;
+    let head = match b.get(4) {
+        None => return Ok((5, 0)),
+        Some(&K_AM) => AM_HEAD,
+        Some(&K_RMA_RESP) => RMA_RESP_HEAD,
+        Some(_) => return Ok((4 + len, 0)),
+    };
+    if 4 + len >= head + BULK_MIN {
+        Ok((head, 4 + len - head))
+    } else {
+        Ok((4 + len, 0))
+    }
+}
+
+/// Decode a bulk frame's head and allocate the buffer its `body` bytes
+/// will be received into.
+fn bulk_head(head: &[u8], body: usize) -> Result<Bulk, FrameError> {
+    Ok(Bulk {
+        head: decode_body(head[4], &head[5..])?,
+        dest: crate::pool::acquire(body.min(BULK_FIRST_ALLOC)),
+        total: body,
+    })
 }
 
 /// Validate a length prefix (4 LE bytes) and return the frame length.
@@ -717,53 +977,6 @@ mod tests {
         assert!(c.next().unwrap().is_none());
         c.push(&tail_bytes[3..]);
         assert_eq!(c.next().unwrap().unwrap(), tail);
-    }
-
-    #[test]
-    fn feed_decodes_across_arbitrary_chunk_boundaries() {
-        // The zero-copy feed path must behave exactly like push+next no
-        // matter where the read boundaries fall: stream three frames in
-        // chunks of every size from 1 byte up past the total.
-        let frames = [
-            Frame::Am {
-                from: 1,
-                handler: 9,
-                seq: 5,
-                payload: (0..200u16).map(|i| (i % 251) as u8).collect(),
-            },
-            Frame::AckRange {
-                from: 2,
-                ranges: vec![(1, 9), (20, 20)],
-            },
-            Frame::Ack { from: 0, seq: 3 },
-        ];
-        let mut bytes = Vec::new();
-        for f in &frames {
-            f.encode(&mut bytes);
-        }
-        for chunk in 1..=bytes.len() {
-            let mut c = FrameCodec::new();
-            let mut got = Vec::new();
-            for part in bytes.chunks(chunk) {
-                c.feed(part, &mut |f| got.push(f)).unwrap();
-            }
-            assert_eq!(got, frames, "chunk size {chunk}");
-        }
-    }
-
-    #[test]
-    fn feed_composes_with_push_leftovers() {
-        // Bytes staged via push (the handshake path) must be finished by
-        // a later feed before it parses its own input directly.
-        let a = Frame::TermProbe { round: 8 };
-        let b = Frame::Bye { from: 1 };
-        let mut bytes = a.encode_vec();
-        b.encode(&mut bytes);
-        let mut c = FrameCodec::new();
-        c.push(&bytes[..5]); // header of `a` plus one body byte
-        let mut got = Vec::new();
-        c.feed(&bytes[5..], &mut |f| got.push(f)).unwrap();
-        assert_eq!(got, vec![a, b]);
     }
 
     #[test]

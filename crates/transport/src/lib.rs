@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use ttg_telemetry::Registry;
 
-pub use frame::{Frame, FrameCodec, FrameError, MAX_FRAME, PROTOCOL_VERSION};
+pub use frame::{Frame, FrameCodec, FrameError, WireBatch, MAX_FRAME, PROTOCOL_VERSION};
 pub use link::{Endpoint, Link, Rank, Sink, TransportError, TransportKind, TransportMetrics};
 pub use pool::{pool_stats, PoolStats};
 pub use socket::{local_mesh, remote_endpoint, AddrSpec, SocketEndpoint};

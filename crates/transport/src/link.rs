@@ -148,6 +148,24 @@ pub trait Link: Send + Sync {
     fn peer(&self) -> Rank;
     /// Enqueue one frame for delivery, blocking under backpressure.
     fn send(&self, frame: Frame) -> Result<(), TransportError>;
+    /// Enqueue an `Am` whose payload the caller keeps sharing (the reliable
+    /// layer's retransmit map). A link that serializes encodes from the
+    /// borrow or queues another handle; one that hands the frame on as a
+    /// value needs an owned copy, which is this default.
+    fn send_am_shared(
+        &self,
+        from: u32,
+        handler: u32,
+        seq: u64,
+        payload: &Arc<Vec<u8>>,
+    ) -> Result<(), TransportError> {
+        self.send(Frame::Am {
+            from,
+            handler,
+            seq,
+            payload: (**payload).clone(),
+        })
+    }
 }
 
 /// One rank's attachment to the link layer.
@@ -173,7 +191,8 @@ pub trait Endpoint: Send + Sync {
 /// counters.
 #[derive(Clone)]
 pub struct TransportMetrics {
-    /// Bytes handed to the OS (or peer channel) across all links.
+    /// Bytes handed to the OS (or peer channel) across all links, bulk
+    /// bodies included.
     pub tx_bytes: Counter,
     /// Bytes read off the wire across all links.
     pub rx_bytes: Counter,
@@ -193,6 +212,11 @@ pub struct TransportMetrics {
     /// The reliable layer (when active) retransmits the loss; without it
     /// this counter is the only record.
     pub tx_frames_abandoned: Counter,
+    /// Frames whose body went to the socket from the buffer that held it
+    /// (queued by ownership, written vectored) instead of being copied.
+    pub tx_direct_frames: Counter,
+    /// Frames whose body was read from the socket into its final buffer.
+    pub rx_direct_frames: Counter,
     /// Per-peer send-queue high-water marks (frames) **for the current
     /// connection**: reset on every (re)establishment so a post-reconnect
     /// reading describes the live connection, not the dead one's peak.
@@ -200,6 +224,10 @@ pub struct TransportMetrics {
     /// Per-peer lifetime send-queue high-water marks (frames): never
     /// reset, the all-time peak across reconnects.
     pub queue_hwm_lifetime: Vec<Gauge>,
+    /// As [`queue_hwm`](Self::queue_hwm), in queued wire bytes.
+    pub queue_bytes_hwm: Vec<Gauge>,
+    /// As [`queue_hwm_lifetime`](Self::queue_hwm_lifetime), in bytes.
+    pub queue_bytes_hwm_lifetime: Vec<Gauge>,
 }
 
 impl TransportMetrics {
@@ -207,6 +235,11 @@ impl TransportMetrics {
     /// job with `n` ranks.
     pub fn register(reg: &Registry, n: usize) -> Self {
         let c = |name| reg.counter(MetricKey::global("transport", name));
+        let per_peer = |name: &'static str| -> Vec<Gauge> {
+            (0..n)
+                .map(|r| reg.gauge(MetricKey::ranked(r, "transport", name)))
+                .collect()
+        };
         TransportMetrics {
             tx_bytes: c("tx_bytes"),
             rx_bytes: c("rx_bytes"),
@@ -216,27 +249,28 @@ impl TransportMetrics {
             tx_writes: c("tx_writes"),
             tx_frames_coalesced: c("tx_frames_coalesced"),
             tx_frames_abandoned: c("tx_frames_abandoned"),
-            queue_hwm: (0..n)
-                .map(|r| reg.gauge(MetricKey::ranked(r, "transport", "send_queue_hwm")))
-                .collect(),
-            queue_hwm_lifetime: (0..n)
-                .map(|r| reg.gauge(MetricKey::ranked(r, "transport", "send_queue_hwm_lifetime")))
-                .collect(),
+            tx_direct_frames: c("tx_direct_frames"),
+            rx_direct_frames: c("rx_direct_frames"),
+            queue_hwm: per_peer("send_queue_hwm"),
+            queue_hwm_lifetime: per_peer("send_queue_hwm_lifetime"),
+            queue_bytes_hwm: per_peer("send_queue_bytes_hwm"),
+            queue_bytes_hwm_lifetime: per_peer("send_queue_bytes_hwm_lifetime"),
         }
     }
 
     /// Raise the high-water marks for `peer`'s send queue to at least
-    /// `len` — both the per-connection gauge and the lifetime one.
+    /// `len` frames — both the per-connection gauge and the lifetime one.
     pub fn note_queue_len(&self, peer: Rank, len: usize) {
-        for marks in [&self.queue_hwm, &self.queue_hwm_lifetime] {
-            if let Some(g) = marks.get(peer) {
-                // Racy max is fine: the mark is a diagnostic, not an
-                // invariant.
-                if (len as i64) > g.get() {
-                    g.set(len as i64);
-                }
-            }
-        }
+        raise([&self.queue_hwm, &self.queue_hwm_lifetime], peer, len);
+    }
+
+    /// As [`note_queue_len`](Self::note_queue_len), for queued wire bytes.
+    pub fn note_queue_bytes(&self, peer: Rank, bytes: usize) {
+        raise(
+            [&self.queue_bytes_hwm, &self.queue_bytes_hwm_lifetime],
+            peer,
+            bytes,
+        );
     }
 
     /// Start a fresh per-connection high-water mark for `peer` (called
@@ -244,8 +278,19 @@ impl TransportMetrics {
     /// untouched). Frames still queued from before the reconnect are
     /// re-noted by the next push.
     pub fn reset_queue_hwm(&self, peer: Rank) {
-        if let Some(g) = self.queue_hwm.get(peer) {
-            g.set(0);
+        for marks in [&self.queue_hwm, &self.queue_bytes_hwm] {
+            if let Some(g) = marks.get(peer) {
+                g.set(0);
+            }
+        }
+    }
+}
+
+fn raise(marks: [&[Gauge]; 2], peer: Rank, v: usize) {
+    // Load first: this runs on every send, and a raise is rare.
+    for g in marks.iter().filter_map(|m| m.get(peer)) {
+        if v as i64 > g.get() {
+            g.set_max(v as i64);
         }
     }
 }

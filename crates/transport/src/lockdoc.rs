@@ -5,7 +5,14 @@
 //! `install_stream` replaces the writer-half slot through a statement
 //! temporary (the `stream` guard is dropped before `ready` is taken), and
 //! the bounded send queue's blocking push/pop wait on condvars tied to the
-//! single `sendq.state` lock rather than acquiring anything else.
+//! single `sendq.state` lock rather than acquiring anything else: that
+//! lock guards the whole pending `WireBatch` (coalescing buffer and the
+//! bulk bodies queued by ownership alike — one field class), frames are
+//! encoded into it under the lock, and the writer takes it by swap, so no
+//! write happens under `sendq.state`. The writer writes, and after a
+//! failed write waits for its reader's exit mark, under `conn.stream`
+//! alone; an exiting reader takes `conn.stream` alone to publish that
+//! mark.
 
 /// Every mutex class in the transport, by field name.
 pub const LOCK_CLASSES: &[&str] = &[

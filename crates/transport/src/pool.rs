@@ -8,10 +8,10 @@
 //! acquired — degenerates to near-uncontended stack pushes/pops.
 //!
 //! The pool lives in `ttg-transport` (it started in `ttg-comm`, which
-//! re-exports it unchanged) so both layers share one free-list: the comm
-//! fabric's AM payload buffers and the socket mesh's frame-encode buffers
-//! (`SocketLink::send` acquires, the writer thread recycles after the
-//! gathered write) are the same population of allocations.
+//! re-exports it unchanged) so both layers share one free-list: an AM
+//! payload acquired by a sender is recycled by the socket writer (after
+//! the copy or the vectored write), one the reader decoded into by the
+//! executor after dispatch.
 //!
 //! The pool is deliberately bounded: buffers above [`MAX_POOLED_CAP`] are
 //! dropped rather than cached (a single giant splitmd payload must not pin
@@ -19,22 +19,9 @@
 //! [`SHARD_DEPTH`] buffers. Hit/miss/recycled/dropped counters are exposed
 //! through [`pool_stats`] for the benchmark reports.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
-
-/// Process-wide kill switch. Off means `acquire` always allocates fresh and
-/// `recycle` drops — the pre-pool allocation behavior, kept as an A/B lever
-/// for `bench_wire` baselines.
-static POOLING: AtomicBool = AtomicBool::new(true);
-
-/// Enable or disable the free-list globally. Disabling makes `acquire`
-/// allocate fresh and `recycle` drop, reproducing the pre-pool wire path;
-/// buffers already in the free-list stay put until re-enabled. Intended for
-/// benchmarks, not production toggling.
-pub fn set_pooling(enabled: bool) {
-    POOLING.store(enabled, Ordering::SeqCst);
-}
 
 /// Number of independent free-lists; threads hash onto one at first use.
 const SHARDS: usize = 8;
@@ -125,9 +112,6 @@ fn my_shard() -> usize {
 /// producers (workers) and recyclers (comm threads) are usually different
 /// threads — falling back to a fresh allocation on pool miss.
 pub fn acquire(cap: usize) -> Vec<u8> {
-    if !POOLING.load(Ordering::Relaxed) {
-        return Vec::with_capacity(cap);
-    }
     if cap < MIN_POOLED_CAP {
         POOL.misses.fetch_add(1, Ordering::Relaxed);
         return Vec::with_capacity(cap);
@@ -181,9 +165,6 @@ pub fn acquire(cap: usize) -> Vec<u8> {
 /// buffers are dropped, and overflow past the home shard's depth spills to
 /// the first sibling with room (dropped only when the whole pool is full).
 pub fn recycle(mut buf: Vec<u8>) {
-    if !POOLING.load(Ordering::Relaxed) {
-        return;
-    }
     if buf.capacity() < MIN_POOLED_CAP || buf.capacity() > MAX_POOLED_CAP {
         POOL.dropped.fetch_add(1, Ordering::Relaxed);
         return;

@@ -71,7 +71,8 @@ fn gathered_write_of_mixed_frames_decodes_losslessly() {
     // receive path must decode a single byte burst holding a full mix of
     // control and data frames without losing or reordering any of them.
     // Emulate the worst case by hand: one write() carrying the handshake
-    // Hello, a data Am, and a batched AckRange back to back.
+    // Hello, a data Am, a bulk Am (its body is received in place, DESIGN
+    // §12) and a batched AckRange back to back.
     let reg = ttg::telemetry::Registry::new();
     let eps = local_mesh(TransportKind::Tcp, 2, &reg).expect("mesh");
     let got: Arc<Mutex<Vec<(usize, Frame)>>> = Arc::new(Mutex::new(Vec::new()));
@@ -101,6 +102,13 @@ fn gathered_write_of_mixed_frames_decodes_losslessly() {
         payload: payload.clone(),
     }
     .encode(&mut burst);
+    let bulk = Frame::Am {
+        from: 1,
+        handler: 43,
+        seq: 78,
+        payload: (0..70_000u32).map(|i| (i % 241) as u8).collect(),
+    };
+    bulk.encode(&mut burst);
     let ranges = vec![(1u64, 64u64), (70, 70), (80, 95)];
     Frame::AckRange {
         from: 1,
@@ -116,12 +124,12 @@ fn gathered_write_of_mixed_frames_decodes_losslessly() {
         {
             let frames = got.lock().unwrap();
             // Hello is handshake-internal; the sink must see exactly the
-            // Am and the AckRange, in order, byte-for-byte intact.
+            // two Ams and the AckRange, in order, byte-for-byte intact.
             let relevant: Vec<&(usize, Frame)> = frames
                 .iter()
                 .filter(|(_, f)| matches!(f, Frame::Am { .. } | Frame::AckRange { .. }))
                 .collect();
-            if relevant.len() == 2 {
+            if relevant.len() == 3 {
                 assert_eq!(relevant[0].0, 1, "Am attributed to the dialing rank");
                 assert_eq!(
                     relevant[0].1,
@@ -133,26 +141,169 @@ fn gathered_write_of_mixed_frames_decodes_losslessly() {
                     },
                     "Am must decode losslessly from the gathered burst"
                 );
+                assert_eq!(relevant[1].1, bulk, "bulk Am in mid-batch");
                 assert_eq!(
-                    relevant[1].1,
+                    relevant[2].1,
                     Frame::AckRange {
                         from: 1,
                         ranges: ranges.clone(),
                     },
-                    "AckRange must decode losslessly behind the Am"
+                    "AckRange must decode losslessly behind the bulk Am"
                 );
                 break;
             }
         }
         assert!(
             Instant::now() < deadline,
-            "timed out waiting for both frames: {:?}",
-            got.lock().unwrap()
+            "timed out waiting for the three frames, have {}",
+            got.lock().unwrap().len()
         );
         std::thread::sleep(Duration::from_millis(5));
     }
     for ep in &eps {
         ep.shutdown();
+    }
+}
+
+/// Bytes in a frame body of the bulk streams below.
+const BODY: usize = 64 * 1024;
+
+fn body_sum(payload: &[u8]) -> u64 {
+    payload.iter().map(|&b| u64::from(b)).sum()
+}
+
+#[test]
+fn bulk_streams_both_ways_with_rma_stay_inside_the_byte_bound() {
+    // Two ranks stream 64 KiB bodies at each other at once while a third
+    // thread fetches large regions from rank 1, whose answers are queued
+    // from its reader thread into the link its own stream keeps full. The
+    // byte bound must hold the streams without ever holding an answer
+    // (two readers waiting on each other's queues would hang right here),
+    // every body must arrive intact, and the queues must have stayed
+    // within the bound.
+    const MSGS: u64 = 300;
+    const FETCHES: u64 = 40;
+    for kind in [TransportKind::Uds, TransportKind::Tcp] {
+        let reg = ttg::telemetry::Registry::new();
+        let eps = local_mesh(kind, 2, &reg).expect("mesh");
+        let region: Arc<Vec<u8>> = Arc::new((0..100_000u32).map(|i| (i % 239) as u8).collect());
+        // (bodies received, their byte sum) per rank; answers at rank 0.
+        let seen: Arc<Mutex<[(u64, u64); 2]>> = Arc::default();
+        let answers: Arc<Mutex<Vec<Arc<Vec<u8>>>>> = Arc::default();
+        for (me, ep) in eps.iter().enumerate() {
+            let (seen, answers, region) =
+                (Arc::clone(&seen), Arc::clone(&answers), Arc::clone(&region));
+            let back = ep.link(1 - me);
+            ep.start(Arc::new(move |_, res| {
+                match res.expect("no transport error") {
+                    Frame::Am { payload, .. } => {
+                        let mut seen = seen.lock().unwrap();
+                        seen[me].0 += 1;
+                        seen[me].1 += body_sum(&payload);
+                    }
+                    Frame::RmaReq { req, .. } => back
+                        .send(Frame::RmaResp {
+                            from: me as u32,
+                            req,
+                            data: Some(Arc::clone(&region)),
+                        })
+                        .expect("answer queued"),
+                    Frame::RmaResp { data, .. } => {
+                        answers.lock().unwrap().push(data.expect("data"))
+                    }
+                    other => panic!("unexpected {other:?}"),
+                }
+            }));
+        }
+        let want_sum: u64 = std::thread::scope(|s| {
+            let streams: Vec<_> = (0..2usize)
+                .map(|from| {
+                    let link = eps[from].link(1 - from);
+                    s.spawn(move || {
+                        let mut sum = 0;
+                        for seq in 0..MSGS {
+                            let payload: Vec<u8> = (0..BODY)
+                                .map(|i| (i as u64 * 7 + seq + from as u64) as u8)
+                                .collect();
+                            sum += body_sum(&payload);
+                            let frame = Frame::Am {
+                                from: from as u32,
+                                handler: 1,
+                                seq,
+                                payload,
+                            };
+                            link.send(frame).expect("stream send");
+                        }
+                        sum
+                    })
+                })
+                .collect();
+            let fetch = eps[0].link(1);
+            let answers = Arc::clone(&answers);
+            s.spawn(move || {
+                for req in 0..FETCHES {
+                    fetch
+                        .send(Frame::RmaReq {
+                            from: 0,
+                            req,
+                            region: 1,
+                        })
+                        .expect("fetch send");
+                    let deadline = Instant::now() + Duration::from_secs(30);
+                    while (answers.lock().unwrap().len() as u64) <= req {
+                        assert!(Instant::now() < deadline, "{kind}: fetch {req} unanswered");
+                        std::thread::sleep(Duration::from_micros(200));
+                    }
+                }
+            });
+            streams
+                .into_iter()
+                .map(|h| h.join().expect("stream thread"))
+                .sum()
+        });
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while seen.lock().unwrap().iter().any(|s| s.0 < MSGS) {
+            assert!(
+                Instant::now() < deadline,
+                "{kind}: streams incomplete: {:?}",
+                seen.lock().unwrap()
+            );
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let seen = *seen.lock().unwrap();
+        assert_eq!(seen[0].0 + seen[1].0, 2 * MSGS, "{kind}: frame count");
+        assert_eq!(seen[0].1 + seen[1].1, want_sum, "{kind}: body checksums");
+        let answers = answers.lock().unwrap();
+        assert_eq!(answers.len() as u64, FETCHES);
+        assert!(
+            answers.iter().all(|a| **a == *region),
+            "{kind}: a region arrived damaged"
+        );
+        // The transport's byte bound (1 MiB, private to it) admits one
+        // frame past itself; the only ungated frame here is the one
+        // answer in flight.
+        let bound = (1 << 20) + (BODY + 21) + (region.len() + 18);
+        for r in 0..2 {
+            let key =
+                ttg::telemetry::MetricKey::ranked(r, "transport", "send_queue_bytes_hwm_lifetime");
+            let hwm = reg.gauge(key).get();
+            assert!(
+                hwm > BODY as i64,
+                "{kind}: gauge for peer {r} never moved: {hwm}"
+            );
+            assert!(
+                hwm <= bound as i64,
+                "{kind}: {hwm} B queued for peer {r}, bound {bound}"
+            );
+        }
+        // Readers count a frame after handing it to the sink: join them.
+        for ep in &eps {
+            ep.shutdown();
+        }
+        let snap = reg.snapshot();
+        let direct = |name| snap.counter(&ttg::telemetry::MetricKey::global("transport", name));
+        assert_eq!(direct("tx_direct_frames"), 2 * MSGS + FETCHES, "{kind}");
+        assert_eq!(direct("rx_direct_frames"), 2 * MSGS + FETCHES, "{kind}");
     }
 }
 
