@@ -57,8 +57,12 @@ pub fn run(a: &BlockSparse, b: &BlockSparse, cfg: &Config) -> (BlockSparse, Exec
     let q_cols = dist.q as u32;
     let grid_owner = move |i: u32, j: u32| dist.owner(i as usize, j as usize);
 
-    let a_in = Arc::new(a.clone());
-    let b_in = Arc::new(b.clone());
+    // One copy of the inputs' blocks, already behind the handles the reads
+    // hand out.
+    let shared = |m: &BlockSparse| -> Arc<HashMap<(usize, usize), Arc<Tile>>> {
+        Arc::new(m.iter().map(|(at, t)| (*at, Arc::new(t.clone()))).collect())
+    };
+    let (a_in, b_in) = (shared(a), shared(b));
     let c_out: Arc<Mutex<HashMap<(u32, u32), Tile>>> = Arc::new(Mutex::new(HashMap::new()));
 
     // Per-rank gemm counts for the Coordinator streams.
@@ -90,12 +94,12 @@ pub fn run(a: &BlockSparse, b: &BlockSparse, cfg: &Config) -> (BlockSparse, Exec
         move |k: &K2| grid_owner(k.0, k.1),
         move |key, (_c,): (Ctl,), outs| {
             let (i, k) = *key;
-            let tile = a2.block(i as usize, k as usize).expect("A tile").clone();
+            let tile = Arc::clone(&a2[&(i as usize, k as usize)]);
             let mut pcs: Vec<u32> = mp2.b_cols[k as usize].iter().map(|j| j % q_cols).collect();
             pcs.sort_unstable();
             pcs.dedup();
             let keys: Vec<K3> = pcs.into_iter().map(|pc| (i, k, pc)).collect();
-            outs.broadcast::<0>(&keys, Arc::new(tile));
+            outs.broadcast::<0>(&keys, tile);
         },
     );
 
@@ -108,12 +112,12 @@ pub fn run(a: &BlockSparse, b: &BlockSparse, cfg: &Config) -> (BlockSparse, Exec
         move |k: &K2| grid_owner(k.0, k.1),
         move |key, (_c,): (Ctl,), outs| {
             let (k, j) = *key;
-            let tile = b2.block(k as usize, j as usize).expect("B tile").clone();
+            let tile = Arc::clone(&b2[&(k as usize, j as usize)]);
             let mut prs: Vec<u32> = mp2.a_rows[k as usize].iter().map(|i| i % p_rows).collect();
             prs.sort_unstable();
             prs.dedup();
             let keys: Vec<K3> = prs.into_iter().map(|pr| (k, j, pr)).collect();
-            outs.broadcast::<0>(&keys, Arc::new(tile));
+            outs.broadcast::<0>(&keys, tile);
         },
     );
 
@@ -248,7 +252,6 @@ pub fn run(a: &BlockSparse, b: &BlockSparse, cfg: &Config) -> (BlockSparse, Exec
             delivery_deadline: None,
             transport: cfg.transport.clone(),
             sched_seed: None,
-            rma_timeout: None,
             snapshot_sink: None,
         };
         if let Some(plan) = cfg.faults.clone() {

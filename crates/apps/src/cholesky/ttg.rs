@@ -3,8 +3,9 @@
 //!
 //! Template tasks: INITIATOR (injects tiles), POTRF (diagonal factor),
 //! TRSM (panel solve), SYRK (diagonal update), GEMM (trailing update), and
-//! RESULT (collects factor tiles). TRSM broadcasts its tile to four
-//! output terminals exactly as in Listing 1.
+//! RESULT (collects factor tiles). TRSM fans its tile out to four output
+//! terminals in one send, exactly as Listing 1's
+//! `ttg::broadcast<0, 1, 2, 3>`.
 
 use std::sync::{Arc, Mutex};
 
@@ -59,8 +60,14 @@ pub fn run(a: &TiledMatrix, cfg: &Config) -> (TiledMatrix, ExecReport) {
     let nb = a.nb();
     let dist = Dist2D::for_ranks(cfg.ranks);
 
-    let input = Arc::new(a.clone());
-    let output = Arc::new(Mutex::new(TiledMatrix::zeros(a.nt(), nb)));
+    // INITIATOR moves each tile out of this copy — unless recovery may run
+    // it again for a restored rank, which needs the tile still there.
+    let input = Arc::new(Mutex::new(a.clone()));
+    let rerunnable = cfg.faults.as_ref().is_some_and(|p| p.recover.is_some());
+    // RESULT keeps the handles it is given; they are unwrapped into the
+    // factor once the run is over and nothing else holds them.
+    let output: Arc<Mutex<Vec<Option<Arc<Tile>>>>> =
+        Arc::new(Mutex::new(vec![None; a.nt() * a.nt()]));
 
     // Edges (names follow Listing 1).
     // Accumulator chains (to_potrf/trsm_a/syrk_a/gemm_a) carry owned tiles:
@@ -96,7 +103,13 @@ pub fn run(a: &TiledMatrix, cfg: &Config) -> (TiledMatrix, ExecReport) {
         move |k: &K2| d2.owner(k.0 as usize, k.1 as usize),
         move |k, (_c,): (Ctl,), outs| {
             let (i, j) = *k;
-            let tile = input2.tile(i as usize, j as usize).clone();
+            let mut input = input2.lock().unwrap();
+            let tile = if rerunnable {
+                input.tile(i as usize, j as usize).clone()
+            } else {
+                input.take_tile(i as usize, j as usize)
+            };
+            drop(input);
             if i == j {
                 if i == 0 {
                     outs.send::<0>(0, tile);
@@ -121,9 +134,10 @@ pub fn run(a: &TiledMatrix, cfg: &Config) -> (TiledMatrix, ExecReport) {
         move |k, (mut tile,): (Tile,), outs| {
             potrf_l(&mut tile).unwrap_or_else(|p| panic!("not SPD at tile {k}, pivot {p}"));
             let keys: Vec<K2> = ((k + 1)..nt).map(|m| (m, *k)).collect();
-            let l_kk = Arc::new(tile);
-            outs.send::<1>((*k, *k), Arc::clone(&l_kk));
-            outs.broadcast::<0>(&keys, l_kk);
+            outs.fanout(Arc::new(tile))
+                .to::<1>(&[(*k, *k)])
+                .to::<0>(&keys)
+                .send();
         },
     );
 
@@ -147,11 +161,12 @@ pub fn run(a: &TiledMatrix, cfg: &Config) -> (TiledMatrix, ExecReport) {
             let col_ids: Vec<K3> = ((m + 1)..nt).map(|i| (i, m, k)).collect();
             // …and the `L_ik` input of GEMM(m, j, k) for k < j < m.
             let row_ids: Vec<K3> = ((k + 1)..m).map(|j| (m, j, k)).collect();
-            let l_mk = Arc::new(a_mk);
-            outs.send::<0>((m, k), Arc::clone(&l_mk));
-            outs.send::<1>((k, m), Arc::clone(&l_mk));
-            outs.broadcast::<2>(&row_ids, Arc::clone(&l_mk));
-            outs.broadcast::<3>(&col_ids, l_mk);
+            outs.fanout(Arc::new(a_mk))
+                .to::<0>(&[(m, k)])
+                .to::<1>(&[(k, m)])
+                .to::<2>(&row_ids)
+                .to::<3>(&col_ids)
+                .send();
         },
     );
 
@@ -194,14 +209,14 @@ pub fn run(a: &TiledMatrix, cfg: &Config) -> (TiledMatrix, ExecReport) {
     // RESULT: collect factor tiles.
     let out2 = Arc::clone(&output);
     let d2 = dist;
+    let nt_tiles = a.nt();
     let result_tt = g.make_tt(
         "RESULT",
         (result,),
         (),
         move |k: &K2| d2.owner(k.0 as usize, k.1 as usize),
         move |k, (tile,): (Arc<Tile>,), _| {
-            *out2.lock().unwrap().tile_mut(k.0 as usize, k.1 as usize) =
-                Arc::try_unwrap(tile).unwrap_or_else(|t| (*t).clone());
+            out2.lock().unwrap()[k.0 as usize + k.1 as usize * nt_tiles] = Some(tile);
         },
     );
 
@@ -247,7 +262,6 @@ pub fn run(a: &TiledMatrix, cfg: &Config) -> (TiledMatrix, ExecReport) {
             delivery_deadline: None,
             transport: cfg.transport.clone(),
             sched_seed: None,
-            rma_timeout: None,
             snapshot_sink: None,
         };
         if let Some(plan) = cfg.faults.clone() {
@@ -264,7 +278,22 @@ pub fn run(a: &TiledMatrix, cfg: &Config) -> (TiledMatrix, ExecReport) {
         }
     }
     let report = exec.finish();
-    let l = output.lock().unwrap().clone();
+    // The factor: zero above the diagonal, and on and below it the tiles
+    // RESULT collected — in a multi-process run those of this rank; the
+    // other ranks' stay empty.
+    let l = TiledMatrix::from_tiles(
+        a.nt(),
+        nb,
+        std::mem::take(&mut *output.lock().unwrap())
+            .into_iter()
+            .enumerate()
+            .map(|(at, tile)| match tile {
+                Some(t) => Arc::try_unwrap(t).unwrap_or_else(|t| (*t).clone()),
+                None if at % nt_tiles < at / nt_tiles => Tile::zeros(nb, nb),
+                None => Tile::zeros(0, 0),
+            })
+            .collect(),
+    );
     (l, report)
 }
 

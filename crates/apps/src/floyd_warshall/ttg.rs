@@ -40,8 +40,10 @@ pub fn run(m: &TiledMatrix, cfg: &Config) -> (TiledMatrix, ExecReport) {
     let nb = m.nb();
     let dist = Dist2D::for_ranks(cfg.ranks);
 
-    let input = Arc::new(m.clone());
-    let output = Arc::new(Mutex::new(TiledMatrix::zeros(m.nt(), nb)));
+    // INITIATOR moves each tile out of this copy; RESULT moves every tile
+    // into the (initially empty) output.
+    let input = Arc::new(Mutex::new(m.clone()));
+    let output = Arc::new(Mutex::new(vec![Tile::zeros(0, 0); m.nt() * m.nt()]));
 
     let init_ctl: Edge<K2, Ctl> = Edge::new("init");
     let to_a: Edge<K1, Tile> = Edge::new("to_a");
@@ -66,7 +68,7 @@ pub fn run(m: &TiledMatrix, cfg: &Config) -> (TiledMatrix, ExecReport) {
         move |k: &K2| d2.owner(k.0 as usize, k.1 as usize),
         move |k, (_c,): (Ctl,), outs| {
             let (i, j) = *k;
-            let tile = input2.tile(i as usize, j as usize).clone();
+            let tile = input2.lock().unwrap().take_tile(i as usize, j as usize);
             if i == 0 && j == 0 {
                 outs.send::<0>(0, tile);
             } else if i == 0 {
@@ -184,13 +186,14 @@ pub fn run(m: &TiledMatrix, cfg: &Config) -> (TiledMatrix, ExecReport) {
 
     let out2 = Arc::clone(&output);
     let d2 = dist;
+    let nt_tiles = m.nt();
     let res_tt = g.make_tt(
         "RESULT",
         (result,),
         (),
         move |k: &K2| d2.owner(k.0 as usize, k.1 as usize),
         move |k, (tile,): (Tile,), _| {
-            *out2.lock().unwrap().tile_mut(k.0 as usize, k.1 as usize) = tile;
+            out2.lock().unwrap()[k.0 as usize + k.1 as usize * nt_tiles] = tile;
         },
     );
 
@@ -217,7 +220,6 @@ pub fn run(m: &TiledMatrix, cfg: &Config) -> (TiledMatrix, ExecReport) {
             delivery_deadline: None,
             transport: TransportSpec::InProc,
             sched_seed: None,
-            rma_timeout: None,
             snapshot_sink: None,
         },
     );
@@ -228,8 +230,8 @@ pub fn run(m: &TiledMatrix, cfg: &Config) -> (TiledMatrix, ExecReport) {
         }
     }
     let report = exec.finish();
-    let d = output.lock().unwrap().clone();
-    (d, report)
+    let tiles = std::mem::take(&mut *output.lock().unwrap());
+    (TiledMatrix::from_tiles(m.nt(), nb, tiles), report)
 }
 
 #[cfg(test)]

@@ -262,7 +262,6 @@ pub fn run(w: &Workload, cfg: &Config) -> MraResult {
             delivery_deadline: None,
             transport: TransportSpec::InProc,
             sched_seed: None,
-            rma_timeout: None,
             snapshot_sink: None,
         },
     );
@@ -272,7 +271,7 @@ pub fn run(w: &Workload, cfg: &Config) -> MraResult {
     }
     let report = exec.finish();
 
-    let norms_out = norms.lock().unwrap().clone();
+    let norms_out = std::mem::take(&mut *norms.lock().unwrap());
     MraResult {
         norms: norms_out,
         leaves: leaf_counts

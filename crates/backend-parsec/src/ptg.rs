@@ -323,9 +323,6 @@ impl<K: Key, V: Data> PtgRuntime<K, V> {
                             }
                             rt.fabric.packet_processed();
                         }
-                        // PTG values travel inline: this runtime never
-                        // parks a fetch, so none can end here.
-                        Packet::Rma { .. } => {}
                         Packet::Shutdown => break,
                     }
                 }

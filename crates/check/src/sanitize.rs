@@ -93,10 +93,10 @@ pub fn stuck_diagnostic(s: &StuckEntry) -> Diagnostic {
     d
 }
 
-/// Diagnostic `TTG040`–`TTG049` for one structured communication failure
-/// (see DESIGN §8 and §13): retry-budget exhaustion, deadline misses,
-/// snapshot/recovery failures, and RMA timeouts are hard errors (data was
-/// lost or the run gave up); a post-shutdown send on a closed channel is
+/// Diagnostic `TTG040`–`TTG048` for one structured communication failure
+/// (see DESIGN §8 and §13): retry-budget exhaustion, deadline misses, and
+/// snapshot/recovery failures are hard errors (data was lost or the run
+/// gave up); a post-shutdown send on a closed channel is
 /// only a warning (expected during teardown races), and a `RankRecovered`
 /// event is informational — a kill that the runtime survived.
 pub fn comm_diagnostic(e: &CommError) -> Diagnostic {
@@ -143,11 +143,6 @@ pub fn comm_diagnostic(e: &CommError) -> Diagnostic {
              the run degrades to fail-and-report — inspect the paired \
              TTG040/TTG041 diagnostics for the data that was lost",
         ),
-        CommErrorKind::RmaTimeout => d.with_help(
-            "a cross-process one-sided fetch expired its timeout (default \
-             30s, configurable via `ExecConfig::with_rma_timeout`); the \
-             region owner is dead, overloaded, or the timeout is too tight",
-        ),
         _ => d,
     };
     d
@@ -158,7 +153,7 @@ pub fn comm_diagnostic(e: &CommError) -> Diagnostic {
 /// Empty `violations`, `stuck`, and `comm_errors` produce a clean report.
 /// Violations keep their [`Violation::code`]s (TTG02x, TTG031); each stuck
 /// key becomes a `TTG030` error; communication failures become
-/// `TTG040`–`TTG049` diagnostics.
+/// `TTG040`–`TTG048` diagnostics.
 pub fn report_from_exec(exec: &ExecReport) -> Report {
     let mut report = Report::new(exec.per_node.len(), 0);
     for v in &exec.violations {
@@ -201,7 +196,6 @@ mod tests {
             (CommErrorKind::RankRecovered, "TTG046"),
             (CommErrorKind::SnapshotFailed, "TTG047"),
             (CommErrorKind::RecoveryFailed, "TTG048"),
-            (CommErrorKind::RmaTimeout, "TTG049"),
         ];
         for (kind, code) in cases {
             let d = comm_diagnostic(&err(kind));

@@ -99,6 +99,13 @@ impl WriteBuf {
         self.buf.extend_from_slice(bytes);
     }
 
+    /// Overwrite the `u32` written at byte offset `at` — a count put down
+    /// before the items it counts were known.
+    #[inline]
+    pub fn set_u32(&mut self, at: usize, v: u32) {
+        self.buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
     /// Number of bytes written so far.
     pub fn len(&self) -> usize {
         self.buf.len()

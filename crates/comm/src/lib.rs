@@ -38,8 +38,8 @@ pub use ttg_transport::pool;
 
 pub use buf::{ReadBuf, WireError, WriteBuf};
 pub use fabric::{
-    CommError, CommErrorKind, Fabric, FabricStats, Packet, Rank, RegionId, RemoteFetch,
-    RmaCompletion, RmaError, RmaFetch, RmaOutcome, SendError, StatsSnapshot,
+    CommError, CommErrorKind, Fabric, FabricStats, Packet, Rank, RegionId, RmaError, SendError,
+    StatsSnapshot,
 };
 pub use fault::{FaultPlan, KillScript, RetryPolicy};
 pub use pool::{pool_stats, PoolStats};

@@ -9,15 +9,6 @@
 //! touching link state, and `progress()` collects retransmit candidates
 //! under the link lock in a scoped block before consulting any window.
 //!
-//! `rma_waiters` holds boxed completions of parked cross-process fetches,
-//! which re-enter the matching path and may park further fetches. It is
-//! therefore released before a completion runs and before anything is
-//! sent into a packet channel: `rma_complete` and `park` take the waiter
-//! out in a statement of its own, `rma_sweep_expired` collects the expired
-//! request ids under the lock and queues their packets after it, and
-//! `rma_abandon_parked` swaps the whole table out first. It nests with
-//! nothing, so it appears in no edge below.
-//!
 //! These tables are the machine-checkable record of that discipline. If a
 //! future change nests locks, it must add the `(outer, inner)` pair here —
 //! and `ttg-check` will reject the addition if it closes a cycle.
@@ -31,7 +22,6 @@ pub const LOCK_CLASSES: &[&str] = &[
     "fabric.delayq",
     "fabric.regions",
     "fabric.released",
-    "fabric.rma_waiters",
     "fabric.barrier_entered",
     "fabric.barrier_released",
     "fabric.term",

@@ -219,8 +219,12 @@ impl RuntimeCtx {
         self.next_task.fetch_add(1, Ordering::Relaxed)
     }
 
-    /// Look up a node by id.
-    pub fn node(&self, id: u32) -> &Arc<dyn AnyNode> {
-        &self.nodes.get().expect("graph not attached")[id as usize]
+    /// Look up a node by id (`None`: the graph has no such node — ids also
+    /// arrive in messages).
+    pub fn node(&self, id: u32) -> Option<&Arc<dyn AnyNode>> {
+        self.nodes
+            .get()
+            .expect("graph not attached")
+            .get(id as usize)
     }
 }

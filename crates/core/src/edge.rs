@@ -3,33 +3,37 @@
 //! An [`Edge<K, V>`] encodes one possible flow of messages carrying task IDs
 //! of type `K` and data of type `V` (paper §II). Producer-side output
 //! terminals route values to every consumer port registered on the edge;
-//! the port implements destination resolution (keymap), the local-pass
-//! semantics of the active backend, and the wire protocols (inline archive,
-//! optimized broadcast, split-metadata RMA).
+//! the port implements destination resolution (keymap) and the local-pass
+//! semantics of the active backend, and hands the keys other ranks own to
+//! the send's [`AmPlan`], which implements the wire protocols (inline
+//! archive, optimized broadcast, split-metadata RMA).
 
 use std::sync::{Arc, Weak};
 
 use parking_lot::RwLock;
 
-use ttg_comm::{WireKind, WriteBuf};
+use ttg_comm::WriteBuf;
 
+use crate::am::{am_header, AmPlan, MSG_FINALIZE, MSG_SET_SIZE};
 use crate::ctx::RuntimeCtx;
-use crate::node::{
-    am_header, NodeInner, MSG_DATA_INLINE, MSG_DATA_SPLITMD, MSG_FINALIZE, MSG_SET_SIZE,
-};
+use crate::node::{or_panic, NodeInner};
 use crate::trace::Dep;
-use crate::types::{Data, EncodeCache, ErasedVal, FanoutVal, Key, LocalPass};
+use crate::types::{Data, ErasedVal, FanoutVal, Key, LocalPass};
 
 /// A consumer endpoint of an edge: one input terminal of one template task.
 pub trait ConsumerPort<K: Key, V: Data>: Send + Sync {
-    /// Route `v` to the tasks identified by `keys`. The producer-side
-    /// terminal decides the ownership mode: single-port sends arrive
-    /// `Owned` (moved end to end), multi-port broadcasts arrive `Shared`
-    /// with a serialize-once cache spanning the ports.
+    /// Route `v` to the tasks `keys`: those other ranks own join `plan`,
+    /// the ones `src_rank` owns receive the value now. The producer-side
+    /// terminal decides the ownership mode. A send to a single port arrives
+    /// `Owned` and the plan is this port's alone: it is sent here, ahead of
+    /// the local delivery the value moves into. A send that spans ports or
+    /// terminals arrives `Shared`, and its sender ships the plan once every
+    /// one of them has added to it.
     fn route(
         &self,
         keys: &[K],
         v: FanoutVal<V>,
+        plan: &mut AmPlan,
         from_task: u64,
         src_rank: usize,
         ctx: &Arc<RuntimeCtx>,
@@ -123,7 +127,7 @@ impl<K: Key, V: Data> Default for Edge<K, V> {
 }
 
 /// The concrete consumer port: routes values into a `NodeInner<K>` input
-/// terminal, applying backend data-passing semantics and wire protocols.
+/// terminal, applying backend data-passing semantics.
 pub struct PortImpl<K: Key, V: Data> {
     node: Weak<NodeInner<K>>,
     terminal: u16,
@@ -181,14 +185,14 @@ impl<K: Key, V: Data> PortImpl<K, V> {
                 for &k in keys {
                     ctx.fabric.count_data_copy();
                     ctx.metrics.count_local_copy(rank);
-                    node.insert(
+                    or_panic(node.insert(
                         rank,
                         t,
                         k.clone(),
                         ErasedVal::erase(v.get().clone()),
                         dep,
                         ctx,
-                    );
+                    ));
                 }
             }
             LocalPass::Share => {
@@ -197,68 +201,40 @@ impl<K: Key, V: Data> PortImpl<K, V> {
                 match v {
                     FanoutVal::Owned(v) if keys.len() == 1 => {
                         ctx.metrics.count_local_shared(rank);
-                        node.insert(rank, t, keys[0].clone(), ErasedVal::erase(v), dep, ctx);
+                        or_panic(node.insert(
+                            rank,
+                            t,
+                            keys[0].clone(),
+                            ErasedVal::erase(v),
+                            dep,
+                            ctx,
+                        ));
                     }
-                    FanoutVal::Owned(v) => {
-                        // Erase once into a shared handle; every consumer
-                        // gets the same allocation.
-                        let arc: Arc<V> = Arc::new(v);
-                        ctx.metrics.count_value_shared(rank);
+                    v => {
+                        // Erase once into a shared handle — or take the one
+                        // the send already shares across its ports and
+                        // terminals; every consumer gets the same allocation.
+                        let arc: Arc<V> = match v {
+                            FanoutVal::Owned(v) => {
+                                ctx.metrics.count_value_shared(rank);
+                                Arc::new(v)
+                            }
+                            FanoutVal::Shared(arc) => arc,
+                        };
                         for &k in keys {
                             ctx.metrics.count_local_shared(rank);
-                            node.insert(
+                            or_panic(node.insert(
                                 rank,
                                 t,
                                 k.clone(),
                                 ErasedVal::erase_shared(Arc::clone(&arc)),
                                 dep,
                                 ctx,
-                            );
-                        }
-                    }
-                    FanoutVal::Shared(arc, _) => {
-                        // Already shared across the broadcast's ports: hand
-                        // the same allocation to this port's consumers too.
-                        for &k in keys {
-                            ctx.metrics.count_local_shared(rank);
-                            node.insert(
-                                rank,
-                                t,
-                                k.clone(),
-                                ErasedVal::erase_shared(Arc::clone(&arc)),
-                                dep,
-                                ctx,
-                            );
+                            ));
                         }
                     }
                 }
             }
-        }
-    }
-
-    /// Send to one remote rank using the inline (archive/trivial) protocol.
-    fn send_inline(
-        &self,
-        node: &NodeInner<K>,
-        dest: usize,
-        keys: &[&K],
-        value_bytes: &[u8],
-        from_task: u64,
-        src_rank: usize,
-        ctx: &Arc<RuntimeCtx>,
-    ) {
-        // header(11) + src_rank(8) + key count(4) + keys + value.
-        let key_bytes: usize = keys.iter().map(|k| k.wire_size()).sum();
-        let mut b = WriteBuf::pooled(23 + key_bytes + value_bytes.len());
-        am_header(&mut b, from_task, MSG_DATA_INLINE, self.terminal);
-        b.put_u64(src_rank as u64);
-        b.put_u32(keys.len() as u32);
-        for k in keys {
-            k.encode(&mut b);
-        }
-        b.put_bytes(value_bytes);
-        if let Err(e) = ctx.fabric.send_am(src_rank, dest, node.id, b.into_vec()) {
-            ctx.fabric.record_error(e.into());
         }
     }
 }
@@ -268,142 +244,30 @@ impl<K: Key, V: Data> ConsumerPort<K, V> for PortImpl<K, V> {
         &self,
         keys: &[K],
         v: FanoutVal<V>,
+        plan: &mut AmPlan,
         from_task: u64,
         src_rank: usize,
         ctx: &Arc<RuntimeCtx>,
     ) {
         let node = self.node();
         let n_ranks = ctx.n_ranks();
-
-        // Group destination keys by owner rank in a single pass:
-        // `slot_of[rank]` maps a rank to its group slot, so grouping costs
-        // O(keys + ranks) instead of the old O(keys × ranks) scan — and keys
-        // are only borrowed, never cloned, on this path.
-        let mut slot_of: Vec<usize> = vec![usize::MAX; n_ranks];
-        let mut remote: Vec<(usize, Vec<&K>)> = Vec::new();
+        // Recovery is on: loopback sends must be sequenced and replay-logged
+        // on the diagonal link, so they take the wire like any other.
+        let wire_local = ctx.fabric.wire_local_sends();
         let mut local: Vec<&K> = Vec::new();
         for k in keys {
             let r = node.owner(k, n_ranks);
-            if r == src_rank {
+            if r == src_rank && !wire_local {
                 local.push(k);
-            } else if slot_of[r] == usize::MAX {
-                slot_of[r] = remote.len();
-                remote.push((r, vec![k]));
             } else {
-                remote[slot_of[r]].1.push(k);
+                plan.add(r, n_ranks, node.id, self.terminal, k);
             }
         }
-
-        // Remote ranks first (they borrow `v`), local delivery consumes it.
-        if !remote.is_empty() {
-            // Savings of the per-rank protocols over the naive one: the
-            // naive path serializes and sends once per destination *key*,
-            // the optimized paths once per destination *rank*.
-            let remote_keys: usize = remote.iter().map(|(_, ks)| ks.len()).sum();
-            let sends_saved = (remote_keys - remote.len()) as u64;
-            let use_splitmd = V::KIND == WireKind::SplitMd && ctx.backend.supports_splitmd;
-            if use_splitmd {
-                // Stage 1: register the contiguous payload once for all
-                // destination ranks, send only metadata eagerly. A shared
-                // broadcast builds the payload once *per broadcast*: the
-                // first port freezes it in the cache, later ports reuse it.
-                let payload: Arc<Vec<u8>> = match &v {
-                    FanoutVal::Shared(x, cache) => cache.payload(|| {
-                        ctx.fabric.count_serialization();
-                        x.split_payload().unwrap_or_default()
-                    }),
-                    FanoutVal::Owned(x) => {
-                        ctx.fabric.count_serialization();
-                        Arc::new(x.split_payload().unwrap_or_default())
-                    }
-                };
-                let payload_len = payload.len() as u64;
-                let region = ctx
-                    .fabric
-                    .register_region(src_rank, payload, remote.len(), None);
-                for (dest, ks) in &remote {
-                    // header(11) + src_rank(8) + region(8) + src_rank(8)
-                    // + key count(4) + keys + metadata (sized by encode).
-                    let key_bytes: usize = ks.iter().map(|k| k.wire_size()).sum();
-                    let mut b = WriteBuf::pooled(39 + key_bytes);
-                    am_header(&mut b, from_task, MSG_DATA_SPLITMD, self.terminal);
-                    b.put_u64(src_rank as u64);
-                    b.put_u64(region);
-                    b.put_u64(src_rank as u64);
-                    b.put_u32(ks.len() as u32);
-                    for k in ks {
-                        k.encode(&mut b);
-                    }
-                    v.get().split_encode_md(&mut b);
-                    if let Err(e) = ctx.fabric.send_am(src_rank, *dest, node.id, b.into_vec()) {
-                        ctx.fabric.record_error(e.into());
-                    }
-                }
-                if sends_saved > 0 {
-                    ctx.fabric
-                        .count_broadcast_dedup(sends_saved, sends_saved * payload_len);
-                }
-            } else if ctx.backend.optimized_broadcast {
-                // Serialize the value once per *broadcast*, reuse the frozen
-                // slab for every rank and every port (paper §II-A broadcast
-                // optimization, extended across consumer ports).
-                let value_bytes: Arc<Vec<u8>> = match &v {
-                    FanoutVal::Shared(x, cache) => cache.bytes(|| {
-                        ctx.fabric.count_serialization();
-                        ttg_comm::to_bytes(&**x)
-                    }),
-                    FanoutVal::Owned(x) => {
-                        ctx.fabric.count_serialization();
-                        Arc::new(ttg_comm::to_bytes(x))
-                    }
-                };
-                for (dest, ks) in &remote {
-                    self.send_inline(&node, *dest, ks, &value_bytes, from_task, src_rank, ctx);
-                }
-                if sends_saved > 0 {
-                    ctx.fabric
-                        .count_broadcast_dedup(sends_saved, sends_saved * value_bytes.len() as u64);
-                }
-            } else {
-                // Naive path: one serialization (and one AM) per key.
-                for (dest, ks) in &remote {
-                    for &k in ks {
-                        let value_bytes = ttg_comm::to_bytes(v.get());
-                        ctx.fabric.count_serialization();
-                        self.send_inline(
-                            &node,
-                            *dest,
-                            &[k],
-                            &value_bytes,
-                            from_task,
-                            src_rank,
-                            ctx,
-                        );
-                    }
-                }
-            }
+        if let FanoutVal::Owned(v) = &v {
+            plan.send(v, from_task, src_rank, ctx);
         }
-
         if !local.is_empty() {
-            if ctx.fabric.wire_local_sends() {
-                // Recovery is on: loopback sends must be sequenced and
-                // replay-logged on the diagonal link, so serialize through
-                // the inline wire protocol instead of inserting directly.
-                // A shared broadcast reuses the frozen slab across ports.
-                let value_bytes: Arc<Vec<u8>> = match &v {
-                    FanoutVal::Shared(x, cache) => cache.bytes(|| {
-                        ctx.fabric.count_serialization();
-                        ttg_comm::to_bytes(&**x)
-                    }),
-                    FanoutVal::Owned(x) => {
-                        ctx.fabric.count_serialization();
-                        Arc::new(ttg_comm::to_bytes(x))
-                    }
-                };
-                self.send_inline(&node, src_rank, &local, &value_bytes, from_task, src_rank, ctx);
-            } else {
-                self.deliver_local(&node, src_rank, &local, v, from_task, src_rank, ctx);
-            }
+            self.deliver_local(&node, src_rank, &local, v, from_task, src_rank, ctx);
         }
     }
 
@@ -435,7 +299,7 @@ pub(crate) fn port_set_stream_size<K: Key>(
 ) {
     let owner = node.owner(k, ctx.n_ranks());
     if owner == src_rank && !ctx.fabric.wire_local_sends() {
-        node.set_stream_size(owner, terminal as usize, k.clone(), n, ctx);
+        or_panic(node.set_stream_size(owner, terminal as usize, k.clone(), n, ctx));
     } else {
         // header(11) + key + size(8).
         let mut b = WriteBuf::pooled(19 + k.wire_size());
@@ -457,7 +321,7 @@ pub(crate) fn port_finalize<K: Key>(
 ) {
     let owner = node.owner(k, ctx.n_ranks());
     if owner == src_rank && !ctx.fabric.wire_local_sends() {
-        node.finalize_stream(owner, terminal as usize, k.clone(), ctx);
+        or_panic(node.finalize_stream(owner, terminal as usize, k.clone(), ctx));
     } else {
         // header(11) + key.
         let mut b = WriteBuf::pooled(11 + k.wire_size());
@@ -487,20 +351,12 @@ pub(crate) fn port_seed<K: Key, V: Data>(
         // Seeds are logical messages too: under recovery they must be
         // sequenced on the owner's diagonal link so an empty-snapshot
         // restore can re-drive them from the replay log.
-        let value_bytes = ttg_comm::to_bytes(&v);
-        ctx.fabric.count_serialization();
-        let mut b = WriteBuf::pooled(23 + k.wire_size() + value_bytes.len());
-        am_header(&mut b, 0, MSG_DATA_INLINE, terminal);
-        b.put_u64(owner as u64);
-        b.put_u32(1);
-        k.encode(&mut b);
-        b.put_bytes(&value_bytes);
-        if let Err(e) = ctx.fabric.send_am(owner, owner, node.id, b.into_vec()) {
-            ctx.fabric.record_error(e.into());
-        }
+        let mut plan = AmPlan::new::<V>(ctx);
+        plan.add(owner, ctx.n_ranks(), node.id, terminal, &k);
+        plan.send(&v, 0, owner, ctx);
         return;
     }
-    node.insert(
+    or_panic(node.insert(
         owner,
         terminal as usize,
         k,
@@ -512,7 +368,7 @@ pub(crate) fn port_seed<K: Key, V: Data>(
             msg: 0,
         },
         ctx,
-    );
+    ));
 }
 
 /// Drop repeated keys from a broadcast key list, preserving first-occurrence
@@ -560,7 +416,8 @@ impl<K: Key, V: Data> OutTerm<K, V> {
     }
 
     /// Send `v` to every task in `keys` on every consumer of the edge
-    /// (`ttg::broadcast`, Fig. 2b).
+    /// (`ttg::broadcast`, Fig. 2b): one AM per destination rank, whatever
+    /// the number of keys and consumer ports.
     ///
     /// Repeated keys are deduplicated before routing: a duplicated key must
     /// not double-deliver (exactly-once matching would reject it) or
@@ -573,6 +430,56 @@ impl<K: Key, V: Data> OutTerm<K, V> {
         from_task: u64,
         src_rank: usize,
         ctx: &Arc<RuntimeCtx>,
+    ) {
+        let mut plan = AmPlan::new::<V>(ctx);
+        self.with_ports(keys, src_rank, ctx, |keys, ports| match ports {
+            // Single consumer port: keep exclusive ownership so the value
+            // can move end to end.
+            [port] => {
+                let v = FanoutVal::Owned(v);
+                port.route(keys, v, &mut plan, from_task, src_rank, ctx);
+            }
+            ports => {
+                let arc = Arc::new(v);
+                ctx.metrics.count_value_shared(src_rank);
+                for port in ports {
+                    let v = FanoutVal::Shared(Arc::clone(&arc));
+                    port.route(keys, v, &mut plan, from_task, src_rank, ctx);
+                }
+                plan.send(&*arc, from_task, src_rank, ctx);
+            }
+        });
+    }
+
+    /// This terminal's share of a send that spans terminals: every consumer
+    /// port routes the shared handle — rank-local consumers all alias the
+    /// one allocation, the keys of other ranks join `plan`, which the caller
+    /// sends once the last terminal has added to it.
+    pub(crate) fn fan(
+        &self,
+        keys: &[K],
+        v: &Arc<V>,
+        plan: &mut AmPlan,
+        from_task: u64,
+        src_rank: usize,
+        ctx: &Arc<RuntimeCtx>,
+    ) {
+        self.with_ports(keys, src_rank, ctx, |keys, ports| {
+            for port in ports {
+                let v = FanoutVal::Shared(Arc::clone(v));
+                port.route(keys, v, plan, from_task, src_rank, ctx);
+            }
+        });
+    }
+
+    /// Run `f` over the deduplicated keys and the edge's consumer ports,
+    /// unless there is nothing to send or nowhere to send it.
+    fn with_ports(
+        &self,
+        keys: &[K],
+        src_rank: usize,
+        ctx: &Arc<RuntimeCtx>,
+        f: impl FnOnce(&[K], &[Arc<dyn ConsumerPort<K, V>>]),
     ) {
         if keys.is_empty() {
             return;
@@ -594,27 +501,7 @@ impl<K: Key, V: Data> OutTerm<K, V> {
                     });
                 return;
             }
-            if ports.len() == 1 {
-                // Single consumer port: keep exclusive ownership so the
-                // value can move end to end.
-                ports[0].route(keys, FanoutVal::Owned(v), from_task, src_rank, ctx);
-            } else {
-                // Erase once, share across every port: local consumers all
-                // alias the same allocation, remote fan-out serializes once
-                // per broadcast through the attached cache.
-                let arc = Arc::new(v);
-                let cache = Arc::new(EncodeCache::default());
-                ctx.metrics.count_value_shared(src_rank);
-                for port in ports {
-                    port.route(
-                        keys,
-                        FanoutVal::Shared(Arc::clone(&arc), Arc::clone(&cache)),
-                        from_task,
-                        src_rank,
-                        ctx,
-                    );
-                }
-            }
+            f(keys, ports)
         });
     }
 

@@ -49,11 +49,6 @@ pub struct ExecConfig {
     /// fault injector's splitmix64 streams — for reproducible benchmark
     /// runs; `None` (default) keeps OS entropy.
     pub sched_seed: Option<u64>,
-    /// Deadline for one-sided remote RMA fetches. `None` keeps the fabric
-    /// default (30 s); a recovering job should set this well below the
-    /// delivery deadline so a respawning rank surfaces as a structured
-    /// `RmaTimeout` instead of stalling peers.
-    pub rma_timeout: Option<Duration>,
     /// Where recovery snapshots are persisted when the fault plan enables
     /// checkpointing. `None` picks a default: the launch directory's
     /// file sink for a multi-process rank (`TTG_LAUNCH_DIR`), an
@@ -72,7 +67,6 @@ impl std::fmt::Debug for ExecConfig {
             .field("delivery_deadline", &self.delivery_deadline)
             .field("transport", &self.transport)
             .field("sched_seed", &self.sched_seed)
-            .field("rma_timeout", &self.rma_timeout)
             .field("snapshot_sink", &self.snapshot_sink.is_some())
             .finish()
     }
@@ -91,7 +85,6 @@ impl ExecConfig {
             delivery_deadline: None,
             transport: TransportSpec::InProc,
             sched_seed: None,
-            rma_timeout: None,
             snapshot_sink: None,
         }
     }
@@ -107,7 +100,6 @@ impl ExecConfig {
             delivery_deadline: None,
             transport: TransportSpec::InProc,
             sched_seed: None,
-            rma_timeout: None,
             snapshot_sink: None,
         }
     }
@@ -144,13 +136,6 @@ impl ExecConfig {
     /// [`ExecConfig::sched_seed`]).
     pub fn with_sched_seed(mut self, seed: u64) -> Self {
         self.sched_seed = Some(seed);
-        self
-    }
-
-    /// Set the one-sided RMA fetch deadline (see
-    /// [`ExecConfig::rma_timeout`]).
-    pub fn with_rma_timeout(mut self, t: Duration) -> Self {
-        self.rma_timeout = Some(t);
         self
     }
 
@@ -216,9 +201,6 @@ impl Executor {
     pub fn new(graph: Graph, cfg: ExecConfig) -> Self {
         let fabric = Fabric::with_transport(cfg.ranks, cfg.faults.clone(), &cfg.transport)
             .unwrap_or_else(|e| panic!("transport bring-up failed: {e}"));
-        if let Some(t) = cfg.rma_timeout {
-            fabric.set_rma_timeout(t);
-        }
         if fabric.recovery_enabled() {
             let sink = cfg.snapshot_sink.clone().unwrap_or_else(|| {
                 // Multi-process ranks default to the launch directory so
@@ -317,13 +299,27 @@ impl Executor {
                                     // one batch per rank when the scope
                                     // drops — before the packet is retired,
                                     // so quiescence never sees a gap.
+                                    let started = Instant::now();
                                     let batch = crate::batch::BatchScope::enter(&ctx2);
-                                    if let Err(e) =
-                                        ctx2.node(handler).deliver_am(r, from, &payload, &ctx2)
-                                    {
-                                        record_delivery_failed(&ctx2, from, r, handler, seq, &e);
+                                    let delivered = match ctx2.node(handler) {
+                                        Some(node) => node.deliver_am(r, &payload, &ctx2),
+                                        None => Err(WireError::new(format!(
+                                            "no template task {handler}"
+                                        ))),
+                                    };
+                                    if let Err(e) = delivered {
+                                        // Arrived but undeliverable: TTG043.
+                                        ctx2.fabric.record_error(CommError {
+                                            kind: CommErrorKind::DeliveryFailed,
+                                            from: (from != usize::MAX).then_some(from),
+                                            to: Some(r),
+                                            handler: Some(handler),
+                                            seq: (seq != 0).then_some(seq),
+                                            detail: e.to_string(),
+                                        });
                                     }
                                     drop(batch);
+                                    ctx2.fabric.count_am_delivered(started.elapsed());
                                     ctx2.fabric.packet_processed();
                                     // Hand the AM buffer back to the wire
                                     // buffer pool for the next send.
@@ -333,13 +329,9 @@ impl Executor {
                                     // with the worker pool drained — the
                                     // consistent cut (DESIGN §13).
                                     if let Some(every) = ctx2.fabric.snapshot_interval() {
-                                        // A parked fetch's continuation is
-                                        // state outside the matching tables:
-                                        // no cut while one is outstanding
-                                        // (the next delivery retries).
                                         let due = if remote {
                                             rx_since_snap += 1;
-                                            rx_since_snap >= every && ctx2.fabric.rma_parked() == 0
+                                            rx_since_snap >= every
                                         } else {
                                             ctx2.fabric.snapshot_due(r)
                                         };
@@ -368,17 +360,9 @@ impl Executor {
                                         }
                                     }
                                 }
-                                // A parked splitmd fetch ended: its
-                                // continuation (batch scope and failure
-                                // report included) runs here, like any
-                                // other delivery.
-                                Packet::Rma { req, outcome } => {
-                                    ctx2.fabric.rma_complete(req, outcome)
-                                }
                                 Packet::Shutdown => break,
                             }
                         }
-                        ctx2.fabric.rma_abandon_parked();
                     })
                     .expect("failed to spawn comm thread"),
             );
@@ -478,7 +462,6 @@ impl Executor {
                 return;
             }
             self.ctx.fabric.drive_termination();
-            self.ctx.fabric.rma_sweep_expired();
             if let Some(t) = give_up {
                 if Instant::now() >= t {
                     self.ctx.fabric.count_deadline_miss();
@@ -542,26 +525,6 @@ impl Executor {
             recovery_events: self.ctx.fabric.take_recovery_events(),
         }
     }
-}
-
-/// Record a TTG043 for an active message (or its parked continuation) that
-/// arrived but could not be delivered.
-pub(crate) fn record_delivery_failed(
-    ctx: &RuntimeCtx,
-    from: usize,
-    to: usize,
-    handler: u32,
-    seq: u64,
-    e: &WireError,
-) {
-    ctx.fabric.record_error(CommError {
-        kind: CommErrorKind::DeliveryFailed,
-        from: (from != usize::MAX).then_some(from),
-        to: Some(to),
-        handler: Some(handler),
-        seq: (seq != 0).then_some(seq),
-        detail: e.to_string(),
-    });
 }
 
 /// Compose and persist one recovery snapshot for rank `r`: the comm-layer

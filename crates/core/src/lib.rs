@@ -47,6 +47,7 @@
 
 #![warn(missing_docs)]
 
+pub mod am;
 pub mod backend;
 pub(crate) mod batch;
 pub mod ctx;
@@ -69,7 +70,7 @@ pub use executor::{ExecConfig, ExecReport, Executor};
 pub use export::{chrome_trace, layout_task_slices};
 pub use graph::{Graph, GraphBuilder, TtHandle};
 pub use inspect::{EdgeDecl, KeymapProbe, MutationError, ReducerDecl, StuckEntry, Violation};
-pub use outs::{InRef, Outs};
+pub use outs::{Fanout, InRef, Outs};
 pub use trace::{Dep, TaskEvent, TraceRecorder};
 pub use ttg_comm::{
     CommError, CommErrorKind, FaultPlan, KillScript, RemoteHandle, RetryPolicy, TransportKind,
@@ -83,7 +84,7 @@ pub mod prelude {
     pub use crate::edge::Edge;
     pub use crate::executor::{ExecConfig, ExecReport, Executor};
     pub use crate::graph::{Graph, GraphBuilder, TtHandle};
-    pub use crate::outs::{InRef, Outs};
+    pub use crate::outs::{Fanout, InRef, Outs};
     pub use crate::types::{Ctl, LocalPass};
     pub use ttg_comm::{FaultPlan, RemoteHandle, TransportKind, TransportSpec, Wire, WireKind};
 }

@@ -6,15 +6,9 @@
 //! launching the assembled task (the launch may re-enter `send` on an
 //! arbitrary other shard, so launching under the lock would deadlock).
 //! That release-then-launch rule is the whole discipline.
-//!
-//! `node.fetch_order` (parked splitmd fetches per source rank and the
-//! finalizes held behind them) follows the same rule: it is taken only to
-//! note a parked fetch, to retire one, and to decide whether a finalize
-//! must wait, and it is released before the finalize — which locks a
-//! shard — runs.
 
 /// Every mutex class on the matching path, by field name.
-pub const LOCK_CLASSES: &[&str] = &["node.shards", "node.fetch_order"];
+pub const LOCK_CLASSES: &[&str] = &["node.shards"];
 
 /// Permitted nestings, outer acquired first. The core sanctions none.
 pub const LOCK_ORDER: &[(&str, &str)] = &[];

@@ -4,19 +4,20 @@
 //! its input terminals; when every terminal has a complete input for some ID
 //! a task instance is created and scheduled (paper §II). The public, fully
 //! typed API lives in `graph`/`outs`; this module implements the matching
-//! tables, streaming-terminal reduction, task launch, and the wire format of
-//! active messages.
+//! tables, streaming-terminal reduction, task launch, and the delivery of
+//! active messages (whose wire format is [`crate::am`]'s).
 
-use std::any::Any;
+use std::any::{Any, TypeId};
 use std::collections::HashMap;
 use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
-use ttg_comm::{ReadBuf, RmaError, RmaFetch, WireError, WriteBuf};
+use ttg_comm::{ReadBuf, WireError, WriteBuf};
 
+use crate::am::{MSG_DATA_INLINE, MSG_DATA_SPLITMD, MSG_FINALIZE, MSG_SET_SIZE};
 use crate::ctx::RuntimeCtx;
 use crate::inspect::{EdgeDecl, KeymapProbe, MutationError, ReducerDecl, StuckEntry};
 use crate::trace::{Dep, TaskEvent};
@@ -25,14 +26,31 @@ use crate::types::{ErasedVal, Key, LocalPass};
 #[cfg(feature = "checked")]
 use crate::inspect::Violation;
 
-/// AM message type: inline (archive/trivial) data.
-pub const MSG_DATA_INLINE: u8 = 0;
-/// AM message type: split-metadata data (payload via RMA).
-pub const MSG_DATA_SPLITMD: u8 = 1;
-/// AM message type: set the expected stream size for a key.
-pub const MSG_SET_SIZE: u8 = 2;
-/// AM message type: finalize an unbounded stream for a key.
-pub const MSG_FINALIZE: u8 = 3;
+/// A misuse of the matching table (a duplicate input, a stream overrun, a
+/// stream operation on a plain terminal…). `checked` builds record it as a
+/// sanitizer violation and carry on. Otherwise it is an error: a bug in this
+/// program's graph when a task body's own send meets it — [`or_panic`], as
+/// it always has — and a failed delivery (TTG043) when it arrives in an AM,
+/// whose bytes a peer chose.
+macro_rules! misuse {
+    ($ctx:expr, $violation:expr, $($msg:tt)+) => {{
+        #[cfg(feature = "checked")]
+        {
+            $ctx.sanitizer.record($violation);
+            return Ok(());
+        }
+        #[cfg(not(feature = "checked"))]
+        return Err(WireError::new(format!($($msg)+)));
+    }};
+}
+
+/// Outcome of a matching-table call made on behalf of a task body (or a
+/// seed) of this process: see [`misuse`].
+pub(crate) fn or_panic(r: Result<(), WireError>) {
+    if let Err(e) = r {
+        panic!("{}", e.msg);
+    }
+}
 
 /// Type-erased reduction operator for a streaming terminal.
 pub type ErasedReduce = Arc<dyn Fn(&mut Box<dyn Any + Send>, ErasedVal) + Send + Sync>;
@@ -54,6 +72,9 @@ pub struct ReducerSpec {
 
 /// Fixed (construction-time) per-terminal vtable.
 pub struct InputMeta {
+    /// The terminal's value type: a data AM's value, decoded once, may only
+    /// be handed to terminals of it.
+    pub value_type: TypeId,
     /// Decode an inline value from an AM.
     pub decode:
         Arc<dyn Fn(&mut ReadBuf<'_>) -> Result<Box<dyn Any + Send>, WireError> + Send + Sync>,
@@ -332,16 +353,25 @@ pub trait AnyNode: Send + Sync {
     /// Size the per-rank matching tables (called once by the executor).
     /// `workers_per_rank` sizes the lock stripes of each table.
     fn attach(&self, n_ranks: usize, workers_per_rank: usize);
-    /// Deliver a serialized active message sent by rank `from` and
-    /// addressed to this node. `Ok` means delivered — or, for a splitmd
-    /// value whose payload lives in another process, that its fetch is
-    /// parked and the delivery finishes (and reports its own failure) when
-    /// the fetch completes.
+    /// Deliver a serialized active message addressed to this node (format:
+    /// [`crate::am`]). The bytes may be a peer's: whatever they hold, the
+    /// outcome is a delivery or an error, never a panic.
     fn deliver_am(
         &self,
         rank: usize,
-        from: usize,
         payload: &[u8],
+        ctx: &Arc<RuntimeCtx>,
+    ) -> Result<(), WireError>;
+    /// Deliver one group of a data AM: hand `arrival`'s value to `n` task
+    /// IDs of `terminal`, decoded from `keys`.
+    fn deliver_group(
+        &self,
+        rank: usize,
+        terminal: usize,
+        n: usize,
+        keys: &mut ReadBuf<'_>,
+        arrival: &mut Arrival,
+        dep: Dep,
         ctx: &Arc<RuntimeCtx>,
     ) -> Result<(), WireError>;
     /// Node id within its graph.
@@ -393,31 +423,8 @@ struct FrozenMaps<K: Key> {
     costmap: Option<CostMapFn<K>>,
 }
 
-/// A splitmd value between its metadata AM and its payload: everything
-/// the delivery needs once the fetch has completed.
-struct SplitmdArrival<K> {
-    rank: usize,
-    terminal: usize,
-    keys: Vec<K>,
-    from_task: u64,
-    src_rank: usize,
-}
-
-/// Ordering state of the asynchronous splitmd fetches: a `finalize` must
-/// not overtake values its sender shipped before it, and a value whose
-/// fetch is still parked has not been folded yet.
-struct FetchOrder<K> {
-    /// `(source rank, fetches parked)`; entries are removed at zero.
-    parked: Vec<(usize, usize)>,
-    /// Finalizes held behind parked fetches of their source, in arrival
-    /// order: `(source, rank, terminal, key)`.
-    held: Vec<(usize, usize, usize, K)>,
-}
-
 /// The shared implementation behind every template task.
 pub struct NodeInner<K: Key> {
-    /// Handle on this node for continuations that outlive a delivery.
-    me: Weak<NodeInner<K>>,
     /// Node id within the graph.
     pub id: u32,
     /// Node name (for traces and debugging).
@@ -435,9 +442,6 @@ pub struct NodeInner<K: Key> {
     executed: Arc<AtomicU64>,
     topo: OnceLock<(Vec<EdgeDecl>, Vec<EdgeDecl>)>,
     check_samples: RwLock<Vec<K>>,
-    /// Touched only when a fetch is parked or completes and when a
-    /// finalize AM arrives; released before any matching-table call.
-    fetch_order: Mutex<FetchOrder<K>>,
 }
 
 impl<K: Key> NodeInner<K> {
@@ -449,8 +453,7 @@ impl<K: Key> NodeInner<K> {
         keymap: KeyMapFn<K>,
     ) -> Arc<Self> {
         let n_inputs = metas.len();
-        Arc::new_cyclic(|me| NodeInner {
-            me: me.clone(),
+        Arc::new(NodeInner {
             id,
             name,
             n_inputs,
@@ -465,10 +468,6 @@ impl<K: Key> NodeInner<K> {
             executed: Arc::new(AtomicU64::new(0)),
             topo: OnceLock::new(),
             check_samples: RwLock::new(Vec::new()),
-            fetch_order: Mutex::new(FetchOrder {
-                parked: Vec::new(),
-                held: Vec::new(),
-            }),
         })
     }
 
@@ -542,9 +541,11 @@ impl<K: Key> NodeInner<K> {
         }
     }
 
-    /// Per-terminal vtable.
-    pub fn meta(&self, t: usize) -> &InputMeta {
-        &self.metas[t]
+    /// Vtable of terminal `t`, a number read off the wire.
+    fn checked_meta(&self, t: usize) -> Result<&InputMeta, WireError> {
+        self.metas
+            .get(t)
+            .ok_or_else(|| WireError::new(format!("{} has no input terminal {t}", self.name)))
     }
 
     fn table(&self, rank: usize, k: &K) -> &Mutex<HashMap<K, PendingE, FxBuildHasher>> {
@@ -561,7 +562,7 @@ impl<K: Key> NodeInner<K> {
         val: ErasedVal,
         dep: Dep,
         ctx: &Arc<RuntimeCtx>,
-    ) {
+    ) -> Result<(), WireError> {
         debug_assert_eq!(self.owner(&k, ctx.n_ranks()), rank, "misrouted message");
         let ready = {
             let mut table = self.table(rank, &k).lock();
@@ -587,22 +588,18 @@ impl<K: Key> NodeInner<K> {
                     }
                     None => *slot = SlotE::Plain(val),
                 },
-                SlotE::Plain(_) => {
-                    #[cfg(feature = "checked")]
-                    {
-                        ctx.sanitizer.record(Violation::ExactlyOnce {
-                            node: self.name,
-                            terminal,
-                            key: format!("{k:?}"),
-                        });
-                        return;
-                    }
-                    #[cfg(not(feature = "checked"))]
-                    panic!(
-                        "duplicate input on terminal {} of {} for key {:?} (no reducer installed)",
-                        terminal, self.name, k
-                    );
-                }
+                SlotE::Plain(_) => misuse!(
+                    ctx,
+                    Violation::ExactlyOnce {
+                        node: self.name,
+                        terminal,
+                        key: format!("{k:?}"),
+                    },
+                    "duplicate input on terminal {} of {} for key {:?} (no reducer installed)",
+                    terminal,
+                    self.name,
+                    k
+                ),
                 SlotE::Stream {
                     acc,
                     received,
@@ -610,42 +607,35 @@ impl<K: Key> NodeInner<K> {
                     finalized,
                 } => {
                     if *finalized || expected.is_some_and(|e| *received >= e) {
-                        #[cfg(feature = "checked")]
-                        {
-                            ctx.sanitizer.record(Violation::StreamOverrun {
+                        misuse!(
+                            ctx,
+                            Violation::StreamOverrun {
                                 node: self.name,
                                 terminal,
                                 key: format!("{k:?}"),
                                 received: *received,
-                            });
-                            return;
-                        }
-                        #[cfg(not(feature = "checked"))]
-                        panic!(
+                            },
                             "stream overrun on terminal {} of {} for key {:?}",
-                            terminal, self.name, k
+                            terminal,
+                            self.name,
+                            k
                         );
                     }
-                    let spec = match reducer {
-                        Some(spec) => spec,
-                        None => {
-                            // The terminal was turned into a stream by a
-                            // `set_stream_size` without a reducer installed.
-                            #[cfg(feature = "checked")]
-                            {
-                                ctx.sanitizer.record(Violation::StreamWithoutReducer {
-                                    node: self.name,
-                                    terminal,
-                                    key: format!("{k:?}"),
-                                });
-                                return;
-                            }
-                            #[cfg(not(feature = "checked"))]
-                            panic!(
-                                "stream slot without reducer on terminal {} of {} for key {:?}",
-                                terminal, self.name, k
-                            );
-                        }
+                    // `None`: the terminal was turned into a stream by a
+                    // `set_stream_size` without a reducer installed.
+                    let Some(spec) = reducer else {
+                        misuse!(
+                            ctx,
+                            Violation::StreamWithoutReducer {
+                                node: self.name,
+                                terminal,
+                                key: format!("{k:?}"),
+                            },
+                            "stream slot without reducer on terminal {} of {} for key {:?}",
+                            terminal,
+                            self.name,
+                            k
+                        )
                     };
                     match acc {
                         Some(a) => {
@@ -664,8 +654,9 @@ impl<K: Key> NodeInner<K> {
                 None
             }
         };
-        if let Some(entry) = ready {
-            self.launch(rank, k, entry, ctx);
+        match ready {
+            Some(entry) => self.launch(rank, k, entry, ctx),
+            None => Ok(()),
         }
     }
 
@@ -678,7 +669,7 @@ impl<K: Key> NodeInner<K> {
         k: K,
         n: usize,
         ctx: &Arc<RuntimeCtx>,
-    ) {
+    ) -> Result<(), WireError> {
         let ready = {
             let mut table = self.table(rank, &k).lock();
             let entry = table
@@ -698,38 +689,34 @@ impl<K: Key> NodeInner<K> {
                     received, expected, ..
                 } => {
                     if *received > n {
-                        #[cfg(feature = "checked")]
-                        {
-                            ctx.sanitizer.record(Violation::SizeBelowReceived {
+                        misuse!(
+                            ctx,
+                            Violation::SizeBelowReceived {
                                 node: self.name,
                                 terminal,
                                 key: format!("{k:?}"),
                                 size: n,
                                 received: *received,
-                            });
-                            return;
-                        }
-                        #[cfg(not(feature = "checked"))]
-                        panic!(
+                            },
                             "stream size {} below already-received {} on {} {:?}",
-                            n, received, self.name, k
+                            n,
+                            received,
+                            self.name,
+                            k
                         );
                     }
                     *expected = Some(n);
                 }
-                SlotE::Plain(_) => {
-                    #[cfg(feature = "checked")]
-                    {
-                        ctx.sanitizer.record(Violation::SetSizeOnPlain {
-                            node: self.name,
-                            terminal,
-                            key: format!("{k:?}"),
-                        });
-                        return;
-                    }
-                    #[cfg(not(feature = "checked"))]
-                    panic!("set_stream_size on non-streaming terminal of {}", self.name);
-                }
+                SlotE::Plain(_) => misuse!(
+                    ctx,
+                    Violation::SetSizeOnPlain {
+                        node: self.name,
+                        terminal,
+                        key: format!("{k:?}"),
+                    },
+                    "set_stream_size on non-streaming terminal of {}",
+                    self.name
+                ),
             }
             if entry.all_complete() {
                 Some(table.remove(&k).unwrap())
@@ -737,33 +724,34 @@ impl<K: Key> NodeInner<K> {
                 None
             }
         };
-        if let Some(entry) = ready {
-            self.launch(rank, k, entry, ctx);
+        match ready {
+            Some(entry) => self.launch(rank, k, entry, ctx),
+            None => Ok(()),
         }
     }
 
     /// Close an unbounded stream for `(k, terminal)` now.
-    pub fn finalize_stream(&self, rank: usize, terminal: usize, k: K, ctx: &Arc<RuntimeCtx>) {
+    pub fn finalize_stream(
+        &self,
+        rank: usize,
+        terminal: usize,
+        k: K,
+        ctx: &Arc<RuntimeCtx>,
+    ) -> Result<(), WireError> {
         let ready = {
             let mut table = self.table(rank, &k).lock();
-            let entry = match table.get_mut(&k) {
-                Some(e) => e,
-                None => {
-                    #[cfg(feature = "checked")]
-                    {
-                        ctx.sanitizer.record(Violation::FinalizeUnknownKey {
-                            node: self.name,
-                            terminal,
-                            key: format!("{k:?}"),
-                        });
-                        return;
-                    }
-                    #[cfg(not(feature = "checked"))]
-                    panic!(
-                        "finalize on {} for unknown key {:?} (no messages received)",
-                        self.name, k
-                    );
-                }
+            let Some(entry) = table.get_mut(&k) else {
+                misuse!(
+                    ctx,
+                    Violation::FinalizeUnknownKey {
+                        node: self.name,
+                        terminal,
+                        key: format!("{k:?}"),
+                    },
+                    "finalize on {} for unknown key {:?} (no messages received)",
+                    self.name,
+                    k
+                )
             };
             match entry.slots.get_mut(terminal) {
                 SlotE::Stream { finalized, .. } => {
@@ -774,23 +762,20 @@ impl<K: Key> NodeInner<K> {
                             terminal,
                             key: format!("{k:?}"),
                         });
-                        return;
+                        return Ok(());
                     }
                     *finalized = true;
                 }
-                _ => {
-                    #[cfg(feature = "checked")]
-                    {
-                        ctx.sanitizer.record(Violation::FinalizeNonStream {
-                            node: self.name,
-                            terminal,
-                            key: format!("{k:?}"),
-                        });
-                        return;
-                    }
-                    #[cfg(not(feature = "checked"))]
-                    panic!("finalize on non-streaming terminal of {}", self.name);
-                }
+                _ => misuse!(
+                    ctx,
+                    Violation::FinalizeNonStream {
+                        node: self.name,
+                        terminal,
+                        key: format!("{k:?}"),
+                    },
+                    "finalize on non-streaming terminal of {}",
+                    self.name
+                ),
             }
             if entry.all_complete() {
                 Some(table.remove(&k).unwrap())
@@ -798,24 +783,35 @@ impl<K: Key> NodeInner<K> {
                 None
             }
         };
-        if let Some(entry) = ready {
-            self.launch(rank, k, entry, ctx);
+        match ready {
+            Some(entry) => self.launch(rank, k, entry, ctx),
+            None => Ok(()),
         }
     }
 
-    fn launch(&self, rank: usize, k: K, entry: PendingE, ctx: &Arc<RuntimeCtx>) {
-        #[cfg(feature = "checked")]
+    fn launch(
+        &self,
+        rank: usize,
+        k: K,
+        entry: PendingE,
+        ctx: &Arc<RuntimeCtx>,
+    ) -> Result<(), WireError> {
         if entry
             .slots
             .as_slice()
             .iter()
             .any(|s| matches!(s, SlotE::Stream { acc: None, .. }))
         {
-            ctx.sanitizer.record(Violation::EmptyStream {
-                node: self.name,
-                key: format!("{k:?}"),
-            });
-            return;
+            misuse!(
+                ctx,
+                Violation::EmptyStream {
+                    node: self.name,
+                    key: format!("{k:?}"),
+                },
+                "empty finalized stream on {} for key {:?}: no identity value",
+                self.name,
+                k
+            );
         }
         let invoke = Arc::clone(
             self.invoke
@@ -828,10 +824,7 @@ impl<K: Key> NodeInner<K> {
             .map(|s| match s {
                 SlotE::Plain(v) => v,
                 SlotE::Stream { acc: Some(a), .. } => ErasedVal::Owned(a),
-                SlotE::Stream { acc: None, .. } => panic!(
-                    "empty finalized stream on {} for key {:?}: no identity value",
-                    self.name, k
-                ),
+                SlotE::Stream { acc: None, .. } => unreachable!("checked above"),
                 SlotE::Empty => unreachable!("incomplete slot at launch"),
             })
             .collect();
@@ -882,6 +875,7 @@ impl<K: Key> NodeInner<K> {
             job = job.with_locality(w);
         }
         crate::batch::enqueue(rank, job, ctx);
+        Ok(())
     }
 }
 
@@ -907,7 +901,6 @@ impl<K: Key> AnyNode for NodeInner<K> {
     fn deliver_am(
         &self,
         rank: usize,
-        from: usize,
         payload: &[u8],
         ctx: &Arc<RuntimeCtx>,
     ) -> Result<(), WireError> {
@@ -915,79 +908,89 @@ impl<K: Key> AnyNode for NodeInner<K> {
         let from_task = r.get_u64()?;
         let msg_type = r.get_u8()?;
         let terminal = r.get_u16()? as usize;
+        let meta = self.checked_meta(terminal)?;
         match msg_type {
-            MSG_DATA_INLINE => {
+            MSG_DATA_INLINE | MSG_DATA_SPLITMD => {
                 let src_rank = r.get_u64()? as usize;
-                let nkeys = r.get_u32()? as usize;
-                let mut keys = Vec::with_capacity(nkeys);
-                for _ in 0..nkeys {
-                    keys.push(K::decode(&mut r)?);
-                }
-                let bytes = r.remaining() as u64;
-                let meta = self.meta(terminal);
-                let first = (meta.decode)(&mut r)?;
-                let msg = ctx.alloc_task_id();
-                self.deliver_decoded(
-                    rank, terminal, keys, first, from_task, src_rank, bytes, msg, ctx,
-                );
-            }
-            MSG_DATA_SPLITMD => {
-                let src_rank = r.get_u64()? as usize;
-                let region = r.get_u64()?;
-                let owner = r.get_u64()? as usize;
-                let nkeys = r.get_u32()? as usize;
-                let mut keys = Vec::with_capacity(nkeys);
-                for _ in 0..nkeys {
-                    keys.push(K::decode(&mut r)?);
-                }
-                let md = r.take(r.remaining())?;
-                let arrival = SplitmdArrival {
-                    rank,
-                    terminal,
-                    keys,
-                    from_task,
-                    src_rank,
+                // Stage 2 of splitmd: one-sided fetch of the payload. A
+                // region that is gone, or one this process cannot read, is
+                // a structured wire error (surfaced as a CommError by the
+                // comm thread), not a process abort.
+                let fetched = if msg_type == MSG_DATA_SPLITMD {
+                    let region = r.get_u64()?;
+                    let owner = r.get_u64()? as usize;
+                    let fetched = ctx.fabric.rma_fetch(rank, owner, region);
+                    Some(fetched.map_err(|e| WireError::new(e.to_string()))?)
+                } else {
+                    None
                 };
-                // Stage 2 of splitmd: one-sided fetch of the payload, with
-                // the rest of the delivery as its continuation. A missing
-                // region is a structured wire error (surfaced as a
-                // CommError by the comm thread), not a process abort.
-                match ctx.fabric.rma_fetch(rank, owner, region) {
-                    RmaFetch::Ready(fetched) => self.complete_splitmd(arrival, md, fetched, ctx)?,
-                    RmaFetch::Remote(fetch) => {
-                        // The payload is in another process: park the
-                        // continuation and let the delivery thread move on.
-                        let node = self.me.upgrade().expect("node outlives its deliveries");
-                        let (md, ctx) = (md.to_vec(), Arc::clone(ctx));
-                        node.note_fetch_parked(from);
-                        fetch.park(Box::new(move |fetched| {
-                            node.finish_parked_splitmd(from, arrival, &md, fetched, &ctx)
-                        }));
+                let nkeys = r.get_u32()? as usize;
+                let groups_len = r.get_u32()? as usize;
+                let mut groups = ReadBuf::new(r.take(groups_len)?);
+                let mut bytes = r.remaining();
+                let val = match &fetched {
+                    Some(data) => {
+                        bytes += data.len();
+                        (meta.decode_splitmd)(&mut r, data)?
                     }
+                    None => (meta.decode)(&mut r)?,
+                };
+                // Every key records the full wire size, tagged with the
+                // shared transfer id: the projection simulates the AM once
+                // and lets all piggybacked consumers wait for the same
+                // arrival.
+                let dep = Dep {
+                    from_task,
+                    bytes: bytes as u64,
+                    src_rank,
+                    msg: ctx.alloc_task_id(),
+                };
+                let mut arrival = Arrival::new(val, nkeys, meta, rank, ctx);
+                while groups.remaining() > 0 {
+                    let node = groups.get_u32()?;
+                    let terminal = groups.get_u16()? as usize;
+                    let n = groups.get_u32()? as usize;
+                    let node = ctx
+                        .node(node)
+                        .ok_or_else(|| WireError::new(format!("no template task {node}")))?;
+                    node.deliver_group(rank, terminal, n, &mut groups, &mut arrival, dep, ctx)?;
                 }
             }
             MSG_SET_SIZE => {
-                // A size is a count, not a position in the stream: it may
-                // pass values whose fetches are still parked.
                 let k = K::decode(&mut r)?;
                 let n = r.get_u64()? as usize;
-                self.set_stream_size(rank, terminal, k, n, ctx);
+                self.set_stream_size(rank, terminal, k, n, ctx)?;
             }
             MSG_FINALIZE => {
                 let k = K::decode(&mut r)?;
-                // A finalize closes the stream at its position: hold it
-                // behind its sender's parked fetches (released by the last
-                // of them, inside that fetch's in-flight slot).
-                {
-                    let mut order = self.fetch_order.lock();
-                    if order.parked.iter().any(|&(src, _)| src == from) {
-                        order.held.push((from, rank, terminal, k));
-                        return Ok(());
-                    }
-                }
-                self.finalize_stream(rank, terminal, k, ctx);
+                self.finalize_stream(rank, terminal, k, ctx)?;
             }
             t => return Err(WireError::new(format!("unknown AM type {}", t))),
+        }
+        Ok(())
+    }
+
+    fn deliver_group(
+        &self,
+        rank: usize,
+        terminal: usize,
+        n: usize,
+        keys: &mut ReadBuf<'_>,
+        arrival: &mut Arrival,
+        dep: Dep,
+        ctx: &Arc<RuntimeCtx>,
+    ) -> Result<(), WireError> {
+        let meta = self.checked_meta(terminal)?;
+        if meta.value_type != arrival.value_type {
+            return Err(WireError::new(format!(
+                "terminal {terminal} of {} takes another type than the message's value",
+                self.name
+            )));
+        }
+        for _ in 0..n {
+            let k = K::decode(keys)?;
+            let val = arrival.next(meta, rank, ctx)?;
+            self.insert(rank, terminal, k, val, dep, ctx)?;
         }
         Ok(())
     }
@@ -1229,142 +1232,64 @@ impl<K: Key> AnyNode for NodeInner<K> {
     }
 }
 
-impl<K: Key> NodeInner<K> {
-    /// The one splitmd completion, inline or parked: decode the value from
-    /// its metadata and fetched payload and deliver it to every key.
-    fn complete_splitmd(
-        &self,
-        arrival: SplitmdArrival<K>,
-        md: &[u8],
-        fetched: Result<Arc<Vec<u8>>, RmaError>,
-        ctx: &Arc<RuntimeCtx>,
-    ) -> Result<(), WireError> {
-        let data = fetched.map_err(|e| WireError::new(e.to_string()))?;
-        let meta = self.meta(arrival.terminal);
-        let first = (meta.decode_splitmd)(&mut ReadBuf::new(md), &data)?;
-        let bytes = (md.len() + data.len()) as u64;
-        let msg = ctx.alloc_task_id();
-        self.deliver_decoded(
-            arrival.rank,
-            arrival.terminal,
-            arrival.keys,
-            first,
-            arrival.from_task,
-            arrival.src_rank,
-            bytes,
-            msg,
-            ctx,
-        );
-        Ok(())
-    }
-
-    /// Count one more parked fetch of a value sent by rank `src`.
-    fn note_fetch_parked(&self, src: usize) {
-        let mut order = self.fetch_order.lock();
-        match order.parked.iter_mut().find(|(s, _)| *s == src) {
-            Some((_, n)) => *n += 1,
-            None => order.parked.push((src, 1)),
-        }
-    }
-
-    /// Continuation of a parked splitmd fetch, on the delivery thread: what
-    /// the comm loop does around an inline delivery (batch scope, failure
-    /// report), then the finalizes that waited for this source's fetches.
-    /// The fabric retires the fetch's in-flight slot when this returns —
-    /// after the batch has registered every task the value readied.
-    fn finish_parked_splitmd(
-        &self,
-        src: usize,
-        arrival: SplitmdArrival<K>,
-        md: &[u8],
-        fetched: Result<Arc<Vec<u8>>, RmaError>,
-        ctx: &Arc<RuntimeCtx>,
-    ) {
-        let _batch = crate::batch::BatchScope::enter(ctx);
-        let rank = arrival.rank;
-        if let Err(e) = self.complete_splitmd(arrival, md, fetched, ctx) {
-            crate::executor::record_delivery_failed(ctx, src, rank, self.id, 0, &e);
-        }
-        let released: Vec<(usize, usize, usize, K)> = {
-            let mut order = self.fetch_order.lock();
-            let at = order
-                .parked
-                .iter()
-                .position(|(s, _)| *s == src)
-                .expect("a completing fetch was noted when parked");
-            order.parked[at].1 -= 1;
-            if order.parked[at].1 > 0 {
-                return;
-            }
-            order.parked.swap_remove(at);
-            let (released, held) = std::mem::take(&mut order.held)
-                .into_iter()
-                .partition(|h| h.0 == src);
-            order.held = held;
-            released
-        };
-        for (_, rank, terminal, k) in released {
-            self.finalize_stream(rank, terminal, k, ctx);
-        }
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn deliver_decoded(
-        &self,
-        rank: usize,
-        terminal: usize,
-        keys: Vec<K>,
-        first: Box<dyn Any + Send>,
-        from_task: u64,
-        src_rank: usize,
-        bytes: u64,
-        msg: u64,
-        ctx: &Arc<RuntimeCtx>,
-    ) {
-        let meta = self.meta(terminal);
-        let n = keys.len();
-        // Every key records the full wire size, tagged with the shared
-        // transfer id: the projection simulates the AM once and lets
-        // all piggybacked consumers wait for the same arrival.
-        let dep = Dep {
-            from_task,
-            bytes,
-            src_rank,
-            msg,
-        };
-        if n > 1 && ctx.backend.local_pass == LocalPass::Share {
-            // Share local-pass: the piggybacked consumers of one AM alias a
-            // single decoded allocation instead of each getting a deep copy.
-            let arc = (meta.to_shared)(first);
-            ctx.metrics.count_value_shared(rank);
-            for k in keys {
-                ctx.metrics.count_local_shared(rank);
-                self.insert(
-                    rank,
-                    terminal,
-                    k,
-                    ErasedVal::Shared(Arc::clone(&arc)),
-                    dep,
-                    ctx,
-                );
-            }
-            return;
-        }
-        let mut first = Some(first);
-        for (i, k) in keys.into_iter().enumerate() {
-            let val = if i + 1 == n {
-                first.take().unwrap()
-            } else {
-                (meta.clone_boxed)(first.as_deref().unwrap())
-            };
-            self.insert(rank, terminal, k, ErasedVal::Owned(val), dep, ctx);
-        }
-    }
+/// The one decoded value of a data AM on its way to every consumer the
+/// AM's groups name.
+pub struct Arrival {
+    val: ArrivalVal,
+    value_type: TypeId,
 }
 
-/// Helper: encode the common AM header.
-pub fn am_header(b: &mut WriteBuf, from_task: u64, msg_type: u8, terminal: u16) {
-    b.put_u64(from_task);
-    b.put_u8(msg_type);
-    b.put_u16(terminal);
+enum ArrivalVal {
+    /// Share local-pass and several consumers: they alias one allocation
+    /// instead of each getting a deep copy.
+    Shared(Arc<dyn Any + Send + Sync>),
+    /// One consumer, or Copy local-pass: a clone for each of the `left`
+    /// consumers but the last, which takes the value itself.
+    Owned(Option<Box<dyn Any + Send>>, usize),
+}
+
+impl Arrival {
+    fn new(
+        val: Box<dyn Any + Send>,
+        consumers: usize,
+        meta: &InputMeta,
+        rank: usize,
+        ctx: &RuntimeCtx,
+    ) -> Self {
+        let val = if consumers > 1 && ctx.backend.local_pass == LocalPass::Share {
+            ctx.metrics.count_value_shared(rank);
+            ArrivalVal::Shared((meta.to_shared)(val))
+        } else {
+            ArrivalVal::Owned(Some(val), consumers)
+        };
+        Arrival {
+            val,
+            value_type: meta.value_type,
+        }
+    }
+
+    /// The value for the next consumer, a terminal described by `meta`.
+    fn next(
+        &mut self,
+        meta: &InputMeta,
+        rank: usize,
+        ctx: &RuntimeCtx,
+    ) -> Result<ErasedVal, WireError> {
+        match &mut self.val {
+            ArrivalVal::Shared(arc) => {
+                ctx.metrics.count_local_shared(rank);
+                Ok(ErasedVal::Shared(Arc::clone(arc)))
+            }
+            ArrivalVal::Owned(val, left) => {
+                let next = match *left {
+                    0 => None,
+                    1 => val.take(),
+                    _ => val.as_deref().map(|v| (meta.clone_boxed)(v)),
+                };
+                *left = left.saturating_sub(1);
+                next.map(ErasedVal::Owned)
+                    .ok_or_else(|| WireError::new("more keys than the message announced"))
+            }
+        }
+    }
 }

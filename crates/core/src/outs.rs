@@ -3,6 +3,7 @@
 
 use std::sync::Arc;
 
+use crate::am::AmPlan;
 use crate::ctx::RuntimeCtx;
 use crate::node::NodeInner;
 use crate::tuples::TermAt;
@@ -51,6 +52,32 @@ impl<'a, T> Outs<'a, T> {
             .broadcast_keys(keys, v, self.task_id, self.rank, self.ctx);
     }
 
+    /// Send one value to task IDs on several output terminals — Listing
+    /// 1's `ttg::broadcast<0, 1, 2, 3>(..)`:
+    ///
+    /// ```ignore
+    /// outs.fanout(tile)
+    ///     .to::<0>(&[(m, k)])
+    ///     .to::<1>(&[(k, m)])
+    ///     .to::<2>(&row_ids)
+    ///     .to::<3>(&col_ids)
+    ///     .send();
+    /// ```
+    ///
+    /// The terminals share the value type and are free to differ in key
+    /// type. The value is erased and serialized once: rank-local consumers
+    /// of every terminal alias one allocation, and each other rank receives
+    /// one AM naming all its consumers — where terminal-by-terminal
+    /// `send`/`broadcast` calls ship the value once per terminal.
+    pub fn fanout<V: Data>(&self, v: V) -> Fanout<'_, 'a, T, V> {
+        self.ctx.metrics.count_value_shared(self.rank);
+        Fanout {
+            outs: self,
+            v: Arc::new(v),
+            plan: AmPlan::new::<V>(self.ctx),
+        }
+    }
+
     /// Rank this task is executing on.
     pub fn rank(&self) -> usize {
         self.rank
@@ -69,6 +96,35 @@ impl<'a, T> Outs<'a, T> {
     /// Runtime context (advanced use: stream control via [`InRef`]).
     pub fn ctx(&self) -> &Arc<RuntimeCtx> {
         self.ctx
+    }
+}
+
+/// One value on its way to several output terminals (see
+/// [`Outs::fanout`]). Rank-local consumers receive it as their terminal is
+/// named; the other ranks' AMs leave with [`send`](Self::send).
+#[must_use = "other ranks receive the value only once `.send()` is called"]
+pub struct Fanout<'o, 'a, T, V: Data> {
+    outs: &'o Outs<'a, T>,
+    v: Arc<V>,
+    plan: AmPlan,
+}
+
+impl<T, V: Data> Fanout<'_, '_, T, V> {
+    /// Also send to every task in `keys` on output terminal `I`.
+    pub fn to<const I: usize>(mut self, keys: &[<T as TermAt<I>>::K]) -> Self
+    where
+        T: TermAt<I, V = V>,
+    {
+        let o = self.outs;
+        let term = o.terms.at();
+        term.fan(keys, &self.v, &mut self.plan, o.task_id, o.rank, o.ctx);
+        self
+    }
+
+    /// Ship the value to the other ranks: one AM each.
+    pub fn send(mut self) {
+        let o = self.outs;
+        self.plan.send(&*self.v, o.task_id, o.rank, o.ctx);
     }
 }
 

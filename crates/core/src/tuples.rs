@@ -18,6 +18,7 @@ use crate::types::{Data, ErasedVal, Key};
 /// Build the per-terminal vtable for value type `V`.
 pub fn meta_for<V: Data>() -> InputMeta {
     InputMeta {
+        value_type: std::any::TypeId::of::<V>(),
         decode: Arc::new(|r: &mut ReadBuf<'_>| {
             V::decode(r).map(|v| Box::new(v) as Box<dyn Any + Send>)
         }),

@@ -5,7 +5,7 @@
 use std::any::Any;
 use std::fmt;
 use std::hash::Hash;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use ttg_comm::{ReadBuf, Wire, WireError, WriteBuf};
 
@@ -46,45 +46,17 @@ pub enum LocalPass {
     Copy,
 }
 
-/// Lazily filled serialize-once cache attached to a shared broadcast value.
+/// A value travelling from an output terminal to a consumer port.
 ///
-/// A value fanning out to several consumer ports used to be re-serialized
-/// by every port that had remote destinations. With the cache, whichever
-/// port first needs the archive encoding (or the split-metadata payload)
-/// pays for it once; every other port reuses the frozen byte slab.
-#[derive(Default)]
-pub struct EncodeCache {
-    bytes: OnceLock<Arc<Vec<u8>>>,
-    payload: OnceLock<Arc<Vec<u8>>>,
-}
-
-impl EncodeCache {
-    /// The archive/trivial encoding of the value, computing it with `f` on
-    /// first use.
-    pub fn bytes(&self, f: impl FnOnce() -> Vec<u8>) -> Arc<Vec<u8>> {
-        Arc::clone(self.bytes.get_or_init(|| Arc::new(f())))
-    }
-
-    /// The split-metadata RMA payload of the value, computing it with `f`
-    /// on first use.
-    pub fn payload(&self, f: impl FnOnce() -> Vec<u8>) -> Arc<Vec<u8>> {
-        Arc::clone(self.payload.get_or_init(|| Arc::new(f())))
-    }
-}
-
-/// A value travelling from an output terminal to the consumer ports of one
-/// edge.
-///
-/// A single-port send keeps exclusive ownership (`Owned`) so the common
-/// case still moves the value end to end. A multi-port broadcast erases
-/// the value once into an `Arc` that every port — and through it every
-/// rank-local consumer — shares, bundled with the [`EncodeCache`] so remote
-/// fan-out serializes once per broadcast rather than once per port.
+/// A send to a single port keeps exclusive ownership (`Owned`) so the
+/// common case still moves the value end to end. A send that spans consumer
+/// ports or output terminals erases the value once into an `Arc` that every
+/// port — and through it every rank-local consumer — shares.
 pub enum FanoutVal<V: Data> {
     /// Exclusively owned: the single-consumer-port fast path.
     Owned(V),
-    /// Shared across the consumer ports of one broadcast.
-    Shared(Arc<V>, Arc<EncodeCache>),
+    /// Shared across the consumer ports and terminals of one send.
+    Shared(Arc<V>),
 }
 
 impl<V: Data> FanoutVal<V> {
@@ -92,7 +64,7 @@ impl<V: Data> FanoutVal<V> {
     pub fn get(&self) -> &V {
         match self {
             FanoutVal::Owned(v) => v,
-            FanoutVal::Shared(a, _) => a,
+            FanoutVal::Shared(a) => a,
         }
     }
 }

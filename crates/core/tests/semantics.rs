@@ -659,3 +659,208 @@ fn trace_records_tasks_and_dependencies() {
     assert!(ev_b.deps[0].bytes > 0, "crossed a rank boundary");
     assert_eq!(ev_b.rank, 1);
 }
+
+// ---- multi-terminal fan-out (Listing 1's `ttg::broadcast<0, 1, 2, 3>`) ----
+
+/// What a fan-out consumer saw: `(consumer, rank, allocation, content)`.
+type Seen = Vec<(String, usize, usize, f64)>;
+
+/// A payload whose allocation the consumers can identify.
+trait Probe: ttg_core::Data {
+    fn probe(&self) -> (usize, f64);
+}
+
+impl Probe for Vec<f64> {
+    fn probe(&self) -> (usize, f64) {
+        (self.as_ptr() as usize, self.iter().sum())
+    }
+}
+
+impl Probe for Arc<Vec<f64>> {
+    fn probe(&self) -> (usize, f64) {
+        (**self).probe()
+    }
+}
+
+impl Probe for Blob {
+    fn probe(&self) -> (usize, f64) {
+        self.data.probe()
+    }
+}
+
+/// One task on rank 0 sends `v` to three terminals keyed by three types —
+/// 12 consumers: 3 on rank 0 and 4, 3 and 2 on ranks 1 to 3 — and to a
+/// fourth terminal nobody consumes; one key is named twice. `fanout`: in
+/// one multi-terminal send, otherwise terminal by terminal.
+fn run_fan<V: Probe>(backend: BackendSpec, fanout: bool, v: V) -> (ExecReport, Seen) {
+    let start: Edge<u32, V> = Edge::new("start");
+    let a: Edge<u32, V> = Edge::new("a");
+    let b: Edge<(u32, u32), V> = Edge::new("b");
+    let c: Edge<u64, V> = Edge::new("c");
+    let nobody: Edge<u32, V> = Edge::new("nobody");
+    let mut g = GraphBuilder::new();
+    let src = g.make_tt(
+        "src",
+        (start,),
+        (a.clone(), b.clone(), c.clone(), nobody),
+        |_| 0usize,
+        move |_, (v,): (V,), outs| {
+            let ka = [0u32, 1, 2, 3, 4, 5, 1];
+            let kb = [(0u32, 1u32), (0, 2), (1, 3)];
+            let kc = [10u64, 11, 13];
+            if fanout {
+                outs.fanout(v)
+                    .to::<0>(&ka)
+                    .to::<1>(&kb)
+                    .to::<2>(&kc)
+                    .to::<3>(&[1, 2])
+                    .send();
+            } else {
+                outs.broadcast::<0>(&ka, v.clone());
+                outs.broadcast::<1>(&kb, v.clone());
+                outs.broadcast::<2>(&kc, v.clone());
+                outs.broadcast::<3>(&[1, 2], v);
+            }
+        },
+    );
+    let seen: Arc<Mutex<Seen>> = Arc::default();
+    let note = |name: &'static str| {
+        let seen = Arc::clone(&seen);
+        move |key: String, v: &V, rank: usize| {
+            let (ptr, sum) = v.probe();
+            seen.lock()
+                .unwrap()
+                .push((format!("{name}{key}"), rank, ptr, sum));
+        }
+    };
+    let (na, nb, nc) = (note("a"), note("b"), note("c"));
+    g.make_tt(
+        "ta",
+        (a,),
+        (),
+        |k: &u32| (*k % 4) as usize,
+        move |k, (v,): (V,), o| na(format!("{k:?}"), &v, o.rank()),
+    );
+    g.make_tt(
+        "tb",
+        (b,),
+        (),
+        |k: &(u32, u32)| ((k.0 + k.1) % 4) as usize,
+        move |k, (v,): (V,), o| nb(format!("{k:?}"), &v, o.rank()),
+    );
+    g.make_tt(
+        "tc",
+        (c,),
+        (),
+        |k: &u64| (*k % 4) as usize,
+        move |k, (v,): (V,), o| nc(format!("{k:?}"), &v, o.rank()),
+    );
+    let exec = Executor::new(
+        g.build(),
+        ExecConfig::distributed(4, 1, backend).with_trace(),
+    );
+    src.in_ref::<0>().seed(exec.ctx(), 0, v);
+    let report = exec.finish();
+    assert!(report.comm_errors.is_empty() && report.stuck.is_empty());
+    let mut seen = std::mem::take(&mut *seen.lock().unwrap());
+    seen.sort_by(|x, y| x.0.cmp(&y.0));
+    (report, seen)
+}
+
+fn core_count(report: &ExecReport, name: &'static str) -> u64 {
+    (0..4)
+        .map(|r| {
+            report
+                .telemetry
+                .counter(&ttg_telemetry::MetricKey::ranked(r, "core", name))
+        })
+        .sum()
+}
+
+/// Consumers of a fan-out run, without the allocation they saw.
+fn deliveries(seen: &Seen) -> Vec<(String, usize, f64)> {
+    seen.iter().map(|s| (s.0.clone(), s.1, s.3)).collect()
+}
+
+#[test]
+fn fanout_sends_one_am_per_rank_and_shares_one_allocation() {
+    let payload: Arc<Vec<f64>> = Arc::new((0..300).map(f64::from).collect());
+    let origin = payload.probe().0;
+    let (report, seen) = run_fan(parsec_like(), true, Arc::clone(&payload));
+    // 12 consumers, each exactly once (key 1 of terminal 0 was named twice).
+    assert_eq!(seen.len(), 12);
+    assert_eq!(report.tasks, 13);
+    // 9 of them on other ranks: one AM per rank, one serialization.
+    assert_eq!(report.comm.am_count, 3);
+    assert_eq!(report.comm.serializations, 1);
+    assert_eq!(report.comm.bcast_sends_saved, 6);
+    assert_eq!(report.comm.bcast_bytes_saved, 6 * (8 + 300 * 8));
+    // Every rank's consumers alias one allocation — on rank 0 the sender's.
+    for rank in 0..4 {
+        let mut ptrs: Vec<usize> = seen.iter().filter(|s| s.1 == rank).map(|s| s.2).collect();
+        ptrs.dedup();
+        assert_eq!(ptrs.len(), 1, "rank {rank} holds {} copies", ptrs.len());
+        assert_eq!(ptrs[0] == origin, rank == 0);
+    }
+    // Erased once at the sender and once per receiving rank; `Arc`
+    // payloads never pay a copy-on-write clone.
+    assert_eq!(core_count(&report, "values_shared"), 4);
+    assert_eq!(core_count(&report, "cow_clones"), 0);
+    assert_eq!(report.comm.data_copies, 0);
+    // The terminal nobody consumes is still reported (TTG031).
+    assert_eq!(core_count(&report, "dropped_sends"), 2);
+    // The consumers of one AM share its transfer id: simnet replays one
+    // transfer per rank.
+    let trace = report.trace.as_ref().expect("traced");
+    for rank in 1..4 {
+        let mut msgs: Vec<u64> = trace
+            .iter()
+            .filter(|e| e.rank == rank)
+            .map(|e| e.deps[0].msg)
+            .collect();
+        msgs.dedup();
+        assert!(msgs.len() == 1 && msgs[0] != 0, "rank {rank}: {msgs:?}");
+    }
+
+    // Same deliveries as the sends issued terminal by terminal, which ship
+    // the value once per (terminal, rank).
+    let (by_terminal, seen_by_terminal) = run_fan(parsec_like(), false, payload);
+    assert_eq!(deliveries(&seen), deliveries(&seen_by_terminal));
+    assert_eq!(by_terminal.comm.am_count, 3 + 2 + 3);
+    assert_eq!(by_terminal.comm.serializations, 3);
+    assert_eq!(core_count(&by_terminal, "dropped_sends"), 2);
+}
+
+#[test]
+fn fanout_in_copy_mode_copies_per_consumer() {
+    let payload: Vec<f64> = (0..300).map(f64::from).collect();
+    let (report, seen) = run_fan(madness_like(), true, payload.clone());
+    assert_eq!(seen.len(), 12);
+    assert_eq!(report.comm.am_count, 3);
+    assert_eq!(report.comm.serializations, 1);
+    let mut ptrs: Vec<usize> = seen.iter().map(|s| s.2).collect();
+    ptrs.sort_unstable();
+    ptrs.dedup();
+    assert_eq!(ptrs.len(), 12, "every consumer owns a private copy");
+    assert_eq!(core_count(&report, "local_copies"), 3);
+    let (_, seen_by_terminal) = run_fan(madness_like(), false, payload);
+    assert_eq!(deliveries(&seen), deliveries(&seen_by_terminal));
+}
+
+#[test]
+fn fanout_of_a_splitmd_value_registers_one_region() {
+    // In one address space the value travels two-stage: metadata in the
+    // three AMs, the payload read once per rank out of one region.
+    let blob = Blob {
+        data: (0..1000).map(f64::from).collect(),
+    };
+    let (report, seen) = run_fan(parsec_like(), true, blob.clone());
+    assert_eq!(seen.len(), 12);
+    assert_eq!(report.comm.am_count, 3);
+    assert_eq!(report.comm.serializations, 1);
+    assert_eq!(report.comm.rma_gets, 3);
+    assert_eq!(report.comm.rma_bytes, 3 * 8000);
+    assert_eq!(report.comm.bcast_bytes_saved, 6 * 8000);
+    assert!(report.comm.am_bytes < 1000, "metadata only");
+    assert!(seen.iter().all(|s| s.3 == blob.probe().1));
+}

@@ -540,18 +540,20 @@ fn child_main() {
         eprintln!("ttg-launch child rank {me}: writing results failed: {e}");
         std::process::exit(6);
     }
-    // The remote-fetch part is what CI's multiproc-smoke gates on:
-    // `rma_pending_hwm > 1` means splitmd fetches overlapped.
+    // CI's multiproc-smoke gates on the wire part: between processes every
+    // value rides in its AM (`rma_gets=0`, payload bytes in `am_bytes`).
     println!(
         "ttg-launch child rank {me}: {} tasks, {} owned tiles, {} B over the wire, \
-         rma_pending_hwm={} rma_p50_us<={} rma_p99_us<={} \
+         am_count={} am_bytes={} rma_gets={} am_deliver_p50_us<={} am_deliver_p99_us<={} \
          send_queue_bytes_hwm={} tx_direct_frames={} rx_direct_frames={}",
         report.tasks,
         records.len(),
         report.comm.transport_tx_bytes,
-        report.comm.rma_pending_hwm,
-        report.comm.rma_latency_p50_ns / 1_000,
-        report.comm.rma_latency_p99_ns / 1_000,
+        report.comm.am_count,
+        report.comm.am_bytes,
+        report.comm.rma_gets,
+        report.comm.am_deliver_p50_ns.div_ceil(1_000),
+        report.comm.am_deliver_p99_ns.div_ceil(1_000),
         report.comm.transport_queue_bytes_hwm,
         report.comm.transport_tx_direct_frames,
         report.comm.transport_rx_direct_frames

@@ -24,6 +24,14 @@ impl TiledMatrix {
         }
     }
 
+    /// Matrix of the given tiles, tile `(i, j)` at `i + j * nt`. A gather
+    /// that moves its tiles in may leave ones it never received empty
+    /// (`0 × 0`).
+    pub fn from_tiles(nt: usize, nb: usize, tiles: Vec<Tile>) -> Self {
+        assert_eq!(tiles.len(), nt * nt, "tile count");
+        TiledMatrix { nt, nb, tiles }
+    }
+
     /// Number of tile rows/cols.
     pub fn nt(&self) -> usize {
         self.nt

@@ -7,7 +7,6 @@
 
 pub mod batch;
 pub mod dedup;
-pub mod fetch;
 pub mod handshake;
 pub mod matching;
 pub mod recover;
@@ -64,14 +63,6 @@ pub fn corpus() -> Vec<CorpusEntry> {
                         in-flight counter",
             run: |cfg| recover::check(cfg, recover::Mutation::None),
             default_bound: 3,
-        },
-        CorpusEntry {
-            name: "fetch_vs_term",
-            invariant: "pending fetch vs termination probe: TermDone is never sent while \
-                        a completion is parked, and the completion runs exactly once \
-                        under response/timeout/shutdown races",
-            run: |cfg| fetch::check(cfg, fetch::Mutation::None),
-            default_bound: 2,
         },
         CorpusEntry {
             name: "handshake_reader",

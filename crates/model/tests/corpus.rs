@@ -3,7 +3,7 @@
 //! caught deterministically. The printed per-model schedule counts are the
 //! coverage evidence CI archives.
 
-use ttg_model::protocols::{batch, corpus, dedup, fetch, handshake, matching, recover, wake};
+use ttg_model::protocols::{batch, corpus, dedup, handshake, matching, recover, wake};
 use ttg_model::{Config, Sample, ViolationKind};
 
 #[test]
@@ -106,22 +106,6 @@ fn recover_scan_retiring_delivered_entries_double_debits() {
         .expect_err("mutation must be caught");
     assert_eq!(v.kind, ViolationKind::Assert, "got: {v}");
     assert!(v.message.contains("ledger imbalance"), "got: {v}");
-}
-
-#[test]
-fn fetch_slot_taken_late_lets_termination_fire_over_a_parked_completion() {
-    let v = fetch::check(Config::bounded(2), fetch::Mutation::SlotAfterAmRetired)
-        .expect_err("mutation must be caught");
-    assert_eq!(v.kind, ViolationKind::Assert, "got: {v}");
-    assert!(v.message.contains("TermDone sent while"), "got: {v}");
-}
-
-#[test]
-fn fetch_unclaimed_waiter_completes_twice() {
-    let v = fetch::check(Config::bounded(2), fetch::Mutation::CompleteWithoutClaim)
-        .expect_err("mutation must be caught");
-    assert_eq!(v.kind, ViolationKind::Assert, "got: {v}");
-    assert!(v.message.contains("exactly-once"), "got: {v}");
 }
 
 #[test]

@@ -15,8 +15,8 @@
 //! malformed instead of allocating unboundedly — a garbage or hostile peer
 //! must not be able to OOM a rank.
 //!
-//! Frames whose trailing byte field (`Am.payload`, `RmaResp.data`) reaches
-//! [`BULK_MIN`] take the **bulk path** (DESIGN §12): [`WireBatch`] queues
+//! An `Am` whose payload reaches [`BULK_MIN`] takes the **bulk path**
+//! (DESIGN §12): [`WireBatch`] queues
 //! the body by ownership and writes it with a vectored write, and
 //! [`FrameCodec::read_from`] reads it from the socket straight into its
 //! final buffer. The bytes on the wire are those of [`Frame::encode`].
@@ -29,13 +29,15 @@ pub const MAGIC: u32 = 0x5747_5454;
 
 /// Wire protocol version; bumped on any incompatible frame-format change.
 /// Peers with mismatched versions refuse the connection at handshake.
-/// (v2: added the `AckRange` batched-acknowledgement control frame.)
-pub const PROTOCOL_VERSION: u16 = 2;
+/// (v2: added the `AckRange` batched-acknowledgement control frame; v3:
+/// retired the one-sided fetch request/response pair — kinds 3 and 4 stay
+/// unassigned.)
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Upper bound on the encoded size (kind + body) of a single frame.
 pub const MAX_FRAME: usize = 64 << 20;
 
-/// Smallest trailing byte field that takes the bulk path. Below it the
+/// Smallest `Am` payload that takes the bulk path. Below it the
 /// copies it saves cost less than the reads it adds — one for the head,
 /// the body's own — where the read buffer would have taken several frames
 /// in one (measured: DESIGN §12).
@@ -43,17 +45,16 @@ const BULK_MIN: usize = 32 * 1024;
 /// First allocation for a bulk body being received; beyond it the buffer
 /// grows with the bytes that arrive, not with the length announced.
 const BULK_FIRST_ALLOC: usize = 256 * 1024;
-/// Encoded bytes of an `Am` / `RmaResp` before the trailing byte field.
+/// Encoded bytes of an `Am` before its payload.
 const AM_HEAD: usize = 4 + 1 + 4 + 4 + 8;
-const RMA_RESP_HEAD: usize = 4 + 1 + 4 + 8 + 1;
 
 /// A unit of transport-level communication.
 ///
 /// `Hello`/`Bye` belong to connection lifecycle; `Am`/`Ack` carry the
 /// fabric's active-message and reliable-delivery traffic; the remaining
 /// kinds implement the message-based protocols that replace shared-memory
-/// shortcuts when ranks live in separate OS processes (one-sided fetches,
-/// the barrier, and distributed termination detection).
+/// shortcuts when ranks live in separate OS processes (the barrier and
+/// distributed termination detection).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Frame {
     /// Handshake, exchanged in both directions when a connection opens.
@@ -97,26 +98,6 @@ pub enum Frame {
         /// Inclusive `(first, last)` sequence ranges, sorted ascending and
         /// non-overlapping.
         ranges: Vec<(u64, u64)>,
-    },
-    /// One-sided fetch request for region `region` owned by the receiver.
-    RmaReq {
-        /// Requesting rank.
-        from: u32,
-        /// Request id, echoed in the response.
-        req: u64,
-        /// Region id to read.
-        region: u64,
-    },
-    /// Response to [`Frame::RmaReq`].
-    RmaResp {
-        /// Region owner answering the request.
-        from: u32,
-        /// Request id being answered.
-        req: u64,
-        /// Region bytes, or `None` if the region is unknown. Shared, so the
-        /// owner encodes straight from its region table and the requester
-        /// hands the decoded bytes on without another copy.
-        data: Option<Arc<Vec<u8>>>,
     },
     /// Barrier arrival notice, sent to the rank-0 coordinator.
     BarrierEnter {
@@ -184,8 +165,6 @@ pub const WIRE_KINDS: &[KindSpec] = &[
     // AckRange identifies its acked sends by (first, last) seq ranges; the
     // `has_seq` bit covers that ranged form.
     ("AckRange", true, true, None),
-    ("RmaReq", false, true, Some("RmaResp")),
-    ("RmaResp", false, true, None),
     ("BarrierEnter", false, true, Some("BarrierRelease")),
     ("BarrierRelease", false, true, None),
     ("TermProbe", false, true, Some("TermReply")),
@@ -226,8 +205,6 @@ impl std::error::Error for FrameError {}
 const K_HELLO: u8 = 0;
 const K_AM: u8 = 1;
 const K_ACK: u8 = 2;
-const K_RMA_REQ: u8 = 3;
-const K_RMA_RESP: u8 = 4;
 const K_BARRIER_ENTER: u8 = 5;
 const K_BARRIER_RELEASE: u8 = 6;
 const K_TERM_PROBE: u8 = 7;
@@ -269,9 +246,9 @@ impl Frame {
         out.len() - start
     }
 
-    /// Append everything but the trailing byte field (`Am.payload`,
-    /// `RmaResp.data`; empty for other kinds), which is returned. The
-    /// length prefix is left for [`patch_len`].
+    /// Append everything but the trailing byte field (`Am.payload`; empty
+    /// for other kinds), which is returned. The length prefix is left for
+    /// [`patch_len`].
     fn encode_head(&self, out: &mut Vec<u8>) -> &[u8] {
         put_u32(out, 0); // length back-patched by `patch_len`
         match self {
@@ -308,21 +285,6 @@ impl Frame {
                 for (first, last) in ranges {
                     put_u64(out, *first);
                     put_u64(out, *last);
-                }
-            }
-            Frame::RmaReq { from, req, region } => {
-                out.push(K_RMA_REQ);
-                put_u32(out, *from);
-                put_u64(out, *req);
-                put_u64(out, *region);
-            }
-            Frame::RmaResp { from, req, data } => {
-                out.push(K_RMA_RESP);
-                put_u32(out, *from);
-                put_u64(out, *req);
-                out.push(u8::from(data.is_some()));
-                if let Some(d) = data {
-                    return d;
                 }
             }
             Frame::BarrierEnter { from, epoch } => {
@@ -380,8 +342,8 @@ impl Frame {
 pub struct WireBatch {
     wire: Vec<u8>,
     /// `(offset in wire the body follows, body)`, ascending. A body is the
-    /// sender's own buffer or another handle on the one an `RmaResp` or a
-    /// reliable retransmit entry shares.
+    /// sender's own buffer or another handle on the one a reliable
+    /// retransmit entry shares.
     bodies: Vec<(usize, Arc<Vec<u8>>)>,
     frames: usize,
     body_bytes: usize,
@@ -399,7 +361,6 @@ impl WireBatch {
         }
         let body = match frame {
             Frame::Am { payload, .. } if bulk => Some(Arc::new(payload)),
-            Frame::RmaResp { data, .. } if bulk => data,
             Frame::Am { payload, .. } => {
                 crate::pool::recycle(payload);
                 None
@@ -518,12 +479,7 @@ impl<'a> Cur<'a> {
     fn u64(&mut self) -> Result<u64, FrameError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-    fn rest(&mut self) -> Vec<u8> {
-        let s = self.b[self.at..].to_vec();
-        self.at = self.b.len();
-        s
-    }
-    /// Like [`rest`](Self::rest) but backed by the wire-buffer pool: AM
+    /// The remaining bytes, in a buffer from the wire-buffer pool: AM
     /// payloads are the hot decode path and the executor recycles them
     /// after handler dispatch, closing the acquire/recycle loop.
     fn rest_pooled(&mut self) -> Vec<u8> {
@@ -583,25 +539,6 @@ fn decode_body(kind: u8, body: &[u8]) -> Result<Frame, FrameError> {
                 ranges.push((first, last));
             }
             Frame::AckRange { from, ranges }
-        }
-        K_RMA_REQ => Frame::RmaReq {
-            from: c.u32()?,
-            req: c.u64()?,
-            region: c.u64()?,
-        },
-        K_RMA_RESP => {
-            let from = c.u32()?;
-            let req = c.u64()?;
-            let data = match c.u8()? {
-                0 => None,
-                1 => Some(Arc::new(c.rest())),
-                t => {
-                    return Err(FrameError::Malformed {
-                        detail: format!("bad RmaResp tag {t}"),
-                    })
-                }
-            };
-            Frame::RmaResp { from, req, data }
         }
         K_BARRIER_ENTER => Frame::BarrierEnter {
             from: c.u32()?,
@@ -771,10 +708,8 @@ impl FrameCodec {
 
     fn finish_bulk(&mut self) -> Frame {
         let Bulk { mut head, dest, .. } = self.bulk.take().expect("bulk in progress");
-        match &mut head {
-            Frame::Am { payload, .. } => *payload = dest,
-            Frame::RmaResp { data, .. } => *data = Some(Arc::new(dest)),
-            _ => {}
+        if let Frame::Am { payload, .. } = &mut head {
+            *payload = dest;
         }
         self.bulk_frames += 1;
         head
@@ -823,16 +758,10 @@ fn contiguous_need(b: &[u8]) -> Result<(usize, usize), FrameError> {
         return Ok((5, 0));
     }
     let len = frame_len(b)?;
-    let head = match b.get(4) {
-        None => return Ok((5, 0)),
-        Some(&K_AM) => AM_HEAD,
-        Some(&K_RMA_RESP) => RMA_RESP_HEAD,
-        Some(_) => return Ok((4 + len, 0)),
-    };
-    if 4 + len >= head + BULK_MIN {
-        Ok((head, 4 + len - head))
-    } else {
-        Ok((4 + len, 0))
+    match b.get(4) {
+        None => Ok((5, 0)),
+        Some(&K_AM) if 4 + len >= AM_HEAD + BULK_MIN => Ok((AM_HEAD, 4 + len - AM_HEAD)),
+        Some(_) => Ok((4 + len, 0)),
     }
 }
 
@@ -895,21 +824,6 @@ mod tests {
             Frame::AckRange {
                 from: 0,
                 ranges: Vec::new(),
-            },
-            Frame::RmaReq {
-                from: 0,
-                req: 5,
-                region: 42,
-            },
-            Frame::RmaResp {
-                from: 1,
-                req: 5,
-                data: Some(Arc::new(vec![9; 100])),
-            },
-            Frame::RmaResp {
-                from: 1,
-                req: 6,
-                data: None,
             },
             Frame::BarrierEnter { from: 3, epoch: 2 },
             Frame::BarrierRelease { epoch: 2 },

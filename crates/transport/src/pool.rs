@@ -293,21 +293,27 @@ mod tests {
         assert!(after.dropped > before.dropped);
     }
 
+    /// Buffers this test thread's magazine holds — where a recycled buffer
+    /// lands first. The pool's counters are process-wide and other tests
+    /// recycle at the same moment, so they can only be compared with `>`.
+    fn kept_here() -> usize {
+        LOCAL.with(|l| l.borrow().len())
+    }
+
     #[test]
     fn oversized_buffers_are_dropped() {
         let before = pool_stats();
         recycle(Vec::with_capacity(MAX_POOLED_CAP + 1));
-        let after = pool_stats();
-        assert_eq!(after.dropped, before.dropped + 1);
-        assert_eq!(after.recycled, before.recycled);
+        assert!(pool_stats().dropped > before.dropped);
+        assert_eq!(kept_here(), 0);
     }
 
     #[test]
     fn zero_capacity_recycle_is_dropped() {
         let before = pool_stats();
         recycle(Vec::new());
-        let after = pool_stats();
-        assert_eq!(after.dropped, before.dropped + 1);
+        assert!(pool_stats().dropped > before.dropped);
+        assert_eq!(kept_here(), 0);
     }
 
     #[test]

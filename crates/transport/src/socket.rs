@@ -58,7 +58,7 @@ const REPLACE_WAIT: Duration = Duration::from_secs(3);
 /// admitted, so the queue peaks below this plus one frame): enough for the
 /// producer to refill while the writer is in one `writev`, and ~2 MiB per
 /// streaming link instead of the frame cap's 64 MiB (measured: DESIGN
-/// §12). Frames sent from a receive path (`RmaResp`, acks, barrier,
+/// §12). Frames sent from a receive path (acks, barrier,
 /// termination) are not held by it: two readers waiting on each other's
 /// queues would deadlock.
 const SEND_QUEUE_BYTES: usize = 1 << 20;

@@ -32,20 +32,15 @@ impl Rng {
     }
 }
 
-/// A stream of every regime: control frames, small and bulk `Am`s, small,
-/// bulk and absent `RmaResp` data, bulk frames back to back and a bulk
-/// frame last. Body sizes straddle the bulk threshold (32 KiB).
+/// A stream of every regime: control frames, small, empty and bulk `Am`s,
+/// bulk frames back to back and a bulk frame last. Body sizes straddle the
+/// bulk threshold (32 KiB).
 fn mixed_frames(rng: &mut Rng) -> Vec<Frame> {
     let am = |rng: &mut Rng, seq: u64, n: usize| Frame::Am {
         from: 1,
         handler: 7,
         seq,
         payload: rng.bytes(n),
-    };
-    let resp = |rng: &mut Rng, req: u64, n: Option<usize>| Frame::RmaResp {
-        from: 1,
-        req,
-        data: n.map(|n| Arc::new(rng.bytes(n))),
     };
     let (small, bulk) = (rng.below(900), 32 * 1024 + rng.below(5000));
     vec![
@@ -56,14 +51,14 @@ fn mixed_frames(rng: &mut Rng) -> Vec<Frame> {
         },
         am(rng, 2, bulk),
         am(rng, 3, 40_000),
-        resp(rng, 4, Some(36_000)),
+        am(rng, 4, 36_000),
         Frame::TermDone,
-        resp(rng, 5, None),
+        Frame::TermProbe { round: 5 },
         am(rng, 6, 32 * 1024 - 1),
-        resp(rng, 7, Some(100)),
+        am(rng, 7, 100),
         Frame::BarrierRelease { epoch: 3 },
         am(rng, 8, 0),
-        resp(rng, 9, Some(32 * 1024)),
+        am(rng, 9, 32 * 1024),
     ]
 }
 

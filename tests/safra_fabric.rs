@@ -96,8 +96,6 @@ fn run_ring(fabric: Arc<Fabric>, n: usize) -> u64 {
                             }
                             fabric.packet_processed();
                         }
-                        // No fetch is ever parked on this raw fabric.
-                        Packet::Rma { .. } => {}
                         Packet::Shutdown => return,
                     }
                 }

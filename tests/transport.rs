@@ -11,7 +11,7 @@ use std::time::{Duration, Instant};
 
 use ttg::apps::cholesky;
 use ttg::comm::{TransportSpec, Wire, WriteBuf};
-use ttg::core::node::{am_header, MSG_DATA_SPLITMD};
+use ttg::core::am::{am_header, MSG_DATA_SPLITMD};
 use ttg::core::prelude::*;
 use ttg::linalg::{Dist2D, Tile, TiledMatrix};
 use ttg::transport::frame::MAGIC;
@@ -173,26 +173,23 @@ fn body_sum(payload: &[u8]) -> u64 {
 }
 
 #[test]
-fn bulk_streams_both_ways_with_rma_stay_inside_the_byte_bound() {
+fn bulk_streams_both_ways_with_reader_replies_stay_inside_the_byte_bound() {
     // Two ranks stream 64 KiB bodies at each other at once while a third
-    // thread fetches large regions from rank 1, whose answers are queued
-    // from its reader thread into the link its own stream keeps full. The
-    // byte bound must hold the streams without ever holding an answer
-    // (two readers waiting on each other's queues would hang right here),
-    // every body must arrive intact, and the queues must have stayed
-    // within the bound.
+    // thread probes rank 1, whose replies are queued from its reader thread
+    // into the link its own stream keeps full. The byte bound must hold the
+    // streams without ever holding a reply (two readers waiting on each
+    // other's queues would hang right here), every body must arrive intact,
+    // and the queues must have stayed within the bound.
     const MSGS: u64 = 300;
-    const FETCHES: u64 = 40;
+    const PROBES: u64 = 40;
     for kind in [TransportKind::Uds, TransportKind::Tcp] {
         let reg = ttg::telemetry::Registry::new();
         let eps = local_mesh(kind, 2, &reg).expect("mesh");
-        let region: Arc<Vec<u8>> = Arc::new((0..100_000u32).map(|i| (i % 239) as u8).collect());
-        // (bodies received, their byte sum) per rank; answers at rank 0.
+        // (bodies received, their byte sum) per rank; replies at rank 0.
         let seen: Arc<Mutex<[(u64, u64); 2]>> = Arc::default();
-        let answers: Arc<Mutex<Vec<Arc<Vec<u8>>>>> = Arc::default();
+        let replies: Arc<Mutex<Vec<u64>>> = Arc::default();
         for (me, ep) in eps.iter().enumerate() {
-            let (seen, answers, region) =
-                (Arc::clone(&seen), Arc::clone(&answers), Arc::clone(&region));
+            let (seen, replies) = (Arc::clone(&seen), Arc::clone(&replies));
             let back = ep.link(1 - me);
             ep.start(Arc::new(move |_, res| {
                 match res.expect("no transport error") {
@@ -201,16 +198,17 @@ fn bulk_streams_both_ways_with_rma_stay_inside_the_byte_bound() {
                         seen[me].0 += 1;
                         seen[me].1 += body_sum(&payload);
                     }
-                    Frame::RmaReq { req, .. } => back
-                        .send(Frame::RmaResp {
+                    Frame::TermProbe { round } => back
+                        .send(Frame::TermReply {
                             from: me as u32,
-                            req,
-                            data: Some(Arc::clone(&region)),
+                            round,
+                            sent: 0,
+                            recvd: 0,
+                            epoch: 0,
+                            idle: false,
                         })
-                        .expect("answer queued"),
-                    Frame::RmaResp { data, .. } => {
-                        answers.lock().unwrap().push(data.expect("data"))
-                    }
+                        .expect("reply queued"),
+                    Frame::TermReply { round, .. } => replies.lock().unwrap().push(round),
                     other => panic!("unexpected {other:?}"),
                 }
             }));
@@ -238,20 +236,17 @@ fn bulk_streams_both_ways_with_rma_stay_inside_the_byte_bound() {
                     })
                 })
                 .collect();
-            let fetch = eps[0].link(1);
-            let answers = Arc::clone(&answers);
+            let probe = eps[0].link(1);
+            let replies = Arc::clone(&replies);
             s.spawn(move || {
-                for req in 0..FETCHES {
-                    fetch
-                        .send(Frame::RmaReq {
-                            from: 0,
-                            req,
-                            region: 1,
-                        })
-                        .expect("fetch send");
+                for round in 0..PROBES {
+                    probe.send(Frame::TermProbe { round }).expect("probe send");
                     let deadline = Instant::now() + Duration::from_secs(30);
-                    while (answers.lock().unwrap().len() as u64) <= req {
-                        assert!(Instant::now() < deadline, "{kind}: fetch {req} unanswered");
+                    while (replies.lock().unwrap().len() as u64) <= round {
+                        assert!(
+                            Instant::now() < deadline,
+                            "{kind}: probe {round} unanswered"
+                        );
                         std::thread::sleep(Duration::from_micros(200));
                     }
                 }
@@ -273,16 +268,15 @@ fn bulk_streams_both_ways_with_rma_stay_inside_the_byte_bound() {
         let seen = *seen.lock().unwrap();
         assert_eq!(seen[0].0 + seen[1].0, 2 * MSGS, "{kind}: frame count");
         assert_eq!(seen[0].1 + seen[1].1, want_sum, "{kind}: body checksums");
-        let answers = answers.lock().unwrap();
-        assert_eq!(answers.len() as u64, FETCHES);
-        assert!(
-            answers.iter().all(|a| **a == *region),
-            "{kind}: a region arrived damaged"
+        assert_eq!(
+            *replies.lock().unwrap(),
+            (0..PROBES).collect::<Vec<_>>(),
+            "{kind}: replies"
         );
         // The transport's byte bound (1 MiB, private to it) admits one
-        // frame past itself; the only ungated frame here is the one
-        // answer in flight.
-        let bound = (1 << 20) + (BODY + 21) + (region.len() + 18);
+        // frame past itself; the only ungated frame here is the one reply
+        // in flight.
+        let bound = (1 << 20) + (BODY + 21) + 64;
         for r in 0..2 {
             let key =
                 ttg::telemetry::MetricKey::ranked(r, "transport", "send_queue_bytes_hwm_lifetime");
@@ -302,8 +296,8 @@ fn bulk_streams_both_ways_with_rma_stay_inside_the_byte_bound() {
         }
         let snap = reg.snapshot();
         let direct = |name| snap.counter(&ttg::telemetry::MetricKey::global("transport", name));
-        assert_eq!(direct("tx_direct_frames"), 2 * MSGS + FETCHES, "{kind}");
-        assert_eq!(direct("rx_direct_frames"), 2 * MSGS + FETCHES, "{kind}");
+        assert_eq!(direct("tx_direct_frames"), 2 * MSGS, "{kind}");
+        assert_eq!(direct("rx_direct_frames"), 2 * MSGS, "{kind}");
     }
 }
 
@@ -346,152 +340,197 @@ fn run_ranks<T: Send>(
 }
 
 #[test]
-fn remote_cholesky_overlaps_fetches_and_stays_bit_exact() {
-    let (nt, nb) = (8, 16);
-    let a = TiledMatrix::random_spd(nt, nb, 2718);
-    let mut reference = a.clone();
-    reference.potrf_reference().expect("input is SPD");
+fn remote_cholesky_pushes_tiles_and_stays_bit_exact() {
+    // Between processes a tile rides inside its AM whatever its size: a
+    // small frame below 32 KiB, a bulk frame (body written from and read
+    // into its own buffer, DESIGN §12) from there on. 64 x 64 doubles are
+    // exactly the boundary.
+    for (nt, nb) in [(8, 4), (4, 64), (4, 96)] {
+        let a = TiledMatrix::random_spd(nt, nb, 2718);
+        let mut reference = a.clone();
+        reference.potrf_reference().expect("input is SPD");
 
-    let runs = run_ranks(remote_specs(2), |_, transport| {
-        let cfg = cholesky::ttg::Config {
-            ranks: 2,
-            workers: 1,
-            backend: ttg::parsec::backend(),
-            trace: false,
-            priorities: true,
-            faults: None,
-            transport,
-        };
-        cholesky::ttg::run(&a, &cfg)
-    });
+        let runs = run_ranks(remote_specs(2), |_, transport| {
+            let cfg = cholesky::ttg::Config {
+                ranks: 2,
+                workers: 1,
+                backend: ttg::parsec::backend(),
+                trace: false,
+                priorities: true,
+                faults: None,
+                transport,
+            };
+            cholesky::ttg::run(&a, &cfg)
+        });
 
-    let dist = Dist2D::for_ranks(2);
-    for i in 0..nt {
-        for j in 0..=i {
-            // Each rank's output holds exactly the tiles it owns.
-            let (l, _) = &runs[dist.owner(i, j)];
-            assert_eq!(
-                l.tile(i, j).data(),
-                reference.tile(i, j).data(),
-                "factor tile ({i}, {j}) differs from the serial reference"
-            );
+        let dist = Dist2D::for_ranks(2);
+        for i in 0..nt {
+            for j in 0..=i {
+                // Each rank's output holds exactly the tiles it owns.
+                let (l, _) = &runs[dist.owner(i, j)];
+                assert_eq!(
+                    l.tile(i, j).data(),
+                    reference.tile(i, j).data(),
+                    "nb {nb}: factor tile ({i}, {j}) differs from the serial reference"
+                );
+            }
         }
-    }
-    for (rank, (_, report)) in runs.iter().enumerate() {
-        assert!(
-            report.comm_errors.is_empty(),
-            "rank {rank}: {:?}",
-            report.comm_errors
+        for (rank, (_, report)) in runs.iter().enumerate() {
+            assert!(
+                report.comm_errors.is_empty(),
+                "nb {nb}, rank {rank}: {:?}",
+                report.comm_errors
+            );
+            assert!(report.stuck.is_empty(), "nb {nb}, rank {rank}: stuck keys");
+        }
+        // Both ranks share one registry, so either report carries the job's
+        // counters.
+        let comm = &runs[0].1.comm;
+        assert_eq!(
+            comm.rma_gets, 0,
+            "nb {nb}: a one-sided read across processes"
         );
-        assert!(report.stuck.is_empty(), "rank {rank}: stuck keys");
+        assert!(comm.am_bytes > 0, "nb {nb}: no tile crossed the ranks");
+        // Every bulk body is written from its own buffer. Whether it is also
+        // *read* into one depends on where the read boundary falls, except
+        // for a frame larger than the reader's 64 KiB buffer (96 x 96).
+        let bulk = nb >= 64;
+        assert_eq!(comm.transport_tx_direct_frames > 0, bulk, "nb {nb}");
+        assert!(bulk || comm.transport_rx_direct_frames == 0, "nb {nb}");
+        assert!(nb < 96 || comm.transport_rx_direct_frames > 0, "nb {nb}");
     }
-    // Both ranks share one registry, so either report carries the job's
-    // counters. A panel's tiles arrive as a burst of metadata AMs: were the
-    // delivery thread still blocking per fetch, the mark would stay at 1.
-    let comm = &runs[0].1.comm;
-    assert!(comm.rma_gets > 0, "no splitmd traffic crossed the ranks");
-    assert!(
-        comm.rma_pending_hwm > 1,
-        "fetches never overlapped (rma_pending_hwm = {})",
-        comm.rma_pending_hwm
-    );
-    assert!(comm.rma_latency_p50_ns > 0 && comm.rma_latency_p99_ns >= comm.rma_latency_p50_ns);
 }
 
 #[test]
 fn remote_streams_of_splitmd_values_fold_every_value() {
-    // Rank 1 streams tiles (splitmd: metadata AM + remote fetch) into a
-    // reducing terminal on rank 0. Key 0 is closed by a size sent *ahead*
-    // of the values (a count: it may pass them); key 1 by a `finalize` sent
-    // *behind* them, which must wait for their parked fetches — or the
-    // stream closes on a partial fold.
+    // Rank 1 streams tiles (a splitmd type: pushed inside their AMs between
+    // processes) into a reducing terminal on rank 0. Key 0 is closed by a
+    // size sent *ahead* of the values (a count: it may pass them); key 1 by
+    // a `finalize` sent *behind* all 24, which must close the stream on the
+    // full fold — inline delivery on the one delivery thread is in order.
     const N: u64 = 24;
-    let runs = run_ranks(remote_specs(2), |_, transport| {
-        let start: Edge<u32, Ctl> = Edge::new("start");
-        let values: Edge<u32, Tile> = Edge::new("values");
-        let mut g = GraphBuilder::new();
-        let folded = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&folded);
-        let reduce = g.make_tt(
-            "reduce",
-            (values.clone(),),
-            (),
-            |_: &u32| 0usize,
-            move |k, (sum,): (Tile,), _| sink.lock().unwrap().push((*k, sum)),
-        );
-        reduce
-            .set_input_reducer::<0>(|acc, t| acc.add_assign(&t), None)
-            .expect("pre-attach");
-        let stream = reduce.in_ref::<0>();
-        let produce = g.make_tt(
-            "produce",
-            (start,),
-            (values,),
-            |_: &u32| 1usize,
-            move |k, (_c,): (Ctl,), outs| {
-                if *k == 0 {
-                    stream.set_size(outs, k, N as usize);
-                }
-                for v in 1..=N {
-                    outs.send::<0>(*k, Tile::from_data(4, 4, vec![v as f64; 16]));
-                }
-                if *k == 1 {
-                    stream.finalize(outs, k);
-                }
-            },
-        );
-        let cfg = ExecConfig::distributed(2, 1, ttg::parsec::backend())
-            .with_transport(transport)
-            .with_deadline(Duration::from_secs(60));
-        let exec = Executor::new(g.build(), cfg);
-        for k in 0..2u32 {
-            produce.in_ref::<0>().seed(exec.ctx(), k, Ctl);
-        }
-        let report = exec.finish();
-        let folded = std::mem::take(&mut *folded.lock().unwrap());
-        (folded, report)
-    });
+    for nb in [4usize, 64, 96] {
+        let runs = run_ranks(remote_specs(2), |_, transport| {
+            let start: Edge<u32, Ctl> = Edge::new("start");
+            let values: Edge<u32, Tile> = Edge::new("values");
+            let mut g = GraphBuilder::new();
+            let folded = Arc::new(Mutex::new(Vec::new()));
+            let sink = Arc::clone(&folded);
+            let reduce = g.make_tt(
+                "reduce",
+                (values.clone(),),
+                (),
+                |_: &u32| 0usize,
+                move |k, (sum,): (Tile,), _| sink.lock().unwrap().push((*k, sum)),
+            );
+            reduce
+                .set_input_reducer::<0>(|acc, t| acc.add_assign(&t), None)
+                .expect("pre-attach");
+            let stream = reduce.in_ref::<0>();
+            let produce = g.make_tt(
+                "produce",
+                (start,),
+                (values,),
+                |_: &u32| 1usize,
+                move |k, (_c,): (Ctl,), outs| {
+                    if *k == 0 {
+                        stream.set_size(outs, k, N as usize);
+                    }
+                    for v in 1..=N {
+                        outs.send::<0>(*k, Tile::from_data(nb, nb, vec![v as f64; nb * nb]));
+                    }
+                    if *k == 1 {
+                        stream.finalize(outs, k);
+                    }
+                },
+            );
+            let cfg = ExecConfig::distributed(2, 1, ttg::parsec::backend())
+                .with_transport(transport)
+                .with_deadline(Duration::from_secs(60));
+            let exec = Executor::new(g.build(), cfg);
+            for k in 0..2u32 {
+                produce.in_ref::<0>().seed(exec.ctx(), k, Ctl);
+            }
+            let report = exec.finish();
+            let folded = std::mem::take(&mut *folded.lock().unwrap());
+            (folded, report)
+        });
 
-    for (rank, (_, report)) in runs.iter().enumerate() {
-        assert!(
-            report.comm_errors.is_empty(),
-            "rank {rank}: {:?}",
-            report.comm_errors
-        );
-        assert!(report.stuck.is_empty(), "rank {rank}: {:?}", report.stuck);
-    }
-    let (mut folded, report) = runs.into_iter().next().expect("rank 0 ran");
-    folded.sort_by_key(|(k, _)| *k);
-    assert_eq!(folded.len(), 2, "both streams must close exactly once");
-    let full = (N * (N + 1) / 2) as f64;
-    for (k, sum) in &folded {
+        for (rank, (_, report)) in runs.iter().enumerate() {
+            assert!(
+                report.comm_errors.is_empty(),
+                "nb {nb}, rank {rank}: {:?}",
+                report.comm_errors
+            );
+            assert!(report.stuck.is_empty(), "rank {rank}: {:?}", report.stuck);
+        }
+        let (mut folded, report) = runs.into_iter().next().expect("rank 0 ran");
+        folded.sort_by_key(|(k, _)| *k);
         assert_eq!(
-            sum.data(),
-            &[full; 16][..],
-            "stream {k} closed on a partial fold"
+            folded.len(),
+            2,
+            "nb {nb}: both streams must close exactly once"
         );
+        let full = (N * (N + 1) / 2) as f64;
+        for (k, sum) in &folded {
+            assert!(
+                sum.data().len() == nb * nb && sum.data().iter().all(|x| *x == full),
+                "nb {nb}: stream {k} closed on a partial fold"
+            );
+        }
+        assert_eq!(report.comm.rma_gets, 0, "nb {nb}");
+        // One AM per value, one for the size, one for the finalize.
+        assert_eq!(report.comm.am_count, 2 * N + 2, "nb {nb}");
+        assert_eq!(
+            report.comm.transport_tx_direct_frames,
+            if nb >= 64 { 2 * N } else { 0 },
+            "nb {nb}: exactly the values of 32 KiB and more are bulk frames"
+        );
+        assert!(nb < 96 || report.comm.transport_rx_direct_frames > 0);
     }
-    assert_eq!(
-        report.comm.rma_gets,
-        2 * N,
-        "every value is one remote fetch"
-    );
+}
+
+/// Encode a data AM (`ttg::core::am`) with one group by hand.
+fn data_am(
+    msg_type: u8,
+    region_and_owner: Option<(u64, u64)>,
+    (node, terminal): (u32, u16),
+    key: u32,
+    value: impl FnOnce(&mut WriteBuf),
+) -> Vec<u8> {
+    let mut am = WriteBuf::new();
+    am_header(&mut am, 7, msg_type, terminal);
+    am.put_u64(1); // source rank
+    if let Some((region, owner)) = region_and_owner {
+        am.put_u64(region);
+        am.put_u64(owner);
+    }
+    am.put_u32(1); // consumers
+    let mut group = WriteBuf::new();
+    group.put_u32(node);
+    group.put_u16(terminal);
+    group.put_u32(1);
+    key.encode(&mut group);
+    am.put_u32(group.len() as u32);
+    am.put_bytes(group.as_slice());
+    value(&mut am);
+    am.into_vec()
 }
 
 #[test]
-fn remote_fetch_from_a_silent_owner_expires_degraded_not_hung() {
+fn splitmd_metadata_naming_a_foreign_owner_fails_coded_not_hung() {
     // Rank 0 is a real executor; rank 1 is this test, speaking the wire
     // protocol by hand: it enters the start barrier, ships one splitmd
-    // metadata AM naming a region it will never serve, and answers the
-    // termination probes. The fetch must expire through the wait loop's
-    // sweep as one TTG049 plus the delivery's TTG043 — and release its
-    // in-flight slot, or rank 0 would never read idle and never finish.
+    // metadata AM naming a region in its own address space — which no
+    // one-sided read reaches from another process — and answers the
+    // termination probes. The delivery must fail as one coded TTG043, ask
+    // the peer for nothing, and leave rank 0 free to terminate.
     let reg = Arc::new(ttg::telemetry::Registry::new());
     let eps = local_mesh(TransportKind::Uds, 2, &reg).expect("uds mesh");
     let to_rank0 = eps[1].link(0);
     let probe_reply = eps[1].link(0);
-    let rma_reqs = Arc::new(Mutex::new(Vec::new()));
-    let seen = Arc::clone(&rma_reqs);
+    let unexpected = Arc::new(Mutex::new(Vec::new()));
+    let seen = Arc::clone(&unexpected);
     eps[1].start(Arc::new(move |_, res| match res {
         Ok(Frame::TermProbe { round }) => {
             let _ = probe_reply.send(Frame::TermReply {
@@ -503,8 +542,8 @@ fn remote_fetch_from_a_silent_owner_expires_degraded_not_hung() {
                 idle: true,
             });
         }
-        Ok(Frame::RmaReq { region, .. }) => seen.lock().unwrap().push(region),
-        _ => {}
+        Ok(Frame::BarrierRelease { .. } | Frame::TermDone | Frame::Bye { .. }) => {}
+        other => seen.lock().unwrap().push(format!("{other:?}")),
     }));
 
     let values: Edge<u32, Tile> = Edge::new("values");
@@ -516,62 +555,58 @@ fn remote_fetch_from_a_silent_owner_expires_degraded_not_hung() {
         |_: &u32| 0usize,
         |_, (_t,): (Tile,), _| panic!("the value never arrives"),
     );
+    let deadline = Duration::from_secs(60);
     let cfg = ExecConfig::distributed(2, 1, ttg::parsec::backend())
         .with_transport(TransportSpec::Remote(RemoteHandle {
             endpoint: Arc::clone(&eps[0]) as Arc<dyn Endpoint>,
             registry: Arc::clone(&reg),
         }))
-        .with_rma_timeout(Duration::from_millis(50))
-        .with_deadline(Duration::from_secs(60));
+        .with_deadline(deadline);
     let exec = Executor::new(g.build(), cfg);
 
     to_rank0
         .send(Frame::BarrierEnter { from: 1, epoch: 1 })
         .unwrap();
-    let mut am = WriteBuf::new();
-    am_header(&mut am, 7, MSG_DATA_SPLITMD, 0);
-    am.put_u64(1); // source rank
-    am.put_u64(42); // region
-    am.put_u64(1); // owner
-    am.put_u32(1);
-    5u32.encode(&mut am);
-    Tile::zeros(4, 4).split_encode_md(&mut am);
+    let am = data_am(
+        MSG_DATA_SPLITMD,
+        Some((42, 1)),
+        (consume.node_id(), 0),
+        5,
+        |am| Tile::zeros(4, 4).split_encode_md(am),
+    );
     to_rank0
         .send(Frame::Am {
             from: 1,
             handler: consume.node_id(),
             seq: 0,
-            payload: am.into_vec(),
+            payload: am,
         })
         .unwrap();
 
+    let started = Instant::now();
     let report = exec.finish();
-    assert_eq!(
-        *rma_reqs.lock().unwrap(),
-        vec![42],
-        "one RmaReq for the region"
+    assert!(
+        started.elapsed() < deadline / 4,
+        "took {:?}",
+        started.elapsed()
     );
     let codes: Vec<&str> = report.comm_errors.iter().map(|e| e.code()).collect();
-    assert_eq!(
-        codes.iter().filter(|c| **c == "TTG049").count(),
-        1,
-        "exactly one timeout: {:?}",
-        report.comm_errors
-    );
-    assert_eq!(
-        codes.iter().filter(|c| **c == "TTG043").count(),
-        1,
-        "the delivery must be reported failed: {:?}",
-        report.comm_errors
-    );
+    assert_eq!(codes, ["TTG043"], "{:?}", report.comm_errors);
     assert!(
-        !codes.contains(&"TTG041"),
-        "the run must terminate, not miss its deadline: {:?}",
+        report.comm_errors[0]
+            .detail
+            .contains("not hosted in this process"),
+        "{:?}",
         report.comm_errors
     );
     assert_eq!(report.tasks, 0);
-    assert_eq!(report.comm.rma_pending_hwm, 1);
+    assert_eq!(report.comm.rma_gets, 0);
     for ep in &eps {
         ep.shutdown();
     }
+    assert_eq!(
+        *unexpected.lock().unwrap(),
+        Vec::<String>::new(),
+        "rank 0 must send nothing back but the protocol's own frames"
+    );
 }
