@@ -252,7 +252,6 @@ pub fn run(a: &BlockSparse, b: &BlockSparse, cfg: &Config) -> (BlockSparse, Exec
             delivery_deadline: None,
             transport: cfg.transport.clone(),
             sched_seed: None,
-            snapshot_sink: None,
         };
         if let Some(plan) = cfg.faults.clone() {
             ec = ec.with_faults(plan);

@@ -262,7 +262,6 @@ pub fn run(a: &TiledMatrix, cfg: &Config) -> (TiledMatrix, ExecReport) {
             delivery_deadline: None,
             transport: cfg.transport.clone(),
             sched_seed: None,
-            snapshot_sink: None,
         };
         if let Some(plan) = cfg.faults.clone() {
             ec = ec.with_faults(plan);

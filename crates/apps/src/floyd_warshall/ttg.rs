@@ -220,7 +220,6 @@ pub fn run(m: &TiledMatrix, cfg: &Config) -> (TiledMatrix, ExecReport) {
             delivery_deadline: None,
             transport: TransportSpec::InProc,
             sched_seed: None,
-            snapshot_sink: None,
         },
     );
     let seed = initiator.in_ref::<0>();

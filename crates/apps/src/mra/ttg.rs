@@ -262,7 +262,6 @@ pub fn run(w: &Workload, cfg: &Config) -> MraResult {
             delivery_deadline: None,
             transport: TransportSpec::InProc,
             sched_seed: None,
-            snapshot_sink: None,
         },
     );
     let seed = project.in_ref::<0>();

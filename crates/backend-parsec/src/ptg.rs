@@ -108,7 +108,7 @@ impl<K: Key, V: Data> RtInner<K, V> {
             b.put_u32(class as u32);
             key.encode(&mut b);
             v.encode(&mut b);
-            self.fabric.count_serialization();
+            self.fabric.stats().count_serialization();
             if let Err(e) = self
                 .fabric
                 .send_am(src_rank, owner, class as u32, b.into_vec())
@@ -311,14 +311,15 @@ impl<K: Key, V: Data> PtgRuntime<K, V> {
                                     );
                                 }
                                 Err(e) => {
-                                    rt.fabric.record_error(ttg_comm::CommError {
-                                        kind: ttg_comm::CommErrorKind::DeliveryFailed,
-                                        from: Some(from),
-                                        to: Some(r),
-                                        handler: Some(handler),
-                                        seq: (seq != 0).then_some(seq),
-                                        detail: e.to_string(),
-                                    });
+                                    rt.fabric.record_error(
+                                        ttg_comm::CommError::new(
+                                            ttg_comm::CommErrorKind::DeliveryFailed,
+                                            e.to_string(),
+                                        )
+                                        .link(from, r)
+                                        .handler(handler)
+                                        .seq((seq != 0).then_some(seq)),
+                                    );
                                 }
                             }
                             rt.fabric.packet_processed();

@@ -19,9 +19,12 @@
 //!   was measured against (2.3–2.5× at ≤ 1 KiB) is recorded in the
 //!   committed `results/bench_wire.json` and was deleted afterwards.
 //! * **Ack batching** (`acks/...` rows) — the reliable layer on a
-//!   lossless plan, batched/piggybacked acks (the default) against
-//!   `FaultPlan::with_immediate_acks`, reporting ack flushes per logical
-//!   message for both.
+//!   lossless plan, reporting ack flushes per logical message. There is
+//!   one ack protocol; the "immediate" arm it was measured against
+//!   (0.74× UDS / 0.67× TCP on ping/pong — an arm that removed the
+//!   sender's entry through shared memory and put no frame on any wire)
+//!   is recorded in the committed `results/bench_wire.json` and was
+//!   deleted afterwards.
 //!
 //! Emits `results/bench_wire.json`; run with `--smoke` for CI-sized
 //! samples (gates: coalescing engaged, bulk frames direct,
@@ -53,9 +56,9 @@ const SEED: u64 = 42;
 enum Mode {
     /// No fault plan — the raw wire path.
     Wire,
-    /// Lossless fault plan — the reliable layer with batched or
-    /// immediate acknowledgements.
-    Acks { batched: bool },
+    /// Lossless fault plan — the reliable layer and its batched
+    /// acknowledgements.
+    Acks,
 }
 
 struct Config {
@@ -99,12 +102,7 @@ fn retry() -> RetryPolicy {
 fn fabric(n: usize, spec: &TransportSpec, mode: Mode) -> Arc<Fabric> {
     let plan = match mode {
         Mode::Wire => None,
-        Mode::Acks { batched: true } => Some(FaultPlan::seeded(SEED).with_retry(retry())),
-        Mode::Acks { batched: false } => Some(
-            FaultPlan::seeded(SEED)
-                .with_retry(retry())
-                .with_immediate_acks(),
-        ),
+        Mode::Acks => Some(FaultPlan::seeded(SEED).with_retry(retry())),
     };
     Fabric::with_transport(n, plan, spec).expect("mesh construction")
 }
@@ -261,7 +259,7 @@ fn fan_out(spec: &TransportSpec, n: usize, msgs: u64, mode: Mode) -> RunStats {
     finish(&f, msgs, elapsed)
 }
 
-/// One result row; `off` is the baseline arm of an A/B axis, if any.
+/// One result row.
 fn json_row(
     name: &str,
     transport: &str,
@@ -270,20 +268,11 @@ fn json_row(
     size: usize,
     msgs: u64,
     on: &RunStats,
-    off: Option<&RunStats>,
 ) -> String {
-    let ab = off.map_or(String::new(), |off| {
-        format!(
-            "\"off_msgs_per_s\":{:.1},\"speedup\":{:.3},\"off_acks_per_msg\":{:.4},",
-            off.msgs_per_s,
-            on.msgs_per_s / off.msgs_per_s,
-            off.acks_per_msg,
-        )
-    });
     format!(
         "{{\"name\":\"{name}\",\"transport\":\"{transport}\",\
          \"workload\":\"{workload}\",\"axis\":\"{axis}\",\"size\":{size},\
-         \"msgs\":{msgs},\"on_msgs_per_s\":{:.1},{ab}\
+         \"msgs\":{msgs},\"on_msgs_per_s\":{:.1},\
          \"frames_per_write\":{:.3},\"acks_per_msg\":{:.4},\
          \"tx_frames_coalesced\":{},\"tx_frames_abandoned\":{},\
          \"direct_frames\":{}}}",
@@ -299,7 +288,7 @@ fn main() {
         (30_000, 2_000, 80_000)
     };
     println!(
-        "bench_wire ({} mode): the wire path, and batched acks vs immediate",
+        "bench_wire ({} mode): the wire path, and ack batching",
         if cfg.smoke { "smoke" } else { "full" }
     );
 
@@ -342,7 +331,6 @@ fn main() {
                 size,
                 2 * pings,
                 &on,
-                None,
             ));
         }
         let on = fan_out(spec, 4, fanout_msgs, Mode::Wire);
@@ -367,7 +355,6 @@ fn main() {
             FANOUT_SIZE,
             fanout_msgs,
             &on,
-            None,
         ));
     }
 
@@ -376,24 +363,15 @@ fn main() {
         if cfg.smoke && *tname == "tcp" {
             continue;
         }
-        let on = fan_out(spec, 4, fanout_msgs, Mode::Acks { batched: true });
-        let off = fan_out(spec, 4, fanout_msgs, Mode::Acks { batched: false });
+        let on = fan_out(spec, 4, fanout_msgs, Mode::Acks);
         println!(
-            "  acks/fanout/{tname}/{FANOUT_SIZE}B: {:.3} acks/msg batched vs {:.3} \
-             immediate, {:.0} msgs/s ({:.2}x)",
-            on.acks_per_msg,
-            off.acks_per_msg,
-            on.msgs_per_s,
-            on.msgs_per_s / off.msgs_per_s,
+            "  acks/fanout/{tname}/{FANOUT_SIZE}B: {:.3} acks/msg, {:.0} msgs/s",
+            on.acks_per_msg, on.msgs_per_s,
         );
         assert!(
             on.acks_per_msg < 1.0,
             "acks/fanout/{tname}: batching must beat one ack per message, got {:.3}",
             on.acks_per_msg
-        );
-        assert!(
-            on.acks_per_msg < off.acks_per_msg,
-            "acks/fanout/{tname}: batched flushes must undercut immediate mode"
         );
         if !cfg.smoke {
             assert!(
@@ -410,17 +388,15 @@ fn main() {
             FANOUT_SIZE,
             fanout_msgs,
             &on,
-            Some(&off),
         ));
         // Ping/pong under the reliable layer: acks piggyback on the
         // reverse traffic (reported, not gated — each pong can carry at
         // most the acks accumulated since the previous one).
         let pings = if cfg.smoke { 2_000 } else { 10_000 };
-        let on = ping_pong(spec, 256, pings, Mode::Acks { batched: true });
-        let off = ping_pong(spec, 256, pings, Mode::Acks { batched: false });
+        let on = ping_pong(spec, 256, pings, Mode::Acks);
         println!(
-            "  acks/pingpong/{tname}/256B: {:.3} acks/msg batched vs {:.3} immediate",
-            on.acks_per_msg, off.acks_per_msg,
+            "  acks/pingpong/{tname}/256B: {:.3} acks/msg",
+            on.acks_per_msg,
         );
         assert!(
             on.acks_per_msg < 1.0,
@@ -434,7 +410,6 @@ fn main() {
             256,
             2 * pings,
             &on,
-            Some(&off),
         ));
     }
 

@@ -169,7 +169,7 @@ mod tests {
         assert!(entry.2, "AckRange carries the sequences it acknowledges");
         assert!(
             spec.consumed.contains(&"AckRange"),
-            "mesh_rx must be registered as AckRange's terminal"
+            "link_rx must be registered as AckRange's terminal"
         );
     }
 

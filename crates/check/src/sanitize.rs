@@ -174,14 +174,7 @@ mod tests {
     use crate::report::Severity;
 
     fn err(kind: CommErrorKind) -> CommError {
-        CommError {
-            kind,
-            from: Some(0),
-            to: Some(1),
-            handler: Some(7),
-            seq: Some(42),
-            detail: "test".into(),
-        }
+        CommError::new(kind, "test").link(0, 1).handler(7).seq(42)
     }
 
     #[test]

@@ -1,0 +1,926 @@
+//! The chaos + reliable-delivery layer a [`FaultPlan`] installs between
+//! `send_am` and the wire: seeded drop/duplicate/delay/reorder decisions
+//! and scripted rank deaths on the way down, sequence numbers, dedup
+//! windows, batched acks and bounded retransmission (the state machines of
+//! [`crate::reliable`]) to restore exactly-once logical delivery on the way
+//! up (DESIGN §8, §12). Its checkpoint/restore half lives in
+//! [`crate::recover`].
+//!
+//! Port: [`ChaosPort`] — a wire that delivers one physical copy or one
+//! batched ack ([`ChaosWire`]), the stats, the in-flight counter and the
+//! error sink. The fabric implements the wire; the tests below use queues.
+
+use std::sync::Arc;
+use std::time::Instant;
+use ttg_model::sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering};
+
+use crate::error::{CommError, CommErrorKind, SendError};
+use crate::fault::{salt, FaultPlan};
+use crate::links::Rank;
+use crate::recover::SnapshotSink;
+use crate::reliable::{
+    content_key, is_replay, pack_seq, unpack_seq, ContentLog, LinkTx, PendingAcks, SeqWindow,
+    Unacked, REPLAY_BIT,
+};
+use crate::stats::FabricStats;
+
+/// The wire under the reliable layer.
+pub(crate) trait ChaosWire {
+    /// Hand one physical copy of a sequenced packet to the wire. A closed
+    /// channel or link is counted and recorded by the wire itself.
+    fn deliver(
+        &self,
+        from: Rank,
+        to: Rank,
+        handler: u32,
+        seq: u64,
+        payload: &Arc<Vec<u8>>,
+    ) -> Result<(), SendError>;
+    /// Put `acker`'s batched acknowledgement on a wire toward `sender`.
+    /// `false` when no wire carries that pair (or it refused the frame):
+    /// the caller applies the ranges through shared memory instead.
+    fn send_ack_range(&self, acker: Rank, sender: Rank, ranges: &[(u64, u64)]) -> bool;
+}
+
+/// What the reliable layer sees of the fabric that hosts it.
+pub(crate) struct ChaosPort<'a> {
+    pub(crate) wire: &'a dyn ChaosWire,
+    pub(crate) stats: &'a FabricStats,
+    pub(crate) in_flight: &'a AtomicUsize,
+    /// The error sink (drained into execution reports).
+    pub(crate) errors: &'a Mutex<Vec<CommError>>,
+}
+
+/// A physical packet held back by delay/reorder injection.
+struct Delayed {
+    due: Instant,
+    to: Rank,
+    handler: u32,
+    from: Rank,
+    seq: u64,
+    payload: Arc<Vec<u8>>,
+}
+
+/// One logical message parked in a link's replay log.
+pub(crate) struct ReplayEntry {
+    /// Raw (unpacked) link sequence number at send time.
+    pub(crate) seq: u64,
+    /// Sender-row incarnation the message was originally packed with.
+    /// Replay re-packs with this value, not the current one: a restored
+    /// sender's reset `LinkTx` reissues the same raw seqs under its new
+    /// incarnation, so replaying old messages under the new incarnation
+    /// would collide with re-executed sends in the receive window.
+    pub(crate) inc: u64,
+    pub(crate) handler: u32,
+    pub(crate) payload: Arc<Vec<u8>>,
+}
+
+/// State of the chaos + reliable-delivery layer (present only when a
+/// [`FaultPlan`] is installed on an in-process fabric).
+pub(crate) struct ChaosState {
+    pub(crate) plan: FaultPlan,
+    pub(crate) n: usize,
+    /// Sender-side link state, indexed `link_row(from) * n + to` where
+    /// `link_row` maps out-of-fabric sentinel senders to row `n`.
+    pub(crate) links: Vec<Mutex<LinkTx>>,
+    /// Receive-side dedup windows: per destination rank, one window per
+    /// incoming link row (`n + 1` rows).
+    pub(crate) windows: Vec<Mutex<Vec<SeqWindow>>>,
+    /// Receive-side batched-ack accumulators, indexed like `links` (entry
+    /// `link_idx(from, to)` holds the acks rank `to` owes rank `from`).
+    pub(crate) pending_acks: Vec<Mutex<PendingAcks>>,
+    /// Packets held by delay/reorder injection.
+    delayq: Mutex<Vec<Delayed>>,
+    /// Sequenced packets received per rank (drives kill scripts).
+    pub(crate) rx_packets: Vec<AtomicU64>,
+    /// Ranks killed by script: all their traffic is silently dropped.
+    pub(crate) killed: Vec<AtomicBool>,
+    /// Per-kill-script "already fired" latches: a restored rank's replayed
+    /// packet counter must not re-trigger the same scripted death.
+    kill_fired: Vec<AtomicBool>,
+    /// Per-sender-row incarnation, packed into the top bits of every wire
+    /// seq. Bumped when the rank restores; the sentinel row `n` never
+    /// restarts and stays at 0.
+    pub(crate) incarnations: Vec<AtomicU64>,
+    /// Per destination rank: last incarnation seen on each incoming link
+    /// row. A higher incarnation resets that row's window and switches the
+    /// row to content-log consultation.
+    pub(crate) link_inc: Vec<Mutex<Vec<u64>>>,
+    /// Per destination rank: content multiset of delivered messages, one
+    /// log per incoming link row (consulted after a sender restart).
+    pub(crate) content_logs: Vec<Mutex<Vec<ContentLog>>>,
+    /// Per directed link (indexed like `links`): every logical message
+    /// ever sent, parked for replay toward a restored receiver.
+    pub(crate) replay_log: Vec<Mutex<Vec<ReplayEntry>>>,
+    /// Per rank: received-packet count at the last snapshot (drives the
+    /// `snapshot_due` interval check).
+    pub(crate) last_snap: Vec<AtomicU64>,
+    /// Where recovery snapshots persist (installed by the executor when
+    /// the plan enables recovery).
+    pub(crate) snapshot_sink: Mutex<Option<Arc<dyn SnapshotSink>>>,
+    /// Informational recovery events (TTG046), kept apart from the error
+    /// sink so a fully recovered run still reports zero comm errors.
+    pub(crate) recovery_log: Mutex<Vec<CommError>>,
+}
+
+impl ChaosState {
+    pub(crate) fn new(plan: FaultPlan, n: usize) -> ChaosState {
+        let per_rank = || (0..n).map(|_| AtomicU64::new(0)).collect::<Vec<_>>();
+        ChaosState {
+            kill_fired: plan.kills.iter().map(|_| AtomicBool::new(false)).collect(),
+            plan,
+            n,
+            links: (0..(n + 1) * n)
+                .map(|_| Mutex::new(LinkTx::default()))
+                .collect(),
+            windows: (0..n)
+                .map(|_| Mutex::new(vec![SeqWindow::new(); n + 1]))
+                .collect(),
+            pending_acks: (0..(n + 1) * n)
+                .map(|_| Mutex::new(PendingAcks::default()))
+                .collect(),
+            delayq: Mutex::new(Vec::new()),
+            rx_packets: per_rank(),
+            killed: (0..n).map(|_| AtomicBool::new(false)).collect(),
+            incarnations: (0..n + 1).map(|_| AtomicU64::new(0)).collect(),
+            link_inc: (0..n).map(|_| Mutex::new(vec![0u64; n + 1])).collect(),
+            content_logs: (0..n)
+                .map(|_| Mutex::new((0..n + 1).map(|_| ContentLog::new()).collect()))
+                .collect(),
+            replay_log: (0..(n + 1) * n).map(|_| Mutex::new(Vec::new())).collect(),
+            last_snap: per_rank(),
+            snapshot_sink: Mutex::new(None),
+            recovery_log: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// Whether the plan enables checkpoint/restore.
+    #[inline]
+    pub(crate) fn recovering(&self) -> bool {
+        self.plan.recover.is_some()
+    }
+
+    /// Map a sending rank to its link-table row; out-of-fabric sentinel
+    /// senders (external seeding uses `usize::MAX`) share row `n`.
+    #[inline]
+    pub(crate) fn link_row(&self, from: Rank) -> usize {
+        from.min(self.n)
+    }
+
+    #[inline]
+    pub(crate) fn link_idx(&self, from: Rank, to: Rank) -> usize {
+        self.link_row(from) * self.n + to
+    }
+
+    /// The sender a link-table row stands for ([`link_row`](Self::link_row)
+    /// backwards; the sentinel row reads as `usize::MAX`).
+    pub(crate) fn row_sender(&self, row: usize) -> Rank {
+        if row == self.n {
+            usize::MAX
+        } else {
+            row
+        }
+    }
+
+    /// Whether this layer carries `from → to`. Loopback normally bypasses
+    /// it (process-internal delivery cannot fail); under recovery even
+    /// rank-local sends are sequenced and logged: a restored rank's
+    /// re-executed tasks re-send their loopback outputs, and only the
+    /// seq/content machinery can dedup those against the copies delivered
+    /// before the crash.
+    #[inline]
+    pub(crate) fn carries(&self, from: Rank, to: Rank) -> bool {
+        from != to || self.recovering()
+    }
+
+    /// Enter one logical message into the reliable layer: take its
+    /// in-flight slot, sequence it, hold it for retransmission, log it for
+    /// replay, and make the first transmission attempt.
+    pub(crate) fn send(
+        &self,
+        port: &ChaosPort<'_>,
+        from: Rank,
+        to: Rank,
+        handler: u32,
+        payload: Vec<u8>,
+    ) {
+        port.in_flight.fetch_add(1, Ordering::SeqCst);
+        let payload = Arc::new(payload);
+        let li = self.link_idx(from, to);
+        let seq = {
+            let mut link = self.links[li].lock();
+            let seq = link.assign_seq();
+            link.unacked.insert(
+                seq,
+                Unacked {
+                    handler,
+                    payload: Arc::clone(&payload),
+                    attempts: 0,
+                    next_retry: Instant::now() + self.plan.retry.backoff(1),
+                    delivered: false,
+                    replayed: false,
+                },
+            );
+            seq
+        };
+        if self.recovering() {
+            self.replay_log[li].lock().push(ReplayEntry {
+                seq,
+                inc: self.incarnations[self.link_row(from)].load(Ordering::SeqCst),
+                handler,
+                payload: Arc::clone(&payload),
+            });
+        }
+        // Piggyback: flush any acks `from` owes `to` first, so on a socket
+        // mesh the AckRange frame lands in the same coalesced write as
+        // this data frame. Sentinel senders (`from >= n`) receive nothing
+        // and never owe acks.
+        if from < self.n && from != to {
+            self.flush_acks(port, self.link_idx(to, from), true);
+        }
+        self.transmit(port, from, to, handler, seq, &payload, 0, false);
+    }
+
+    /// One physical transmission attempt of a sequenced packet, subject to
+    /// the fault plan. `attempt` is 0 for the original send and the retry
+    /// ordinal for retransmissions (distinct fault rolls per attempt).
+    fn transmit(
+        &self,
+        port: &ChaosPort<'_>,
+        from: Rank,
+        to: Rank,
+        handler: u32,
+        seq: u64,
+        payload: &Arc<Vec<u8>>,
+        attempt: u32,
+        replay: bool,
+    ) {
+        // Wire seq carries the sender row's incarnation in its top bits so
+        // receivers can tell a restarted sender's fresh seq space from
+        // stale pre-crash traffic. Incarnation 0 (no restarts) packs to
+        // the raw seq itself: recovery-off wires are bit-identical.
+        // Entries that came back with a restored `LinkTx` transmit under
+        // the *new* incarnation (the receiver's row was reset by the
+        // restore surgery) with the replay marker set.
+        let mut seq = pack_seq(
+            self.incarnations[self.link_row(from)].load(Ordering::SeqCst),
+            seq,
+        );
+        if replay {
+            seq |= REPLAY_BIT;
+        }
+        self.transmit_packed(port, from, to, handler, seq, payload, attempt);
+    }
+
+    /// [`ChaosState::transmit`] with an already-packed wire seq. Replay
+    /// uses this directly: a replayed message must carry the incarnation
+    /// its original transmission carried, not the sender row's current one
+    /// — otherwise replayed old raw seqs collide with the restored rank's
+    /// re-executed sends (whose reset `LinkTx` reissues the same raw seqs
+    /// under the new incarnation) and the receive window drops whichever
+    /// arrives second even when task scheduling reordered the content.
+    pub(crate) fn transmit_packed(
+        &self,
+        port: &ChaosPort<'_>,
+        from: Rank,
+        to: Rank,
+        handler: u32,
+        seq: u64,
+        payload: &Arc<Vec<u8>>,
+        attempt: u32,
+    ) {
+        let link = self.link_idx(from, to) as u64;
+        if is_replay(seq) {
+            // Replayed copies are a recovery re-drive, not wire traffic:
+            // they bypass the killed gate (restore re-drives the rank
+            // while it is still latched dead) and fault injection (a
+            // replayed loopback copy has no backing retransmit entry — an
+            // injected drop would lose it forever). Each copy carries its
+            // own in-flight slot from enqueue to classification —
+            // otherwise the termination detector could see a drained
+            // fabric while replays still sit unclassified in a channel.
+            port.in_flight.fetch_add(1, Ordering::SeqCst);
+            if port.wire.deliver(from, to, handler, seq, payload).is_err() {
+                port.in_flight.fetch_sub(1, Ordering::SeqCst);
+            }
+            return;
+        }
+        // A killed rank neither sends nor receives.
+        if self.killed[to].load(Ordering::SeqCst)
+            || (from < self.n && self.killed[from].load(Ordering::SeqCst))
+        {
+            port.stats.am_dropped_injected.inc();
+            return;
+        }
+        let plan = &self.plan;
+        if plan.drop > 0.0 && plan.roll(salt::DROP, link, seq, attempt) < plan.drop {
+            port.stats.am_dropped_injected.inc();
+            return;
+        }
+        let copies = if plan.dup > 0.0 && plan.roll(salt::DUP, link, seq, attempt) < plan.dup {
+            port.stats.am_dup_injected.inc();
+            2
+        } else {
+            1
+        };
+        for copy in 0..copies {
+            // Per-copy hold decision: a long delay or a short hold that
+            // lets later packets overtake (reordering).
+            let copy_salt = copy as u64 * 16;
+            let hold = if plan.delay > 0.0
+                && plan.roll(salt::DELAY + copy_salt, link, seq, attempt) < plan.delay
+            {
+                Some(plan.delay_for(link, seq, attempt))
+            } else if plan.reorder > 0.0
+                && plan.roll(salt::REORDER + copy_salt, link, seq, attempt) < plan.reorder
+            {
+                // Short hold: a fraction of the long-delay floor.
+                Some(plan.delay_for(link, seq, attempt) / 4)
+            } else {
+                None
+            };
+            match hold {
+                Some(d) => {
+                    port.stats.am_delayed_injected.inc();
+                    self.delayq.lock().push(Delayed {
+                        due: Instant::now() + d,
+                        to,
+                        handler,
+                        from,
+                        seq,
+                        payload: Arc::clone(payload),
+                    });
+                }
+                None => {
+                    // Channel/link closure is already counted and recorded
+                    // by the wire; the reliable layer will retransmit or
+                    // abandon with its own reporting.
+                    let _ = port.wire.deliver(from, to, handler, seq, payload);
+                }
+            }
+        }
+    }
+
+    /// Receive-side classification of a sequenced packet: `true` means the
+    /// packet is a fresh logical delivery and must be processed; `false`
+    /// means it is a duplicate (or addressed to a dead rank) and must be
+    /// discarded without counting as a logical receive. The handler and
+    /// payload let recovery-enabled plans log delivered content and consult
+    /// the log after a sender restart.
+    ///
+    /// Every receipt is noted for acknowledgement (subject to simulated ack
+    /// loss, which only causes spurious retransmits — never double
+    /// delivery).
+    pub(crate) fn rx_accept_am(
+        &self,
+        port: &ChaosPort<'_>,
+        to: Rank,
+        from: Rank,
+        seq: u64,
+        handler: u32,
+        payload: &[u8],
+    ) -> bool {
+        if seq == 0 || !self.carries(from, to) {
+            return true;
+        }
+        let replay = is_replay(seq);
+        let (inc, raw) = unpack_seq(seq);
+        let received = self.rx_packets[to].fetch_add(1, Ordering::SeqCst) + 1;
+        for (ki, k) in self.plan.kills.iter().enumerate() {
+            if k.rank == to
+                && received >= k.after_packets
+                && !self.kill_fired[ki].load(Ordering::SeqCst)
+            {
+                // Latch: a restored rank's replayed packet counter must
+                // not re-trigger the same scripted death.
+                self.kill_fired[ki].store(true, Ordering::SeqCst);
+                self.killed[to].store(true, Ordering::SeqCst);
+            }
+        }
+        if self.killed[to].load(Ordering::SeqCst) && !replay {
+            // A killed rank receives nothing — except replayed copies,
+            // which the restore sweep drives while the rank is still
+            // latched dead. That ordering (replay enqueued before the
+            // latch clears) plus channel FIFO guarantees every replayed
+            // loopback copy is classified before any re-executed send's
+            // fresh incarnation can retire the old seq space.
+            return false;
+        }
+        let row = self.link_row(from);
+        let mut consult = false;
+        // Under recovery, the incarnation guard is held across the whole
+        // classification — window, content log, and the delivered mark on
+        // the sender entry. The restore's per-receiver surgery takes the
+        // same lock, so each in-flight copy is classified either entirely
+        // before the surgery (its delivered flag is visible to the retire
+        // scan) or entirely after (the incarnation bump stale-drops it);
+        // no copy can be half-classified across the cut and double-retire
+        // an in-flight slot.
+        let _inc_guard = if self.recovering() {
+            let mut incs = self.link_inc[to].lock();
+            match inc.cmp(&incs[row]) {
+                std::cmp::Ordering::Greater => {
+                    // The sender restarted: its new seq space starts over,
+                    // so the old window is meaningless. Reset it and rely
+                    // on the content log to drop replayed duplicates.
+                    incs[row] = inc;
+                    self.windows[to].lock()[row] = SeqWindow::new();
+                }
+                std::cmp::Ordering::Less => {
+                    // Stale copy from a previous incarnation of the
+                    // sender: its seq space is retired, drop unacked.
+                    port.stats.am_dedup_hits.inc();
+                    if replay {
+                        // A replayed copy settles its own channel slot on
+                        // every terminal outcome.
+                        port.in_flight.fetch_sub(1, Ordering::SeqCst);
+                    }
+                    return false;
+                }
+                std::cmp::Ordering::Equal => {}
+            }
+            consult = incs[row] > 0;
+            Some(incs)
+        } else {
+            None
+        };
+        let fresh = self.windows[to].lock()[row].accept(raw);
+        if !fresh {
+            port.stats.am_dedup_hits.inc();
+            if replay {
+                // Duplicate replayed copy (e.g. a marked entry's
+                // retransmit racing the sweep's logged copy): settle the
+                // channel slot this transmission carried.
+                port.in_flight.fetch_sub(1, Ordering::SeqCst);
+            }
+        }
+        let mut deliver = fresh;
+        if fresh && self.recovering() && !payload.is_empty() {
+            let key = am_content_key(handler, payload);
+            let mut logs = self.content_logs[to].lock();
+            if consult && logs[row].consume(key) {
+                port.stats.replay_dedup_hits.inc();
+                // Retire one slot either way: a live re-execution
+                // duplicate holds its logical send's slot (it will never
+                // reach `packet_processed`); a replayed copy holds the
+                // per-transmission channel slot it was enqueued with.
+                port.in_flight.fetch_sub(1, Ordering::SeqCst);
+                deliver = false;
+            } else {
+                logs[row].record(key);
+            }
+        }
+        // A delivered replayed copy keeps its per-transmission slot: the
+        // executor's `packet_processed` retires it — the original logical
+        // send is no longer on the ledger (retired when first processed,
+        // or by a restore scan).
+        // Acknowledge on every receipt (duplicates re-ack, covering a
+        // previously lost ack). The receiver's acceptance itself is always
+        // recorded on the sender entry via `delivered`; only the ack
+        // traffic is lossy: the sequence parks in the per-link range
+        // accumulator and travels later — piggybacked on the next data
+        // frame to the sender or pushed out by the flush timer.
+        let link = self.link_idx(from, to);
+        if let Some(e) = self.links[link].lock().unacked.get_mut(&raw) {
+            if deliver && !replay && e.replayed {
+                // The entry's slot was retired by a restore scan, but this
+                // copy is the original transmit landing after the latch
+                // cleared — pre-pay its `packet_processed` like a
+                // replay-marked delivery. (The `delivered` mark and the
+                // scan share this lock, so exactly one of them settles the
+                // slot.)
+                port.in_flight.fetch_add(1, Ordering::SeqCst);
+            }
+            e.delivered = true;
+        }
+        self.pending_acks[link].lock().note(raw, Instant::now());
+        deliver
+    }
+
+    /// Flush one link's accumulated acknowledgements: drain the range
+    /// accumulator and retire the covered sequences from the sender's
+    /// retransmit map — via the wire where one carries the pair (so the
+    /// ack shares the coalesced socket write with data), or by direct
+    /// shared-memory removal on the channel wire and for out-of-fabric
+    /// sentinel senders, which have no inbound link.
+    ///
+    /// Under injected loss a whole flush can be dropped (one ack roll per
+    /// flush, not per message). Recovery needs no extra machinery: the
+    /// sender retransmits, the receiver's dedup hit re-notes the
+    /// sequences, and a later flush covers them.
+    fn flush_acks(&self, port: &ChaosPort<'_>, li: usize, piggyback: bool) {
+        let (ranges, ordinal) = {
+            let mut pa = self.pending_acks[li].lock();
+            if pa.is_empty() {
+                return;
+            }
+            pa.take()
+        };
+        port.stats.ack_flushes.inc();
+        if piggyback {
+            port.stats.acks_piggybacked.inc();
+        }
+        let plan = &self.plan;
+        if plan.drop > 0.0
+            && plan.roll(salt::ACK, li as u64, ranges[0].0, ordinal as u32) < plan.drop
+        {
+            return; // whole flush lost; retransmits re-note the seqs
+        }
+        port.stats
+            .acks_batched
+            .add(ranges.iter().map(|&(a, b)| b - a + 1).sum());
+        let (sender_row, acker) = (li / self.n, li % self.n);
+        // Wire teardown must not strand retransmit state: a refused frame
+        // falls through to direct removal.
+        if sender_row < self.n && port.wire.send_ack_range(acker, sender_row, &ranges) {
+            return; // applied on arrival, by the receive dispatch
+        }
+        self.apply_ack_ranges(li, &ranges);
+    }
+
+    /// Retire every sequence covered by `ranges` from link `li`'s
+    /// retransmit map.
+    pub(crate) fn apply_ack_ranges(&self, li: usize, ranges: &[(u64, u64)]) {
+        let mut tx = self.links[li].lock();
+        for &(first, last) in ranges {
+            for seq in first..=last {
+                tx.unacked.remove(&seq);
+            }
+        }
+    }
+
+    /// One pass of the reliability progress engine: release due delayed
+    /// packets, flush aged acks, retransmit overdue unacked packets,
+    /// abandon packets whose retry budget is spent.
+    pub(crate) fn progress(&self, port: &ChaosPort<'_>) {
+        let now = Instant::now();
+        // Release held packets whose due time has passed.
+        let due: Vec<Delayed> = {
+            let mut q = self.delayq.lock();
+            let mut due = Vec::new();
+            let mut i = 0;
+            while i < q.len() {
+                if q[i].due <= now {
+                    due.push(q.swap_remove(i));
+                } else {
+                    i += 1;
+                }
+            }
+            due
+        };
+        for d in due {
+            if self.killed[d.to].load(Ordering::SeqCst) {
+                port.stats.am_dropped_injected.inc();
+                continue;
+            }
+            let _ = port
+                .wire
+                .deliver(d.from, d.to, d.handler, d.seq, &d.payload);
+        }
+        // Flush ack accumulators whose oldest entry has aged past the
+        // flush deadline — before the retransmit scan, so a due ack beats
+        // a spurious retransmission of the packets it covers.
+        for li in 0..self.pending_acks.len() {
+            if self.pending_acks[li].lock().due(now, self.plan.ack_flush) {
+                self.flush_acks(port, li, false);
+            }
+        }
+        // Retransmit / abandon overdue unacked packets.
+        for (li, l) in self.links.iter().enumerate() {
+            let (from_row, to) = (li / self.n, li % self.n);
+            let from = self.row_sender(from_row);
+            // Recovery freeze: packets toward a killed-but-recoverable
+            // rank park in `unacked` instead of burning retries — the
+            // restore path replays them, so exhausting the budget here
+            // would both poison the restored window and fabricate TTG040s.
+            // Rows *from* the killed rank freeze too: their transmits are
+            // dropped anyway, the restore discards the entries, and the
+            // restored rank's re-executed tasks re-send the content.
+            if self.recovering()
+                && (self.killed[to].load(Ordering::SeqCst)
+                    || (from_row < self.n && self.killed[from_row].load(Ordering::SeqCst)))
+            {
+                continue;
+            }
+            let mut retransmit: Vec<(u64, u32, Arc<Vec<u8>>, u32, bool)> = Vec::new();
+            let mut exhausted: Vec<(u64, u32, bool, bool)> = Vec::new();
+            {
+                let mut link = l.lock();
+                if link.unacked.is_empty() {
+                    continue;
+                }
+                let mut give_up: Vec<u64> = Vec::new();
+                for (&seq, e) in link.unacked.iter_mut() {
+                    if now < e.next_retry {
+                        continue;
+                    }
+                    if e.attempts >= self.plan.retry.max_retries {
+                        give_up.push(seq);
+                        continue;
+                    }
+                    e.attempts += 1;
+                    e.next_retry = now + self.plan.retry.backoff(e.attempts + 1);
+                    retransmit.push((
+                        seq,
+                        e.handler,
+                        Arc::clone(&e.payload),
+                        e.attempts,
+                        e.replayed,
+                    ));
+                }
+                for seq in give_up {
+                    let e = link.unacked.remove(&seq).expect("seq just listed");
+                    exhausted.push((seq, e.handler, e.delivered, e.replayed));
+                }
+            }
+            for (seq, handler, payload, attempt, replayed) in retransmit {
+                port.stats.am_retries.inc();
+                self.transmit(port, from, to, handler, seq, &payload, attempt, replayed);
+            }
+            for (seq, handler, delivered, replayed) in exhausted {
+                // Claim the sequence number in the receiver's window: if
+                // the claim succeeds the packet was never (and will never
+                // be) logically delivered — report the loss and retire the
+                // in-flight slot. If it fails, the receiver accepted a
+                // copy at some point (the ack was lost); nothing was lost.
+                let claimed = !delivered && self.windows[to].lock()[from_row].accept(seq);
+                if claimed {
+                    port.stats.am_retry_exhausted.inc();
+                    port.errors.lock().push(
+                        CommError::new(
+                            CommErrorKind::RetryBudgetExhausted,
+                            format!(
+                                "abandoned after {} retransmissions",
+                                self.plan.retry.max_retries
+                            ),
+                        )
+                        .link((from != usize::MAX).then_some(from), to)
+                        .handler(handler)
+                        .seq(seq),
+                    );
+                    // The slot goes last: once the count reads drained the
+                    // run may finish and collect its report, and the loss
+                    // must already be in it.
+                    if !replayed {
+                        // A restored entry's slot was already retired by
+                        // the restore scan; only live sends still hold one.
+                        port.in_flight.fetch_sub(1, Ordering::SeqCst);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Content identity of a node active message (layout: `ttg_core::am`).
+/// The node-AM header is `[from_task u64][msg_type u8][terminal u16]`,
+/// followed in a data message by `[src_rank u64]`. Two fields are
+/// transient provenance, not logical content, and must be masked out
+/// of the identity: `from_task` (bytes 0..8 — a re-executed producer is
+/// allocated a fresh task id, but its message is the same message), and
+/// for split-metadata messages the `[region u64][owner u64]` pair at
+/// bytes 19..35 (RMA ids change when a restarted task re-registers its
+/// output). What follows — consumer groups and value — is content.
+fn am_content_key(handler: u32, payload: &[u8]) -> u128 {
+    if payload.len() >= 35 && payload[8] == 1 {
+        content_key(handler, &[&payload[8..19], &payload[35..]])
+    } else if payload.len() >= 8 {
+        content_key(handler, &[&payload[8..]])
+    } else {
+        content_key(handler, &[payload])
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::collections::VecDeque;
+    use std::time::Duration;
+    use ttg_telemetry::Registry;
+
+    /// One delivered physical copy: `(from, handler, seq, payload)`.
+    type Copy = (Rank, u32, u64, Arc<Vec<u8>>);
+
+    /// A queue-backed [`ChaosWire`] with the counters and sink a
+    /// [`ChaosPort`] names, for driving a [`ChaosState`] on one thread.
+    struct Harness {
+        cs: ChaosState,
+        stats: FabricStats,
+        in_flight: AtomicUsize,
+        errors: Mutex<Vec<CommError>>,
+        queues: Vec<Mutex<VecDeque<Copy>>>,
+    }
+
+    impl ChaosWire for Harness {
+        fn deliver(
+            &self,
+            from: Rank,
+            to: Rank,
+            handler: u32,
+            seq: u64,
+            payload: &Arc<Vec<u8>>,
+        ) -> Result<(), SendError> {
+            self.queues[to]
+                .lock()
+                .push_back((from, handler, seq, Arc::clone(payload)));
+            Ok(())
+        }
+
+        fn send_ack_range(&self, _: Rank, _: Rank, _: &[(u64, u64)]) -> bool {
+            false
+        }
+    }
+
+    impl Harness {
+        fn new(n: usize, plan: FaultPlan) -> Harness {
+            Harness {
+                cs: ChaosState::new(plan, n),
+                stats: FabricStats::new(&Registry::new(), n),
+                in_flight: AtomicUsize::new(0),
+                errors: Mutex::new(Vec::new()),
+                queues: (0..n).map(|_| Mutex::new(VecDeque::new())).collect(),
+            }
+        }
+
+        fn port(&self) -> ChaosPort<'_> {
+            ChaosPort {
+                wire: self,
+                stats: &self.stats,
+                in_flight: &self.in_flight,
+                errors: &self.errors,
+            }
+        }
+
+        fn send(&self, from: Rank, to: Rank, payload: Vec<u8>) {
+            self.cs.send(&self.port(), from, to, 7, payload);
+        }
+
+        fn progress(&self) {
+            self.cs.progress(&self.port());
+        }
+
+        fn in_flight(&self) -> usize {
+            self.in_flight.load(Ordering::SeqCst)
+        }
+
+        /// Take one copy off `rank`'s queue, classify it, and retire it if
+        /// fresh (what a delivery thread does); `None` when nothing waits.
+        fn pump(&self, rank: Rank) -> Option<bool> {
+            let (from, handler, seq, payload) = self.queues[rank].lock().pop_front()?;
+            let fresh = self
+                .cs
+                .rx_accept_am(&self.port(), rank, from, seq, handler, &payload);
+            if fresh {
+                self.in_flight.fetch_sub(1, Ordering::SeqCst);
+            }
+            Some(fresh)
+        }
+    }
+
+    #[test]
+    fn reliable_layer_sequences_and_delivers_exactly_once() {
+        let h = Harness::new(2, FaultPlan::seeded(1));
+        for _ in 0..10 {
+            h.send(0, 1, vec![1]);
+        }
+        let mut fresh = 0;
+        while let Some(f) = h.pump(1) {
+            fresh += f as usize;
+        }
+        assert_eq!(fresh, 10);
+        assert_eq!(h.in_flight(), 0);
+        assert_eq!(h.stats.snapshot().am_dedup_hits, 0);
+    }
+
+    #[test]
+    fn dropped_packets_are_retransmitted() {
+        // The deterministic rolls differ per attempt, so with drop=0.5 and
+        // enough budget every packet eventually passes.
+        let mut plan = FaultPlan::seeded(11).with_drop(0.5);
+        plan.retry.base = Duration::from_micros(50);
+        plan.retry.cap = Duration::from_micros(400);
+        let h = Harness::new(2, plan);
+        let n = 40;
+        for _ in 0..n {
+            h.send(0, 1, vec![3]);
+        }
+        let mut fresh = 0;
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while fresh < n && Instant::now() < deadline {
+            h.progress();
+            while let Some(f) = h.pump(1) {
+                fresh += f as usize;
+            }
+            std::thread::sleep(Duration::from_micros(100));
+        }
+        assert_eq!(fresh, n, "all logical packets must eventually deliver");
+        assert_eq!(h.in_flight(), 0);
+        let s = h.stats.snapshot();
+        assert!(s.am_retries > 0, "drops must force retransmissions");
+        assert!(s.am_dropped_injected > 0);
+    }
+
+    #[test]
+    fn batched_acks_retire_unacked_in_few_flushes() {
+        // Default plan: 100 µs flush timer, no loss. Twenty messages must
+        // be acknowledged by far fewer flush events, and every sequence
+        // must be covered by a batched range.
+        let h = Harness::new(2, FaultPlan::seeded(31));
+        let n = 20;
+        for _ in 0..n {
+            h.send(0, 1, vec![6]);
+        }
+        while h.pump(1).is_some() {}
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while h.stats.snapshot().acks_batched < n && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_micros(100));
+            h.progress();
+        }
+        let s = h.stats.snapshot();
+        assert_eq!(s.acks_batched, n, "every sequence must be range-acked");
+        assert!(s.ack_flushes >= 1);
+        assert!(
+            s.ack_flushes < n,
+            "batching must use fewer flushes ({}) than messages ({n})",
+            s.ack_flushes
+        );
+        assert!(h.cs.links[h.cs.link_idx(0, 1)].lock().unacked.is_empty());
+        assert_eq!(h.in_flight(), 0);
+    }
+
+    #[test]
+    fn acks_piggyback_on_reverse_traffic() {
+        // Disable the flush timer (5 s) so the only way the ack can move
+        // is by riding the next reverse-direction data frame.
+        let plan = FaultPlan::seeded(33).with_ack_flush(Duration::from_secs(5));
+        let h = Harness::new(2, plan);
+        h.send(0, 1, vec![7]);
+        assert_eq!(h.pump(1), Some(true));
+        assert_eq!(
+            h.stats.snapshot().ack_flushes,
+            0,
+            "timer off: nothing flushed yet"
+        );
+        // Reverse traffic carries the pending ack.
+        h.send(1, 0, vec![8]);
+        assert_eq!(h.pump(0), Some(true));
+        let s = h.stats.snapshot();
+        assert_eq!(s.acks_piggybacked, 1);
+        assert_eq!(s.acks_batched, 1);
+        assert_eq!(s.ack_flushes, 1);
+        assert_eq!(h.in_flight(), 0);
+    }
+
+    #[test]
+    fn dead_link_exhausts_budget_and_reports() {
+        // Rank 1 never takes a packet off its queue: nothing is accepted,
+        // the budget runs out, and the loss is reported.
+        let mut plan = FaultPlan::seeded(5).with_kill(1, 0);
+        plan.retry = crate::fault::RetryPolicy {
+            base: Duration::from_micros(20),
+            cap: Duration::from_micros(100),
+            max_retries: 3,
+        };
+        let h = Harness::new(2, plan);
+        h.send(0, 1, vec![4, 4]);
+        assert_eq!(h.in_flight(), 1);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while h.in_flight() > 0 && Instant::now() < deadline {
+            h.progress();
+            std::thread::sleep(Duration::from_micros(50));
+        }
+        assert_eq!(
+            h.in_flight(),
+            0,
+            "abandoned packet must retire its in-flight slot"
+        );
+        let errors = std::mem::take(&mut *h.errors.lock());
+        assert_eq!(errors.len(), 1, "exactly one loss report");
+        assert_eq!(errors[0].kind, CommErrorKind::RetryBudgetExhausted);
+        assert_eq!(errors[0].code(), "TTG040");
+        assert_eq!(errors[0].from, Some(0));
+        assert_eq!(errors[0].to, Some(1));
+        assert_eq!(h.stats.snapshot().am_retry_exhausted, 1);
+    }
+
+    #[test]
+    fn delayed_packets_are_released_by_progress() {
+        let mut plan = FaultPlan::seeded(21).with_delay(1.0);
+        plan.delay_us = (100, 200);
+        let h = Harness::new(2, plan);
+        h.send(0, 1, vec![5]);
+        // Held: nothing arrives immediately.
+        assert_eq!(h.pump(1), None);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let mut fresh = 0;
+        while fresh == 0 && Instant::now() < deadline {
+            h.progress();
+            if let Some(true) = h.pump(1) {
+                fresh += 1;
+            }
+            std::thread::sleep(Duration::from_micros(50));
+        }
+        assert_eq!(fresh, 1);
+        assert!(h.stats.snapshot().am_delayed_injected >= 1);
+    }
+}

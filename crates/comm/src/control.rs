@@ -1,0 +1,307 @@
+//! The control plane of a multi-process rank: the message protocols that
+//! stand in for what ranks sharing an address space read from shared
+//! memory — the barrier and termination detection, both coordinated by
+//! rank 0 (DESIGN §9).
+//!
+//! Termination is one rule everywhere: two consecutive identical all-idle
+//! observations of every rank whose sent and received totals balance. With
+//! every rank in one address space the executor reads them from shared
+//! atomics; here they travel as `TermProbe`/`TermReply` frames.
+//!
+//! Port: [`ControlPort`] — this rank's links (send, with failures reported
+//! where the fabric reports them) and the in-flight packet count.
+
+use std::collections::HashMap;
+use ttg_model::sync::{AtomicBool, AtomicU64, Condvar, Mutex, Ordering};
+use ttg_transport::Frame;
+
+use crate::links::Rank;
+
+/// What the control plane sees of the fabric that hosts it.
+pub(crate) trait ControlPort {
+    /// Send `frame` on the link `from → to` (`from` is this rank); a
+    /// failure is recorded by the port (TTG045, or a counted no-op during
+    /// teardown).
+    fn send_control(&self, from: Rank, to: Rank, frame: Frame);
+    /// Packets this process has accepted and not yet fully processed.
+    fn in_flight(&self) -> usize;
+}
+
+/// One rank's (sent, received, quiescence) observation, exchanged by the
+/// termination protocol.
+#[derive(Clone, PartialEq, Eq)]
+struct TermObs {
+    sent: u64,
+    recvd: u64,
+    epoch: u64,
+    idle: bool,
+}
+
+/// Coordinator-side state of the termination detector: rank 0 probes all
+/// ranks each round and declares termination after two consecutive rounds
+/// with identical all-idle observations whose global sent and received
+/// counts balance.
+#[derive(Default)]
+struct TermDriver {
+    round: u64,
+    probed: bool,
+    replies: HashMap<Rank, TermObs>,
+    prev: Option<Vec<TermObs>>,
+}
+
+/// Callback reporting whether this process is locally idle and its
+/// activity epoch (installed by the executor).
+pub(crate) type IdleProbe = Box<dyn Fn() -> (bool, u64) + Send + Sync>;
+
+/// State of a multi-process rank's barrier and termination protocols.
+pub(crate) struct ControlPlane {
+    /// This process's rank.
+    pub(crate) me: Rank,
+    n: usize,
+    /// Inter-process AMs sent / received by this rank (termination input).
+    sent: AtomicU64,
+    recvd: AtomicU64,
+    /// Set when the coordinator declares global termination.
+    done: AtomicBool,
+    idle_probe: Mutex<Option<IdleProbe>>,
+    /// Barrier epochs this rank has entered so far.
+    barrier_seq: AtomicU64,
+    /// Highest released barrier epoch (waiters block on `barrier_cv`).
+    barrier_released: Mutex<u64>,
+    barrier_cv: Condvar,
+    /// Coordinator only: entry counts per in-progress epoch.
+    barrier_entered: Mutex<HashMap<u64, usize>>,
+    term: Mutex<TermDriver>,
+    /// Scripted self-abort: kill this process after receiving this many
+    /// AM frames (remote `kill=r@n` fault plans; the launcher's watchdog
+    /// recovers the job).
+    kill_after: Option<u64>,
+    /// AM frames received so far (drives `kill_after`).
+    rx_frames: AtomicU64,
+}
+
+impl ControlPlane {
+    pub(crate) fn new(me: Rank, n: usize, kill_after: Option<u64>) -> ControlPlane {
+        ControlPlane {
+            me,
+            n,
+            sent: AtomicU64::new(0),
+            recvd: AtomicU64::new(0),
+            done: AtomicBool::new(false),
+            idle_probe: Mutex::new(None),
+            barrier_seq: AtomicU64::new(0),
+            barrier_released: Mutex::new(0),
+            barrier_cv: Condvar::new(),
+            barrier_entered: Mutex::new(HashMap::new()),
+            term: Mutex::new(TermDriver::default()),
+            kill_after,
+            rx_frames: AtomicU64::new(0),
+        }
+    }
+
+    /// Count an AM about to go out on a link (before the send, so the
+    /// receiver can never have counted a message its sender has not).
+    pub(crate) fn am_sent(&self) {
+        self.sent.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Take back [`am_sent`](Self::am_sent) for a send the link refused.
+    pub(crate) fn am_unsent(&self) {
+        self.sent.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    /// An AM frame arrived from a peer process: run the kill script, then
+    /// count the reception.
+    pub(crate) fn am_arrived(&self) {
+        let got = self.rx_frames.fetch_add(1, Ordering::SeqCst) + 1;
+        if self.kill_after.is_some_and(|after| got >= after) {
+            // Scripted death of a real OS process: the launcher's watchdog
+            // reaps this child and recovers the job (DESIGN §13).
+            eprintln!(
+                "rank {}: scripted kill after {got} received frames",
+                self.me
+            );
+            std::process::abort();
+        }
+        self.recvd.fetch_add(1, Ordering::SeqCst);
+    }
+
+    /// Has the coordinator declared global termination?
+    pub(crate) fn done(&self) -> bool {
+        self.done.load(Ordering::SeqCst)
+    }
+
+    pub(crate) fn install_idle_probe(&self, probe: IdleProbe) {
+        *self.idle_probe.lock() = Some(probe);
+    }
+
+    /// Terminate one barrier or termination frame from a peer. The other
+    /// kinds end in the fabric's dispatch, which is what hands frames here;
+    /// they are listed, not wildcarded, so a new kind fails to compile
+    /// until it is given an end.
+    pub(crate) fn on_frame(&self, port: &dyn ControlPort, frame: Frame) {
+        match frame {
+            Frame::BarrierEnter { epoch, .. } => {
+                if self.me == 0 {
+                    self.barrier_arrive(port, epoch);
+                }
+            }
+            Frame::BarrierRelease { epoch } => self.release(epoch),
+            Frame::TermProbe { round } => {
+                let o = self.observe_local(port);
+                port.send_control(
+                    self.me,
+                    0,
+                    Frame::TermReply {
+                        from: self.me as u32,
+                        round,
+                        sent: o.sent,
+                        recvd: o.recvd,
+                        epoch: o.epoch,
+                        idle: o.idle,
+                    },
+                );
+            }
+            Frame::TermReply {
+                from,
+                round,
+                sent,
+                recvd,
+                epoch,
+                idle,
+            } => {
+                let mut term = self.term.lock();
+                if round == term.round {
+                    term.replies.insert(
+                        from as Rank,
+                        TermObs {
+                            sent,
+                            recvd,
+                            epoch,
+                            idle,
+                        },
+                    );
+                }
+            }
+            Frame::TermDone => self.done.store(true, Ordering::SeqCst),
+            Frame::Hello { .. } | Frame::Am { .. } | Frame::AckRange { .. } | Frame::Bye { .. } => {
+            }
+        }
+    }
+
+    /// This rank's termination observation: locally idle (executor probe
+    /// AND no packets in flight) plus the send/receive totals.
+    fn observe_local(&self, port: &dyn ControlPort) -> TermObs {
+        let (idle, epoch) = match &*self.idle_probe.lock() {
+            Some(p) => p(),
+            None => (false, 0),
+        };
+        TermObs {
+            sent: self.sent.load(Ordering::SeqCst),
+            recvd: self.recvd.load(Ordering::SeqCst),
+            epoch,
+            idle: idle && port.in_flight() == 0,
+        }
+    }
+
+    /// One step of the termination detector, driven by rank 0's wait loop
+    /// (no-op elsewhere). Each round probes every rank for
+    /// `(sent, recvd, epoch, idle)`; two consecutive rounds of identical
+    /// all-idle observations with globally balanced send/receive counts
+    /// prove no message is in flight anywhere, and `TermDone` is
+    /// broadcast.
+    pub(crate) fn drive_termination(&self, port: &dyn ControlPort) {
+        if self.me != 0 || self.done() {
+            return;
+        }
+        let mut term = self.term.lock();
+        if !term.probed {
+            term.probed = true;
+            let round = term.round;
+            drop(term);
+            for r in 1..self.n {
+                port.send_control(0, r, Frame::TermProbe { round });
+            }
+            return;
+        }
+        // Refresh our own observation every poll so the coordinator's
+        // idleness is current when the last remote reply lands.
+        let own = self.observe_local(port);
+        term.replies.insert(0, own);
+        if term.replies.len() < self.n {
+            return;
+        }
+        let cur: Vec<TermObs> = (0..self.n).map(|r| term.replies[&r].clone()).collect();
+        let all_idle = cur.iter().all(|o| o.idle);
+        let sent: u64 = cur.iter().map(|o| o.sent).sum();
+        let recvd: u64 = cur.iter().map(|o| o.recvd).sum();
+        let stable = term.prev.as_deref() == Some(&cur[..]);
+        if all_idle && sent == recvd && stable {
+            drop(term);
+            self.done.store(true, Ordering::SeqCst);
+            for r in 1..self.n {
+                port.send_control(0, r, Frame::TermDone);
+            }
+        } else {
+            term.prev = Some(cur);
+            term.replies.clear();
+            term.round += 1;
+            term.probed = false;
+        }
+    }
+
+    /// Block until all ranks reach the barrier: everyone sends
+    /// `BarrierEnter` for their next epoch ordinal to rank 0, which
+    /// broadcasts `BarrierRelease` once all `n` ranks have entered. All
+    /// ranks must call this the same number of times (SPMD), so ordinals
+    /// align without clock agreement.
+    pub(crate) fn barrier(&self, port: &dyn ControlPort) {
+        let epoch = self.barrier_seq.fetch_add(1, Ordering::SeqCst) + 1;
+        if self.me == 0 {
+            self.barrier_arrive(port, epoch);
+        } else {
+            port.send_control(
+                self.me,
+                0,
+                Frame::BarrierEnter {
+                    from: self.me as u32,
+                    epoch,
+                },
+            );
+        }
+        let mut released = self.barrier_released.lock();
+        while *released < epoch {
+            self.barrier_cv.wait(&mut released);
+        }
+    }
+
+    /// Coordinator-side barrier entry for `epoch`; releases everyone once
+    /// all `n` ranks have entered.
+    fn barrier_arrive(&self, port: &dyn ControlPort, epoch: u64) {
+        let complete = {
+            let mut entered = self.barrier_entered.lock();
+            let c = entered.entry(epoch).or_insert(0);
+            *c += 1;
+            if *c == self.n {
+                entered.remove(&epoch);
+                true
+            } else {
+                false
+            }
+        };
+        if complete {
+            for r in 1..self.n {
+                port.send_control(0, r, Frame::BarrierRelease { epoch });
+            }
+            self.release(epoch);
+        }
+    }
+
+    fn release(&self, epoch: u64) {
+        let mut released = self.barrier_released.lock();
+        if epoch > *released {
+            *released = epoch;
+        }
+        self.barrier_cv.notify_all();
+    }
+}

@@ -22,7 +22,7 @@
 
 use std::time::Duration;
 
-use crate::fabric::Rank;
+use crate::links::Rank;
 
 /// SplitMix64 finalizer: a cheap, well-mixed 64-bit hash step.
 #[inline]
@@ -113,10 +113,6 @@ pub struct FaultPlan {
     pub kills: Vec<KillScript>,
     /// Retransmission policy for the reliable layer.
     pub retry: RetryPolicy,
-    /// Answer every accepted message with its own immediate ack (the
-    /// pre-batching behavior) instead of accumulating ranged acks. Kept as
-    /// an A/B lever for `bench_wire` and regression comparison.
-    pub immediate_acks: bool,
     /// How long a pending batched ack may wait for a piggyback ride
     /// before the progress thread flushes it anyway.
     pub ack_flush: Duration,
@@ -141,7 +137,6 @@ impl FaultPlan {
             delay_us: (200, 800),
             kills: Vec::new(),
             retry: RetryPolicy::default(),
-            immediate_acks: false,
             ack_flush: Duration::from_micros(100),
             recover: None,
         }
@@ -186,14 +181,7 @@ impl FaultPlan {
         self
     }
 
-    /// Revert to one immediate ack per accepted message (disables ack
-    /// batching/piggybacking; the baseline side of `bench_wire`).
-    pub fn with_immediate_acks(mut self) -> Self {
-        self.immediate_acks = true;
-        self
-    }
-
-    /// Set the batched-ack flush timer (ignored under immediate acks).
+    /// Set the batched-ack flush timer.
     pub fn with_ack_flush(mut self, flush: Duration) -> Self {
         self.ack_flush = flush;
         self
@@ -215,14 +203,27 @@ impl FaultPlan {
         self.drop == 0.0 && self.dup == 0.0 && self.reorder == 0.0 && self.delay == 0.0
     }
 
-    /// Whether the plan injects any fault at all (a pure reliable-layer
-    /// plan rolls no dice).
-    pub fn is_chaotic(&self) -> bool {
-        self.drop > 0.0
-            || self.dup > 0.0
-            || self.reorder > 0.0
-            || self.delay > 0.0
-            || !self.kills.is_empty()
+    /// What a multi-process rank `me` takes from the plan: the received
+    /// packet count after which it kills itself, if a script names it (the
+    /// launcher's watchdog then recovers the job). Any other shape is
+    /// refused with the reason: dice need the ack/dedup state only ranks of
+    /// one process share, and nobody could recover the death of rank 0,
+    /// which coordinates the barrier and termination protocols.
+    pub fn remote_kill_after(&self, me: Rank) -> Result<Option<u64>, String> {
+        if !self.is_kill_only() {
+            return Err("probabilistic fault injection (drop/dup/reorder/delay) \
+                        requires an in-process transport (inproc/tcp/uds); \
+                        multi-process ranks share no ack/dedup state — \
+                        remote mode accepts kill=r@n scripts only"
+                .into());
+        }
+        if self.kills.iter().any(|k| k.rank == 0) {
+            return Err("kill=0 is not recoverable in remote mode: rank 0 \
+                        coordinates the barrier and termination protocols"
+                .into());
+        }
+        let mine = self.kills.iter().filter(|k| k.rank == me);
+        Ok(mine.map(|k| k.after_packets).min())
     }
 
     /// A uniform draw in `[0, 1)`, fully determined by the plan seed and
@@ -302,15 +303,6 @@ impl FaultPlan {
                             .max(1),
                     )
                 }
-                "acks" => match v {
-                    "immediate" => plan.immediate_acks = true,
-                    "batched" => plan.immediate_acks = false,
-                    other => {
-                        return Err(format!(
-                            "fault spec: acks wants immediate or batched, got `{other}`"
-                        ))
-                    }
-                },
                 other => return Err(format!("fault spec: unknown key `{other}`")),
             }
         }
@@ -392,7 +384,6 @@ mod tests {
         );
         assert_eq!(p.retry.max_retries, 8);
         assert_eq!(p.retry.base, Duration::from_micros(500));
-        assert!(p.is_chaotic());
     }
 
     #[test]
@@ -401,20 +392,11 @@ mod tests {
         assert!(FaultPlan::parse("banana=1").is_err());
         assert!(FaultPlan::parse("drop").is_err());
         assert!(FaultPlan::parse("kill=3").is_err());
-        assert!(FaultPlan::parse("acks=sometimes").is_err());
-    }
-
-    #[test]
-    fn parse_ack_mode() {
-        assert!(!FaultPlan::parse("seed=1").unwrap().immediate_acks);
-        assert!(FaultPlan::parse("acks=immediate").unwrap().immediate_acks);
-        assert!(!FaultPlan::parse("acks=batched").unwrap().immediate_acks);
-    }
-
-    #[test]
-    fn empty_spec_is_faultless() {
-        let p = FaultPlan::parse("seed=9").unwrap();
-        assert!(!p.is_chaotic());
+        // The one ack protocol has no selector: its old key is unknown.
+        assert_eq!(
+            FaultPlan::parse("acks=immediate"),
+            Err("fault spec: unknown key `acks`".into())
+        );
     }
 
     #[test]

@@ -9,14 +9,17 @@
 //!   (Boost.Serialization analog), and split-metadata (two-stage RMA);
 //! * [`pool`] — a bounded free-list that recycles hot-path wire buffers
 //!   instead of reallocating one per message;
-//! * [`fabric`] — an in-process fabric of logical ranks with active
-//!   messages, emulated one-sided RMA, barriers, and traffic counters;
+//! * [`fabric`] — the [`Fabric`] of logical ranks: construction,
+//!   `send_am`, physical delivery, the one receive dispatch, shutdown. What
+//!   it composes lives in modules that see a narrow *port* (named in each
+//!   module's header; DESIGN §9 has the map), never the fabric: [`links`]
+//!   (the link layer as data), [`chaos`] over [`reliable`] (the reliable
+//!   layer a [`FaultPlan`] installs), [`recover`] (checkpoint/restore),
+//!   [`control`] (a multi-process rank's barrier and termination),
+//!   [`rma`] (one-sided regions), [`stats`], [`error`];
 //! * [`fault`] — seeded, deterministic fault injection ([`FaultPlan`]):
 //!   per-link drop/duplicate/reorder/delay probabilities and scripted rank
-//!   deaths, parseable from a `--faults seed=K,drop=p` CLI spec;
-//! * [`reliable`] — the reliable-delivery protocol run under a fault plan:
-//!   per-link sequence numbers, receive-side dedup windows, ack +
-//!   exponential-backoff retransmit with a bounded retry budget.
+//!   deaths, parseable from a `--faults seed=K,drop=p` CLI spec.
 //!
 //! The fabric replaces MPI + InfiniBand from the paper's testbeds; see
 //! `DESIGN.md` for the substitution argument and §8 for the fault model.
@@ -24,11 +27,17 @@
 #![warn(missing_docs)]
 
 pub mod buf;
+pub mod chaos;
+pub mod control;
+pub mod error;
 pub mod fabric;
 pub mod fault;
+pub mod links;
 pub mod lockdoc;
 pub mod recover;
 pub mod reliable;
+pub mod rma;
+pub mod stats;
 pub mod wire;
 
 // The wire-buffer pool moved down into `ttg-transport` so the socket mesh
@@ -37,14 +46,15 @@ pub mod wire;
 pub use ttg_transport::pool;
 
 pub use buf::{ReadBuf, WireError, WriteBuf};
-pub use fabric::{
-    CommError, CommErrorKind, Fabric, FabricStats, Packet, Rank, RegionId, RmaError, SendError,
-    StatsSnapshot,
-};
+pub use error::{CommError, CommErrorKind, RmaError, SendError};
+pub use fabric::Fabric;
 pub use fault::{FaultPlan, KillScript, RetryPolicy};
+pub use links::{Packet, Rank};
 pub use pool::{pool_stats, PoolStats};
-pub use recover::{FileSnapshotSink, MemorySnapshotSink, SharedSnapshotSink, SnapshotSink};
+pub use recover::{MemorySnapshotSink, Recovery, SnapshotSink};
 pub use reliable::SeqWindow;
+pub use rma::RegionId;
+pub use stats::{FabricStats, StatsSnapshot};
 // Link-layer selection re-exported so executors and apps need no direct
 // ttg-transport dependency (DESIGN §9).
 pub use ttg_transport::{RemoteHandle, TransportError, TransportKind, TransportSpec};

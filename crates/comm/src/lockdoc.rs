@@ -1,43 +1,75 @@
-//! Lock-discipline annotations for the comm fabric, consumed by the
+//! Lock-discipline annotations for the comm crate, consumed by the
 //! `ttg-check` lock-order analysis (diagnostics TTG050/TTG051).
 //!
-//! The fabric follows a **single-lock discipline**: with one documented
-//! exception, no code path holds two of these mutexes at once. The
-//! reliable-layer paths are written specifically to keep the dedup-window
-//! locks and the per-link retransmit locks disjoint in time — `rx_accept`
-//! takes the window lock as a statement temporary and drops it before
-//! touching link state, and `progress()` collects retransmit candidates
-//! under the link lock in a scoped block before consulting any window.
+//! What holds: outside recovery no code path holds two of these mutexes at
+//! once, with one exception (`control.term` across `control.idle_probe`).
+//! The reliable layer's paths are written to keep the dedup-window locks
+//! and the per-link retransmit locks disjoint in time — `progress()`
+//! collects retransmit candidates under the link lock in a scoped block
+//! before consulting any window, and `flush_acks` drains the accumulator
+//! before it touches the link.
+//!
+//! Under a recovery-enabled plan there is one deliberate hierarchy:
+//! `rx_accept_am` holds the destination rank's `chaos.link_inc` guard
+//! across its whole classification — window, content log, the delivered
+//! mark on the sender's link entry, the ack note — and `restore_rank`'s
+//! per-receiver surgery takes the same guard first, so a packet is
+//! classified entirely before or entirely after the cut. Nothing takes
+//! `link_inc` while holding one of the four classes under it, so the
+//! relation stays acyclic.
 //!
 //! These tables are the machine-checkable record of that discipline. If a
 //! future change nests locks, it must add the `(outer, inner)` pair here —
 //! and `ttg-check` will reject the addition if it closes a cycle.
 
-/// Every mutex class in the fabric, by field name.
+/// Every mutex class in the crate, named `module.field`.
 pub const LOCK_CLASSES: &[&str] = &[
     "fabric.errors",
-    "fabric.receivers",
-    "fabric.links",
-    "fabric.windows",
-    "fabric.delayq",
-    "fabric.regions",
-    "fabric.released",
-    "fabric.barrier_entered",
-    "fabric.barrier_released",
-    "fabric.term",
-    "fabric.idle_probe",
+    "links.receivers",
+    "chaos.links",
+    "chaos.windows",
+    "chaos.pending_acks",
+    "chaos.delayq",
+    "chaos.link_inc",
+    "chaos.content_logs",
+    "chaos.replay_log",
+    "chaos.snapshot_sink",
+    "chaos.recovery_log",
+    "recover.blobs",
+    "rma.live",
+    "rma.released",
+    "control.barrier_entered",
+    "control.barrier_released",
+    "control.term",
+    "control.idle_probe",
 ];
 
 /// Permitted nestings, outer acquired first.
 ///
 /// `drive_termination` refreshes the coordinator's own observation while
 /// holding the termination state (`term` guard live across
-/// `observe_local`, which locks `idle_probe`). That is the fabric's only
-/// sanctioned two-lock hold.
-pub const LOCK_ORDER: &[(&str, &str)] = &[("fabric.term", "fabric.idle_probe")];
+/// `observe_local`, which locks `idle_probe`). The `link_inc` edges are the
+/// recovery hierarchy described in the module header (`rx_accept_am` takes
+/// all four under it; `restore_rank` takes `windows` and `links`).
+pub const LOCK_ORDER: &[(&str, &str)] = &[
+    ("control.term", "control.idle_probe"),
+    ("chaos.link_inc", "chaos.windows"),
+    ("chaos.link_inc", "chaos.content_logs"),
+    ("chaos.link_inc", "chaos.links"),
+    ("chaos.link_inc", "chaos.pending_acks"),
+];
 
 /// Striped classes (one instance per rank or per directed link) and
 /// whether holding two instances at once is permitted via ascending-index
-/// acquisition. Neither is: no fabric path holds two links or two windows
-/// simultaneously.
-pub const STRIPED_LOCKS: &[(&str, bool)] = &[("fabric.links", false), ("fabric.windows", false)];
+/// acquisition. None is: no path holds two instances of one class —
+/// `restore_rank` walks the receivers one `link_inc` guard at a time.
+pub const STRIPED_LOCKS: &[(&str, bool)] = &[
+    ("chaos.links", false),
+    ("chaos.windows", false),
+    ("chaos.pending_acks", false),
+    ("chaos.link_inc", false),
+    ("chaos.content_logs", false),
+    ("chaos.replay_log", false),
+    ("rma.live", false),
+    ("rma.released", false),
+];

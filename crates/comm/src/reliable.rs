@@ -8,9 +8,9 @@
 //! number is *fresh* (delivered, acked), every later copy — an injected
 //! duplicate, a spurious retransmit, a reordered stray — is a *duplicate*
 //! and is dropped before it can double-fire a task. Exactly-once **logical**
-//! delivery therefore holds no matter what the physical layer does, and the
-//! termination detectors (the executor's in-flight counter, Safra's message
-//! balance) count logical messages only.
+//! delivery therefore holds no matter what the physical layer does, and
+//! termination detection (the fabric's in-flight counter) counts logical
+//! messages only.
 //!
 //! A packet reordered so far that it falls behind the window is treated as
 //! a duplicate; its sender never sees an ack and eventually exhausts the
@@ -23,8 +23,10 @@
 //! receiver accumulates accepted seqs into ranges and flushes them
 //! piggybacked on reverse-direction data or on a short timer, so a burst
 //! of messages is answered by one ranged ack instead of one ack each.
-//! `FaultPlan::with_immediate_acks` restores the legacy
-//! one-ack-per-message behavior for A/B measurement.
+//! It is the one ack protocol: the per-message "immediate" mode it was
+//! measured against removed the sender's entry through shared memory and
+//! put no frame on any wire; its numbers are recorded in
+//! `results/bench_wire.json`.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -258,67 +260,6 @@ impl LinkTx {
     }
 }
 
-/// Full-history acceptance log for one incoming link, kept as coalesced
-/// inclusive ranges. Remote-mode recovery replays a rank's *entire* send
-/// log from sequence 1, which can fall arbitrarily far behind a sliding
-/// [`SeqWindow`]; this log never forgets, so replayed packets classify
-/// correctly no matter how old. In-order delivery keeps it at one range.
-#[derive(Debug, Default, Clone)]
-pub struct SeqLog {
-    ranges: Vec<(u64, u64)>,
-}
-
-impl SeqLog {
-    /// Fresh, empty log.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Record `seq`; returns `true` if it was never seen before.
-    pub fn insert(&mut self, seq: u64) -> bool {
-        match self.ranges.binary_search_by(|&(first, last)| {
-            if seq < first {
-                std::cmp::Ordering::Greater
-            } else if seq > last {
-                std::cmp::Ordering::Less
-            } else {
-                std::cmp::Ordering::Equal
-            }
-        }) {
-            Ok(_) => false,
-            Err(i) => {
-                let glues_left = i > 0 && self.ranges[i - 1].1 + 1 == seq;
-                let glues_right = i < self.ranges.len() && seq + 1 == self.ranges[i].0;
-                match (glues_left, glues_right) {
-                    (true, true) => {
-                        self.ranges[i - 1].1 = self.ranges[i].1;
-                        self.ranges.remove(i);
-                    }
-                    (true, false) => self.ranges[i - 1].1 = seq,
-                    (false, true) => self.ranges[i].0 = seq,
-                    (false, false) => self.ranges.insert(i, (seq, seq)),
-                }
-                true
-            }
-        }
-    }
-
-    /// Drop all history (the peer restarted with a fresh seq space).
-    pub fn reset(&mut self) {
-        self.ranges.clear();
-    }
-
-    /// Total distinct sequence numbers recorded.
-    pub fn len(&self) -> u64 {
-        self.ranges.iter().map(|&(f, l)| l - f + 1).sum()
-    }
-
-    /// Whether the log is empty.
-    pub fn is_empty(&self) -> bool {
-        self.ranges.is_empty()
-    }
-}
-
 fn splitmix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -360,7 +301,6 @@ pub fn content_key(handler: u32, parts: &[&[u8]]) -> u128 {
 #[derive(Debug, Default)]
 pub struct ContentLog {
     seen: HashMap<u128, u32>,
-    entries: u64,
 }
 
 impl ContentLog {
@@ -372,7 +312,6 @@ impl ContentLog {
     /// Bank one delivery of `key`.
     pub fn record(&mut self, key: u128) {
         *self.seen.entry(key).or_insert(0) += 1;
-        self.entries += 1;
     }
 
     /// Spend one prior delivery of `key` if any is banked; returns `true`
@@ -384,21 +323,10 @@ impl ContentLog {
                 if *n == 0 {
                     self.seen.remove(&key);
                 }
-                self.entries -= 1;
                 true
             }
             None => false,
         }
-    }
-
-    /// Deliveries currently banked.
-    pub fn len(&self) -> u64 {
-        self.entries
-    }
-
-    /// Whether any deliveries are banked.
-    pub fn is_empty(&self) -> bool {
-        self.entries == 0
     }
 
     /// Serialize the multiset for a snapshot.
@@ -415,15 +343,13 @@ impl ContentLog {
     pub fn import(r: &mut ReadBuf<'_>) -> Result<ContentLog, WireError> {
         let n = r.get_u64()? as usize;
         let mut seen = HashMap::with_capacity(n);
-        let mut entries = 0u64;
         for _ in 0..n {
             let hi = r.get_u64()?;
             let lo = r.get_u64()?;
             let count = r.get_u32()?;
-            entries += count as u64;
             seen.insert(((hi as u128) << 64) | lo as u128, count);
         }
-        Ok(ContentLog { seen, entries })
+        Ok(ContentLog { seen })
     }
 }
 
@@ -827,22 +753,6 @@ mod tests {
     }
 
     #[test]
-    fn seq_log_full_history_never_forgets() {
-        let mut log = SeqLog::new();
-        for s in 1..=10_000u64 {
-            assert!(log.insert(s));
-        }
-        // Unlike a sliding window, ancient seqs still classify as dups.
-        assert!(!log.insert(1));
-        assert!(!log.insert(5_000));
-        assert_eq!(log.len(), 10_000);
-        // Coalesced to a single range despite the probing above.
-        assert!(log.insert(10_002));
-        assert!(log.insert(10_001));
-        assert_eq!(log.len(), 10_002);
-    }
-
-    #[test]
     fn content_log_multiset_semantics() {
         let mut log = ContentLog::new();
         let k = content_key(3, &[b"hello", b"world"]);
@@ -866,7 +776,6 @@ mod tests {
         let mut b = WriteBuf::new();
         log.export(&mut b);
         let mut got = ContentLog::import(&mut ReadBuf::new(b.as_slice())).unwrap();
-        assert_eq!(got.len(), 3);
         assert!(got.consume(a));
         assert!(got.consume(a));
         assert!(!got.consume(a));

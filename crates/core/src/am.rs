@@ -179,14 +179,14 @@ impl AmPlan {
         };
         let mut payload_len = 0;
         let region = (n_split > 0).then(|| {
-            fabric.count_serialization();
+            fabric.stats().count_serialization();
             let payload = Arc::new(v.split_payload().unwrap_or_default());
             payload_len = payload.len();
             fabric.register_region(src_rank, payload, n_split, None)
         });
         let n_inline = self.ams.len() - n_split;
         let encoded = (n_inline > 1 && self.merge).then(|| {
-            fabric.count_serialization();
+            fabric.stats().count_serialization();
             ttg_comm::to_bytes(v)
         });
         let inline_len = match &encoded {
@@ -218,7 +218,7 @@ impl AmPlan {
                 (Some(_), _) => v.split_encode_md(&mut b),
                 (None, Some(bytes)) => b.put_bytes(bytes),
                 (None, None) => {
-                    fabric.count_serialization();
+                    fabric.stats().count_serialization();
                     v.encode(&mut b);
                 }
             }
@@ -228,7 +228,9 @@ impl AmPlan {
         }
         if sends_saved > 0 {
             let unit = if n_split > 0 { payload_len } else { inline_len };
-            fabric.count_broadcast_dedup(sends_saved, sends_saved * unit as u64);
+            fabric
+                .stats()
+                .count_broadcast_dedup(sends_saved, sends_saved * unit as u64);
         }
     }
 }

@@ -183,7 +183,7 @@ impl<K: Key, V: Data> PortImpl<K, V> {
                 // Even the last key, which could take the original by move,
                 // is counted as a copy to model always-copy semantics.
                 for &k in keys {
-                    ctx.fabric.count_data_copy();
+                    ctx.fabric.stats().count_data_copy();
                     ctx.metrics.count_local_copy(rank);
                     or_panic(node.insert(
                         rank,

@@ -13,8 +13,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use ttg_comm::{
-    CommError, CommErrorKind, Fabric, FaultPlan, FileSnapshotSink, MemorySnapshotSink, Packet,
-    ReadBuf, SharedSnapshotSink, StatsSnapshot, TransportSpec, WireError, WriteBuf,
+    CommError, CommErrorKind, Fabric, FaultPlan, MemorySnapshotSink, Packet, ReadBuf, Recovery,
+    StatsSnapshot, TransportSpec, WireError, WriteBuf,
 };
 use ttg_runtime::WorkerPool;
 
@@ -49,11 +49,6 @@ pub struct ExecConfig {
     /// fault injector's splitmix64 streams — for reproducible benchmark
     /// runs; `None` (default) keeps OS entropy.
     pub sched_seed: Option<u64>,
-    /// Where recovery snapshots are persisted when the fault plan enables
-    /// checkpointing. `None` picks a default: the launch directory's
-    /// file sink for a multi-process rank (`TTG_LAUNCH_DIR`), an
-    /// in-memory sink otherwise.
-    pub snapshot_sink: Option<SharedSnapshotSink>,
 }
 
 impl std::fmt::Debug for ExecConfig {
@@ -67,7 +62,6 @@ impl std::fmt::Debug for ExecConfig {
             .field("delivery_deadline", &self.delivery_deadline)
             .field("transport", &self.transport)
             .field("sched_seed", &self.sched_seed)
-            .field("snapshot_sink", &self.snapshot_sink.is_some())
             .finish()
     }
 }
@@ -85,7 +79,6 @@ impl ExecConfig {
             delivery_deadline: None,
             transport: TransportSpec::InProc,
             sched_seed: None,
-            snapshot_sink: None,
         }
     }
 
@@ -100,7 +93,6 @@ impl ExecConfig {
             delivery_deadline: None,
             transport: TransportSpec::InProc,
             sched_seed: None,
-            snapshot_sink: None,
         }
     }
 
@@ -136,13 +128,6 @@ impl ExecConfig {
     /// [`ExecConfig::sched_seed`]).
     pub fn with_sched_seed(mut self, seed: u64) -> Self {
         self.sched_seed = Some(seed);
-        self
-    }
-
-    /// Install a snapshot sink for checkpoint/restore recovery (see
-    /// [`ExecConfig::snapshot_sink`]).
-    pub fn with_snapshot_sink(mut self, sink: SharedSnapshotSink) -> Self {
-        self.snapshot_sink = Some(sink);
         self
     }
 }
@@ -201,20 +186,10 @@ impl Executor {
     pub fn new(graph: Graph, cfg: ExecConfig) -> Self {
         let fabric = Fabric::with_transport(cfg.ranks, cfg.faults.clone(), &cfg.transport)
             .unwrap_or_else(|e| panic!("transport bring-up failed: {e}"));
-        if fabric.recovery_enabled() {
-            let sink = cfg.snapshot_sink.clone().unwrap_or_else(|| {
-                // Multi-process ranks default to the launch directory so
-                // snapshots survive the process they describe; in-process
-                // recovery restores within one address space and needs no
-                // filesystem traffic.
-                match std::env::var("TTG_LAUNCH_DIR") {
-                    Ok(dir) if fabric.local_rank().is_some() => {
-                        Arc::new(FileSnapshotSink::new(dir)) as SharedSnapshotSink
-                    }
-                    _ => Arc::new(MemorySnapshotSink::new()) as SharedSnapshotSink,
-                }
-            });
-            fabric.install_snapshot_sink(sink);
+        if fabric.recovery().is_some() {
+            // A restore happens within this address space: snapshots need
+            // no filesystem traffic.
+            fabric.install_snapshot_sink(Arc::new(MemorySnapshotSink::new()));
         }
         let ctx = RuntimeCtx::new(Arc::clone(&fabric), cfg.backend.clone(), cfg.trace);
 
@@ -264,7 +239,6 @@ impl Executor {
         // One communication/progress thread per hosted rank: the analog
         // of the backends' AM server / communication thread.
         let mut comm_threads = Vec::with_capacity(local_ranks.len());
-        let remote = fabric.local_rank().is_some();
         for r in local_ranks {
             let rx = fabric.take_receiver(r);
             let ctx2 = Arc::clone(&ctx);
@@ -272,10 +246,6 @@ impl Executor {
                 std::thread::Builder::new()
                     .name(format!("comm-{r}"))
                     .spawn(move || {
-                        // Remote ranks count delivered AMs themselves: the
-                        // chaos packet counter only ticks for sequenced
-                        // in-process traffic.
-                        let mut rx_since_snap: u64 = 0;
                         while let Ok(pkt) = rx.recv() {
                             match pkt {
                                 Packet::Am {
@@ -309,17 +279,18 @@ impl Executor {
                                     };
                                     if let Err(e) = delivered {
                                         // Arrived but undeliverable: TTG043.
-                                        ctx2.fabric.record_error(CommError {
-                                            kind: CommErrorKind::DeliveryFailed,
-                                            from: (from != usize::MAX).then_some(from),
-                                            to: Some(r),
-                                            handler: Some(handler),
-                                            seq: (seq != 0).then_some(seq),
-                                            detail: e.to_string(),
-                                        });
+                                        ctx2.fabric.record_error(
+                                            CommError::new(
+                                                CommErrorKind::DeliveryFailed,
+                                                e.to_string(),
+                                            )
+                                            .link((from != usize::MAX).then_some(from), r)
+                                            .handler(handler)
+                                            .seq((seq != 0).then_some(seq)),
+                                        );
                                     }
                                     drop(batch);
-                                    ctx2.fabric.count_am_delivered(started.elapsed());
+                                    ctx2.fabric.stats().count_am_delivered(started.elapsed());
                                     ctx2.fabric.packet_processed();
                                     // Hand the AM buffer back to the wire
                                     // buffer pool for the next send.
@@ -328,13 +299,7 @@ impl Executor {
                                     // on this rank's only delivery thread,
                                     // with the worker pool drained — the
                                     // consistent cut (DESIGN §13).
-                                    if let Some(every) = ctx2.fabric.snapshot_interval() {
-                                        let due = if remote {
-                                            rx_since_snap += 1;
-                                            rx_since_snap >= every
-                                        } else {
-                                            ctx2.fabric.snapshot_due(r)
-                                        };
+                                    if let Some(rec) = ctx2.fabric.recovery() {
                                         // The delivery that made the snapshot
                                         // due usually readied tasks, so give
                                         // the pool a bounded drain window.
@@ -342,14 +307,11 @@ impl Executor {
                                         // waiting cannot deadlock; at worst
                                         // the pool stays busy and the next
                                         // delivery retries.
-                                        if due {
-                                            let drain = Instant::now()
-                                                + Duration::from_micros(500);
+                                        if rec.snapshot_due(r) {
+                                            let drain = Instant::now() + Duration::from_micros(500);
                                             loop {
                                                 if ctx2.pool(r).is_idle() {
-                                                    if take_snapshot(&ctx2, r) {
-                                                        rx_since_snap = 0;
-                                                    }
+                                                    take_snapshot(&ctx2, &rec, r);
                                                     break;
                                                 }
                                                 if Instant::now() >= drain {
@@ -394,94 +356,68 @@ impl Executor {
         self.started = Instant::now();
     }
 
-    /// Block until the execution is globally quiescent: no task running or
-    /// queued on any rank and no message in flight.
+    /// Block until the execution has terminated: no task running or queued
+    /// on any rank and no message in flight. That is one rule — two
+    /// consecutive identical all-idle observations with as many messages
+    /// received as sent — evaluated where the observations are: from the
+    /// shared counters when every rank is in this address space (nothing
+    /// can be in transit between processes), by rank 0 from
+    /// `TermProbe`/`TermReply` frames in a multi-process job (local
+    /// quiescence is not global quiescence there: a peer may still be about
+    /// to send here).
     ///
     /// If a delivery deadline is configured and passes first, the wait
     /// gives up, records a structured `DeadlineMissed` [`CommError`] on
     /// the fabric, and returns — degraded, not hung.
     pub fn wait(&self) {
-        if self.ctx.fabric.local_rank().is_some() {
-            self.wait_remote();
-            return;
-        }
-        let give_up = self.deadline.map(|d| Instant::now() + d);
-        loop {
-            // Recovery watchdog: a script-killed rank is restored once its
-            // pool drains (kill only severs its links — queued tasks still
-            // run to completion, and their sends were already dropped).
-            for r in self.ctx.fabric.ranks_needing_recovery() {
-                if self.ctx.pool(r).is_idle() {
-                    recover_rank(&self.ctx, r);
-                }
-            }
-            if self.ctx.fabric.packets_in_flight() == 0 && self.ctx.quiescence.is_quiescent() {
-                // Confirm: no packet appeared while probing the pools.
-                if self.ctx.fabric.packets_in_flight() == 0 && self.ctx.quiescence.is_quiescent() {
-                    return;
-                }
-            }
-            if let Some(t) = give_up {
-                if Instant::now() >= t {
-                    self.ctx.fabric.count_deadline_miss();
-                    self.ctx.fabric.record_error(CommError {
-                        kind: CommErrorKind::DeadlineMissed,
-                        from: None,
-                        to: None,
-                        handler: None,
-                        seq: None,
-                        detail: format!(
-                            "no quiescence within {:?} ({} packets in flight)",
-                            self.deadline.unwrap(),
-                            self.ctx.fabric.packets_in_flight()
-                        ),
-                    });
-                    return;
-                }
-            }
-            std::thread::sleep(Duration::from_micros(50));
-        }
-    }
-
-    /// Multi-process wait: local quiescence is not global quiescence (a
-    /// peer may still be about to send here), so rank 0 runs a distributed
-    /// termination detector and broadcasts the verdict.
-    fn wait_remote(&self) {
         use std::sync::atomic::Ordering;
+        let fabric = &self.ctx.fabric;
+        let remote = fabric.local_rank().is_some();
         // Start fence, once per execution: no rank may begin probing for
         // termination until every rank has seeded its graph and entered
         // the wait — otherwise an early-starting coordinator could observe
         // a not-yet-seeded (and therefore idle) peer and declare a finish
         // that never happened.
-        if !self.wait_fenced.swap(true, Ordering::SeqCst) {
-            self.ctx.fabric.barrier();
+        if remote && !self.wait_fenced.swap(true, Ordering::SeqCst) {
+            fabric.barrier();
         }
+        let drained = || fabric.packets_in_flight() == 0 && self.ctx.quiescence.is_quiescent();
         let give_up = self.deadline.map(|d| Instant::now() + d);
         loop {
-            if self.ctx.fabric.remote_done() {
+            let (terminated, poll) = if remote {
+                (fabric.poll_termination(), Duration::from_micros(200))
+            } else {
+                // Recovery watchdog: a script-killed rank is restored once
+                // its pool drains (kill only severs its links — queued
+                // tasks still run to completion, and their sends were
+                // already dropped).
+                if let Some(rec) = fabric.recovery() {
+                    for r in rec.killed_ranks() {
+                        if self.ctx.pool(r).is_idle() {
+                            recover_rank(&self.ctx, &rec, r);
+                        }
+                    }
+                }
+                // The second look confirms no packet appeared while the
+                // first was probing the pools.
+                (drained() && drained(), Duration::from_micros(50))
+            };
+            if terminated {
                 return;
             }
-            self.ctx.fabric.drive_termination();
-            if let Some(t) = give_up {
-                if Instant::now() >= t {
-                    self.ctx.fabric.count_deadline_miss();
-                    self.ctx.fabric.record_error(CommError {
-                        kind: CommErrorKind::DeadlineMissed,
-                        from: None,
-                        to: None,
-                        handler: None,
-                        seq: None,
-                        detail: format!(
-                            "no distributed termination within {:?} \
-                             ({} packets in flight locally)",
-                            self.deadline.unwrap(),
-                            self.ctx.fabric.packets_in_flight()
-                        ),
-                    });
-                    return;
-                }
+            if give_up.is_some_and(|t| Instant::now() >= t) {
+                fabric.stats().count_deadline_miss();
+                fabric.record_error(CommError::new(
+                    CommErrorKind::DeadlineMissed,
+                    format!(
+                        "no termination within {:?} ({} packets in flight in this process)",
+                        self.deadline.expect("a deadline passed"),
+                        fabric.packets_in_flight()
+                    ),
+                ));
+                return;
             }
-            std::thread::sleep(Duration::from_micros(200));
+            std::thread::sleep(poll);
         }
     }
 
@@ -522,47 +458,51 @@ impl Executor {
             violations: self.ctx.sanitizer.take(),
             stuck,
             comm_errors: self.ctx.fabric.take_errors(),
-            recovery_events: self.ctx.fabric.take_recovery_events(),
+            recovery_events: match self.ctx.fabric.recovery() {
+                Some(rec) => rec.take_events(),
+                None => Vec::new(),
+            },
         }
     }
 }
 
 /// Compose and persist one recovery snapshot for rank `r`: the comm-layer
 /// section first, then one length-prefixed matching-table section per
-/// node. Returns whether the snapshot was committed; failures are recorded
-/// as structured TTG047 diagnostics, never panics.
-fn take_snapshot(ctx: &Arc<RuntimeCtx>, r: usize) -> bool {
+/// node. Failures are recorded as structured TTG047 diagnostics, never
+/// panics, and leave the previous snapshot the restore point.
+fn take_snapshot(ctx: &Arc<RuntimeCtx>, rec: &Recovery<'_>, r: usize) {
     let nodes = ctx.nodes.get().expect("graph not attached");
     let mut blob = WriteBuf::new();
     let mut comm = WriteBuf::new();
-    ctx.fabric.export_rank_comm(r, &mut comm);
+    rec.export_rank(r, &mut comm);
     blob.put_len_bytes(comm.as_slice());
     blob.put_u32(nodes.len() as u32);
     for node in nodes {
         let mut sect = WriteBuf::new();
         if let Err(e) = node.export_rank(r, &mut sect) {
-            ctx.fabric.record_error(CommError {
-                kind: CommErrorKind::SnapshotFailed,
-                from: None,
-                to: Some(r),
-                handler: Some(node.node_id()),
-                seq: None,
-                detail: format!("matching-table export of {} failed: {e}", node.node_name()),
-            });
-            return false;
+            ctx.fabric.record_error(
+                CommError::new(
+                    CommErrorKind::SnapshotFailed,
+                    format!("matching-table export of {} failed: {e}", node.node_name()),
+                )
+                .link(None, r)
+                .handler(node.node_id()),
+            );
+            return;
         }
         blob.put_len_bytes(sect.as_slice());
     }
-    ctx.fabric.commit_snapshot(r, blob.as_slice()).is_ok()
+    // A sink that refuses the blob has been recorded by the commit.
+    let _ = rec.commit_snapshot(r, blob.as_slice());
 }
 
 /// Restore rank `r` in place: re-import its matching tables (or clear
 /// them when no snapshot was ever committed), then restore the comm layer
 /// and replay logged sends. Failures become structured TTG048
 /// diagnostics and leave the rank dead — degraded, not panicked.
-fn recover_rank(ctx: &Arc<RuntimeCtx>, r: usize) {
+fn recover_rank(ctx: &Arc<RuntimeCtx>, rec: &Recovery<'_>, r: usize) {
     let nodes = ctx.nodes.get().expect("graph not attached");
-    let blob = ctx.fabric.load_snapshot(r);
+    let blob = rec.load_snapshot(r);
     let result: Result<(), WireError> = (|| match &blob {
         Some(bytes) => {
             let mut rd = ReadBuf::new(bytes);
@@ -578,7 +518,7 @@ fn recover_rank(ctx: &Arc<RuntimeCtx>, r: usize) {
                 let sect = rd.get_len_bytes()?;
                 node.import_rank(r, &mut ReadBuf::new(sect))?;
             }
-            ctx.fabric.restore_rank_comm(r, Some(comm))
+            rec.restore_rank(r, Some(comm))
         }
         None => {
             // No snapshot yet: restore to empty. The sender-side replay
@@ -587,17 +527,16 @@ fn recover_rank(ctx: &Arc<RuntimeCtx>, r: usize) {
             for node in nodes {
                 node.clear_rank(r);
             }
-            ctx.fabric.restore_rank_comm(r, None)
+            rec.restore_rank(r, None)
         }
     })();
     if let Err(e) = result {
-        ctx.fabric.record_error(CommError {
-            kind: CommErrorKind::RecoveryFailed,
-            from: None,
-            to: Some(r),
-            handler: None,
-            seq: None,
-            detail: format!("restore of rank {r} failed: {e}"),
-        });
+        ctx.fabric.record_error(
+            CommError::new(
+                CommErrorKind::RecoveryFailed,
+                format!("restore of rank {r} failed: {e}"),
+            )
+            .link(None, r),
+        );
     }
 }

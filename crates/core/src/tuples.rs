@@ -115,12 +115,12 @@ macro_rules! impl_edge_list {
                                 } else {
                                     // Raced live readers: paid a real
                                     // copy-on-write clone.
-                                    ctx.fabric.count_data_copy();
+                                    ctx.fabric.stats().count_data_copy();
                                     ctx.metrics.count_cow_clone(rank, cost as u64);
                                 }
                             }
                         } else if copied {
-                            ctx.fabric.count_data_copy();
+                            ctx.fabric.stats().count_data_copy();
                         }
                         v
                     },

@@ -104,7 +104,12 @@ fn cholesky_uds_killed_rank_recovers_job_bit_identical() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     let stderr = String::from_utf8_lossy(&out.stderr);
     let dump = || format!("--- stdout ---\n{stdout}\n--- stderr ---\n{stderr}");
-    assert!(out.status.success(), "launch failed ({}):\n{}", out.status, dump());
+    assert!(
+        out.status.success(),
+        "launch failed ({}):\n{}",
+        out.status,
+        dump()
+    );
     assert!(
         stderr.contains("scripted kill"),
         "rank 1 never hit its kill script:\n{}",
@@ -128,15 +133,14 @@ fn cholesky_uds_killed_rank_recovers_job_bit_identical() {
     if let Ok(entries) = std::fs::read_dir("/proc") {
         for e in entries.flatten() {
             let name = e.file_name();
-            let Some(pid) = name.to_str().filter(|s| s.bytes().all(|b| b.is_ascii_digit()))
+            let Some(pid) = name
+                .to_str()
+                .filter(|s| s.bytes().all(|b| b.is_ascii_digit()))
             else {
                 continue;
             };
             if let Ok(env) = std::fs::read(e.path().join("environ")) {
-                if env
-                    .split(|&b| b == 0)
-                    .any(|kv| kv == marker.as_bytes())
-                {
+                if env.split(|&b| b == 0).any(|kv| kv == marker.as_bytes()) {
                     leftovers.push(pid.to_string());
                 }
             }

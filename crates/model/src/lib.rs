@@ -12,7 +12,8 @@
 //!
 //! [`protocols`] holds model-sized extractions of the real protocols this
 //! repo depends on (worker sleep/wake, batched submit, sharded matching,
-//! dedup window, transport handshake), each with invariants and known-bad
+//! dedup window, recovery ledger, multi-process termination, transport
+//! handshake), each with invariants and known-bad
 //! mutations the checker must catch. `ttg-check --model` runs that corpus
 //! and reports in the standard diagnostic format.
 

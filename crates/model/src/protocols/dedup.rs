@@ -1,6 +1,6 @@
 //! Model of the reliable layer's anti-replay dedup window
 //! (`crates/comm/src/reliable.rs` `SeqWindow`) interacting with the retry
-//! exhaustion ("poison") path in `crates/comm/src/fabric.rs`.
+//! exhaustion ("poison") path in `crates/comm/src/chaos.rs` (`progress`).
 //!
 //! A 4-slot miniature of the 1024-bit window faces the same races as the
 //! real one: two retransmitted copies of one seq, newer seqs sliding the

@@ -10,6 +10,7 @@ pub mod dedup;
 pub mod handshake;
 pub mod matching;
 pub mod recover;
+pub mod term;
 pub mod wake;
 
 use crate::explore::{Config, Stats, Violation};
@@ -63,6 +64,14 @@ pub fn corpus() -> Vec<CorpusEntry> {
                         in-flight counter",
             run: |cfg| recover::check(cfg, recover::Mutation::None),
             default_bound: 3,
+        },
+        CorpusEntry {
+            name: "term_probe",
+            invariant: "multi-process termination: two identical all-idle rounds with \
+                        balanced sent/received totals are declared only when no \
+                        message is in transit or unprocessed and no rank is running",
+            run: |cfg| term::check(cfg, term::Mutation::None),
+            default_bound: 2,
         },
         CorpusEntry {
             name: "handshake_reader",

@@ -1,5 +1,5 @@
 //! Model of the checkpoint/restore in-flight ledger
-//! (`crates/comm/src/fabric.rs` `restore_rank_comm` + `rx_accept_am`,
+//! (`crates/comm/src/recover.rs` `restore_rank` + `chaos.rs` `rx_accept_am`,
 //! DESIGN §13) under snapshot-vs-in-flight-ack interleavings.
 //!
 //! One logical message from a recoverable rank races three actors: its live
@@ -176,7 +176,8 @@ fn model(mutation: Mutation) {
         "exactly-once broken: message delivered {delivered} times"
     );
     assert_eq!(
-        in_flight, BIAS,
+        in_flight,
+        BIAS,
         "ledger imbalance: in_flight ended {} off its bias",
         in_flight as isize - BIAS as isize
     );

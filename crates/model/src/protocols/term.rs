@@ -1,0 +1,225 @@
+//! Model of the termination rule of a multi-process job
+//! (`crates/comm/src/control.rs` `ControlPlane::drive_termination` +
+//! `observe_local`, with the accounting of `Fabric::send_am` and the
+//! receive dispatch `Fabric::link_rx`, DESIGN §9): rank 0 declares
+//! termination after two consecutive identical all-idle observations of
+//! every rank whose sent and received totals balance.
+//!
+//! Two ranks, rank 0 coordinating. Rank 0's one seeded task sends one basic
+//! message to rank 1, whose handler may (a nondeterministic choice) send
+//! one reply. Every hop is its own thread, as in the real stack: the task,
+//! each rank's link reader, each rank's delivery thread, and the
+//! coordinator's wait loop. The accounting is the real one: a sender
+//! counts `sent` *before* the link send; a reader takes the packet's
+//! in-flight slot, *then* counts `recvd`, *then* enqueues; a delivery
+//! thread gives the slot back when the handler is done; a rank is idle
+//! when its pool is (only rank 0 has a task) and no slot is taken. The
+//! rule the order serves: from the moment a reception is counted until its
+//! handler is done, the packet holds a slot. The coordinator
+//! takes rank 1's observation, then its own — at different times, each a
+//! sequence of separate loads — and the rest of the job runs in between.
+//!
+//! Invariant: when `done` is set no message is unprocessed and no rank is
+//! active. Checked from the other side: nothing that is still work — the
+//! task running, a frame leaving the wire, a handler starting or finishing
+//! — may find `done` already set.
+//!
+//! Mutations: [`Mutation::OneRound`] declares on the first balanced
+//! all-idle round (rank 1's stale idle reply plus a later 0→1→0 exchange
+//! balances the sums while rank 1's handler is still running);
+//! [`Mutation::CountAfterEnqueue`] lets the reader enqueue first, then
+//! count, then take the slot (counted but not yet holding its slot, the
+//! packet makes its rank read idle and the sums balance — twice — while it
+//! sits unprocessed in the channel); [`Mutation::CountBeforeSlot`] is the
+//! order this repo shipped until the model was written — count, slot,
+//! enqueue — which has the same window one step earlier: a reader
+//! descheduled between its two increments for two probe rounds lets a
+//! frame that has left the wire be declared over.
+//!
+//! Not modelled: the activity epoch each observation also carries. It
+//! guards against a pool that went busy and idle again between two rounds
+//! without touching a counter; here every activation is a reception.
+
+use crate::explore::{explore, Config, Stats, Violation};
+use crate::sched::nondet;
+use crate::shadow::{channel, AtomicBool, AtomicUsize, Receiver, Sender};
+use crate::sync::Ordering::SeqCst;
+use crate::thread;
+use std::sync::Arc;
+
+/// Known-bad variants of the protocol.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Mutation {
+    /// The correct protocol.
+    None,
+    /// Declare on the first balanced all-idle round, without waiting for a
+    /// second, identical one.
+    OneRound,
+    /// The reader enqueues the packet before it counts the reception and
+    /// takes the in-flight slot.
+    CountAfterEnqueue,
+    /// The reader counts the reception before it takes the in-flight slot
+    /// (both still before the enqueue).
+    CountBeforeSlot,
+}
+
+/// Rounds the coordinator polls before the model gives up (the real loop
+/// polls until its deadline; safety needs no more than the two rounds a
+/// declaration takes plus one that can go stale).
+const ROUNDS: usize = 3;
+
+/// The in-flight counters start biased so the mutated reader's
+/// give-back-before-take reads as a dip below the bias, not a wrap.
+const BIAS: usize = 4;
+
+struct Shared {
+    sent: [AtomicUsize; 2],
+    recvd: [AtomicUsize; 2],
+    in_flight: [AtomicUsize; 2],
+    /// Rank 0's pool: its one seeded task (rank 1 has none).
+    active0: AtomicUsize,
+    done: AtomicBool,
+}
+
+impl Shared {
+    /// Work found `done` set: termination was declared over it.
+    fn still_work(&self, what: &str) {
+        assert!(
+            !self.done.load(SeqCst),
+            "terminated early: {what} after done was declared"
+        );
+    }
+
+    /// `Fabric::send_am` between processes: count, then the link send.
+    fn send(&self, from: usize, wire: &Sender<()>) {
+        self.sent[from].fetch_add(1, SeqCst);
+        wire.send(());
+    }
+
+    /// `ControlPlane::observe_local`: `(sent, recvd, idle)`.
+    fn observe(&self, r: usize) -> (usize, usize, bool) {
+        let pool_idle = r != 0 || self.active0.load(SeqCst) == 0;
+        let sent = self.sent[r].load(SeqCst);
+        let recvd = self.recvd[r].load(SeqCst);
+        let idle = pool_idle && self.in_flight[r].load(SeqCst) == BIAS;
+        (sent, recvd, idle)
+    }
+}
+
+/// Rank `me`'s link reader (the `Am` arm of the receive dispatch).
+fn reader(sh: &Shared, me: usize, wire: Receiver<()>, queue: Sender<()>, mutation: Mutation) {
+    let slot = || sh.in_flight[me].fetch_add(1, SeqCst);
+    let count = || sh.recvd[me].fetch_add(1, SeqCst);
+    while wire.recv().is_ok() {
+        sh.still_work("a frame left the wire");
+        match mutation {
+            Mutation::CountAfterEnqueue => {
+                queue.send(());
+                count();
+                slot();
+            }
+            Mutation::CountBeforeSlot => {
+                count();
+                slot();
+                queue.send(());
+            }
+            Mutation::None | Mutation::OneRound => {
+                slot();
+                count();
+                queue.send(());
+            }
+        }
+    }
+}
+
+/// Rank `me`'s delivery thread; `reply` is the wire its handler may answer
+/// on (rank 1's only: the reply triggers nothing).
+fn deliver(sh: &Shared, me: usize, queue: Receiver<()>, reply: Option<Sender<()>>) {
+    while queue.recv().is_ok() {
+        sh.still_work("a handler started");
+        if let Some(wire) = &reply {
+            if nondet(2) == 1 {
+                sh.send(me, wire);
+            }
+        }
+        sh.still_work("a handler finished");
+        sh.in_flight[me].fetch_sub(1, SeqCst);
+    }
+}
+
+/// Rank 0's wait loop: `ControlPlane::drive_termination`, with the probe
+/// round trip collapsed into reading rank 1's counters where its reader
+/// would.
+fn coordinator(sh: &Shared, mutation: Mutation) {
+    let mut prev = None;
+    for _ in 0..ROUNDS {
+        let cur = [sh.observe(1), sh.observe(0)];
+        let all_idle = cur.iter().all(|o| o.2);
+        let balanced = cur[0].0 + cur[1].0 == cur[0].1 + cur[1].1;
+        let stable = prev == Some(cur) || mutation == Mutation::OneRound;
+        if all_idle && balanced && stable {
+            sh.done.store(true, SeqCst);
+            return;
+        }
+        prev = Some(cur);
+    }
+}
+
+fn model(mutation: Mutation) {
+    let counters =
+        |name: &str, v: usize| [0, 1].map(|r| AtomicUsize::named(v, &format!("{name}{r}")));
+    let sh = Arc::new(Shared {
+        sent: counters("sent", 0),
+        recvd: counters("recvd", 0),
+        in_flight: counters("in_flight", BIAS),
+        active0: AtomicUsize::named(1, "active0"),
+        done: AtomicBool::named(false, "done"),
+    });
+    // wire[r] carries frames to rank r's reader, queue[r] packets to its
+    // delivery thread. Each closes when its one sender is done, so the
+    // threads downstream of it run out of work and exit.
+    let (wire1_tx, wire1_rx) = channel();
+    let (queue1_tx, queue1_rx) = channel();
+    let (wire0_tx, wire0_rx) = channel();
+    let (queue0_tx, queue0_rx) = channel();
+
+    let mk = |name: &str, f: Box<dyn FnOnce(&Shared) + Send>| {
+        let sh = Arc::clone(&sh);
+        thread::spawn_named(name, move || f(&sh))
+    };
+    let ts = vec![
+        mk(
+            "task0",
+            Box::new(move |sh| {
+                sh.still_work("the seeded task ran");
+                sh.send(0, &wire1_tx);
+                sh.active0.fetch_sub(1, SeqCst);
+            }),
+        ),
+        mk(
+            "reader1",
+            Box::new(move |sh| reader(sh, 1, wire1_rx, queue1_tx, mutation)),
+        ),
+        mk(
+            "deliver1",
+            Box::new(move |sh| deliver(sh, 1, queue1_rx, Some(wire0_tx))),
+        ),
+        mk(
+            "reader0",
+            Box::new(move |sh| reader(sh, 0, wire0_rx, queue0_tx, mutation)),
+        ),
+        mk(
+            "deliver0",
+            Box::new(move |sh| deliver(sh, 0, queue0_rx, None)),
+        ),
+        mk("wait0", Box::new(move |sh| coordinator(sh, mutation))),
+    ];
+    for t in ts {
+        t.join();
+    }
+}
+
+/// Explore the protocol under `cfg`.
+pub fn check(cfg: Config, mutation: Mutation) -> Result<Stats, Box<Violation>> {
+    explore(cfg, move || model(mutation))
+}

@@ -3,7 +3,7 @@
 //! caught deterministically. The printed per-model schedule counts are the
 //! coverage evidence CI archives.
 
-use ttg_model::protocols::{batch, corpus, dedup, handshake, matching, recover, wake};
+use ttg_model::protocols::{batch, corpus, dedup, handshake, matching, recover, term, wake};
 use ttg_model::{Config, Sample, ViolationKind};
 
 #[test]
@@ -106,6 +106,37 @@ fn recover_scan_retiring_delivered_entries_double_debits() {
         .expect_err("mutation must be caught");
     assert_eq!(v.kind, ViolationKind::Assert, "got: {v}");
     assert!(v.message.contains("ledger imbalance"), "got: {v}");
+}
+
+#[test]
+fn term_declaring_on_one_round_trusts_a_stale_idle_reply() {
+    // Two preemptions reach it (the coordinator after rank 1's reply, rank
+    // 1's handler after its send), but the representative the sleep sets
+    // keep of that class of schedules spends a third: bound 3, ~3k runs
+    // (bound 2 finds it only with pruning off, after 277k).
+    let v = term::check(Config::bounded(3), term::Mutation::OneRound)
+        .expect_err("mutation must be caught");
+    assert_eq!(v.kind, ViolationKind::Assert, "got: {v}");
+    assert!(v.message.contains("terminated early"), "got: {v}");
+}
+
+#[test]
+fn term_counting_after_enqueue_hides_an_unprocessed_packet() {
+    let v = term::check(Config::bounded(2), term::Mutation::CountAfterEnqueue)
+        .expect_err("mutation must be caught");
+    assert_eq!(v.kind, ViolationKind::Assert, "got: {v}");
+    assert!(v.message.contains("terminated early"), "got: {v}");
+}
+
+#[test]
+fn term_counting_before_the_slot_reproduces_the_shipped_window() {
+    // The order `link_rx` had until this model was written: a reader
+    // stalled between `recvd += 1` and `in_flight += 1` reads as an idle
+    // rank with balanced totals.
+    let v = term::check(Config::bounded(2), term::Mutation::CountBeforeSlot)
+        .expect_err("the shipped order must be reproduced");
+    assert_eq!(v.kind, ViolationKind::Assert, "got: {v}");
+    assert!(v.message.contains("terminated early"), "got: {v}");
 }
 
 #[test]

@@ -4,18 +4,14 @@
 //!
 //! * [`pool`] — worker pools with the two scheduling disciplines of the
 //!   paper's backends (work-stealing + priority heap vs. central queue);
-//! * [`quiesce`] — the shared-counter global quiescence detector used by
-//!   executors to implement `wait()`;
-//! * [`safra`] — Safra's token-ring termination detection, the faithful
-//!   distributed-memory algorithm.
+//! * [`quiesce`] — the shared-counter activity tracker executors read to
+//!   implement `wait()`.
 
 #![warn(missing_docs)]
 
 pub mod lockdoc;
 pub mod pool;
 pub mod quiesce;
-pub mod safra;
 
 pub use pool::{Job, SchedulerKind, WorkerPool};
 pub use quiesce::Quiescence;
-pub use safra::{Color, SafraRank, SafraRing, SafraStall, Token};

@@ -3,12 +3,12 @@
 //! A TTG execution terminates when no task is running or queued anywhere and
 //! no message is in flight — messages are the only way new tasks appear, so
 //! this state is stable. The paper relies on the backend runtimes' global
-//! termination detection; we provide two implementations:
-//!
-//! * [`Quiescence`] — an epoch-validated shared-counter detector used by the
-//!   executors (exact and cheap because our ranks share an address space);
-//! * [`safra`](crate::safra) — Safra's classic token-ring algorithm run over
-//!   the fabric, the faithful distributed-memory variant.
+//! termination detection; here it is one rule — two consecutive identical
+//! all-idle observations with as many messages received as sent — and
+//! [`Quiescence`] is the epoch-validated activity counter each process
+//! feeds it with: read directly by the executor when every rank shares its
+//! address space (exact and cheap), reported to rank 0 in `TermReply`
+//! frames by a multi-process rank.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -30,9 +30,10 @@ pub const MAGIC: u32 = 0x5747_5454;
 /// Wire protocol version; bumped on any incompatible frame-format change.
 /// Peers with mismatched versions refuse the connection at handshake.
 /// (v2: added the `AckRange` batched-acknowledgement control frame; v3:
-/// retired the one-sided fetch request/response pair — kinds 3 and 4 stay
+/// retired the one-sided fetch request/response pair; v4: retired the
+/// per-message `Ack`, which nothing sent — kinds 2, 3 and 4 stay
 /// unassigned.)
-pub const PROTOCOL_VERSION: u16 = 3;
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Upper bound on the encoded size (kind + body) of a single frame.
 pub const MAX_FRAME: usize = 64 << 20;
@@ -50,7 +51,7 @@ const AM_HEAD: usize = 4 + 1 + 4 + 4 + 8;
 
 /// A unit of transport-level communication.
 ///
-/// `Hello`/`Bye` belong to connection lifecycle; `Am`/`Ack` carry the
+/// `Hello`/`Bye` belong to connection lifecycle; `Am`/`AckRange` carry the
 /// fabric's active-message and reliable-delivery traffic; the remaining
 /// kinds implement the message-based protocols that replace shared-memory
 /// shortcuts when ranks live in separate OS processes (the barrier and
@@ -79,19 +80,11 @@ pub enum Frame {
         /// Serialized message body.
         payload: Vec<u8>,
     },
-    /// Acknowledgement of sequenced AM `seq` on the link from the receiver
-    /// back to the original sender.
-    Ack {
-        /// Rank acknowledging (the AM's destination).
-        from: u32,
-        /// Sequence number being acknowledged.
-        seq: u64,
-    },
     /// Batched acknowledgement: a set of inclusive sequence-number ranges
     /// accepted on the link from the receiver back to the original sender.
-    /// One `AckRange` replaces up to a window's worth of per-message
-    /// [`Frame::Ack`]s; the reliable layer flushes one either piggybacked
-    /// right before the next data frame to that peer or on a short timer.
+    /// One `AckRange` answers up to a window's worth of messages; the
+    /// reliable layer flushes one either piggybacked right before the next
+    /// data frame to that peer or on a short timer.
     AckRange {
         /// Rank acknowledging (the AMs' destination).
         from: u32,
@@ -161,7 +154,6 @@ pub const WIRE_KINDS: &[KindSpec] = &[
     // Am carries a reliable-layer seq (0 when the layer is off); its ack
     // is conditional on that layer, so no response is *required*.
     ("Am", false, true, None),
-    ("Ack", true, true, None),
     // AckRange identifies its acked sends by (first, last) seq ranges; the
     // `has_seq` bit covers that ranged form.
     ("AckRange", true, true, None),
@@ -204,7 +196,6 @@ impl std::error::Error for FrameError {}
 
 const K_HELLO: u8 = 0;
 const K_AM: u8 = 1;
-const K_ACK: u8 = 2;
 const K_BARRIER_ENTER: u8 = 5;
 const K_BARRIER_RELEASE: u8 = 6;
 const K_TERM_PROBE: u8 = 7;
@@ -272,11 +263,6 @@ impl Frame {
             } => {
                 put_am_fields(out, *from, *handler, *seq);
                 return payload;
-            }
-            Frame::Ack { from, seq } => {
-                out.push(K_ACK);
-                put_u32(out, *from);
-                put_u64(out, *seq);
             }
             Frame::AckRange { from, ranges } => {
                 out.push(K_ACK_RANGE);
@@ -508,10 +494,6 @@ fn decode_body(kind: u8, body: &[u8]) -> Result<Frame, FrameError> {
             handler: c.u32()?,
             seq: c.u64()?,
             payload: c.rest_pooled(),
-        },
-        K_ACK => Frame::Ack {
-            from: c.u32()?,
-            seq: c.u64()?,
         },
         K_ACK_RANGE => {
             let from = c.u32()?;
@@ -816,7 +798,6 @@ mod tests {
                 seq: 77,
                 payload: vec![1, 2, 3, 4, 5],
             },
-            Frame::Ack { from: 2, seq: 12 },
             Frame::AckRange {
                 from: 2,
                 ranges: vec![(1, 64), (70, 70), (80, 1024)],
@@ -865,7 +846,7 @@ mod tests {
 
     #[test]
     fn split_length_prefix_across_chunks() {
-        let f = Frame::Ack { from: 1, seq: 99 };
+        let f = Frame::TermProbe { round: 99 };
         let bytes = f.encode_vec();
         let mut c = FrameCodec::new();
         // Two bytes of the prefix, then the rest.
@@ -877,8 +858,8 @@ mod tests {
 
     #[test]
     fn multiple_frames_in_one_chunk_plus_tail() {
-        let a = Frame::Ack { from: 0, seq: 1 };
-        let b = Frame::TermProbe { round: 4 };
+        let a = Frame::TermProbe { round: 1 };
+        let b = Frame::BarrierRelease { epoch: 4 };
         let tail = Frame::Bye { from: 2 };
         let mut bytes = a.encode_vec();
         bytes.extend(b.encode_vec());
@@ -896,7 +877,7 @@ mod tests {
     #[test]
     fn feed_poisons_on_garbage_like_next() {
         let mut c = FrameCodec::new();
-        let mut bytes = Frame::Ack { from: 0, seq: 1 }.encode_vec();
+        let mut bytes = Frame::TermProbe { round: 1 }.encode_vec();
         bytes.extend_from_slice(&0u32.to_le_bytes()); // zero-length frame
         let mut got = Vec::new();
         let err = c.feed(&bytes, &mut |f| got.push(f));
@@ -933,13 +914,13 @@ mod tests {
 
     #[test]
     fn truncated_body_is_malformed() {
-        // Announce an Ack but deliver fewer body bytes than the fields
-        // need: len covers them, content does not exist → kind decode must
+        // Announce a TermProbe but deliver fewer body bytes than the field
+        // needs: len covers them, content does not exist → kind decode must
         // fail, not panic.
         let mut bytes = Vec::new();
         bytes.extend_from_slice(&3u32.to_le_bytes()); // kind + 2 body bytes
-        bytes.push(K_ACK);
-        bytes.extend_from_slice(&[0, 0]); // Ack wants 4 + 8 bytes
+        bytes.push(K_TERM_PROBE);
+        bytes.extend_from_slice(&[0, 0]); // TermProbe wants 8 bytes
         let mut c = FrameCodec::new();
         c.push(&bytes);
         assert!(matches!(c.next(), Err(FrameError::Malformed { .. })));
@@ -976,12 +957,19 @@ mod tests {
 
     #[test]
     fn unknown_kind_is_malformed() {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&1u32.to_le_bytes());
-        bytes.push(200);
-        let mut c = FrameCodec::new();
-        c.push(&bytes);
-        assert!(matches!(c.next(), Err(FrameError::Malformed { .. })));
+        // 2, 3 and 4 were the per-message ack and the one-sided fetch
+        // pair: retired kinds are as unknown as never-assigned ones.
+        for kind in [2u8, 3, 4, 200] {
+            let mut bytes = Vec::new();
+            bytes.extend_from_slice(&1u32.to_le_bytes());
+            bytes.push(kind);
+            let mut c = FrameCodec::new();
+            c.push(&bytes);
+            assert!(
+                matches!(c.next(), Err(FrameError::Malformed { .. })),
+                "kind {kind} decoded"
+            );
+        }
     }
 
     #[test]

@@ -6,15 +6,16 @@
 //! connection lifecycle, and peer addressing, behind the
 //! [`Endpoint`]/[`Link`] trait pair (DESIGN §9).
 //!
-//! Three implementations ship:
+//! One implementation ships, over two socket kinds:
 //!
-//! * [`inproc::inproc_mesh`] — in-process delivery, the historical wire;
 //! * [`socket::local_mesh`] over [`TransportKind::Tcp`] — TCP loopback;
 //! * [`socket::local_mesh`] over [`TransportKind::Uds`] — Unix sockets;
 //!
 //! plus [`socket::remote_endpoint`], which connects one rank of a
 //! **multi-process** job (one OS process per rank, spawned by the
 //! `ttg-launch` binary) through a file-based rendezvous directory.
+//! [`TransportKind::InProc`] names the wire that needs none of this: the
+//! fabric's own per-rank channels (there is no in-process `Link`).
 //!
 //! Executors select a transport with [`TransportSpec`] via
 //! `ExecConfig::transport`.
@@ -23,7 +24,6 @@
 #![warn(missing_docs)]
 
 pub mod frame;
-pub mod inproc;
 pub mod link;
 pub mod lockdoc;
 pub mod pool;
@@ -42,8 +42,7 @@ pub use socket::{local_mesh, remote_endpoint, AddrSpec, SocketEndpoint};
 /// `ExecConfig::transport`.
 #[derive(Clone, Default)]
 pub enum TransportSpec {
-    /// All ranks in one process over in-process channels (the historical
-    /// fabric; zero behavior change).
+    /// All ranks in one process over the fabric's in-process channels.
     #[default]
     InProc,
     /// All ranks in one process, but inter-rank active messages cross real

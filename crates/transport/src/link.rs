@@ -3,8 +3,8 @@
 //!
 //! An `Endpoint` is one rank's attachment to the fabric's link layer. It
 //! owns one `Link` per peer (ordered, framed, reliable-at-the-byte-level
-//! delivery — TCP/UDS semantics; the in-process implementation is trivially
-//! ordered) and delivers incoming frames through a caller-installed
+//! delivery — TCP/UDS semantics) and delivers incoming frames through a
+//! caller-installed
 //! [`Sink`]. Everything above this contract — the fabric's reliable
 //! ack/retry layer, fault injection, RMA emulation — is transport-agnostic.
 
@@ -20,7 +20,8 @@ pub type Rank = usize;
 /// Which link-layer implementation a fabric runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransportKind {
-    /// In-process channels (the historical fabric wire).
+    /// In-process channels: the fabric's own per-rank channels are the
+    /// wire, so this kind names a transport without [`Endpoint`]s.
     InProc,
     /// TCP over loopback/network sockets.
     Tcp,
@@ -149,23 +150,15 @@ pub trait Link: Send + Sync {
     /// Enqueue one frame for delivery, blocking under backpressure.
     fn send(&self, frame: Frame) -> Result<(), TransportError>;
     /// Enqueue an `Am` whose payload the caller keeps sharing (the reliable
-    /// layer's retransmit map). A link that serializes encodes from the
-    /// borrow or queues another handle; one that hands the frame on as a
-    /// value needs an owned copy, which is this default.
+    /// layer's retransmit map): the link encodes from the borrow or queues
+    /// another handle on the buffer, never an owned copy.
     fn send_am_shared(
         &self,
         from: u32,
         handler: u32,
         seq: u64,
         payload: &Arc<Vec<u8>>,
-    ) -> Result<(), TransportError> {
-        self.send(Frame::Am {
-            from,
-            handler,
-            seq,
-            payload: (**payload).clone(),
-        })
-    }
+    ) -> Result<(), TransportError>;
 }
 
 /// One rank's attachment to the link layer.

@@ -1125,8 +1125,8 @@ mod tests {
                 })
                 .unwrap();
         }
-        eps[2].link(0).send(Frame::Ack { from: 2, seq: 1 }).unwrap();
-        eps[1].link(0).send(Frame::Ack { from: 1, seq: 2 }).unwrap();
+        eps[2].link(0).send(Frame::TermProbe { round: 1 }).unwrap();
+        eps[1].link(0).send(Frame::TermProbe { round: 2 }).unwrap();
         wait_for(|| gots[2].lock().len() == 20, "rank 2 frames");
         wait_for(|| gots[0].lock().len() == 2, "rank 0 frames");
         // Per-link FIFO: rank 2 sees 0's burst in sequence order.
