@@ -3,7 +3,10 @@
 
 /// Sustained per-core rate assumed by the cost models, in flops per
 /// nanosecond (8 flop/ns = 8 GFLOP/s — a realistic per-core DGEMM rate for
-/// the paper's EPYC/Xeon nodes).
+/// the paper's EPYC/Xeon nodes). Every projected figure is pinned to this
+/// constant; it is a model of those nodes, not a measurement of
+/// `ttg-linalg`'s kernels, which run their real flops at whatever rate the
+/// host gives (12–20 GFLOP/s per core on an AVX2 host, DESIGN §14).
 pub const FLOPS_PER_NS: f64 = 8.0;
 
 /// Modelled duration of a kernel executing `flops` floating-point ops.

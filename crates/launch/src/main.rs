@@ -545,7 +545,7 @@ fn child_main() {
     println!(
         "ttg-launch child rank {me}: {} tasks, {} owned tiles, {} B over the wire, \
          am_count={} am_bytes={} rma_gets={} am_deliver_p50_us<={} am_deliver_p99_us<={} \
-         send_queue_bytes_hwm={} tx_direct_frames={} rx_direct_frames={}",
+         send_queue_bytes_hwm={} tx_direct_frames={} rx_direct_frames={} kernels={}",
         report.tasks,
         records.len(),
         report.comm.transport_tx_bytes,
@@ -556,7 +556,8 @@ fn child_main() {
         report.comm.am_deliver_p99_ns.div_ceil(1_000),
         report.comm.transport_queue_bytes_hwm,
         report.comm.transport_tx_direct_frames,
-        report.comm.transport_rx_direct_frames
+        report.comm.transport_rx_direct_frames,
+        ttg_linalg::isa()
     );
 }
 

@@ -1,234 +1,257 @@
 //! Sequential BLAS/LAPACK-like tile kernels: the four operations of tiled
-//! Cholesky (POTRF, TRSM, SYRK, GEMM) plus general matrix multiply.
+//! Cholesky (POTRF, TRSM, SYRK, GEMM), general matrix multiply, and the
+//! min-plus product of blocked Floyd–Warshall.
 //!
-//! These replace the MKL kernels of the paper's testbeds. Loop orders are
-//! chosen for column-major unit-stride inner loops; correctness is verified
-//! against naive references and reconstruction identities in the tests.
+//! These replace the MKL kernels of the paper's testbeds. All of them run
+//! on one register-blocked loop nest ([`crate::micro`]): the three products
+//! and `minplus` are that nest with different strides and a different
+//! accumulate step; `trsm_rlt` and `potrf_l` are left-looking over column
+//! blocks, with the nest as their `O(n³)` part and a scalar `NR`-wide
+//! triangle.
+//!
+//! **One body, two instantiations.** Each kernel is written once, generic
+//! over the register block's row count, and compiled twice: with 4 rows for
+//! the build's baseline instruction set (the only arm off x86-64), and with
+//! 8 rows inside a function compiled for AVX2, which `dispatch` picks per
+//! call when the CPU has it ([`isa`] says which). Nothing else selects an
+//! arm.
+//!
+//! **Results do not depend on the arm.** Every element accumulates its
+//! terms in ascending inner index, each as a separately rounded multiply
+//! and add (a fused one rounds once and would make a bit depend on the CPU),
+//! and no term is skipped for being zero — `0 · ∞` poisons an element
+//! wherever it sits. The two arms are therefore bit-identical to each
+//! other, and on finite inputs to the scalar loops they replaced, which
+//! live on as the test oracle (`crate::scalar`).
 
+use crate::micro::{update, Madd, NR};
 use crate::tile::Tile;
 
-/// Width of the register tile in the `j` dimension: each pass streams one
-/// column of `A` through four independent column accumulators of `C`,
-/// quadrupling the flops per `A` load of the naive axpy formulation.
-const NR: usize = 4;
+/// Rows of the register block in the baseline instantiation (two SSE2
+/// vectors per column; the portable arm everywhere else).
+const MR_BASELINE: usize = 4;
 
-/// Depth of the `l` (inner-dimension) blocking: one `m × KC` panel of `A`
-/// is reused across every column group of `C` while it is still hot in
-/// cache (128 columns × 8 B keeps the panel within L2 for paper-sized
-/// tiles).
-const KC: usize = 128;
+/// Rows of the register block when compiled for AVX2: two 4-lane vectors
+/// per column, eight accumulators for the `8 × NR` block.
+#[cfg(target_arch = "x86_64")]
+const MR_AVX2: usize = 8;
 
-/// Split a contiguous block of `NR` columns (each of length `m`) into four
-/// disjoint mutable column views.
-#[inline]
-fn split4(cols: &mut [f64], m: usize) -> (&mut [f64], &mut [f64], &mut [f64], &mut [f64]) {
-    let (c0, rest) = cols.split_at_mut(m);
-    let (c1, rest) = rest.split_at_mut(m);
-    let (c2, c3) = rest.split_at_mut(m);
-    (c0, c1, c2, c3)
+/// A kernel with its arguments bound, generic over the register block's
+/// row count — the one thing its two instantiations differ in.
+trait Kernel {
+    type Out;
+    fn run<const MR: usize>(self) -> Self::Out;
 }
 
-/// `C += alpha * A * B` (no transposes), cache-blocked over the inner
-/// dimension and register-tiled four columns wide. Per-element
-/// accumulation stays in ascending-`l` order, matching the naive loop.
-pub fn gemm_nn(alpha: f64, a: &Tile, b: &Tile, c: &mut Tile) {
-    let (m, ka) = (a.rows(), a.cols());
-    let (kb, n) = (b.rows(), b.cols());
-    assert_eq!(ka, kb, "inner dimensions");
-    assert_eq!((c.rows(), c.cols()), (m, n), "output shape");
-    let ad = a.data();
-    let bd = b.data();
-    let cd = c.data_mut();
-    let mut lb = 0;
-    while lb < ka {
-        let lend = (lb + KC).min(ka);
-        let mut j = 0;
-        while j + NR <= n {
-            let (c0, c1, c2, c3) = split4(&mut cd[j * m..(j + NR) * m], m);
-            for l in lb..lend {
-                let b0 = alpha * bd[l + j * kb];
-                let b1 = alpha * bd[l + (j + 1) * kb];
-                let b2 = alpha * bd[l + (j + 2) * kb];
-                let b3 = alpha * bd[l + (j + 3) * kb];
-                let acol = &ad[l * m..(l + 1) * m];
-                for i in 0..m {
-                    let av = acol[i];
-                    c0[i] += b0 * av;
-                    c1[i] += b1 * av;
-                    c2[i] += b2 * av;
-                    c3[i] += b3 * av;
-                }
-            }
-            j += NR;
-        }
-        for j in j..n {
-            let ccol = &mut cd[j * m..(j + 1) * m];
-            for l in lb..lend {
-                let blj = alpha * bd[l + j * kb];
-                if blj == 0.0 {
-                    continue;
-                }
-                let acol = &ad[l * m..(l + 1) * m];
-                for i in 0..m {
-                    ccol[i] += blj * acol[i];
-                }
-            }
-        }
-        lb = lend;
+/// Whether calls take the AVX2 instantiation (std caches the detection).
+fn has_avx2() -> bool {
+    #[cfg(target_arch = "x86_64")]
+    {
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
     }
 }
 
+/// The instantiation every kernel call in this process runs: `"avx2"` or
+/// `"baseline"`. Informational — results are bit-identical on both.
+pub fn isa() -> &'static str {
+    if has_avx2() {
+        "avx2"
+    } else {
+        "baseline"
+    }
+}
+
+/// `kernel`'s body compiled with AVX2 enabled: the same indexed loops, with
+/// the accumulators in 256-bit registers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn run_avx2<K: Kernel>(kernel: K) -> K::Out {
+    kernel.run::<MR_AVX2>()
+}
+
+/// Run `kernel` on the widest instantiation this CPU supports.
+fn dispatch<K: Kernel>(kernel: K) -> K::Out {
+    #[cfg(target_arch = "x86_64")]
+    if has_avx2() {
+        // SAFETY: `run_avx2` requires a CPU with AVX2, which `has_avx2`
+        // has just detected at run time.
+        return unsafe { run_avx2(kernel) };
+    }
+    kernel.run::<MR_BASELINE>()
+}
+
+/// The term of a matrix product scaled by `alpha`: `c + (alpha·b)·a`, both
+/// products and the sum rounded one after the other.
+#[derive(Clone, Copy)]
+struct Scaled(f64);
+
+impl Madd for Scaled {
+    #[inline(always)]
+    fn prep(self, b: f64) -> f64 {
+        self.0 * b
+    }
+    #[inline(always)]
+    fn madd(self, c: f64, a: f64, t: f64) -> f64 {
+        c + t * a
+    }
+}
+
+/// The term of the (min, +) semiring, as a select: `c` survives a tie and
+/// a NaN candidate, exactly as a guarded store would leave it.
+#[derive(Clone, Copy)]
+struct MinPlus;
+
+impl Madd for MinPlus {
+    #[inline(always)]
+    fn prep(self, b: f64) -> f64 {
+        b
+    }
+    #[inline(always)]
+    fn madd(self, c: f64, a: f64, t: f64) -> f64 {
+        let through = a + t;
+        if through < c {
+            through
+        } else {
+            c
+        }
+    }
+}
+
+/// `C = madd(C, A, B)` over the blocked nest: every product-shaped kernel
+/// is one of these, told apart by `madd`, the strides of `B`, and `lower`.
+struct Product<'a, Op> {
+    op: Op,
+    lower: bool,
+    dims: (usize, usize, usize),
+    a: (&'a [f64], usize),
+    b: (&'a [f64], usize, usize),
+    c: (&'a mut [f64], usize),
+}
+
+impl<Op: Madd> Kernel for Product<'_, Op> {
+    type Out = ();
+    #[inline(always)]
+    fn run<const MR: usize>(self) {
+        update::<MR>(self.op, self.lower, self.dims, self.a, self.b, self.c);
+    }
+}
+
+/// `C += alpha * A * B` (no transposes).
+pub fn gemm_nn(alpha: f64, a: &Tile, b: &Tile, c: &mut Tile) {
+    dispatch(product(Scaled(alpha), a, b, false, c));
+}
+
 /// `C += alpha * A * Bᵀ` — the GEMM variant of right-looking tiled Cholesky
-/// (`A_mn -= A_mk · A_nkᵀ` with `alpha = -1`). Same blocking as
-/// [`gemm_nn`]; only the `B` addressing changes (`Bᵀ[l, j] = B[j, l]`).
+/// (`A_mn -= A_mk · A_nkᵀ` with `alpha = -1`).
 pub fn gemm_nt(alpha: f64, a: &Tile, b: &Tile, c: &mut Tile) {
-    let (m, ka) = (a.rows(), a.cols());
-    let (n, kb) = (b.rows(), b.cols());
-    assert_eq!(ka, kb, "inner dimensions");
+    dispatch(product(Scaled(alpha), a, b, true, c));
+}
+
+/// `C = madd(C, A, B)`, or with `transposed` `C = madd(C, A, Bᵀ)`: the two
+/// strides `B` is read through swap (`Bᵀ[l, j] = B[j, l]`), nothing else.
+fn product<'a, Op>(
+    op: Op,
+    a: &'a Tile,
+    b: &'a Tile,
+    transposed: bool,
+    c: &'a mut Tile,
+) -> Product<'a, Op> {
+    let (m, k) = (a.rows(), a.cols());
+    let (kb, n, strides) = if transposed {
+        (b.cols(), b.rows(), (1, b.rows()))
+    } else {
+        (b.rows(), b.cols(), (b.rows(), 1))
+    };
+    assert_eq!(k, kb, "inner dimensions");
     assert_eq!((c.rows(), c.cols()), (m, n), "output shape");
-    let ad = a.data();
-    let bd = b.data();
-    let cd = c.data_mut();
-    let mut lb = 0;
-    while lb < ka {
-        let lend = (lb + KC).min(ka);
-        let mut j = 0;
-        while j + NR <= n {
-            let (c0, c1, c2, c3) = split4(&mut cd[j * m..(j + NR) * m], m);
-            for l in lb..lend {
-                let b0 = alpha * bd[j + l * n];
-                let b1 = alpha * bd[j + 1 + l * n];
-                let b2 = alpha * bd[j + 2 + l * n];
-                let b3 = alpha * bd[j + 3 + l * n];
-                let acol = &ad[l * m..(l + 1) * m];
-                for i in 0..m {
-                    let av = acol[i];
-                    c0[i] += b0 * av;
-                    c1[i] += b1 * av;
-                    c2[i] += b2 * av;
-                    c3[i] += b3 * av;
-                }
-            }
-            j += NR;
-        }
-        for j in j..n {
-            let ccol = &mut cd[j * m..(j + 1) * m];
-            for l in lb..lend {
-                let blj = alpha * bd[j + l * n];
-                if blj == 0.0 {
-                    continue;
-                }
-                let acol = &ad[l * m..(l + 1) * m];
-                for i in 0..m {
-                    ccol[i] += blj * acol[i];
-                }
-            }
-        }
-        lb = lend;
+    Product {
+        op,
+        lower: false,
+        dims: (m, n, k),
+        a: (a.data(), m),
+        b: (b.data(), strides.0, strides.1),
+        c: (c.data_mut(), m),
     }
 }
 
 /// Symmetric rank-k update on the lower triangle:
-/// `C = C - A·Aᵀ` restricted to `i ≥ j` (tiled Cholesky SYRK).
-///
-/// Register-tiled like [`gemm_nn`]: below the diagonal block of a column
-/// group every row updates all four columns, so the bulk of the triangle
-/// runs through the same four-accumulator axpy; the small `NR × NR`
-/// diagonal corner is handled scalar.
+/// `C = C - A·Aᵀ` restricted to `i ≥ j` (tiled Cholesky SYRK). The strict
+/// upper triangle of `C` is never written.
 pub fn syrk_ln(a: &Tile, c: &mut Tile) {
-    let (n, k) = (a.rows(), a.cols());
-    assert_eq!((c.rows(), c.cols()), (n, n));
-    let ad = a.data();
-    let cd = c.data_mut();
-    let mut lb = 0;
-    while lb < k {
-        let lend = (lb + KC).min(k);
-        let mut j = 0;
-        while j + NR <= n {
-            // Diagonal corner rows j..j+NR: only columns with i ≥ jt.
-            for l in lb..lend {
-                for jt in j..j + NR {
-                    let ajl = ad[jt + l * n];
-                    for i in jt..j + NR {
-                        cd[i + jt * n] -= ad[i + l * n] * ajl;
-                    }
-                }
-            }
-            // Panel rows j+NR..n update all four columns.
-            let i0 = j + NR;
-            if i0 < n {
-                let (c0, c1, c2, c3) = split4(&mut cd[j * n..(j + NR) * n], n);
-                let (c0, c1, c2, c3) = (&mut c0[i0..], &mut c1[i0..], &mut c2[i0..], &mut c3[i0..]);
-                for l in lb..lend {
-                    let aj0 = ad[j + l * n];
-                    let aj1 = ad[j + 1 + l * n];
-                    let aj2 = ad[j + 2 + l * n];
-                    let aj3 = ad[j + 3 + l * n];
-                    let acol = &ad[l * n + i0..(l + 1) * n];
-                    for (i, &av) in acol.iter().enumerate() {
-                        c0[i] -= av * aj0;
-                        c1[i] -= av * aj1;
-                        c2[i] -= av * aj2;
-                        c3[i] -= av * aj3;
-                    }
-                }
-            }
-            j += NR;
-        }
-        for j in j..n {
-            for l in lb..lend {
-                let ajl = ad[j + l * n];
-                if ajl == 0.0 {
-                    continue;
-                }
-                for i in j..n {
-                    cd[i + j * n] -= ad[i + l * n] * ajl;
-                }
-            }
-        }
-        lb = lend;
+    dispatch(product_syrk(a, c));
+}
+
+/// [`syrk_ln`] with its arguments bound: [`gemm_nt`] of `A` with itself at
+/// `alpha = -1`, blocks on the diagonal written back only where `i ≥ j`.
+fn product_syrk<'a>(a: &'a Tile, c: &'a mut Tile) -> Product<'a, Scaled> {
+    Product {
+        lower: true,
+        ..product(Scaled(-1.0), a, a, true, c)
     }
 }
 
-impl Tile {
-    #[cfg(test)]
-    #[inline]
-    pub(crate) fn index_mut_fast(&mut self, i: usize, j: usize) -> &mut f64 {
-        let r = self.rows();
-        &mut self.data_mut()[i + j * r]
-    }
+/// Min-plus "tropical" matrix product used by blocked Floyd–Warshall:
+/// `C[i,j] = min(C[i,j], A[i,k] + B[k,j])` over all `k`.
+pub fn minplus(a: &Tile, b: &Tile, c: &mut Tile) {
+    dispatch(product(MinPlus, a, b, false, c));
 }
 
 /// Triangular solve `X · L_kkᵀ = A_mk` in place (`A_mk ← A_mk · L_kk⁻ᵀ`),
 /// with `L_kk` lower triangular — the TRSM of right-looking tiled Cholesky.
 pub fn trsm_rlt(l_kk: &Tile, a_mk: &mut Tile) {
-    let nb = l_kk.rows();
-    assert_eq!(l_kk.cols(), nb);
-    assert_eq!(a_mk.cols(), nb);
-    let m = a_mk.rows();
-    // Solve column by column: X[:, j] = (A[:, j] - Σ_{l<j} X[:, l]·L[j, l]) / L[j, j]
-    for j in 0..nb {
-        let ljj = l_kk.get(j, j);
-        assert!(ljj != 0.0, "singular triangular factor");
-        for l in 0..j {
-            let ljl = l_kk.get(j, l);
-            if ljl == 0.0 {
-                continue;
+    dispatch(Trsm { l_kk, a_mk });
+}
+
+struct Trsm<'a> {
+    l_kk: &'a Tile,
+    a_mk: &'a mut Tile,
+}
+
+impl Kernel for Trsm<'_> {
+    type Out = ();
+
+    /// `X[:, j] = (A[:, j] - Σ_{l<j} X[:, l]·L[j, l]) / L[j, j]`, left-looking
+    /// over blocks of `NR` columns: the terms from solved columns left of
+    /// the block are one product through the nest, the terms from inside
+    /// the block and the division follow column by column.
+    #[inline(always)]
+    fn run<const MR: usize>(self) {
+        let nb = self.l_kk.rows();
+        assert_eq!(self.l_kk.cols(), nb);
+        assert_eq!(self.a_mk.cols(), nb);
+        let m = self.a_mk.rows();
+        let ld = self.l_kk.data();
+        let xd = self.a_mk.data_mut();
+        for j0 in (0..nb).step_by(NR) {
+            let nc = NR.min(nb - j0);
+            let (solved, rest) = xd.split_at_mut(j0 * m);
+            let dims = (m, nc, j0);
+            update::<MR>(
+                Scaled(-1.0),
+                false,
+                dims,
+                (solved, m),
+                (&ld[j0..], 1, nb),
+                (rest, m),
+            );
+            for j in j0..j0 + nc {
+                let ljj = ld[j + j * nb];
+                assert!(ljj != 0.0, "singular triangular factor");
+                let (left, xj) = xd[..(j + 1) * m].split_at_mut(j * m);
+                for l in j0..j {
+                    let ljl = ld[j + l * nb];
+                    for (x, xl) in xj.iter_mut().zip(&left[l * m..]) {
+                        *x -= ljl * xl;
+                    }
+                }
+                for x in xj {
+                    *x /= ljj;
+                }
             }
-            let (xcol_l, xcol_j) = {
-                // Two disjoint column views.
-                let data = a_mk.data_mut();
-                let (left, right) = data.split_at_mut(j * m);
-                (&left[l * m..(l + 1) * m], &mut right[..m])
-            };
-            for i in 0..m {
-                xcol_j[i] -= ljl * xcol_l[i];
-            }
-        }
-        let data = a_mk.data_mut();
-        let xcol_j = &mut data[j * m..(j + 1) * m];
-        for x in xcol_j.iter_mut() {
-            *x /= ljj;
         }
     }
 }
@@ -236,67 +259,75 @@ pub fn trsm_rlt(l_kk: &Tile, a_mk: &mut Tile) {
 /// Cholesky factorization of an SPD tile: `A = L·Lᵀ`, lower triangle
 /// overwritten with `L`, strict upper triangle zeroed.
 ///
-/// Returns `Err(j)` if the matrix is not positive definite at pivot `j`.
+/// Returns `Err(j)` if the matrix is not positive definite at pivot `j`;
+/// the tile is then partly factored and of no further use.
 pub fn potrf_l(a: &mut Tile) -> Result<(), usize> {
-    let n = a.rows();
-    assert_eq!(a.cols(), n, "potrf needs a square tile");
-    for j in 0..n {
-        let mut d = a.get(j, j);
-        for l in 0..j {
-            let v = a.get(j, l);
-            d -= v * v;
-        }
-        if d <= 0.0 || !d.is_finite() {
-            return Err(j);
-        }
-        let d = d.sqrt();
-        a.set(j, j, d);
-        for i in (j + 1)..n {
-            let mut v = a.get(i, j);
-            for l in 0..j {
-                v -= a.get(i, l) * a.get(j, l);
-            }
-            a.set(i, j, v / d);
-        }
-        // Zero the strict upper triangle for clean reconstruction.
-        for i in 0..j {
-            a.set(i, j, 0.0);
-        }
-    }
-    Ok(())
+    dispatch(Potrf { a })
 }
 
-/// Min-plus "tropical" matrix product used by blocked Floyd–Warshall:
-/// `C[i,j] = min(C[i,j], A[i,k] + B[k,j])` over all `k`.
-pub fn minplus(a: &Tile, b: &Tile, c: &mut Tile) {
-    let (m, ka) = (a.rows(), a.cols());
-    let (kb, n) = (b.rows(), b.cols());
-    assert_eq!(ka, kb);
-    assert_eq!((c.rows(), c.cols()), (m, n));
-    let ad = a.data();
-    let bd = b.data();
-    let cd = c.data_mut();
-    for j in 0..n {
-        for l in 0..ka {
-            let blj = bd[l + j * kb];
-            if blj == f64::INFINITY {
-                continue;
-            }
-            let acol = &ad[l * m..(l + 1) * m];
-            let ccol = &mut cd[j * m..(j + 1) * m];
-            for i in 0..m {
-                let cand = acol[i] + blj;
-                if cand < ccol[i] {
-                    ccol[i] = cand;
+struct Potrf<'a> {
+    a: &'a mut Tile,
+}
+
+impl Kernel for Potrf<'_> {
+    type Out = Result<(), usize>;
+
+    /// Left-looking over blocks of `NR` columns: the block's columns first
+    /// take every term from the factored columns to their left (one
+    /// lower-triangular product through the nest, `alpha = -1`), then are
+    /// factored one by one with the terms from inside the block.
+    #[inline(always)]
+    fn run<const MR: usize>(self) -> Result<(), usize> {
+        let n = self.a.rows();
+        assert_eq!(self.a.cols(), n, "potrf needs a square tile");
+        let ad = self.a.data_mut();
+        for j0 in (0..n).step_by(NR) {
+            let nc = NR.min(n - j0);
+            let (factored, rest) = ad.split_at_mut(j0 * n);
+            // Rows j0.. of the factored columns are both operands.
+            let panel = &factored[j0..];
+            let dims = (n - j0, nc, j0);
+            update::<MR>(
+                Scaled(-1.0),
+                true,
+                dims,
+                (panel, n),
+                (panel, 1, n),
+                (&mut rest[j0..], n),
+            );
+            for j in j0..j0 + nc {
+                let (left, col) = ad[..(j + 1) * n].split_at_mut(j * n);
+                let mut d = col[j];
+                for l in j0..j {
+                    let v = left[j + l * n];
+                    d -= v * v;
                 }
+                if d <= 0.0 || !d.is_finite() {
+                    return Err(j);
+                }
+                let d = d.sqrt();
+                for l in j0..j {
+                    let ajl = left[j + l * n];
+                    for (x, ail) in col[j + 1..].iter_mut().zip(&left[j + 1 + l * n..]) {
+                        *x -= ail * ajl;
+                    }
+                }
+                col[j] = d;
+                for x in &mut col[j + 1..] {
+                    *x /= d;
+                }
+                // Zero the strict upper triangle for clean reconstruction.
+                col[..j].fill(0.0);
             }
         }
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scalar;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
@@ -317,7 +348,7 @@ mod tests {
                     let bv = if b_t { b.get(j, l) } else { b.get(l, j) };
                     s += a.get(i, l) * bv;
                 }
-                *c.index_mut_fast(i, j) += alpha * s;
+                c.set(i, j, c.get(i, j) + alpha * s);
             }
         }
     }
@@ -437,5 +468,264 @@ mod tests {
         minplus(&a, &a, &mut c);
         assert_eq!(c.get(0, 1), inf);
         assert_eq!(c.get(0, 0), 0.0);
+    }
+
+    // ---- Bit-identity with the scalar oracle, on every arm ----------------
+
+    /// The ways a kernel can run on this host: the baseline instantiation
+    /// called directly, the 8-row body compiled without AVX2 (the same bits
+    /// by construction, and it walks the 8-row ladder on hosts without
+    /// AVX2), and whatever `dispatch` picks — the AVX2 arm when detected.
+    const ARMS: [&str; 3] = ["baseline", "8 rows at baseline width", "dispatched"];
+
+    fn run_on<K: Kernel>(arm: usize, kernel: K) -> K::Out {
+        match arm {
+            0 => kernel.run::<MR_BASELINE>(),
+            1 => kernel.run::<8>(),
+            _ => dispatch(kernel),
+        }
+    }
+
+    #[track_caller]
+    fn assert_same_bits(got: &Tile, want: &Tile, what: std::fmt::Arguments<'_>) {
+        assert_eq!(
+            (got.rows(), got.cols()),
+            (want.rows(), want.cols()),
+            "{what}"
+        );
+        for (at, (g, w)) in got.data().iter().zip(want.data()).enumerate() {
+            assert!(
+                g.to_bits() == w.to_bits(),
+                "{what}: element {at} is {g:e}, the scalar kernel gives {w:e}"
+            );
+        }
+    }
+
+    /// Widths that exercise every rung of both ladders, the `KC` boundary
+    /// and the tile sizes the applications use.
+    fn widths() -> impl Iterator<Item = usize> + Clone {
+        (0..=19).chain([30, 32, 45, 64, 127, 128, 129])
+    }
+
+    /// `(m, n, k)`: every combination of the small widths, each larger
+    /// width in each position against a few ragged partners, and the
+    /// large cubes and near-cubes.
+    fn shapes() -> Vec<(usize, usize, usize)> {
+        let mut shapes = Vec::new();
+        for m in 0..=19 {
+            for n in 0..=19 {
+                for k in 0..=19 {
+                    shapes.push((m, n, k));
+                }
+            }
+        }
+        for v in widths().filter(|&v| v > 19) {
+            for (s, t) in [(1, 1), (5, 3), (4, 8), (13, 17), (19, 2), (9, 30)] {
+                shapes.extend([(v, s, t), (s, v, t), (s, t, v)]);
+            }
+        }
+        shapes.extend([
+            (30, 30, 30),
+            (32, 32, 32),
+            (45, 64, 51),
+            (64, 45, 64),
+            (64, 64, 64),
+        ]);
+        shapes.extend([(127, 129, 128), (128, 128, 128), (129, 127, 129)]);
+        shapes
+    }
+
+    #[test]
+    fn products_match_the_scalar_kernels_bit_for_bit() {
+        let mut rng = ChaCha8Rng::seed_from_u64(20);
+        for (at, (m, n, k)) in shapes().into_iter().enumerate() {
+            let alpha = [1.0, -1.0, 2.5, 0.0][at % 4];
+            let a = random_tile(&mut rng, m, k);
+            let b = random_tile(&mut rng, k, n);
+            let bt = b.transpose();
+            let c = random_tile(&mut rng, m, n);
+            let (mut nn, mut nt) = (c.clone(), c.clone());
+            scalar::gemm_nn(alpha, &a, &b, &mut nn);
+            scalar::gemm_nt(alpha, &a, &bt, &mut nt);
+            for (arm, name) in ARMS.iter().enumerate() {
+                let mut got = c.clone();
+                run_on(arm, product(Scaled(alpha), &a, &b, false, &mut got));
+                assert_same_bits(
+                    &got,
+                    &nn,
+                    format_args!("gemm_nn {m}x{n}x{k}, {alpha}, {name}"),
+                );
+                let mut got = c.clone();
+                run_on(arm, product(Scaled(alpha), &a, &bt, true, &mut got));
+                assert_same_bits(
+                    &got,
+                    &nt,
+                    format_args!("gemm_nt {m}x{n}x{k}, {alpha}, {name}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn minplus_matches_the_scalar_kernel_bit_for_bit() {
+        let mut rng = ChaCha8Rng::seed_from_u64(21);
+        let shapes = shapes();
+        // Path weights: non-negative, a fifth of the edges absent.
+        let mut weights = |rows, cols| {
+            let mut t = random_tile(&mut rng, rows, cols);
+            for w in t.data_mut() {
+                *w = if *w < -0.6 { f64::INFINITY } else { w.abs() };
+            }
+            t
+        };
+        for &(m, n, k) in shapes.iter().filter(|s| s.0.max(s.1).max(s.2) <= 64) {
+            let (a, b, c) = (weights(m, k), weights(k, n), weights(m, n));
+            let mut want = c.clone();
+            scalar::minplus(&a, &b, &mut want);
+            for (arm, name) in ARMS.iter().enumerate() {
+                let mut got = c.clone();
+                run_on(arm, product(MinPlus, &a, &b, false, &mut got));
+                assert_same_bits(&got, &want, format_args!("minplus {m}x{n}x{k}, {name}"));
+            }
+        }
+    }
+
+    #[test]
+    fn syrk_matches_the_scalar_kernel_and_never_touches_the_upper_triangle() {
+        let mut rng = ChaCha8Rng::seed_from_u64(22);
+        // A NaN no computation produces: an upper entry that was read into
+        // a sum, or written back, cannot keep this payload.
+        let poison = f64::from_bits(0x7ff8_dead_beef_0001);
+        for n in widths() {
+            for k in [0, 1, 3, 4, 7, 17, 64, 65, 130] {
+                let a = random_tile(&mut rng, n, k);
+                let mut c = random_tile(&mut rng, n, n);
+                for j in 0..n {
+                    for i in 0..j {
+                        c.set(i, j, poison);
+                    }
+                }
+                let mut want = c.clone();
+                scalar::syrk_ln(&a, &mut want);
+                for (arm, name) in ARMS.iter().enumerate() {
+                    let mut got = c.clone();
+                    run_on(arm, product_syrk(&a, &mut got));
+                    assert_same_bits(&got, &want, format_args!("syrk_ln {n}x{k}, {name}"));
+                    for j in 0..n {
+                        for i in 0..j {
+                            assert_eq!(got.get(i, j).to_bits(), poison.to_bits());
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// A well-conditioned lower-triangular factor whose strict upper
+    /// triangle would poison any sum that read it.
+    fn lower_factor(rng: &mut impl Rng, nb: usize) -> Tile {
+        let mut l = random_tile(rng, nb, nb);
+        for j in 0..nb {
+            for i in 0..j {
+                l.set(i, j, f64::NAN);
+            }
+            l.set(j, j, 1.0 + l.get(j, j).abs());
+        }
+        l
+    }
+
+    #[test]
+    fn trsm_matches_the_scalar_kernel_bit_for_bit_on_rectangular_panels() {
+        let mut rng = ChaCha8Rng::seed_from_u64(23);
+        for nb in widths() {
+            let l = lower_factor(&mut rng, nb);
+            for m in [0, 1, 3, 8, 13, 32, 45, 129] {
+                let x = random_tile(&mut rng, m, nb);
+                let mut want = x.clone();
+                scalar::trsm_rlt(&l, &mut want);
+                for (arm, name) in ARMS.iter().enumerate() {
+                    let mut got = x.clone();
+                    run_on(
+                        arm,
+                        Trsm {
+                            l_kk: &l,
+                            a_mk: &mut got,
+                        },
+                    );
+                    assert_same_bits(&got, &want, format_args!("trsm_rlt {m}x{nb}, {name}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn potrf_matches_the_scalar_kernel_bit_for_bit() {
+        let mut rng = ChaCha8Rng::seed_from_u64(24);
+        for n in widths() {
+            let a = spd_tile(&mut rng, n);
+            let mut want = a.clone();
+            scalar::potrf_l(&mut want).expect("SPD");
+            for (arm, name) in ARMS.iter().enumerate() {
+                let mut got = a.clone();
+                run_on(arm, Potrf { a: &mut got }).expect("SPD");
+                assert_same_bits(&got, &want, format_args!("potrf_l {n}, {name}"));
+            }
+        }
+    }
+
+    #[test]
+    fn potrf_reports_the_scalar_kernels_pivot_on_indefinite_tiles() {
+        let mut rng = ChaCha8Rng::seed_from_u64(25);
+        for n in [5, 13, 32, 45] {
+            let spd = spd_tile(&mut rng, n);
+            // A bad pivot in the first, a middle and the last column block.
+            for pivot in [0, 2, n / 2, n - 1] {
+                let mut a = spd.clone();
+                a.set(pivot, pivot, -a.get(pivot, pivot));
+                let want = scalar::potrf_l(&mut a.clone());
+                assert_eq!(want, Err(pivot));
+                for (arm, name) in ARMS.iter().enumerate() {
+                    let got = run_on(arm, Potrf { a: &mut a.clone() });
+                    assert_eq!(got, want, "potrf_l {n}, pivot {pivot}, {name}");
+                }
+            }
+        }
+    }
+
+    /// `0 · ∞` is NaN in every column: the scalar kernels skipped a zero
+    /// factor of `B` in the `n % 4` tail columns only, so column 4 of a
+    /// 5-wide product used to stay finite where column 0 did not.
+    #[test]
+    fn a_zero_times_infinity_poisons_every_column_alike() {
+        let mut rng = ChaCha8Rng::seed_from_u64(26);
+        let (m, n, k) = (6, 5, 7);
+        let mut a = random_tile(&mut rng, m, k);
+        a.set(2, 3, f64::INFINITY);
+        let mut b = random_tile(&mut rng, k, n);
+        for j in 0..n {
+            b.set(3, j, 0.0);
+        }
+        let bt = b.transpose();
+        let c = random_tile(&mut rng, m, n);
+        for (arm, name) in ARMS.iter().enumerate() {
+            let (mut nn, mut nt) = (c.clone(), c.clone());
+            run_on(arm, product(Scaled(1.0), &a, &b, false, &mut nn));
+            run_on(arm, product(Scaled(1.0), &a, &bt, true, &mut nt));
+            for got in [&nn, &nt] {
+                for j in 0..n {
+                    assert!(got.get(2, j).is_nan(), "column {j}, {name}");
+                    assert!(got.get(1, j).is_finite(), "column {j}, {name}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn isa_names_the_arm_dispatch_takes() {
+        #[cfg(target_arch = "x86_64")]
+        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        #[cfg(not(target_arch = "x86_64"))]
+        let avx2 = false;
+        assert_eq!(isa(), if avx2 { "avx2" } else { "baseline" });
     }
 }

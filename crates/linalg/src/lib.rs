@@ -10,9 +10,12 @@
 
 pub mod kernels;
 pub mod matrix;
+mod micro;
+#[cfg(test)]
+mod scalar;
 pub mod tile;
 
-pub use kernels::{gemm_nn, gemm_nt, minplus, potrf_l, syrk_ln, trsm_rlt};
+pub use kernels::{gemm_nn, gemm_nt, isa, minplus, potrf_l, syrk_ln, trsm_rlt};
 pub use matrix::{Dist2D, TiledMatrix};
 pub use tile::Tile;
 

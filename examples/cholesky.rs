@@ -24,9 +24,10 @@ fn main() {
     let nb = 32;
     let a = TiledMatrix::random_spd(nt, nb, 42);
     println!(
-        "factoring a {}×{} SPD matrix ({nt}×{nt} tiles of {nb}²)",
+        "factoring a {}×{} SPD matrix ({nt}×{nt} tiles of {nb}²), {} kernels",
         a.n(),
-        a.n()
+        a.n(),
+        ttg::linalg::isa()
     );
     if let Some(plan) = &faults {
         println!(
