@@ -50,10 +50,13 @@ pub fn run(m: &TiledMatrix, cfg: &Config) -> (TiledMatrix, ExecReport) {
     let to_b: Edge<K2, Tile> = Edge::new("to_b"); // key (j, k): tile (k, j)
     let to_c: Edge<K2, Tile> = Edge::new("to_c"); // key (i, k): tile (i, k)
     let to_d: Edge<K3, Tile> = Edge::new("to_d"); // key (i, j, k)
-    let a_to_b: Edge<K2, Tile> = Edge::new("a_to_b"); // diagonal → B
-    let a_to_c: Edge<K2, Tile> = Edge::new("a_to_c"); // diagonal → C
-    let b_to_d: Edge<K3, Tile> = Edge::new("b_to_d"); // V = C_kj → D
-    let c_to_d: Edge<K3, Tile> = Edge::new("c_to_d"); // U = C_ik → D
+
+    // The four broadcast edges feed kernels that only read the tile: they
+    // carry `Arc<Tile>`, so fan-out is a refcount bump per consumer.
+    let a_to_b: Edge<K2, Arc<Tile>> = Edge::new("a_to_b"); // diagonal → B
+    let a_to_c: Edge<K2, Arc<Tile>> = Edge::new("a_to_c"); // diagonal → C
+    let b_to_d: Edge<K3, Arc<Tile>> = Edge::new("b_to_d"); // V = C_kj → D
+    let c_to_d: Edge<K3, Arc<Tile>> = Edge::new("c_to_d"); // U = C_ik → D
     let result: Edge<K2, Tile> = Edge::new("result");
 
     let mut g = GraphBuilder::new();
@@ -95,8 +98,9 @@ pub fn run(m: &TiledMatrix, cfg: &Config) -> (TiledMatrix, ExecReport) {
             fw_diag(&mut tile);
             let row_keys: Vec<K2> = (0..nt).filter(|j| *j != k).map(|j| (j, k)).collect();
             let col_keys: Vec<K2> = (0..nt).filter(|i| *i != k).map(|i| (i, k)).collect();
-            outs.broadcast::<2>(&row_keys, tile.clone());
-            outs.broadcast::<3>(&col_keys, tile.clone());
+            let diag = Arc::new(tile.clone());
+            outs.broadcast::<2>(&row_keys, Arc::clone(&diag));
+            outs.broadcast::<3>(&col_keys, diag);
             if k + 1 == nt {
                 outs.send::<1>((k, k), tile);
             } else {
@@ -113,11 +117,11 @@ pub fn run(m: &TiledMatrix, cfg: &Config) -> (TiledMatrix, ExecReport) {
         (to_b.clone(), a_to_b),
         (to_c.clone(), to_d.clone(), result.clone(), b_to_d.clone()),
         move |k: &K2| d2.owner(k.1 as usize, k.0 as usize),
-        move |key, (mut tile, diag): (Tile, Tile), outs| {
+        move |key, (mut tile, diag): (Tile, Arc<Tile>), outs| {
             let (j, k) = *key;
             fw_row(&mut tile, &diag);
             let d_keys: Vec<K3> = (0..nt).filter(|i| *i != k).map(|i| (i, j, k)).collect();
-            outs.broadcast::<3>(&d_keys, tile.clone());
+            outs.broadcast::<3>(&d_keys, Arc::new(tile.clone()));
             let kk = k + 1;
             if kk == nt {
                 outs.send::<2>((k, j), tile);
@@ -137,11 +141,11 @@ pub fn run(m: &TiledMatrix, cfg: &Config) -> (TiledMatrix, ExecReport) {
         (to_c.clone(), a_to_c),
         (to_b.clone(), to_d.clone(), result.clone(), c_to_d.clone()),
         move |k: &K2| d2.owner(k.0 as usize, k.1 as usize),
-        move |key, (mut tile, diag): (Tile, Tile), outs| {
+        move |key, (mut tile, diag): (Tile, Arc<Tile>), outs| {
             let (i, k) = *key;
             fw_col(&mut tile, &diag);
             let d_keys: Vec<K3> = (0..nt).filter(|j| *j != k).map(|j| (i, j, k)).collect();
-            outs.broadcast::<3>(&d_keys, tile.clone());
+            outs.broadcast::<3>(&d_keys, Arc::new(tile.clone()));
             let kk = k + 1;
             if kk == nt {
                 outs.send::<2>((i, k), tile);
@@ -166,7 +170,7 @@ pub fn run(m: &TiledMatrix, cfg: &Config) -> (TiledMatrix, ExecReport) {
             result.clone(),
         ),
         move |k: &K3| d2.owner(k.0 as usize, k.1 as usize),
-        move |key, (mut tile, u, v): (Tile, Tile, Tile), outs| {
+        move |key, (mut tile, u, v): (Tile, Arc<Tile>, Arc<Tile>), outs| {
             let (i, j, k) = *key;
             fw_gen(&mut tile, &u, &v);
             let kk = k + 1;

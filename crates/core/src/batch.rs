@@ -5,88 +5,94 @@
 //! used to pay its own pool submit, with its own wake-announcement round
 //! trip through the pool's sleep lock. A [`BatchScope`] collects the jobs
 //! spawned while a parent work item runs in thread-local storage and
-//! flushes them on drop as one `submit_batch` per destination rank: one
-//! `wake_seq` bump covers the whole successor group (Taskflow-style
-//! batched notification, promoted from the simnet policy lab).
+//! flushes them on drop as one group per destination rank: one `wake_seq`
+//! bump covers the whole successor group (Taskflow-style batched
+//! notification, promoted from the simnet policy lab). The buffer is the
+//! thread's own and outlives the scope, so a scope allocates nothing.
 //!
 //! Quiescence stays airtight: jobs are buffered only while the parent
 //! work item is still active (its own quiescence unit — or the in-flight
 //! packet on the comm thread — is not released until after the scope
-//! drops and `submit_batch` has registered every child).
+//! drops and the pool has registered every child).
 
 use std::cell::RefCell;
-use std::sync::Arc;
 
 use crate::ctx::RuntimeCtx;
 
+/// Largest buffer a thread keeps between scopes; one burst of seeds must
+/// not pin its high-water mark for the rest of the run.
+const KEEP_CAP: usize = 1024;
+
+/// This thread's batch: whether a scope is open, and the jobs spawned under
+/// it, tagged with their destination rank.
+struct Pending {
+    open: bool,
+    jobs: Vec<(usize, ttg_runtime::Job)>,
+}
+
 thread_local! {
-    /// Jobs spawned under the innermost active scope on this thread,
-    /// tagged with their destination rank. `None` when no scope is active.
-    static PENDING: RefCell<Option<Vec<(usize, ttg_runtime::Job)>>> =
-        const { RefCell::new(None) };
+    static PENDING: RefCell<Pending> = const {
+        RefCell::new(Pending {
+            open: false,
+            jobs: Vec::new(),
+        })
+    };
 }
 
 /// RAII guard that batches successor submissions on the current thread.
 /// Re-entrant: nested scopes are no-ops and the outermost one flushes.
-pub(crate) struct BatchScope {
-    ctx: Arc<RuntimeCtx>,
+pub(crate) struct BatchScope<'a> {
+    ctx: &'a RuntimeCtx,
     owner: bool,
 }
 
-impl BatchScope {
+impl<'a> BatchScope<'a> {
     /// Open a scope; until it drops, [`enqueue`] buffers instead of
     /// submitting.
-    pub(crate) fn enter(ctx: &Arc<RuntimeCtx>) -> Self {
-        let owner = PENDING.with(|p| {
-            let mut p = p.borrow_mut();
-            if p.is_none() {
-                *p = Some(Vec::new());
-                true
-            } else {
-                false
-            }
-        });
-        BatchScope {
-            ctx: Arc::clone(ctx),
-            owner,
-        }
+    pub(crate) fn enter(ctx: &'a RuntimeCtx) -> Self {
+        let owner = PENDING.with(|p| !std::mem::replace(&mut p.borrow_mut().open, true));
+        BatchScope { ctx, owner }
     }
 }
 
-impl Drop for BatchScope {
+impl Drop for BatchScope<'_> {
     fn drop(&mut self) {
         if !self.owner {
             return;
         }
-        let jobs = PENDING.with(|p| p.borrow_mut().take()).unwrap_or_default();
-        if jobs.is_empty() {
-            return;
-        }
-        // Group by destination rank, preserving spawn order within each.
-        let mut groups: Vec<(usize, Vec<ttg_runtime::Job>)> = Vec::new();
-        for (rank, job) in jobs {
-            match groups.iter_mut().find(|g| g.0 == rank) {
-                Some(g) => g.1.push(job),
-                None => groups.push((rank, vec![job])),
+        // Nothing below spawns, so the buffer stays borrowed while it drains.
+        PENDING.with(|p| {
+            let mut p = p.borrow_mut();
+            p.open = false;
+            let jobs = &mut p.jobs;
+            // One group per destination rank, spawn order kept within each
+            // (the sort is stable). Every job is for one rank, but for a
+            // delivery that readies tasks of several in-process ranks.
+            if jobs.iter().any(|j| j.0 != jobs[0].0) {
+                jobs.sort_by_key(|j| j.0);
             }
-        }
-        for (rank, group) in groups {
-            self.ctx.pool(rank).submit_batch(group);
-        }
+            while let Some(&(rank, _)) = jobs.first() {
+                let n = jobs.iter().take_while(|j| j.0 == rank).count();
+                let group = jobs.drain(..n).map(|j| j.1);
+                self.ctx.pool(rank).submit_group(group);
+            }
+            if jobs.capacity() > KEEP_CAP {
+                *jobs = Vec::new();
+            }
+        });
     }
 }
 
 /// Route a spawned job: buffered when a batch scope is active on this
 /// thread, direct submit otherwise (external seeds, user threads).
-pub(crate) fn enqueue(rank: usize, job: ttg_runtime::Job, ctx: &Arc<RuntimeCtx>) {
+pub(crate) fn enqueue(rank: usize, job: ttg_runtime::Job, ctx: &RuntimeCtx) {
     let unbuffered = PENDING.with(|p| {
         let mut p = p.borrow_mut();
-        match p.as_mut() {
-            Some(v) => {
-                v.push((rank, job));
-                None
-            }
-            None => Some(job),
+        if p.open {
+            p.jobs.push((rank, job));
+            None
+        } else {
+            Some(job)
         }
     });
     if let Some(job) = unbuffered {

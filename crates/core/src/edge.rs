@@ -158,18 +158,26 @@ impl<K: Key, V: Data> PortImpl<K, V> {
         self.node.upgrade().expect("graph dropped while routing")
     }
 
-    /// Deliver to rank-local consumers honoring the backend's local-pass
-    /// mode. `v` is consumed; it is cloned only as required.
+    /// Deliver to the `n_local` of `keys` that `rank` owns, honoring the
+    /// backend's local-pass mode. `v` is consumed; it is cloned only as
+    /// required.
     fn deliver_local(
         &self,
         node: &Arc<NodeInner<K>>,
         rank: usize,
-        keys: &[&K],
+        keys: &[K],
+        n_local: usize,
         v: FanoutVal<V>,
         from_task: u64,
         src_rank: usize,
         ctx: &Arc<RuntimeCtx>,
     ) {
+        // A mixed broadcast evaluates the keymap a second time here rather
+        // than collect its local keys: it is an index computation.
+        let n_ranks = ctx.n_ranks();
+        let mut local = keys
+            .iter()
+            .filter(|k| n_local == keys.len() || node.owner(k, n_ranks) == rank);
         let dep = Dep {
             from_task,
             bytes: 0,
@@ -182,7 +190,7 @@ impl<K: Key, V: Data> PortImpl<K, V> {
                 // MADNESS-like: every consumer gets a private deep copy.
                 // Even the last key, which could take the original by move,
                 // is counted as a copy to model always-copy semantics.
-                for &k in keys {
+                for k in local {
                     ctx.fabric.stats().count_data_copy();
                     ctx.metrics.count_local_copy(rank);
                     or_panic(node.insert(
@@ -199,16 +207,10 @@ impl<K: Key, V: Data> PortImpl<K, V> {
                 // PaRSEC-like: the runtime owns the datum; consumers share
                 // an Arc and copy-on-write only if they mutate while shared.
                 match v {
-                    FanoutVal::Owned(v) if keys.len() == 1 => {
+                    FanoutVal::Owned(v) if n_local == 1 => {
+                        let k = local.next().expect("one key is local");
                         ctx.metrics.count_local_shared(rank);
-                        or_panic(node.insert(
-                            rank,
-                            t,
-                            keys[0].clone(),
-                            ErasedVal::erase(v),
-                            dep,
-                            ctx,
-                        ));
+                        or_panic(node.insert(rank, t, k.clone(), ErasedVal::erase(v), dep, ctx));
                     }
                     v => {
                         // Erase once into a shared handle — or take the one
@@ -221,7 +223,7 @@ impl<K: Key, V: Data> PortImpl<K, V> {
                             }
                             FanoutVal::Shared(arc) => arc,
                         };
-                        for &k in keys {
+                        for k in local {
                             ctx.metrics.count_local_shared(rank);
                             or_panic(node.insert(
                                 rank,
@@ -254,11 +256,11 @@ impl<K: Key, V: Data> ConsumerPort<K, V> for PortImpl<K, V> {
         // Recovery is on: loopback sends must be sequenced and replay-logged
         // on the diagonal link, so they take the wire like any other.
         let wire_local = ctx.fabric.wire_local_sends();
-        let mut local: Vec<&K> = Vec::new();
+        let mut n_local = 0;
         for k in keys {
             let r = node.owner(k, n_ranks);
             if r == src_rank && !wire_local {
-                local.push(k);
+                n_local += 1;
             } else {
                 plan.add(r, n_ranks, node.id, self.terminal, k);
             }
@@ -266,8 +268,8 @@ impl<K: Key, V: Data> ConsumerPort<K, V> for PortImpl<K, V> {
         if let FanoutVal::Owned(v) = &v {
             plan.send(v, from_task, src_rank, ctx);
         }
-        if !local.is_empty() {
-            self.deliver_local(&node, src_rank, &local, v, from_task, src_rank, ctx);
+        if n_local > 0 {
+            self.deliver_local(&node, src_rank, keys, n_local, v, from_task, src_rank, ctx);
         }
     }
 
@@ -373,11 +375,12 @@ pub(crate) fn port_seed<K: Key, V: Data>(
 
 /// Drop repeated keys from a broadcast key list, preserving first-occurrence
 /// order. Returns `None` when the list is already duplicate-free — the
-/// overwhelmingly common case, which must not allocate. Small lists are
-/// scanned quadratically (cheaper than hashing); larger ones go through a
-/// `HashSet`.
+/// overwhelmingly common case, which must not allocate: lists as wide as the
+/// applications' broadcasts are scanned quadratically (at 32 keys that is
+/// 496 compares of a small tuple, cheaper than building a set); only wider
+/// ones go through a `HashSet`.
 fn dedupe_keys<K: Key>(keys: &[K]) -> Option<Vec<K>> {
-    const SCAN_CAP: usize = 8;
+    const SCAN_CAP: usize = 32;
     if keys.len() <= SCAN_CAP {
         if !keys.iter().enumerate().any(|(i, k)| keys[..i].contains(k)) {
             return None;

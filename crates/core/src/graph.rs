@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use crate::ctx::RuntimeCtx;
 use crate::inspect::MutationError;
-use crate::node::{AnyNode, NodeInner, ReducerSpec};
+use crate::node::{AnyNode, Inputs, NodeInner, ReducerSpec};
 use crate::outs::{InRef, Outs};
 use crate::tuples::{EdgeList, OutEdgeList, ValueAt};
 use crate::types::{ErasedVal, Key};
@@ -50,10 +50,10 @@ impl GraphBuilder {
         inputs.connect(&node);
         let terms = outputs.terms();
         node.set_invoke(Arc::new(
-            move |k: K, vals: Vec<ErasedVal>, task_id: u64, rank: usize, ctx: &Arc<RuntimeCtx>| {
-                let values = IS::extract(vals, rank, ctx);
+            move |k: &K, inputs: Inputs, task_id: u64, rank: usize, ctx: &Arc<RuntimeCtx>| {
+                let values = IS::extract(inputs, rank, ctx);
                 let outs = Outs::new(&terms, task_id, rank, ctx);
-                body(&k, values, &outs);
+                body(k, values, &outs);
             },
         ));
         self.nodes.push(Arc::clone(&node) as Arc<dyn AnyNode>);

@@ -8,10 +8,10 @@
 //! active messages (whose wire format is [`crate::am`]'s).
 
 use std::any::{Any, TypeId};
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::hash::{BuildHasher, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 use std::time::Instant;
 
 use parking_lot::{Mutex, RwLock};
@@ -153,21 +153,34 @@ impl SlotE {
     }
 }
 
-/// Terminal slots of one pending entry. Tasks with ≤ 2 inputs (the common
-/// case) keep their slots inline in the map entry: no heap allocation per
-/// pending key, and the slot write lands on the entry's already-hot
-/// cachelines instead of chasing a `Vec` pointer. Wider tasks spill to a
-/// `Vec`.
+/// Why a slot did not take a value (see [`NodeInner::refuse`]).
+enum Refused {
+    /// A plain terminal already holds its one value.
+    Duplicate,
+    /// The stream was complete after this many messages.
+    Overrun(usize),
+    /// A `set_stream_size` made a stream of a terminal without a reducer.
+    NoReducer,
+}
+
+/// Terminals a pending entry keeps inline in the map entry. Covers every
+/// template of the paper's four applications (GEMM and `FW_D` take 3): no
+/// heap allocation per pending key, and the slot write lands on the entry's
+/// already-hot cachelines instead of chasing a `Vec` pointer.
+const INLINE_SLOTS: usize = 4;
+
+/// Terminal slots of one pending entry: inline up to [`INLINE_SLOTS`]
+/// inputs, spilled to a `Vec` beyond.
 enum Slots {
-    Inline { arr: [SlotE; 2], n: u8 },
+    Inline { arr: [SlotE; INLINE_SLOTS], n: u8 },
     Spill(Vec<SlotE>),
 }
 
 impl Slots {
     fn new(n: usize) -> Self {
-        if n <= 2 {
+        if n <= INLINE_SLOTS {
             Slots::Inline {
-                arr: [SlotE::Empty, SlotE::Empty],
+                arr: std::array::from_fn(|_| SlotE::Empty),
                 n: n as u8,
             }
         } else {
@@ -194,28 +207,37 @@ impl Slots {
 }
 
 enum SlotsIter {
-    Inline(std::iter::Take<std::array::IntoIter<SlotE, 2>>),
+    Inline(std::iter::Take<std::array::IntoIter<SlotE, INLINE_SLOTS>>),
     Spill(std::vec::IntoIter<SlotE>),
 }
 
-impl Iterator for SlotsIter {
-    type Item = SlotE;
-    fn next(&mut self) -> Option<SlotE> {
-        match self {
+/// The matched inputs of one task, in terminal order: the slots of its
+/// completed entry, moved into the job as they are. The task body's
+/// prologue pulls its erased values out of them one by one.
+pub struct Inputs(SlotsIter);
+
+impl Iterator for Inputs {
+    type Item = ErasedVal;
+    fn next(&mut self) -> Option<ErasedVal> {
+        let slot = match &mut self.0 {
             SlotsIter::Inline(it) => it.next(),
             SlotsIter::Spill(it) => it.next(),
-        }
+        }?;
+        Some(match slot {
+            SlotE::Plain(v) => v,
+            SlotE::Stream { acc: Some(a), .. } => ErasedVal::Owned(a),
+            SlotE::Stream { acc: None, .. } => unreachable!("checked at launch"),
+            SlotE::Empty => unreachable!("incomplete slot at launch"),
+        })
     }
 }
 
-impl IntoIterator for Slots {
-    type Item = SlotE;
-    type IntoIter = SlotsIter;
-    fn into_iter(self) -> SlotsIter {
-        match self {
+impl From<Slots> for Inputs {
+    fn from(slots: Slots) -> Self {
+        Inputs(match slots {
             Slots::Inline { arr, n } => SlotsIter::Inline(arr.into_iter().take(n as usize)),
             Slots::Spill(v) => SlotsIter::Spill(v.into_iter()),
-        }
+        })
     }
 }
 
@@ -405,7 +427,7 @@ pub trait AnyNode: Send + Sync {
     fn clear_rank(&self, rank: usize);
 }
 
-type InvokeFn<K> = Arc<dyn Fn(K, Vec<ErasedVal>, u64, usize, &Arc<RuntimeCtx>) + Send + Sync>;
+type InvokeFn<K> = Arc<dyn Fn(&K, Inputs, u64, usize, &Arc<RuntimeCtx>) + Send + Sync>;
 type KeyMapFn<K> = Arc<dyn Fn(&K) -> usize + Send + Sync>;
 type PrioMapFn<K> = Arc<dyn Fn(&K) -> i32 + Send + Sync>;
 type CostMapFn<K> = Arc<dyn Fn(&K) -> u64 + Send + Sync>;
@@ -439,7 +461,9 @@ pub struct NodeInner<K: Key> {
     metas: Vec<InputMeta>,
     reducers: Vec<RwLock<Option<ReducerSpec>>>,
     invoke: OnceLock<InvokeFn<K>>,
-    executed: Arc<AtomicU64>,
+    executed: AtomicU64,
+    /// This node, for the jobs it launches to hold.
+    me: Weak<Self>,
     topo: OnceLock<(Vec<EdgeDecl>, Vec<EdgeDecl>)>,
     check_samples: RwLock<Vec<K>>,
 }
@@ -453,7 +477,7 @@ impl<K: Key> NodeInner<K> {
         keymap: KeyMapFn<K>,
     ) -> Arc<Self> {
         let n_inputs = metas.len();
-        Arc::new(NodeInner {
+        Arc::new_cyclic(|me| NodeInner {
             id,
             name,
             n_inputs,
@@ -465,7 +489,8 @@ impl<K: Key> NodeInner<K> {
             metas,
             reducers: (0..n_inputs).map(|_| RwLock::new(None)).collect(),
             invoke: OnceLock::new(),
-            executed: Arc::new(AtomicU64::new(0)),
+            executed: AtomicU64::new(0),
+            me: Weak::clone(me),
             topo: OnceLock::new(),
             check_samples: RwLock::new(Vec::new()),
         })
@@ -553,7 +578,10 @@ impl<K: Key> NodeInner<K> {
     }
 
     /// Insert a value for `(k, terminal)` into rank `rank`'s table,
-    /// launching the task if this completes all inputs.
+    /// launching the task if this completes all inputs. The map is consulted
+    /// once: an entry the value completes leaves with its key, and a key
+    /// whose first message completes it (every 1-input template) never
+    /// enters.
     pub fn insert(
         &self,
         rank: usize,
@@ -564,99 +592,137 @@ impl<K: Key> NodeInner<K> {
         ctx: &Arc<RuntimeCtx>,
     ) -> Result<(), WireError> {
         debug_assert_eq!(self.owner(&k, ctx.n_ranks()), rank, "misrouted message");
-        let ready = {
-            let mut table = self.table(rank, &k).lock();
-            let entry = table
-                .entry(k.clone())
-                .or_insert_with(|| PendingE::new(self.n_inputs));
-            // Provenance is only consumed by the tracer at launch; skip the
-            // per-message Vec growth entirely when tracing is off.
-            if ctx.trace.is_some() {
-                entry.deps.push(dep);
-            }
-            let reducer = self.frozen.get().expect("node not attached").reducers[terminal].as_ref();
-            let slot = entry.slots.get_mut(terminal);
-            match slot {
-                SlotE::Empty => match reducer {
-                    Some(spec) => {
-                        *slot = SlotE::Stream {
-                            acc: Some((spec.init)(val)),
-                            received: 1,
-                            expected: spec.default_size,
-                            finalized: false,
-                        };
-                    }
-                    None => *slot = SlotE::Plain(val),
-                },
-                SlotE::Plain(_) => misuse!(
-                    ctx,
-                    Violation::ExactlyOnce {
-                        node: self.name,
-                        terminal,
-                        key: format!("{k:?}"),
-                    },
-                    "duplicate input on terminal {} of {} for key {:?} (no reducer installed)",
-                    terminal,
-                    self.name,
-                    k
-                ),
-                SlotE::Stream {
-                    acc,
-                    received,
-                    expected,
-                    finalized,
-                } => {
-                    if *finalized || expected.is_some_and(|e| *received >= e) {
-                        misuse!(
-                            ctx,
-                            Violation::StreamOverrun {
-                                node: self.name,
-                                terminal,
-                                key: format!("{k:?}"),
-                                received: *received,
-                            },
-                            "stream overrun on terminal {} of {} for key {:?}",
-                            terminal,
-                            self.name,
-                            k
-                        );
-                    }
-                    // `None`: the terminal was turned into a stream by a
-                    // `set_stream_size` without a reducer installed.
-                    let Some(spec) = reducer else {
-                        misuse!(
-                            ctx,
-                            Violation::StreamWithoutReducer {
-                                node: self.name,
-                                terminal,
-                                key: format!("{k:?}"),
-                            },
-                            "stream slot without reducer on terminal {} of {} for key {:?}",
-                            terminal,
-                            self.name,
-                            k
-                        )
-                    };
-                    match acc {
-                        Some(a) => {
-                            (spec.op)(a, val);
-                            ctx.metrics.count_reducer_fold(rank);
-                        }
-                        None => *acc = Some((spec.init)(val)),
-                    }
-                    *received += 1;
+        let ready = match self.table(rank, &k).lock().entry(k) {
+            Entry::Occupied(mut e) => {
+                if let Err(m) = self.fill(e.get_mut(), rank, terminal, val, dep, ctx) {
+                    return self.refuse(m, terminal, e.key(), ctx);
                 }
+                e.get().all_complete().then(|| e.remove_entry())
             }
-            if entry.all_complete() {
-                let entry = table.remove(&k).unwrap();
-                Some(entry)
-            } else {
-                None
+            Entry::Vacant(v) => {
+                let mut entry = PendingE::new(self.n_inputs);
+                if let Err(m) = self.fill(&mut entry, rank, terminal, val, dep, ctx) {
+                    return self.refuse(m, terminal, v.key(), ctx);
+                }
+                if entry.all_complete() {
+                    Some((v.into_key(), entry))
+                } else {
+                    v.insert(entry);
+                    None
+                }
             }
         };
         match ready {
-            Some(entry) => self.launch(rank, k, entry, ctx),
+            Some((k, entry)) => self.launch(rank, k, entry, ctx),
             None => Ok(()),
+        }
+    }
+
+    /// Hand `val` to `terminal`'s slot of `entry`: stored, or folded into the
+    /// terminal's stream.
+    fn fill(
+        &self,
+        entry: &mut PendingE,
+        rank: usize,
+        terminal: usize,
+        val: ErasedVal,
+        dep: Dep,
+        ctx: &RuntimeCtx,
+    ) -> Result<(), Refused> {
+        // Provenance is only consumed by the tracer at launch; skip the
+        // per-message Vec growth entirely when tracing is off.
+        if ctx.trace.is_some() {
+            entry.deps.push(dep);
+        }
+        let reducer = self.frozen.get().expect("node not attached").reducers[terminal].as_ref();
+        let slot = entry.slots.get_mut(terminal);
+        match slot {
+            SlotE::Empty => match reducer {
+                Some(spec) => {
+                    *slot = SlotE::Stream {
+                        acc: Some((spec.init)(val)),
+                        received: 1,
+                        expected: spec.default_size,
+                        finalized: false,
+                    };
+                }
+                None => *slot = SlotE::Plain(val),
+            },
+            SlotE::Plain(_) => return Err(Refused::Duplicate),
+            SlotE::Stream {
+                acc,
+                received,
+                expected,
+                finalized,
+            } => {
+                if *finalized || expected.is_some_and(|e| *received >= e) {
+                    return Err(Refused::Overrun(*received));
+                }
+                // `None`: the terminal was turned into a stream by a
+                // `set_stream_size` without a reducer installed.
+                let spec = reducer.ok_or(Refused::NoReducer)?;
+                match acc {
+                    Some(a) => {
+                        (spec.op)(a, val);
+                        ctx.metrics.count_reducer_fold(rank);
+                    }
+                    None => *acc = Some((spec.init)(val)),
+                }
+                *received += 1;
+            }
+        }
+        Ok(())
+    }
+
+    /// The diagnosis of a value [`fill`](Self::fill) refused, which needs
+    /// the key the entry was borrowed from.
+    // Only the `checked` report names the context and the stream's count.
+    #[cfg_attr(not(feature = "checked"), allow(unused_variables))]
+    fn refuse(
+        &self,
+        why: Refused,
+        terminal: usize,
+        k: &K,
+        ctx: &RuntimeCtx,
+    ) -> Result<(), WireError> {
+        match why {
+            Refused::Duplicate => misuse!(
+                ctx,
+                Violation::ExactlyOnce {
+                    node: self.name,
+                    terminal,
+                    key: format!("{k:?}"),
+                },
+                "duplicate input on terminal {} of {} for key {:?} (no reducer installed)",
+                terminal,
+                self.name,
+                k
+            ),
+            Refused::Overrun(received) => misuse!(
+                ctx,
+                Violation::StreamOverrun {
+                    node: self.name,
+                    terminal,
+                    key: format!("{k:?}"),
+                    received,
+                },
+                "stream overrun on terminal {} of {} for key {:?}",
+                terminal,
+                self.name,
+                k
+            ),
+            Refused::NoReducer => misuse!(
+                ctx,
+                Violation::StreamWithoutReducer {
+                    node: self.name,
+                    terminal,
+                    key: format!("{k:?}"),
+                },
+                "stream slot without reducer on terminal {} of {} for key {:?}",
+                terminal,
+                self.name,
+                k
+            ),
         }
     }
 
@@ -813,21 +879,6 @@ impl<K: Key> NodeInner<K> {
                 k
             );
         }
-        let invoke = Arc::clone(
-            self.invoke
-                .get()
-                .unwrap_or_else(|| panic!("node {} has no task body", self.name)),
-        );
-        let vals: Vec<ErasedVal> = entry
-            .slots
-            .into_iter()
-            .map(|s| match s {
-                SlotE::Plain(v) => v,
-                SlotE::Stream { acc: Some(a), .. } => ErasedVal::Owned(a),
-                SlotE::Stream { acc: None, .. } => unreachable!("checked above"),
-                SlotE::Empty => unreachable!("incomplete slot at launch"),
-            })
-            .collect();
         let task_id = ctx.alloc_task_id();
         let frozen = self.frozen.get().expect("node not attached");
         let prio = if ctx.backend.honor_priorities {
@@ -835,12 +886,11 @@ impl<K: Key> NodeInner<K> {
         } else {
             0
         };
-        let deps = entry.deps;
-        let costmap = frozen.costmap.clone();
+        // The job's one handle on its node: body, counter, names, cost model.
+        let node = self.me.upgrade().expect("graph dropped while launching");
         let ctx2 = Arc::clone(ctx);
-        let node_id = self.id;
-        let name = self.name;
-        let executed = Arc::clone(&self.executed);
+        let PendingE { slots, deps } = entry;
+        let inputs = Inputs::from(slots);
         ctx.metrics.count_activation(rank);
         let pool = ctx.pool(rank);
         let mut job = ttg_runtime::Job::with_priority(prio, move || {
@@ -848,22 +898,28 @@ impl<K: Key> NodeInner<K> {
             // body flush as one batch after the trace record, while this
             // job's quiescence unit is still held.
             let _batch = crate::batch::BatchScope::enter(&ctx2);
-            let t0 = Instant::now();
+            let invoke = node
+                .invoke
+                .get()
+                .unwrap_or_else(|| panic!("node {} has no task body", node.name));
+            // The clock is read only for a trace to consume.
+            let t0 = ctx2.trace.as_ref().map(|_| Instant::now());
             {
                 #[cfg(feature = "telemetry")]
-                let _span = ttg_telemetry::span_for_rank(rank, "task", name).arg("task", task_id);
-                invoke(k.clone(), vals, task_id, rank, &ctx2);
+                let _span =
+                    ttg_telemetry::span_for_rank(rank, "task", node.name).arg("task", task_id);
+                invoke(&k, inputs, task_id, rank, &ctx2);
             }
-            let measured_ns = t0.elapsed().as_nanos() as u64;
-            executed.fetch_add(1, Ordering::Relaxed);
-            if let Some(tr) = &ctx2.trace {
-                let cost_ns = costmap.as_ref().map_or(measured_ns, |f| f(&k));
+            let measured_ns = t0.map(|t| t.elapsed().as_nanos() as u64);
+            node.executed.fetch_add(1, Ordering::Relaxed);
+            if let (Some(tr), Some(measured_ns)) = (&ctx2.trace, measured_ns) {
+                let costmap = node.frozen.get().and_then(|f| f.costmap.as_ref());
                 tr.record(TaskEvent {
                     id: task_id,
-                    node: node_id,
-                    name,
+                    node: node.id,
+                    name: node.name,
                     rank,
-                    cost_ns,
+                    cost_ns: costmap.map_or(measured_ns, |f| f(&k)),
                     priority: prio,
                     deps,
                 });

@@ -12,7 +12,7 @@ use ttg_comm::{ReadBuf, WireError, WriteBuf};
 
 use crate::ctx::RuntimeCtx;
 use crate::edge::{Edge, OutTerm, PortImpl};
-use crate::node::{InputMeta, NodeInner};
+use crate::node::{InputMeta, Inputs, NodeInner};
 use crate::types::{Data, ErasedVal, Key};
 
 /// Build the per-terminal vtable for value type `V`.
@@ -62,11 +62,11 @@ pub trait EdgeList<K: Key>: 'static {
     fn decls(&self) -> Vec<crate::inspect::EdgeDecl>;
     /// Register one consumer port per edge on `node`.
     fn connect(&self, node: &Arc<NodeInner<K>>);
-    /// Downcast the erased input values into the typed tuple, tracking the
+    /// Downcast the matched inputs into the typed tuple, tracking the
     /// copy plane: moves out of shared handles and refcount-bump clones
     /// count as avoided deep copies, deep clones of still-shared values
     /// count as copy-on-write clones (with their byte cost).
-    fn extract(vals: Vec<ErasedVal>, rank: usize, ctx: &RuntimeCtx) -> Self::Values;
+    fn extract(inputs: Inputs, rank: usize, ctx: &RuntimeCtx) -> Self::Values;
 }
 
 macro_rules! impl_edge_list {
@@ -92,11 +92,10 @@ macro_rules! impl_edge_list {
                 )+
             }
 
-            fn extract(vals: Vec<ErasedVal>, rank: usize, ctx: &RuntimeCtx) -> Self::Values {
-                let mut it = vals.into_iter();
+            fn extract(mut inputs: Inputs, rank: usize, ctx: &RuntimeCtx) -> Self::Values {
                 ($(
                     {
-                        let ev = it.next().expect("missing input value");
+                        let ev = inputs.next().expect("missing input value");
                         let shared = ev.is_shared();
                         let (v, copied): ($V, bool) =
                             ev.take().expect("input value type mismatch");

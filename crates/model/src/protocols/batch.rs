@@ -7,12 +7,18 @@
 //! - every job in the batch executes (no task stranded — a stranded task
 //!   shows up as a deadlocked sleeping worker);
 //! - the submit path performs exactly one announce for the whole group
-//!   (the batching property PR 7 promoted into the pool).
+//!   (the batching property PR 7 promoted into the pool);
+//! - the quiescence counter reads idle only once every job has run: the
+//!   group's units are registered with one add *before* the first job is
+//!   queued, while the submitter (a running task, or a packet in flight)
+//!   still holds its own.
 //!
 //! [`Mutation::SkipSeqBump`] notifies without bumping the epoch: workers
 //! already parked re-check their stale snapshot, re-pass the predicate,
 //! and go back to sleep over a non-empty queue — the checker finds the
-//! stranded-task deadlock.
+//! stranded-task deadlock. [`Mutation::RegisterAfterEnqueue`] queues the
+//! group first: a worker finishes a job before its unit exists, and the
+//! detector reads idle with work queued.
 
 use crate::explore::{explore, Config, Stats, Violation};
 use crate::shadow::{AtomicU64, AtomicUsize, Condvar, Mutex};
@@ -29,6 +35,8 @@ pub enum Mutation {
     /// `wake_seq`, so already-parked workers re-sleep on their stale
     /// epoch snapshot.
     SkipSeqBump,
+    /// Register the group's quiescence units after its jobs are queued.
+    RegisterAfterEnqueue,
 }
 
 const JOBS: usize = 2;
@@ -41,6 +49,23 @@ struct Shared {
     executed: AtomicUsize,
     /// Announces performed by the submit path (not by finishing workers).
     submit_announces: AtomicUsize,
+    /// Quiescence units: one per queued or running job, plus the
+    /// submitter's own until its submit returns.
+    active: AtomicU64,
+}
+
+/// Release one quiescence unit. Whoever brings the counter to zero is what
+/// the termination detector sees as idle: every job must have run by then.
+fn finish_unit(sh: &Shared) {
+    let before = sh.active.fetch_sub(1, SeqCst);
+    assert!(before > 0, "a job finished before its unit was registered");
+    if before == 1 {
+        let executed = sh.executed.load(SeqCst);
+        assert!(
+            executed == JOBS,
+            "quiescence read idle with work queued: executed {executed} of {JOBS}"
+        );
+    }
 }
 
 fn announce_all(sh: &Shared) {
@@ -59,6 +84,7 @@ fn worker(sh: &Shared) {
         }
         if sh.queue.lock().pop().is_some() {
             let done = sh.executed.fetch_add(1, SeqCst) + 1;
+            finish_unit(sh);
             if done == JOBS {
                 // Last finisher broadcasts so idle peers can exit (the
                 // model's stand-in for pool shutdown).
@@ -83,6 +109,7 @@ fn model(mutation: Mutation) {
         queue: Mutex::named(Vec::new(), "queue"),
         executed: AtomicUsize::named(0, "executed"),
         submit_announces: AtomicUsize::named(0, "submit_announces"),
+        active: AtomicU64::named(1, "active"),
     });
 
     let workers: Vec<_> = (0..2)
@@ -95,19 +122,28 @@ fn model(mutation: Mutation) {
     let submitter = {
         let sh = Arc::clone(&sh);
         thread::spawn_named("submitter", move || {
+            // The group's units exist before its first job can finish…
+            if mutation != Mutation::RegisterAfterEnqueue {
+                sh.active.fetch_add(JOBS as u64, SeqCst);
+            }
             {
-                // The whole batch lands under one queue lock…
+                // …the whole batch lands under one queue lock…
                 let mut q = sh.queue.lock();
                 for j in 0..JOBS as u64 {
                     q.push(j);
                 }
             }
+            if mutation == Mutation::RegisterAfterEnqueue {
+                sh.active.fetch_add(JOBS as u64, SeqCst);
+            }
             // …and is announced exactly once.
             sh.submit_announces.fetch_add(1, SeqCst);
             match mutation {
-                Mutation::None => announce_all(&sh),
                 Mutation::SkipSeqBump => sh.wake.notify_all(),
+                _ => announce_all(&sh),
             }
+            // The submit returned: the submitter's own unit goes.
+            finish_unit(&sh);
         })
     };
 

@@ -40,7 +40,8 @@ pub fn corpus() -> Vec<CorpusEntry> {
         },
         CorpusEntry {
             name: "submit_batch",
-            invariant: "batched submit: one wake_seq bump per group and no task stranded",
+            invariant: "batched submit: one wake_seq bump per group, no task stranded, and \
+                        the group's quiescence units registered before its first enqueue",
             run: |cfg| batch::check(cfg, batch::Mutation::None),
             default_bound: 2,
         },

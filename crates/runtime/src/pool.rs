@@ -489,11 +489,7 @@ impl WorkerPool {
 
     /// Submit a job for execution.
     pub fn submit(&self, job: Job) {
-        self.shared.quiescence.activity_started();
-        self.shared.metrics.submitted.inc();
-        self.shared.metrics.queue_depth.add(1);
-        self.shared.enqueue_job(job);
-        self.shared.announce_work();
+        self.submit_group(std::iter::once(job));
     }
 
     /// Submit a group of jobs with a single wake announcement: one
@@ -501,23 +497,32 @@ impl WorkerPool {
     /// job, amortizing the sleep-lock round trip and condvar traffic
     /// (Taskflow-style batched activation).
     pub fn submit_batch(&self, jobs: Vec<Job>) {
+        self.submit_group(jobs.into_iter());
+    }
+
+    /// [`submit_batch`](Self::submit_batch) for a group that already sits
+    /// in a buffer of the caller's. The group's quiescence units and counts
+    /// are registered with one add each *before* the first job is queued:
+    /// a worker may finish a job the moment it is, and its unit must exist
+    /// by then.
+    pub fn submit_group(&self, jobs: impl ExactSizeIterator<Item = Job>) {
         let n = jobs.len();
         if n == 0 {
             return;
         }
-        if n == 1 {
-            // A group of one is just a submit; don't count it as batched.
-            self.submit(jobs.into_iter().next().unwrap());
-            return;
-        }
+        self.shared.quiescence.activities_started(n as u64);
+        self.shared.metrics.submitted.add(n as u64);
+        self.shared.metrics.queue_depth.add(n as i64);
         for job in jobs {
-            self.shared.quiescence.activity_started();
-            self.shared.metrics.submitted.inc();
-            self.shared.metrics.queue_depth.add(1);
             self.shared.enqueue_job(job);
         }
-        self.shared.metrics.tasks_batched.add(n as u64);
-        self.shared.announce_batch();
+        if n == 1 {
+            // A group of one is just a submit; don't count it as batched.
+            self.shared.announce_work();
+        } else {
+            self.shared.metrics.tasks_batched.add(n as u64);
+            self.shared.announce_batch();
+        }
     }
 
     /// Index of the calling thread within this pool, if it is one of this

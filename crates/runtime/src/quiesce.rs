@@ -33,8 +33,15 @@ impl Quiescence {
     /// Record the start of a unit of activity.
     #[inline]
     pub fn activity_started(&self) {
-        self.epoch.fetch_add(1, Ordering::SeqCst);
-        self.active.fetch_add(1, Ordering::SeqCst);
+        self.activities_started(1);
+    }
+
+    /// Record the start of `n` units of activity at once (a batch of jobs,
+    /// registered before the first of them can finish).
+    #[inline]
+    pub fn activities_started(&self, n: u64) {
+        self.epoch.fetch_add(n, Ordering::SeqCst);
+        self.active.fetch_add(n, Ordering::SeqCst);
     }
 
     /// Record the end of a unit of activity.
