@@ -1,11 +1,13 @@
-//! # ttg-bench — figure harnesses and shared benchmark utilities
+//! # ttg-bench — the figure harness
 //!
 //! One binary per table/figure of the paper's evaluation section (see
-//! `DESIGN.md` for the index). Applications run for real on the in-process
-//! fabric at laptop scale; recorded traces are projected onto Hawk-like and
-//! Seawulf-like machine models by `ttg-simnet` to regenerate the figures'
-//! node ranges. Absolute numbers are not expected to match the paper —
-//! shapes, groupings, and crossovers are (see `EXPERIMENTS.md`).
+//! `DESIGN.md` for the index) and the table/projection helpers they share;
+//! measuring the runtime itself is `bench_all`'s job, not this crate's.
+//! Applications run for real on the in-process fabric at laptop scale;
+//! recorded traces are projected onto Hawk-like and Seawulf-like machine
+//! models by `ttg-simnet` to regenerate the figures' node ranges. Absolute
+//! numbers are not expected to match the paper — shapes, groupings, and
+//! crossovers are (see `EXPERIMENTS.md`).
 
 #![warn(missing_docs)]
 

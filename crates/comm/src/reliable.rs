@@ -25,8 +25,7 @@
 //! of messages is answered by one ranged ack instead of one ack each.
 //! It is the one ack protocol: the per-message "immediate" mode it was
 //! measured against removed the sender's entry through shared memory and
-//! put no frame on any wire; its numbers are recorded in
-//! `results/bench_wire.json`.
+//! put no frame on any wire; its numbers are recorded in DESIGN §12.
 
 use std::collections::HashMap;
 use std::sync::Arc;

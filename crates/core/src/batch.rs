@@ -7,8 +7,8 @@
 //! spawned while a parent work item runs in thread-local storage and
 //! flushes them on drop as one group per destination rank: one `wake_seq`
 //! bump covers the whole successor group (Taskflow-style batched
-//! notification, promoted from the simnet policy lab). The buffer is the
-//! thread's own and outlives the scope, so a scope allocates nothing.
+//! notification, DESIGN §10). The buffer is the thread's own and outlives
+//! the scope, so a scope allocates nothing.
 //!
 //! Quiescence stays airtight: jobs are buffered only while the parent
 //! work item is still active (its own quiescence unit — or the in-flight

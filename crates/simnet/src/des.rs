@@ -3,21 +3,18 @@
 //! Input: a list of [`TraceTask`]s — the executed task instances with their
 //! modelled durations and data dependencies (producer task, bytes moved,
 //! source rank). Output: the projected makespan on a
-//! [`MachineModel`](crate::machines::MachineModel), plus utilization and
-//! communication statistics.
+//! [`MachineModel`], plus utilization and communication statistics.
 //!
-//! Scheduling is pluggable (see [`crate::policy`]): each node owns
-//! `cores_per_node` identical cores and a ready queue; a
-//! [`SchedPolicy`] decides dispatch order, activation grouping, and
-//! steal-victim selection. [`simulate`] uses the legacy FIFO-by-ready-time
-//! discipline. Each node has one outgoing and one incoming NIC channel
-//! that serialize transfers (cut-through, LogGP-like).
+//! Each node owns `cores_per_node` identical cores and a ready queue served
+//! earliest-ready first (higher priority, then smaller id, breaking ties); a
+//! task runs on the node its rank maps to. Each node has one outgoing and
+//! one incoming NIC channel that serialize transfers (cut-through,
+//! LogGP-like).
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 
 use crate::machines::MachineModel;
-use crate::policy::{Fifo, ReadyTask, SchedPolicy, SchedStats, StealCandidate};
 
 /// One executed task instance from a trace.
 #[derive(Debug, Clone)]
@@ -70,296 +67,21 @@ pub struct SimResult {
     pub utilization: f64,
     /// Tasks simulated.
     pub tasks: usize,
-    /// Retransmissions modelled by [`NetFaults`] (0 on a perfect network).
-    pub retransmits: u64,
-    /// Scheduler counters (wakeups, batching, steal behavior).
-    pub sched: SchedStats,
 }
 
-/// Network-fault model for projection: each inter-node transfer is
-/// independently lost with probability `drop` and retried after an `rto_ns`
-/// timeout, up to `max_retries` times — the DES analog of the fabric's
-/// reliable-delivery layer, mirroring the simulated-environment methodology
-/// of Beránek et al. (arXiv:2204.07211).
-///
-/// Loss decisions are a pure hash of `(seed, transfer ordinal, attempt)`,
-/// so a projection is exactly reproducible for a given seed.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NetFaults {
-    /// Hash seed.
-    pub seed: u64,
-    /// Per-attempt loss probability in [0, 1).
-    pub drop: f64,
-    /// Retransmission timeout added per lost attempt.
-    pub rto_ns: u64,
-    /// Attempts beyond the first before the transfer is forced through
-    /// (the runtime would surface a `CommError` past this point; the
-    /// projection keeps the DAG runnable and just stops adding timeouts).
-    pub max_retries: u32,
-}
-
-impl NetFaults {
-    /// A fault model with the fabric's default retry shape.
-    pub fn seeded(seed: u64, drop: f64, rto_ns: u64) -> Self {
-        assert!((0.0..1.0).contains(&drop), "drop must be in [0, 1)");
-        NetFaults {
-            seed,
-            drop,
-            rto_ns,
-            max_retries: 12,
-        }
-    }
-
-    /// Deterministic number of lost attempts for transfer `ordinal`
-    /// (geometric in `drop`, capped at `max_retries`).
-    fn lost_attempts(&self, ordinal: u64) -> u32 {
-        let mut lost = 0;
-        while lost < self.max_retries {
-            // splitmix64 over (seed, ordinal, attempt) → uniform [0,1).
-            let mut z = self
-                .seed
-                .wrapping_add(ordinal.wrapping_mul(0x9E37_79B9_7F4A_7C15))
-                .wrapping_add((lost as u64).wrapping_mul(0xBF58_476D_1CE4_E5B9));
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
-            let u = (z >> 11) as f64 / (1u64 << 53) as f64;
-            if u >= self.drop {
-                break;
-            }
-            lost += 1;
-        }
-        lost
-    }
-}
-
-impl SimResult {
-    /// Projected rate in "work seconds per wall second" — proportional to
-    /// GFLOP/s when task costs are flop-derived.
-    pub fn speedup(&self) -> f64 {
-        if self.makespan_ns == 0 {
-            0.0
-        } else {
-            self.total_work_ns as f64 / self.makespan_ns as f64
-        }
-    }
-}
-
-// Event key: (time, kind, −priority, id, payload). At equal times:
+// Event key: (time, kind, −priority, id, task index). At equal times:
 // finishes are processed before arrivals; among arrivals, higher priority
-// wins, then FIFO by id. The payload carries the task index (finishes) or
-// the activation-group index (arrivals) and never affects relative order
-// of distinct tasks (ids are unique).
-type EvKey = (u64, u8, i64, u64, u64);
+// wins, then FIFO by id. Ids are unique, so the index never decides.
+type EvKey = (u64, u8, i64, u64, usize);
 const EV_DONE: u8 = 0;
 const EV_ARRIVE: u8 = 1;
 
-/// Simulate `tasks` on `machine` under the legacy FIFO discipline (no
-/// stealing, no batching). Ranks in the trace are mapped onto nodes by
-/// `rank % machine.nodes`.
+/// Simulate `tasks` on `machine`. Ranks in the trace are mapped onto nodes
+/// by `rank % machine.nodes`.
 pub fn simulate(tasks: &[TraceTask], machine: &MachineModel) -> SimResult {
-    simulate_policy(tasks, machine, &mut Fifo, None)
-}
-
-/// Like [`simulate`], but each inter-node transfer is subject to `faults`:
-/// lost attempts add retransmission timeouts to the transfer's completion
-/// and occupy the NICs again for the repeated wire time. Routes through
-/// the same policy engine as [`simulate`] (FIFO policy).
-pub fn simulate_faulty(
-    tasks: &[TraceTask],
-    machine: &MachineModel,
-    faults: Option<NetFaults>,
-) -> SimResult {
-    simulate_policy(tasks, machine, &mut Fifo, faults)
-}
-
-/// Enqueue one activation group: a set of tasks that became ready together
-/// on `node` at time `when`, woken by a single simulated event.
-fn push_group(
-    groups: &mut Vec<(usize, Vec<ReadyTask>)>,
-    events: &mut BinaryHeap<Reverse<EvKey>>,
-    stats: &mut SchedStats,
-    node: usize,
-    when: u64,
-    members: Vec<ReadyTask>,
-) {
-    debug_assert!(!members.is_empty());
-    stats.wakeups += 1;
-    if members.len() > 1 {
-        stats.tasks_batched += members.len() as u64;
-    }
-    let nprio = -(members.iter().map(|m| m.priority).max().unwrap() as i64);
-    let min_id = members.iter().map(|m| m.id).min().unwrap();
-    let gid = groups.len() as u64;
-    groups.push((node, members));
-    events.push(Reverse((when, EV_ARRIVE, nprio, min_id, gid)));
-}
-
-/// Fill every free core of `node` from its ready queue, letting `policy`
-/// pick the dispatch order.
-#[allow(clippy::too_many_arguments)]
-fn dispatch(
-    node: usize,
-    now: u64,
-    machine: &MachineModel,
-    tasks: &[TraceTask],
-    policy: &mut dyn SchedPolicy,
-    queues: &mut [Vec<ReadyTask>],
-    cores_busy: &mut [usize],
-    events: &mut BinaryHeap<Reverse<EvKey>>,
-    finish_at: &mut [u64],
-    makespan: &mut u64,
-) {
-    while cores_busy[node] < machine.cores_per_node && !queues[node].is_empty() {
-        let k = policy.pick(node, &queues[node], tasks, now);
-        let rt = queues[node].remove(k);
-        cores_busy[node] += 1;
-        let end = now + tasks[rt.idx].cost_ns + rt.overhead_ns;
-        finish_at[rt.idx] = end;
-        *makespan = (*makespan).max(end);
-        events.push(Reverse((end, EV_DONE, 0, rt.id, rt.idx as u64)));
-    }
-}
-
-/// Bytes that would have to move to `thief`'s node for it to run `t`:
-/// every payload-carrying input that is resident neither at `t`'s home
-/// node (where deliveries landed) nor at the node that actually executed
-/// the producer. Zero means every input `Arc` is already thief-local.
-fn move_bytes(
-    t: &TraceTask,
-    thief: usize,
-    nodes: usize,
-    index: &HashMap<u64, usize>,
-    exec_node: &[usize],
-    stolen: &[bool],
-) -> u64 {
-    let home = t.rank % nodes;
-    let mut total = 0;
-    for &(from, bytes, src, _) in &t.deps {
-        if bytes == 0 {
-            continue;
-        }
-        let prod = match index.get(&from) {
-            Some(&p) if from != 0 && stolen[p] => exec_node[p],
-            _ => src % nodes,
-        };
-        if thief != home && thief != prod {
-            total += bytes;
-        }
-    }
-    total
-}
-
-/// One stealing round: every node with a free core and an empty queue
-/// scans the other nodes' queue heads (costed by `move_bytes`) and lets
-/// `policy` choose a victim. Stolen tasks commit a thief core through the
-/// handshake, any data movement, and the task body. Steal transfers are
-/// not fault-injected (the fault model covers dataflow deliveries).
-#[allow(clippy::too_many_arguments)]
-fn steal_pass(
-    now: u64,
-    machine: &MachineModel,
-    tasks: &[TraceTask],
-    index: &HashMap<u64, usize>,
-    policy: &mut dyn SchedPolicy,
-    queues: &mut [Vec<ReadyTask>],
-    cores_busy: &mut [usize],
-    nic_out: &mut [u64],
-    nic_in: &mut [u64],
-    exec_node: &mut [usize],
-    stolen: &mut [bool],
-    finish_at: &mut [u64],
-    makespan: &mut u64,
-    events: &mut BinaryHeap<Reverse<EvKey>>,
-    stats: &mut SchedStats,
-    network_bytes: &mut u64,
-    network_msgs: &mut u64,
-) {
-    if !policy.steals() {
-        return;
-    }
-    let nodes = machine.nodes;
-    loop {
-        if queues.iter().all(Vec::is_empty) {
-            return;
-        }
-        let mut stole = false;
-        for thief in 0..nodes {
-            if cores_busy[thief] >= machine.cores_per_node || !queues[thief].is_empty() {
-                continue;
-            }
-            let mut cands: Vec<Option<StealCandidate>> = vec![None; nodes];
-            let mut pick_at: Vec<usize> = vec![0; nodes];
-            for v in 0..nodes {
-                if v == thief || queues[v].is_empty() {
-                    continue;
-                }
-                let k = policy.pick(v, &queues[v], tasks, now);
-                let rt = queues[v][k];
-                pick_at[v] = k;
-                cands[v] = Some(StealCandidate {
-                    bytes: move_bytes(&tasks[rt.idx], thief, nodes, index, exec_node, stolen),
-                    ready_at: rt.ready_at,
-                    priority: rt.priority,
-                    id: rt.id,
-                });
-            }
-            match policy.pick_victim(thief, &cands) {
-                Some(v) if v < nodes && cands[v].is_some() => {
-                    let rt = queues[v].remove(pick_at[v]);
-                    let moved = cands[v].unwrap().bytes;
-                    stats.steals += 1;
-                    if moved == 0 {
-                        stats.local_hits += 1;
-                    }
-                    stats.steal_moved_bytes += moved;
-                    cores_busy[thief] += 1;
-                    stolen[rt.idx] = true;
-                    exec_node[rt.idx] = thief;
-                    let start = if moved > 0 {
-                        let begin = now.max(nic_out[v]).max(nic_in[thief]);
-                        let end = begin + machine.transfer_ns(moved);
-                        nic_out[v] = end;
-                        nic_in[thief] = end;
-                        *network_bytes += moved;
-                        *network_msgs += 1;
-                        end + machine.msg_overhead_ns
-                    } else {
-                        // Steal handshake: one latency even when no
-                        // payload has to move.
-                        now + machine.latency_ns
-                    };
-                    let end = start + tasks[rt.idx].cost_ns + rt.overhead_ns;
-                    finish_at[rt.idx] = end;
-                    *makespan = (*makespan).max(end);
-                    events.push(Reverse((end, EV_DONE, 0, rt.id, rt.idx as u64)));
-                    stole = true;
-                }
-                _ => {
-                    stats.steal_misses += 1;
-                }
-            }
-        }
-        if !stole {
-            return;
-        }
-    }
-}
-
-/// Simulate `tasks` on `machine` under an arbitrary [`SchedPolicy`],
-/// optionally with the [`NetFaults`] retransmission model applied to
-/// dataflow transfers.
-///
-/// With the [`Fifo`] policy this is bit-compatible with the pre-policy
-/// simulator (same event order, same NIC bookings, same fault ordinals).
-pub fn simulate_policy(
-    tasks: &[TraceTask],
-    machine: &MachineModel,
-    policy: &mut dyn SchedPolicy,
-    faults: Option<NetFaults>,
-) -> SimResult {
     assert!(machine.nodes > 0 && machine.cores_per_node > 0);
     let node_of = |rank: usize| rank % machine.nodes;
+    let nprio = |i: usize| -(tasks[i].priority as i64);
 
     // Index tasks and successor lists.
     let index: HashMap<u64, usize> = tasks.iter().enumerate().map(|(i, t)| (t.id, i)).collect();
@@ -380,231 +102,92 @@ pub fn simulate_policy(
     // Serve high-priority consumers first at the NIC (priority-aware
     // communication scheduling), then FIFO by id for determinism.
     for list in succs.iter_mut() {
-        list.sort_by_key(|&i| (-(tasks[i].priority as i64), tasks[i].id));
+        list.sort_by_key(|&i| (nprio(i), tasks[i].id));
         list.dedup();
     }
 
-    // Per-node resources.
+    // Per-node resources. A ready queue is a min-heap on (ready time,
+    // −priority, id, task index).
     let mut cores_busy: Vec<usize> = vec![0; machine.nodes];
-    let mut queues: Vec<Vec<ReadyTask>> = vec![Vec::new(); machine.nodes];
+    let mut queues: Vec<BinaryHeap<Reverse<(u64, i64, u64, usize)>>> =
+        vec![BinaryHeap::new(); machine.nodes];
     let mut nic_out: Vec<u64> = vec![0; machine.nodes];
     let mut nic_in: Vec<u64> = vec![0; machine.nodes];
 
+    // Latest input arrival seen so far, per task.
     let mut ready_at: Vec<u64> = vec![0; tasks.len()];
-    let mut finish_at: Vec<u64> = vec![0; tasks.len()];
-    // Node each task actually runs on (home unless stolen).
-    let mut exec_node: Vec<usize> = tasks.iter().map(|t| node_of(t.rank)).collect();
-    let mut stolen: Vec<bool> = vec![false; tasks.len()];
 
-    let mut groups: Vec<(usize, Vec<ReadyTask>)> = Vec::new();
+    // Seed tasks become ready at t=0.
     let mut events: BinaryHeap<Reverse<EvKey>> = BinaryHeap::new();
-    let mut stats = SchedStats::default();
-
-    // Seed tasks become ready at t=0; batching policies group them per
-    // node into one activation each.
-    {
-        let mut seed_members: Vec<Vec<ReadyTask>> = vec![Vec::new(); machine.nodes];
-        for (i, t) in tasks.iter().enumerate() {
-            if remaining[i] == 0 {
-                let rt = ReadyTask {
-                    idx: i,
-                    id: t.id,
-                    priority: t.priority,
-                    ready_at: 0,
-                    overhead_ns: machine.task_overhead_ns,
-                };
-                if policy.batches() {
-                    seed_members[node_of(t.rank)].push(rt);
-                } else {
-                    push_group(
-                        &mut groups,
-                        &mut events,
-                        &mut stats,
-                        node_of(t.rank),
-                        0,
-                        vec![rt],
-                    );
-                }
-            }
-        }
-        if policy.batches() {
-            for (node, mut members) in seed_members.into_iter().enumerate() {
-                if members.is_empty() {
-                    continue;
-                }
-                for m in members.iter_mut().skip(1) {
-                    m.overhead_ns = 0;
-                }
-                push_group(&mut groups, &mut events, &mut stats, node, 0, members);
-            }
+    for (i, t) in tasks.iter().enumerate() {
+        if remaining[i] == 0 {
+            events.push(Reverse((0, EV_ARRIVE, nprio(i), t.id, i)));
         }
     }
 
     let mut makespan = 0u64;
     let mut network_bytes = 0u64;
     let mut network_msgs = 0u64;
-    let mut retransmits = 0u64;
     // Arrival cache for shared transfers (optimized broadcast: several
     // consumers piggyback on one AM).
     let mut shared_arrivals: HashMap<u64, u64> = HashMap::new();
 
-    while let Some(Reverse((now, kind, _nprio, _id, payload))) = events.pop() {
-        let touched: usize;
-        match kind {
-            EV_ARRIVE => {
-                let (node, members) = std::mem::take(&mut groups[payload as usize]);
-                queues[node].extend(members);
-                touched = node;
-            }
-            _ => {
-                let i = payload as usize;
-                let run_node = exec_node[i];
-                cores_busy[run_node] -= 1;
-                let id = tasks[i].id;
-                let done_at = finish_at[i];
-                let mut newly: Vec<usize> = Vec::new();
-                // Resolve each successor dependency that this task feeds.
-                for &s in &succs[i] {
-                    let st = &tasks[s];
-                    // A successor may consume several outputs of the same
-                    // producer; handle each matching dep edge once by
-                    // counting them all here (they share the arrival path).
-                    let mut arrivals = 0u64;
-                    let mut n_edges = 0usize;
-                    for &(from, bytes, src, msg) in &st.deps {
-                        if from != id {
-                            continue;
+    while let Some(Reverse((now, kind, _, id, i))) = events.pop() {
+        let node = node_of(tasks[i].rank);
+        if kind == EV_ARRIVE {
+            queues[node].push(Reverse((now, nprio(i), id, i)));
+        } else {
+            cores_busy[node] -= 1;
+            // Resolve each successor dependency that this task feeds.
+            for &s in &succs[i] {
+                let st = &tasks[s];
+                let dst_node = node_of(st.rank);
+                // A successor may consume several outputs of the same
+                // producer; handle each matching dep edge once by
+                // counting them all here (they share the arrival path).
+                let mut n_edges = 0usize;
+                for &(from, bytes, src, msg) in &st.deps {
+                    if from != id {
+                        continue;
+                    }
+                    n_edges += 1;
+                    // The trace's source rank may be a forwarding rank.
+                    let src_node = node_of(src);
+                    let arrival = if bytes == 0 || src_node == dst_node {
+                        now
+                    } else if let Some(&arr) = shared_arrivals.get(&msg) {
+                        arr // msg 0 ("not shared") is never cached
+                    } else {
+                        let begin = now.max(nic_out[src_node]).max(nic_in[dst_node]);
+                        let end = begin + machine.transfer_ns(bytes);
+                        nic_out[src_node] = end;
+                        nic_in[dst_node] = end;
+                        network_bytes += bytes;
+                        network_msgs += 1;
+                        let arr = end + machine.msg_overhead_ns;
+                        if msg != 0 {
+                            shared_arrivals.insert(msg, arr);
                         }
-                        n_edges += 1;
-                        // Data lives where the producer actually ran; for
-                        // unstolen producers keep the trace's source rank
-                        // (it may be a forwarding rank).
-                        let src_node = if stolen[i] {
-                            exec_node[i]
-                        } else {
-                            node_of(src)
-                        };
-                        let dst_node = node_of(st.rank);
-                        let arrival = if bytes == 0 || src_node == dst_node {
-                            done_at
-                        } else if msg != 0 && shared_arrivals.contains_key(&msg) {
-                            shared_arrivals[&msg]
-                        } else {
-                            let begin = done_at.max(nic_out[src_node]).max(nic_in[dst_node]);
-                            let mut dur = machine.transfer_ns(bytes);
-                            if let Some(nf) = &faults {
-                                let lost = nf.lost_attempts(network_msgs);
-                                if lost > 0 {
-                                    retransmits += lost as u64;
-                                    // Each lost attempt burns its wire time
-                                    // plus the retransmission timeout.
-                                    dur += lost as u64 * (machine.transfer_ns(bytes) + nf.rto_ns);
-                                }
-                            }
-                            let end = begin + dur;
-                            nic_out[src_node] = end;
-                            nic_in[dst_node] = end;
-                            network_bytes += bytes;
-                            network_msgs += 1;
-                            let arr = end + machine.msg_overhead_ns;
-                            if msg != 0 {
-                                shared_arrivals.insert(msg, arr);
-                            }
-                            arr
-                        };
-                        arrivals = arrivals.max(arrival);
-                    }
-                    ready_at[s] = ready_at[s].max(arrivals);
-                    remaining[s] -= n_edges;
-                    if remaining[s] == 0 {
-                        newly.push(s);
-                    }
+                        arr
+                    };
+                    ready_at[s] = ready_at[s].max(arrival);
                 }
-                if policy.batches() {
-                    // Group the newly ready successors by (arrival time,
-                    // destination node): one wakeup per group, activation
-                    // overhead charged only to the leader.
-                    let mut gs: Vec<(u64, usize, Vec<ReadyTask>)> = Vec::new();
-                    for &s in &newly {
-                        let st = &tasks[s];
-                        let dst = node_of(st.rank);
-                        let when = ready_at[s];
-                        let rt = ReadyTask {
-                            idx: s,
-                            id: st.id,
-                            priority: st.priority,
-                            ready_at: when,
-                            overhead_ns: 0,
-                        };
-                        if let Some(g) = gs.iter_mut().find(|g| g.0 == when && g.1 == dst) {
-                            g.2.push(rt);
-                        } else {
-                            gs.push((
-                                when,
-                                dst,
-                                vec![ReadyTask {
-                                    overhead_ns: machine.task_overhead_ns,
-                                    ..rt
-                                }],
-                            ));
-                        }
-                    }
-                    for (when, dst, members) in gs {
-                        push_group(&mut groups, &mut events, &mut stats, dst, when, members);
-                    }
-                } else {
-                    for &s in &newly {
-                        let st = &tasks[s];
-                        push_group(
-                            &mut groups,
-                            &mut events,
-                            &mut stats,
-                            node_of(st.rank),
-                            ready_at[s],
-                            vec![ReadyTask {
-                                idx: s,
-                                id: st.id,
-                                priority: st.priority,
-                                ready_at: ready_at[s],
-                                overhead_ns: machine.task_overhead_ns,
-                            }],
-                        );
-                    }
+                remaining[s] -= n_edges;
+                if remaining[s] == 0 {
+                    events.push(Reverse((ready_at[s], EV_ARRIVE, nprio(s), st.id, s)));
                 }
-                touched = run_node;
             }
         }
-        dispatch(
-            touched,
-            now,
-            machine,
-            tasks,
-            policy,
-            &mut queues,
-            &mut cores_busy,
-            &mut events,
-            &mut finish_at,
-            &mut makespan,
-        );
-        steal_pass(
-            now,
-            machine,
-            tasks,
-            &index,
-            policy,
-            &mut queues,
-            &mut cores_busy,
-            &mut nic_out,
-            &mut nic_in,
-            &mut exec_node,
-            &mut stolen,
-            &mut finish_at,
-            &mut makespan,
-            &mut events,
-            &mut stats,
-            &mut network_bytes,
-            &mut network_msgs,
-        );
+        // Fill the free cores of the node this event touched.
+        while cores_busy[node] < machine.cores_per_node {
+            let Some(Reverse((_, _, next_id, next))) = queues[node].pop() else {
+                break;
+            };
+            cores_busy[node] += 1;
+            let end = now + tasks[next].cost_ns + machine.task_overhead_ns;
+            makespan = makespan.max(end);
+            events.push(Reverse((end, EV_DONE, 0, next_id, next)));
+        }
     }
 
     let total_work_ns: u64 = tasks.iter().map(|t| t.cost_ns).sum();
@@ -620,8 +203,6 @@ pub fn simulate_policy(
             0.0
         },
         tasks: tasks.len(),
-        retransmits,
-        sched: stats,
     }
 }
 
@@ -821,203 +402,119 @@ mod tests {
         assert_eq!(r.makespan_ns, 50);
     }
 
-    #[test]
-    fn faulty_network_slows_but_never_changes_the_dag() {
-        let tasks = chain(20, 100, 1000, true);
-        let m = machine(2, 2);
-        let clean = simulate(&tasks, &m);
-        let faulty = simulate_faulty(&tasks, &m, Some(NetFaults::seeded(7, 0.4, 5_000)));
-        assert_eq!(faulty.tasks, clean.tasks);
-        assert_eq!(faulty.network_msgs, clean.network_msgs);
-        assert_eq!(faulty.network_bytes, clean.network_bytes);
-        assert!(faulty.retransmits > 0, "40% drop must cost retransmits");
-        assert!(
-            faulty.makespan_ns > clean.makespan_ns,
-            "retransmits must inflate the projection ({} <= {})",
-            faulty.makespan_ns,
-            clean.makespan_ns
-        );
-        assert_eq!(clean.retransmits, 0);
+    /// splitmix64 step: the golden traces below are a pure function of
+    /// their ordinal.
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
     }
 
-    #[test]
-    fn fault_projection_is_deterministic_per_seed() {
-        let tasks = chain(30, 50, 500, true);
-        let m = machine(2, 2);
-        let a = simulate_faulty(&tasks, &m, Some(NetFaults::seeded(9, 0.3, 2_000)));
-        let b = simulate_faulty(&tasks, &m, Some(NetFaults::seeded(9, 0.3, 2_000)));
-        assert_eq!(a, b);
-        let c = simulate_faulty(&tasks, &m, Some(NetFaults::seeded(10, 0.3, 2_000)));
-        // A different seed almost surely lands on a different schedule.
-        assert_ne!(a.makespan_ns, c.makespan_ns);
-    }
-
-    #[test]
-    fn zero_drop_faults_match_clean_projection() {
-        let tasks = chain(10, 100, 1000, true);
-        let m = machine(2, 2);
-        let clean = simulate(&tasks, &m);
-        let nofault = simulate_faulty(&tasks, &m, Some(NetFaults::seeded(1, 0.0, 5_000)));
-        assert_eq!(clean, nofault);
-    }
-
-    /// Wide fork on one rank: every task is home to node 0, the other
-    /// nodes are idle unless a stealing policy moves work.
-    fn fork(width: u64, cost: u64, bytes: u64) -> Vec<TraceTask> {
-        let mut tasks = vec![TraceTask {
-            id: 1,
-            priority: 0,
-            rank: 0,
-            cost_ns: 10,
-            deps: vec![(0, 0, 0, 0)],
-        }];
-        for id in 2..2 + width {
+    /// Random DAG trace `n`: 5–304 tasks with strided ids on 1–9 ranks
+    /// folded onto 1–6 nodes × 1–4 cores, priorities −2…2, up to three
+    /// dependency edges per task (repeated producers, zero-byte edges,
+    /// forwarding source ranks and shared-transfer ids included) and random
+    /// α/β/overheads.
+    fn random_trace(n: u64) -> (Vec<TraceTask>, MachineModel) {
+        let mut s = n.wrapping_mul(0xD6E8_FEB8_6659_FD93);
+        let mut r = |m: u64| splitmix(&mut s) % m;
+        let ranks = 1 + r(9) as usize;
+        let m = MachineModel {
+            nodes: 1 + r(6) as usize,
+            cores_per_node: 1 + r(4) as usize,
+            latency_ns: r(3_000),
+            bytes_per_ns: 0.5 + r(400) as f64 / 16.0,
+            msg_overhead_ns: r(1_000),
+            task_overhead_ns: r(500),
+        };
+        let mut tasks: Vec<TraceTask> = Vec::new();
+        for i in 0..5 + r(300) {
+            let rank = r(ranks as u64) as usize;
+            let mut deps = Vec::new();
+            for _ in 0..r(4).min(i) {
+                let p = &tasks[r(i) as usize];
+                let bytes = if r(4) == 0 { 0 } else { 1 + r(100_000) };
+                let src = if r(8) == 0 {
+                    r(ranks as u64) as usize
+                } else {
+                    p.rank
+                };
+                let msg = if r(3) == 0 {
+                    p.id * 16 + rank as u64 + 1
+                } else {
+                    0
+                };
+                deps.push((p.id, bytes, src, msg));
+            }
+            if deps.is_empty() && r(2) == 0 {
+                deps.push((0, 0, rank, 0));
+            }
             tasks.push(TraceTask {
-                id,
-                priority: 0,
-                rank: 0,
-                cost_ns: cost,
-                deps: vec![(1, bytes, 0, 0)],
+                id: 3 * i + 1,
+                rank,
+                cost_ns: 1 + r(5_000),
+                priority: r(5) as i32 - 2,
+                deps,
             });
         }
-        tasks
+        (tasks, m)
     }
 
-    #[test]
-    fn fifo_policy_counts_one_wakeup_per_task() {
-        let tasks = fork(8, 100, 0);
-        let r = simulate(&tasks, &machine(1, 2));
-        assert_eq!(r.sched.wakeups, 9); // 1 seed + 8 successors
-        assert_eq!(r.sched.tasks_batched, 0);
-        assert_eq!(r.sched.steals, 0);
-    }
+    /// `(makespan_ns, network_bytes, network_msgs)` of `random_trace(0..40)`,
+    /// computed with the engine as it stood before the scheduler-policy lab
+    /// and the fault projection were cut out of it (PR 22's parent commit).
+    const GOLDEN: [(u64, u64, u64); 40] = [
+        (104_770, 0, 0),
+        (189_333, 5_470_467, 103),
+        (559_339, 0, 0),
+        (346_827, 5_700_416, 107),
+        (149_580, 2_652_870, 54),
+        (529_445, 10_819_604, 221),
+        (361_313, 2_694_828, 53),
+        (947_686, 11_422_363, 230),
+        (469_493, 0, 0),
+        (637_795, 10_203_594, 204),
+        (402_202, 3_988_852, 74),
+        (456_611, 7_986_881, 170),
+        (142_481, 3_806_535, 79),
+        (661_294, 9_287_568, 180),
+        (116_350, 1_250_635, 27),
+        (400_364, 0, 0),
+        (67_262, 0, 0),
+        (426_564, 8_742_426, 176),
+        (680_069, 10_284_193, 204),
+        (144_828, 2_518_217, 56),
+        (644_295, 0, 0),
+        (391_952, 7_017_367, 149),
+        (430_505, 7_916_091, 163),
+        (434_811, 9_439_252, 196),
+        (221_155, 0, 0),
+        (7_037_712, 6_551_073, 130),
+        (10_503, 0, 0),
+        (959_142, 10_912_028, 211),
+        (1_230_592, 12_308_252, 248),
+        (421_856, 0, 0),
+        (683_579, 11_803_826, 236),
+        (274_168, 0, 0),
+        (54_604, 0, 0),
+        (174_260, 5_560_466, 112),
+        (333_406, 6_232_722, 128),
+        (128_065, 2_046_740, 35),
+        (843_166, 9_602_239, 190),
+        (350_694, 6_240_819, 120),
+        (107_101, 0, 0),
+        (976_736, 4_311_515, 84),
+    ];
 
     #[test]
-    fn batched_groups_successors_and_amortizes_overhead() {
-        let tasks = fork(8, 100, 0);
-        let mut m = machine(1, 1);
-        m.task_overhead_ns = 50;
-        let fifo = simulate(&tasks, &m);
-        let batched = simulate_policy(&tasks, &m, &mut crate::policy::Batched::seeded(1), None);
-        // One group of 8 instead of 8 single activations.
-        assert_eq!(batched.sched.tasks_batched, 8);
-        assert!(batched.sched.wakeups < fifo.sched.wakeups);
-        // Activation overhead is charged once per group, not per task.
-        assert_eq!(fifo.makespan_ns, (10 + 50) + 8 * (100 + 50));
-        assert_eq!(batched.makespan_ns, (10 + 50) + (100 + 50) + 7 * 100);
-    }
-
-    #[test]
-    fn stealing_spreads_single_rank_backlog() {
-        let tasks = fork(32, 10_000, 0);
-        let m = machine(4, 2);
-        let fifo = simulate(&tasks, &m);
-        let mut rs = crate::policy::RandomSteal::seeded(3);
-        let stolen = simulate_policy(&tasks, &m, &mut rs, None);
-        assert!(stolen.sched.steals > 0);
-        assert!(
-            stolen.makespan_ns < fifo.makespan_ns,
-            "idle nodes must shorten the backlog ({} >= {})",
-            stolen.makespan_ns,
-            fifo.makespan_ns
-        );
-        // No payload bytes recorded on the deps → every steal is a local
-        // hit (inputs already resident or weightless).
-        assert_eq!(stolen.sched.local_hits, stolen.sched.steals);
-    }
-
-    #[test]
-    fn locality_steal_avoids_heavy_moves() {
-        // Two producers on ranks 0 and 1; a pile of consumers of each,
-        // all home to rank 0. A thief on node 2 sees 0-byte candidates
-        // (consumer of node-2-resident data does not exist, but producer-1
-        // data costs bytes while producer-0 data was consumed at home).
-        let mut tasks = vec![
-            TraceTask {
-                id: 1,
-                priority: 0,
-                rank: 0,
-                cost_ns: 10,
-                deps: vec![(0, 0, 0, 0)],
-            },
-            TraceTask {
-                id: 2,
-                priority: 0,
-                rank: 1,
-                cost_ns: 10,
-                deps: vec![(0, 0, 1, 0)],
-            },
-        ];
-        let mut id = 3;
-        for _ in 0..8 {
-            tasks.push(TraceTask {
-                id,
-                priority: 0,
-                rank: 0,
-                cost_ns: 5_000,
-                deps: vec![(1, 0, 0, 0)],
-            });
-            id += 1;
-            tasks.push(TraceTask {
-                id,
-                priority: 0,
-                rank: 0,
-                cost_ns: 5_000,
-                deps: vec![(2, 1_000_000, 1, 0)],
-            });
-            id += 1;
+    fn golden_traces_project_exactly() {
+        for (n, want) in GOLDEN.iter().enumerate() {
+            let (tasks, m) = random_trace(n as u64);
+            let r = simulate(&tasks, &m);
+            let got = (r.makespan_ns, r.network_bytes, r.network_msgs);
+            assert_eq!(got, *want, "trace {n}");
         }
-        let m = machine(3, 1);
-        let mut loc = crate::policy::LocalitySteal;
-        let r = simulate_policy(&tasks, &m, &mut loc, None);
-        assert!(r.sched.steals > 0);
-        assert!(
-            r.sched.local_hits > 0,
-            "locality policy must favor 0-byte steals"
-        );
-        // Locality-chosen steals move fewer bytes than a forced heavy mix.
-        let mut rnd = crate::policy::RandomSteal::seeded(11);
-        let rr = simulate_policy(&tasks, &m, &mut rnd, None);
-        assert!(r.sched.steal_moved_bytes <= rr.sched.steal_moved_bytes);
-    }
-
-    #[test]
-    fn steal_policies_are_deterministic_per_seed() {
-        let tasks = fork(40, 3_000, 256);
-        let m = machine(4, 2);
-        let a = simulate_policy(&tasks, &m, &mut crate::policy::RandomSteal::seeded(7), None);
-        let b = simulate_policy(&tasks, &m, &mut crate::policy::RandomSteal::seeded(7), None);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn prio_age_dispatches_high_priority_first() {
-        // Single core, tasks all ready at t=0 with mixed priorities;
-        // prio_age must run the prio-9 task before the prio-0 ones even
-        // though its id is larger.
-        let mut tasks: Vec<TraceTask> = (1..=3)
-            .map(|id| TraceTask {
-                id,
-                priority: 0,
-                rank: 0,
-                cost_ns: 100,
-                deps: vec![(0, 0, 0, 0)],
-            })
-            .collect();
-        tasks.push(TraceTask {
-            id: 4,
-            priority: 9,
-            rank: 0,
-            cost_ns: 100,
-            deps: vec![(0, 0, 0, 0)],
-        });
-        // Under FIFO the prio-9 task also wins at equal ready time (the
-        // legacy tiebreak), so distinguish via ready_at: delay it behind a
-        // producer chain... simplest check: equal ready times, both pick it
-        // first; the policies agree here, and the unit value of the test
-        // is that prio_age's pick is exercised.
-        let r = simulate_policy(&tasks, &machine(1, 1), &mut crate::policy::PrioAge, None);
-        assert_eq!(r.makespan_ns, 400);
-        assert_eq!(r.tasks, 4);
     }
 }

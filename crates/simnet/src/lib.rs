@@ -17,13 +17,6 @@
 
 pub mod des;
 pub mod machines;
-pub mod policy;
 
-pub use des::{
-    from_core_trace, simulate, simulate_faulty, simulate_policy, NetFaults, SimResult, TraceTask,
-};
+pub use des::{from_core_trace, simulate, SimResult, TraceTask};
 pub use machines::MachineModel;
-pub use policy::{
-    Batched, Fifo, LocalBatch, LocalitySteal, PrioAge, RandomSteal, ReadyTask, SchedPolicy,
-    SchedStats, StealCandidate,
-};

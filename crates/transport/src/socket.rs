@@ -1113,7 +1113,11 @@ mod tests {
             ep.start(sink);
             gots.push(got);
         }
-        // 0 -> 2 ordered burst, 2 -> 0 single, 1 -> 0 single.
+        // 0 -> 2 ordered burst, 2 -> 0 single, 1 -> 0 single. The burst is
+        // queued while the test holds that link's stream, so its writer can
+        // take it in at most two batches: the gather below is certain.
+        let slot = eps[0].inner.conns[2].as_ref().expect("conn slot");
+        let held = slot.stream.lock();
         for seq in 1..=20u64 {
             eps[0]
                 .link(2)
@@ -1125,6 +1129,7 @@ mod tests {
                 })
                 .unwrap();
         }
+        drop(held);
         eps[2].link(0).send(Frame::TermProbe { round: 1 }).unwrap();
         eps[1].link(0).send(Frame::TermProbe { round: 2 }).unwrap();
         wait_for(|| gots[2].lock().len() == 20, "rank 2 frames");
@@ -1154,6 +1159,7 @@ mod tests {
         let coalesced = snap.counter(&MetricKey::global("transport", "tx_frames_coalesced"));
         assert!(writes >= 1, "no writer writes counted");
         assert_eq!(writes + coalesced, 22, "frames-per-write accounting");
+        assert!(coalesced >= 18, "the writer gathered {coalesced} of 20");
         assert_eq!(
             snap.counter(&MetricKey::global("transport", "tx_frames_abandoned")),
             0

@@ -1,6 +1,6 @@
-//! Scheduler integration tests: the batched successor activation and
-//! locality plumbing promoted from the simnet policy lab (DESIGN §10)
-//! observed end-to-end through a real executor's telemetry snapshot.
+//! Scheduler integration tests: the pool's batched successor activation
+//! and locality plumbing (DESIGN §10) observed end-to-end through a real
+//! executor's telemetry snapshot.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
