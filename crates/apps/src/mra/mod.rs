@@ -107,4 +107,55 @@ mod tests {
         );
         assert!(r.leaves[0] >= 8);
     }
+
+    /// The serial pipeline leaves every bit where the parent commit of the
+    /// kernel-backed transform (e4429d5, scalar loops) left it: per function
+    /// its leaf count and a digest, recorded there, of every coefficient of
+    /// the projected leaves, the compressed form and the reconstructed
+    /// leaves. Nodes are visited in sorted order — `Reference::norms` itself
+    /// sums in `HashMap` order and differs in its last bits from run to run
+    /// on either commit.
+    #[test]
+    fn serial_pipeline_is_bit_identical_to_the_scalar_transform() {
+        use std::collections::HashMap;
+        use ttg_mra::Node3;
+
+        fn digest(h: &mut u64, blocks: &HashMap<Node3, Vec<f64>>) {
+            let mut nodes: Vec<&Node3> = blocks.keys().collect();
+            nodes.sort_unstable();
+            for x in nodes.into_iter().flat_map(|nd| &blocks[nd]) {
+                *h = (*h ^ x.to_bits()).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+
+        let bench = Workload::gaussians(6, 6, 800.0, 1e-5, 42);
+        let integration = Workload::gaussians(3, 5, 350.0, 1e-5, 21);
+        let recorded = [
+            (960, 0x2001_8b8c_b84d_dd37),
+            (792, 0x3ca9_7e19_a6d2_099e),
+            (792, 0x51a1_416d_512c_17f8),
+            (848, 0xf600_ef01_cb7e_f9c8),
+            (1072, 0xb806_2cdf_9185_1a10),
+            (512, 0x029c_823f_1068_8598),
+            (1072, 0x248b_c398_a89a_4f7a),
+            (1072, 0x62cd_54da_f997_9756),
+            (1352, 0x54ee_7627_3367_6d9e),
+        ];
+        let mut got = Vec::new();
+        for w in [bench, integration] {
+            let mra = Mra3::new(w.k);
+            for f in &w.functions {
+                let leaves = mra.project_adaptive(f, w.tol, w.max_depth);
+                let (root, details) = mra.compress(&leaves);
+                let rec = mra.reconstruct(&root, &details);
+                let mut h = 0xcbf2_9ce4_8422_2325;
+                digest(&mut h, &leaves);
+                digest(&mut h, &HashMap::from([(Node3::root(), root)]));
+                digest(&mut h, &details);
+                digest(&mut h, &rec);
+                got.push((leaves.len(), h));
+            }
+        }
+        assert_eq!(got, recorded, "{got:#018x?}");
+    }
 }

@@ -69,7 +69,6 @@ pub fn run_world(w: &Workload, ranks: usize, workers: usize) -> NativeResult {
             }
         } else {
             for c in 0..8 {
-                let world2 = Arc::clone(world);
                 let mra2 = Arc::clone(mra);
                 let f2 = Arc::clone(&f);
                 let leaves2 = Arc::clone(&leaves);
@@ -79,7 +78,6 @@ pub fn run_world(w: &Workload, ranks: usize, workers: usize) -> NativeResult {
                 world.task(dst, move || {
                     project_node(&w3, &mra2, f2, fid, child, tol, max_depth, leaves2, ranks)
                 });
-                let _ = world2;
             }
         }
     }
@@ -171,8 +169,7 @@ pub fn run_world(w: &Workload, ranks: usize, workers: usize) -> NativeResult {
                     let res2 = Arc::clone(&results);
                     let dst = owner(key.0, &key.1, ranks);
                     world.task(dst, move || {
-                        let full = mra2.merge_sd(&s, d);
-                        let children = mra2.reconstruct8(&full);
+                        let children = mra2.reconstruct8(mra2.merge_sd(&s, d));
                         let mut out = res2.lock();
                         for (c, sc) in children.into_iter().enumerate() {
                             out.push(((key.0, key.1.child(c)), sc));

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use parking_lot::Mutex as PlMutex;
-use ttg_comm::wire_struct;
+use ttg_comm::{ReadBuf, Wire, WireError, WriteBuf};
 use ttg_core::prelude::*;
 use ttg_mra::{Coeffs3, Mra3, Node3};
 
@@ -20,13 +20,72 @@ use super::{node_cost_ns, Workload};
 
 type FK = (u32, Node3);
 
-/// One child's s-coefficient block on its way to the parent compress task.
+/// A value of the compress stream, in the two shapes it takes.
 #[derive(Debug, Clone)]
-pub struct Blocks {
-    /// (child index, coefficients) pairs accumulated by the reducer.
-    pub parts: Vec<(u8, Vec<f64>)>,
+pub enum Blocks {
+    /// What is sent: one child's s-coefficient block (k³) and its index.
+    Child(u8, Coeffs3),
+    /// What the reducer folds into, and what Compress then transforms in
+    /// place of assembling anything: the parent's (2k)³ tensor with the
+    /// blocks of the children in `mask` (bit `c` for child `c`) placed.
+    Placed {
+        /// The children placed so far.
+        mask: u8,
+        /// The tensor; the octant of a child not yet placed is zero.
+        full: Vec<f64>,
+    },
 }
-wire_struct!(Blocks { parts });
+
+impl Blocks {
+    /// The stream's reducer. The first fold promotes the accumulator from
+    /// the message it arrived as to the tensor. A block whose index is not
+    /// a child's, whose child is already placed or whose size is not k³ is
+    /// left out, and so is its bit: Compress refuses an incomplete mask.
+    fn fold(&mut self, mra: &Mra3, more: Blocks) {
+        if let Blocks::Child(..) = self {
+            let n = 2 * mra.k;
+            let full = vec![0.0; n * n * n];
+            let first = std::mem::replace(self, Blocks::Placed { mask: 0, full });
+            self.fold(mra, first);
+        }
+        if let (Blocks::Placed { mask, full }, Blocks::Child(c, block)) = (self, more) {
+            let k3 = mra.k * mra.k * mra.k;
+            if c < 8 && *mask & (1 << c) == 0 && block.len() == k3 {
+                mra.place_child(full, c as usize, &block);
+                *mask |= 1 << c;
+            }
+        }
+    }
+}
+
+/// One byte for the shape, one for the child index or the mask, then the
+/// coefficients.
+impl Wire for Blocks {
+    fn encode(&self, b: &mut WriteBuf) {
+        let (shape, at, data) = match self {
+            Blocks::Child(c, block) => (0, *c, block),
+            Blocks::Placed { mask, full } => (1, *mask, full),
+        };
+        b.put_u8(shape);
+        b.put_u8(at);
+        data.encode(b);
+    }
+    fn decode(r: &mut ReadBuf<'_>) -> Result<Self, WireError> {
+        let (shape, at, data) = (r.get_u8()?, r.get_u8()?, Vec::decode(r)?);
+        match shape {
+            0 => Ok(Blocks::Child(at, data)),
+            1 => Ok(Blocks::Placed {
+                mask: at,
+                full: data,
+            }),
+            _ => Err(WireError::new(format!("compress stream shape {shape}"))),
+        }
+    }
+    fn wire_size(&self) -> usize {
+        let (Blocks::Child(_, data) | Blocks::Placed { full: data, .. }) = self;
+        2 + data.wire_size()
+    }
+}
 
 /// Configuration of a TTG MRA run.
 #[derive(Clone)]
@@ -111,12 +170,7 @@ pub fn run(w: &Workload, cfg: &Config) -> MraResult {
             let (children, dn) = mra2.project_children(f, node);
             if dn <= tol || node.n + 1 >= max_depth {
                 for (c, s) in children.into_iter().enumerate() {
-                    outs.send::<1>(
-                        (fid, node),
-                        Blocks {
-                            parts: vec![(c as u8, s)],
-                        },
-                    );
+                    outs.send::<1>((fid, node), Blocks::Child(c as u8, s));
                 }
             } else {
                 for c in 0..8 {
@@ -138,36 +192,22 @@ pub fn run(w: &Workload, cfg: &Config) -> MraResult {
         move |k: &FK| node_owner(k.0, &k.1, ranks),
         move |key, (blocks,): (Blocks,), outs| {
             let (fid, node) = *key;
-            let k3 = mra2.k * mra2.k * mra2.k;
-            let mut children: [Coeffs3; 8] = Default::default();
-            let mut seen = 0u8;
-            for (c, s) in blocks.parts {
-                children[c as usize] = s;
-                seen += 1;
-            }
-            assert_eq!(seen, 8, "compress needs 2^d children");
-            for c in children.iter_mut() {
-                if c.is_empty() {
-                    *c = vec![0.0; k3];
-                }
-            }
-            let full = mra2.compress8(&children);
-            let (s, d) = mra2.split_sd(full);
+            let Blocks::Placed { mask: 0xFF, full } = blocks else {
+                panic!("compress needs each of the 2^d children exactly once");
+            };
+            let (s, d) = mra2.split_sd(mra2.compress_tensor(full));
             det2[outs.rank()].lock().insert((fid, node), d);
             if node.n == 0 {
                 outs.send::<1>((fid, node), s);
             } else {
-                outs.send::<0>(
-                    (fid, node.parent()),
-                    Blocks {
-                        parts: vec![(node.child_index() as u8, s)],
-                    },
-                );
+                let c = node.child_index() as u8;
+                outs.send::<0>((fid, node.parent()), Blocks::Child(c, s));
             }
         },
     );
+    let mra2 = Arc::clone(&mra);
     compress
-        .set_input_reducer::<0>(|acc, mut more| acc.parts.append(&mut more.parts), Some(8))
+        .set_input_reducer::<0>(move |acc, more| acc.fold(&mra2, more), Some(8))
         .expect("pre-attach");
 
     // Reconstruct(fid, node): if a detail block exists the node is
@@ -186,8 +226,7 @@ pub fn run(w: &Workload, cfg: &Config) -> MraResult {
             let detail = det2[outs.rank()].lock().remove(&(fid, node));
             match detail {
                 Some(d) => {
-                    let full = mra2.merge_sd(&s, d);
-                    let children = mra2.reconstruct8(&full);
+                    let children = mra2.reconstruct8(mra2.merge_sd(&s, d));
                     for (c, sc) in children.into_iter().enumerate() {
                         outs.send::<0>((fid, node.child(c)), sc);
                     }
@@ -303,6 +342,57 @@ mod tests {
             );
             assert_eq!(got.leaves[i], expect.leaves[i], "fn {i} leaves");
         }
+    }
+
+    /// Eight messages folded by the stream's reducer, as `(index, fill)`.
+    fn folded(mra: &Mra3, stream: [(u8, f64); 8]) -> Blocks {
+        let k3 = mra.k * mra.k * mra.k;
+        let mut stream = stream
+            .into_iter()
+            .map(|(c, fill)| Blocks::Child(c, vec![fill; k3]));
+        let mut acc = stream.next().expect("eight messages");
+        for more in stream {
+            acc.fold(mra, more);
+        }
+        acc
+    }
+
+    #[test]
+    fn reducer_places_each_child_once_and_rejects_the_rest() {
+        let mra = Mra3::new(3);
+        // Arrival order 3, 4, .., 7, 0, 1, 2.
+        let all: [(u8, f64); 8] = std::array::from_fn(|at| ((at as u8 + 3) % 8, at as f64));
+        let Blocks::Placed { mask: 0xFF, full } = folded(&mra, all) else {
+            panic!("eight distinct children complete the mask");
+        };
+        let children: [Coeffs3; 8] = std::array::from_fn(|c| vec![((c + 5) % 8) as f64; 27]);
+        assert_eq!(mra.compress_tensor(full), mra.compress8(&children));
+
+        // In place of child 5: child 3 again, and indices past the last child.
+        for bad in [(3, 9.0), (8, 9.0), (255, 9.0)] {
+            let missing = 5;
+            let mut stream = all;
+            stream[2] = bad;
+            let Blocks::Placed { mask, full } = folded(&mra, stream) else {
+                panic!("the first fold promotes the accumulator");
+            };
+            assert_eq!(mask, !(1u8 << missing), "{bad:?}");
+            assert!(!full.contains(&9.0), "{bad:?} was placed");
+        }
+    }
+
+    #[test]
+    fn both_shapes_of_the_stream_value_cross_the_wire() {
+        let sent = Blocks::Child(6, vec![1.5; 27]);
+        let mut acc = sent.clone();
+        acc.fold(&Mra3::new(3), Blocks::Child(1, vec![-2.5; 27]));
+        for v in [sent, acc] {
+            let bytes = ttg_comm::to_bytes(&v);
+            assert_eq!(bytes.len(), v.wire_size());
+            let back = Blocks::decode(&mut ReadBuf::new(&bytes)).unwrap();
+            assert_eq!(format!("{back:?}"), format!("{v:?}"));
+        }
+        assert!(Blocks::decode(&mut ReadBuf::new(&[2, 0, 0, 0, 0, 0, 0, 0, 0, 0])).is_err());
     }
 
     #[test]

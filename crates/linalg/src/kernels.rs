@@ -151,6 +151,26 @@ pub fn gemm_nt(alpha: f64, a: &Tile, b: &Tile, c: &mut Tile) {
     dispatch(product(Scaled(alpha), a, b, true, c));
 }
 
+/// `C += A·B` on slices, for callers whose operands are not [`Tile`]s: the
+/// same nest, told where its operands live — `(m, n, k)`, then
+/// `A[i, l] = a[i + l·lda]`, `B[l, j] = b[j·bsj + l·bsl]` and
+/// `C[i, j] = c[i + j·ldc]`. A slice too short for its shape panics.
+pub fn gemm_strided(
+    dims: (usize, usize, usize),
+    a: (&[f64], usize),
+    b: (&[f64], usize, usize),
+    c: (&mut [f64], usize),
+) {
+    dispatch(Product {
+        op: Scaled(1.0),
+        lower: false,
+        dims,
+        a,
+        b,
+        c,
+    });
+}
+
 /// `C = madd(C, A, B)`, or with `transposed` `C = madd(C, A, Bᵀ)`: the two
 /// strides `B` is read through swap (`Bᵀ[l, j] = B[j, l]`), nothing else.
 fn product<'a, Op>(
@@ -562,6 +582,51 @@ mod tests {
                     &nt,
                     format_args!("gemm_nt {m}x{n}x{k}, {alpha}, {name}"),
                 );
+            }
+        }
+    }
+
+    /// The slice entry against the tile kernels: `A·B` through `B`'s own
+    /// strides and `A·Bᵀ` through the swapped ones, with the sizes the MRA
+    /// transform passes (2k = 10, 12, 14, and (2k)² = 144).
+    #[test]
+    fn the_strided_entry_matches_the_tile_kernels_bit_for_bit() {
+        let mut rng = ChaCha8Rng::seed_from_u64(27);
+        let sizes = [1, 2, 3, 10, 12, 14, 144];
+        for (m, n, k) in sizes
+            .iter()
+            .flat_map(|&m| sizes.iter().map(move |&n| (m, n)))
+            .flat_map(|(m, n)| sizes.iter().map(move |&k| (m, n, k)))
+        {
+            let a = random_tile(&mut rng, m, k);
+            let b = random_tile(&mut rng, k, n);
+            let bt = b.transpose();
+            let c = random_tile(&mut rng, m, n);
+            let (mut nn, mut nt) = (c.clone(), c.clone());
+            gemm_nn(1.0, &a, &b, &mut nn);
+            gemm_nt(1.0, &a, &bt, &mut nt);
+            for (operand, strides, want) in [(&b, (k, 1), &nn), (&bt, (1, n), &nt)] {
+                for (arm, name) in ARMS.iter().enumerate() {
+                    let mut got = c.clone();
+                    let a = (a.data(), m);
+                    let b = (operand.data(), strides.0, strides.1);
+                    let c = (got.data_mut(), m);
+                    match arm {
+                        2 => gemm_strided((m, n, k), a, b, c),
+                        _ => run_on(
+                            arm,
+                            Product {
+                                op: Scaled(1.0),
+                                lower: false,
+                                dims: (m, n, k),
+                                a,
+                                b,
+                                c,
+                            },
+                        ),
+                    }
+                    assert_same_bits(&got, want, format_args!("strided {m}x{n}x{k}, {name}"));
+                }
             }
         }
     }

@@ -15,7 +15,7 @@ mod micro;
 mod scalar;
 pub mod tile;
 
-pub use kernels::{gemm_nn, gemm_nt, isa, minplus, potrf_l, syrk_ln, trsm_rlt};
+pub use kernels::{gemm_nn, gemm_nt, gemm_strided, isa, minplus, potrf_l, syrk_ln, trsm_rlt};
 pub use matrix::{Dist2D, TiledMatrix};
 pub use tile::Tile;
 

@@ -44,10 +44,18 @@ impl Mra1 {
 
     /// Project `f` onto the scaling basis of node `(n, l)` by quadrature.
     pub fn project_box(&self, f: &dyn Fn(f64) -> f64, n: u8, l: u64) -> Vec<f64> {
+        let mut s = vec![0.0; self.k];
+        self.project_box_into(f, n, l, &mut s);
+        s
+    }
+
+    /// [`Mra1::project_box`] into the caller's `k` coefficients.
+    pub fn project_box_into(&self, f: &dyn Fn(f64) -> f64, n: u8, l: u64, s: &mut [f64]) {
+        assert_eq!(s.len(), self.k, "one coefficient per basis function");
         let scale = (0.5f64).powf(n as f64 / 2.0); // 2^{-n/2}
         let h = (0.5f64).powi(n as i32);
         let x0 = l as f64 * h;
-        let mut s = vec![0.0; self.k];
+        s.fill(0.0);
         for (q, (xq, wq)) in self.quad_x.iter().zip(self.quad_w.iter()).enumerate() {
             let fx = f(x0 + xq * h);
             let pv = &self.quad_phi[q];
@@ -58,7 +66,6 @@ impl Mra1 {
         for v in s.iter_mut() {
             *v *= scale;
         }
-        s
     }
 
     /// Adaptively project `f`, returning the leaf coefficient map

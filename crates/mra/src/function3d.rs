@@ -11,9 +11,9 @@
 //! the parent s-block plus 7 detail blocks.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use ttg_comm::{ReadBuf, Wire, WireError, WireKind, WriteBuf};
+use ttg_linalg::gemm_strided;
 
 use crate::function1d::Mra1;
 
@@ -110,7 +110,9 @@ pub struct Mra3 {
     /// Basis order.
     pub k: usize,
     /// The orthogonal 2k×2k filter matrix [H0 H1; G0 G1], row-major.
-    filter: Arc<Vec<f64>>,
+    filter: Vec<f64>,
+    /// Its transpose, row-major (the filter read column-major).
+    filter_t: Vec<f64>,
 }
 
 impl Mra3 {
@@ -128,10 +130,12 @@ impl Mra3 {
                 m[(k + j) * n + k + l] = f.g1[j][l];
             }
         }
+        let filter_t = (0..n * n).map(|i| m[i % n * n + i / n]).collect();
         Mra3 {
             k,
             mra1,
-            filter: Arc::new(m),
+            filter: m,
+            filter_t,
         }
     }
 
@@ -139,23 +143,27 @@ impl Mra3 {
     pub fn project_box(&self, f: &[Gaussian3], node: Node3) -> Coeffs3 {
         let k = self.k;
         let mut s = vec![0.0; k * k * k];
+        // The three 1-D projections of one Gaussian: x, y, z, `k` each.
+        let mut sd = vec![0.0; 3 * k];
         for g in f {
-            let mut sd: [Vec<f64>; 3] = [vec![], vec![], vec![]];
-            for (d, sd_d) in sd.iter_mut().enumerate() {
+            for (d, sd_d) in sd.chunks_exact_mut(k).enumerate() {
                 let c = g.center[d];
                 let e = g.expnt;
                 let f1 = move |x: f64| (-e * (x - c) * (x - c)).exp();
-                *sd_d = self.mra1.project_box(&f1, node.n, node.l[d] as u64);
+                self.mra1
+                    .project_box_into(&f1, node.n, node.l[d] as u64, sd_d);
             }
+            let (sx, syz) = sd.split_at(k);
+            let (sy, sz) = syz.split_at(k);
             for iz in 0..k {
                 for iy in 0..k {
-                    let pref = g.coeff * sd[2][iz] * sd[1][iy];
+                    let pref = g.coeff * sz[iz] * sy[iy];
                     if pref == 0.0 {
                         continue;
                     }
                     let row = &mut s[(iz * k + iy) * k..(iz * k + iy + 1) * k];
                     for ix in 0..k {
-                        row[ix] += pref * sd[0][ix];
+                        row[ix] += pref * sx[ix];
                     }
                 }
             }
@@ -163,124 +171,108 @@ impl Mra3 {
         s
     }
 
+    /// Where the rows of child `c`'s octant lie: for each of its k² rows
+    /// of `k` coefficients, the row's offset in the (2k)³ tensor (block
+    /// (0,0,0) — the octant of child 0 — is where a transformed tensor
+    /// holds the parent's s block). The rows come in the block's own order.
+    fn octant_rows(&self, c: usize) -> impl Iterator<Item = usize> {
+        let (k, n) = (self.k, 2 * self.k);
+        let corner = (((c >> 2) & 1) * n * n + ((c >> 1) & 1) * n + (c & 1)) * k;
+        (0..k).flat_map(move |iz| (0..k).map(move |iy| corner + (iz * n + iy) * n))
+    }
+
+    /// Copy `block` (k³) into octant `c` of the (2k)³ tensor `t`.
+    pub fn place_child(&self, t: &mut [f64], c: usize, block: &[f64]) {
+        let k = self.k;
+        assert_eq!(block.len(), k * k * k, "child block size");
+        for (at, row) in self.octant_rows(c).zip(block.chunks_exact(k)) {
+            t[at..at + k].copy_from_slice(row);
+        }
+    }
+
+    /// Octant `c` of the (2k)³ tensor `t` as a k³ block of its own.
+    fn lift_child(&self, t: &[f64], c: usize) -> Coeffs3 {
+        let k = self.k;
+        let mut block = Vec::with_capacity(k * k * k);
+        for at in self.octant_rows(c) {
+            block.extend_from_slice(&t[at..at + k]);
+        }
+        block
+    }
+
     /// Forward tensor two-scale transform: 8 children blocks → the full
     /// (2k)³ transformed tensor. Block (0,0,0) is the parent s; the 7
     /// remaining blocks are detail coefficients.
     pub fn compress8(&self, children: &[Coeffs3; 8]) -> Vec<f64> {
-        let k = self.k;
-        let n = 2 * k;
-        // Assemble children into the (2k)³ tensor.
+        let n = 2 * self.k;
         let mut t = vec![0.0; n * n * n];
         for (c, block) in children.iter().enumerate() {
-            assert_eq!(block.len(), k * k * k, "child block size");
-            let ox = (c & 1) * k;
-            let oy = ((c >> 1) & 1) * k;
-            let oz = ((c >> 2) & 1) * k;
-            for iz in 0..k {
-                for iy in 0..k {
-                    for ix in 0..k {
-                        t[(oz + iz) * n * n + (oy + iy) * n + (ox + ix)] =
-                            block[(iz * k + iy) * k + ix];
-                    }
-                }
-            }
+            self.place_child(&mut t, c, block);
         }
-        self.apply_filter(&t, false)
+        self.compress_tensor(t)
+    }
+
+    /// [`Mra3::compress8`] of children already placed in their octants
+    /// ([`Mra3::place_child`]).
+    pub fn compress_tensor(&self, t: Vec<f64>) -> Vec<f64> {
+        self.apply_filter(t, &self.filter_t, &self.filter)
     }
 
     /// Inverse transform: full (2k)³ tensor → 8 children blocks.
-    pub fn reconstruct8(&self, full: &[f64]) -> [Coeffs3; 8] {
-        let k = self.k;
-        let n = 2 * k;
-        assert_eq!(full.len(), n * n * n);
-        let t = self.apply_filter(full, true);
-        let mut out: [Coeffs3; 8] = Default::default();
-        for (c, block) in out.iter_mut().enumerate() {
-            let ox = (c & 1) * k;
-            let oy = ((c >> 1) & 1) * k;
-            let oz = ((c >> 2) & 1) * k;
-            let mut b = vec![0.0; k * k * k];
-            for iz in 0..k {
-                for iy in 0..k {
-                    for ix in 0..k {
-                        b[(iz * k + iy) * k + ix] =
-                            t[(oz + iz) * n * n + (oy + iy) * n + (ox + ix)];
-                    }
-                }
-            }
-            *block = b;
-        }
-        out
+    pub fn reconstruct8(&self, full: Vec<f64>) -> [Coeffs3; 8] {
+        let t = self.apply_filter(full, &self.filter, &self.filter_t);
+        std::array::from_fn(|c| self.lift_child(&t, c))
     }
 
-    /// Apply the filter matrix (or its transpose) along all 3 dimensions.
-    fn apply_filter(&self, t: &[f64], transpose: bool) -> Vec<f64> {
+    /// Apply a 2k×2k matrix `M` along all 3 dimensions of `t`, given as `M`
+    /// read column-major (`m_cols`, which is `Mᵀ` row-major) and row-major
+    /// (`m_rows`): the filter for the forward transform, its transpose for
+    /// the inverse one.
+    ///
+    /// With `t[z][y][x]` and `n = 2k`, each mode is a column-major product
+    /// (`ttg_linalg`'s nest; DESIGN §14): every output element accumulates
+    /// its `n` terms from `0.0` in ascending inner index, each a separately
+    /// rounded multiply and add, and the modes run x, y, z — the result
+    /// bits are those of three nested scalar loops in that order. The one
+    /// tensor allocated is the one returned.
+    fn apply_filter(&self, mut t: Vec<f64>, m_cols: &[f64], m_rows: &[f64]) -> Vec<f64> {
         let n = 2 * self.k;
-        let m = &self.filter;
-        let mat = |a: usize, b: usize| {
-            if transpose {
-                m[b * n + a]
-            } else {
-                m[a * n + b]
-            }
-        };
-        // Mode-x
-        let mut t1 = vec![0.0; n * n * n];
-        for z in 0..n {
-            for y in 0..n {
-                let base = z * n * n + y * n;
-                for a in 0..n {
-                    let mut acc = 0.0;
-                    for b in 0..n {
-                        acc += mat(a, b) * t[base + b];
-                    }
-                    t1[base + a] = acc;
-                }
+        let (n2, n3) = (n * n, n * n * n);
+        assert_eq!(t.len(), n3, "tensor size");
+        // Mode-x, t → a: C(n × n²) = M·B with B[l, j] = t[j·n + l].
+        let mut a = vec![0.0; n3];
+        gemm_strided((n, n2, n), (m_cols, n), (&t, n, 1), (&mut a, n));
+        // Mode-y, a → t, slab by slab: C(n × n) = slab·Mᵀ.
+        t.fill(0.0);
+        for (from, to) in a.chunks_exact(n2).zip(t.chunks_exact_mut(n2)) {
+            gemm_strided((n, n, n), (from, n), (m_rows, n, 1), (to, n));
+        }
+        // Mode-z, t → a: C(n² × n) = T(n² × n)·Mᵀ.
+        a.fill(0.0);
+        gemm_strided((n2, n, n), (&t, n2), (m_rows, n, 1), (&mut a, n2));
+        a
+    }
+
+    /// Sum of squares of the detail part of a transformed tensor: every
+    /// element outside block (0,0,0), in storage order.
+    fn detail_energy(&self, full: &[f64]) -> f64 {
+        let (k, n) = (self.k, 2 * self.k);
+        let mut e = 0.0;
+        for (r, row) in full.chunks_exact(n).enumerate() {
+            let in_s = r / n < k && r % n < k;
+            for x in &row[if in_s { k } else { 0 }..] {
+                e += x * x;
             }
         }
-        // Mode-y
-        let mut t2 = vec![0.0; n * n * n];
-        for z in 0..n {
-            for x in 0..n {
-                for a in 0..n {
-                    let mut acc = 0.0;
-                    for b in 0..n {
-                        acc += mat(a, b) * t1[z * n * n + b * n + x];
-                    }
-                    t2[z * n * n + a * n + x] = acc;
-                }
-            }
-        }
-        // Mode-z
-        let mut t3 = vec![0.0; n * n * n];
-        for y in 0..n {
-            for x in 0..n {
-                for a in 0..n {
-                    let mut acc = 0.0;
-                    for b in 0..n {
-                        acc += mat(a, b) * t2[b * n * n + y * n + x];
-                    }
-                    t3[a * n * n + y * n + x] = acc;
-                }
-            }
-        }
-        t3
+        e
     }
 
     /// Extract the parent s-block (k³) from a transformed tensor and the
-    /// detail tensor (full tensor with the s-block zeroed).
+    /// detail tensor (the same tensor with the s-block zeroed).
     pub fn split_sd(&self, mut full: Vec<f64>) -> (Coeffs3, Vec<f64>) {
-        let k = self.k;
-        let n = 2 * k;
-        let mut s = vec![0.0; k * k * k];
-        for iz in 0..k {
-            for iy in 0..k {
-                for ix in 0..k {
-                    let idx = iz * n * n + iy * n + ix;
-                    s[(iz * k + iy) * k + ix] = full[idx];
-                    full[idx] = 0.0;
-                }
-            }
+        let s = self.lift_child(&full, 0);
+        for at in self.octant_rows(0) {
+            full[at..at + self.k].fill(0.0);
         }
         (s, full)
     }
@@ -288,15 +280,7 @@ impl Mra3 {
     /// Merge a parent s-block back into a detail tensor (inverse of
     /// [`Mra3::split_sd`]).
     pub fn merge_sd(&self, s: &Coeffs3, mut d: Vec<f64>) -> Vec<f64> {
-        let k = self.k;
-        let n = 2 * k;
-        for iz in 0..k {
-            for iy in 0..k {
-                for ix in 0..k {
-                    d[iz * n * n + iy * n + ix] = s[(iz * k + iy) * k + ix];
-                }
-            }
-        }
+        self.place_child(&mut d, 0, s);
         d
     }
 
@@ -319,9 +303,7 @@ impl Mra3 {
         for (c, child) in children.iter_mut().enumerate() {
             *child = self.project_box(f, node.child(c));
         }
-        let full = self.compress8(&children);
-        let (_s, d) = self.split_sd(full);
-        let dn = d.iter().map(|x| x * x).sum::<f64>().sqrt();
+        let dn = self.detail_energy(&self.compress8(&children)).sqrt();
         (children, dn)
     }
 
@@ -350,28 +332,39 @@ impl Mra3 {
         &self,
         leaves: &HashMap<Node3, Coeffs3>,
     ) -> (Coeffs3, HashMap<Node3, Vec<f64>>) {
-        let k3 = self.k * self.k * self.k;
-        let mut s_at: HashMap<Node3, Coeffs3> = leaves.clone();
+        let n = 2 * self.k;
+        // The s blocks computed on the way up; a leaf's is read in place.
+        let mut s_at: HashMap<Node3, Coeffs3> = HashMap::new();
         let mut details = HashMap::new();
         let mut max_n = leaves.keys().map(|nd| nd.n).max().unwrap_or(0);
         while max_n > 0 {
-            let level: Vec<Node3> = s_at.keys().filter(|nd| nd.n == max_n).cloned().collect();
-            let mut parents: Vec<Node3> = level.iter().map(|nd| nd.parent()).collect();
+            let level = leaves.keys().chain(s_at.keys());
+            let mut parents: Vec<Node3> = level
+                .filter(|nd| nd.n == max_n)
+                .map(|nd| nd.parent())
+                .collect();
             parents.sort_unstable();
             parents.dedup();
             for p in parents {
-                let mut children: [Coeffs3; 8] = Default::default();
-                for (c, block) in children.iter_mut().enumerate() {
-                    *block = s_at.remove(&p.child(c)).unwrap_or_else(|| vec![0.0; k3]);
+                // A child that is neither is absent: its octant stays zero.
+                let mut t = vec![0.0; n * n * n];
+                for c in 0..8 {
+                    let child = p.child(c);
+                    let computed = s_at.remove(&child);
+                    if let Some(block) = computed.as_ref().or_else(|| leaves.get(&child)) {
+                        self.place_child(&mut t, c, block);
+                    }
                 }
-                let full = self.compress8(&children);
-                let (s, d) = self.split_sd(full);
+                let (s, d) = self.split_sd(self.compress_tensor(t));
                 details.insert(p, d);
                 s_at.insert(p, s);
             }
             max_n -= 1;
         }
-        let root = s_at.remove(&Node3::root()).unwrap_or_else(|| vec![0.0; k3]);
+        let root = s_at
+            .remove(&Node3::root())
+            .or_else(|| leaves.get(&Node3::root()).cloned())
+            .unwrap_or_else(|| vec![0.0; self.k * self.k * self.k]);
         (root, details)
     }
 
@@ -398,8 +391,7 @@ impl Mra3 {
                 leaves.insert(node, s);
             }
             Some(d) => {
-                let full = self.merge_sd(&s, d.clone());
-                let children = self.reconstruct8(&full);
+                let children = self.reconstruct8(self.merge_sd(&s, d.clone()));
                 for (c, block) in children.into_iter().enumerate() {
                     self.reconstruct_node(node.child(c), block, details, leaves);
                 }
@@ -485,7 +477,7 @@ mod tests {
                 .collect();
         }
         let full = mra.compress8(&children);
-        let rec = mra.reconstruct8(&full);
+        let rec = mra.reconstruct8(full.clone());
         for c in 0..8 {
             for i in 0..k3 {
                 assert!((children[c][i] - rec[c][i]).abs() < 1e-12);
@@ -495,6 +487,46 @@ mod tests {
         let e_in: f64 = children.iter().flatten().map(|x| x * x).sum();
         let e_out: f64 = full.iter().map(|x| x * x).sum();
         assert!((e_in - e_out).abs() < 1e-9);
+    }
+
+    /// The kernel-backed transform against the scalar loops it replaced,
+    /// forward and inverse. 2k = 10 and 14 walk the row ladder's 4/2/1
+    /// rungs; the zeros, denormals and the infinity catch a term skipped
+    /// for being zero (`0 · ∞` must poison what the loops poison).
+    #[test]
+    fn transform_matches_the_scalar_loops_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(14);
+        for k in [3, 5, 6, 7, 10] {
+            let mra = Mra3::new(k);
+            let n = 2 * k;
+            for inf in [None, Some(f64::INFINITY), Some(f64::NEG_INFINITY)] {
+                let mut t: Vec<f64> = (0..n * n * n)
+                    .map(|i| match i % 7 {
+                        2 => -0.0,
+                        3 => 0.0,
+                        5 => f64::MIN_POSITIVE * rng.gen_range(-1.0..1.0),
+                        _ => rng.gen_range(-1.0..1.0),
+                    })
+                    .collect();
+                if let Some(inf) = inf {
+                    t[rng.gen_range(0..n * n * n)] = inf;
+                }
+                let forward = (&mra.filter_t, &mra.filter, false);
+                let inverse = (&mra.filter, &mra.filter_t, true);
+                for (m_cols, m_rows, transpose) in [forward, inverse] {
+                    let want = crate::scalar::apply_filter(&mra.filter, n, &t, transpose);
+                    let got = mra.apply_filter(t.clone(), m_cols, m_rows);
+                    for (at, (g, w)) in got.iter().zip(&want).enumerate() {
+                        assert!(
+                            g.to_bits() == w.to_bits(),
+                            "k = {k}, transpose = {transpose}, inf = {inf:?}: \
+                             element {at} is {g:e}, the scalar loops give {w:e}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

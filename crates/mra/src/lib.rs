@@ -11,6 +11,8 @@
 pub mod function1d;
 pub mod function3d;
 pub mod legendre;
+#[cfg(test)]
+mod scalar;
 pub mod twoscale;
 
 pub use function1d::{Mra1, Node1};
