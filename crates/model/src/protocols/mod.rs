@@ -5,6 +5,7 @@
 //! one that actually shipped: the transport handshake byte-drop) — which
 //! the checker must find.
 
+pub mod ack;
 pub mod batch;
 pub mod dedup;
 pub mod handshake;
@@ -56,6 +57,14 @@ pub fn corpus() -> Vec<CorpusEntry> {
             invariant: "reliable dedup window: per seq, exactly one of {delivered, lost} \
                         across retransmit, poison, and window-slide races",
             run: |cfg| dedup::check(cfg, dedup::Mutation::None),
+            default_bound: 2,
+        },
+        CorpusEntry {
+            name: "ack_retire",
+            invariant: "reliable acks and retransmission: no seq is retired unless the \
+                        receiver accepted it, and at quiescence every sent seq is retired \
+                        or reported lost, never both",
+            run: |cfg| ack::check(cfg, ack::Mutation::None),
             default_bound: 2,
         },
         CorpusEntry {
