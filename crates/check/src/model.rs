@@ -3,11 +3,12 @@
 //!
 //! Each corpus entry is a model-sized extraction of a real concurrency
 //! protocol (worker sleep/wake, batched submit, sharded matching, the
-//! reliable dedup window, the recovery ledger, the transport handshake)
-//! explored exhaustively up to its preemption bound. A violated invariant becomes a **TTG054
-//! error** carrying the failing schedule; a clean exhaustive exploration
-//! becomes a **TTG055 note** recording the coverage (schedules explored,
-//! pruned, truncated) so CI artifacts show what "passed" meant.
+//! reliable dedup window and ack protocol, the recovery ledger, the
+//! transport handshake) explored exhaustively up to its preemption bound.
+//! A violated invariant becomes a **TTG054 error** carrying the failing
+//! schedule; a clean exhaustive exploration becomes a **TTG055 note**
+//! recording the coverage (schedules explored, pruned, truncated) so CI
+//! artifacts show what "passed" meant.
 //!
 //! Wired into binaries next to `--check`: [`model_from_args`] runs the
 //! corpus when `--model` appears on the command line, prints the report,

@@ -1,17 +1,17 @@
 //! The chaos + reliable-delivery layer a [`FaultPlan`] installs between
 //! `send_am` and the wire: seeded drop/duplicate/delay/reorder decisions
 //! and scripted rank deaths on the way down, sequence numbers, dedup
-//! windows, batched acks and bounded retransmission (the state machines of
-//! [`crate::reliable`]) to restore exactly-once logical delivery on the way
-//! up (DESIGN §8, §12). Its checkpoint/restore half lives in
-//! [`crate::recover`].
+//! windows, ack batches sent when due and bounded retransmission on
+//! evidence of loss (the state machines of [`crate::reliable`]) to restore
+//! exactly-once logical delivery on the way up (DESIGN §8, §12). Its
+//! checkpoint/restore half lives in [`crate::recover`].
 //!
 //! Port: [`ChaosPort`] — a wire that delivers one physical copy or one
 //! batched ack ([`ChaosWire`]), the stats, the in-flight counter and the
-//! error sink. The fabric implements the wire; the tests below use queues.
+//! error sink. The fabric implements the wire; the tests use queues.
 
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 use ttg_model::sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering};
 
 use crate::error::{CommError, CommErrorKind, SendError};
@@ -19,8 +19,8 @@ use crate::fault::{salt, FaultPlan};
 use crate::links::Rank;
 use crate::recover::SnapshotSink;
 use crate::reliable::{
-    content_key, is_replay, pack_seq, unpack_seq, ContentLog, LinkTx, PendingAcks, SeqWindow,
-    Unacked, REPLAY_BIT,
+    content_key, is_replay, pack_seq, unpack_seq, AckRanges, AckSent, ContentLog, LinkTx,
+    PendingAcks, SeqWindow, Unacked, REPLAY_BIT,
 };
 use crate::stats::FabricStats;
 
@@ -37,9 +37,8 @@ pub(crate) trait ChaosWire {
         payload: &Arc<Vec<u8>>,
     ) -> Result<(), SendError>;
     /// Put `acker`'s batched acknowledgement on a wire toward `sender`.
-    /// `false` when no wire carries that pair (or it refused the frame):
-    /// the caller applies the ranges through shared memory instead.
-    fn send_ack_range(&self, acker: Rank, sender: Rank, ranges: &[(u64, u64)]) -> bool;
+    /// Ranges handed back, the caller applies through shared memory.
+    fn send_ack_range(&self, acker: Rank, sender: Rank, ranges: AckRanges) -> AckSent;
 }
 
 /// What the reliable layer sees of the fabric that hosts it.
@@ -208,15 +207,19 @@ impl ChaosState {
         let payload = Arc::new(payload);
         let li = self.link_idx(from, to);
         let seq = {
+            let now = Instant::now();
             let mut link = self.links[li].lock();
             let seq = link.assign_seq();
+            if link.unacked.is_empty() {
+                link.clock = Some(now);
+            }
             link.unacked.insert(
                 seq,
                 Unacked {
                     handler,
                     payload: Arc::clone(&payload),
                     attempts: 0,
-                    next_retry: Instant::now() + self.plan.retry.backoff(1),
+                    next_retry: now + self.plan.retry.backoff(1),
                     delivered: false,
                     replayed: false,
                 },
@@ -230,13 +233,6 @@ impl ChaosState {
                 handler,
                 payload: Arc::clone(&payload),
             });
-        }
-        // Piggyback: flush any acks `from` owes `to` first, so on a socket
-        // mesh the AckRange frame lands in the same coalesced write as
-        // this data frame. Sentinel senders (`from >= n`) receive nothing
-        // and never owe acks.
-        if from < self.n && from != to {
-            self.flush_acks(port, self.link_idx(to, from), true);
         }
         self.transmit(port, from, to, handler, seq, &payload, 0, false);
     }
@@ -478,8 +474,7 @@ impl ChaosState {
         // previously lost ack). The receiver's acceptance itself is always
         // recorded on the sender entry via `delivered`; only the ack
         // traffic is lossy: the sequence parks in the per-link range
-        // accumulator and travels later — piggybacked on the next data
-        // frame to the sender or pushed out by the flush timer.
+        // accumulator and leaves with its batch once the batch is due.
         let link = self.link_idx(from, to);
         if let Some(e) = self.links[link].lock().unacked.get_mut(&raw) {
             if deliver && !replay && e.replayed {
@@ -493,33 +488,35 @@ impl ChaosState {
             }
             e.delivered = true;
         }
-        self.pending_acks[link].lock().note(raw, Instant::now());
+        let (now, mut pa) = (Instant::now(), self.pending_acks[link].lock());
+        pa.note(raw, now);
+        let due = pa.due(now, self.plan.ack_flush);
+        drop((pa, _inc_guard)); // a due batch leaves with no chaos lock held
+        if due {
+            self.flush_acks(port, link);
+        }
         deliver
     }
 
     /// Flush one link's accumulated acknowledgements: drain the range
     /// accumulator and retire the covered sequences from the sender's
-    /// retransmit map — via the wire where one carries the pair (so the
-    /// ack shares the coalesced socket write with data), or by direct
-    /// shared-memory removal on the channel wire and for out-of-fabric
-    /// sentinel senders, which have no inbound link.
+    /// retransmit map — via the wire where one carries the pair, or by
+    /// direct shared-memory removal on the channel wire and for
+    /// out-of-fabric sentinel senders, which have no inbound link.
     ///
     /// Under injected loss a whole flush can be dropped (one ack roll per
     /// flush, not per message). Recovery needs no extra machinery: the
     /// sender retransmits, the receiver's dedup hit re-notes the
     /// sequences, and a later flush covers them.
-    fn flush_acks(&self, port: &ChaosPort<'_>, li: usize, piggyback: bool) {
-        let (ranges, ordinal) = {
-            let mut pa = self.pending_acks[li].lock();
-            if pa.is_empty() {
-                return;
-            }
-            pa.take()
-        };
-        port.stats.ack_flushes.inc();
-        if piggyback {
-            port.stats.acks_piggybacked.inc();
+    /// The accumulator stays locked until its batch is sent or applied: a
+    /// batch overtaking an earlier one would show the sender a false hole.
+    fn flush_acks(&self, port: &ChaosPort<'_>, li: usize) {
+        let mut pa = self.pending_acks[li].lock();
+        if pa.is_empty() {
+            return;
         }
+        let (ranges, ordinal) = pa.take();
+        port.stats.ack_flushes.inc();
         let plan = &self.plan;
         if plan.drop > 0.0
             && plan.roll(salt::ACK, li as u64, ranges[0].0, ordinal as u32) < plan.drop
@@ -530,28 +527,32 @@ impl ChaosState {
             .acks_batched
             .add(ranges.iter().map(|&(a, b)| b - a + 1).sum());
         let (sender_row, acker) = (li / self.n, li % self.n);
-        // Wire teardown must not strand retransmit state: a refused frame
-        // falls through to direct removal.
-        if sender_row < self.n && port.wire.send_ack_range(acker, sender_row, &ranges) {
-            return; // applied on arrival, by the receive dispatch
+        // On a wire, the receive dispatch applies the ranges on arrival.
+        let sent = if sender_row < self.n {
+            port.wire.send_ack_range(acker, sender_row, ranges)
+        } else {
+            Err(Some(ranges))
+        };
+        if let Err(back) = sent {
+            // A refused batch covered seqs the receiver marked `delivered`.
+            let mut link = self.links[li].lock();
+            let ranges = back.unwrap_or_else(|| {
+                let acked = link.unacked.iter().filter(|(_, e)| e.delivered);
+                acked.map(|(&seq, _)| (seq, seq)).collect()
+            });
+            link.retire(&ranges, Instant::now());
         }
-        self.apply_ack_ranges(li, &ranges);
     }
 
     /// Retire every sequence covered by `ranges` from link `li`'s
     /// retransmit map.
     pub(crate) fn apply_ack_ranges(&self, li: usize, ranges: &[(u64, u64)]) {
-        let mut tx = self.links[li].lock();
-        for &(first, last) in ranges {
-            for seq in first..=last {
-                tx.unacked.remove(&seq);
-            }
-        }
+        self.links[li].lock().retire(ranges, Instant::now());
     }
 
     /// One pass of the reliability progress engine: release due delayed
-    /// packets, flush aged acks, retransmit overdue unacked packets,
-    /// abandon packets whose retry budget is spent.
+    /// packets, flush aged acks, retransmit overdue unacked packets that
+    /// show evidence of loss, abandon packets whose retry budget is spent.
     pub(crate) fn progress(&self, port: &ChaosPort<'_>) {
         let now = Instant::now();
         // Release held packets whose due time has passed.
@@ -582,10 +583,13 @@ impl ChaosState {
         // a spurious retransmission of the packets it covers.
         for li in 0..self.pending_acks.len() {
             if self.pending_acks[li].lock().due(now, self.plan.ack_flush) {
-                self.flush_acks(port, li, false);
+                self.flush_acks(port, li);
             }
         }
-        // Retransmit / abandon overdue unacked packets.
+        // Retransmit / abandon overdue unacked packets. `budget`: how long
+        // one entry takes to spend its retries, the last wait included.
+        let retry = &self.plan.retry;
+        let budget: Duration = (1..=retry.max_retries + 1).map(|k| retry.backoff(k)).sum();
         for (li, l) in self.links.iter().enumerate() {
             let (from_row, to) = (li / self.n, li % self.n);
             let from = self.row_sender(from_row);
@@ -603,23 +607,40 @@ impl ChaosState {
                 continue;
             }
             let mut retransmit: Vec<(u64, u32, Arc<Vec<u8>>, u32, bool)> = Vec::new();
-            let mut exhausted: Vec<(u64, u32, bool, bool)> = Vec::new();
+            let mut exhausted: Vec<(u64, u32, u32, bool, bool)> = Vec::new();
             {
                 let mut link = l.lock();
                 if link.unacked.is_empty() {
                     continue;
                 }
+                // Evidence of loss: a hole below retired seqs, or a link
+                // silent for the oldest entry's backoff (resent alone, as
+                // TCP resends its earliest segment; a restored link: all).
+                // Silent a whole budget with its oldest entry spent, the
+                // link is dead: every entry past its deadline goes too.
+                let (high, clock) = (link.retired_high, link.clock);
+                let silent_for = |d| clock.is_none_or(|c| now.saturating_duration_since(c) >= d);
+                let oldest = link.unacked.keys().min().copied();
+                let dead = oldest.is_some_and(|seq| {
+                    let e = &link.unacked[&seq];
+                    e.attempts >= retry.max_retries && now >= e.next_retry && silent_for(budget)
+                });
                 let mut give_up: Vec<u64> = Vec::new();
                 for (&seq, e) in link.unacked.iter_mut() {
                     if now < e.next_retry {
                         continue;
                     }
-                    if e.attempts >= self.plan.retry.max_retries {
+                    if dead || e.attempts >= retry.max_retries {
                         give_up.push(seq);
                         continue;
                     }
+                    let silence = retry.backoff(e.attempts + 1);
+                    let silent = clock.is_none() || (oldest == Some(seq) && silent_for(silence));
+                    if seq >= high && !silent {
+                        continue; // no hole, no silence: no evidence of loss
+                    }
                     e.attempts += 1;
-                    e.next_retry = now + self.plan.retry.backoff(e.attempts + 1);
+                    e.next_retry = now + retry.backoff(e.attempts + 1);
                     retransmit.push((
                         seq,
                         e.handler,
@@ -630,14 +651,14 @@ impl ChaosState {
                 }
                 for seq in give_up {
                     let e = link.unacked.remove(&seq).expect("seq just listed");
-                    exhausted.push((seq, e.handler, e.delivered, e.replayed));
+                    exhausted.push((seq, e.handler, e.attempts, e.delivered, e.replayed));
                 }
             }
             for (seq, handler, payload, attempt, replayed) in retransmit {
                 port.stats.am_retries.inc();
                 self.transmit(port, from, to, handler, seq, &payload, attempt, replayed);
             }
-            for (seq, handler, delivered, replayed) in exhausted {
+            for (seq, handler, attempts, delivered, replayed) in exhausted {
                 // Claim the sequence number in the receiver's window: if
                 // the claim succeeds the packet was never (and will never
                 // be) logically delivered — report the loss and retire the
@@ -650,8 +671,8 @@ impl ChaosState {
                         CommError::new(
                             CommErrorKind::RetryBudgetExhausted,
                             format!(
-                                "abandoned after {} retransmissions",
-                                self.plan.retry.max_retries
+                                "abandoned after {attempts} of {} retransmissions",
+                                retry.max_retries
                             ),
                         )
                         .link((from != usize::MAX).then_some(from), to)
@@ -692,235 +713,5 @@ fn am_content_key(handler: u32, payload: &[u8]) -> u128 {
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use std::collections::VecDeque;
-    use std::time::Duration;
-    use ttg_telemetry::Registry;
-
-    /// One delivered physical copy: `(from, handler, seq, payload)`.
-    type Copy = (Rank, u32, u64, Arc<Vec<u8>>);
-
-    /// A queue-backed [`ChaosWire`] with the counters and sink a
-    /// [`ChaosPort`] names, for driving a [`ChaosState`] on one thread.
-    struct Harness {
-        cs: ChaosState,
-        stats: FabricStats,
-        in_flight: AtomicUsize,
-        errors: Mutex<Vec<CommError>>,
-        queues: Vec<Mutex<VecDeque<Copy>>>,
-    }
-
-    impl ChaosWire for Harness {
-        fn deliver(
-            &self,
-            from: Rank,
-            to: Rank,
-            handler: u32,
-            seq: u64,
-            payload: &Arc<Vec<u8>>,
-        ) -> Result<(), SendError> {
-            self.queues[to]
-                .lock()
-                .push_back((from, handler, seq, Arc::clone(payload)));
-            Ok(())
-        }
-
-        fn send_ack_range(&self, _: Rank, _: Rank, _: &[(u64, u64)]) -> bool {
-            false
-        }
-    }
-
-    impl Harness {
-        fn new(n: usize, plan: FaultPlan) -> Harness {
-            Harness {
-                cs: ChaosState::new(plan, n),
-                stats: FabricStats::new(&Registry::new(), n),
-                in_flight: AtomicUsize::new(0),
-                errors: Mutex::new(Vec::new()),
-                queues: (0..n).map(|_| Mutex::new(VecDeque::new())).collect(),
-            }
-        }
-
-        fn port(&self) -> ChaosPort<'_> {
-            ChaosPort {
-                wire: self,
-                stats: &self.stats,
-                in_flight: &self.in_flight,
-                errors: &self.errors,
-            }
-        }
-
-        fn send(&self, from: Rank, to: Rank, payload: Vec<u8>) {
-            self.cs.send(&self.port(), from, to, 7, payload);
-        }
-
-        fn progress(&self) {
-            self.cs.progress(&self.port());
-        }
-
-        fn in_flight(&self) -> usize {
-            self.in_flight.load(Ordering::SeqCst)
-        }
-
-        /// Take one copy off `rank`'s queue, classify it, and retire it if
-        /// fresh (what a delivery thread does); `None` when nothing waits.
-        fn pump(&self, rank: Rank) -> Option<bool> {
-            let (from, handler, seq, payload) = self.queues[rank].lock().pop_front()?;
-            let fresh = self
-                .cs
-                .rx_accept_am(&self.port(), rank, from, seq, handler, &payload);
-            if fresh {
-                self.in_flight.fetch_sub(1, Ordering::SeqCst);
-            }
-            Some(fresh)
-        }
-    }
-
-    #[test]
-    fn reliable_layer_sequences_and_delivers_exactly_once() {
-        let h = Harness::new(2, FaultPlan::seeded(1));
-        for _ in 0..10 {
-            h.send(0, 1, vec![1]);
-        }
-        let mut fresh = 0;
-        while let Some(f) = h.pump(1) {
-            fresh += f as usize;
-        }
-        assert_eq!(fresh, 10);
-        assert_eq!(h.in_flight(), 0);
-        assert_eq!(h.stats.snapshot().am_dedup_hits, 0);
-    }
-
-    #[test]
-    fn dropped_packets_are_retransmitted() {
-        // The deterministic rolls differ per attempt, so with drop=0.5 and
-        // enough budget every packet eventually passes.
-        let mut plan = FaultPlan::seeded(11).with_drop(0.5);
-        plan.retry.base = Duration::from_micros(50);
-        plan.retry.cap = Duration::from_micros(400);
-        let h = Harness::new(2, plan);
-        let n = 40;
-        for _ in 0..n {
-            h.send(0, 1, vec![3]);
-        }
-        let mut fresh = 0;
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while fresh < n && Instant::now() < deadline {
-            h.progress();
-            while let Some(f) = h.pump(1) {
-                fresh += f as usize;
-            }
-            std::thread::sleep(Duration::from_micros(100));
-        }
-        assert_eq!(fresh, n, "all logical packets must eventually deliver");
-        assert_eq!(h.in_flight(), 0);
-        let s = h.stats.snapshot();
-        assert!(s.am_retries > 0, "drops must force retransmissions");
-        assert!(s.am_dropped_injected > 0);
-    }
-
-    #[test]
-    fn batched_acks_retire_unacked_in_few_flushes() {
-        // Default plan: 100 µs flush timer, no loss. Twenty messages must
-        // be acknowledged by far fewer flush events, and every sequence
-        // must be covered by a batched range.
-        let h = Harness::new(2, FaultPlan::seeded(31));
-        let n = 20;
-        for _ in 0..n {
-            h.send(0, 1, vec![6]);
-        }
-        while h.pump(1).is_some() {}
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while h.stats.snapshot().acks_batched < n && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_micros(100));
-            h.progress();
-        }
-        let s = h.stats.snapshot();
-        assert_eq!(s.acks_batched, n, "every sequence must be range-acked");
-        assert!(s.ack_flushes >= 1);
-        assert!(
-            s.ack_flushes < n,
-            "batching must use fewer flushes ({}) than messages ({n})",
-            s.ack_flushes
-        );
-        assert!(h.cs.links[h.cs.link_idx(0, 1)].lock().unacked.is_empty());
-        assert_eq!(h.in_flight(), 0);
-    }
-
-    #[test]
-    fn acks_piggyback_on_reverse_traffic() {
-        // Disable the flush timer (5 s) so the only way the ack can move
-        // is by riding the next reverse-direction data frame.
-        let plan = FaultPlan::seeded(33).with_ack_flush(Duration::from_secs(5));
-        let h = Harness::new(2, plan);
-        h.send(0, 1, vec![7]);
-        assert_eq!(h.pump(1), Some(true));
-        assert_eq!(
-            h.stats.snapshot().ack_flushes,
-            0,
-            "timer off: nothing flushed yet"
-        );
-        // Reverse traffic carries the pending ack.
-        h.send(1, 0, vec![8]);
-        assert_eq!(h.pump(0), Some(true));
-        let s = h.stats.snapshot();
-        assert_eq!(s.acks_piggybacked, 1);
-        assert_eq!(s.acks_batched, 1);
-        assert_eq!(s.ack_flushes, 1);
-        assert_eq!(h.in_flight(), 0);
-    }
-
-    #[test]
-    fn dead_link_exhausts_budget_and_reports() {
-        // Rank 1 never takes a packet off its queue: nothing is accepted,
-        // the budget runs out, and the loss is reported.
-        let mut plan = FaultPlan::seeded(5).with_kill(1, 0);
-        plan.retry = crate::fault::RetryPolicy {
-            base: Duration::from_micros(20),
-            cap: Duration::from_micros(100),
-            max_retries: 3,
-        };
-        let h = Harness::new(2, plan);
-        h.send(0, 1, vec![4, 4]);
-        assert_eq!(h.in_flight(), 1);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while h.in_flight() > 0 && Instant::now() < deadline {
-            h.progress();
-            std::thread::sleep(Duration::from_micros(50));
-        }
-        assert_eq!(
-            h.in_flight(),
-            0,
-            "abandoned packet must retire its in-flight slot"
-        );
-        let errors = std::mem::take(&mut *h.errors.lock());
-        assert_eq!(errors.len(), 1, "exactly one loss report");
-        assert_eq!(errors[0].kind, CommErrorKind::RetryBudgetExhausted);
-        assert_eq!(errors[0].code(), "TTG040");
-        assert_eq!(errors[0].from, Some(0));
-        assert_eq!(errors[0].to, Some(1));
-        assert_eq!(h.stats.snapshot().am_retry_exhausted, 1);
-    }
-
-    #[test]
-    fn delayed_packets_are_released_by_progress() {
-        let mut plan = FaultPlan::seeded(21).with_delay(1.0);
-        plan.delay_us = (100, 200);
-        let h = Harness::new(2, plan);
-        h.send(0, 1, vec![5]);
-        // Held: nothing arrives immediately.
-        assert_eq!(h.pump(1), None);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        let mut fresh = 0;
-        while fresh == 0 && Instant::now() < deadline {
-            h.progress();
-            if let Some(true) = h.pump(1) {
-                fresh += 1;
-            }
-            std::thread::sleep(Duration::from_micros(50));
-        }
-        assert_eq!(fresh, 1);
-        assert!(h.stats.snapshot().am_delayed_injected >= 1);
-    }
-}
+#[path = "chaos_tests.rs"]
+mod tests;

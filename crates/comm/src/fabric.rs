@@ -27,6 +27,7 @@ use crate::error::{CommError, CommErrorKind, RmaError, SendError};
 use crate::fault::FaultPlan;
 use crate::links::{Links, Packet, Rank};
 use crate::recover::{Recovery, SnapshotSink};
+use crate::reliable::{AckRanges, AckSent};
 use crate::rma::{RegionId, RegionTable};
 use crate::stats::FabricStats;
 
@@ -600,14 +601,15 @@ impl ChaosWire for Fabric {
         }
     }
 
-    fn send_ack_range(&self, acker: Rank, sender: Rank, ranges: &[(u64, u64)]) -> bool {
-        self.links.get(acker, sender).is_some_and(|link| {
-            let frame = Frame::AckRange {
-                from: acker as u32,
-                ranges: ranges.to_vec(),
-            };
-            link.send(frame).is_ok()
-        })
+    fn send_ack_range(&self, acker: Rank, sender: Rank, ranges: AckRanges) -> AckSent {
+        let Some(link) = self.links.get(acker, sender) else {
+            return Err(Some(ranges));
+        };
+        let frame = Frame::AckRange {
+            from: acker as u32,
+            ranges,
+        };
+        link.send(frame).map_err(|_| None)
     }
 }
 

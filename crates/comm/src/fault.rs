@@ -63,7 +63,8 @@ pub struct KillScript {
 /// Retransmission policy of the reliable-delivery layer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
-    /// Initial retransmission timeout; doubles per attempt.
+    /// Backoff unit: attempt `k` waits `base · 2^k` ([`backoff`](Self::backoff)),
+    /// so the first retransmission comes `2 · base` after the send.
     pub base: Duration,
     /// Per-attempt backoff ceiling.
     pub cap: Duration,
@@ -113,8 +114,8 @@ pub struct FaultPlan {
     pub kills: Vec<KillScript>,
     /// Retransmission policy for the reliable layer.
     pub retry: RetryPolicy,
-    /// How long a pending batched ack may wait for a piggyback ride
-    /// before the progress thread flushes it anyway.
+    /// How long the oldest seq of a pending ack batch waits before the
+    /// batch is sent, by the receiving thread or the progress thread.
     pub ack_flush: Duration,
     /// Checkpoint/restore recovery: `Some(n)` snapshots each rank's state
     /// every `n` accepted packets and, when a kill script fires, restores

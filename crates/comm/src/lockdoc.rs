@@ -2,12 +2,13 @@
 //! `ttg-check` lock-order analysis (diagnostics TTG050/TTG051).
 //!
 //! What holds: outside recovery no code path holds two of these mutexes at
-//! once, with one exception (`control.term` across `control.idle_probe`).
-//! The reliable layer's paths are written to keep the dedup-window locks
-//! and the per-link retransmit locks disjoint in time — `progress()`
+//! once, with two exceptions (`control.term` across `control.idle_probe`;
+//! `flush_acks` keeps `chaos.pending_acks` until its batch is sent or
+//! retired from `chaos.links`, so batches arrive in the order taken). The
+//! dedup-window and retransmit locks stay disjoint in time — `progress()`
 //! collects retransmit candidates under the link lock in a scoped block
-//! before consulting any window, and `flush_acks` drains the accumulator
-//! before it touches the link.
+//! before consulting any window. Classification may flush, and only after
+//! its locks are released.
 //!
 //! Under a recovery-enabled plan there is one deliberate hierarchy:
 //! `rx_accept_am` holds the destination rank's `chaos.link_inc` guard
@@ -48,11 +49,13 @@ pub const LOCK_CLASSES: &[&str] = &[
 ///
 /// `drive_termination` refreshes the coordinator's own observation while
 /// holding the termination state (`term` guard live across
-/// `observe_local`, which locks `idle_probe`). The `link_inc` edges are the
-/// recovery hierarchy described in the module header (`rx_accept_am` takes
-/// all four under it; `restore_rank` takes `windows` and `links`).
+/// `observe_local`, which locks `idle_probe`); `flush_acks`, above. The
+/// `link_inc` edges are the recovery hierarchy described in the module
+/// header (`rx_accept_am` takes all four under it; `restore_rank` takes
+/// `windows` and `links`).
 pub const LOCK_ORDER: &[(&str, &str)] = &[
     ("control.term", "control.idle_probe"),
+    ("chaos.pending_acks", "chaos.links"),
     ("chaos.link_inc", "chaos.windows"),
     ("chaos.link_inc", "chaos.content_logs"),
     ("chaos.link_inc", "chaos.links"),

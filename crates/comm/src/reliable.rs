@@ -19,13 +19,12 @@
 //! is therefore a liveness/metadata trade-off, not a correctness one — see
 //! `DESIGN.md` §8.
 //!
-//! Acknowledgements are **batched** ([`PendingAcks`], DESIGN §12): the
-//! receiver accumulates accepted seqs into ranges and flushes them
-//! piggybacked on reverse-direction data or on a short timer, so a burst
-//! of messages is answered by one ranged ack instead of one ack each.
-//! It is the one ack protocol: the per-message "immediate" mode it was
-//! measured against removed the sender's entry through shared memory and
-//! put no frame on any wire; its numbers are recorded in DESIGN §12.
+//! Acknowledgements are **batched** ([`PendingAcks`], DESIGN §12): accepted
+//! seqs coalesce into ranges, sent once the oldest has waited `ack_flush`.
+//! Retransmission needs **evidence of loss** ([`LinkTx`]): a hole below
+//! retired seqs (RFC 2018), or a link clock that ran the backoff without
+//! an ack retiring anything (RFC 6298 §5) — a receiver that lags while its
+//! acks keep flowing causes no retransmission.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -186,7 +185,7 @@ pub struct Unacked {
     pub payload: Arc<Vec<u8>>,
     /// Retransmissions performed so far.
     pub attempts: u32,
-    /// When the next retransmission fires.
+    /// Backoff deadline: resent past it on evidence of loss, or abandoned.
     pub next_retry: Instant,
     /// Set by the receiver the moment a copy is accepted. The *ack*
     /// (removal from this table) may be lost by fault injection, but the
@@ -206,6 +205,11 @@ pub struct LinkTx {
     pub next_seq: u64,
     /// In-flight (sent, unacked) packets by sequence number.
     pub unacked: HashMap<u64, Unacked>,
+    /// Highest seq an ack has retired: an entry below it is a hole.
+    pub retired_high: u64,
+    /// Retransmission clock, started by a send that finds nothing pending
+    /// and restarted by each retiring ack; `None` on a restored link.
+    pub clock: Option<Instant>,
 }
 
 impl LinkTx {
@@ -213,6 +217,16 @@ impl LinkTx {
     pub fn assign_seq(&mut self) -> u64 {
         self.next_seq += 1;
         self.next_seq
+    }
+
+    /// Retire every held seq `ranges` covers; retiring any is progress.
+    pub fn retire(&mut self, ranges: &[(u64, u64)], now: Instant) {
+        for seq in ranges.iter().flat_map(|&(first, last)| first..=last) {
+            if self.unacked.remove(&seq).is_some() {
+                self.retired_high = self.retired_high.max(seq);
+                self.clock = Some(now);
+            }
+        }
     }
 
     /// Serialize the sender-side link state: the seq counter plus every
@@ -231,19 +245,20 @@ impl LinkTx {
 
     /// Restore link state written by [`LinkTx::export`]. Retry clocks
     /// restart from `now`: attempts reset to zero and every entry is due
-    /// immediately, so the post-restore progress sweep retransmits the
-    /// whole in-flight set (receiver windows dedup any copies that did
-    /// land before the crash).
+    /// immediately — the link clock is not running — so the post-restore
+    /// progress sweep retransmits the whole in-flight set (receiver
+    /// windows dedup any copies that did land before the crash).
     pub fn import(r: &mut ReadBuf<'_>, now: Instant) -> Result<LinkTx, WireError> {
         let next_seq = r.get_u64()?;
         let n = r.get_u64()? as usize;
-        let mut unacked = HashMap::with_capacity(n);
+        let mut tx = LinkTx::default();
+        tx.unacked.reserve(n);
         for _ in 0..n {
             let seq = r.get_u64()?;
             let handler = r.get_u32()?;
             let delivered = r.get_u8()? != 0;
             let payload = Arc::new(r.get_len_bytes()?.to_vec());
-            unacked.insert(
+            tx.unacked.insert(
                 seq,
                 Unacked {
                     handler,
@@ -255,7 +270,8 @@ impl LinkTx {
                 },
             );
         }
-        Ok(LinkTx { next_seq, unacked })
+        tx.next_seq = next_seq;
+        Ok(tx)
     }
 }
 
@@ -352,16 +368,20 @@ impl ContentLog {
     }
 }
 
+/// Inclusive `(first, last)` seq ranges of one ack batch, ascending.
+pub type AckRanges = Vec<(u64, u64)>;
+/// `Err(Some(..))`: no wire carries the pair; `Err(None)`: the link refused.
+pub type AckSent = Result<(), Option<AckRanges>>;
+
 /// Receive-side accumulator of acknowledgements owed on one incoming link.
 ///
 /// Instead of answering every accepted message with its own ack, the
 /// receiver notes accepted sequence numbers here, coalescing them into
 /// inclusive `(first, last)` ranges. The fabric flushes the accumulator
-/// as one batched acknowledgement either **piggybacked** — right before
-/// the next data message it sends back to that peer, so the ack rides the
-/// same coalesced socket write — or on a short timer, so an idle receiver
-/// still acks promptly. In-order traffic degenerates to a single
-/// ever-growing range, i.e. a cumulative ack.
+/// as one batched acknowledgement once it is [`due`](Self::due): checked
+/// by the receiving thread after every note and by the progress tick, so
+/// the last batch of a burst leaves too. In-order traffic degenerates to a
+/// single ever-growing range, i.e. a cumulative ack.
 ///
 /// Duplicates are re-noted on arrival: if a flush was lost, the sender's
 /// retransmit produces a dedup hit whose re-note re-arms the ack, so the
@@ -370,7 +390,7 @@ impl ContentLog {
 #[derive(Debug, Default)]
 pub struct PendingAcks {
     /// Inclusive, sorted, non-overlapping ranges of accepted seqs.
-    ranges: Vec<(u64, u64)>,
+    ranges: AckRanges,
     /// When the oldest currently-pending ack was noted (timer anchor).
     oldest: Option<Instant>,
     /// Flush ordinal, used to salt per-flush loss rolls deterministically.
@@ -427,7 +447,7 @@ impl PendingAcks {
 
     /// Drain the pending ranges for one flush, returning them together
     /// with the flush ordinal (for deterministic loss salting).
-    pub fn take(&mut self) -> (Vec<(u64, u64)>, u64) {
+    pub fn take(&mut self) -> (AckRanges, u64) {
         self.oldest = None;
         self.flushes += 1;
         (std::mem::take(&mut self.ranges), self.flushes)
@@ -738,11 +758,15 @@ mod tests {
                 },
             );
         }
+        tx.retire(&[(3, 3)], now);
+        assert_eq!((tx.retired_high, tx.clock), (3, Some(now)));
         let mut b = WriteBuf::new();
         tx.export(&mut b);
         let got = LinkTx::import(&mut ReadBuf::new(b.as_slice()), now).unwrap();
         assert_eq!(got.next_seq, 3);
-        assert_eq!(got.unacked.len(), 3);
+        assert_eq!(got.unacked.len(), 2);
+        // No retired seq and no running clock: every entry is due at once.
+        assert_eq!((got.retired_high, got.clock), (0, None));
         for (seq, u) in &got.unacked {
             assert_eq!(u.attempts, 0, "attempts must reset on restore");
             assert!(u.next_retry <= now, "restored entries must be due");

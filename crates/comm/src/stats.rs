@@ -51,9 +51,6 @@ pub struct FabricStats {
     pub(crate) ack_flushes: Counter,
     /// Sequence numbers acknowledged through batched range flushes.
     pub(crate) acks_batched: Counter,
-    /// Of those, seqs whose flush piggybacked on reverse-direction data
-    /// (the rest went out on the flush timer).
-    pub(crate) acks_piggybacked: Counter,
     /// Sends that hit a closed channel (post-shutdown no-ops).
     pub(crate) post_shutdown_sends: Counter,
     /// Late/duplicate one-sided fetches answered from the released-region
@@ -148,8 +145,6 @@ pub struct StatsSnapshot {
     pub ack_flushes: u64,
     /// Sequence numbers acknowledged via batched ranges.
     pub acks_batched: u64,
-    /// Batched-acked seqs that piggybacked on reverse-direction data.
-    pub acks_piggybacked: u64,
     /// Post-shutdown sends absorbed as counted no-ops.
     pub post_shutdown_sends: u64,
     /// Late/duplicate RMA fetches served idempotently.
@@ -238,7 +233,6 @@ impl FabricStats {
             am_retry_exhausted: c("am_retry_exhausted"),
             ack_flushes: c("ack_flushes"),
             acks_batched: c("acks_batched"),
-            acks_piggybacked: c("acks_piggybacked"),
             post_shutdown_sends: c("post_shutdown_sends"),
             rma_stale_gets: c("rma_stale_gets"),
             rma_released_evictions: c("rma_released_evictions"),
@@ -355,7 +349,6 @@ impl FabricStats {
             am_retry_exhausted: self.am_retry_exhausted.get(),
             ack_flushes: self.ack_flushes.get(),
             acks_batched: self.acks_batched.get(),
-            acks_piggybacked: self.acks_piggybacked.get(),
             post_shutdown_sends: self.post_shutdown_sends.get(),
             rma_stale_gets: self.rma_stale_gets.get(),
             rma_released_evictions: self.rma_released_evictions.get(),

@@ -12,10 +12,10 @@
 //!
 //! [`protocols`] holds model-sized extractions of the real protocols this
 //! repo depends on (worker sleep/wake, batched submit, sharded matching,
-//! dedup window, recovery ledger, multi-process termination, transport
-//! handshake), each with invariants and known-bad
-//! mutations the checker must catch. `ttg-check --model` runs that corpus
-//! and reports in the standard diagnostic format.
+//! dedup window, reliable acks and retransmission, recovery ledger,
+//! multi-process termination, transport handshake), each with invariants
+//! and known-bad mutations the checker must catch. `ttg-check --model`
+//! runs that corpus and reports in the standard diagnostic format.
 
 pub mod explore;
 pub mod protocols;

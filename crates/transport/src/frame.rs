@@ -83,8 +83,8 @@ pub enum Frame {
     /// Batched acknowledgement: a set of inclusive sequence-number ranges
     /// accepted on the link from the receiver back to the original sender.
     /// One `AckRange` answers up to a window's worth of messages; the
-    /// reliable layer flushes one either piggybacked right before the next
-    /// data frame to that peer or on a short timer.
+    /// reliable layer sends one once the oldest seq it covers has waited
+    /// the fault plan's `ack_flush`.
     AckRange {
         /// Rank acknowledging (the AMs' destination).
         from: u32,

@@ -290,8 +290,8 @@ fn rank_killed_before_first_snapshot_restores_to_empty_and_replays() {
 
 #[test]
 fn ack_batching_is_bit_identical_under_chaos() {
-    // The batched/piggybacked ack path — the one ack protocol — must
-    // restore exactly-once delivery under drop/dup/reorder injection: the
+    // The batched ack path — the one ack protocol, batches sent when due —
+    // must restore exactly-once delivery under drop/dup/reorder injection: the
     // factor stays bit-identical to the fault-free run. The run must also
     // actually batch — far fewer ack flush events than logical messages.
     let a = TiledMatrix::random_spd(6, 8, 515);
