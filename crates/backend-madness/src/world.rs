@@ -19,7 +19,7 @@ use std::sync::Arc;
 use crossbeam_channel::{unbounded, Receiver, Sender};
 use parking_lot::{Condvar, Mutex};
 use ttg_runtime::{Job, Quiescence, SchedulerKind, WorkerPool};
-use ttg_telemetry::{Counter, MetricKey, Registry};
+use ttg_telemetry::Registry;
 
 /// A write-once future in the MADNESS style.
 pub struct MadFuture<T> {
@@ -78,29 +78,19 @@ enum AmMsg {
     Stop,
 }
 
-// Per-rank backend counters: submitted tasks, active messages served, and
-// the copy behavior of the global namespace (one-sided gets clone at the
-// owner; inserts and RMI moves are zero-copy).
-struct WorldMetrics {
-    tasks: Vec<Counter>,
-    ams: Vec<Counter>,
-    copies: Vec<Counter>,
-    zero_copy: Vec<Counter>,
-}
-
-impl WorldMetrics {
-    fn new(reg: &Registry, n: usize) -> Self {
-        let per_rank = |name: &'static str| -> Vec<Counter> {
-            (0..n)
-                .map(|r| reg.counter(MetricKey::ranked(r, "backend", name)))
-                .collect()
-        };
-        WorldMetrics {
-            tasks: per_rank("tasks"),
-            ams: per_rank("ams"),
-            copies: per_rank("copies"),
-            zero_copy: per_rank("zero_copy"),
-        }
+ttg_telemetry::metrics! {
+    // Per-rank backend counters: the copy behavior of the global namespace
+    // (one-sided gets clone at the owner; inserts and RMI moves are
+    // zero-copy).
+    struct WorldMetrics for ranks {
+        /// Tasks submitted.
+        tasks: ranked counter("backend", "tasks"),
+        /// Active messages served.
+        ams: ranked counter("backend", "ams"),
+        /// Values cloned at the owner by a one-sided get.
+        copies: ranked counter("backend", "copies"),
+        /// Values moved without a copy (inserts and RMI moves).
+        zero_copy: ranked counter("backend", "zero_copy"),
     }
 }
 
@@ -143,7 +133,7 @@ impl World {
             am_tx.push(tx);
             am_rx.push(rx);
         }
-        let metrics = WorldMetrics::new(&telemetry, ranks);
+        let metrics = WorldMetrics::register(&telemetry, ranks);
         let inner = Arc::new(WorldInner {
             n_ranks: ranks,
             pools,
@@ -209,14 +199,6 @@ impl World {
         self.inner.am_tx[rank]
             .send(AmMsg::Run(Box::new(f)))
             .expect("world closed");
-    }
-
-    fn count_copy(&self, rank: usize) {
-        self.inner.metrics.copies[rank].inc();
-    }
-
-    fn count_zero_copy(&self, rank: usize) {
-        self.inner.metrics.zero_copy[rank].inc();
     }
 
     /// Global fence: block until every task and active message everywhere
@@ -295,7 +277,7 @@ where
     pub fn insert(&self, k: K, v: V) {
         let owner = self.owner(&k);
         let shards = Arc::clone(&self.shards);
-        self.world.count_zero_copy(owner);
+        self.world.inner.metrics.zero_copy[owner].inc();
         self.world.am(owner, move || {
             shards[owner].lock().insert(k, v);
         });
@@ -309,7 +291,7 @@ where
     {
         let owner = self.owner(&k);
         let shards = Arc::clone(&self.shards);
-        self.world.count_zero_copy(owner);
+        self.world.inner.metrics.zero_copy[owner].inc();
         self.world.am(owner, move || {
             let mut shard = shards[owner].lock();
             let v = shard.entry(k).or_default();
@@ -327,7 +309,7 @@ where
         let shards = Arc::clone(&self.shards);
         let fut = MadFuture::new();
         let fut2 = fut.clone();
-        self.world.count_copy(owner);
+        self.world.inner.metrics.copies[owner].inc();
         self.world.am(owner, move || {
             fut2.set(shards[owner].lock().get(&k).cloned());
         });
@@ -368,6 +350,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
+    use ttg_telemetry::MetricKey;
 
     #[test]
     fn futures_and_tasks() {

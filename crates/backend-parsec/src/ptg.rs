@@ -21,7 +21,6 @@ use ttg_comm::{Fabric, Packet, ReadBuf, StatsSnapshot, WriteBuf};
 use ttg_core::trace::{Dep, TaskEvent, TraceRecorder};
 use ttg_core::types::{Data, Key};
 use ttg_runtime::{Quiescence, SchedulerKind, WorkerPool};
-use ttg_telemetry::{Counter, MetricKey};
 
 /// Context handed to PTG task bodies for emitting downstream data.
 pub struct PtgCtx<'a, K: Key, V: Data> {
@@ -80,9 +79,15 @@ struct RtInner<K: Key, V: Data> {
     trace: Option<TraceRecorder>,
     next_task: AtomicU64,
     tasks_run: AtomicU64,
-    // Per-rank activation counters, registered under "backend" in the
-    // fabric's telemetry registry (countdown hit zero → task launched).
-    activations: Vec<Counter>,
+    metrics: PtgMetrics,
+}
+
+ttg_telemetry::metrics! {
+    // The backend's counters, in the fabric's telemetry registry.
+    struct PtgMetrics for ranks {
+        /// Countdowns that hit zero: task instances launched.
+        activations: ranked counter("backend", "activations"),
+    }
 }
 
 impl<K: Key, V: Data> RtInner<K, V> {
@@ -108,7 +113,7 @@ impl<K: Key, V: Data> RtInner<K, V> {
             b.put_u32(class as u32);
             key.encode(&mut b);
             v.encode(&mut b);
-            self.fabric.stats().count_serialization();
+            self.fabric.stats().serializations.inc();
             if let Err(e) = self
                 .fabric
                 .send_am(src_rank, owner, class as u32, b.into_vec())
@@ -150,7 +155,7 @@ impl<K: Key, V: Data> RtInner<K, V> {
         let rt = Arc::clone(self);
         let task_id = self.next_task.fetch_add(1, Ordering::Relaxed);
         let prio = (self.classes[class].priority)(&key);
-        self.activations[rank].inc();
+        self.metrics.activations[rank].inc();
         self.pools[rank].submit(ttg_runtime::Job::with_priority(prio, move || {
             let ctx = PtgCtx {
                 rt: &rt,
@@ -240,13 +245,7 @@ impl<K: Key, V: Data> PtgRuntime<K, V> {
                 )
             })
             .collect();
-        let activations = (0..ranks)
-            .map(|r| {
-                fabric
-                    .telemetry()
-                    .counter(MetricKey::ranked(r, "backend", "activations"))
-            })
-            .collect();
+        let metrics = PtgMetrics::register(fabric.telemetry(), ranks);
         let tables = classes
             .iter()
             .map(|_| (0..ranks).map(|_| Mutex::new(HashMap::new())).collect())
@@ -264,7 +263,7 @@ impl<K: Key, V: Data> PtgRuntime<K, V> {
             },
             next_task: AtomicU64::new(1),
             tasks_run: AtomicU64::new(0),
-            activations,
+            metrics,
         });
 
         let mut comm_threads = Vec::with_capacity(ranks);

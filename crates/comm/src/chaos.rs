@@ -455,7 +455,6 @@ impl ChaosState {
             let key = am_content_key(handler, payload);
             let mut logs = self.content_logs[to].lock();
             if consult && logs[row].consume(key) {
-                port.stats.replay_dedup_hits.inc();
                 // Retire one slot either way: a live re-execution
                 // duplicate holds its logical send's slot (it will never
                 // reach `packet_processed`); a replayed copy holds the

@@ -46,7 +46,7 @@ impl Harness {
     fn new(n: usize, plan: FaultPlan) -> Harness {
         Harness {
             cs: ChaosState::new(plan, n),
-            stats: FabricStats::new(&Registry::new(), n),
+            stats: FabricStats::register(&Registry::new(), n),
             in_flight: AtomicUsize::new(0),
             errors: Mutex::new(Vec::new()),
             queues: (0..n).map(|_| Mutex::new(VecDeque::new())).collect(),

@@ -148,7 +148,7 @@ impl Fabric {
             chaos,
             rma: RegionTable::new(n),
             barrier: Barrier::new(n),
-            stats: FabricStats::new(&telemetry, n),
+            stats: FabricStats::register(&telemetry, n),
             telemetry,
             in_flight: AtomicUsize::new(0),
             errors: Mutex::new(Vec::new()),

@@ -160,7 +160,10 @@ mod tests {
     use ttg_telemetry::Registry;
 
     fn table(n: usize) -> (RegionTable, FabricStats) {
-        (RegionTable::new(n), FabricStats::new(&Registry::new(), n))
+        (
+            RegionTable::new(n),
+            FabricStats::register(&Registry::new(), n),
+        )
     }
 
     #[test]

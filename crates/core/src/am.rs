@@ -179,14 +179,14 @@ impl AmPlan {
         };
         let mut payload_len = 0;
         let region = (n_split > 0).then(|| {
-            fabric.stats().count_serialization();
+            fabric.stats().serializations.inc();
             let payload = Arc::new(v.split_payload().unwrap_or_default());
             payload_len = payload.len();
             fabric.register_region(src_rank, payload, n_split, None)
         });
         let n_inline = self.ams.len() - n_split;
         let encoded = (n_inline > 1 && self.merge).then(|| {
-            fabric.stats().count_serialization();
+            fabric.stats().serializations.inc();
             ttg_comm::to_bytes(v)
         });
         let inline_len = match &encoded {
@@ -218,7 +218,7 @@ impl AmPlan {
                 (Some(_), _) => v.split_encode_md(&mut b),
                 (None, Some(bytes)) => b.put_bytes(bytes),
                 (None, None) => {
-                    fabric.stats().count_serialization();
+                    fabric.stats().serializations.inc();
                     v.encode(&mut b);
                 }
             }

@@ -5,137 +5,50 @@ use std::sync::{Arc, OnceLock};
 
 use ttg_comm::Fabric;
 use ttg_runtime::{Quiescence, WorkerPool};
-use ttg_telemetry::{Counter, MetricKey};
+use ttg_telemetry::Counter;
 
 use crate::backend::BackendSpec;
 use crate::node::AnyNode;
 use crate::trace::TraceRecorder;
 
-/// Per-rank core-layer counters, registered in the fabric's telemetry
-/// registry under subsystem `"core"` so they appear in the same snapshot
-/// as the comm and scheduler metrics.
-pub struct CoreMetrics {
-    activations: Vec<Counter>,
-    reducer_folds: Vec<Counter>,
-    local_copies: Vec<Counter>,
-    local_shared: Vec<Counter>,
-    dropped_sends: Vec<Counter>,
-    values_shared: Vec<Counter>,
-    deep_copies_avoided: Vec<Counter>,
-    cow_clones: Vec<Counter>,
-    cloned_bytes: Vec<Counter>,
+ttg_telemetry::metrics! {
+    /// Per-rank core-layer counters, registered in the fabric's telemetry
+    /// registry under subsystem `"core"` so they appear in the same snapshot
+    /// as the comm and scheduler metrics. Each handle is indexed by rank.
+    pub struct CoreMetrics for ranks {
+        /// Task instances that became ready and were submitted.
+        pub(crate) activations: ranked counter("core", "activations"),
+        /// Messages a streaming reducer folded into its accumulator.
+        pub(crate) reducer_folds: ranked counter("core", "reducer_folds"),
+        /// Local deliveries that deep-copied the value (MADNESS-like `Copy`
+        /// mode).
+        pub(crate) local_copies: ranked counter("core", "local_copies"),
+        /// Local deliveries that passed the value zero-copy (move or shared
+        /// `Arc`).
+        pub(crate) local_shared: ranked counter("core", "local_shared"),
+        /// Sends dropped because their edge has no consumer.
+        pub(crate) dropped_sends: ranked counter("core", "dropped_sends"),
+        /// Fan-out values erased once into a shared (`Arc`) handle instead
+        /// of being deep-copied per consumer.
+        pub(crate) values_shared: ranked counter("core", "values_shared"),
+        /// Consumers that obtained their input from a shared handle without
+        /// paying a deep copy (moved out at refcount 1, or the clone was a
+        /// refcount bump).
+        pub(crate) deep_copies_avoided: ranked counter("core", "deep_copies_avoided"),
+        /// Consumers that raced live readers of a shared value and paid a
+        /// copy-on-write clone.
+        pub(crate) cow_clones: ranked counter("core", "cow_clones"),
+        /// Bytes those copy-on-write clones copied.
+        pub(crate) cloned_bytes: ranked counter("core", "cloned_bytes"),
+    }
 }
 
 impl CoreMetrics {
-    fn new(fabric: &Fabric) -> Self {
-        let reg = fabric.telemetry();
-        let n = fabric.num_ranks();
-        let per_rank = |name: &'static str| -> Vec<Counter> {
-            (0..n)
-                .map(|r| reg.counter(MetricKey::ranked(r, "core", name)))
-                .collect()
-        };
-        CoreMetrics {
-            activations: per_rank("activations"),
-            reducer_folds: per_rank("reducer_folds"),
-            local_copies: per_rank("local_copies"),
-            local_shared: per_rank("local_shared"),
-            dropped_sends: per_rank("dropped_sends"),
-            values_shared: per_rank("values_shared"),
-            deep_copies_avoided: per_rank("deep_copies_avoided"),
-            cow_clones: per_rank("cow_clones"),
-            cloned_bytes: per_rank("cloned_bytes"),
-        }
-    }
-
-    /// A task instance became ready and was submitted on `rank`.
-    pub fn count_activation(&self, rank: usize) {
-        self.activations[rank].inc();
-    }
-
-    /// A streaming reducer folded one message on `rank`.
-    pub fn count_reducer_fold(&self, rank: usize) {
-        self.reducer_folds[rank].inc();
-    }
-
-    /// A local delivery deep-copied the value (MADNESS-like `Copy` mode).
-    pub fn count_local_copy(&self, rank: usize) {
-        self.local_copies[rank].inc();
-    }
-
-    /// A local delivery passed the value zero-copy (move or shared `Arc`).
-    pub fn count_local_shared(&self, rank: usize) {
-        self.local_shared[rank].inc();
-    }
-
-    /// Task activations so far on `rank`.
-    pub fn activations(&self, rank: usize) -> u64 {
-        self.activations[rank].get()
-    }
-
-    /// Reducer folds so far on `rank`.
-    pub fn reducer_folds(&self, rank: usize) -> u64 {
-        self.reducer_folds[rank].get()
-    }
-
-    /// Local deep copies so far on `rank`.
-    pub fn local_copies(&self, rank: usize) -> u64 {
-        self.local_copies[rank].get()
-    }
-
-    /// Zero-copy local deliveries so far on `rank`.
-    pub fn local_shared(&self, rank: usize) -> u64 {
-        self.local_shared[rank].get()
-    }
-
-    /// A fan-out value was erased once into a shared (`Arc`) handle on
-    /// `rank` instead of being deep-copied per consumer.
-    pub fn count_value_shared(&self, rank: usize) {
-        self.values_shared[rank].inc();
-    }
-
-    /// A consumer on `rank` obtained its input from a shared handle without
-    /// paying a deep copy (moved out at refcount 1, or the clone was a
-    /// refcount bump).
-    pub fn count_deep_copy_avoided(&self, rank: usize) {
-        self.deep_copies_avoided[rank].inc();
-    }
-
     /// A consumer on `rank` raced live readers of a shared value and paid a
     /// copy-on-write clone of `bytes` bytes.
     pub fn count_cow_clone(&self, rank: usize, bytes: u64) {
         self.cow_clones[rank].inc();
         self.cloned_bytes[rank].add(bytes);
-    }
-
-    /// Values erased into shared handles so far on `rank`.
-    pub fn values_shared(&self, rank: usize) -> u64 {
-        self.values_shared[rank].get()
-    }
-
-    /// Deep copies avoided by the COW value plane so far on `rank`.
-    pub fn deep_copies_avoided(&self, rank: usize) -> u64 {
-        self.deep_copies_avoided[rank].get()
-    }
-
-    /// Copy-on-write clones so far on `rank`.
-    pub fn cow_clones(&self, rank: usize) -> u64 {
-        self.cow_clones[rank].get()
-    }
-
-    /// Bytes deep-copied by COW clones so far on `rank`.
-    pub fn cloned_bytes(&self, rank: usize) -> u64 {
-        self.cloned_bytes[rank].get()
-    }
-
-    /// `n` sends on `rank` were dropped because their edge has no consumer.
-    pub fn count_dropped_sends(&self, rank: usize, n: u64) {
-        self.dropped_sends[rank].add(n);
-    }
-
-    /// Sends dropped so far on `rank` (zero-consumer edges).
-    pub fn dropped_sends(&self, rank: usize) -> u64 {
-        self.dropped_sends[rank].get()
     }
 
     /// Sends dropped so far across all ranks.
@@ -171,7 +84,7 @@ pub struct RuntimeCtx {
 impl RuntimeCtx {
     /// Create a context over `fabric` with the given backend.
     pub fn new(fabric: Arc<Fabric>, backend: BackendSpec, trace: bool) -> Arc<Self> {
-        let metrics = CoreMetrics::new(&fabric);
+        let metrics = CoreMetrics::register(fabric.telemetry(), fabric.num_ranks());
         Arc::new(RuntimeCtx {
             fabric,
             pools: OnceLock::new(),

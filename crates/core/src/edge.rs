@@ -191,8 +191,8 @@ impl<K: Key, V: Data> PortImpl<K, V> {
                 // Even the last key, which could take the original by move,
                 // is counted as a copy to model always-copy semantics.
                 for k in local {
-                    ctx.fabric.stats().count_data_copy();
-                    ctx.metrics.count_local_copy(rank);
+                    ctx.fabric.stats().data_copies.inc();
+                    ctx.metrics.local_copies[rank].inc();
                     or_panic(node.insert(
                         rank,
                         t,
@@ -209,7 +209,7 @@ impl<K: Key, V: Data> PortImpl<K, V> {
                 match v {
                     FanoutVal::Owned(v) if n_local == 1 => {
                         let k = local.next().expect("one key is local");
-                        ctx.metrics.count_local_shared(rank);
+                        ctx.metrics.local_shared[rank].inc();
                         or_panic(node.insert(rank, t, k.clone(), ErasedVal::erase(v), dep, ctx));
                     }
                     v => {
@@ -218,13 +218,13 @@ impl<K: Key, V: Data> PortImpl<K, V> {
                         // terminals; every consumer gets the same allocation.
                         let arc: Arc<V> = match v {
                             FanoutVal::Owned(v) => {
-                                ctx.metrics.count_value_shared(rank);
+                                ctx.metrics.values_shared[rank].inc();
                                 Arc::new(v)
                             }
                             FanoutVal::Shared(arc) => arc,
                         };
                         for k in local {
-                            ctx.metrics.count_local_shared(rank);
+                            ctx.metrics.local_shared[rank].inc();
                             or_panic(node.insert(
                                 rank,
                                 t,
@@ -444,7 +444,7 @@ impl<K: Key, V: Data> OutTerm<K, V> {
             }
             ports => {
                 let arc = Arc::new(v);
-                ctx.metrics.count_value_shared(src_rank);
+                ctx.metrics.values_shared[src_rank].inc();
                 for port in ports {
                     let v = FanoutVal::Shared(Arc::clone(&arc));
                     port.route(keys, v, &mut plan, from_task, src_rank, ctx);
@@ -495,7 +495,7 @@ impl<K: Key, V: Data> OutTerm<K, V> {
                 // the drop so the sanitizer and telemetry can report it
                 // instead of losing the data invisibly (diagnostic TTG031;
                 // the static verifier flags the same shape as TTG002).
-                ctx.metrics.count_dropped_sends(src_rank, keys.len() as u64);
+                ctx.metrics.dropped_sends[src_rank].add(keys.len() as u64);
                 #[cfg(feature = "checked")]
                 ctx.sanitizer
                     .record(crate::inspect::Violation::DroppedSend {

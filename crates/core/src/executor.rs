@@ -290,7 +290,10 @@ impl Executor {
                                         );
                                     }
                                     drop(batch);
-                                    ctx2.fabric.stats().count_am_delivered(started.elapsed());
+                                    ctx2.fabric
+                                        .stats()
+                                        .am_deliver_ns
+                                        .record_duration(started.elapsed());
                                     ctx2.fabric.packet_processed();
                                     // Hand the AM buffer back to the wire
                                     // buffer pool for the next send.
@@ -308,7 +311,8 @@ impl Executor {
                                         // the pool stays busy and the next
                                         // delivery retries.
                                         if rec.snapshot_due(r) {
-                                            let drain = Instant::now() + Duration::from_micros(500);
+                                            let paused = Instant::now();
+                                            let drain = paused + Duration::from_micros(500);
                                             loop {
                                                 if ctx2.pool(r).is_idle() {
                                                     take_snapshot(&ctx2, &rec, r);
@@ -319,6 +323,10 @@ impl Executor {
                                                 }
                                                 std::thread::yield_now();
                                             }
+                                            ctx2.fabric
+                                                .stats()
+                                                .snapshot_pause_ns
+                                                .record_duration(paused.elapsed());
                                         }
                                     }
                                 }
@@ -406,7 +414,6 @@ impl Executor {
                 return;
             }
             if give_up.is_some_and(|t| Instant::now() >= t) {
-                fabric.stats().count_deadline_miss();
                 fabric.record_error(CommError::new(
                     CommErrorKind::DeadlineMissed,
                     format!(

@@ -664,7 +664,7 @@ impl<K: Key> NodeInner<K> {
                 match acc {
                     Some(a) => {
                         (spec.op)(a, val);
-                        ctx.metrics.count_reducer_fold(rank);
+                        ctx.metrics.reducer_folds[rank].inc();
                     }
                     None => *acc = Some((spec.init)(val)),
                 }
@@ -891,7 +891,7 @@ impl<K: Key> NodeInner<K> {
         let ctx2 = Arc::clone(ctx);
         let PendingE { slots, deps } = entry;
         let inputs = Inputs::from(slots);
-        ctx.metrics.count_activation(rank);
+        ctx.metrics.activations[rank].inc();
         let pool = ctx.pool(rank);
         let mut job = ttg_runtime::Job::with_priority(prio, move || {
             // Declared first so it drops last: successors spawned by this
@@ -1313,7 +1313,7 @@ impl Arrival {
         ctx: &RuntimeCtx,
     ) -> Self {
         let val = if consumers > 1 && ctx.backend.local_pass == LocalPass::Share {
-            ctx.metrics.count_value_shared(rank);
+            ctx.metrics.values_shared[rank].inc();
             ArrivalVal::Shared((meta.to_shared)(val))
         } else {
             ArrivalVal::Owned(Some(val), consumers)
@@ -1333,7 +1333,7 @@ impl Arrival {
     ) -> Result<ErasedVal, WireError> {
         match &mut self.val {
             ArrivalVal::Shared(arc) => {
-                ctx.metrics.count_local_shared(rank);
+                ctx.metrics.local_shared[rank].inc();
                 Ok(ErasedVal::Shared(Arc::clone(arc)))
             }
             ArrivalVal::Owned(val, left) => {

@@ -70,7 +70,7 @@ impl<'a, T> Outs<'a, T> {
     /// one AM naming all its consumers — where terminal-by-terminal
     /// `send`/`broadcast` calls ship the value once per terminal.
     pub fn fanout<V: Data>(&self, v: V) -> Fanout<'_, 'a, T, V> {
-        self.ctx.metrics.count_value_shared(self.rank);
+        self.ctx.metrics.values_shared[self.rank].inc();
         Fanout {
             outs: self,
             v: Arc::new(v),

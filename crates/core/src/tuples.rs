@@ -103,23 +103,23 @@ macro_rules! impl_edge_list {
                             if !copied {
                                 // Last live holder: moved the original
                                 // allocation out of the Arc.
-                                ctx.metrics.count_deep_copy_avoided(rank);
+                                ctx.metrics.deep_copies_avoided[rank].inc();
                             } else {
                                 let cost = ttg_comm::Wire::clone_cost_bytes(&v);
                                 if cost == 0 {
                                     // Refcount-bump clone (e.g. Arc<T>
                                     // payloads): shared, but still no deep
                                     // copy.
-                                    ctx.metrics.count_deep_copy_avoided(rank);
+                                    ctx.metrics.deep_copies_avoided[rank].inc();
                                 } else {
                                     // Raced live readers: paid a real
                                     // copy-on-write clone.
-                                    ctx.fabric.stats().count_data_copy();
+                                    ctx.fabric.stats().data_copies.inc();
                                     ctx.metrics.count_cow_clone(rank, cost as u64);
                                 }
                             }
                         } else if copied {
-                            ctx.fabric.stats().count_data_copy();
+                            ctx.fabric.stats().data_copies.inc();
                         }
                         v
                     },

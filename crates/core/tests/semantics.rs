@@ -313,6 +313,8 @@ fn streaming_terminal_with_static_size() {
     let mut out = results.lock().unwrap().clone();
     out.sort_by_key(|(k, _)| *k);
     assert_eq!(out, vec![(0, 36.0), (1, 36.0), (2, 36.0)]);
+    // The first message of a stream seeds its accumulator; the other 7 fold.
+    assert_eq!(core_count(&report, "reducer_folds"), 3 * 7);
 }
 
 #[test]
@@ -805,6 +807,7 @@ fn fanout_sends_one_am_per_rank_and_shares_one_allocation() {
     // Erased once at the sender and once per receiving rank; `Arc`
     // payloads never pay a copy-on-write clone.
     assert_eq!(core_count(&report, "values_shared"), 4);
+    assert_eq!(core_count(&report, "local_shared"), 12);
     assert_eq!(core_count(&report, "cow_clones"), 0);
     assert_eq!(report.comm.data_copies, 0);
     // The terminal nobody consumes is still reported (TTG031).

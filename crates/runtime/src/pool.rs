@@ -18,7 +18,7 @@ use std::time::Instant;
 use ttg_model::sync::{AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex, Ordering};
 
 use crossbeam_deque::{Injector, Stealer, Worker};
-use ttg_telemetry::{Counter, Gauge, MetricKey, Registry};
+use ttg_telemetry::Registry;
 
 use crate::quiesce::Quiescence;
 
@@ -96,62 +96,33 @@ impl Ord for PrioJob {
     }
 }
 
-/// Scheduler counters, registered under subsystem `"sched"` when the pool
-/// is created with a telemetry registry (standalone cells otherwise, so
-/// counting always works and export is opt-in).
-struct PoolMetrics {
-    /// Jobs accepted by `submit`.
-    submitted: Counter,
-    /// Jobs executed to completion.
-    executed: Counter,
-    /// Successful steals from a peer worker's deque or bound queue.
-    steals: Counter,
-    /// Nanoseconds workers spent parked waiting for work.
-    idle_ns: Counter,
-    /// Jobs submitted but not yet picked up for execution.
-    queue_depth: Gauge,
-    /// Wake events announced to parked workers (one per submit, one per
-    /// batch — fewer wakeups per task means cheaper activation).
-    wakeups: Counter,
-    /// Jobs that rode a multi-job `submit_batch` group.
-    tasks_batched: Counter,
-    /// Jobs a worker took from its own bound (locality) queue.
-    local_hits: Counter,
-    /// Full steal scans that found nothing anywhere.
-    steal_misses: Counter,
-    /// High-water mark of any single worker's ready-queue depth (bound
-    /// queue + deque), mirroring the transport's `send_queue_hwm`.
-    ready_hwm: Gauge,
-}
-
-impl PoolMetrics {
-    fn new(registry: Option<(&Registry, usize)>) -> Self {
-        match registry {
-            Some((reg, rank)) => PoolMetrics {
-                submitted: reg.counter(MetricKey::ranked(rank, "sched", "submitted")),
-                executed: reg.counter(MetricKey::ranked(rank, "sched", "executed")),
-                steals: reg.counter(MetricKey::ranked(rank, "sched", "steals")),
-                idle_ns: reg.counter(MetricKey::ranked(rank, "sched", "idle_ns")),
-                queue_depth: reg.gauge(MetricKey::ranked(rank, "sched", "queue_depth")),
-                wakeups: reg.counter(MetricKey::ranked(rank, "sched", "wakeups")),
-                tasks_batched: reg.counter(MetricKey::ranked(rank, "sched", "tasks_batched")),
-                local_hits: reg.counter(MetricKey::ranked(rank, "sched", "local_hits")),
-                steal_misses: reg.counter(MetricKey::ranked(rank, "sched", "steal_misses")),
-                ready_hwm: reg.gauge(MetricKey::ranked(rank, "sched", "ready_hwm")),
-            },
-            None => PoolMetrics {
-                submitted: Counter::default(),
-                executed: Counter::default(),
-                steals: Counter::default(),
-                idle_ns: Counter::default(),
-                queue_depth: Gauge::default(),
-                wakeups: Counter::default(),
-                tasks_batched: Counter::default(),
-                local_hits: Counter::default(),
-                steal_misses: Counter::default(),
-                ready_hwm: Gauge::default(),
-            },
-        }
+ttg_telemetry::metrics! {
+    /// Scheduler counters of one rank's pool, under subsystem `"sched"`
+    /// (in a registry of their own when the pool has none, so counting
+    /// always works and export is opt-in).
+    struct PoolMetrics for rank {
+        /// Jobs accepted by `submit`.
+        submitted: counter("sched", "submitted"),
+        /// Jobs executed to completion.
+        executed: counter("sched", "executed"),
+        /// Successful steals from a peer worker's deque or bound queue.
+        steals: counter("sched", "steals"),
+        /// Nanoseconds workers spent parked waiting for work.
+        idle_ns: counter("sched", "idle_ns"),
+        /// Jobs submitted but not yet picked up for execution.
+        queue_depth: gauge("sched", "queue_depth"),
+        /// Wake events announced to parked workers (one per submit, one per
+        /// batch — fewer wakeups per task means cheaper activation).
+        wakeups: counter("sched", "wakeups"),
+        /// Jobs that rode a multi-job `submit_batch` group.
+        tasks_batched: counter("sched", "tasks_batched"),
+        /// Jobs a worker took from its own bound (locality) queue.
+        local_hits: counter("sched", "local_hits"),
+        /// Full steal scans that found nothing anywhere.
+        steal_misses: counter("sched", "steal_misses"),
+        /// High-water mark of any single worker's ready-queue depth (bound
+        /// queue + deque), mirroring the transport's `send_queue_hwm`.
+        ready_hwm: gauge("sched", "ready_hwm"),
     }
 }
 
@@ -458,7 +429,10 @@ impl WorkerPool {
             shutdown: AtomicBool::new(false),
             seq: AtomicU64::new(0),
             wake_seq: AtomicU64::new(0),
-            metrics: PoolMetrics::new(registry),
+            metrics: match registry {
+                Some((reg, rank)) => PoolMetrics::register(reg, rank),
+                None => PoolMetrics::register(&Registry::new(), 0),
+            },
             sleep_lock: Mutex::new(()),
             wake: Condvar::new(),
             quiescence,
@@ -550,46 +524,6 @@ impl WorkerPool {
         executed == submitted
     }
 
-    /// Successful steals from peer deques (work-stealing pools only).
-    pub fn steals(&self) -> u64 {
-        self.shared.metrics.steals.get()
-    }
-
-    /// Total nanoseconds workers have spent parked waiting for work.
-    pub fn idle_ns(&self) -> u64 {
-        self.shared.metrics.idle_ns.get()
-    }
-
-    /// Jobs submitted but not yet picked up by a worker.
-    pub fn queue_depth(&self) -> i64 {
-        self.shared.metrics.queue_depth.get()
-    }
-
-    /// Wake events announced so far (one per submit, one per batch).
-    pub fn wakeups(&self) -> u64 {
-        self.shared.metrics.wakeups.get()
-    }
-
-    /// Jobs that rode a multi-job `submit_batch` group so far.
-    pub fn tasks_batched(&self) -> u64 {
-        self.shared.metrics.tasks_batched.get()
-    }
-
-    /// Jobs workers took from their own bound (locality) queue so far.
-    pub fn local_hits(&self) -> u64 {
-        self.shared.metrics.local_hits.get()
-    }
-
-    /// Steal scans that found no work anywhere so far.
-    pub fn steal_misses(&self) -> u64 {
-        self.shared.metrics.steal_misses.get()
-    }
-
-    /// High-water mark of any single worker's ready-queue depth.
-    pub fn ready_hwm(&self) -> u64 {
-        self.shared.metrics.ready_hwm.get().max(0) as u64
-    }
-
     /// Stop accepting progress and join all workers. Pending jobs are
     /// dropped (their quiescence units are released). Idempotent.
     pub fn shutdown(&self) {
@@ -675,6 +609,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
     use std::time::Duration;
+    use ttg_telemetry::MetricKey;
 
     fn run_pool(kind: SchedulerKind, workers: usize, jobs: usize) {
         let q = Arc::new(Quiescence::new());
@@ -792,8 +727,9 @@ mod tests {
         }
         q.wait_quiescent();
 
+        let m = &pool.shared.metrics;
         assert_eq!(pool.executed(), 64);
-        assert_eq!(pool.queue_depth(), 0);
+        assert_eq!(m.queue_depth.get(), 0);
         let snap = reg.snapshot();
         assert_eq!(
             snap.counter(&MetricKey::ranked(2, "sched", "submitted")),
@@ -802,7 +738,7 @@ mod tests {
         assert_eq!(snap.counter(&MetricKey::ranked(2, "sched", "executed")), 64);
         assert_eq!(
             snap.counter(&MetricKey::ranked(2, "sched", "steals")),
-            pool.steals()
+            m.steals.get()
         );
         // Idle time is recorded when a parked worker wakes, so a fixed sleep
         // can race the bookkeeping. Poke the pool with extra jobs — each
@@ -810,7 +746,7 @@ mod tests {
         // with a bounded retry instead of a one-shot sleep.
         let mut extra = 0u64;
         for _ in 0..200 {
-            if pool.idle_ns() > 0 {
+            if m.idle_ns.get() > 0 {
                 break;
             }
             let c = Arc::clone(&counter);
@@ -821,7 +757,7 @@ mod tests {
             q.wait_quiescent();
             std::thread::sleep(Duration::from_micros(500));
         }
-        assert!(pool.idle_ns() > 0, "workers never recorded idle time");
+        assert!(m.idle_ns.get() > 0, "workers never recorded idle time");
         assert_eq!(pool.executed(), 64 + extra);
         pool.shutdown();
     }
@@ -872,7 +808,8 @@ mod tests {
             }
         }));
         std::thread::sleep(Duration::from_millis(10));
-        let wakeups_before = pool.wakeups();
+        let m = &pool.shared.metrics;
+        let wakeups_before = m.wakeups.get();
 
         let batch: Vec<Job> = (0..8)
             .map(|i| {
@@ -884,14 +821,14 @@ mod tests {
             })
             .collect();
         pool.submit_batch(batch);
-        assert_eq!(pool.wakeups() - wakeups_before, 1, "one wakeup per batch");
-        assert_eq!(pool.tasks_batched(), 8);
+        assert_eq!(m.wakeups.get() - wakeups_before, 1, "one wakeup per batch");
+        assert_eq!(m.tasks_batched.get(), 8);
 
         gate.store(true, Ordering::SeqCst);
         q.wait_quiescent();
         assert_eq!(*order.lock(), (0..8).collect::<Vec<_>>());
-        assert!(pool.local_hits() > 0, "bound-queue pops count local hits");
-        assert!(pool.ready_hwm() >= 8, "high-water mark saw the batch");
+        assert!(m.local_hits.get() > 0, "bound-queue pops count local hits");
+        assert!(m.ready_hwm.get() >= 8, "high-water mark saw the batch");
         pool.shutdown();
     }
 
@@ -928,7 +865,7 @@ mod tests {
         q.wait_quiescent();
         assert_eq!(counter.load(Ordering::SeqCst), 2000);
         assert_eq!(pool.executed(), 2000);
-        assert_eq!(pool.queue_depth(), 0);
+        assert_eq!(pool.shared.metrics.queue_depth.get(), 0);
         match Arc::try_unwrap(pool) {
             Ok(p) => p.shutdown(),
             Err(_) => panic!("pool still referenced"),

@@ -7,6 +7,8 @@
 //!    `(rank, subsystem, name)`. Handle creation takes a short-lived shard
 //!    lock; every subsequent update is a single relaxed atomic op on a
 //!    shared cell. Snapshots are cheap, diffable, and serialize to JSON.
+//!    A component declares its handles with [`metrics!`], one table row per
+//!    metric.
 //! 2. **Span tracing** ([`span`]/[`SpanGuard`]): RAII begin/end timestamps
 //!    recorded into per-thread buffers, plus instant events for one-shot
 //!    occurrences (wire transfers). Recording is gated by a global runtime
@@ -28,6 +30,7 @@ pub mod chrome;
 pub mod json;
 pub mod metrics;
 pub mod span;
+pub mod table;
 
 pub use chrome::{ChromeTraceBuilder, TaskSlice};
 pub use metrics::{
@@ -37,6 +40,7 @@ pub use span::{
     drain_events, enabled, instant, now_ns, set_enabled, span, span_for_rank, thread_names,
     EventRec, SpanGuard,
 };
+pub use table::Reading;
 
 use std::sync::OnceLock;
 

@@ -3,8 +3,9 @@
 //! Metrics are keyed by `(rank, subsystem, name)`. Handle creation
 //! (`counter`/`gauge`/`histogram`) takes a short-lived lock on one of 16
 //! shards; the returned handle is a clonable `Arc` around atomic cells, so
-//! every update afterwards is a single relaxed atomic op — the same cost
-//! profile as the ad-hoc `FabricStats` atomics this registry replaces.
+//! every update afterwards is a single relaxed atomic op — the cost of a
+//! bare `AtomicU64`. Components declare their handles with
+//! [`metrics!`](crate::metrics), one row per metric.
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
@@ -12,6 +13,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 use parking_lot::RwLock;
 
@@ -161,6 +163,17 @@ impl Histogram {
         c.min.fetch_min(v, Ordering::Relaxed);
         c.max.fetch_max(v, Ordering::Relaxed);
         c.buckets[bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Record one duration, in nanoseconds.
+    #[inline]
+    pub fn record_duration(&self, d: Duration) {
+        self.record(d.as_nanos().min(u64::MAX as u128) as u64);
+    }
+
+    /// Upper bound of the bucket holding the `q`-quantile (0 when empty).
+    pub fn quantile(&self, q: f64) -> u64 {
+        self.snapshot().quantile_upper_bound(q)
     }
 
     /// Number of observations.
@@ -372,6 +385,14 @@ impl Snapshot {
     pub fn counter(&self, key: &MetricKey) -> u64 {
         match self.entries.get(key) {
             Some(MetricValue::Counter(v)) => *v,
+            _ => 0,
+        }
+    }
+
+    /// Gauge value of `key`, defaulting to 0.
+    pub fn gauge(&self, key: &MetricKey) -> i64 {
+        match self.entries.get(key) {
+            Some(MetricValue::Gauge(v)) => *v,
             _ => 0,
         }
     }

@@ -10,7 +10,7 @@
 
 use std::sync::Arc;
 
-use ttg_telemetry::{Counter, Gauge, MetricKey, Registry};
+use ttg_telemetry::Gauge;
 
 use crate::frame::Frame;
 
@@ -178,79 +178,53 @@ pub trait Endpoint: Send + Sync {
     fn shutdown(&self);
 }
 
-/// Telemetry handles shared by all transport implementations, registered
-/// under subsystem `"transport"` in the fabric's [`Registry`] so
-/// `FabricStats` snapshots and JSON exports see them alongside the comm
-/// counters.
-#[derive(Clone)]
-pub struct TransportMetrics {
-    /// Bytes handed to the OS (or peer channel) across all links, bulk
-    /// bodies included.
-    pub tx_bytes: Counter,
-    /// Bytes read off the wire across all links.
-    pub rx_bytes: Counter,
-    /// Successful connection establishments (dial or accept + handshake).
-    pub connects: Counter,
-    /// Connections re-established after a mid-run failure.
-    pub reconnects: Counter,
-    /// Handshakes refused (magic/version/rank mismatch).
-    pub handshake_failures: Counter,
-    /// Write syscalls issued by writer threads (one per gathered batch).
-    pub tx_writes: Counter,
-    /// Frames that rode an already-scheduled write instead of paying for
-    /// their own syscall: each write of a k-frame batch adds `k - 1`.
-    /// Frames-per-write = `(tx_writes + tx_frames_coalesced) / tx_writes`.
-    pub tx_frames_coalesced: Counter,
-    /// Frames dropped by a writer after its reconnect retry also failed.
-    /// The reliable layer (when active) retransmits the loss; without it
-    /// this counter is the only record.
-    pub tx_frames_abandoned: Counter,
-    /// Frames whose body went to the socket from the buffer that held it
-    /// (queued by ownership, written vectored) instead of being copied.
-    pub tx_direct_frames: Counter,
-    /// Frames whose body was read from the socket into its final buffer.
-    pub rx_direct_frames: Counter,
-    /// Per-peer send-queue high-water marks (frames) **for the current
-    /// connection**: reset on every (re)establishment so a post-reconnect
-    /// reading describes the live connection, not the dead one's peak.
-    pub queue_hwm: Vec<Gauge>,
-    /// Per-peer lifetime send-queue high-water marks (frames): never
-    /// reset, the all-time peak across reconnects.
-    pub queue_hwm_lifetime: Vec<Gauge>,
-    /// As [`queue_hwm`](Self::queue_hwm), in queued wire bytes.
-    pub queue_bytes_hwm: Vec<Gauge>,
-    /// As [`queue_hwm_lifetime`](Self::queue_hwm_lifetime), in bytes.
-    pub queue_bytes_hwm_lifetime: Vec<Gauge>,
+ttg_telemetry::metrics! {
+    /// Telemetry handles shared by all transport implementations, registered
+    /// under subsystem `"transport"` in the fabric's registry; the fabric's
+    /// `FabricStats` holds them, so its snapshot carries the link layer.
+    #[derive(Clone, Debug)]
+    pub struct TransportMetrics for ranks {
+        /// Bytes handed to the OS (or peer channel) across all links, bulk
+        /// bodies included.
+        pub tx_bytes: counter("transport", "tx_bytes"),
+        /// Bytes read off the wire across all links.
+        pub rx_bytes: counter("transport", "rx_bytes"),
+        /// Successful connection establishments (dial or accept + handshake).
+        pub connects: counter("transport", "connects"),
+        /// Connections re-established after a mid-run failure.
+        pub reconnects: counter("transport", "reconnects"),
+        /// Handshakes refused (magic/version/rank mismatch).
+        pub handshake_failures: counter("transport", "handshake_failures"),
+        /// Write syscalls issued by writer threads (one per gathered batch).
+        pub tx_writes: counter("transport", "tx_writes"),
+        /// Frames that rode an already-scheduled write instead of paying for
+        /// their own syscall: each write of a k-frame batch adds `k - 1`.
+        /// Frames-per-write = `(tx_writes + tx_frames_coalesced) / tx_writes`.
+        pub tx_frames_coalesced: counter("transport", "tx_frames_coalesced"),
+        /// Frames dropped by a writer after its reconnect retry also failed.
+        /// The reliable layer (when active) retransmits the loss; without it
+        /// this counter is the only record.
+        pub tx_frames_abandoned: counter("transport", "tx_frames_abandoned"),
+        /// Frames whose body went to the socket from the buffer that held it
+        /// (queued by ownership, written vectored) instead of being copied.
+        pub tx_direct_frames: counter("transport", "tx_direct_frames"),
+        /// Frames whose body was read from the socket into its final buffer.
+        pub rx_direct_frames: counter("transport", "rx_direct_frames"),
+        /// Per-peer send-queue high-water marks (frames) **for the current
+        /// connection**: reset on every (re)establishment so a post-reconnect
+        /// reading describes the live connection, not the dead one's peak.
+        pub queue_hwm: ranked gauge("transport", "send_queue_hwm"),
+        /// Per-peer lifetime send-queue high-water marks (frames): never
+        /// reset, the all-time peak across reconnects.
+        pub queue_hwm_lifetime: ranked gauge("transport", "send_queue_hwm_lifetime"),
+        /// As `queue_hwm`, in queued wire bytes.
+        pub queue_bytes_hwm: ranked gauge("transport", "send_queue_bytes_hwm"),
+        /// As `queue_hwm_lifetime`, in bytes.
+        pub queue_bytes_hwm_lifetime: ranked gauge("transport", "send_queue_bytes_hwm_lifetime"),
+    }
 }
 
 impl TransportMetrics {
-    /// Register (or re-attach to) the transport counters in `reg` for a
-    /// job with `n` ranks.
-    pub fn register(reg: &Registry, n: usize) -> Self {
-        let c = |name| reg.counter(MetricKey::global("transport", name));
-        let per_peer = |name: &'static str| -> Vec<Gauge> {
-            (0..n)
-                .map(|r| reg.gauge(MetricKey::ranked(r, "transport", name)))
-                .collect()
-        };
-        TransportMetrics {
-            tx_bytes: c("tx_bytes"),
-            rx_bytes: c("rx_bytes"),
-            connects: c("connects"),
-            reconnects: c("reconnects"),
-            handshake_failures: c("handshake_failures"),
-            tx_writes: c("tx_writes"),
-            tx_frames_coalesced: c("tx_frames_coalesced"),
-            tx_frames_abandoned: c("tx_frames_abandoned"),
-            tx_direct_frames: c("tx_direct_frames"),
-            rx_direct_frames: c("rx_direct_frames"),
-            queue_hwm: per_peer("send_queue_hwm"),
-            queue_hwm_lifetime: per_peer("send_queue_hwm_lifetime"),
-            queue_bytes_hwm: per_peer("send_queue_bytes_hwm"),
-            queue_bytes_hwm_lifetime: per_peer("send_queue_bytes_hwm_lifetime"),
-        }
-    }
-
     /// Raise the high-water marks for `peer`'s send queue to at least
     /// `len` frames — both the per-connection gauge and the lifetime one.
     pub fn note_queue_len(&self, peer: Rank, len: usize) {
@@ -294,7 +268,7 @@ mod tests {
 
     #[test]
     fn queue_hwm_resets_per_connection_but_lifetime_max_survives() {
-        let reg = Registry::new();
+        let reg = ttg_telemetry::Registry::new();
         let m = TransportMetrics::register(&reg, 2);
         m.note_queue_len(1, 7);
         m.note_queue_len(1, 3); // below the mark: no effect

@@ -1164,11 +1164,7 @@ mod tests {
             snap.counter(&MetricKey::global("transport", "tx_frames_abandoned")),
             0
         );
-        assert!(
-            reg.gauge(MetricKey::ranked(2, "transport", "send_queue_hwm"))
-                .get()
-                >= 1
-        );
+        assert!(snap.gauge(&MetricKey::ranked(2, "transport", "send_queue_hwm")) >= 1);
         for ep in &eps {
             ep.shutdown();
         }

@@ -235,6 +235,7 @@ fn killed_rank_recovers_and_completes_bit_identical() {
     assert!(r.stuck.is_empty(), "{:?}", r.stuck);
     assert!(r.comm.snapshots_taken > 0, "no snapshot was ever taken");
     assert!(r.comm.snapshot_bytes > 0);
+    assert!(r.comm.snapshot_pause_p50_ns > 0);
     assert!(r.comm.restores > 0, "the killed rank was never restored");
     assert!(r.comm.recoveries > 0, "no recovery completed");
     assert!(r.comm.replayed_sends > 0, "nothing was replayed");
