@@ -8,6 +8,7 @@
 pub mod ack;
 pub mod batch;
 pub mod dedup;
+pub mod event;
 pub mod handshake;
 pub mod matching;
 pub mod recover;
@@ -37,6 +38,13 @@ pub fn corpus() -> Vec<CorpusEntry> {
             invariant: "worker sleep/wake: a submit concurrent with a parking worker \
                         leaves the task claimed or the worker awake (no lost wakeup)",
             run: |cfg| wake::check(cfg, wake::Mutation::None),
+            default_bound: 3,
+        },
+        CorpusEntry {
+            name: "event_count",
+            invariant: "event count with a deadline: a sleeper that prepares, re-checks and \
+                        commits never sleeps through a signal, and leaves no sleeper counted",
+            run: |cfg| event::check(cfg, event::Mutation::None),
             default_bound: 3,
         },
         CorpusEntry {

@@ -19,6 +19,12 @@
 //! takes rank 1's observation, then its own — at different times, each a
 //! sequence of separate loads — and the rest of the job runs in between.
 //!
+//! Replies are deferred as the shipped wait loops defer them: rank 0
+//! starts a round only once it reads drained, and rank 1 answers a probe
+//! only once it reads drained — a busy rank's parked wait loop sends the
+//! reply when the zero crossing of its count wakes it (here: a `drained`
+//! channel the delivery thread and the task signal).
+//!
 //! Invariant: when `done` is set no message is unprocessed and no rank is
 //! active. Checked from the other side: nothing that is still work — the
 //! task running, a frame leaving the wire, a handler starting or finishing
@@ -133,8 +139,16 @@ fn reader(sh: &Shared, me: usize, wire: Receiver<()>, queue: Sender<()>, mutatio
 }
 
 /// Rank `me`'s delivery thread; `reply` is the wire its handler may answer
-/// on (rank 1's only: the reply triggers nothing).
-fn deliver(sh: &Shared, me: usize, queue: Receiver<()>, reply: Option<Sender<()>>) {
+/// on (rank 1's only: the reply triggers nothing). A slot given back at
+/// the bias is the rank's in-flight count reaching zero: it signals
+/// `drained`, which wakes the rank's wait loop.
+fn deliver(
+    sh: &Shared,
+    me: usize,
+    queue: Receiver<()>,
+    reply: Option<Sender<()>>,
+    drained: Sender<()>,
+) {
     while queue.recv().is_ok() {
         sh.still_work("a handler started");
         if let Some(wire) = &reply {
@@ -143,17 +157,34 @@ fn deliver(sh: &Shared, me: usize, queue: Receiver<()>, reply: Option<Sender<()>
             }
         }
         sh.still_work("a handler finished");
-        sh.in_flight[me].fetch_sub(1, SeqCst);
+        if sh.in_flight[me].fetch_sub(1, SeqCst) == BIAS + 1 {
+            drained.send(());
+        }
+    }
+}
+
+/// Rank `r`'s observation once it reads drained: a rank answers a probe
+/// only when locally drained, and a busy rank's parked wait loop sends the
+/// deferred reply when a drain signal wakes it (the signals queue, so none
+/// is lost). Once every signaller has exited the counts are final.
+fn drained_observation(sh: &Shared, r: usize, drained: &Receiver<()>) -> (usize, usize, bool) {
+    loop {
+        let o = sh.observe(r);
+        if o.2 || drained.recv().is_err() {
+            return o;
+        }
     }
 }
 
 /// Rank 0's wait loop: `ControlPlane::drive_termination`, with the probe
-/// round trip collapsed into reading rank 1's counters where its reader
-/// would.
-fn coordinator(sh: &Shared, mutation: Mutation) {
+/// round trip collapsed into reading rank 1's counters where its wait loop
+/// would. A round starts only once rank 0 is drained, and rank 1's reply
+/// waits until rank 1 is.
+fn coordinator(sh: &Shared, mutation: Mutation, drained: [Receiver<()>; 2]) {
     let mut prev = None;
     for _ in 0..ROUNDS {
-        let cur = [sh.observe(1), sh.observe(0)];
+        drained_observation(sh, 0, &drained[0]);
+        let cur = [drained_observation(sh, 1, &drained[1]), sh.observe(0)];
         let all_idle = cur.iter().all(|o| o.2);
         let balanced = cur[0].0 + cur[1].0 == cur[0].1 + cur[1].1;
         let stable = prev == Some(cur) || mutation == Mutation::OneRound;
@@ -182,6 +213,10 @@ fn model(mutation: Mutation) {
     let (queue1_tx, queue1_rx) = channel();
     let (wire0_tx, wire0_rx) = channel();
     let (queue0_tx, queue0_rx) = channel();
+    // drained[r] carries rank r's zero crossings to the wait loop.
+    let (drained0_tx, drained0_rx) = channel();
+    let (drained1_tx, drained1_rx) = channel();
+    let task_drained = drained0_tx.clone();
 
     let mk = |name: &str, f: Box<dyn FnOnce(&Shared) + Send>| {
         let sh = Arc::clone(&sh);
@@ -194,6 +229,7 @@ fn model(mutation: Mutation) {
                 sh.still_work("the seeded task ran");
                 sh.send(0, &wire1_tx);
                 sh.active0.fetch_sub(1, SeqCst);
+                task_drained.send(());
             }),
         ),
         mk(
@@ -202,7 +238,7 @@ fn model(mutation: Mutation) {
         ),
         mk(
             "deliver1",
-            Box::new(move |sh| deliver(sh, 1, queue1_rx, Some(wire0_tx))),
+            Box::new(move |sh| deliver(sh, 1, queue1_rx, Some(wire0_tx), drained1_tx)),
         ),
         mk(
             "reader0",
@@ -210,9 +246,12 @@ fn model(mutation: Mutation) {
         ),
         mk(
             "deliver0",
-            Box::new(move |sh| deliver(sh, 0, queue0_rx, None)),
+            Box::new(move |sh| deliver(sh, 0, queue0_rx, None, drained0_tx)),
         ),
-        mk("wait0", Box::new(move |sh| coordinator(sh, mutation))),
+        mk(
+            "wait0",
+            Box::new(move |sh| coordinator(sh, mutation, [drained0_rx, drained1_rx])),
+        ),
     ];
     for t in ts {
         t.join();

@@ -3,7 +3,9 @@
 //! caught deterministically. The printed per-model schedule counts are the
 //! coverage evidence CI archives.
 
-use ttg_model::protocols::{ack, batch, corpus, dedup, handshake, matching, recover, term, wake};
+use ttg_model::protocols::{
+    ack, batch, corpus, dedup, event, handshake, matching, recover, term, wake,
+};
 use ttg_model::{Config, Sample, ViolationKind};
 
 #[test]
@@ -59,6 +61,22 @@ fn sleep_sets_prune_without_changing_coverage_verdict() {
         without.schedules
     );
     assert!(with.pruned > 0, "sleep sets never pruned anything");
+}
+
+#[test]
+fn event_count_commit_without_prepare_sleeps_through_the_signal() {
+    let v = event::check(Config::bounded(3), event::Mutation::CommitWithoutPrepare)
+        .expect_err("mutation must be caught");
+    assert_eq!(v.kind, ViolationKind::Deadlock, "got: {v}");
+    assert!(v.message.contains("waiting on condvar"), "got: {v}");
+}
+
+#[test]
+fn event_count_bump_outside_the_lock_is_a_lost_wakeup() {
+    let v = event::check(Config::bounded(3), event::Mutation::BumpOutsideLock)
+        .expect_err("mutation must be caught");
+    assert_eq!(v.kind, ViolationKind::Deadlock, "got: {v}");
+    assert!(v.message.contains("waiting on condvar"), "got: {v}");
 }
 
 #[test]

@@ -10,7 +10,7 @@
 use std::fmt;
 use std::ops::{Deref, DerefMut};
 use std::sync::{self, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Mutual exclusion primitive (no poisoning, like `parking_lot::Mutex`).
 #[derive(Default)]
@@ -132,6 +132,19 @@ impl Condvar {
         WaitTimeoutResult {
             timed_out: res.timed_out(),
         }
+    }
+
+    /// Block until notified or `deadline` passes.
+    pub fn wait_until<T>(
+        &self,
+        guard: &mut MutexGuard<'_, T>,
+        deadline: Instant,
+    ) -> WaitTimeoutResult {
+        let now = Instant::now();
+        if now >= deadline {
+            return WaitTimeoutResult { timed_out: true };
+        }
+        self.wait_for(guard, deadline - now)
     }
 
     /// Wake one waiter.
