@@ -233,7 +233,7 @@ impl<K: Key, V: Data> PtgRuntime<K, V> {
         faults: Option<ttg_comm::FaultPlan>,
     ) -> Self {
         let fabric = Fabric::with_faults(ranks, faults);
-        let quiescence = Arc::new(Quiescence::new());
+        let quiescence = Arc::new(Quiescence::with_events(Arc::clone(fabric.events())));
         let pools = (0..ranks)
             .map(|r| {
                 WorkerPool::with_telemetry(
@@ -353,16 +353,21 @@ impl<K: Key, V: Data> PtgRuntime<K, V> {
         );
     }
 
-    /// Wait for quiescence, shut down, and report.
+    /// Wait for quiescence, shut down, and report. The wait parks on the
+    /// fabric's event count, which the activity and in-flight counts
+    /// signal when they reach zero.
     pub fn finish(self) -> PtgReport {
+        let (fabric, q) = (&self.inner.fabric, &self.inner.quiescence);
         loop {
-            if self.inner.fabric.packets_in_flight() == 0
-                && self.inner.quiescence.is_quiescent()
-                && self.inner.fabric.packets_in_flight() == 0
+            let epoch = fabric.events().prepare();
+            if fabric.packets_in_flight() == 0
+                && q.is_quiescent()
+                && fabric.packets_in_flight() == 0
             {
+                fabric.events().cancel();
                 break;
             }
-            std::thread::sleep(Duration::from_micros(50));
+            fabric.events().wait(epoch);
         }
         let elapsed = self.started.elapsed();
         self.inner.fabric.shutdown_all();

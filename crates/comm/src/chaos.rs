@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use ttg_model::sync::{AtomicBool, AtomicU64, AtomicUsize, Mutex, Ordering};
+use ttg_model::sync::{AtomicBool, AtomicU64, Mutex, Ordering};
 
 use crate::error::{CommError, CommErrorKind, SendError};
 use crate::fault::{salt, FaultPlan};
@@ -23,6 +23,7 @@ use crate::reliable::{
     PendingAcks, SeqWindow, Unacked, REPLAY_BIT,
 };
 use crate::stats::FabricStats;
+use crate::wake::{InFlight, ProgressClock};
 
 /// The wire under the reliable layer.
 pub(crate) trait ChaosWire {
@@ -45,9 +46,17 @@ pub(crate) trait ChaosWire {
 pub(crate) struct ChaosPort<'a> {
     pub(crate) wire: &'a dyn ChaosWire,
     pub(crate) stats: &'a FabricStats,
-    pub(crate) in_flight: &'a AtomicUsize,
+    pub(crate) in_flight: &'a InFlight,
     /// The error sink (drained into execution reports).
     pub(crate) errors: &'a Mutex<Vec<CommError>>,
+}
+
+impl ChaosPort<'_> {
+    /// Record a structured failure and wake the execution's waiters.
+    pub(crate) fn record_error(&self, e: CommError) {
+        self.errors.lock().push(e);
+        self.in_flight.events().signal_all();
+    }
 }
 
 /// A physical packet held back by delay/reorder injection.
@@ -120,6 +129,8 @@ pub(crate) struct ChaosState {
     /// Informational recovery events (TTG046), kept apart from the error
     /// sink so a fully recovered run still reports zero comm errors.
     pub(crate) recovery_log: Mutex<Vec<CommError>>,
+    /// When the progress thread must next run `progress()`.
+    pub(crate) clock: Arc<ProgressClock>,
 }
 
 impl ChaosState {
@@ -150,6 +161,7 @@ impl ChaosState {
             last_snap: per_rank(),
             snapshot_sink: Mutex::new(None),
             recovery_log: Mutex::new(Vec::new()),
+            clock: Arc::new(ProgressClock::new()),
         }
     }
 
@@ -203,13 +215,18 @@ impl ChaosState {
         handler: u32,
         payload: Vec<u8>,
     ) {
-        port.in_flight.fetch_add(1, Ordering::SeqCst);
+        port.in_flight.take(1);
         let payload = Arc::new(payload);
         let li = self.link_idx(from, to);
-        let seq = {
-            let now = Instant::now();
+        let now = Instant::now();
+        let next_retry = now + self.plan.retry.backoff(1);
+        let (seq, arms) = {
             let mut link = self.links[li].lock();
             let seq = link.assign_seq();
+            // The entry is a retransmit candidate of its own only as the
+            // oldest of a link (its clock starts here) or on a restored
+            // link without one; behind others, only an ack can make it one.
+            let arms = link.unacked.is_empty() || link.clock.is_none();
             if link.unacked.is_empty() {
                 link.clock = Some(now);
             }
@@ -219,13 +236,16 @@ impl ChaosState {
                     handler,
                     payload: Arc::clone(&payload),
                     attempts: 0,
-                    next_retry: now + self.plan.retry.backoff(1),
+                    next_retry,
                     delivered: false,
                     replayed: false,
                 },
             );
-            seq
+            (seq, arms)
         };
+        if arms {
+            self.clock.arm_retransmit(next_retry);
+        }
         if self.recovering() {
             self.replay_log[li].lock().push(ReplayEntry {
                 seq,
@@ -295,9 +315,9 @@ impl ChaosState {
             // own in-flight slot from enqueue to classification —
             // otherwise the termination detector could see a drained
             // fabric while replays still sit unclassified in a channel.
-            port.in_flight.fetch_add(1, Ordering::SeqCst);
+            port.in_flight.take(1);
             if port.wire.deliver(from, to, handler, seq, payload).is_err() {
-                port.in_flight.fetch_sub(1, Ordering::SeqCst);
+                port.in_flight.settle(1);
             }
             return;
         }
@@ -338,14 +358,16 @@ impl ChaosState {
             match hold {
                 Some(d) => {
                     port.stats.am_delayed_injected.inc();
+                    let due = Instant::now() + d;
                     self.delayq.lock().push(Delayed {
-                        due: Instant::now() + d,
+                        due,
                         to,
                         handler,
                         from,
                         seq,
                         payload: Arc::clone(payload),
                     });
+                    self.clock.arm(due);
                 }
                 None => {
                     // Channel/link closure is already counted and recorded
@@ -429,7 +451,7 @@ impl ChaosState {
                     if replay {
                         // A replayed copy settles its own channel slot on
                         // every terminal outcome.
-                        port.in_flight.fetch_sub(1, Ordering::SeqCst);
+                        port.in_flight.settle(1);
                     }
                     return false;
                 }
@@ -447,7 +469,7 @@ impl ChaosState {
                 // Duplicate replayed copy (e.g. a marked entry's
                 // retransmit racing the sweep's logged copy): settle the
                 // channel slot this transmission carried.
-                port.in_flight.fetch_sub(1, Ordering::SeqCst);
+                port.in_flight.settle(1);
             }
         }
         let mut deliver = fresh;
@@ -459,7 +481,7 @@ impl ChaosState {
                 // duplicate holds its logical send's slot (it will never
                 // reach `packet_processed`); a replayed copy holds the
                 // per-transmission channel slot it was enqueued with.
-                port.in_flight.fetch_sub(1, Ordering::SeqCst);
+                port.in_flight.settle(1);
                 deliver = false;
             } else {
                 logs[row].record(key);
@@ -483,16 +505,19 @@ impl ChaosState {
                 // replay-marked delivery. (The `delivered` mark and the
                 // scan share this lock, so exactly one of them settles the
                 // slot.)
-                port.in_flight.fetch_add(1, Ordering::SeqCst);
+                port.in_flight.take(1);
             }
             e.delivered = true;
         }
         let (now, mut pa) = (Instant::now(), self.pending_acks[link].lock());
+        let arms = pa.is_empty();
         pa.note(raw, now);
         let due = pa.due(now, self.plan.ack_flush);
         drop((pa, _inc_guard)); // a due batch leaves with no chaos lock held
         if due {
             self.flush_acks(port, link);
+        } else if arms {
+            self.clock.arm(now + self.plan.ack_flush);
         }
         deliver
     }
@@ -539,23 +564,42 @@ impl ChaosState {
                 let acked = link.unacked.iter().filter(|(_, e)| e.delivered);
                 acked.map(|(&seq, _)| (seq, seq)).collect()
             });
-            link.retire(&ranges, Instant::now());
+            let due = self.retire(&mut link, &ranges);
+            drop((link, pa));
+            self.arm_retransmit(due);
         }
     }
 
     /// Retire every sequence covered by `ranges` from link `li`'s
     /// retransmit map.
     pub(crate) fn apply_ack_ranges(&self, li: usize, ranges: &[(u64, u64)]) {
-        self.links[li].lock().retire(ranges, Instant::now());
+        let due = self.retire(&mut self.links[li].lock(), ranges);
+        self.arm_retransmit(due);
+    }
+
+    /// Retire `ranges` from `link`, returning when what is left falls due
+    /// (a hole may have opened below a retired seq, or an entry become the
+    /// oldest), for the caller to arm once the locks are released.
+    fn retire(&self, link: &mut LinkTx, ranges: &[(u64, u64)]) -> Option<Instant> {
+        link.retire(ranges, Instant::now());
+        link.next_due(&self.plan.retry)
+    }
+
+    fn arm_retransmit(&self, due: Option<Instant>) {
+        if let Some(at) = due {
+            self.clock.arm_retransmit(at);
+        }
     }
 
     /// One pass of the reliability progress engine: release due delayed
-    /// packets, flush aged acks, retransmit overdue unacked packets that
-    /// show evidence of loss, abandon packets whose retry budget is spent.
-    pub(crate) fn progress(&self, port: &ChaosPort<'_>) {
+    /// packets, flush aged acks, and — once its deadline has passed —
+    /// retransmit overdue unacked packets that show evidence of loss and
+    /// abandon packets whose retry budget is spent. Returns the earliest
+    /// instant a later pass could act (a lower bound), if any.
+    pub(crate) fn progress(&self, port: &ChaosPort<'_>) -> Option<Instant> {
         let now = Instant::now();
         // Release held packets whose due time has passed.
-        let due: Vec<Delayed> = {
+        let (due, mut next) = {
             let mut q = self.delayq.lock();
             let mut due = Vec::new();
             let mut i = 0;
@@ -566,7 +610,7 @@ impl ChaosState {
                     i += 1;
                 }
             }
-            due
+            (due, q.iter().map(|d| d.due).min())
         };
         for d in due {
             if self.killed[d.to].load(Ordering::SeqCst) {
@@ -581,12 +625,25 @@ impl ChaosState {
         // flush deadline — before the retransmit scan, so a due ack beats
         // a spurious retransmission of the packets it covers.
         for li in 0..self.pending_acks.len() {
-            if self.pending_acks[li].lock().due(now, self.plan.ack_flush) {
-                self.flush_acks(port, li);
+            let at = self.pending_acks[li].lock().due_at(self.plan.ack_flush);
+            match at {
+                Some(at) if at <= now => self.flush_acks(port, li),
+                at => next = earliest(next, at),
             }
         }
-        // Retransmit / abandon overdue unacked packets. `budget`: how long
-        // one entry takes to spend its retries, the last wait included.
+        if self.clock.take_retransmit(now) {
+            let at = self.retransmit_scan(port, now);
+            self.arm_retransmit(at);
+        }
+        earliest(next, self.clock.retransmit_at())
+    }
+
+    /// Retransmit / abandon overdue unacked packets; returns when the
+    /// entries left next fall due.
+    fn retransmit_scan(&self, port: &ChaosPort<'_>, now: Instant) -> Option<Instant> {
+        let mut next = None;
+        // `budget`: how long one entry takes to spend its retries, the
+        // last wait included.
         let retry = &self.plan.retry;
         let budget: Duration = (1..=retry.max_retries + 1).map(|k| retry.backoff(k)).sum();
         for (li, l) in self.links.iter().enumerate() {
@@ -652,6 +709,7 @@ impl ChaosState {
                     let e = link.unacked.remove(&seq).expect("seq just listed");
                     exhausted.push((seq, e.handler, e.attempts, e.delivered, e.replayed));
                 }
+                next = earliest(next, link.next_due(retry));
             }
             for (seq, handler, payload, attempt, replayed) in retransmit {
                 port.stats.am_retries.inc();
@@ -666,7 +724,7 @@ impl ChaosState {
                 let claimed = !delivered && self.windows[to].lock()[from_row].accept(seq);
                 if claimed {
                     port.stats.am_retry_exhausted.inc();
-                    port.errors.lock().push(
+                    port.record_error(
                         CommError::new(
                             CommErrorKind::RetryBudgetExhausted,
                             format!(
@@ -684,11 +742,57 @@ impl ChaosState {
                     if !replayed {
                         // A restored entry's slot was already retired by
                         // the restore scan; only live sends still hold one.
-                        port.in_flight.fetch_sub(1, Ordering::SeqCst);
+                        port.in_flight.settle(1);
                     }
                 }
             }
         }
+        next
+    }
+
+    /// What the reliable layer still holds, for a deadline-miss record:
+    /// per directed link (`from→to`, the seeding sentinel as `ext`), the
+    /// unacked entries and the seqs waiting in its pending ack batch.
+    pub(crate) fn describe_pending(&self) -> String {
+        let list = |counts: Vec<u64>| {
+            let named: Vec<String> = (counts.into_iter().enumerate())
+                .filter(|&(_, c)| c > 0)
+                .map(|(li, c)| {
+                    let (row, to) = (li / self.n, li % self.n);
+                    if row == self.n {
+                        format!("ext→{to} {c}")
+                    } else {
+                        format!("{row}→{to} {c}")
+                    }
+                })
+                .collect();
+            if named.is_empty() {
+                "none".to_string()
+            } else {
+                named.join(", ")
+            }
+        };
+        let unacked = list(
+            self.links
+                .iter()
+                .map(|l| l.lock().unacked.len() as u64)
+                .collect(),
+        );
+        let acks = list(
+            self.pending_acks
+                .iter()
+                .map(|pa| pa.lock().pending())
+                .collect(),
+        );
+        format!("unacked by link: {unacked}; pending ack batches (seqs) by link: {acks}")
+    }
+}
+
+/// The earlier of two optional deadlines.
+fn earliest(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
     }
 }
 

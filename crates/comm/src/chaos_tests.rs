@@ -14,7 +14,7 @@ type Copy = (Rank, u32, u64, Arc<Vec<u8>>);
 struct Harness {
     cs: ChaosState,
     stats: FabricStats,
-    in_flight: AtomicUsize,
+    in_flight: InFlight,
     errors: Mutex<Vec<CommError>>,
     queues: Vec<Mutex<VecDeque<Copy>>>,
     /// Answer every ack batch as a closed link does: refused, ranges lost.
@@ -47,7 +47,7 @@ impl Harness {
         Harness {
             cs: ChaosState::new(plan, n),
             stats: FabricStats::register(&Registry::new(), n),
-            in_flight: AtomicUsize::new(0),
+            in_flight: InFlight::new(Arc::new(ttg_model::sync::EventCount::new())),
             errors: Mutex::new(Vec::new()),
             queues: (0..n).map(|_| Mutex::new(VecDeque::new())).collect(),
             refuse_acks: AtomicBool::new(false),
@@ -72,7 +72,7 @@ impl Harness {
     }
 
     fn in_flight(&self) -> usize {
-        self.in_flight.load(Ordering::SeqCst)
+        self.in_flight.get()
     }
 
     /// Take one copy off `rank`'s queue, classify it, and retire it if
@@ -83,7 +83,7 @@ impl Harness {
             .cs
             .rx_accept_am(&self.port(), rank, from, seq, handler, &payload);
         if fresh {
-            self.in_flight.fetch_sub(1, Ordering::SeqCst);
+            self.in_flight.settle(1);
         }
         Some(fresh)
     }
@@ -321,6 +321,42 @@ fn a_hole_is_resent_at_its_own_deadline_while_the_link_makes_progress() {
     }
     assert!(t0.elapsed() >= backoff, "resent before its own deadline");
     assert_eq!(h.stats.snapshot().am_retries, 1, "only the hole is resent");
+    let resent: Vec<u64> = h.queues[1].lock().iter().map(|c| c.2).collect();
+    assert_eq!(resent, vec![lost]);
+    assert_eq!(h.pump(1), Some(true));
+    std::thread::sleep(Duration::from_micros(200));
+    h.progress();
+    assert!(h.cs.links[h.cs.link_idx(0, 1)].lock().unacked.is_empty());
+    assert_eq!(h.in_flight(), 0);
+}
+
+#[test]
+fn an_ack_that_opens_a_hole_past_its_deadline_makes_the_next_pass_resend_it() {
+    // Seq 2 of four is lost. Seq 1's ack restarts the link clock, so when
+    // seq 2's own deadline passes it is neither a hole nor silent long
+    // enough, and the pass that finds so schedules the scan for the
+    // silence deadline. The ack of seqs 3 and 4 then opens the hole: the
+    // retransmit scan is due at once, not at that later deadline — the
+    // retiring ack re-arms the progress clock.
+    let plan = slow_retry_plan(59);
+    let backoff = plan.retry.backoff(1);
+    let h = Harness::new(2, plan);
+    let t0 = Instant::now();
+    for _ in 0..4 {
+        h.send(0, 1, vec![5]);
+    }
+    let (_, _, lost, _) = h.queues[1].lock().remove(1).expect("four copies");
+    assert_eq!(lost, 2);
+    std::thread::sleep(backoff / 2);
+    assert_eq!(h.pump(1), Some(true), "seq 1 lands");
+    std::thread::sleep(Duration::from_micros(200));
+    h.progress(); // its ack retires seq 1 and restarts the clock
+    std::thread::sleep((t0 + backoff + backoff / 10).saturating_duration_since(Instant::now()));
+    h.progress(); // seq 2 is overdue, but no hole and no silence yet
+    while h.pump(1).is_some() {}
+    std::thread::sleep(Duration::from_micros(200));
+    h.progress(); // the ack of seqs 3 and 4 opens the hole below them
+    assert_eq!(h.stats.snapshot().am_retries, 1, "the hole waited");
     let resent: Vec<u64> = h.queues[1].lock().iter().map(|c| c.2).collect();
     assert_eq!(resent, vec![lost]);
     assert_eq!(h.pump(1), Some(true));

@@ -6,13 +6,19 @@
 //! Termination is one rule everywhere: two consecutive identical all-idle
 //! observations of every rank whose sent and received totals balance. With
 //! every rank in one address space the executor reads them from shared
-//! atomics; here they travel as `TermProbe`/`TermReply` frames.
+//! atomics; here they travel as `TermProbe`/`TermReply` frames. Rounds run
+//! only between drained ranks: rank 0 starts one only once it is locally
+//! drained, and a rank answers a probe only once it is — a busy rank defers
+//! the reply, and its parked wait loop sends it when the drain wakes it.
+//! Every termination frame signals the execution's event count, on which
+//! the wait loops park (`ttg-model`'s `term_probe`).
 //!
 //! Port: [`ControlPort`] — this rank's links (send, with failures reported
 //! where the fabric reports them) and the in-flight packet count.
 
 use std::collections::HashMap;
-use ttg_model::sync::{AtomicBool, AtomicU64, Condvar, Mutex, Ordering};
+use std::sync::Arc;
+use ttg_model::sync::{AtomicBool, AtomicU64, Condvar, EventCount, Mutex, Ordering};
 use ttg_transport::Frame;
 
 use crate::links::Rank;
@@ -37,16 +43,19 @@ struct TermObs {
     idle: bool,
 }
 
-/// Coordinator-side state of the termination detector: rank 0 probes all
-/// ranks each round and declares termination after two consecutive rounds
-/// with identical all-idle observations whose global sent and received
-/// counts balance.
+/// State of the termination detector. On rank 0: it probes all ranks each
+/// round and declares termination after two consecutive rounds with
+/// identical all-idle observations whose global sent and received counts
+/// balance. On any other rank: the probe it has not answered yet.
 #[derive(Default)]
 struct TermDriver {
     round: u64,
     probed: bool,
+    /// Peers' replies to the current round.
     replies: HashMap<Rank, TermObs>,
     prev: Option<Vec<TermObs>>,
+    /// A probe that arrived while this rank was busy.
+    deferred: Option<u64>,
 }
 
 /// Callback reporting whether this process is locally idle and its
@@ -78,10 +87,17 @@ pub(crate) struct ControlPlane {
     kill_after: Option<u64>,
     /// AM frames received so far (drives `kill_after`).
     rx_frames: AtomicU64,
+    /// The execution's event count: the wait loop parks on it.
+    events: Arc<EventCount>,
 }
 
 impl ControlPlane {
-    pub(crate) fn new(me: Rank, n: usize, kill_after: Option<u64>) -> ControlPlane {
+    pub(crate) fn new(
+        me: Rank,
+        n: usize,
+        kill_after: Option<u64>,
+        events: Arc<EventCount>,
+    ) -> ControlPlane {
         ControlPlane {
             me,
             n,
@@ -96,6 +112,7 @@ impl ControlPlane {
             term: Mutex::new(TermDriver::default()),
             kill_after,
             rx_frames: AtomicU64::new(0),
+            events,
         }
     }
 
@@ -148,19 +165,9 @@ impl ControlPlane {
             }
             Frame::BarrierRelease { epoch } => self.release(epoch),
             Frame::TermProbe { round } => {
-                let o = self.observe_local(port);
-                port.send_control(
-                    self.me,
-                    0,
-                    Frame::TermReply {
-                        from: self.me as u32,
-                        round,
-                        sent: o.sent,
-                        recvd: o.recvd,
-                        epoch: o.epoch,
-                        idle: o.idle,
-                    },
-                );
+                self.term.lock().deferred = Some(round);
+                self.answer_probe(port);
+                self.events.signal_all();
             }
             Frame::TermReply {
                 from,
@@ -182,8 +189,13 @@ impl ControlPlane {
                         },
                     );
                 }
+                drop(term);
+                self.events.signal_all();
             }
-            Frame::TermDone => self.done.store(true, Ordering::SeqCst),
+            Frame::TermDone => {
+                self.done.store(true, Ordering::SeqCst);
+                self.events.signal_all();
+            }
             Frame::Hello { .. } | Frame::Am { .. } | Frame::AckRange { .. } | Frame::Bye { .. } => {
             }
         }
@@ -204,45 +216,82 @@ impl ControlPlane {
         }
     }
 
-    /// One step of the termination detector, driven by rank 0's wait loop
-    /// (no-op elsewhere). Each round probes every rank for
-    /// `(sent, recvd, epoch, idle)`; two consecutive rounds of identical
-    /// all-idle observations with globally balanced send/receive counts
-    /// prove no message is in flight anywhere, and `TermDone` is
-    /// broadcast.
-    pub(crate) fn drive_termination(&self, port: &dyn ControlPort) {
-        if self.me != 0 || self.done() {
-            return;
-        }
-        let mut term = self.term.lock();
-        if !term.probed {
-            term.probed = true;
-            let round = term.round;
-            drop(term);
-            for r in 1..self.n {
-                port.send_control(0, r, Frame::TermProbe { round });
-            }
-            return;
-        }
-        // Refresh our own observation every poll so the coordinator's
-        // idleness is current when the last remote reply lands.
-        let own = self.observe_local(port);
-        term.replies.insert(0, own);
-        if term.replies.len() < self.n {
-            return;
-        }
-        let cur: Vec<TermObs> = (0..self.n).map(|r| term.replies[&r].clone()).collect();
-        let all_idle = cur.iter().all(|o| o.idle);
-        let sent: u64 = cur.iter().map(|o| o.sent).sum();
-        let recvd: u64 = cur.iter().map(|o| o.recvd).sum();
-        let stable = term.prev.as_deref() == Some(&cur[..]);
-        if all_idle && sent == recvd && stable {
-            drop(term);
-            self.done.store(true, Ordering::SeqCst);
-            for r in 1..self.n {
-                port.send_control(0, r, Frame::TermDone);
-            }
+    /// This rank's step of the termination protocol, taken by its wait
+    /// loop after each wake: rank 0 drives a round, any other rank answers
+    /// the probe it deferred while busy.
+    pub(crate) fn step(&self, port: &dyn ControlPort) {
+        if self.me == 0 {
+            self.drive_termination(port);
         } else {
+            self.answer_probe(port);
+        }
+    }
+
+    /// Reply to the pending probe if this rank is locally drained (else it
+    /// stays pending until the wait loop's next step).
+    fn answer_probe(&self, port: &dyn ControlPort) {
+        let mut term = self.term.lock();
+        let Some(round) = term.deferred else { return };
+        let o = self.observe_local(port);
+        if !o.idle {
+            return;
+        }
+        term.deferred = None;
+        drop(term);
+        port.send_control(
+            self.me,
+            0,
+            Frame::TermReply {
+                from: self.me as u32,
+                round,
+                sent: o.sent,
+                recvd: o.recvd,
+                epoch: o.epoch,
+                idle: o.idle,
+            },
+        );
+    }
+
+    /// Rank 0's step of the termination detector. Each round probes every
+    /// rank for `(sent, recvd, epoch, idle)`; two consecutive rounds of
+    /// identical all-idle observations with globally balanced send/receive
+    /// counts prove no message is in flight anywhere, and `TermDone` is
+    /// broadcast. Acts only while rank 0 is locally drained, so rounds do
+    /// not run during busy phases; a round that fails starts the next at
+    /// once.
+    fn drive_termination(&self, port: &dyn ControlPort) {
+        let mut term = self.term.lock();
+        loop {
+            if self.done() || !self.observe_local(port).idle {
+                return;
+            }
+            if !term.probed {
+                term.probed = true;
+                let round = term.round;
+                drop(term);
+                for r in 1..self.n {
+                    port.send_control(0, r, Frame::TermProbe { round });
+                }
+                term = self.term.lock();
+            }
+            if term.replies.len() < self.n - 1 {
+                return;
+            }
+            let own = self.observe_local(port);
+            let peer = |r: Rank| term.replies[&r].clone();
+            let cur: Vec<TermObs> = std::iter::once(own).chain((1..self.n).map(peer)).collect();
+            let all_idle = cur.iter().all(|o| o.idle);
+            let sent: u64 = cur.iter().map(|o| o.sent).sum();
+            let recvd: u64 = cur.iter().map(|o| o.recvd).sum();
+            let stable = term.prev.as_deref() == Some(&cur[..]);
+            if all_idle && sent == recvd && stable {
+                drop(term);
+                self.done.store(true, Ordering::SeqCst);
+                for r in 1..self.n {
+                    port.send_control(0, r, Frame::TermDone);
+                }
+                return;
+            }
             term.prev = Some(cur);
             term.replies.clear();
             term.round += 1;

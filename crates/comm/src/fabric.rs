@@ -14,8 +14,7 @@
 //! list them).
 
 use std::sync::{Arc, Barrier, Weak};
-use std::time::Duration;
-use ttg_model::sync::{AtomicBool, AtomicUsize, Mutex, Ordering};
+use ttg_model::sync::{AtomicBool, EventCount, Mutex, Ordering};
 
 use crossbeam_channel::Receiver;
 use ttg_telemetry::Registry;
@@ -30,6 +29,7 @@ use crate::recover::{Recovery, SnapshotSink};
 use crate::reliable::{AckRanges, AckSent};
 use crate::rma::{RegionId, RegionTable};
 use crate::stats::FabricStats;
+use crate::wake::{InFlight, ProgressClock};
 
 /// Frame kinds some layer of the stack consumes, cross-referenced by the
 /// `ttg-check` protocol analysis against the transport's
@@ -53,9 +53,6 @@ pub const CONSUMED_FRAME_KINDS: &[&str] = &[
     "Bye",
 ];
 
-/// Retransmit/delay progress-thread tick.
-const PROGRESS_TICK: Duration = Duration::from_micros(100);
-
 /// The fabric connecting `n` ranks — in one process over channels or a
 /// socket mesh, or one rank per process over [`TransportSpec::Remote`].
 pub struct Fabric {
@@ -73,7 +70,9 @@ pub struct Fabric {
     barrier: Barrier,
     telemetry: Arc<Registry>,
     stats: FabricStats,
-    in_flight: AtomicUsize,
+    /// Packets in flight; its settlements signal the execution's event
+    /// count, which the termination waits park on.
+    in_flight: InFlight,
     /// Structured comm failures (drained into execution reports).
     errors: Mutex<Vec<CommError>>,
     /// Set by `shutdown_all`: late transport errors are teardown noise, and
@@ -118,6 +117,7 @@ impl Fabric {
         assert!(n > 0, "fabric needs at least one rank");
         let transport_err =
             |detail: String| CommError::new(CommErrorKind::TransportFailure, detail);
+        let events = Arc::new(EventCount::new());
         let (telemetry, control, chaos) = match spec {
             TransportSpec::Remote(h) => {
                 let (me, ranks) = (h.endpoint.rank(), h.endpoint.n_ranks());
@@ -132,7 +132,7 @@ impl Fabric {
                 }
                 // The fabric adopts the remote endpoint's registry so
                 // `FabricStats` and the transport share counter cells.
-                let control = ControlPlane::new(me, n, kill_after);
+                let control = ControlPlane::new(me, n, kill_after, Arc::clone(&events));
                 (Arc::clone(&h.registry), Some(control), None)
             }
             _ => {
@@ -150,7 +150,7 @@ impl Fabric {
             barrier: Barrier::new(n),
             stats: FabricStats::register(&telemetry, n),
             telemetry,
-            in_flight: AtomicUsize::new(0),
+            in_flight: InFlight::new(events),
             errors: Mutex::new(Vec::new()),
             stopping: AtomicBool::new(false),
         });
@@ -165,11 +165,11 @@ impl Fabric {
                 }
             })
         });
-        if fabric.chaos.is_some() {
-            let weak = Arc::downgrade(&fabric);
+        if let Some(cs) = &fabric.chaos {
+            let (weak, clock) = (Arc::downgrade(&fabric), Arc::clone(&cs.clock));
             std::thread::Builder::new()
                 .name("fabric-reliable".into())
-                .spawn(move || progress_loop(weak))
+                .spawn(move || progress_loop(weak, clock))
                 .expect("failed to spawn fabric progress thread");
         }
         Ok(fabric)
@@ -192,9 +192,17 @@ impl Fabric {
         &self.telemetry
     }
 
+    /// The execution's event count: signalled when the in-flight count
+    /// reaches zero, when an error is recorded, and — in a multi-process
+    /// rank — by the termination frames. Termination waits park on it, and
+    /// so does the executor's activity counter's zero crossing.
+    pub fn events(&self) -> &Arc<EventCount> {
+        self.in_flight.events()
+    }
+
     /// Record a structured communication failure.
     pub fn record_error(&self, e: CommError) {
-        self.errors.lock().push(e);
+        self.chaos_port().record_error(e);
     }
 
     /// Drain the accumulated communication failures.
@@ -264,12 +272,10 @@ impl Fabric {
         // moment, and a late increment would let the in-flight gauge dip
         // through zero — briefly convincing the termination detector the
         // fabric is drained while a delivery is still being handled.
-        self.in_flight.fetch_add(1, Ordering::SeqCst);
+        self.in_flight.take(1);
         self.phys_deliver(from, to, handler, 0, payload)
             .inspect(|()| self.stats.count_am(from, to, bytes))
-            .inspect_err(|_| {
-                self.in_flight.fetch_sub(1, Ordering::SeqCst);
-            })
+            .inspect_err(|_| self.in_flight.settle(1))
     }
 
     /// Hand one physical packet to the wire. Loopback (`from == to`),
@@ -375,13 +381,13 @@ impl Fabric {
                 // its packet holds no slot reads as an idle rank with
                 // balanced totals (`ttg-model`'s `term_probe`).
                 if let Some(cp) = &self.control {
-                    self.in_flight.fetch_add(1, Ordering::SeqCst);
+                    self.in_flight.take(1);
                     cp.am_arrived();
                     self.stats.rx_bytes[to].add(payload.len() as u64);
                 }
                 let queued = self.enqueue(from as usize, to, handler, seq, payload);
                 if queued.is_err() && self.control.is_some() {
-                    self.in_flight.fetch_sub(1, Ordering::SeqCst);
+                    self.in_flight.settle(1);
                 }
             }
             Frame::AckRange { ranges, .. } => {
@@ -417,14 +423,17 @@ impl Fabric {
     }
 
     /// Multi-process only: has the coordinator declared global
-    /// termination? On rank 0, which is the coordinator, a `false` has also
-    /// driven one step of the protocol. Always `true` on in-process
-    /// fabrics, where local quiescence is global quiescence.
+    /// termination? A `false` has also taken this rank's step of the
+    /// protocol, which acts only while the rank is locally drained: rank 0
+    /// starts or evaluates a probe round, any other rank sends the reply it
+    /// deferred while busy. The caller parks on [`events`](Self::events)
+    /// between calls. Always `true` on in-process fabrics, where local
+    /// quiescence is global quiescence.
     pub fn poll_termination(&self) -> bool {
         self.control.as_ref().is_none_or(|cp| {
             cp.done() || {
-                cp.drive_termination(self);
-                false
+                cp.step(self);
+                cp.done()
             }
         })
     }
@@ -488,12 +497,23 @@ impl Fabric {
     /// Mark a previously sent packet as fully processed (used by the
     /// termination detector to know when the fabric has drained).
     pub fn packet_processed(&self) {
-        self.in_flight.fetch_sub(1, Ordering::SeqCst);
+        self.in_flight.settle(1);
     }
 
     /// Number of packets sent but not yet fully processed.
     pub fn packets_in_flight(&self) -> usize {
-        self.in_flight.load(Ordering::SeqCst)
+        self.in_flight.get()
+    }
+
+    /// What this process is waiting on, for a deadline-miss record: the
+    /// packets in flight and, under a fault plan, the reliable layer's
+    /// unacked entries and pending ack batches per link.
+    pub fn describe_wait(&self) -> String {
+        let in_flight = format!("{} packets in flight", self.packets_in_flight());
+        match &self.chaos {
+            Some(cs) => format!("{in_flight}; {}", cs.describe_pending()),
+            None => in_flight,
+        }
     }
 
     /// The checkpoint/restore surface, when the fault plan enables it.
@@ -528,6 +548,9 @@ impl Fabric {
     /// and notifying peers).
     pub fn shutdown_all(&self) {
         self.stopping.store(true, Ordering::SeqCst);
+        if let Some(cs) = &self.chaos {
+            cs.clock.poke();
+        }
         self.links.shutdown();
     }
 
@@ -625,17 +648,30 @@ impl ControlPort for Fabric {
     }
 }
 
-/// Body of the reliability progress thread: ticks the retransmission and
-/// delayed-release engine until the fabric shuts down or is dropped.
-fn progress_loop(fabric: Weak<Fabric>) {
-    loop {
-        let Some(f) = fabric.upgrade() else { return };
-        if f.stopping.load(Ordering::SeqCst) {
-            return;
+impl Drop for Fabric {
+    fn drop(&mut self) {
+        // The progress thread parks holding only a weak reference: wake it
+        // to find the fabric gone.
+        if let Some(cs) = &self.chaos {
+            cs.clock.poke();
         }
-        f.progress();
-        drop(f);
-        std::thread::sleep(PROGRESS_TICK);
+    }
+}
+
+/// Body of the reliability progress thread: runs a pass of the
+/// retransmission, ack and delayed-release engine, then parks until the
+/// earliest instant the next pass could act or a site arms an earlier one
+/// — no tick — until the fabric shuts down or is dropped.
+fn progress_loop(fabric: Weak<Fabric>, clock: Arc<ProgressClock>) {
+    loop {
+        let epoch = clock.begin_pass();
+        let next = match fabric.upgrade() {
+            Some(f) if !f.stopping.load(Ordering::SeqCst) => {
+                f.chaos.as_ref().and_then(|cs| cs.progress(&f.chaos_port()))
+            }
+            _ => return clock.cancel(),
+        };
+        clock.park(epoch, next);
     }
 }
 
@@ -643,7 +679,7 @@ fn progress_loop(fabric: Weak<Fabric>) {
 mod tests {
     use super::*;
     use crate::recover::MemorySnapshotSink;
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
     use ttg_model::sync::AtomicU64;
     use ttg_transport::{local_mesh, Endpoint, RemoteHandle, SocketEndpoint, TransportKind};
 

@@ -16,7 +16,8 @@
 //!   (the link layer as data), [`chaos`] over [`reliable`] (the reliable
 //!   layer a [`FaultPlan`] installs), [`recover`] (checkpoint/restore),
 //!   [`control`] (a multi-process rank's barrier and termination),
-//!   [`rma`] (one-sided regions), [`stats`], [`error`];
+//!   [`rma`] (one-sided regions), [`stats`], [`error`], [`wake`] (the
+//!   in-flight count and the progress thread's schedule);
 //! * [`fault`] — seeded, deterministic fault injection ([`FaultPlan`]):
 //!   per-link drop/duplicate/reorder/delay probabilities and scripted rank
 //!   deaths, parseable from a `--faults seed=K,drop=p` CLI spec.
@@ -38,6 +39,7 @@ pub mod recover;
 pub mod reliable;
 pub mod rma;
 pub mod stats;
+pub mod wake;
 pub mod wire;
 
 // The wire-buffer pool moved down into `ttg-transport` so the socket mesh

@@ -10,6 +10,14 @@
 //! before consulting any window. Classification may flush, and only after
 //! its locks are released.
 //!
+//! The two event counts of `wake` — the execution's (`wake.events`) and
+//! the progress thread's (`wake.clock`) — take their lock only to bump an
+//! epoch, holding nothing inside it, so taking one under another lock
+//! cannot close a cycle. Arming the progress clock happens with no chaos
+//! lock held; settling an in-flight slot (which may signal the execution's
+//! event count) stays where the ledger arithmetic always was, some of it
+//! under the classification locks.
+//!
 //! Under a recovery-enabled plan there is one deliberate hierarchy:
 //! `rx_accept_am` holds the destination rank's `chaos.link_inc` guard
 //! across its whole classification — window, content log, the delivered
@@ -43,6 +51,8 @@ pub const LOCK_CLASSES: &[&str] = &[
     "control.barrier_released",
     "control.term",
     "control.idle_probe",
+    "wake.events",
+    "wake.clock",
 ];
 
 /// Permitted nestings, outer acquired first.
@@ -52,7 +62,9 @@ pub const LOCK_CLASSES: &[&str] = &[
 /// `observe_local`, which locks `idle_probe`); `flush_acks`, above. The
 /// `link_inc` edges are the recovery hierarchy described in the module
 /// header (`rx_accept_am` takes all four under it; `restore_rank` takes
-/// `windows` and `links`).
+/// `windows` and `links`). The `wake.events` edges are slot settlements
+/// that reach zero inside classification (`rx_accept_am`) or the
+/// restore's retirement scan.
 pub const LOCK_ORDER: &[(&str, &str)] = &[
     ("control.term", "control.idle_probe"),
     ("chaos.pending_acks", "chaos.links"),
@@ -60,6 +72,9 @@ pub const LOCK_ORDER: &[(&str, &str)] = &[
     ("chaos.link_inc", "chaos.content_logs"),
     ("chaos.link_inc", "chaos.links"),
     ("chaos.link_inc", "chaos.pending_acks"),
+    ("chaos.link_inc", "wake.events"),
+    ("chaos.content_logs", "wake.events"),
+    ("chaos.links", "wake.events"),
 ];
 
 /// Striped classes (one instance per rank or per directed link) and

@@ -126,9 +126,9 @@ impl Recovery<'_> {
             return Err("no snapshot sink installed".into());
         };
         if let Err(e) = sink.store(r, blob) {
-            port.errors
-                .lock()
-                .push(CommError::new(CommErrorKind::SnapshotFailed, e.to_string()).link(None, r));
+            port.record_error(
+                CommError::new(CommErrorKind::SnapshotFailed, e.to_string()).link(None, r),
+            );
             return Err(e.to_string());
         }
         cs.last_snap[r].store(cs.rx_packets[r].load(Ordering::SeqCst), Ordering::SeqCst);
@@ -240,7 +240,7 @@ impl Recovery<'_> {
                 .count() as u64;
             *link = restored;
         }
-        port.in_flight.fetch_sub(retired as usize, Ordering::SeqCst);
+        port.in_flight.settle(retired as usize);
         // Install the restored receive-side state.
         *cs.windows[r].lock() = windows;
         cs.rx_packets[r].store(rx_packets, Ordering::SeqCst);
@@ -285,7 +285,7 @@ impl Recovery<'_> {
                     if !e.delivered && !e.replayed {
                         e.replayed = true;
                         retired += 1;
-                        port.in_flight.fetch_sub(1, Ordering::SeqCst);
+                        port.in_flight.settle(1);
                     }
                 }
             }
@@ -302,8 +302,10 @@ impl Recovery<'_> {
         }
         port.stats.replayed_sends.add(replayed);
         port.stats.recoveries.inc();
-        // Only now does the rank rejoin the live fabric.
+        // Only now does the rank rejoin the live fabric. Its links thaw,
+        // and the restored entries are due at once: the scan runs now.
         cs.killed[r].store(false, Ordering::SeqCst);
+        cs.clock.arm_retransmit(Instant::now());
         cs.recovery_log.lock().push(
             CommError::new(
                 CommErrorKind::RankRecovered,

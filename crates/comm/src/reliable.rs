@@ -31,6 +31,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::buf::{ReadBuf, WireError, WriteBuf};
+use crate::fault::RetryPolicy;
 
 /// Bits of the wire sequence number reserved for the sender incarnation.
 ///
@@ -227,6 +228,24 @@ impl LinkTx {
                 self.clock = Some(now);
             }
         }
+    }
+
+    /// The earliest instant the retransmit scan could act on this link:
+    /// an entry past its deadline is resent or abandoned only when it is
+    /// spent, sits below a retired seq (a hole), or is the oldest on a link
+    /// silent for its backoff (a restored link, with no clock, counts as
+    /// silent). `None`: only an ack can make an entry actionable.
+    pub fn next_due(&self, retry: &RetryPolicy) -> Option<Instant> {
+        let oldest = self.unacked.keys().min().copied();
+        let due = |(&seq, e): (&u64, &Unacked)| match self.clock {
+            _ if e.attempts >= retry.max_retries || seq < self.retired_high => Some(e.next_retry),
+            None => Some(e.next_retry),
+            Some(c) if oldest == Some(seq) => {
+                Some(e.next_retry.max(c + retry.backoff(e.attempts + 1)))
+            }
+            Some(_) => None,
+        };
+        self.unacked.iter().filter_map(due).min()
     }
 
     /// Serialize the sender-side link state: the seq counter plus every
@@ -439,10 +458,12 @@ impl PendingAcks {
 
     /// Whether the oldest pending ack has waited at least `flush_after`.
     pub fn due(&self, now: Instant, flush_after: Duration) -> bool {
-        match self.oldest {
-            Some(t) => now.saturating_duration_since(t) >= flush_after,
-            None => false,
-        }
+        self.due_at(flush_after).is_some_and(|at| now >= at)
+    }
+
+    /// When the batch falls due (`None` while nothing is pending).
+    pub fn due_at(&self, flush_after: Duration) -> Option<Instant> {
+        self.oldest.map(|t| t + flush_after)
     }
 
     /// Drain the pending ranges for one flush, returning them together

@@ -2,11 +2,11 @@
 //!
 //! When a task body (or an AM delivery on the comm thread) completes, the
 //! nodes it fed may launch several newly ready tasks — and each launch
-//! used to pay its own pool submit, with its own wake-announcement round
-//! trip through the pool's sleep lock. A [`BatchScope`] collects the jobs
-//! spawned while a parent work item runs in thread-local storage and
-//! flushes them on drop as one group per destination rank: one `wake_seq`
-//! bump covers the whole successor group (Taskflow-style batched
+//! used to pay its own pool submit, with its own wake announcement. A
+//! [`BatchScope`] collects the jobs spawned while a parent work item runs
+//! in thread-local storage and flushes them on drop as one group per
+//! destination rank: one announcement covers the whole successor group and
+//! wakes at most one parked worker per job (Taskflow-style batched
 //! notification, DESIGN §10). The buffer is the thread's own and outlives
 //! the scope, so a scope allocates nothing.
 //!

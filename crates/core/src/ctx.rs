@@ -65,7 +65,8 @@ pub struct RuntimeCtx {
     pub fabric: Arc<Fabric>,
     /// Per-rank worker pools (set once by the executor).
     pub pools: OnceLock<Vec<WorkerPool>>,
-    /// Global quiescence tracker backing `Executor::wait`.
+    /// Global quiescence tracker backing `Executor::wait`; it signals the
+    /// fabric's event count, so one wait parks on both.
     pub quiescence: Arc<Quiescence>,
     /// Active backend configuration.
     pub backend: BackendSpec,
@@ -85,10 +86,11 @@ impl RuntimeCtx {
     /// Create a context over `fabric` with the given backend.
     pub fn new(fabric: Arc<Fabric>, backend: BackendSpec, trace: bool) -> Arc<Self> {
         let metrics = CoreMetrics::register(fabric.telemetry(), fabric.num_ranks());
+        let quiescence = Arc::new(Quiescence::with_events(Arc::clone(fabric.events())));
         Arc::new(RuntimeCtx {
             fabric,
             pools: OnceLock::new(),
-            quiescence: Arc::new(Quiescence::new()),
+            quiescence,
             backend,
             trace: if trace {
                 Some(TraceRecorder::new())

@@ -16,12 +16,17 @@ use ttg_comm::{
     CommError, CommErrorKind, Fabric, FaultPlan, MemorySnapshotSink, Packet, ReadBuf, Recovery,
     StatsSnapshot, TransportSpec, WireError, WriteBuf,
 };
-use ttg_runtime::WorkerPool;
+use ttg_runtime::{EventCount, WorkerPool};
 
 use crate::backend::BackendSpec;
 use crate::ctx::RuntimeCtx;
 use crate::graph::Graph;
 use crate::trace::TaskEvent;
+
+/// Under a recovery plan, how often the wait runs the recovery watchdog
+/// and checks for termination (the one timed wait: see
+/// [`Executor::wait`]).
+const RECOVERY_RECHECK: Duration = Duration::from_micros(50);
 
 /// Execution parameters.
 #[derive(Clone)]
@@ -374,9 +379,13 @@ impl Executor {
     /// quiescence is not global quiescence there: a peer may still be about
     /// to send here).
     ///
+    /// The wait parks on the fabric's event count, which every transition
+    /// that can end it signals: the activity count or the in-flight count
+    /// reaching zero, an error recorded, a termination frame.
+    ///
     /// If a delivery deadline is configured and passes first, the wait
-    /// gives up, records a structured `DeadlineMissed` [`CommError`] on
-    /// the fabric, and returns — degraded, not hung.
+    /// gives up, records a structured `DeadlineMissed` [`CommError`] naming
+    /// what this process still waits on, and returns — degraded, not hung.
     pub fn wait(&self) {
         use std::sync::atomic::Ordering;
         let fabric = &self.ctx.fabric;
@@ -389,42 +398,69 @@ impl Executor {
         if remote && !self.wait_fenced.swap(true, Ordering::SeqCst) {
             fabric.barrier();
         }
-        let drained = || fabric.packets_in_flight() == 0 && self.ctx.quiescence.is_quiescent();
+        let (events, q) = (fabric.events(), &self.ctx.quiescence);
+        let drained = || fabric.packets_in_flight() == 0 && q.is_quiescent();
         let give_up = self.deadline.map(|d| Instant::now() + d);
+        let recovery = fabric.recovery();
         loop {
-            let (terminated, poll) = if remote {
-                (fabric.poll_termination(), Duration::from_micros(200))
+            // Prepare before looking: a transition after the look signals,
+            // and the park below returns at once.
+            let epoch = events.prepare();
+            let terminated = if remote {
+                fabric.poll_termination()
             } else {
                 // Recovery watchdog: a script-killed rank is restored once
                 // its pool drains (kill only severs its links — queued
                 // tasks still run to completion, and their sends were
                 // already dropped).
-                if let Some(rec) = fabric.recovery() {
+                if let Some(rec) = &recovery {
                     for r in rec.killed_ranks() {
                         if self.ctx.pool(r).is_idle() {
-                            recover_rank(&self.ctx, &rec, r);
+                            recover_rank(&self.ctx, rec, r);
                         }
                     }
                 }
                 // The second look confirms no packet appeared while the
                 // first was probing the pools.
-                (drained() && drained(), Duration::from_micros(50))
+                drained() && drained()
             };
             if terminated {
+                events.cancel();
                 return;
             }
-            if give_up.is_some_and(|t| Instant::now() >= t) {
+            let now = Instant::now();
+            if give_up.is_some_and(|t| now >= t) {
+                events.cancel();
                 fabric.record_error(CommError::new(
                     CommErrorKind::DeadlineMissed,
                     format!(
-                        "no termination within {:?} ({} packets in flight in this process)",
+                        "no termination within {:?}: {} active units, {}",
                         self.deadline.expect("a deadline passed"),
-                        fabric.packets_in_flight()
+                        q.active(),
+                        fabric.describe_wait()
                     ),
                 ));
                 return;
             }
-            std::thread::sleep(poll);
+            if recovery.is_some() {
+                // The chaos-only recovery path, and the one named exception
+                // to the wake discipline (DESIGN §5): it samples every
+                // `RECOVERY_RECHECK`, and a signal does not end the
+                // interval. A pool going idle signals nothing; and restores
+                // and termination checks timed by zero crossings expose the
+                // in-flight ledger's double debit on some restore
+                // interleavings about twice as often as sampled ones.
+                events.cancel();
+                let until = now + RECOVERY_RECHECK;
+                sit_out(events, give_up.map_or(until, |t| t.min(until)));
+                continue;
+            }
+            match give_up {
+                Some(until) => {
+                    events.wait_until(epoch, until);
+                }
+                None => events.wait(epoch),
+            }
         }
     }
 
@@ -471,6 +507,12 @@ impl Executor {
             },
         }
     }
+}
+
+/// Let the time until `until` pass on `events` without ending early on a
+/// signal: the recovery path samples (see [`Executor::wait`]).
+fn sit_out(events: &EventCount, until: Instant) {
+    while events.wait_until(events.prepare(), until) {}
 }
 
 /// Compose and persist one recovery snapshot for rank `r`: the comm-layer

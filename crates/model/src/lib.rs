@@ -11,7 +11,8 @@
 //! schedule comes back as a [`Violation`] carrying the exact interleaving.
 //!
 //! [`protocols`] holds model-sized extractions of the real protocols this
-//! repo depends on (worker sleep/wake, batched submit, sharded matching,
+//! repo depends on (worker sleep/wake, the event count every sleeper parks
+//! on — the production definition itself — batched submit, sharded matching,
 //! dedup window, reliable acks and retransmission, recovery ledger,
 //! multi-process termination, transport handshake), each with invariants
 //! and known-bad mutations the checker must catch. `ttg-check --model`

@@ -1,6 +1,7 @@
 //! Model of `submit_batch` (`crates/runtime/src/pool.rs` +
 //! `crates/core/src/batch.rs`): a group of jobs is enqueued together and
-//! announced with a *single* `wake_seq` bump + `notify_all`.
+//! announced with a *single* epoch bump (the pool's `EventCount` then
+//! wakes one parked worker per job; the model wakes all, a superset).
 //!
 //! Invariants checked across all interleavings of two workers and one
 //! batching submitter:

@@ -1,5 +1,8 @@
-//! Model of the worker pool's event-counter (`wake_seq`) sleep protocol
-//! (`crates/runtime/src/pool.rs`).
+//! Model of the worker pool's event-counter sleep protocol
+//! (`crates/runtime/src/pool.rs`), in the single-phase form it had before
+//! the pool parked on [`crate::sync::EventCount`] (whose two-phase form
+//! the `event_count` case explores). The epoch/lock pairing checked here
+//! is the one the event count keeps.
 //!
 //! Protocol under check — worker side:
 //! ```text

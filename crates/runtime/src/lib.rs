@@ -6,6 +6,9 @@
 //!   paper's backends (work-stealing + priority heap vs. central queue);
 //! * [`quiesce`] — the shared-counter activity tracker executors read to
 //!   implement `wait()`.
+//!
+//! Every thread here that waits parks on an [`EventCount`], the one
+//! sleeping primitive (DESIGN §5, "Wake discipline").
 
 #![warn(missing_docs)]
 
@@ -15,3 +18,4 @@ pub mod quiesce;
 
 pub use pool::{Job, SchedulerKind, WorkerPool};
 pub use quiesce::Quiescence;
+pub use ttg_model::sync::EventCount;

@@ -2,19 +2,19 @@
 //! `ttg-check` lock-order analysis (diagnostics TTG050/TTG051).
 //!
 //! The pool holds at most one of these mutexes at a time. The park
-//! protocol is the sensitive spot: `announce_work`/`announce_batch` bump
-//! `wake_seq` under `sleep_lock` and notify *after* dropping it, and a
-//! parking worker re-checks the counter under the same lock — correctness
-//! comes from the lock/counter pairing, never from nesting. The per-worker
-//! `bound` queues are striped; a worker drops its own queue's lock before
-//! poaching a peer's.
+//! protocol is the sensitive spot: the `EventCount` a worker parks on
+//! bumps its epoch under its own lock and notifies *after* dropping it,
+//! and a committing worker compares the epoch under the same lock —
+//! correctness comes from the lock/counter pairing, never from nesting.
+//! The per-worker `bound` queues are striped; a worker drops its own
+//! queue's lock before poaching a peer's.
 
 /// Every mutex class in the pool, by field name.
 pub const LOCK_CLASSES: &[&str] = &[
     "pool.bound.q",
     "pool.prio",
     "pool.central",
-    "pool.sleep_lock",
+    "pool.wake.lock",
     "pool.threads",
 ];
 

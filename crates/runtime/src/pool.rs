@@ -15,7 +15,7 @@ use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
-use ttg_model::sync::{AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex, Ordering};
+use ttg_model::sync::{AtomicBool, AtomicU64, AtomicUsize, EventCount, Mutex, Ordering};
 
 use crossbeam_deque::{Injector, Stealer, Worker};
 use ttg_telemetry::Registry;
@@ -175,12 +175,10 @@ struct Shared {
     kind: SchedulerKind,
     shutdown: AtomicBool,
     seq: AtomicU64,
-    /// Wake-event counter for the park protocol: bumped (under `sleep_lock`)
-    /// by every submit and by shutdown, read by workers before parking.
-    wake_seq: AtomicU64,
+    /// Where idle workers park: signalled by every submit (one worker per
+    /// job, up to the number asleep) and by shutdown (all).
+    wake: EventCount,
     metrics: PoolMetrics,
-    sleep_lock: Mutex<()>,
-    wake: Condvar,
     quiescence: Arc<Quiescence>,
 }
 
@@ -300,28 +298,13 @@ impl Shared {
         self.metrics.ready_hwm.set_max(depth as i64);
     }
 
-    /// Bump the wake-event counter and wake one parked worker. The bump
-    /// happens under `sleep_lock`, so a worker that observed the old count
-    /// is either still before its park (and will re-check) or already on
-    /// the condvar (and receives the notify): wakeups cannot be lost.
-    fn announce_work(&self) {
-        {
-            let _guard = self.sleep_lock.lock();
-            self.wake_seq.fetch_add(1, Ordering::SeqCst);
-        }
+    /// Announce `n` queued jobs: wake one parked worker per job, up to the
+    /// number asleep. A worker that prepared to park before the jobs were
+    /// queued is counted, so it is either woken or finds them on its
+    /// re-check: wakeups cannot be lost (`ttg-model`'s `event_count`).
+    fn announce(&self, n: usize) {
         self.metrics.wakeups.inc();
-        self.wake.notify_one();
-    }
-
-    /// Like [`Shared::announce_work`] but wakes every parked worker — used
-    /// by `submit_batch`, where one announcement covers a whole group.
-    fn announce_batch(&self) {
-        {
-            let _guard = self.sleep_lock.lock();
-            self.wake_seq.fetch_add(1, Ordering::SeqCst);
-        }
-        self.metrics.wakeups.inc();
-        self.wake.notify_all();
+        self.wake.signal(n);
     }
 }
 
@@ -428,13 +411,11 @@ impl WorkerPool {
             kind,
             shutdown: AtomicBool::new(false),
             seq: AtomicU64::new(0),
-            wake_seq: AtomicU64::new(0),
+            wake: EventCount::new(),
             metrics: match registry {
                 Some((reg, rank)) => PoolMetrics::register(reg, rank),
                 None => PoolMetrics::register(&Registry::new(), 0),
             },
-            sleep_lock: Mutex::new(()),
-            wake: Condvar::new(),
             quiescence,
         });
         let mut threads = Vec::with_capacity(workers);
@@ -466,10 +447,10 @@ impl WorkerPool {
         self.submit_group(std::iter::once(job));
     }
 
-    /// Submit a group of jobs with a single wake announcement: one
-    /// `wake_seq` bump covers the whole successor group instead of one per
-    /// job, amortizing the sleep-lock round trip and condvar traffic
-    /// (Taskflow-style batched activation).
+    /// Submit a group of jobs with a single wake announcement: one epoch
+    /// bump covers the whole successor group instead of one per job, and
+    /// wakes at most one parked worker per job (Taskflow-style batched
+    /// activation).
     pub fn submit_batch(&self, jobs: Vec<Job>) {
         self.submit_group(jobs.into_iter());
     }
@@ -490,13 +471,11 @@ impl WorkerPool {
         for job in jobs {
             self.shared.enqueue_job(job);
         }
-        if n == 1 {
+        if n > 1 {
             // A group of one is just a submit; don't count it as batched.
-            self.shared.announce_work();
-        } else {
             self.shared.metrics.tasks_batched.add(n as u64);
-            self.shared.announce_batch();
         }
+        self.shared.announce(n);
     }
 
     /// Index of the calling thread within this pool, if it is one of this
@@ -528,13 +507,9 @@ impl WorkerPool {
     /// dropped (their quiescence units are released). Idempotent.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Bump the wake counter under the sleep lock so workers between
-        // their shutdown check and their park cannot sleep through it.
-        {
-            let _guard = self.shared.sleep_lock.lock();
-            self.shared.wake_seq.fetch_add(1, Ordering::SeqCst);
-        }
-        self.shared.wake.notify_all();
+        // Workers between their shutdown check and their park are counted
+        // sleepers: the signal reaches them.
+        self.shared.wake.signal_all();
         for t in self.threads.lock().drain(..) {
             t.join().expect("worker panicked");
         }
@@ -572,13 +547,12 @@ fn worker_loop(shared: Arc<Shared>, local: Worker<Job>, me: usize, mut rng: u64)
         if shared.shutdown.load(Ordering::SeqCst) {
             return;
         }
-        // Prepare-to-park protocol: snapshot the wake counter, re-check for
-        // work that raced in, then park until the counter moves. Submits
-        // bump the counter under `sleep_lock`, so the re-check inside the
-        // wait loop cannot miss a wakeup — and idle workers no longer spin
-        // on a 1 ms poll.
-        let seq = shared.wake_seq.load(Ordering::SeqCst);
+        // Two-phase park: prepare (counted as a sleeper, epoch snapshot),
+        // re-check for work that raced in, then commit until a submit or
+        // shutdown moves the epoch.
+        let epoch = shared.wake.prepare();
         if let Some(job) = shared.find_job(&local, me, &mut rng) {
+            shared.wake.cancel();
             shared.metrics.queue_depth.add(-1);
             (job.f)();
             shared.metrics.executed.inc();
@@ -586,17 +560,11 @@ fn worker_loop(shared: Arc<Shared>, local: Worker<Job>, me: usize, mut rng: u64)
             continue;
         }
         if shared.shutdown.load(Ordering::SeqCst) {
+            shared.wake.cancel();
             return;
         }
         let parked = Instant::now();
-        {
-            let mut guard = shared.sleep_lock.lock();
-            while shared.wake_seq.load(Ordering::SeqCst) == seq
-                && !shared.shutdown.load(Ordering::SeqCst)
-            {
-                shared.wake.wait(&mut guard);
-            }
-        }
+        shared.wake.wait(epoch);
         shared
             .metrics
             .idle_ns

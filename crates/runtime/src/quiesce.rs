@@ -9,8 +9,12 @@
 //! feeds it with: read directly by the executor when every rank shares its
 //! address space (exact and cheap), reported to rank 0 in `TermReply`
 //! frames by a multi-process rank.
+//!
+//! Waiters park on the execution's [`EventCount`], which the counter
+//! signals each time it reaches zero.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use ttg_model::sync::{AtomicU64, EventCount, Ordering};
 
 /// Epoch-validated activity counter.
 ///
@@ -18,16 +22,38 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// unprocessed packets). `epoch` increments on every activity *start*, which
 /// lets a detector rule out the race where activity briefly reached zero and
 /// then resumed between two observations.
-#[derive(Debug, Default)]
 pub struct Quiescence {
     active: AtomicU64,
     epoch: AtomicU64,
+    /// Signalled when `active` reaches zero.
+    events: Arc<EventCount>,
+}
+
+impl Default for Quiescence {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Quiescence {
-    /// Create an idle tracker.
+    /// Create an idle tracker with an event count of its own.
     pub fn new() -> Self {
-        Self::default()
+        Self::with_events(Arc::new(EventCount::new()))
+    }
+
+    /// Create an idle tracker that signals `events` (the execution's, which
+    /// its fabric signals too) each time the activity count reaches zero.
+    pub fn with_events(events: Arc<EventCount>) -> Self {
+        Quiescence {
+            active: AtomicU64::new(0),
+            epoch: AtomicU64::new(0),
+            events,
+        }
+    }
+
+    /// The event count waiters park on.
+    pub fn events(&self) -> &Arc<EventCount> {
+        &self.events
     }
 
     /// Record the start of a unit of activity.
@@ -44,11 +70,14 @@ impl Quiescence {
         self.active.fetch_add(n, Ordering::SeqCst);
     }
 
-    /// Record the end of a unit of activity.
+    /// Record the end of a unit of activity; the last one signals.
     #[inline]
     pub fn activity_finished(&self) {
         let prev = self.active.fetch_sub(1, Ordering::SeqCst);
         debug_assert!(prev > 0, "activity underflow");
+        if prev == 1 {
+            self.events.signal_all();
+        }
     }
 
     /// Current number of active units.
@@ -85,27 +114,32 @@ impl Quiescence {
         }
     }
 
-    /// Block (spinning with short sleeps) until quiescent.
+    /// Park until quiescent. Any activity that makes the check fail ends
+    /// in a zero crossing, which signals.
     pub fn wait_quiescent(&self) {
-        let mut spins = 0u32;
         loop {
+            let epoch = self.events.prepare();
             if self.is_quiescent() {
+                self.events.cancel();
                 return;
             }
-            spins += 1;
-            if spins < 64 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::sleep(std::time::Duration::from_micros(50));
-            }
+            self.events.wait(epoch);
         }
+    }
+}
+
+impl std::fmt::Debug for Quiescence {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Quiescence")
+            .field("active", &self.active())
+            .field("epoch", &self.epoch())
+            .finish()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn starts_quiescent() {

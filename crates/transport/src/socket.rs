@@ -218,6 +218,9 @@ struct SendQ {
 struct QState {
     batch: WireBatch,
     closed: bool,
+    /// Set when the writer thread exits: everything it took is written
+    /// (or abandoned with a report).
+    writer_gone: bool,
 }
 
 impl SendQ {
@@ -269,6 +272,17 @@ impl SendQ {
         }
     }
 
+    /// Wait until the writer of a closed queue has written everything and
+    /// exited (its exit notifies `not_full`), or `deadline` passes. An
+    /// empty queue is not enough: the writer may still hold the last batch
+    /// it took, unwritten.
+    fn wait_writer_gone(&self, deadline: Instant) {
+        let mut st = self.state.lock();
+        while !st.writer_gone && Instant::now() < deadline {
+            self.not_full.wait_until(&mut st, deadline);
+        }
+    }
+
     /// Close the queue: further pushes fail. With `Some(frame)` that frame
     /// is appended first (ignoring the bounds) and what is pending still
     /// drains; with `None` the writer is gone and the backlog is dropped.
@@ -277,7 +291,10 @@ impl SendQ {
         match frame {
             Some(f) if !st.closed => st.batch.push(f),
             Some(_) => {}
-            None => st.batch.clear(),
+            None => {
+                st.batch.clear();
+                st.writer_gone = true;
+            }
         }
         st.closed = true;
         self.not_empty.notify_all();
@@ -319,12 +336,18 @@ struct Inner {
     /// Number of peers with an established connection (first generations
     /// only), guarded for rendezvous waiting.
     ready: Mutex<usize>,
+    /// Notified when a first connection is up, when the sink is installed
+    /// and at shutdown: readers wait on it for the sink.
     ready_cv: Condvar,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl Inner {
+    /// Park until the sink is installed (`None`: the endpoint stopped
+    /// first). Both are published before `ready_cv` is notified under the
+    /// `ready` lock, so the check below cannot miss them.
     fn sink_wait(&self) -> Option<Sink> {
+        let mut r = self.ready.lock();
         loop {
             if let Some(s) = self.sink.get() {
                 return Some(Arc::clone(s));
@@ -332,8 +355,14 @@ impl Inner {
             if self.stop.load(Ordering::SeqCst) {
                 return None;
             }
-            std::thread::sleep(Duration::from_millis(1));
+            self.ready_cv.wait(&mut r);
         }
+    }
+
+    /// Wake everything parked on `ready_cv` (its state changed).
+    fn notify_ready(&self) {
+        let _r = self.ready.lock();
+        self.ready_cv.notify_all();
     }
 
     fn emit(&self, peer: Rank, ev: Result<Frame, TransportError>) {
@@ -838,8 +867,9 @@ impl Endpoint for SocketEndpoint {
     }
 
     fn start(&self, sink: Sink) {
-        // Readers poll for the sink; installing it releases them.
+        // Readers park until the sink is installed; this releases them.
         let _ = self.inner.sink.set(sink);
+        self.inner.notify_ready();
     }
 
     fn shutdown(&self) {
@@ -847,6 +877,7 @@ impl Endpoint for SocketEndpoint {
         if inner.stop.swap(true, Ordering::SeqCst) {
             return;
         }
+        inner.notify_ready();
         // Queue a Bye on every link and close the queues: writers flush
         // everything pending (including the Bye) and exit.
         let bye = Frame::Bye {
@@ -858,18 +889,13 @@ impl Endpoint for SocketEndpoint {
         }
         // Unblock the accept loop with a dummy dial to our own listener.
         let _ = inner.listener.addr().connect();
-        // Give writers a moment to flush, then hard-close the streams so
-        // blocked readers unblock.
+        // Let each writer flush everything, its Bye included, and exit
+        // (within a bound), then hard-close the streams so blocked readers
+        // unblock.
         let threads = std::mem::take(&mut *inner.threads.lock());
         let deadline = Instant::now() + Duration::from_secs(2);
         for slot in inner.conns.iter().flatten() {
-            loop {
-                let drained = slot.q.state.lock().batch.frames() == 0;
-                if drained || Instant::now() >= deadline {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            slot.q.wait_writer_gone(deadline);
             if let Some(s) = slot.stream.lock().take() {
                 s.shutdown_both();
             }
