@@ -77,11 +77,12 @@ pub fn corpus() -> Vec<CorpusEntry> {
         },
         CorpusEntry {
             name: "recover_ledger",
-            invariant: "checkpoint/restore ledger: snapshot racing an in-flight ack and \
-                        a live delivery keeps exactly-once delivery and a balanced \
-                        in-flight counter",
-            run: |cfg| recover::check(cfg, recover::Mutation::None),
-            default_bound: 3,
+            invariant: "checkpoint/restore ledger: per-link issued/settled counts \
+                        re-stated on restore keep exactly-once delivery and balance \
+                        across a second kill during replay, a replayed copy racing \
+                        its live original through the content log, and dup+reorder",
+            run: |cfg| recover::check(cfg, recover::Ledger::PerLink, recover::Mutation::None),
+            default_bound: 1,
         },
         CorpusEntry {
             name: "term_probe",

@@ -1,7 +1,8 @@
 //! Model of the termination rule of a multi-process job
 //! (`crates/comm/src/control.rs` `ControlPlane::drive_termination` +
-//! `observe_local`, with the accounting of `Fabric::send_am` and the
-//! receive dispatch `Fabric::link_rx`, DESIGN §9): rank 0 declares
+//! `observe_local`, with the ledger rows of `crates/comm/src/ledger.rs` as
+//! `Fabric::send_am`, the receive dispatch `Fabric::link_rx` and
+//! `Fabric::packet_processed` keep them, DESIGN §9): rank 0 declares
 //! termination after two consecutive identical all-idle observations of
 //! every rank whose sent and received totals balance.
 //!
@@ -9,20 +10,20 @@
 //! message to rank 1, whose handler may (a nondeterministic choice) send
 //! one reply. Every hop is its own thread, as in the real stack: the task,
 //! each rank's link reader, each rank's delivery thread, and the
-//! coordinator's wait loop. The accounting is the real one: a sender
-//! counts `sent` *before* the link send; a reader takes the packet's
-//! in-flight slot, *then* counts `recvd`, *then* enqueues; a delivery
-//! thread gives the slot back when the handler is done; a rank is idle
-//! when its pool is (only rank 0 has a task) and no slot is taken. The
-//! rule the order serves: from the moment a reception is counted until its
-//! handler is done, the packet holds a slot. The coordinator
-//! takes rank 1's observation, then its own — at different times, each a
-//! sequence of separate loads — and the rest of the job runs in between.
+//! coordinator's wait loop. The accounting is the ledger's: a sender
+//! issues on its outbound row *before* the link send (that is `sent`); a
+//! reader issues on its inbound row as the frame comes off the wire, then
+//! enqueues; a delivery thread settles the inbound row once the handler is
+//! done (that is `recvd`: a reception counts when it is processed). A rank
+//! is idle when its pool is (only rank 0 has a task) and its inbound rows
+//! balance. The coordinator takes rank 1's observation, then its own — at
+//! different times, each a sequence of separate loads — and the rest of the
+//! job runs in between.
 //!
 //! Replies are deferred as the shipped wait loops defer them: rank 0
 //! starts a round only once it reads drained, and rank 1 answers a probe
 //! only once it reads drained — a busy rank's parked wait loop sends the
-//! reply when the zero crossing of its count wakes it (here: a `drained`
+//! reply when the balance of its inbound rows wakes it (here: a `drained`
 //! channel the delivery thread and the task signal).
 //!
 //! Invariant: when `done` is set no message is unprocessed and no rank is
@@ -33,14 +34,12 @@
 //! Mutations: [`Mutation::OneRound`] declares on the first balanced
 //! all-idle round (rank 1's stale idle reply plus a later 0→1→0 exchange
 //! balances the sums while rank 1's handler is still running);
-//! [`Mutation::CountAfterEnqueue`] lets the reader enqueue first, then
-//! count, then take the slot (counted but not yet holding its slot, the
-//! packet makes its rank read idle and the sums balance — twice — while it
-//! sits unprocessed in the channel); [`Mutation::CountBeforeSlot`] is the
-//! order this repo shipped until the model was written — count, slot,
-//! enqueue — which has the same window one step earlier: a reader
-//! descheduled between its two increments for two probe rounds lets a
-//! frame that has left the wire be declared over.
+//! [`Mutation::SettleBeforeHandler`] counts the reception before the
+//! handler has run, so the sums balance while its reply is unsent.
+//! Counting a reception when it is processed leaves no order inside the
+//! reader to get wrong: the two reader mutations this model had
+//! (`CountAfterEnqueue`, `CountBeforeSlot`: the reception counted apart
+//! from the packet's in-flight slot) have no counterpart left.
 //!
 //! Not modelled: the activity epoch each observation also carries. It
 //! guards against a pool that went busy and idle again between two rounds
@@ -61,12 +60,9 @@ pub enum Mutation {
     /// Declare on the first balanced all-idle round, without waiting for a
     /// second, identical one.
     OneRound,
-    /// The reader enqueues the packet before it counts the reception and
-    /// takes the in-flight slot.
-    CountAfterEnqueue,
-    /// The reader counts the reception before it takes the in-flight slot
-    /// (both still before the enqueue).
-    CountBeforeSlot,
+    /// The delivery thread settles the inbound row (counts the reception)
+    /// before the handler runs.
+    SettleBeforeHandler,
 }
 
 /// Rounds the coordinator polls before the model gives up (the real loop
@@ -74,14 +70,13 @@ pub enum Mutation {
 /// declaration takes plus one that can go stale).
 const ROUNDS: usize = 3;
 
-/// The in-flight counters start biased so the mutated reader's
-/// give-back-before-take reads as a dip below the bias, not a wrap.
-const BIAS: usize = 4;
-
 struct Shared {
+    /// Issued on each rank's outbound row: messages it put on the wire.
     sent: [AtomicUsize; 2],
+    /// Issued on each rank's inbound row: frames that came off the wire.
+    arrived: [AtomicUsize; 2],
+    /// Settled on each rank's inbound row: receptions processed.
     recvd: [AtomicUsize; 2],
-    in_flight: [AtomicUsize; 2],
     /// Rank 0's pool: its one seeded task (rank 1 has none).
     active0: AtomicUsize,
     done: AtomicBool,
@@ -96,69 +91,65 @@ impl Shared {
         );
     }
 
-    /// `Fabric::send_am` between processes: count, then the link send.
+    /// `Fabric::send_am` between processes: issue, then the link send.
     fn send(&self, from: usize, wire: &Sender<()>) {
         self.sent[from].fetch_add(1, SeqCst);
         wire.send(());
     }
 
-    /// `ControlPlane::observe_local`: `(sent, recvd, idle)`.
+    /// `ControlPlane::observe_local`: `(sent, recvd, idle)`. The settled
+    /// count is read before the issued one, as the ledger reads them.
     fn observe(&self, r: usize) -> (usize, usize, bool) {
         let pool_idle = r != 0 || self.active0.load(SeqCst) == 0;
         let sent = self.sent[r].load(SeqCst);
         let recvd = self.recvd[r].load(SeqCst);
-        let idle = pool_idle && self.in_flight[r].load(SeqCst) == BIAS;
+        let idle = pool_idle && self.arrived[r].load(SeqCst) == recvd;
         (sent, recvd, idle)
     }
-}
 
-/// Rank `me`'s link reader (the `Am` arm of the receive dispatch).
-fn reader(sh: &Shared, me: usize, wire: Receiver<()>, queue: Sender<()>, mutation: Mutation) {
-    let slot = || sh.in_flight[me].fetch_add(1, SeqCst);
-    let count = || sh.recvd[me].fetch_add(1, SeqCst);
-    while wire.recv().is_ok() {
-        sh.still_work("a frame left the wire");
-        match mutation {
-            Mutation::CountAfterEnqueue => {
-                queue.send(());
-                count();
-                slot();
-            }
-            Mutation::CountBeforeSlot => {
-                count();
-                slot();
-                queue.send(());
-            }
-            Mutation::None | Mutation::OneRound => {
-                slot();
-                count();
-                queue.send(());
-            }
+    /// A delivery thread's settle; reaching the inbound balance signals
+    /// the rank's wait loop.
+    fn settle(&self, me: usize, drained: &Sender<()>) {
+        let recvd = self.recvd[me].fetch_add(1, SeqCst) + 1;
+        if self.arrived[me].load(SeqCst) == recvd {
+            drained.send(());
         }
     }
 }
 
+/// Rank `me`'s link reader (the `Am` arm of the receive dispatch).
+fn reader(sh: &Shared, me: usize, wire: Receiver<()>, queue: Sender<()>) {
+    while wire.recv().is_ok() {
+        sh.still_work("a frame left the wire");
+        sh.arrived[me].fetch_add(1, SeqCst);
+        queue.send(());
+    }
+}
+
 /// Rank `me`'s delivery thread; `reply` is the wire its handler may answer
-/// on (rank 1's only: the reply triggers nothing). A slot given back at
-/// the bias is the rank's in-flight count reaching zero: it signals
-/// `drained`, which wakes the rank's wait loop.
+/// on (rank 1's only: the reply triggers nothing).
 fn deliver(
     sh: &Shared,
     me: usize,
     queue: Receiver<()>,
     reply: Option<Sender<()>>,
     drained: Sender<()>,
+    mutation: Mutation,
 ) {
+    let early = mutation == Mutation::SettleBeforeHandler;
     while queue.recv().is_ok() {
         sh.still_work("a handler started");
+        if early {
+            sh.settle(me, &drained);
+        }
         if let Some(wire) = &reply {
             if nondet(2) == 1 {
                 sh.send(me, wire);
             }
         }
         sh.still_work("a handler finished");
-        if sh.in_flight[me].fetch_sub(1, SeqCst) == BIAS + 1 {
-            drained.send(());
+        if !early {
+            sh.settle(me, &drained);
         }
     }
 }
@@ -197,12 +188,11 @@ fn coordinator(sh: &Shared, mutation: Mutation, drained: [Receiver<()>; 2]) {
 }
 
 fn model(mutation: Mutation) {
-    let counters =
-        |name: &str, v: usize| [0, 1].map(|r| AtomicUsize::named(v, &format!("{name}{r}")));
+    let counters = |name: &str| [0, 1].map(|r| AtomicUsize::named(0, &format!("{name}{r}")));
     let sh = Arc::new(Shared {
-        sent: counters("sent", 0),
-        recvd: counters("recvd", 0),
-        in_flight: counters("in_flight", BIAS),
+        sent: counters("sent"),
+        arrived: counters("arrived"),
+        recvd: counters("recvd"),
         active0: AtomicUsize::named(1, "active0"),
         done: AtomicBool::named(false, "done"),
     });
@@ -213,7 +203,8 @@ fn model(mutation: Mutation) {
     let (queue1_tx, queue1_rx) = channel();
     let (wire0_tx, wire0_rx) = channel();
     let (queue0_tx, queue0_rx) = channel();
-    // drained[r] carries rank r's zero crossings to the wait loop.
+    // drained[r] carries the moments rank r's inbound rows balance to its
+    // wait loop.
     let (drained0_tx, drained0_rx) = channel();
     let (drained1_tx, drained1_rx) = channel();
     let task_drained = drained0_tx.clone();
@@ -234,19 +225,19 @@ fn model(mutation: Mutation) {
         ),
         mk(
             "reader1",
-            Box::new(move |sh| reader(sh, 1, wire1_rx, queue1_tx, mutation)),
+            Box::new(move |sh| reader(sh, 1, wire1_rx, queue1_tx)),
         ),
         mk(
             "deliver1",
-            Box::new(move |sh| deliver(sh, 1, queue1_rx, Some(wire0_tx), drained1_tx)),
+            Box::new(move |sh| deliver(sh, 1, queue1_rx, Some(wire0_tx), drained1_tx, mutation)),
         ),
         mk(
             "reader0",
-            Box::new(move |sh| reader(sh, 0, wire0_rx, queue0_tx, mutation)),
+            Box::new(move |sh| reader(sh, 0, wire0_rx, queue0_tx)),
         ),
         mk(
             "deliver0",
-            Box::new(move |sh| deliver(sh, 0, queue0_rx, None, drained0_tx)),
+            Box::new(move |sh| deliver(sh, 0, queue0_rx, None, drained0_tx, mutation)),
         ),
         mk(
             "wait0",
