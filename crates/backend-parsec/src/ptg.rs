@@ -354,8 +354,8 @@ impl<K: Key, V: Data> PtgRuntime<K, V> {
     }
 
     /// Wait for quiescence, shut down, and report. The wait parks on the
-    /// fabric's event count, which the activity and in-flight counts
-    /// signal when they reach zero.
+    /// fabric's event count, which the activity count signals when it
+    /// reaches zero and the in-flight ledger when it balances.
     pub fn finish(self) -> PtgReport {
         let (fabric, q) = (&self.inner.fabric, &self.inner.quiescence);
         loop {

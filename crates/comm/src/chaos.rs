@@ -7,7 +7,7 @@
 //! checkpoint/restore half lives in [`crate::recover`].
 //!
 //! Port: [`ChaosPort`] — a wire that delivers one physical copy or one
-//! batched ack ([`ChaosWire`]), the stats, the in-flight counter and the
+//! batched ack ([`ChaosWire`]), the stats, the in-flight ledger and the
 //! error sink. The fabric implements the wire; the tests use queues.
 
 use std::sync::Arc;
@@ -16,14 +16,15 @@ use ttg_model::sync::{AtomicBool, AtomicU64, Mutex, Ordering};
 
 use crate::error::{CommError, CommErrorKind, SendError};
 use crate::fault::{salt, FaultPlan};
+use crate::ledger::{name_links, Ledger};
 use crate::links::Rank;
 use crate::recover::SnapshotSink;
 use crate::reliable::{
-    content_key, is_replay, pack_seq, unpack_seq, AckRanges, AckSent, ContentLog, LinkTx,
-    PendingAcks, SeqWindow, Unacked, REPLAY_BIT,
+    content_key, pack_seq, unpack_seq, AckRanges, AckSent, ContentLog, LinkTx, PendingAcks,
+    SeqWindow, Unacked,
 };
 use crate::stats::FabricStats;
-use crate::wake::{InFlight, ProgressClock};
+use crate::wake::ProgressClock;
 
 /// The wire under the reliable layer.
 pub(crate) trait ChaosWire {
@@ -46,7 +47,7 @@ pub(crate) trait ChaosWire {
 pub(crate) struct ChaosPort<'a> {
     pub(crate) wire: &'a dyn ChaosWire,
     pub(crate) stats: &'a FabricStats,
-    pub(crate) in_flight: &'a InFlight,
+    pub(crate) ledger: &'a Ledger,
     /// The error sink (drained into execution reports).
     pub(crate) errors: &'a Mutex<Vec<CommError>>,
 }
@@ -55,7 +56,15 @@ impl ChaosPort<'_> {
     /// Record a structured failure and wake the execution's waiters.
     pub(crate) fn record_error(&self, e: CommError) {
         self.errors.lock().push(e);
-        self.in_flight.events().signal_all();
+        self.ledger.events().signal_all();
+    }
+
+    /// Settle one message on ledger row `li` (see [`Ledger::settle`]); a
+    /// settle the row cannot take is recorded.
+    pub(crate) fn settle(&self, li: usize, epoch: Option<u64>) {
+        if let Err(e) = self.ledger.settle(li, epoch) {
+            self.record_error(e);
+        }
     }
 }
 
@@ -117,8 +126,9 @@ pub(crate) struct ChaosState {
     /// Per destination rank: content multiset of delivered messages, one
     /// log per incoming link row (consulted after a sender restart).
     pub(crate) content_logs: Vec<Mutex<Vec<ContentLog>>>,
-    /// Per directed link (indexed like `links`): every logical message
-    /// ever sent, parked for replay toward a restored receiver.
+    /// Per directed link other than a loopback (indexed like `links`):
+    /// every logical message ever sent, parked for replay toward a restored
+    /// receiver.
     pub(crate) replay_log: Vec<Mutex<Vec<ReplayEntry>>>,
     /// Per rank: received-packet count at the last snapshot (drives the
     /// `snapshot_due` interval check).
@@ -204,9 +214,9 @@ impl ChaosState {
         from != to || self.recovering()
     }
 
-    /// Enter one logical message into the reliable layer: take its
-    /// in-flight slot, sequence it, hold it for retransmission, log it for
-    /// replay, and make the first transmission attempt.
+    /// Enter one logical message into the reliable layer: issue it on the
+    /// ledger, sequence it, hold it for retransmission, log it for replay,
+    /// and make the first transmission attempt.
     pub(crate) fn send(
         &self,
         port: &ChaosPort<'_>,
@@ -215,9 +225,8 @@ impl ChaosState {
         handler: u32,
         payload: Vec<u8>,
     ) {
-        port.in_flight.take(1);
+        let li = port.ledger.issue(from, to);
         let payload = Arc::new(payload);
-        let li = self.link_idx(from, to);
         let now = Instant::now();
         let next_retry = now + self.plan.retry.backoff(1);
         let (seq, arms) = {
@@ -238,7 +247,6 @@ impl ChaosState {
                     attempts: 0,
                     next_retry,
                     delivered: false,
-                    replayed: false,
                 },
             );
             (seq, arms)
@@ -246,7 +254,9 @@ impl ChaosState {
         if arms {
             self.clock.arm_retransmit(next_retry);
         }
-        if self.recovering() {
+        // A restore replays its peers' logs toward the restored rank (its
+        // own loopback it re-sends).
+        if self.recovering() && from != to {
             self.replay_log[li].lock().push(ReplayEntry {
                 seq,
                 inc: self.incarnations[self.link_row(from)].load(Ordering::SeqCst),
@@ -254,12 +264,16 @@ impl ChaosState {
                 payload: Arc::clone(&payload),
             });
         }
-        self.transmit(port, from, to, handler, seq, &payload, 0, false);
+        self.transmit(port, from, to, handler, seq, &payload, 0);
     }
 
     /// One physical transmission attempt of a sequenced packet, subject to
     /// the fault plan. `attempt` is 0 for the original send and the retry
-    /// ordinal for retransmissions (distinct fault rolls per attempt).
+    /// ordinal for retransmissions (distinct fault rolls per attempt). The
+    /// wire seq carries the sender row's incarnation in its top bits so
+    /// receivers can tell a restarted sender's fresh seq space from stale
+    /// pre-crash traffic (incarnation 0 packs to the raw seq itself:
+    /// recovery-off wires are bit-identical).
     fn transmit(
         &self,
         port: &ChaosPort<'_>,
@@ -269,58 +283,10 @@ impl ChaosState {
         seq: u64,
         payload: &Arc<Vec<u8>>,
         attempt: u32,
-        replay: bool,
     ) {
-        // Wire seq carries the sender row's incarnation in its top bits so
-        // receivers can tell a restarted sender's fresh seq space from
-        // stale pre-crash traffic. Incarnation 0 (no restarts) packs to
-        // the raw seq itself: recovery-off wires are bit-identical.
-        // Entries that came back with a restored `LinkTx` transmit under
-        // the *new* incarnation (the receiver's row was reset by the
-        // restore surgery) with the replay marker set.
-        let mut seq = pack_seq(
-            self.incarnations[self.link_row(from)].load(Ordering::SeqCst),
-            seq,
-        );
-        if replay {
-            seq |= REPLAY_BIT;
-        }
-        self.transmit_packed(port, from, to, handler, seq, payload, attempt);
-    }
-
-    /// [`ChaosState::transmit`] with an already-packed wire seq. Replay
-    /// uses this directly: a replayed message must carry the incarnation
-    /// its original transmission carried, not the sender row's current one
-    /// — otherwise replayed old raw seqs collide with the restored rank's
-    /// re-executed sends (whose reset `LinkTx` reissues the same raw seqs
-    /// under the new incarnation) and the receive window drops whichever
-    /// arrives second even when task scheduling reordered the content.
-    pub(crate) fn transmit_packed(
-        &self,
-        port: &ChaosPort<'_>,
-        from: Rank,
-        to: Rank,
-        handler: u32,
-        seq: u64,
-        payload: &Arc<Vec<u8>>,
-        attempt: u32,
-    ) {
+        let inc = self.incarnations[self.link_row(from)].load(Ordering::SeqCst);
+        let seq = pack_seq(inc, seq);
         let link = self.link_idx(from, to) as u64;
-        if is_replay(seq) {
-            // Replayed copies are a recovery re-drive, not wire traffic:
-            // they bypass the killed gate (restore re-drives the rank
-            // while it is still latched dead) and fault injection (a
-            // replayed loopback copy has no backing retransmit entry — an
-            // injected drop would lose it forever). Each copy carries its
-            // own in-flight slot from enqueue to classification —
-            // otherwise the termination detector could see a drained
-            // fabric while replays still sit unclassified in a channel.
-            port.in_flight.take(1);
-            if port.wire.deliver(from, to, handler, seq, payload).is_err() {
-                port.in_flight.settle(1);
-            }
-            return;
-        }
         // A killed rank neither sends nor receives.
         if self.killed[to].load(Ordering::SeqCst)
             || (from < self.n && self.killed[from].load(Ordering::SeqCst))
@@ -379,12 +345,13 @@ impl ChaosState {
         }
     }
 
-    /// Receive-side classification of a sequenced packet: `true` means the
-    /// packet is a fresh logical delivery and must be processed; `false`
-    /// means it is a duplicate (or addressed to a dead rank) and must be
-    /// discarded without counting as a logical receive. The handler and
-    /// payload let recovery-enabled plans log delivered content and consult
-    /// the log after a sender restart.
+    /// Receive-side classification of a sequenced packet: `Some(epoch)`
+    /// means the packet is a fresh logical delivery, accepted under that
+    /// statement of its ledger row, and must be processed; `None` means it
+    /// is a duplicate (or addressed to a dead rank) and must be discarded
+    /// without counting as a logical receive. The handler and payload let
+    /// recovery-enabled plans log delivered content and consult the log
+    /// after a sender restart.
     ///
     /// Every receipt is noted for acknowledgement (subject to simulated ack
     /// loss, which only causes spurious retransmits — never double
@@ -397,11 +364,11 @@ impl ChaosState {
         seq: u64,
         handler: u32,
         payload: &[u8],
-    ) -> bool {
+    ) -> Option<u64> {
+        let link = self.link_idx(from, to);
         if seq == 0 || !self.carries(from, to) {
-            return true;
+            return Some(port.ledger.epoch(link));
         }
-        let replay = is_replay(seq);
         let (inc, raw) = unpack_seq(seq);
         let received = self.rx_packets[to].fetch_add(1, Ordering::SeqCst) + 1;
         for (ki, k) in self.plan.kills.iter().enumerate() {
@@ -410,103 +377,69 @@ impl ChaosState {
                 && !self.kill_fired[ki].load(Ordering::SeqCst)
             {
                 // Latch: a restored rank's replayed packet counter must
-                // not re-trigger the same scripted death.
+                // not re-trigger the same scripted death. The latch wakes
+                // the execution's waiters: recovery watches for it.
                 self.kill_fired[ki].store(true, Ordering::SeqCst);
                 self.killed[to].store(true, Ordering::SeqCst);
+                port.ledger.events().signal_all();
             }
         }
-        if self.killed[to].load(Ordering::SeqCst) && !replay {
-            // A killed rank receives nothing — except replayed copies,
-            // which the restore sweep drives while the rank is still
-            // latched dead. That ordering (replay enqueued before the
-            // latch clears) plus channel FIFO guarantees every replayed
-            // loopback copy is classified before any re-executed send's
-            // fresh incarnation can retire the old seq space.
-            return false;
+        if self.killed[to].load(Ordering::SeqCst) {
+            // A killed rank accepts nothing, replayed copies included: the
+            // restore clears the latch before it replays, so a copy seen
+            // here belongs to a life the restore rolls back.
+            return None;
         }
         let row = self.link_row(from);
-        let mut consult = false;
         // Under recovery, the incarnation guard is held across the whole
-        // classification — window, content log, and the delivered mark on
-        // the sender entry. The restore's per-receiver surgery takes the
-        // same lock, so each in-flight copy is classified either entirely
-        // before the surgery (its delivered flag is visible to the retire
-        // scan) or entirely after (the incarnation bump stale-drops it);
-        // no copy can be half-classified across the cut and double-retire
-        // an in-flight slot.
+        // classification — window, content log, the delivered mark on the
+        // sender entry, and the ledger epoch the packet is accepted under.
+        // The restore's per-receiver surgery takes the same lock, so each
+        // copy is classified entirely before the surgery or entirely after
+        // (the incarnation bump stale-drops it).
         let _inc_guard = if self.recovering() {
             let mut incs = self.link_inc[to].lock();
             match inc.cmp(&incs[row]) {
                 std::cmp::Ordering::Greater => {
                     // The sender restarted: its new seq space starts over,
                     // so the old window is meaningless. Reset it and rely
-                    // on the content log to drop replayed duplicates.
+                    // on the content log to drop re-sent duplicates.
                     incs[row] = inc;
                     self.windows[to].lock()[row] = SeqWindow::new();
+                    self.content_logs[to].lock()[row].new_incarnation();
                 }
                 std::cmp::Ordering::Less => {
                     // Stale copy from a previous incarnation of the
                     // sender: its seq space is retired, drop unacked.
                     port.stats.am_dedup_hits.inc();
-                    if replay {
-                        // A replayed copy settles its own channel slot on
-                        // every terminal outcome.
-                        port.in_flight.settle(1);
-                    }
-                    return false;
+                    return None;
                 }
                 std::cmp::Ordering::Equal => {}
             }
-            consult = incs[row] > 0;
             Some(incs)
         } else {
             None
         };
         let fresh = self.windows[to].lock()[row].accept(raw);
+        let mut accepted = None;
         if !fresh {
             port.stats.am_dedup_hits.inc();
-            if replay {
-                // Duplicate replayed copy (e.g. a marked entry's
-                // retransmit racing the sweep's logged copy): settle the
-                // channel slot this transmission carried.
-                port.in_flight.settle(1);
-            }
+        } else if self.recovering()
+            && !payload.is_empty()
+            && !self.content_logs[to].lock()[row].note(am_content_key(handler, payload))
+        {
+            // A re-send of content an earlier incarnation delivered: its
+            // one terminal outcome is this consumption.
+            port.settle(link, None);
+        } else {
+            accepted = Some(port.ledger.epoch(link));
         }
-        let mut deliver = fresh;
-        if fresh && self.recovering() && !payload.is_empty() {
-            let key = am_content_key(handler, payload);
-            let mut logs = self.content_logs[to].lock();
-            if consult && logs[row].consume(key) {
-                // Retire one slot either way: a live re-execution
-                // duplicate holds its logical send's slot (it will never
-                // reach `packet_processed`); a replayed copy holds the
-                // per-transmission channel slot it was enqueued with.
-                port.in_flight.settle(1);
-                deliver = false;
-            } else {
-                logs[row].record(key);
-            }
-        }
-        // A delivered replayed copy keeps its per-transmission slot: the
-        // executor's `packet_processed` retires it — the original logical
-        // send is no longer on the ledger (retired when first processed,
-        // or by a restore scan).
         // Acknowledge on every receipt (duplicates re-ack, covering a
         // previously lost ack). The receiver's acceptance itself is always
         // recorded on the sender entry via `delivered`; only the ack
         // traffic is lossy: the sequence parks in the per-link range
         // accumulator and leaves with its batch once the batch is due.
-        let link = self.link_idx(from, to);
         if let Some(e) = self.links[link].lock().unacked.get_mut(&raw) {
-            if deliver && !replay && e.replayed {
-                // The entry's slot was retired by a restore scan, but this
-                // copy is the original transmit landing after the latch
-                // cleared — pre-pay its `packet_processed` like a
-                // replay-marked delivery. (The `delivered` mark and the
-                // scan share this lock, so exactly one of them settles the
-                // slot.)
-                port.in_flight.take(1);
-            }
             e.delivered = true;
         }
         let (now, mut pa) = (Instant::now(), self.pending_acks[link].lock());
@@ -519,7 +452,7 @@ impl ChaosState {
         } else if arms {
             self.clock.arm(now + self.plan.ack_flush);
         }
-        deliver
+        accepted
     }
 
     /// Flush one link's accumulated acknowledgements: drain the range
@@ -662,8 +595,8 @@ impl ChaosState {
             {
                 continue;
             }
-            let mut retransmit: Vec<(u64, u32, Arc<Vec<u8>>, u32, bool)> = Vec::new();
-            let mut exhausted: Vec<(u64, u32, u32, bool, bool)> = Vec::new();
+            let mut retransmit: Vec<(u64, u32, Arc<Vec<u8>>, u32)> = Vec::new();
+            let mut exhausted: Vec<(u64, u32, u32, bool)> = Vec::new();
             {
                 let mut link = l.lock();
                 if link.unacked.is_empty() {
@@ -697,32 +630,31 @@ impl ChaosState {
                     }
                     e.attempts += 1;
                     e.next_retry = now + retry.backoff(e.attempts + 1);
-                    retransmit.push((
-                        seq,
-                        e.handler,
-                        Arc::clone(&e.payload),
-                        e.attempts,
-                        e.replayed,
-                    ));
+                    retransmit.push((seq, e.handler, Arc::clone(&e.payload), e.attempts));
                 }
                 for seq in give_up {
                     let e = link.unacked.remove(&seq).expect("seq just listed");
-                    exhausted.push((seq, e.handler, e.attempts, e.delivered, e.replayed));
+                    exhausted.push((seq, e.handler, e.attempts, e.delivered));
                 }
                 next = earliest(next, link.next_due(retry));
             }
-            for (seq, handler, payload, attempt, replayed) in retransmit {
+            for (seq, handler, payload, attempt) in retransmit {
                 port.stats.am_retries.inc();
-                self.transmit(port, from, to, handler, seq, &payload, attempt, replayed);
+                self.transmit(port, from, to, handler, seq, &payload, attempt);
             }
-            for (seq, handler, attempts, delivered, replayed) in exhausted {
+            for (seq, handler, attempts, delivered) in exhausted {
                 // Claim the sequence number in the receiver's window: if
                 // the claim succeeds the packet was never (and will never
-                // be) logically delivered — report the loss and retire the
-                // in-flight slot. If it fails, the receiver accepted a
-                // copy at some point (the ack was lost); nothing was lost.
-                let claimed = !delivered && self.windows[to].lock()[from_row].accept(seq);
-                if claimed {
+                // be) logically delivered — report the loss and settle it.
+                // If it fails, the receiver accepted a copy at some point
+                // (the ack was lost); nothing was lost. The window stays
+                // locked through the settle: a restore re-states the row
+                // under it.
+                if delivered {
+                    continue;
+                }
+                let mut windows = self.windows[to].lock();
+                if windows[from_row].accept(seq) {
                     port.stats.am_retry_exhausted.inc();
                     port.record_error(
                         CommError::new(
@@ -736,15 +668,12 @@ impl ChaosState {
                         .handler(handler)
                         .seq(seq),
                     );
-                    // The slot goes last: once the count reads drained the
-                    // run may finish and collect its report, and the loss
-                    // must already be in it.
-                    if !replayed {
-                        // A restored entry's slot was already retired by
-                        // the restore scan; only live sends still hold one.
-                        port.in_flight.settle(1);
-                    }
+                    // The settle goes last: once the ledger reads drained
+                    // the run may finish and collect its report, and the
+                    // loss must already be in it.
+                    port.settle(li, None);
                 }
+                drop(windows);
             }
         }
         next
@@ -754,36 +683,11 @@ impl ChaosState {
     /// per directed link (`from→to`, the seeding sentinel as `ext`), the
     /// unacked entries and the seqs waiting in its pending ack batch.
     pub(crate) fn describe_pending(&self) -> String {
-        let list = |counts: Vec<u64>| {
-            let named: Vec<String> = (counts.into_iter().enumerate())
-                .filter(|&(_, c)| c > 0)
-                .map(|(li, c)| {
-                    let (row, to) = (li / self.n, li % self.n);
-                    if row == self.n {
-                        format!("ext→{to} {c}")
-                    } else {
-                        format!("{row}→{to} {c}")
-                    }
-                })
-                .collect();
-            if named.is_empty() {
-                "none".to_string()
-            } else {
-                named.join(", ")
-            }
-        };
-        let unacked = list(
-            self.links
-                .iter()
-                .map(|l| l.lock().unacked.len() as u64)
-                .collect(),
-        );
-        let acks = list(
-            self.pending_acks
-                .iter()
-                .map(|pa| pa.lock().pending())
-                .collect(),
-        );
+        let count = |c: u64| (c > 0).then(|| c.to_string());
+        let unacked = name_links(self.n, |li| {
+            count(self.links[li].lock().unacked.len() as u64)
+        });
+        let acks = name_links(self.n, |li| count(self.pending_acks[li].lock().pending()));
         format!("unacked by link: {unacked}; pending ack batches (seqs) by link: {acks}")
     }
 }

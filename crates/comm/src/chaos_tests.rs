@@ -14,7 +14,7 @@ type Copy = (Rank, u32, u64, Arc<Vec<u8>>);
 struct Harness {
     cs: ChaosState,
     stats: FabricStats,
-    in_flight: InFlight,
+    ledger: Ledger,
     errors: Mutex<Vec<CommError>>,
     queues: Vec<Mutex<VecDeque<Copy>>>,
     /// Answer every ack batch as a closed link does: refused, ranges lost.
@@ -47,7 +47,7 @@ impl Harness {
         Harness {
             cs: ChaosState::new(plan, n),
             stats: FabricStats::register(&Registry::new(), n),
-            in_flight: InFlight::new(Arc::new(ttg_model::sync::EventCount::new())),
+            ledger: Ledger::new(n, None, Arc::new(ttg_model::sync::EventCount::new())),
             errors: Mutex::new(Vec::new()),
             queues: (0..n).map(|_| Mutex::new(VecDeque::new())).collect(),
             refuse_acks: AtomicBool::new(false),
@@ -58,7 +58,7 @@ impl Harness {
         ChaosPort {
             wire: self,
             stats: &self.stats,
-            in_flight: &self.in_flight,
+            ledger: &self.ledger,
             errors: &self.errors,
         }
     }
@@ -71,21 +71,22 @@ impl Harness {
         self.cs.progress(&self.port());
     }
 
-    fn in_flight(&self) -> usize {
-        self.in_flight.get()
+    fn in_flight(&self) -> u64 {
+        self.ledger.in_flight()
     }
 
     /// Take one copy off `rank`'s queue, classify it, and retire it if
     /// fresh (what a delivery thread does); `None` when nothing waits.
     fn pump(&self, rank: Rank) -> Option<bool> {
         let (from, handler, seq, payload) = self.queues[rank].lock().pop_front()?;
-        let fresh = self
+        let accepted = self
             .cs
             .rx_accept_am(&self.port(), rank, from, seq, handler, &payload);
-        if fresh {
-            self.in_flight.settle(1);
+        if let Some(epoch) = accepted {
+            self.port()
+                .settle(self.cs.link_idx(from, rank), Some(epoch));
         }
-        Some(fresh)
+        Some(accepted.is_some())
     }
 }
 
@@ -384,11 +385,7 @@ fn dead_link_exhausts_budget_and_reports() {
         h.progress();
         std::thread::sleep(Duration::from_micros(50));
     }
-    assert_eq!(
-        h.in_flight(),
-        0,
-        "abandoned packet must retire its in-flight slot"
-    );
+    assert_eq!(h.in_flight(), 0, "an abandoned packet must settle");
     let errors = std::mem::take(&mut *h.errors.lock());
     assert_eq!(errors.len(), 1, "exactly one loss report");
     assert_eq!(errors[0].kind, CommErrorKind::RetryBudgetExhausted);

@@ -4,9 +4,12 @@
 //! rank 0 (DESIGN §9).
 //!
 //! Termination is one rule everywhere: two consecutive identical all-idle
-//! observations of every rank whose sent and received totals balance. With
-//! every rank in one address space the executor reads them from shared
-//! atomics; here they travel as `TermProbe`/`TermReply` frames. Rounds run
+//! observations of every rank whose sent and received totals balance. Both
+//! read the in-flight ledger's rows (`crate::ledger`): with every rank in
+//! one address space the executor reads them directly; here each rank
+//! reports the messages it put on the wire and the ones it processed in
+//! `TermProbe`/`TermReply` frames, and is idle when its pool is and its
+//! inbound rows balance. Rounds run
 //! only between drained ranks: rank 0 starts one only once it is locally
 //! drained, and a rank answers a probe only once it is — a busy rank defers
 //! the reply, and its parked wait loop sends it when the drain wakes it.
@@ -14,13 +17,14 @@
 //! the wait loops park (`ttg-model`'s `term_probe`).
 //!
 //! Port: [`ControlPort`] — this rank's links (send, with failures reported
-//! where the fabric reports them) and the in-flight packet count.
+//! where the fabric reports them) and the in-flight ledger.
 
 use std::collections::HashMap;
 use std::sync::Arc;
 use ttg_model::sync::{AtomicBool, AtomicU64, Condvar, EventCount, Mutex, Ordering};
 use ttg_transport::Frame;
 
+use crate::ledger::Ledger;
 use crate::links::Rank;
 
 /// What the control plane sees of the fabric that hosts it.
@@ -29,8 +33,9 @@ pub(crate) trait ControlPort {
     /// failure is recorded by the port (TTG045, or a counted no-op during
     /// teardown).
     fn send_control(&self, from: Rank, to: Rank, frame: Frame);
-    /// Packets this process has accepted and not yet fully processed.
-    fn in_flight(&self) -> usize;
+    /// The in-flight ledger: this rank's termination totals and whether its
+    /// inbound rows balance.
+    fn ledger(&self) -> &Ledger;
 }
 
 /// One rank's (sent, received, quiescence) observation, exchanged by the
@@ -67,9 +72,6 @@ pub(crate) struct ControlPlane {
     /// This process's rank.
     pub(crate) me: Rank,
     n: usize,
-    /// Inter-process AMs sent / received by this rank (termination input).
-    sent: AtomicU64,
-    recvd: AtomicU64,
     /// Set when the coordinator declares global termination.
     done: AtomicBool,
     idle_probe: Mutex<Option<IdleProbe>>,
@@ -101,8 +103,6 @@ impl ControlPlane {
         ControlPlane {
             me,
             n,
-            sent: AtomicU64::new(0),
-            recvd: AtomicU64::new(0),
             done: AtomicBool::new(false),
             idle_probe: Mutex::new(None),
             barrier_seq: AtomicU64::new(0),
@@ -116,20 +116,8 @@ impl ControlPlane {
         }
     }
 
-    /// Count an AM about to go out on a link (before the send, so the
-    /// receiver can never have counted a message its sender has not).
-    pub(crate) fn am_sent(&self) {
-        self.sent.fetch_add(1, Ordering::SeqCst);
-    }
-
-    /// Take back [`am_sent`](Self::am_sent) for a send the link refused.
-    pub(crate) fn am_unsent(&self) {
-        self.sent.fetch_sub(1, Ordering::SeqCst);
-    }
-
-    /// An AM frame arrived from a peer process: run the kill script, then
-    /// count the reception.
-    pub(crate) fn am_arrived(&self) {
+    /// An AM frame arrived from a peer process: run the kill script.
+    pub(crate) fn frame_arrived(&self) {
         let got = self.rx_frames.fetch_add(1, Ordering::SeqCst) + 1;
         if self.kill_after.is_some_and(|after| got >= after) {
             // Scripted death of a real OS process: the launcher's watchdog
@@ -140,7 +128,6 @@ impl ControlPlane {
             );
             std::process::abort();
         }
-        self.recvd.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Has the coordinator declared global termination?
@@ -202,17 +189,19 @@ impl ControlPlane {
     }
 
     /// This rank's termination observation: locally idle (executor probe
-    /// AND no packets in flight) plus the send/receive totals.
+    /// AND its inbound rows balance) plus the send/receive totals.
     fn observe_local(&self, port: &dyn ControlPort) -> TermObs {
         let (idle, epoch) = match &*self.idle_probe.lock() {
             Some(p) => p(),
             None => (false, 0),
         };
+        let ledger = port.ledger();
+        let (sent, recvd) = ledger.cross_totals(self.me);
         TermObs {
-            sent: self.sent.load(Ordering::SeqCst),
-            recvd: self.recvd.load(Ordering::SeqCst),
+            sent,
+            recvd,
             epoch,
-            idle: idle && port.in_flight() == 0,
+            idle: idle && ledger.in_flight() == 0,
         }
     }
 

@@ -13,6 +13,7 @@
 //! in modules that see a narrow port, never the fabric (the crate docs
 //! list them).
 
+use std::cell::Cell;
 use std::sync::{Arc, Barrier, Weak};
 use ttg_model::sync::{AtomicBool, EventCount, Mutex, Ordering};
 
@@ -24,12 +25,13 @@ use crate::chaos::{ChaosPort, ChaosState, ChaosWire};
 use crate::control::{ControlPlane, ControlPort};
 use crate::error::{CommError, CommErrorKind, RmaError, SendError};
 use crate::fault::FaultPlan;
+use crate::ledger::Ledger;
 use crate::links::{Links, Packet, Rank};
 use crate::recover::{Recovery, SnapshotSink};
 use crate::reliable::{AckRanges, AckSent};
 use crate::rma::{RegionId, RegionTable};
 use crate::stats::FabricStats;
-use crate::wake::{InFlight, ProgressClock};
+use crate::wake::ProgressClock;
 
 /// Frame kinds some layer of the stack consumes, cross-referenced by the
 /// `ttg-check` protocol analysis against the transport's
@@ -59,8 +61,7 @@ pub struct Fabric {
     n: usize,
     links: Links,
     /// Present only in a multi-process rank, where the barrier and
-    /// termination detection are message protocols and traffic is
-    /// accounted on the receiving side.
+    /// termination detection are message protocols.
     control: Option<ControlPlane>,
     /// Present only under a [`FaultPlan`] with every rank in this process
     /// (a multi-process rank takes its kill script from a plan and nothing
@@ -70,9 +71,10 @@ pub struct Fabric {
     barrier: Barrier,
     telemetry: Arc<Registry>,
     stats: FabricStats,
-    /// Packets in flight; its settlements signal the execution's event
-    /// count, which the termination waits park on.
-    in_flight: InFlight,
+    /// The in-flight ledger: per-link issued/settled counts. The settle
+    /// that balances it signals the execution's event count, which the
+    /// termination waits park on.
+    ledger: Ledger,
     /// Structured comm failures (drained into execution reports).
     errors: Mutex<Vec<CommError>>,
     /// Set by `shutdown_all`: late transport errors are teardown noise, and
@@ -141,6 +143,7 @@ impl Fabric {
             }
         };
         let links = Links::build(n, spec, &telemetry).map_err(|e| transport_err(e.to_string()))?;
+        let control_rank = control.as_ref().map(|cp| cp.me);
         let fabric = Arc::new(Fabric {
             n,
             links,
@@ -150,7 +153,7 @@ impl Fabric {
             barrier: Barrier::new(n),
             stats: FabricStats::register(&telemetry, n),
             telemetry,
-            in_flight: InFlight::new(events),
+            ledger: Ledger::new(n, control_rank, events),
             errors: Mutex::new(Vec::new()),
             stopping: AtomicBool::new(false),
         });
@@ -192,12 +195,13 @@ impl Fabric {
         &self.telemetry
     }
 
-    /// The execution's event count: signalled when the in-flight count
-    /// reaches zero, when an error is recorded, and — in a multi-process
-    /// rank — by the termination frames. Termination waits park on it, and
-    /// so does the executor's activity counter's zero crossing.
+    /// The execution's event count: signalled when the in-flight ledger
+    /// balances, when an error is recorded, when a kill script fires, and —
+    /// in a multi-process rank — by the termination frames. Termination
+    /// waits park on it, and so does the executor's activity counter's zero
+    /// crossing.
     pub fn events(&self) -> &Arc<EventCount> {
-        self.in_flight.events()
+        self.ledger.events()
     }
 
     /// Record a structured communication failure.
@@ -255,27 +259,24 @@ impl Fabric {
             self.stats.am_count.inc();
             self.stats.am_bytes.add(bytes);
             self.stats.tx_bytes[from].add(bytes);
-            cp.am_sent();
-            // No local in-flight bump: the receiving process accounts
-            // for the packet when its dispatch enqueues it.
+            // Issued before the send, so the receiver can never have
+            // processed a message its sender has not counted.
+            let li = self.ledger.issue(from, to);
             return self
                 .phys_deliver(from, to, handler, 0, payload)
-                .inspect_err(|_| cp.am_unsent());
+                .inspect_err(|_| self.settle(li, None));
         }
         if let Some(cs) = self.chaos.as_ref().filter(|cs| cs.carries(from, to)) {
             self.stats.count_am(from, to, bytes);
             cs.send(&self.chaos_port(), from, to, handler, payload);
             return Ok(());
         }
-        // Count the packet in flight *before* it is enqueued: once the
-        // channel has it, the receiver may process and retire it at any
-        // moment, and a late increment would let the in-flight gauge dip
-        // through zero — briefly convincing the termination detector the
-        // fabric is drained while a delivery is still being handled.
-        self.in_flight.take(1);
+        // Issue the packet *before* it is enqueued: once the channel has
+        // it, the receiver may process and settle it at any moment.
+        let li = self.ledger.issue(from, to);
         self.phys_deliver(from, to, handler, 0, payload)
             .inspect(|()| self.stats.count_am(from, to, bytes))
-            .inspect_err(|_| self.in_flight.settle(1))
+            .inspect_err(|_| self.settle(li, None))
     }
 
     /// Hand one physical packet to the wire. Loopback (`from == to`),
@@ -374,20 +375,17 @@ impl Fabric {
                 seq,
                 payload,
             } => {
-                // Between processes the receiver accounts for the packet
-                // (the sender cannot see this process's counters); within
-                // one process the sender already did, before the send. The
-                // slot comes before the count: a reception counted while
-                // its packet holds no slot reads as an idle rank with
-                // balanced totals (`ttg-model`'s `term_probe`).
-                if let Some(cp) = &self.control {
-                    self.in_flight.take(1);
-                    cp.am_arrived();
+                // Between processes this ledger issues the frame as it comes
+                // off the wire; within one process the sender issued it.
+                // It settles when processed (`ttg-model`'s `term_probe`).
+                let arrived = self.control.as_ref().map(|cp| {
+                    cp.frame_arrived();
                     self.stats.rx_bytes[to].add(payload.len() as u64);
-                }
+                    self.ledger.issue(from as usize, to)
+                });
                 let queued = self.enqueue(from as usize, to, handler, seq, payload);
-                if queued.is_err() && self.control.is_some() {
-                    self.in_flight.settle(1);
+                if let (Err(_), Some(li)) = (queued, arrived) {
+                    self.settle(li, None);
                 }
             }
             Frame::AckRange { ranges, .. } => {
@@ -455,15 +453,22 @@ impl Fabric {
         ChaosPort {
             wire: self,
             stats: &self.stats,
-            in_flight: &self.in_flight,
+            ledger: &self.ledger,
             errors: &self.errors,
         }
     }
 
+    /// Settle one message on ledger row `li`, recording a settle the row
+    /// cannot take.
+    fn settle(&self, li: usize, epoch: Option<u64>) {
+        self.chaos_port().settle(li, epoch);
+    }
+
     /// Receive-side classification of a sequenced packet: `true` means the
-    /// packet is a fresh logical delivery and must be processed; `false`
-    /// means it is a duplicate (or addressed to a dead rank) and must be
-    /// discarded without counting as a logical receive.
+    /// packet is a fresh logical delivery and must be processed — then
+    /// reported with [`packet_processed`](Self::packet_processed) on the
+    /// same thread; `false` means it is a duplicate (or addressed to a dead
+    /// rank) and must be discarded without counting as a logical receive.
     pub fn rx_accept(&self, to: Rank, from: Rank, seq: u64) -> bool {
         self.rx_accept_am(to, from, seq, 0, &[])
     }
@@ -480,8 +485,14 @@ impl Fabric {
         handler: u32,
         payload: &[u8],
     ) -> bool {
-        let Some(cs) = &self.chaos else { return true };
-        cs.rx_accept_am(&self.chaos_port(), to, from, seq, handler, payload)
+        let li = self.ledger.link(from, to);
+        let accepted = match &self.chaos {
+            Some(cs) => cs.rx_accept_am(&self.chaos_port(), to, from, seq, handler, payload),
+            None => Some(self.ledger.epoch(li)),
+        };
+        let Some(epoch) = accepted else { return false };
+        ACCEPTED.set(Some((self as *const Fabric as usize, li, epoch)));
+        true
     }
 
     /// One pass of the reliability progress engine: release due delayed
@@ -494,22 +505,37 @@ impl Fabric {
         }
     }
 
-    /// Mark a previously sent packet as fully processed (used by the
-    /// termination detector to know when the fabric has drained).
+    /// Report the packet this thread last accepted
+    /// ([`rx_accept`](Self::rx_accept)) as fully processed: it settles on
+    /// its link, which the termination detector reads. A call with no
+    /// accepted packet behind it is a TTG048.
     pub fn packet_processed(&self) {
-        self.in_flight.settle(1);
+        match ACCEPTED.take() {
+            Some((id, li, epoch)) if id == self as *const Fabric as usize => {
+                self.settle(li, Some(epoch))
+            }
+            _ => self.record_error(CommError::new(
+                CommErrorKind::RecoveryFailed,
+                "ledger: a packet reported processed that this thread never accepted",
+            )),
+        }
     }
 
-    /// Number of packets sent but not yet fully processed.
+    /// Number of packets issued but not yet settled (processed).
     pub fn packets_in_flight(&self) -> usize {
-        self.in_flight.get()
+        self.ledger.in_flight() as usize
     }
 
     /// What this process is waiting on, for a deadline-miss record: the
-    /// packets in flight and, under a fault plan, the reliable layer's
-    /// unacked entries and pending ack batches per link.
+    /// packets in flight with issued − settled per link and, under a fault
+    /// plan, the reliable layer's unacked entries and pending ack batches
+    /// per link.
     pub fn describe_wait(&self) -> String {
-        let in_flight = format!("{} packets in flight", self.packets_in_flight());
+        let in_flight = format!(
+            "{} packets in flight; issued−settled by link: {}",
+            self.packets_in_flight(),
+            self.ledger.describe()
+        );
         match &self.chaos {
             Some(cs) => format!("{in_flight}; {}", cs.describe_pending()),
             None => in_flight,
@@ -643,8 +669,8 @@ impl ControlPort for Fabric {
         let _ = self.link_sent(from, to, None, link.send(frame));
     }
 
-    fn in_flight(&self) -> usize {
-        self.packets_in_flight()
+    fn ledger(&self) -> &Ledger {
+        &self.ledger
     }
 }
 
@@ -656,6 +682,13 @@ impl Drop for Fabric {
             cs.clock.poke();
         }
     }
+}
+
+thread_local! {
+    /// The packet this thread accepted and has not yet reported processed:
+    /// (ledger, row, statement epoch). Acceptance and processing happen on
+    /// the receiving thread, one packet at a time.
+    static ACCEPTED: Cell<Option<(usize, usize, u64)>> = const { Cell::new(None) };
 }
 
 /// Body of the reliability progress thread: runs a pass of the
@@ -715,6 +748,7 @@ mod tests {
                 }
                 other => panic!("{spec:?}: unexpected packet {other:?}"),
             }
+            assert!(fabric.rx_accept(1, 0, 0));
             fabric.packet_processed();
             assert_eq!(fabric.packets_in_flight(), 0);
             let s = fabric.stats().snapshot();

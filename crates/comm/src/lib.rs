@@ -16,8 +16,8 @@
 //!   (the link layer as data), [`chaos`] over [`reliable`] (the reliable
 //!   layer a [`FaultPlan`] installs), [`recover`] (checkpoint/restore),
 //!   [`control`] (a multi-process rank's barrier and termination),
-//!   [`rma`] (one-sided regions), [`stats`], [`error`], [`wake`] (the
-//!   in-flight count and the progress thread's schedule);
+//!   [`rma`] (one-sided regions), [`stats`], [`error`], [`ledger`] (the
+//!   in-flight ledger), [`wake`] (the progress thread's schedule);
 //! * [`fault`] — seeded, deterministic fault injection ([`FaultPlan`]):
 //!   per-link drop/duplicate/reorder/delay probabilities and scripted rank
 //!   deaths, parseable from a `--faults seed=K,drop=p` CLI spec.
@@ -33,6 +33,7 @@ pub mod control;
 pub mod error;
 pub mod fabric;
 pub mod fault;
+pub mod ledger;
 pub mod links;
 pub mod lockdoc;
 pub mod recover;

@@ -10,22 +10,25 @@
 //! before consulting any window. Classification may flush, and only after
 //! its locks are released.
 //!
-//! The two event counts of `wake` — the execution's (`wake.events`) and
-//! the progress thread's (`wake.clock`) — take their lock only to bump an
-//! epoch, holding nothing inside it, so taking one under another lock
-//! cannot close a cycle. Arming the progress clock happens with no chaos
-//! lock held; settling an in-flight slot (which may signal the execution's
-//! event count) stays where the ledger arithmetic always was, some of it
-//! under the classification locks.
+//! The two event counts — the execution's (`ledger.events`, signalled by
+//! the in-flight ledger and the error sink) and the progress thread's
+//! (`wake.clock`) — take their lock only to bump an epoch, holding nothing
+//! inside it, so taking one under another lock cannot close a cycle.
+//! Arming the progress clock happens with no chaos lock held. The ledger's
+//! counts are atomics; two settles happen under chaos locks so that a
+//! restore's re-statement cannot race them: a content-log consumption
+//! under the classification guard, a window claim under the window lock
+//! (which records its TTG040 there too).
 //!
 //! Under a recovery-enabled plan there is one deliberate hierarchy:
 //! `rx_accept_am` holds the destination rank's `chaos.link_inc` guard
 //! across its whole classification — window, content log, the delivered
 //! mark on the sender's link entry, the ack note — and `restore_rank`'s
 //! per-receiver surgery takes the same guard first, so a packet is
-//! classified entirely before or entirely after the cut. Nothing takes
-//! `link_inc` while holding one of the four classes under it, so the
-//! relation stays acyclic.
+//! classified entirely before or entirely after the cut; the surgery then
+//! empties the receiver's pending ack batch and installs the restored
+//! link state under the batch lock. Nothing takes `link_inc` while holding
+//! one of the four classes under it, so the relation stays acyclic.
 //!
 //! These tables are the machine-checkable record of that discipline. If a
 //! future change nests locks, it must add the `(outer, inner)` pair here —
@@ -51,7 +54,7 @@ pub const LOCK_CLASSES: &[&str] = &[
     "control.barrier_released",
     "control.term",
     "control.idle_probe",
-    "wake.events",
+    "ledger.events",
     "wake.clock",
 ];
 
@@ -62,9 +65,9 @@ pub const LOCK_CLASSES: &[&str] = &[
 /// `observe_local`, which locks `idle_probe`); `flush_acks`, above. The
 /// `link_inc` edges are the recovery hierarchy described in the module
 /// header (`rx_accept_am` takes all four under it; `restore_rank` takes
-/// `windows` and `links`). The `wake.events` edges are slot settlements
-/// that reach zero inside classification (`rx_accept_am`) or the
-/// restore's retirement scan.
+/// `windows`, `content_logs`, and `pending_acks` then `links`). The
+/// `ledger.events` and `fabric.errors` edges are the settles made under
+/// chaos locks: a consumption inside classification, a window claim.
 pub const LOCK_ORDER: &[(&str, &str)] = &[
     ("control.term", "control.idle_probe"),
     ("chaos.pending_acks", "chaos.links"),
@@ -72,9 +75,10 @@ pub const LOCK_ORDER: &[(&str, &str)] = &[
     ("chaos.link_inc", "chaos.content_logs"),
     ("chaos.link_inc", "chaos.links"),
     ("chaos.link_inc", "chaos.pending_acks"),
-    ("chaos.link_inc", "wake.events"),
-    ("chaos.content_logs", "wake.events"),
-    ("chaos.links", "wake.events"),
+    ("chaos.link_inc", "ledger.events"),
+    ("chaos.link_inc", "fabric.errors"),
+    ("chaos.windows", "ledger.events"),
+    ("chaos.windows", "fabric.errors"),
 ];
 
 /// Striped classes (one instance per rank or per directed link) and

@@ -3,8 +3,9 @@
 //! and of a restore over the reliable layer's [`ChaosState`].
 //!
 //! The executor periodically exports each rank's recovery state — matching
-//! tables, dedup windows, seq counters, and in-flight messages — as one
-//! opaque byte blob per rank and hands it to a [`SnapshotSink`]. On rank
+//! tables, dedup windows, the settled counts of its inbound ledger rows,
+//! seq counters, and in-flight messages — as one opaque byte blob per rank
+//! and hands it to a [`SnapshotSink`]. On rank
 //! death it loads the last stored blob and restores from it; a rank with
 //! no stored snapshot restores to empty state, which is also correct (the
 //! sender-side replay logs cover the run from message one — pure
@@ -23,7 +24,7 @@ use crate::buf::{ReadBuf, WireError, WriteBuf};
 use crate::chaos::{ChaosPort, ChaosState};
 use crate::error::{CommError, CommErrorKind};
 use crate::links::Rank;
-use crate::reliable::{pack_seq, ContentLog, LinkTx, SeqWindow, REPLAY_BIT};
+use crate::reliable::{pack_seq, ContentLog, LinkTx, SeqWindow};
 
 /// Where per-rank recovery snapshots live. `store` fully replaces the
 /// previous snapshot for the rank; `load` returns the latest stored blob.
@@ -89,17 +90,20 @@ impl Recovery<'_> {
     }
 
     /// Export rank `r`'s comm-layer recovery state: incoming dedup
-    /// windows, packet counter, content logs, and outgoing link state
-    /// (seq counters + in-flight payloads). Called on `r`'s comm thread
-    /// between deliveries, with `r`'s worker pool idle — that pair of
-    /// conditions is the consistent cut (DESIGN §13).
+    /// windows with the settled counts of the ledger rows they guard,
+    /// packet counter, content logs, and outgoing link state (seq counters
+    /// and in-flight payloads). Called on `r`'s comm thread between
+    /// deliveries, with `r`'s worker pool idle — that pair of conditions is
+    /// the consistent cut (DESIGN §13).
     pub fn export_rank(&self, r: Rank, b: &mut WriteBuf) {
         let cs = self.cs;
         {
+            // Under the window lock: a window claim settles under it too.
             let windows = cs.windows[r].lock();
             b.put_u64(windows.len() as u64);
-            for w in windows.iter() {
+            for (row, w) in windows.iter().enumerate() {
                 w.export(b);
+                b.put_u64(self.port.ledger.settled(row * cs.n + r));
             }
         }
         b.put_u64(cs.rx_packets[r].load(Ordering::SeqCst));
@@ -145,25 +149,34 @@ impl Recovery<'_> {
 
     /// Restore rank `r`'s comm-layer state from a snapshot section
     /// (`None` = restore to empty: valid, because the sender-side replay
-    /// logs cover the run from its first message), bump the rank's send
-    /// incarnation, clear its killed flag, and replay every logged
-    /// message toward it. The caller must have restored the rank's
-    /// matching tables first and verified its worker pool is idle.
+    /// logs cover the run from its first message), re-state its ledger
+    /// rows, bump the rank's send incarnation, clear its killed flag, and
+    /// replay every logged message toward it. The caller must have
+    /// restored the rank's matching tables first and verified its worker
+    /// pool is idle.
     pub fn restore_rank(&self, r: Rank, section: Option<&[u8]>) -> Result<(), WireError> {
         let (cs, port) = (self.cs, &self.port);
-        let n = cs.n;
+        let (n, ledger) = (cs.n, port.ledger);
         let now = Instant::now();
         // Decode the snapshot (or synthesize empty state).
         let mut windows: Vec<SeqWindow> = vec![SeqWindow::new(); n + 1];
+        let mut settled = vec![0u64; n + 1];
         let mut rx_packets = 0u64;
         let mut logs: Vec<ContentLog> = (0..n + 1).map(|_| ContentLog::new()).collect();
         let mut out_links: Vec<LinkTx> = (0..n).map(|_| LinkTx::default()).collect();
         if let Some(bytes) = section {
             let mut rd = ReadBuf::new(bytes);
             let nw = rd.get_u64()? as usize;
-            windows = (0..nw)
-                .map(|_| SeqWindow::import(&mut rd))
-                .collect::<Result<_, _>>()?;
+            if nw != n + 1 {
+                return Err(WireError::new(format!(
+                    "snapshot holds {nw} receive rows, the fabric {}",
+                    n + 1
+                )));
+            }
+            for row in 0..nw {
+                windows[row] = SeqWindow::import(&mut rd)?;
+                settled[row] = rd.get_u64()?;
+            }
             rx_packets = rd.get_u64()?;
             let nl = rd.get_u64()? as usize;
             logs = (0..nl)
@@ -174,149 +187,89 @@ impl Recovery<'_> {
                 .map(|_| LinkTx::import(&mut rd, now))
                 .collect::<Result<_, _>>()?;
         }
-        // New incarnation for the restored rank's outgoing rows. Every
-        // receiver's row for `r` is reset and moved to content-consult
-        // mode *here*, atomically with the in-flight retirement scan:
-        // the per-receiver step takes the same locks, in the same order,
-        // as `rx_accept_am` (`link_inc[t]` → `windows[t]` → `links`), so
-        // a message toward `t` classifies either entirely before or
-        // entirely after the surgery — never half-way.
+        // New incarnation for `r`'s outgoing rows; each receiver's row for
+        // `r` is reset under its classification guard (and the window lock
+        // a claim settles under), so a message classifies entirely before
+        // or after the surgery. The acks `t` owes the dead incarnation go
+        // under the batch lock a flush holds until it retires: an old ack
+        // must not retire a restored entry that reuses its seq.
         let new_inc = cs.incarnations[r].fetch_add(1, Ordering::SeqCst) + 1;
         let row_r = cs.link_row(r);
-        // Ledger rule: a live logical send holds exactly one `in_flight`
-        // increment, retired exactly once — by `packet_processed`, by a
-        // content-dedup consume, by retry exhaustion, or here: any entry
-        // of the pre-crash `LinkTx` that is neither delivered (those
-        // settle through the receiver/ack path) nor replayed (restored
-        // entries were already retired by the scan that stranded them)
-        // is discarded with the dead link, so its increment is refunded
-        // now. Replay-marked copies are outside the ledger entirely
-        // (their accept pre-pays the decrement), so no compensation
-        // arithmetic is needed.
-        let mut retired = 0u64;
+        let mut loop_fresh = 0;
         let mut out_links = out_links.into_iter();
         for t in 0..n {
             let restored = out_links.next().unwrap_or_default();
-            if t == r {
-                // Loopback: sender and receiver state are restored from
-                // the *same snapshot instant*, so the restored window
-                // dedups the restored link's retransmits exactly. The
-                // live pre-crash entries are discarded with the dead
-                // link (undelivered ones retired, like the cross-rank
-                // rows), and the rank's own row incarnation is bumped
-                // *without* resetting the window — the snapshot window
-                // is installed right below — so leftover pre-kill copies
-                // in this rank's own channel backlog classify stale and
-                // drop, while replayed and re-executed copies under the
-                // new incarnation classify Equal against snapshot state.
-                // The live raw-seq counter is kept: re-executed sends
-                // continue the raw space, so they can never collide with
-                // replayed old raws whose acks are still arriving.
-                let mut incs = cs.link_inc[r].lock();
-                if incs[row_r] < new_inc {
-                    incs[row_r] = new_inc;
-                }
-                let mut link = cs.links[cs.link_idx(r, r)].lock();
-                retired += link
-                    .unacked
-                    .values()
-                    .filter(|e| !e.delivered && !e.replayed)
-                    .count() as u64;
-                let live_next = link.next_seq;
-                *link = restored;
-                link.next_seq = link.next_seq.max(live_next);
-                continue;
-            }
+            let li = cs.link_idx(r, t);
             let mut incs = cs.link_inc[t].lock();
-            if incs[row_r] < new_inc {
-                incs[row_r] = new_inc;
-                cs.windows[t].lock()[row_r] = SeqWindow::new();
+            incs[row_r] = incs[row_r].max(new_inc);
+            if t == r {
+                // Loopback: both ends come back from the same instant; its
+                // row is re-stated with the inbound ones, and what settles
+                // on it from here is the restored entries not yet seen.
+                let mut seen = windows[row_r].clone();
+                let fresh = restored.unacked.keys().filter(|&&seq| seen.accept(seq));
+                loop_fresh = fresh.count() as u64;
+            } else {
+                {
+                    // The dead incarnation ends at what `t` settled (what it
+                    // accepted and has not processed settles nothing); the
+                    // restored entries are the new one's first sends.
+                    let mut w = cs.windows[t].lock();
+                    w[row_r] = SeqWindow::new();
+                    let done = ledger.settled(li);
+                    ledger.restate(li, Some(done + restored.unacked.len() as u64), done);
+                }
+                cs.content_logs[t].lock()[row_r].new_incarnation();
             }
-            let mut link = cs.links[cs.link_idx(r, t)].lock();
-            retired += link
-                .unacked
-                .values()
-                .filter(|e| !e.delivered && !e.replayed)
-                .count() as u64;
-            *link = restored;
+            let mut owed = cs.pending_acks[li].lock();
+            let _ = owed.take();
+            *cs.links[li].lock() = restored;
         }
-        port.in_flight.settle(retired as usize);
-        // Install the restored receive-side state.
-        *cs.windows[r].lock() = windows;
+        {
+            // Rows into `r` take the snapshot's settled counts.
+            let mut w = cs.windows[r].lock();
+            for (row, &done) in settled.iter().enumerate() {
+                let issued = (row == row_r).then_some(done + loop_fresh);
+                ledger.restate(row * n + r, issued, done);
+            }
+            *w = windows;
+        }
         cs.rx_packets[r].store(rx_packets, Ordering::SeqCst);
         *cs.content_logs[r].lock() = logs;
-        // Drop stale batched acks the dead incarnation owed or was owed.
-        for t in 0..n {
-            let _ = cs.pending_acks[cs.link_idx(t, r)].lock().take();
-            let _ = cs.pending_acks[cs.link_idx(r, t)].lock().take();
-        }
         port.stats.restores.inc();
-        // Replay while `killed[r]` is still latched: replay-marked
-        // copies bypass the killed gate and fault injection, while any
-        // concurrent live send toward `r` still drops at the gate. With
-        // FIFO channel delivery this orders every replayed copy ahead
-        // of the first post-restore send toward `r`. The restored
-        // window dedups pre-snapshot seqs; the content log dedups
-        // re-executed duplicates.
+        // The rank rejoins, then its peers' and the sentinel's logged sends
+        // are replayed: the restored window dedups what the snapshot saw.
+        // (Its loopback it re-sends: restored entries, re-executed tasks.)
+        cs.killed[r].store(false, Ordering::SeqCst);
         let mut replayed = 0u64;
-        for source_row in 0..=n {
+        for source_row in (0..=n).filter(|&row| row != row_r) {
             let li = source_row * n + r;
             let from = cs.row_sender(source_row);
-            // Collect the log *before* scanning the live link below:
-            // `send` inserts the unacked entry before pushing the log,
-            // so any logged-but-unscanned send is also unmarked-and-live
-            // and settles through its own retransmit path — there is no
-            // interleaving where a send is both replayed here and left
-            // holding its in-flight slot.
             let entries: Vec<(u64, u64, u32, Arc<Vec<u8>>)> = cs.replay_log[li]
                 .lock()
                 .iter()
                 .map(|e| (e.inc, e.seq, e.handler, Arc::clone(&e.payload)))
                 .collect();
-            if source_row != r {
-                // Peer (and sentinel-seed) sends toward `r` that never
-                // reached it: the replay just collected re-drives their
-                // content, so retire each one's in-flight slot and mark
-                // the entry replayed — its future retransmits carry the
-                // replay marker, window-dedup against the copy delivered
-                // below, and a later restore scan skips it.
-                let mut link = cs.links[li].lock();
-                for e in link.unacked.values_mut() {
-                    if !e.delivered && !e.replayed {
-                        e.replayed = true;
-                        retired += 1;
-                        port.in_flight.settle(1);
-                    }
-                }
-            }
             for (inc, seq, handler, payload) in entries {
-                // Diagonal replays are re-packed under the rank's new
-                // incarnation: surgery bumped the rank's own row, so a
-                // copy under the logged (pre-crash) incarnation would be
-                // stale-dropped on arrival.
-                let inc = if source_row == r { new_inc } else { inc };
-                let seq = pack_seq(inc, seq) | REPLAY_BIT;
-                cs.transmit_packed(port, from, r, handler, seq, &payload, 0);
+                // A replayed copy has no retransmit entry behind it, so no
+                // fault is injected into it. It carries the incarnation its
+                // original carried (the sender's may have risen since).
+                let _ = port
+                    .wire
+                    .deliver(from, r, handler, pack_seq(inc, seq), &payload);
                 replayed += 1;
             }
         }
         port.stats.replayed_sends.add(replayed);
         port.stats.recoveries.inc();
-        // Only now does the rank rejoin the live fabric. Its links thaw,
-        // and the restored entries are due at once: the scan runs now.
-        cs.killed[r].store(false, Ordering::SeqCst);
+        // The restored entries are due at once: the scan runs now.
         cs.clock.arm_retransmit(Instant::now());
         cs.recovery_log.lock().push(
             CommError::new(
                 CommErrorKind::RankRecovered,
                 format!(
-                    "restored from {} snapshot, replayed {replayed} logged sends, \
-                     retired {retired} undelivered pre-crash sends",
-                    if section.is_some() {
-                        "last"
-                    } else {
-                        "no (empty)"
-                    },
+                    "restored from {} snapshot, replayed {replayed} logged sends",
+                    section.map_or("no (empty)", |_| "last"),
                 ),
             )
             .link(None, r),

@@ -9,7 +9,7 @@
 //! duplicate, a spurious retransmit, a reordered stray — is a *duplicate*
 //! and is dropped before it can double-fire a task. Exactly-once **logical**
 //! delivery therefore holds no matter what the physical layer does, and
-//! termination detection (the fabric's in-flight counter) counts logical
+//! termination detection (the fabric's in-flight ledger) counts logical
 //! messages only.
 //!
 //! A packet reordered so far that it falls behind the window is treated as
@@ -45,15 +45,7 @@ use crate::fault::RetryPolicy;
 pub const INC_BITS: u32 = 8;
 const INC_SHIFT: u32 = 64 - INC_BITS;
 
-/// Wire-seq flag marking a *replayed* transmission: a copy re-driven by
-/// recovery (the restore-time replay sweep, or a retransmission of an
-/// entry that came back with a restored `LinkTx`). Replayed copies bypass
-/// the killed-rank drop during a restore and are accounted differently
-/// from live sends: their logical send was already retired, so a
-/// delivered replay pre-pays its own `packet_processed` and a discarded
-/// one touches nothing.
-pub const REPLAY_BIT: u64 = 1 << (INC_SHIFT - 1);
-const SEQ_MASK: u64 = REPLAY_BIT - 1;
+const SEQ_MASK: u64 = (1 << INC_SHIFT) - 1;
 
 /// Pack a sender incarnation into the high bits of a raw sequence number.
 #[inline]
@@ -62,17 +54,10 @@ pub fn pack_seq(incarnation: u64, raw: u64) -> u64 {
     (incarnation << INC_SHIFT) | (raw & SEQ_MASK)
 }
 
-/// Split a wire sequence number into (incarnation, raw seq). The replay
-/// flag is stripped from the raw half; test it with [`is_replay`].
+/// Split a wire sequence number into (incarnation, raw seq).
 #[inline]
 pub fn unpack_seq(wire: u64) -> (u64, u64) {
     (wire >> INC_SHIFT, wire & SEQ_MASK)
-}
-
-/// Whether a wire seq carries the replay marker.
-#[inline]
-pub fn is_replay(wire: u64) -> bool {
-    wire & REPLAY_BIT != 0
 }
 
 /// Sequence numbers tracked per window: packets more than `WINDOW` behind
@@ -193,10 +178,6 @@ pub struct Unacked {
     /// delivered flag is ground truth: an exhausted entry that was
     /// delivered is dropped silently instead of reported lost.
     pub delivered: bool,
-    /// Entry came back with a restored `LinkTx`: its transmissions carry
-    /// [`REPLAY_BIT`] and its logical send is no longer on the in-flight
-    /// ledger (the restore scan retired it).
-    pub replayed: bool,
 }
 
 /// Sender-side state of one directed link.
@@ -285,7 +266,6 @@ impl LinkTx {
                     attempts: 0,
                     next_retry: now,
                     delivered,
-                    replayed: true,
                 },
             );
         }
@@ -323,18 +303,22 @@ pub fn content_key(handler: u32, parts: &[&[u8]]) -> u128 {
     ((h1 as u128) << 64) | h2 as u128
 }
 
-/// Multiset of content hashes of messages delivered on one incoming link.
+/// Content hashes of messages delivered on one incoming link.
 ///
 /// After a sender restarts, re-executed tasks may pair old payloads with
 /// new sequence numbers in a different order than the original run, so
-/// seq identity alone cannot dedup the replay. The receiver instead
-/// consults this log: a replayed message whose content was already
-/// delivered is consumed (acked and dropped), anything genuinely new goes
-/// through. Multiset semantics keep intentionally-repeated identical
-/// messages correct: each delivery banks one token, each replay spends one.
+/// seq identity alone cannot dedup the re-sends. The receiver instead keeps
+/// per content key how many copies it delivered and how many the sender's
+/// current incarnation has sent: a copy beyond what this incarnation has
+/// accounted for, but not beyond what was delivered, is a re-send of
+/// something already delivered — consumed (acked and dropped). Identical
+/// messages sent on purpose stay correct: each delivery counts one, each
+/// re-send accounts for one. A new incarnation starts accounting afresh,
+/// so a sender restored twice re-sends against the same deliveries.
 #[derive(Debug, Default)]
 pub struct ContentLog {
-    seen: HashMap<u128, u32>,
+    /// Per key: (copies delivered, copies the current incarnation sent).
+    seen: HashMap<u128, (u32, u32)>,
 }
 
 impl ContentLog {
@@ -343,45 +327,45 @@ impl ContentLog {
         Self::default()
     }
 
-    /// Bank one delivery of `key`.
-    pub fn record(&mut self, key: u128) {
-        *self.seen.entry(key).or_insert(0) += 1;
+    /// A window-fresh copy of `key` arrived: `true` to deliver it, `false`
+    /// when it re-sends an earlier incarnation's delivery (consume it).
+    pub fn note(&mut self, key: u128) -> bool {
+        let (delivered, sent) = self.seen.entry(key).or_insert((0, 0));
+        *sent += 1;
+        if *sent <= *delivered {
+            return false;
+        }
+        *delivered += 1;
+        true
     }
 
-    /// Spend one prior delivery of `key` if any is banked; returns `true`
-    /// when the message is a replay duplicate (drop it).
-    pub fn consume(&mut self, key: u128) -> bool {
-        match self.seen.get_mut(&key) {
-            Some(n) => {
-                *n -= 1;
-                if *n == 0 {
-                    self.seen.remove(&key);
-                }
-                true
-            }
-            None => false,
+    /// The sender restarted: its re-sends account from zero again.
+    pub fn new_incarnation(&mut self) {
+        for (_, sent) in self.seen.values_mut() {
+            *sent = 0;
         }
     }
 
-    /// Serialize the multiset for a snapshot.
+    /// Serialize the log for a snapshot.
     pub fn export(&self, b: &mut WriteBuf) {
         b.put_u64(self.seen.len() as u64);
-        for (k, n) in &self.seen {
+        for (k, &(delivered, sent)) in &self.seen {
             b.put_u64((*k >> 64) as u64);
             b.put_u64(*k as u64);
-            b.put_u32(*n);
+            b.put_u32(delivered);
+            b.put_u32(sent);
         }
     }
 
-    /// Restore a multiset written by [`ContentLog::export`].
+    /// Restore a log written by [`ContentLog::export`].
     pub fn import(r: &mut ReadBuf<'_>) -> Result<ContentLog, WireError> {
         let n = r.get_u64()? as usize;
-        let mut seen = HashMap::with_capacity(n);
+        let mut seen = HashMap::with_capacity(n.min(r.remaining() / 24));
         for _ in 0..n {
             let hi = r.get_u64()?;
             let lo = r.get_u64()?;
-            let count = r.get_u32()?;
-            seen.insert(((hi as u128) << 64) | lo as u128, count);
+            let counts = (r.get_u32()?, r.get_u32()?);
+            seen.insert(((hi as u128) << 64) | lo as u128, counts);
         }
         Ok(ContentLog { seen })
     }
@@ -775,7 +759,6 @@ mod tests {
                     attempts: 5,
                     next_retry: now + Duration::from_secs(100),
                     delivered: seq == 2,
-                    replayed: false,
                 },
             );
         }
@@ -797,14 +780,17 @@ mod tests {
     }
 
     #[test]
-    fn content_log_multiset_semantics() {
+    fn content_log_consumes_re_sends_of_each_incarnation() {
         let mut log = ContentLog::new();
         let k = content_key(3, &[b"hello", b"world"]);
-        log.record(k);
-        log.record(k);
-        assert!(log.consume(k));
-        assert!(log.consume(k));
-        assert!(!log.consume(k), "consumed more deliveries than banked");
+        assert!(log.note(k) && log.note(k), "identical sends on purpose");
+        for delivered in [2, 3] {
+            log.new_incarnation();
+            for _ in 0..delivered {
+                assert!(!log.note(k), "a re-send of an earlier delivery");
+            }
+            assert!(log.note(k), "one copy more is new");
+        }
         let other = content_key(3, &[b"helloworld"]);
         assert_ne!(k, other, "part boundaries must be part of the identity");
     }
@@ -812,18 +798,18 @@ mod tests {
     #[test]
     fn content_log_export_import_roundtrip() {
         let mut log = ContentLog::new();
-        let a = content_key(1, &[b"a"]);
-        let b_key = content_key(2, &[b"b"]);
-        log.record(a);
-        log.record(a);
-        log.record(b_key);
+        let (a, b_key) = (content_key(1, &[b"a"]), content_key(2, &[b"b"]));
+        log.note(a);
+        log.note(a);
+        log.note(b_key);
+        log.new_incarnation();
+        log.note(a);
         let mut b = WriteBuf::new();
         log.export(&mut b);
         let mut got = ContentLog::import(&mut ReadBuf::new(b.as_slice())).unwrap();
-        assert!(got.consume(a));
-        assert!(got.consume(a));
-        assert!(!got.consume(a));
-        assert!(got.consume(b_key));
+        assert!(!got.note(a), "one of a's two deliveries left to re-send");
+        assert!(got.note(a));
+        assert!(!got.note(b_key));
     }
 
     #[test]

@@ -1,57 +1,15 @@
 //! The comm layer's share of the wake discipline (DESIGN §5): nothing here
-//! sleeps on a tick.
+//! sleeps on a tick. (The termination waits park on the execution's event
+//! count, which the in-flight ledger signals: `crate::ledger`.)
 //!
-//! * [`InFlight`] — the in-flight packet count. Every settlement goes
-//!   through [`InFlight::settle`], which signals the execution's event
-//!   count when the count reaches zero, so a termination wait parks on the
-//!   event instead of polling the count.
-//! * [`ProgressClock`] — the schedule of the reliable layer's progress
-//!   thread: it parks until the earliest instant `progress()` could act,
-//!   and a site that arms an earlier deadline wakes it. Waking early is
-//!   harmless; waking late is a bug, so every deadline published here is a
-//!   lower bound.
+//! [`ProgressClock`] is the schedule of the reliable layer's progress
+//! thread: it parks until the earliest instant `progress()` could act, and
+//! a site that arms an earlier deadline wakes it. Waking early is harmless;
+//! waking late is a bug, so every deadline published here is a lower
+//! bound.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
-use ttg_model::sync::{AtomicU64, AtomicUsize, EventCount, Ordering};
-
-/// Packets sent (between processes: accepted) and not yet fully
-/// processed — the fabric's input to termination detection.
-pub(crate) struct InFlight {
-    count: AtomicUsize,
-    events: Arc<EventCount>,
-}
-
-impl InFlight {
-    pub(crate) fn new(events: Arc<EventCount>) -> InFlight {
-        InFlight {
-            count: AtomicUsize::new(0),
-            events,
-        }
-    }
-
-    /// Take `n` slots.
-    pub(crate) fn take(&self, n: usize) {
-        self.count.fetch_add(n, Ordering::SeqCst);
-    }
-
-    /// Give `n` slots back; the settlement that reaches zero signals the
-    /// execution's event count.
-    pub(crate) fn settle(&self, n: usize) {
-        if self.count.fetch_sub(n, Ordering::SeqCst) == n {
-            self.events.signal_all();
-        }
-    }
-
-    pub(crate) fn get(&self) -> usize {
-        self.count.load(Ordering::SeqCst)
-    }
-
-    /// The execution's event count (termination waiters park on it).
-    pub(crate) fn events(&self) -> &Arc<EventCount> {
-        &self.events
-    }
-}
+use ttg_model::sync::{AtomicU64, EventCount, Ordering};
 
 /// `park_until` while the thread runs a pass: every site arms into
 /// `armed`, which the thread folds in before it parks.
@@ -174,27 +132,6 @@ impl ProgressClock {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn settling_to_zero_signals_and_nothing_else_does() {
-        let events = Arc::new(EventCount::new());
-        let f = InFlight::new(Arc::clone(&events));
-        f.take(2);
-        let epoch = events.prepare();
-        f.settle(1);
-        let early = Instant::now() + Duration::from_millis(5);
-        assert!(
-            !events.wait_until(epoch, early),
-            "settling 2 → 1 must not signal"
-        );
-        let epoch = events.prepare();
-        f.settle(1);
-        assert!(
-            events.wait_until(epoch, Instant::now()),
-            "reaching 0 signals"
-        );
-        assert_eq!(f.get(), 0);
-    }
 
     #[test]
     fn an_arm_later_than_the_park_does_not_wake_an_earlier_one_does() {

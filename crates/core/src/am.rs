@@ -165,7 +165,17 @@ impl AmPlan {
     /// single destination, copied from one encoding when there are more.
     /// An AM to `src_rank` itself (loopback under recovery, where even
     /// local sends are sequenced and logged) is always inline.
-    pub fn send<V: Data>(&mut self, v: &V, from_task: u64, src_rank: usize, ctx: &Arc<RuntimeCtx>) {
+    /// `wire_from` is the fabric sender: `src_rank`, or for an external
+    /// seed (inline, as loopback) the out-of-fabric sentinel, whose sends a
+    /// restore replays like any peer's.
+    pub fn send<V: Data>(
+        &mut self,
+        v: &V,
+        from_task: u64,
+        src_rank: usize,
+        wire_from: usize,
+        ctx: &Arc<RuntimeCtx>,
+    ) {
         if self.ams.is_empty() {
             return;
         }
@@ -222,7 +232,7 @@ impl AmPlan {
                     v.encode(&mut b);
                 }
             }
-            if let Err(e) = fabric.send_am(src_rank, am.dest, am.handler, b.into_vec()) {
+            if let Err(e) = fabric.send_am(wire_from, am.dest, am.handler, b.into_vec()) {
                 fabric.record_error(e.into());
             }
         }

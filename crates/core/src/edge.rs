@@ -266,7 +266,7 @@ impl<K: Key, V: Data> ConsumerPort<K, V> for PortImpl<K, V> {
             }
         }
         if let FanoutVal::Owned(v) = &v {
-            plan.send(v, from_task, src_rank, ctx);
+            plan.send(v, from_task, src_rank, src_rank, ctx);
         }
         if n_local > 0 {
             self.deliver_local(&node, src_rank, keys, n_local, v, from_task, src_rank, ctx);
@@ -350,12 +350,13 @@ pub(crate) fn port_seed<K: Key, V: Data>(
         return;
     }
     if ctx.fabric.wire_local_sends() {
-        // Seeds are logical messages too: under recovery they must be
-        // sequenced on the owner's diagonal link so an empty-snapshot
-        // restore can re-drive them from the replay log.
+        // Seeds are logical messages too: under recovery they are
+        // sequenced on the sentinel's link to the owner, so a restore
+        // (an empty-snapshot one included) re-drives them from the replay
+        // log.
         let mut plan = AmPlan::new::<V>(ctx);
         plan.add(owner, ctx.n_ranks(), node.id, terminal, &k);
-        plan.send(&v, 0, owner, ctx);
+        plan.send(&v, 0, owner, usize::MAX, ctx);
         return;
     }
     or_panic(node.insert(
@@ -449,7 +450,7 @@ impl<K: Key, V: Data> OutTerm<K, V> {
                     let v = FanoutVal::Shared(Arc::clone(&arc));
                     port.route(keys, v, &mut plan, from_task, src_rank, ctx);
                 }
-                plan.send(&*arc, from_task, src_rank, ctx);
+                plan.send(&*arc, from_task, src_rank, src_rank, ctx);
             }
         });
     }

@@ -16,17 +16,12 @@ use ttg_comm::{
     CommError, CommErrorKind, Fabric, FaultPlan, MemorySnapshotSink, Packet, ReadBuf, Recovery,
     StatsSnapshot, TransportSpec, WireError, WriteBuf,
 };
-use ttg_runtime::{EventCount, WorkerPool};
+use ttg_runtime::WorkerPool;
 
 use crate::backend::BackendSpec;
 use crate::ctx::RuntimeCtx;
 use crate::graph::Graph;
 use crate::trace::TaskEvent;
-
-/// Under a recovery plan, how often the wait runs the recovery watchdog
-/// and checks for termination (the one timed wait: see
-/// [`Executor::wait`]).
-const RECOVERY_RECHECK: Duration = Duration::from_micros(50);
 
 /// Execution parameters.
 #[derive(Clone)]
@@ -262,8 +257,8 @@ impl Executor {
                                     // Reliable-delivery gate: duplicates
                                     // (injected, retransmitted, reordered
                                     // strays) are discarded here and never
-                                    // reach a task — nor the logical
-                                    // in-flight count. The payload rides
+                                    // reach a task — nor the in-flight
+                                    // ledger. The payload rides
                                     // along so recovery-enabled fabrics can
                                     // maintain their delivered-content log.
                                     if !ctx2.fabric.rx_accept_am(r, from, seq, handler, &payload) {
@@ -380,8 +375,10 @@ impl Executor {
     /// to send here).
     ///
     /// The wait parks on the fabric's event count, which every transition
-    /// that can end it signals: the activity count or the in-flight count
-    /// reaching zero, an error recorded, a termination frame.
+    /// that can end it signals: the activity count reaching zero, the
+    /// in-flight ledger balancing, an error recorded, a termination frame —
+    /// and, under a recovery plan, a kill latching and a killed rank's pool
+    /// draining, which are when the watchdog acts.
     ///
     /// If a delivery deadline is configured and passes first, the wait
     /// gives up, records a structured `DeadlineMissed` [`CommError`] naming
@@ -412,10 +409,11 @@ impl Executor {
                 // Recovery watchdog: a script-killed rank is restored once
                 // its pool drains (kill only severs its links — queued
                 // tasks still run to completion, and their sends were
-                // already dropped).
+                // already dropped). A pool still busy signals when it
+                // drains.
                 if let Some(rec) = &recovery {
                     for r in rec.killed_ranks() {
-                        if self.ctx.pool(r).is_idle() {
+                        if self.ctx.pool(r).idle_or_signal_drain() {
                             recover_rank(&self.ctx, rec, r);
                         }
                     }
@@ -441,19 +439,6 @@ impl Executor {
                     ),
                 ));
                 return;
-            }
-            if recovery.is_some() {
-                // The chaos-only recovery path, and the one named exception
-                // to the wake discipline (DESIGN §5): it samples every
-                // `RECOVERY_RECHECK`, and a signal does not end the
-                // interval. A pool going idle signals nothing; and restores
-                // and termination checks timed by zero crossings expose the
-                // in-flight ledger's double debit on some restore
-                // interleavings about twice as often as sampled ones.
-                events.cancel();
-                let until = now + RECOVERY_RECHECK;
-                sit_out(events, give_up.map_or(until, |t| t.min(until)));
-                continue;
             }
             match give_up {
                 Some(until) => {
@@ -507,12 +492,6 @@ impl Executor {
             },
         }
     }
-}
-
-/// Let the time until `until` pass on `events` without ending early on a
-/// signal: the recovery path samples (see [`Executor::wait`]).
-fn sit_out(events: &EventCount, until: Instant) {
-    while events.wait_until(events.prepare(), until) {}
 }
 
 /// Compose and persist one recovery snapshot for rank `r`: the comm-layer

@@ -124,7 +124,7 @@ impl<T, V: Data> Fanout<'_, '_, T, V> {
     /// Ship the value to the other ranks: one AM each.
     pub fn send(mut self) {
         let o = self.outs;
-        self.plan.send(&*self.v, o.task_id, o.rank, o.ctx);
+        self.plan.send(&*self.v, o.task_id, o.rank, o.rank, o.ctx);
     }
 }
 

@@ -180,9 +180,33 @@ struct Shared {
     wake: EventCount,
     metrics: PoolMetrics,
     quiescence: Arc<Quiescence>,
+    /// Set by [`WorkerPool::idle_or_signal_drain`]: the job that drains the
+    /// pool signals the quiescence tracker's event count.
+    signal_drain: AtomicBool,
 }
 
 impl Shared {
+    /// See [`WorkerPool::is_idle`].
+    fn is_idle(&self) -> bool {
+        let executed = self.metrics.executed.get();
+        let submitted = self.metrics.submitted.get();
+        executed == submitted
+    }
+
+    /// Account one finished job; the one that drains a watched pool
+    /// signals.
+    fn job_done(&self) {
+        self.metrics.executed.inc();
+        self.quiescence.activity_finished();
+        // Orders the count above before the flag read, against the
+        // watcher's flag store before its idle read.
+        std::sync::atomic::fence(Ordering::SeqCst);
+        if self.signal_drain.load(Ordering::SeqCst) && self.is_idle() {
+            self.signal_drain.store(false, Ordering::SeqCst);
+            self.quiescence.events().signal_all();
+        }
+    }
+
     /// Pop the highest-priority heap job, if any, keeping the occupancy
     /// mirror in sync.
     fn pop_prio(&self) -> Option<Job> {
@@ -410,6 +434,7 @@ impl WorkerPool {
             central: Mutex::new(VecDeque::new()),
             kind,
             shutdown: AtomicBool::new(false),
+            signal_drain: AtomicBool::new(false),
             seq: AtomicU64::new(0),
             wake: EventCount::new(),
             metrics: match registry {
@@ -498,9 +523,15 @@ impl WorkerPool {
     /// concurrent submit can only make an idle pool look busy, never the
     /// reverse — the recovery drive loop relies on that one-sided error.
     pub fn is_idle(&self) -> bool {
-        let executed = self.shared.metrics.executed.get();
-        let submitted = self.shared.metrics.submitted.get();
-        executed == submitted
+        self.shared.is_idle()
+    }
+
+    /// [`is_idle`](Self::is_idle); when it reads busy, the worker that
+    /// drains the pool signals the quiescence tracker's event count, so a
+    /// waiter that prepared on it before asking cannot miss the drain.
+    pub fn idle_or_signal_drain(&self) -> bool {
+        self.shared.signal_drain.store(true, Ordering::SeqCst);
+        self.shared.is_idle()
     }
 
     /// Stop accepting progress and join all workers. Pending jobs are
@@ -540,8 +571,7 @@ fn worker_loop(shared: Arc<Shared>, local: Worker<Job>, me: usize, mut rng: u64)
         if let Some(job) = shared.find_job(&local, me, &mut rng) {
             shared.metrics.queue_depth.add(-1);
             (job.f)();
-            shared.metrics.executed.inc();
-            shared.quiescence.activity_finished();
+            shared.job_done();
             continue;
         }
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -555,8 +585,7 @@ fn worker_loop(shared: Arc<Shared>, local: Worker<Job>, me: usize, mut rng: u64)
             shared.wake.cancel();
             shared.metrics.queue_depth.add(-1);
             (job.f)();
-            shared.metrics.executed.inc();
-            shared.quiescence.activity_finished();
+            shared.job_done();
             continue;
         }
         if shared.shutdown.load(Ordering::SeqCst) {

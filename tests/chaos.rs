@@ -166,14 +166,16 @@ fn killed_rank_reports_comm_error_within_deadline() {
     // carrying structured TTG040 records instead of hanging or aborting.
     // (The three TRSMs of step 0 that feed rank 3 send it one AM each — the
     // second reception, should it be a spurious retransmit of the first,
-    // still leaves a fresh send to find the rank dead.)
+    // still leaves a fresh send to find the rank dead.) The retry budget,
+    // ≈ 0.23 s, outlasts a scheduling stall of a live rank on a loaded
+    // 2-core host, so only the dead rank exhausts it.
     let a = TiledMatrix::random_spd(6, 8, 99);
     let plan = FaultPlan::seeded(13)
         .with_kill(3, 2)
         .with_retry(RetryPolicy {
-            base: Duration::from_micros(100),
-            cap: Duration::from_millis(2),
-            max_retries: 4,
+            base: Duration::from_millis(2),
+            cap: Duration::from_millis(100),
+            max_retries: 6,
         });
     let cfg = cholesky::ttg::Config {
         ranks: 4,
@@ -190,13 +192,20 @@ fn killed_rank_reports_comm_error_within_deadline() {
         started.elapsed() < Duration::from_secs(30),
         "degraded run must respect the delivery deadline"
     );
+    let exhausted: Vec<_> = (report.comm_errors.iter())
+        .filter(|e| e.kind == CommErrorKind::RetryBudgetExhausted)
+        .collect();
     assert!(
-        report
-            .comm_errors
-            .iter()
-            .any(|e| e.kind == CommErrorKind::RetryBudgetExhausted && e.to == Some(3)),
+        !exhausted.is_empty(),
         "expected TTG040 retry-budget errors against the killed rank, got {:?}",
         report.comm_errors
+    );
+    // The dead rank's own sends exhaust too (it sends nothing).
+    assert!(
+        exhausted
+            .iter()
+            .all(|e| e.to == Some(3) || e.from == Some(3)),
+        "a TTG040 between live ranks: {exhausted:?}"
     );
     assert!(report.comm.am_retry_exhausted > 0);
 }
@@ -287,6 +296,81 @@ fn rank_killed_before_first_snapshot_restores_to_empty_and_replays() {
     assert!(r.comm.restores > 0);
     assert!(r.comm.replayed_sends > 0);
     assert!(r.comm.recoveries > 0);
+}
+
+/// A fault during recovery ends bit-identical to the fault-free factor,
+/// or as a coded TTG047/TTG048 — inside the delivery deadline, never as a
+/// hang or a panic.
+fn recovers_or_reports_coded(name: &str, plan: FaultPlan) {
+    let a = TiledMatrix::random_spd(10, 8, 4242);
+    let clean_cfg = cholesky::ttg::Config {
+        ranks: 4,
+        workers: 2,
+        backend: ttg::parsec::backend(),
+        trace: false,
+        priorities: true,
+        faults: None,
+        transport: TransportSpec::InProc,
+    };
+    let (l_clean, _) = cholesky::ttg::run(&a, &clean_cfg);
+    let cfg = cholesky::ttg::Config {
+        faults: Some(plan),
+        ..clean_cfg
+    };
+    let started = std::time::Instant::now();
+    let (l, r) = cholesky::ttg::run(&a, &cfg);
+    assert!(
+        started.elapsed() < Duration::from_secs(30),
+        "{name}: past the delivery deadline"
+    );
+    assert!(
+        r.comm.restores > 0,
+        "{name}: the killed rank was never restored"
+    );
+    if r.comm_errors.is_empty() {
+        assert_eq!(l.max_abs_diff(&l_clean), 0.0, "{name}: factor changed");
+        assert!(r.stuck.is_empty(), "{name}: {:?}", r.stuck);
+    } else {
+        assert!(
+            r.comm_errors
+                .iter()
+                .all(|e| matches!(e.code(), "TTG047" | "TTG048")),
+            "{name}: {:?}",
+            r.comm_errors
+        );
+    }
+}
+
+#[test]
+fn a_kill_landing_at_a_snapshot_commit_recovers() {
+    // Rank 1's snapshot falls due at its 48th reception: the kill lands on
+    // the packet that makes it due (no commit), or on the first one after
+    // the commit.
+    for after in [48, 49] {
+        let plan = FaultPlan::seeded(11).with_kill(1, after).with_recovery(48);
+        recovers_or_reports_coded(&format!("kill 1@{after}, snapshot every 48"), plan);
+    }
+}
+
+#[test]
+fn a_killed_rank_0_recovers() {
+    let plan = FaultPlan::seeded(5).with_kill(0, 40).with_recovery(16);
+    recovers_or_reports_coded("kill 0@40", plan);
+}
+
+#[test]
+fn a_kill_before_the_first_snapshot_under_dup_and_reorder_recovers() {
+    let plan = FaultPlan::seeded(23)
+        .with_dup(0.05)
+        .with_reorder(0.1)
+        .with_kill(2, 6)
+        .with_recovery(1_000_000)
+        .with_retry(RetryPolicy {
+            base: Duration::from_micros(200),
+            cap: Duration::from_millis(10),
+            max_retries: 16,
+        });
+    recovers_or_reports_coded("kill 2@6 under dup+reorder", plan);
 }
 
 #[test]

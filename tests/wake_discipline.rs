@@ -111,16 +111,35 @@ fn an_idle_fabric_under_a_plan_burns_no_cpu() {
 
 #[test]
 fn a_deadline_miss_returns_on_time_and_names_what_it_waited_on() {
-    // TTG041: a task blocks 300 ms against a 50 ms delivery deadline. The
-    // wait's timed commit returns at the deadline, and the record names
-    // the packets in flight, the active units and, under a plan, what the
-    // reliable layer holds per link.
+    // TTG041: a task on rank 0 hands its key to one on rank 1, which blocks
+    // 300 ms against a 50 ms delivery deadline. The wait's timed commit
+    // returns at the deadline, and the record names the packets in flight
+    // with the ledger's issued − settled per link, the active units and,
+    // under a plan, what the reliable layer holds per link.
     let _serial = ONE_AT_A_TIME.lock().unwrap_or_else(|e| e.into_inner());
     let deadline = Duration::from_millis(50);
     let cfg = ExecConfig::distributed(2, 1, ttg::parsec::backend())
         .with_faults(FaultPlan::seeded(1))
         .with_deadline(deadline);
-    let exec = one_slow_task(Duration::from_millis(300), cfg);
+    let start: Edge<u32, Ctl> = Edge::new("start");
+    let hop: Edge<u32, Ctl> = Edge::new("hop");
+    let mut g = GraphBuilder::new();
+    let first = g.make_tt(
+        "first",
+        (start,),
+        (hop.clone(),),
+        |_: &u32| 0usize,
+        |k, (ctl,): (Ctl,), outs| outs.send::<0>(*k, ctl),
+    );
+    g.make_tt(
+        "slow",
+        (hop,),
+        (),
+        |_: &u32| 1usize,
+        |_, (_ctl,): (Ctl,), _| std::thread::sleep(Duration::from_millis(300)),
+    );
+    let exec = Executor::new(g.build(), cfg);
+    first.in_ref::<0>().seed(exec.ctx(), 0, Ctl);
     let started = Instant::now();
     exec.wait();
     let waited = started.elapsed();
@@ -137,6 +156,7 @@ fn a_deadline_miss_returns_on_time_and_names_what_it_waited_on() {
     for names in [
         "1 active units",
         "packets in flight",
+        "issued−settled by link: 0→1 1−1",
         "unacked by link",
         "pending ack batches",
     ] {
