@@ -93,7 +93,8 @@ ttg_telemetry::metrics! {
             transport_rx_bytes: rx_bytes,
             /// Link-layer connection establishments.
             transport_connects: connects,
-            /// Link-layer reconnections after mid-run failures.
+            /// Link-layer reconnections after mid-run failures: always 0 (a
+            /// connection lives as long as its endpoint); `bench_all` reads it.
             transport_reconnects: reconnects,
             /// Link-layer handshakes refused.
             transport_handshake_failures: handshake_failures,
@@ -107,12 +108,11 @@ ttg_telemetry::metrics! {
             transport_tx_direct_frames: tx_direct_frames,
             /// Frames whose body was read from the socket into its final buffer.
             transport_rx_direct_frames: rx_direct_frames,
-            /// Highest per-peer send-queue depth ever observed (frames; the
-            /// lifetime mark, surviving reconnects).
-            transport_queue_hwm: queue_hwm_lifetime,
+            /// Highest per-peer send-queue depth ever observed (frames).
+            transport_queue_hwm: queue_hwm,
             /// The same mark in queued wire bytes (the transport's byte bound
             /// plus one frame, unless ungated control frames piled up).
-            transport_queue_bytes_hwm: queue_bytes_hwm_lifetime,
+            transport_queue_bytes_hwm: queue_bytes_hwm,
         },
     }
     /// Plain values of [`FabricStats`], as execution reports carry them.
@@ -167,13 +167,10 @@ mod tests {
     use ttg_telemetry::{MetricKey, MetricValue, Registry};
 
     /// The snapshot field a registry key surfaces as: comm keys under their
-    /// own name, the other subsystems behind their name as a prefix, the
-    /// transport's lifetime queue marks under their short historical names.
+    /// own name, the other subsystems behind their name as a prefix.
     fn field_of(key: &MetricKey) -> String {
         match (key.subsystem, key.name) {
             ("comm", name) => name.to_string(),
-            ("transport", "send_queue_hwm_lifetime") => "transport_queue_hwm".into(),
-            ("transport", "send_queue_bytes_hwm_lifetime") => "transport_queue_bytes_hwm".into(),
             (subsystem, name) => format!("{subsystem}_{name}"),
         }
     }
@@ -214,16 +211,9 @@ mod tests {
                 _ => {}
             }
         }
-        // Kept in the registry but read by no report: the per-connection
-        // queue marks and the transport's abandoned-frame count.
-        want.retain(|(f, _)| {
-            !matches!(
-                f.as_str(),
-                "transport_send_queue_hwm"
-                    | "transport_send_queue_bytes_hwm"
-                    | "transport_tx_frames_abandoned"
-            )
-        });
+        // Kept in the registry but read by no report: the transport's
+        // abandoned-frame count.
+        want.retain(|(f, _)| f != "transport_tx_frames_abandoned");
         want.sort();
 
         let mut got: Vec<(String, u64)> = stats

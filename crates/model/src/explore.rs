@@ -2,6 +2,24 @@
 //! either exhaustively (DFS over the decision tree, preemption-bounded,
 //! sleep-set pruned) or by seeded random sampling for state spaces too big
 //! to enumerate.
+//!
+//! # Sleep sets and the preemption bound
+//!
+//! The two reductions do not compose exactly. Sleep-set pruning keeps one
+//! schedule of each class that differs only in the order of independent
+//! operations, and the DFS order — not the preemption count — decides which
+//! one: the kept representative may spend more preemptions than the
+//! cheapest schedule of its class. So a bug reachable within `k`
+//! preemptions can hide at bound `k` with pruning on, every schedule of its
+//! class that fits the bound having been pruned in favour of one that does
+//! not. `term_probe`'s `OneRound` mutation is the corpus instance: two
+//! preemptions reach it (the coordinator after rank 1's reply, rank 1's
+//! handler after its send), but its representative spends a third, so bound
+//! 2 explores clean and bound 3 catches it in ~3k runs (bound 2 finds it
+//! only with [`Config::sleep_sets`] off, after ~277k). A clean result at
+//! bound `k` therefore says "no violating class whose representative fits
+//! in `k` preemptions": a regression test for a bug known to need `k`
+//! preemptions runs at `k + 1`, or with pruning off.
 
 use std::collections::BTreeMap;
 use std::fmt;

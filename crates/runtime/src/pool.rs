@@ -121,7 +121,7 @@ ttg_telemetry::metrics! {
         /// Full steal scans that found nothing anywhere.
         steal_misses: counter("sched", "steal_misses"),
         /// High-water mark of any single worker's ready-queue depth (bound
-        /// queue + deque), mirroring the transport's `send_queue_hwm`.
+        /// queue + deque), mirroring the transport's `queue_hwm`.
         ready_hwm: gauge("sched", "ready_hwm"),
     }
 }

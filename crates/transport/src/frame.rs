@@ -570,8 +570,8 @@ impl From<FrameError> for std::io::Error {
 /// bounded by the largest in-flight frame plus one read chunk.
 #[derive(Default)]
 pub struct FrameCodec {
+    /// A partial frame (or bulk head), staged until it is whole.
     buf: Vec<u8>,
-    pos: usize,
     bulk: Option<Bulk>,
     /// The last read completed a bulk body: a run of them usually
     /// follows, so peek only the next head and stay on the direct path.
@@ -585,40 +585,6 @@ impl FrameCodec {
         Self::default()
     }
 
-    /// Append raw bytes read from the wire (handshake-style staging; the
-    /// steady-state receive path is [`feed`](Self::feed)).
-    pub fn push(&mut self, bytes: &[u8]) {
-        // Compact lazily: only when consumed prefix dominates the buffer.
-        if self.pos > 4096 && self.pos * 2 > self.buf.len() {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Decode the next complete frame staged by [`push`](Self::push).
-    ///
-    /// `Ok(None)` means more bytes are needed; an error poisons the stream
-    /// (the caller must drop the connection — after a framing error there
-    /// is no way to resynchronize). Not `Iterator::next`: the fallible
-    /// tri-state return (frame / starved / poisoned) is the point.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Result<Option<Frame>, FrameError> {
-        let avail = self.buf.len() - self.pos;
-        if avail < 4 || self.bulk.is_some() {
-            return Ok(None);
-        }
-        let len = frame_len(&self.buf[self.pos..self.pos + 4])?;
-        if avail < 4 + len {
-            return Ok(None);
-        }
-        let kind = self.buf[self.pos + 4];
-        let body = &self.buf[self.pos + 5..self.pos + 4 + len];
-        let frame = decode_body(kind, body)?;
-        self.pos += 4 + len;
-        Ok(Some(frame))
-    }
-
     /// Frames so far whose body was received in place (the bulk path).
     pub fn bulk_frames(&self) -> u64 {
         self.bulk_frames
@@ -629,8 +595,8 @@ impl FrameCodec {
     /// is copied into internal storage (completed by the next call); if it
     /// announces a bulk body, its bytes move into their final buffer
     /// instead and [`read_from`](Self::read_from) reads the rest there.
-    /// Bytes staged by [`push`](Self::push) are finished first. An error
-    /// poisons the stream exactly like [`next`](Self::next).
+    /// An error poisons the stream: the caller must drop the connection,
+    /// since after a framing error there is no way to resynchronize.
     pub fn feed<F: FnMut(Frame)>(
         &mut self,
         mut bytes: &[u8],
@@ -645,30 +611,25 @@ impl FrameCodec {
                     return Ok(());
                 }
                 out(self.finish_bulk());
-            } else if self.buf.len() > self.pos {
+            } else if !self.buf.is_empty() {
                 // Top the staged partial frame up to what it needs in one
-                // piece; the need grows once the kind byte is known.
-                let staged = self.buf.len() - self.pos;
-                let (want, body) = contiguous_need(&self.buf[self.pos..])?;
-                if staged < want {
-                    let take = (want - staged).min(bytes.len());
-                    self.buf.extend_from_slice(&bytes[..take]);
-                    bytes = &bytes[take..];
-                    if take < want - staged {
+                // piece; the need grows (and the prefix is checked) once
+                // the length and the kind byte are known.
+                let (want, body) = contiguous_need(&self.buf)?;
+                if self.buf.len() < want {
+                    if bytes.is_empty() {
                         return Ok(());
                     }
-                } else if body > 0 {
-                    // Only `push` stages past a head: feed that back in.
-                    self.bulk = Some(bulk_head(&self.buf[self.pos..self.pos + want], body)?);
-                    let rest = self.buf.split_off(self.pos + want);
-                    self.pos = self.buf.len();
-                    self.feed(&rest, out)?;
+                    let take = (want - self.buf.len()).min(bytes.len());
+                    self.buf.extend_from_slice(&bytes[..take]);
+                    bytes = &bytes[take..];
                 } else {
-                    out(self.next()?.expect("frame is complete"));
-                }
-                if self.pos == self.buf.len() {
+                    if body > 0 {
+                        self.bulk = Some(bulk_head(&self.buf, body)?);
+                    } else {
+                        out(decode_body(self.buf[4], &self.buf[5..])?);
+                    }
                     self.buf.clear();
-                    self.pos = 0;
                 }
             } else if bytes.is_empty() {
                 return Ok(());
@@ -775,12 +736,18 @@ fn frame_len(hdr: &[u8]) -> Result<usize, FrameError> {
 mod tests {
     use super::*;
 
+    /// Feed `bytes` to `c` in one piece: the frames that completed, or the
+    /// poison.
+    fn decode(c: &mut FrameCodec, bytes: &[u8]) -> Result<Vec<Frame>, FrameError> {
+        let mut got = Vec::new();
+        c.feed(bytes, &mut |f| got.push(f))?;
+        Ok(got)
+    }
+
     fn roundtrip(f: &Frame) -> Frame {
-        let mut c = FrameCodec::new();
-        c.push(&f.encode_vec());
-        let out = c.next().unwrap().expect("one frame");
-        assert!(c.next().unwrap().is_none(), "no trailing frame");
-        out
+        let mut got = decode(&mut FrameCodec::new(), &f.encode_vec()).unwrap();
+        assert_eq!(got.len(), 1, "one frame, no trailing frame");
+        got.remove(0)
     }
 
     #[test]
@@ -837,11 +804,12 @@ mod tests {
         };
         let bytes = f.encode_vec();
         let mut c = FrameCodec::new();
-        for (i, b) in bytes.iter().enumerate() {
-            assert!(c.next().unwrap().is_none(), "frame surfaced early at {i}");
-            c.push(std::slice::from_ref(b));
+        let (last, head) = bytes.split_last().unwrap();
+        for (i, b) in head.iter().enumerate() {
+            let got = decode(&mut c, std::slice::from_ref(b)).unwrap();
+            assert!(got.is_empty(), "frame surfaced early at {i}");
         }
-        assert_eq!(c.next().unwrap().unwrap(), f);
+        assert_eq!(decode(&mut c, &[*last]).unwrap(), [f]);
     }
 
     #[test]
@@ -850,10 +818,8 @@ mod tests {
         let bytes = f.encode_vec();
         let mut c = FrameCodec::new();
         // Two bytes of the prefix, then the rest.
-        c.push(&bytes[..2]);
-        assert!(c.next().unwrap().is_none());
-        c.push(&bytes[2..]);
-        assert_eq!(c.next().unwrap().unwrap(), f);
+        assert!(decode(&mut c, &bytes[..2]).unwrap().is_empty());
+        assert_eq!(decode(&mut c, &bytes[2..]).unwrap(), [f]);
     }
 
     #[test]
@@ -866,16 +832,12 @@ mod tests {
         let tail_bytes = tail.encode_vec();
         bytes.extend_from_slice(&tail_bytes[..3]); // partial third frame
         let mut c = FrameCodec::new();
-        c.push(&bytes);
-        assert_eq!(c.next().unwrap().unwrap(), a);
-        assert_eq!(c.next().unwrap().unwrap(), b);
-        assert!(c.next().unwrap().is_none());
-        c.push(&tail_bytes[3..]);
-        assert_eq!(c.next().unwrap().unwrap(), tail);
+        assert_eq!(decode(&mut c, &bytes).unwrap(), [a, b]);
+        assert_eq!(decode(&mut c, &tail_bytes[3..]).unwrap(), [tail]);
     }
 
     #[test]
-    fn feed_poisons_on_garbage_like_next() {
+    fn feed_poisons_on_garbage() {
         let mut c = FrameCodec::new();
         let mut bytes = Frame::TermProbe { round: 1 }.encode_vec();
         bytes.extend_from_slice(&0u32.to_le_bytes()); // zero-length frame
@@ -896,20 +858,30 @@ mod tests {
         assert_eq!(roundtrip(&f), f);
     }
 
+    /// The poison `bytes` decode to, fed whole and fed one byte at a time
+    /// (the staged path): both must agree.
+    fn poison(bytes: &[u8]) -> FrameError {
+        let whole = decode(&mut FrameCodec::new(), bytes).unwrap_err();
+        let mut c = FrameCodec::new();
+        let staged = bytes
+            .iter()
+            .find_map(|b| decode(&mut c, std::slice::from_ref(b)).err());
+        assert_eq!(staged.as_ref(), Some(&whole), "staged path");
+        whole
+    }
+
     #[test]
     fn zero_length_frame_is_rejected() {
         // A frame must carry at least its kind byte; len == 0 is garbage.
-        let mut c = FrameCodec::new();
-        c.push(&0u32.to_le_bytes());
-        assert!(matches!(c.next(), Err(FrameError::Malformed { .. })));
+        let e = poison(&0u32.to_le_bytes());
+        assert!(matches!(e, FrameError::Malformed { .. }));
     }
 
     #[test]
     fn oversized_frame_is_rejected_before_allocation() {
-        let mut c = FrameCodec::new();
-        c.push(&(MAX_FRAME as u32 + 1).to_le_bytes());
-        c.push(&[K_AM]);
-        assert!(matches!(c.next(), Err(FrameError::TooLarge { .. })));
+        let mut bytes = (MAX_FRAME as u32 + 1).to_le_bytes().to_vec();
+        bytes.push(K_AM);
+        assert!(matches!(poison(&bytes), FrameError::TooLarge { .. }));
     }
 
     #[test]
@@ -921,9 +893,7 @@ mod tests {
         bytes.extend_from_slice(&3u32.to_le_bytes()); // kind + 2 body bytes
         bytes.push(K_TERM_PROBE);
         bytes.extend_from_slice(&[0, 0]); // TermProbe wants 8 bytes
-        let mut c = FrameCodec::new();
-        c.push(&bytes);
-        assert!(matches!(c.next(), Err(FrameError::Malformed { .. })));
+        assert!(matches!(poison(&bytes), FrameError::Malformed { .. }));
     }
 
     #[test]
@@ -936,9 +906,7 @@ mod tests {
         bytes.extend_from_slice(&1u32.to_le_bytes()); // from
         bytes.extend_from_slice(&(1u32 << 28).to_le_bytes()); // count
         bytes.extend_from_slice(&[0u8; 16]); // one pair
-        let mut c = FrameCodec::new();
-        c.push(&bytes);
-        assert!(matches!(c.next(), Err(FrameError::Malformed { .. })));
+        assert!(matches!(poison(&bytes), FrameError::Malformed { .. }));
     }
 
     #[test]
@@ -950,9 +918,7 @@ mod tests {
         bytes.extend_from_slice(&1u32.to_le_bytes()); // count
         bytes.extend_from_slice(&9u64.to_le_bytes()); // first
         bytes.extend_from_slice(&3u64.to_le_bytes()); // last < first
-        let mut c = FrameCodec::new();
-        c.push(&bytes);
-        assert!(matches!(c.next(), Err(FrameError::Malformed { .. })));
+        assert!(matches!(poison(&bytes), FrameError::Malformed { .. }));
     }
 
     #[test]
@@ -963,31 +929,10 @@ mod tests {
             let mut bytes = Vec::new();
             bytes.extend_from_slice(&1u32.to_le_bytes());
             bytes.push(kind);
-            let mut c = FrameCodec::new();
-            c.push(&bytes);
             assert!(
-                matches!(c.next(), Err(FrameError::Malformed { .. })),
+                matches!(poison(&bytes), FrameError::Malformed { .. }),
                 "kind {kind} decoded"
             );
         }
-    }
-
-    #[test]
-    fn codec_compacts_consumed_prefix() {
-        let f = Frame::Am {
-            from: 0,
-            handler: 1,
-            seq: 0,
-            payload: vec![7; 1024],
-        };
-        let bytes = f.encode_vec();
-        let mut c = FrameCodec::new();
-        for _ in 0..64 {
-            c.push(&bytes);
-            assert_eq!(c.next().unwrap().unwrap(), f);
-        }
-        // After 64 consumed 1KiB frames the buffer must not have grown to
-        // hold them all: compaction reclaimed the consumed prefix.
-        assert!(c.buf.len() < 8 * bytes.len(), "buf grew to {}", c.buf.len());
     }
 }

@@ -10,8 +10,6 @@
 
 use std::sync::Arc;
 
-use ttg_telemetry::Gauge;
-
 use crate::frame::Frame;
 
 /// Logical process rank (mirrors `ttg_comm::Rank` without the dependency).
@@ -135,8 +133,8 @@ impl std::error::Error for TransportError {}
 ///
 /// Called from transport-internal reader threads with `(source_rank,
 /// frame_or_error)`. Errors report connection-level trouble attributed to
-/// that peer; after a fatal error no further frames arrive from it until
-/// the transport re-establishes the connection.
+/// that peer; after a fatal error no further frames arrive from it (a
+/// connection is never re-established).
 pub type Sink = Arc<dyn Fn(Rank, Result<Frame, TransportError>) + Send + Sync>;
 
 /// An ordered, framed, one-directional send channel to a single peer.
@@ -191,7 +189,9 @@ ttg_telemetry::metrics! {
         pub rx_bytes: counter("transport", "rx_bytes"),
         /// Successful connection establishments (dial or accept + handshake).
         pub connects: counter("transport", "connects"),
-        /// Connections re-established after a mid-run failure.
+        /// Connections re-established after a mid-run failure: always 0, since
+        /// a connection lives as long as its endpoint. Kept for the
+        /// benchmark's `transport.reconnects` row.
         pub reconnects: counter("transport", "reconnects"),
         /// Handshakes refused (magic/version/rank mismatch).
         pub handshake_failures: counter("transport", "handshake_failures"),
@@ -201,63 +201,33 @@ ttg_telemetry::metrics! {
         /// their own syscall: each write of a k-frame batch adds `k - 1`.
         /// Frames-per-write = `(tx_writes + tx_frames_coalesced) / tx_writes`.
         pub tx_frames_coalesced: counter("transport", "tx_frames_coalesced"),
-        /// Frames dropped by a writer after its reconnect retry also failed.
-        /// The reliable layer (when active) retransmits the loss; without it
-        /// this counter is the only record.
+        /// Frames a writer dropped because its write failed and the peer had
+        /// not said `Bye`: the batch in hand when the connection was lost.
+        /// The writer then ends and its queue closes; this counter is the
+        /// transport's only record of the loss.
         pub tx_frames_abandoned: counter("transport", "tx_frames_abandoned"),
         /// Frames whose body went to the socket from the buffer that held it
         /// (queued by ownership, written vectored) instead of being copied.
         pub tx_direct_frames: counter("transport", "tx_direct_frames"),
         /// Frames whose body was read from the socket into its final buffer.
         pub rx_direct_frames: counter("transport", "rx_direct_frames"),
-        /// Per-peer send-queue high-water marks (frames) **for the current
-        /// connection**: reset on every (re)establishment so a post-reconnect
-        /// reading describes the live connection, not the dead one's peak.
-        pub queue_hwm: ranked gauge("transport", "send_queue_hwm"),
-        /// Per-peer lifetime send-queue high-water marks (frames): never
-        /// reset, the all-time peak across reconnects.
-        pub queue_hwm_lifetime: ranked gauge("transport", "send_queue_hwm_lifetime"),
+        /// Per-peer send-queue high-water marks (frames), never reset: a
+        /// connection lives as long as its endpoint.
+        pub queue_hwm: ranked gauge("transport", "queue_hwm"),
         /// As `queue_hwm`, in queued wire bytes.
-        pub queue_bytes_hwm: ranked gauge("transport", "send_queue_bytes_hwm"),
-        /// As `queue_hwm_lifetime`, in bytes.
-        pub queue_bytes_hwm_lifetime: ranked gauge("transport", "send_queue_bytes_hwm_lifetime"),
+        pub queue_bytes_hwm: ranked gauge("transport", "queue_bytes_hwm"),
     }
 }
 
 impl TransportMetrics {
-    /// Raise the high-water marks for `peer`'s send queue to at least
-    /// `len` frames — both the per-connection gauge and the lifetime one.
-    pub fn note_queue_len(&self, peer: Rank, len: usize) {
-        raise([&self.queue_hwm, &self.queue_hwm_lifetime], peer, len);
-    }
-
-    /// As [`note_queue_len`](Self::note_queue_len), for queued wire bytes.
-    pub fn note_queue_bytes(&self, peer: Rank, bytes: usize) {
-        raise(
-            [&self.queue_bytes_hwm, &self.queue_bytes_hwm_lifetime],
-            peer,
-            bytes,
-        );
-    }
-
-    /// Start a fresh per-connection high-water mark for `peer` (called
-    /// when a replaced connection is established; the lifetime mark is
-    /// untouched). Frames still queued from before the reconnect are
-    /// re-noted by the next push.
-    pub fn reset_queue_hwm(&self, peer: Rank) {
-        for marks in [&self.queue_hwm, &self.queue_bytes_hwm] {
-            if let Some(g) = marks.get(peer) {
-                g.set(0);
+    /// Raise the high-water marks of `peer`'s send queue to at least
+    /// `frames` and `bytes`.
+    pub fn note_queue(&self, peer: Rank, frames: usize, bytes: usize) {
+        for (marks, v) in [(&self.queue_hwm, frames), (&self.queue_bytes_hwm, bytes)] {
+            // Load first: this runs on every send, and a raise is rare.
+            if let Some(g) = marks.get(peer).filter(|g| v as i64 > g.get()) {
+                g.set_max(v as i64);
             }
-        }
-    }
-}
-
-fn raise(marks: [&[Gauge]; 2], peer: Rank, v: usize) {
-    // Load first: this runs on every send, and a raise is rare.
-    for g in marks.iter().filter_map(|m| m.get(peer)) {
-        if v as i64 > g.get() {
-            g.set_max(v as i64);
         }
     }
 }
@@ -267,29 +237,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn queue_hwm_resets_per_connection_but_lifetime_max_survives() {
+    fn queue_marks_only_rise() {
         let reg = ttg_telemetry::Registry::new();
         let m = TransportMetrics::register(&reg, 2);
-        m.note_queue_len(1, 7);
-        m.note_queue_len(1, 3); // below the mark: no effect
-        assert_eq!(m.queue_hwm[1].get(), 7);
-        assert_eq!(m.queue_hwm_lifetime[1].get(), 7);
-
-        // Reconnect: the per-connection mark starts over, the lifetime
-        // mark keeps the dead connection's peak.
-        m.reset_queue_hwm(1);
-        assert_eq!(m.queue_hwm[1].get(), 0);
-        assert_eq!(m.queue_hwm_lifetime[1].get(), 7);
-
-        // A shallower queue on the new connection is visible in the
-        // per-connection mark (the pre-fix bug: it reported 7 forever)
-        // while the lifetime mark still answers "worst ever".
-        m.note_queue_len(1, 2);
-        assert_eq!(m.queue_hwm[1].get(), 2);
-        assert_eq!(m.queue_hwm_lifetime[1].get(), 7);
-
+        m.note_queue(1, 7, 700);
+        m.note_queue(1, 3, 900); // below the frame mark, above the byte mark
+        assert_eq!((m.queue_hwm[1].get(), m.queue_bytes_hwm[1].get()), (7, 900));
+        assert_eq!((m.queue_hwm[0].get(), m.queue_bytes_hwm[0].get()), (0, 0));
         // Out-of-range peers are ignored, not a panic.
-        m.note_queue_len(9, 1);
-        m.reset_queue_hwm(9);
+        m.note_queue(9, 1, 1);
     }
 }

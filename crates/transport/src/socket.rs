@@ -8,14 +8,18 @@
 //! version, rank id, rank count) and refuse mismatches with a structured
 //! [`TransportError::HandshakeMismatch`].
 //!
+//! A connection lives as long as its endpoint: it is established once, at
+//! mesh or rendezvous time, and closed by `shutdown`. As under MPI, a lost
+//! peer is a job-level failure (`ttg-launch` relaunches the job): a
+//! connection that fails mid-run is reported once as
+//! [`TransportError::PeerReset`], and its link then refuses sends with
+//! [`TransportError::Closed`]. The accept loop keeps running only to refuse
+//! strangers, a `Hello` naming an already connected rank among them.
+//!
 //! Per peer there is a **bounded** send queue (backpressure: `Link::send`
 //! blocks when the queue is full) drained by a dedicated writer thread, and
 //! a reader thread that feeds an incremental [`FrameCodec`] and hands
-//! complete frames to the endpoint's sink. A mid-run connection failure is
-//! reported as a structured error; the dialing side additionally attempts
-//! one redial (counted in `reconnects`), and the accepting side keeps its
-//! listener open for the endpoint's lifetime so a redialed peer is
-//! re-admitted.
+//! complete frames to the endpoint's sink.
 //!
 //! The writer is a **coalescing** drain (DESIGN §12): each wakeup takes
 //! everything already queued — one [`WireBatch`], handed over by swap —
@@ -27,13 +31,13 @@
 //! [`SEND_QUEUE_CAP`] frames and admits an `Am` only while it holds less
 //! than [`SEND_QUEUE_BYTES`] bytes.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
-use ttg_model::sync::{AtomicBool, AtomicU64, Condvar, Mutex, Ordering};
+use ttg_model::sync::{AtomicBool, Condvar, Mutex, Ordering};
 
 use ttg_telemetry::Registry;
 
@@ -51,9 +55,6 @@ const HANDSHAKE_TIMEOUT: Duration = Duration::from_secs(10);
 const HANDSHAKE_POLL: Duration = Duration::from_millis(50);
 /// How long rendezvous waits for all peers before giving up.
 const RENDEZVOUS_TIMEOUT: Duration = Duration::from_secs(60);
-/// How long a writer waits for the accept loop to replace a broken
-/// connection before abandoning the frame.
-const REPLACE_WAIT: Duration = Duration::from_secs(3);
 /// Queued bytes at which `Link::send` blocks an `Am` (one frame is always
 /// admitted, so the queue peaks below this plus one frame): enough for the
 /// producer to refill while the writer is in one `writev`, and ~2 MiB per
@@ -65,11 +66,6 @@ const SEND_QUEUE_BYTES: usize = 1 << 20;
 /// How long a writer whose write failed waits for its reader to reach the
 /// peer's `Bye` (or end of stream) before treating the failure as a fault.
 const BYE_GRACE: Duration = Duration::from_millis(100);
-/// Backstop timeout for a writer parked on `stream_cv` while its stream is
-/// down. Reconnection (`install_stream`) and shutdown both notify the
-/// condvar, so the writer wakes immediately in the normal case; the
-/// timeout only bounds the window of a notify racing the park itself.
-const WRITER_WAKE_BACKSTOP: Duration = Duration::from_millis(500);
 
 // ---------------------------------------------------------------- streams
 
@@ -82,13 +78,6 @@ enum Stream {
 }
 
 impl Stream {
-    fn try_clone(&self) -> std::io::Result<Stream> {
-        Ok(match self {
-            Stream::Tcp(s) => Stream::Tcp(s.try_clone()?),
-            Stream::Uds(s) => Stream::Uds(s.try_clone()?),
-        })
-    }
-
     fn shutdown_both(&self) {
         let _ = match self {
             Stream::Tcp(s) => s.shutdown(std::net::Shutdown::Both),
@@ -109,35 +98,38 @@ impl Stream {
             let _ = s.set_nodelay(true);
         }
     }
-}
 
-impl Read for Stream {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+    /// One [`FrameCodec::read_from`] step, through the native stream so a
+    /// bulk body lands in its buffer's spare capacity without being zeroed
+    /// first.
+    fn read_step<F: FnMut(Frame)>(
+        &self,
+        codec: &mut FrameCodec,
+        buf: &mut [u8],
+        out: &mut F,
+    ) -> std::io::Result<usize> {
         match self {
-            Stream::Tcp(s) => s.read(buf),
-            Stream::Uds(s) => s.read(buf),
+            Stream::Tcp(s) => codec.read_from(&mut &*s, buf, out),
+            Stream::Uds(s) => codec.read_from(&mut &*s, buf, out),
         }
     }
 }
 
-impl Write for Stream {
+impl Write for &Stream {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         match self {
-            Stream::Tcp(s) => s.write(buf),
-            Stream::Uds(s) => s.write(buf),
+            Stream::Tcp(s) => (&*s).write(buf),
+            Stream::Uds(s) => (&*s).write(buf),
         }
     }
     fn write_vectored(&mut self, bufs: &[std::io::IoSlice<'_>]) -> std::io::Result<usize> {
         match self {
-            Stream::Tcp(s) => s.write_vectored(bufs),
-            Stream::Uds(s) => s.write_vectored(bufs),
+            Stream::Tcp(s) => (&*s).write_vectored(bufs),
+            Stream::Uds(s) => (&*s).write_vectored(bufs),
         }
     }
     fn flush(&mut self) -> std::io::Result<()> {
-        match self {
-            Stream::Tcp(s) => s.flush(),
-            Stream::Uds(s) => s.flush(),
-        }
+        Ok(())
     }
 }
 
@@ -304,20 +296,31 @@ impl SendQ {
 
 // ------------------------------------------------------------- connections
 
-/// Per-peer connection state: the bounded queue plus the writer-half
-/// stream slot, replaced on reconnection.
+/// Per-peer connection state: the bounded queue plus the connection,
+/// established once and kept until shutdown.
 struct ConnSlot {
     q: SendQ,
-    stream: Mutex<Option<Stream>>,
-    stream_cv: Condvar,
-    /// Bumped on every (re)establishment; readers use it to tell
-    /// "connection replaced" apart from "connection died".
-    generation: AtomicU64,
+    /// The connection, set once by `install_stream`. Its reader and its
+    /// writer share it, and shutting it down ends both.
+    stream: OnceLock<Stream>,
     /// Peer announced orderly shutdown (`Bye`): EOF is not an error.
     orderly: AtomicBool,
-    /// Generation of the last connection whose reader has exited, i.e.
-    /// read it to its `Bye`, its end or an error (see `write_batches`).
-    reader_done: AtomicU64,
+    /// The reader has exited: it read the connection to its `Bye`, its end
+    /// or an error (see `write_batches`).
+    reader_done: AtomicBool,
+    /// This connection's failure has been reported: the reader and the
+    /// writer may both meet it, and it is reported once.
+    failed: AtomicBool,
+}
+
+/// A handshaken connection: the stream, the decoder that read the peer's
+/// `Hello` (it may hold the start of the next frame) and the frames that
+/// came in behind the `Hello` in the same reads.
+struct Handshaken {
+    peer: Rank,
+    stream: Stream,
+    codec: FrameCodec,
+    behind: Vec<Frame>,
 }
 
 struct Inner {
@@ -325,37 +328,45 @@ struct Inner {
     n: usize,
     kind: TransportKind,
     listener: Listener,
-    /// Known peer addresses (dial targets); populated for dialed peers and
-    /// used for redial after a mid-run failure.
-    addrs: Mutex<Vec<Option<AddrSpec>>>,
     /// `conns[p]` is `None` only for `p == me`.
     conns: Vec<Option<ConnSlot>>,
     sink: OnceLock<Sink>,
     stop: AtomicBool,
     metrics: TransportMetrics,
-    /// Number of peers with an established connection (first generations
-    /// only), guarded for rendezvous waiting.
+    /// Number of peers with an established connection, guarded for
+    /// rendezvous waiting.
     ready: Mutex<usize>,
-    /// Notified when a first connection is up, when the sink is installed
-    /// and at shutdown: readers wait on it for the sink.
+    /// Notified under the `ready` lock when a connection is up, when the
+    /// sink is installed, when a reader exits and at shutdown: every
+    /// thread of the endpoint that waits, parks here ([`Inner::park`]).
     ready_cv: Condvar,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl Inner {
-    /// Park until the sink is installed (`None`: the endpoint stopped
-    /// first). Both are published before `ready_cv` is notified under the
-    /// `ready` lock, so the check below cannot miss them.
-    fn sink_wait(&self) -> Option<Sink> {
+    fn slot(&self, peer: Rank) -> &ConnSlot {
+        self.conns[peer].as_ref().expect("conn slot")
+    }
+
+    /// Park on `ready_cv` until `probe` yields, or give up (`None`) once
+    /// the endpoint stops or `deadline` passes. What `probe` reads is
+    /// published before `ready_cv` is notified under the `ready` lock, so
+    /// the check below cannot miss it.
+    fn park<T>(&self, deadline: Option<Instant>, probe: impl Fn() -> Option<T>) -> Option<T> {
         let mut r = self.ready.lock();
         loop {
-            if let Some(s) = self.sink.get() {
-                return Some(Arc::clone(s));
+            if let Some(v) = probe() {
+                return Some(v);
             }
-            if self.stop.load(Ordering::SeqCst) {
+            if self.stop.load(Ordering::SeqCst) || deadline.is_some_and(|d| Instant::now() >= d) {
                 return None;
             }
-            self.ready_cv.wait(&mut r);
+            match deadline {
+                Some(d) => {
+                    self.ready_cv.wait_until(&mut r, d);
+                }
+                None => self.ready_cv.wait(&mut r),
+            }
         }
     }
 
@@ -365,91 +376,80 @@ impl Inner {
         self.ready_cv.notify_all();
     }
 
-    fn emit(&self, peer: Rank, ev: Result<Frame, TransportError>) {
-        if let Some(s) = self.sink.get() {
-            s(peer, ev);
+    /// The connection to `peer` failed with `err`. Unless the peer said
+    /// `Bye` or this endpoint is stopping — then the connection merely
+    /// ended — that is a fault, reported once per connection; `true` says
+    /// it was one. Either way the connection is shut down: its reader
+    /// returns, its writer's next write fails and ends the writer, and the
+    /// peer's reader meets the end.
+    fn fail(&self, peer: Rank, err: TransportError) -> bool {
+        let slot = self.slot(peer);
+        let fault = !self.stop.load(Ordering::SeqCst) && !slot.orderly.load(Ordering::SeqCst);
+        if fault && !slot.failed.swap(true, Ordering::SeqCst) {
+            if let Some(s) = self.sink.get() {
+                s(peer, Err(err));
+            }
         }
+        if let Some(s) = slot.stream.get() {
+            s.shutdown_both();
+        }
+        fault
     }
 
-    /// Install a freshly handshaken stream for `peer` and spawn its reader.
-    ///
-    /// `codec` is the handshake's decoder, carried over because the read
-    /// that produced the peer's `Hello` may have pulled in the first bytes
-    /// of whatever the peer sent next; starting the reader with a fresh
-    /// decoder would silently drop them and desynchronize the stream.
-    fn install_stream(self: &Arc<Self>, peer: Rank, stream: Stream, codec: FrameCodec) {
+    /// Install a handshaken connection and spawn its reader. A connection
+    /// lives as long as the endpoint: a `Hello` naming a rank that is
+    /// already connected is refused, counted as a failed handshake.
+    fn install_stream(self: &Arc<Self>, h: Handshaken) {
+        let Handshaken {
+            peer,
+            stream,
+            codec,
+            behind,
+        } = h;
         stream.tune();
-        let slot = self.conns[peer].as_ref().expect("conn slot");
-        let reader_half = match stream.try_clone() {
-            Ok(s) => s,
-            Err(e) => {
-                self.emit(
-                    peer,
-                    Err(TransportError::PeerReset {
-                        peer,
-                        detail: format!("clone failed: {e}"),
-                    }),
-                );
-                return;
-            }
-        };
-        let generation = slot.generation.fetch_add(1, Ordering::SeqCst) + 1;
-        if let Some(displaced) = slot.stream.lock().replace(stream) {
-            // A replaced connection's reader would otherwise block on the
-            // dead socket forever — and shutdown would hang joining it.
-            // The generation bump above keeps its exit quiet.
-            displaced.shutdown_both();
+        if self.stop.load(Ordering::SeqCst) {
+            return;
         }
-        slot.stream_cv.notify_all();
-        if generation == 1 {
-            self.metrics.connects.inc();
+        if self.slot(peer).stream.set(stream).is_err() {
+            self.metrics.handshake_failures.inc();
+            return;
+        }
+        self.metrics.connects.inc();
+        {
             let mut r = self.ready.lock();
             *r += 1;
             self.ready_cv.notify_all();
-        } else {
-            self.metrics.reconnects.inc();
-            // A replaced connection gets a fresh per-peer send-queue
-            // high-water mark, so post-reconnect readings describe the
-            // live connection instead of the dead one's peak (frames
-            // queued before the first connection count against it). The
-            // lifetime mark in the registry keeps the all-time peak.
-            self.metrics.reset_queue_hwm(peer);
         }
         let inner = Arc::clone(self);
         let h = std::thread::Builder::new()
             .name(format!("ttg-rx-{}-{}", self.me, peer))
-            .spawn(move || inner.reader_loop(peer, reader_half, generation, codec))
+            .spawn(move || inner.reader_loop(peer, codec, behind))
             .expect("spawn transport reader");
         self.threads.lock().push(h);
     }
 
-    fn reader_loop(
-        self: Arc<Self>,
-        peer: Rank,
-        stream: Stream,
-        generation: u64,
-        mut codec: FrameCodec,
-    ) {
-        let slot = self.conns[peer].as_ref().expect("conn slot");
-        if let Some(sink) = self.sink_wait() {
-            self.read_frames(peer, &stream, generation, &mut codec, &sink);
+    fn reader_loop(self: Arc<Self>, peer: Rank, mut codec: FrameCodec, behind: Vec<Frame>) {
+        if let Some(sink) = self.park(None, || self.sink.get().cloned()) {
+            if let Err(e) = self.read_frames(peer, &mut codec, behind, &sink) {
+                self.fail(peer, e);
+            }
         }
-        // Under the stream lock, so a writer between its check and its
-        // wait cannot miss the wakeup.
-        let _guard = slot.stream.lock();
-        slot.reader_done.store(generation, Ordering::SeqCst);
-        slot.stream_cv.notify_all();
+        self.slot(peer).reader_done.store(true, Ordering::SeqCst);
+        self.notify_ready();
     }
 
+    /// Deliver `behind` (the frames that rode in behind the peer's
+    /// `Hello`), then read the connection until the peer's `Bye` (`Ok`) or
+    /// a failure.
     fn read_frames(
         &self,
         peer: Rank,
-        stream: &Stream,
-        generation: u64,
         codec: &mut FrameCodec,
+        behind: Vec<Frame>,
         sink: &Sink,
-    ) {
-        let slot = self.conns[peer].as_ref().expect("conn slot");
+    ) -> Result<(), TransportError> {
+        let slot = self.slot(peer);
+        let stream = slot.stream.get().expect("installed before its reader");
         let mut buf = vec![0u8; 64 * 1024];
         let bye = std::cell::Cell::new(false);
         let mut deliver = |frame: Frame| match frame {
@@ -459,189 +459,85 @@ impl Inner {
             Frame::Hello { .. } => {}
             frame => sink(peer, Ok(frame)),
         };
-        let reset = |detail: String| {
-            let quiet = self.stop.load(Ordering::SeqCst)
-                || slot.orderly.load(Ordering::SeqCst)
-                || slot.generation.load(Ordering::SeqCst) != generation;
-            if !quiet {
-                sink(peer, Err(TransportError::PeerReset { peer, detail }));
-            }
-        };
-        // Frames that rode in behind the peer's Hello sit staged in the
-        // codec; an empty feed drains them before the socket is touched.
-        let fed = codec.feed(&[], &mut deliver);
-        let mut step: std::io::Result<Option<usize>> = fed.map(|()| None).map_err(Into::into);
-        loop {
-            match step {
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(e) if e.kind() == ErrorKind::InvalidData => {
-                    let detail = e.to_string();
-                    return sink(peer, Err(TransportError::Framing { peer, detail }));
-                }
-                // Includes a stream that ended inside a bulk body.
-                Err(e) => return reset(e.to_string()),
-                Ok(Some(0)) => return reset("unexpected eof".into()),
-                Ok(_) if bye.get() => return slot.orderly.store(true, Ordering::SeqCst),
-                Ok(_) => {}
-            }
-            // Read through the native stream so a bulk body lands in its
-            // buffer's spare capacity without being zeroed first.
+        behind.into_iter().for_each(&mut deliver);
+        let reset = |detail: String| TransportError::PeerReset { peer, detail };
+        while !bye.get() {
             let bulk_before = codec.bulk_frames();
-            let got = match stream {
-                Stream::Tcp(s) => codec.read_from(&mut &*s, &mut buf, &mut deliver),
-                Stream::Uds(s) => codec.read_from(&mut &*s, &mut buf, &mut deliver),
-            };
-            if let Ok(k) = got {
-                self.metrics.rx_bytes.add(k as u64);
-            }
+            let got = stream.read_step(codec, &mut buf, &mut deliver);
             self.metrics
                 .rx_direct_frames
                 .add(codec.bulk_frames() - bulk_before);
-            step = got.map(Some);
+            match got {
+                Ok(0) => return Err(reset("unexpected eof".into())),
+                Ok(k) => self.metrics.rx_bytes.add(k as u64),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::InvalidData => {
+                    let detail = e.to_string();
+                    return Err(TransportError::Framing { peer, detail });
+                }
+                // Includes a stream that ended inside a bulk body.
+                Err(e) => return Err(reset(e.to_string())),
+            }
         }
+        slot.orderly.store(true, Ordering::SeqCst);
+        Ok(())
     }
 
     fn writer_loop(self: Arc<Self>, peer: Rank) {
-        let slot = self.conns[peer].as_ref().expect("conn slot");
-        self.write_batches(peer, slot);
+        let slot = self.slot(peer);
+        // Frames queued during rendezvous wait here for the connection.
+        if let Some(stream) = self.park(None, || slot.stream.get()) {
+            self.write_batches(peer, stream);
+        }
         // No writer, no queue: what is left is dropped, and senders get
         // `Closed` instead of blocking on a queue nobody drains.
         slot.q.close_with(None);
     }
 
-    fn write_batches(self: &Arc<Self>, peer: Rank, slot: &ConnSlot) {
-        // Swapped with the queue's batch on every wakeup; the batch stays
-        // whole until its write succeeded, so a retry resends all of it.
+    fn write_batches(&self, peer: Rank, stream: &Stream) {
+        let slot = self.slot(peer);
+        // Swapped with the queue's batch on every wakeup.
         let mut batch = WireBatch::default();
-        'batches: loop {
+        loop {
             batch.clear();
             if !slot.q.pop(&mut batch) {
                 return; // queue closed and drained
             }
             let frames = batch.frames() as u64;
-            let mut abandon_detail: Option<String> = None;
-            for attempt in 0..2 {
-                // Wait for an established stream (rendezvous may still be
-                // in progress when the first frames are queued).
-                let mut guard = slot.stream.lock();
-                while guard.is_none() && !self.stop.load(Ordering::SeqCst) {
-                    slot.stream_cv.wait_for(&mut guard, WRITER_WAKE_BACKSTOP);
+            if let Err(e) = batch.write_to(&mut &*stream) {
+                // Usually the peer closed after its `Bye`, which our reader
+                // may not have reached yet: let it read the connection to
+                // its end before calling this a fault.
+                self.park(Some(Instant::now() + BYE_GRACE), || {
+                    slot.reader_done.load(Ordering::SeqCst).then_some(())
+                });
+                let detail = format!("send failed: {e}");
+                if self.fail(peer, TransportError::PeerReset { peer, detail }) {
+                    // The batch is lost: make the loss countable, not just
+                    // printable.
+                    self.metrics.tx_frames_abandoned.add(frames);
                 }
-                let Some(stream) = guard.as_mut() else {
-                    return; // stopping with no connection: discard
-                };
-                match batch.write_to(stream) {
-                    Ok(()) => {
-                        self.metrics.tx_bytes.add(batch.bytes() as u64);
-                        self.metrics.tx_writes.inc();
-                        self.metrics.tx_frames_coalesced.add(frames - 1);
-                        self.metrics
-                            .tx_direct_frames
-                            .add(batch.bulk_frames() as u64);
-                        drop(guard);
-                        continue 'batches;
-                    }
-                    Err(e) => {
-                        // Usually the peer closed after its `Bye`, which our
-                        // reader may not have reached yet: let it read the
-                        // connection to its end before redialing.
-                        let generation = slot.generation.load(Ordering::SeqCst);
-                        let deadline = Instant::now() + BYE_GRACE;
-                        let ended = || {
-                            self.stop.load(Ordering::SeqCst) || slot.orderly.load(Ordering::SeqCst)
-                        };
-                        while !ended() && slot.reader_done.load(Ordering::SeqCst) < generation {
-                            let now = Instant::now();
-                            if now >= deadline {
-                                break;
-                            }
-                            slot.stream_cv.wait_for(&mut guard, deadline - now);
-                        }
-                        if ended() {
-                            return;
-                        }
-                        // Drop the broken stream so nobody reuses it
-                        // (unless it was replaced while we waited).
-                        if slot.generation.load(Ordering::SeqCst) == generation {
-                            if let Some(s) = guard.take() {
-                                s.shutdown_both();
-                            }
-                        }
-                        drop(guard);
-                        if attempt == 0 && self.recover(peer) {
-                            // Retry the whole batch once on the replaced
-                            // connection. A partial write is harmless: the
-                            // reconnect resets both codecs, and duplicates
-                            // are the reliable layer's problem.
-                            continue;
-                        }
-                        abandon_detail = Some(format!("send failed: {e}"));
-                        break;
-                    }
-                }
+                return;
             }
-            if let Some(detail) = abandon_detail {
-                // Recovery failed: the batch is lost. Make the loss
-                // countable, not just printable.
-                self.metrics.tx_frames_abandoned.add(frames);
-                self.emit(peer, Err(TransportError::PeerReset { peer, detail }));
-            }
-        }
-    }
-
-    /// Try to re-establish the connection to `peer` after a failure:
-    /// redial if this side originally dialed, otherwise wait briefly for
-    /// the peer to redial into our persistent listener.
-    fn recover(self: &Arc<Self>, peer: Rank) -> bool {
-        let addr = self.addrs.lock()[peer].clone();
-        match addr {
-            Some(addr) if peer < self.me => match self.dial(peer, &addr) {
-                Ok((stream, codec)) => {
-                    self.install_stream(peer, stream, codec);
-                    true
-                }
-                Err(_) => false,
-            },
-            _ => {
-                // Wait for the peer to redial into our persistent
-                // listener; the accept path's `install_stream` notifies
-                // `stream_cv` the moment the replacement is in, so this
-                // wakes immediately on reconnect rather than on a poll
-                // tick (shutdown notifies the same condvar).
-                let slot = self.conns[peer].as_ref().expect("conn slot");
-                let deadline = Instant::now() + REPLACE_WAIT;
-                let mut guard = slot.stream.lock();
-                while guard.is_none() {
-                    if self.stop.load(Ordering::SeqCst) {
-                        return false;
-                    }
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    slot.stream_cv.wait_for(&mut guard, deadline - now);
-                }
-                guard.is_some()
-            }
+            self.metrics.tx_bytes.add(batch.bytes() as u64);
+            self.metrics.tx_writes.inc();
+            self.metrics.tx_frames_coalesced.add(frames - 1);
+            self.metrics
+                .tx_direct_frames
+                .add(batch.bulk_frames() as u64);
         }
     }
 
     /// Dial `peer` at `addr` with retry (its listener may not be up yet)
-    /// and run the initiator side of the handshake. Returns the stream plus
-    /// the handshake's decoder (it may hold bytes of frames the peer sent
-    /// right behind its `Hello`; see [`Inner::install_stream`]).
-    fn dial(&self, peer: Rank, addr: &AddrSpec) -> Result<(Stream, FrameCodec), TransportError> {
+    /// and run the initiator side of the handshake.
+    fn dial(&self, peer: Rank, addr: &AddrSpec) -> Result<Handshaken, TransportError> {
         let mut last = String::new();
         for _ in 0..DIAL_RETRIES {
             if self.stop.load(Ordering::SeqCst) {
                 break;
             }
             match addr.connect() {
-                Ok(mut stream) => {
-                    let (got, codec) = self.handshake(&mut stream, Some(peer))?;
-                    debug_assert_eq!(got, peer);
-                    return Ok((stream, codec));
-                }
+                Ok(stream) => return self.handshake(stream, Some(peer)),
                 Err(e) => {
                     last = e.to_string();
                     std::thread::sleep(DIAL_PAUSE);
@@ -653,16 +549,15 @@ impl Inner {
 
     /// Exchange `Hello` frames on a fresh stream. Both sides write first,
     /// then read (frames are tiny; no deadlock through socket buffers).
-    /// Returns the peer's rank together with the decoder used to read the
-    /// `Hello` — the caller must keep feeding that decoder (not a fresh
-    /// one), because the same `read` may already have pulled in the start
-    /// of the peer's next frames. On any disagreement counts a handshake
-    /// failure and returns [`TransportError::HandshakeMismatch`].
+    /// The `Hello` is read through the reader's own path, and whatever the
+    /// same reads pulled in behind it is handed over with the decoder (see
+    /// [`Handshaken`]). On any disagreement counts a handshake failure and
+    /// returns [`TransportError::HandshakeMismatch`].
     fn handshake(
         &self,
-        stream: &mut Stream,
+        stream: Stream,
         expect: Option<Rank>,
-    ) -> Result<(Rank, FrameCodec), TransportError> {
+    ) -> Result<Handshaken, TransportError> {
         let fail = |detail: String| {
             self.metrics.handshake_failures.inc();
             Err(TransportError::HandshakeMismatch {
@@ -678,27 +573,24 @@ impl Inner {
             rank: self.me as u32,
             ranks: self.n as u32,
         };
-        if let Err(e) = stream.write_all(&hello.encode_vec()) {
+        if let Err(e) = (&stream).write_all(&hello.encode_vec()) {
             return fail(format!("hello send failed: {e}"));
         }
         let mut codec = FrameCodec::new();
+        let mut got = Vec::new();
         let mut buf = [0u8; 256];
-        let frame = loop {
-            match codec.next() {
-                Ok(Some(f)) => break f,
-                Ok(None) => {}
-                Err(e) => return fail(format!("bad hello: {e}")),
-            }
-            match stream.read(&mut buf) {
+        while got.is_empty() {
+            match stream.read_step(&mut codec, &mut buf, &mut |f| got.push(f)) {
                 Ok(0) => return fail("peer closed during handshake".into()),
-                Ok(k) => codec.push(&buf[..k]),
+                Ok(_) => {}
                 Err(e)
                     if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
                         && Instant::now() < deadline
                         && !self.stop.load(Ordering::SeqCst) => {}
                 Err(e) => return fail(format!("hello read failed: {e}")),
             }
-        };
+        }
+        let frame = got.remove(0);
         let Frame::Hello {
             magic,
             version,
@@ -724,39 +616,36 @@ impl Inner {
         if rank >= self.n || rank == self.me {
             return fail(format!("peer claims invalid rank {rank}"));
         }
-        if let Some(want) = expect {
-            if rank != want {
-                return fail(format!("dialed rank {want} but reached rank {rank}"));
+        match expect {
+            Some(want) if rank != want => {
+                return fail(format!("dialed rank {want} but reached rank {rank}"))
             }
+            // Rank `i` dials every `j < i`: no lower rank dials this one.
+            None if rank < self.me => return fail(format!("lower rank {rank} dialed")),
+            _ => {}
         }
         stream.set_read_timeout(None);
-        Ok((rank, codec))
+        Ok(Handshaken {
+            peer: rank,
+            stream,
+            codec,
+            behind: got,
+        })
     }
 
     fn accept_loop(self: Arc<Self>) {
-        loop {
-            if self.stop.load(Ordering::SeqCst) {
-                return;
-            }
+        while !self.stop.load(Ordering::SeqCst) {
             match self.listener.accept() {
-                Ok(mut stream) => {
-                    if self.stop.load(Ordering::SeqCst) {
-                        return; // the shutdown dummy-dial
-                    }
-                    match self.handshake(&mut stream, None) {
-                        Ok((peer, codec)) => self.install_stream(peer, stream, codec),
-                        Err(_) => {
-                            // Counted in handshake_failures; the stranger's
-                            // stream just drops.
-                        }
+                // The shutdown dummy-dial.
+                Ok(_) if self.stop.load(Ordering::SeqCst) => return,
+                Ok(stream) => {
+                    // A refused handshake is counted in handshake_failures;
+                    // the stranger's stream just drops.
+                    if let Ok(h) = self.handshake(stream, None) {
+                        self.install_stream(h);
                     }
                 }
-                Err(_) => {
-                    if self.stop.load(Ordering::SeqCst) {
-                        return;
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                }
+                Err(_) => std::thread::sleep(Duration::from_millis(5)),
             }
         }
     }
@@ -806,11 +695,9 @@ impl SocketLink {
         byte_gated: bool,
         add: impl FnOnce(&mut WireBatch),
     ) -> Result<(), TransportError> {
-        let slot = self.inner.conns[self.peer].as_ref().expect("conn slot");
-        match slot.q.push(byte_gated, add) {
+        match self.inner.slot(self.peer).q.push(byte_gated, add) {
             Ok((frames, bytes)) => {
-                self.inner.metrics.note_queue_len(self.peer, frames);
-                self.inner.metrics.note_queue_bytes(self.peer, bytes);
+                self.inner.metrics.note_queue(self.peer, frames, bytes);
                 Ok(())
             }
             Err(()) => Err(TransportError::Closed { peer: self.peer }),
@@ -877,6 +764,8 @@ impl Endpoint for SocketEndpoint {
         if inner.stop.swap(true, Ordering::SeqCst) {
             return;
         }
+        // Releases readers waiting for the sink and writers waiting for a
+        // connection that never came, or for their reader.
         inner.notify_ready();
         // Queue a Bye on every link and close the queues: writers flush
         // everything pending (including the Bye) and exit.
@@ -885,18 +774,17 @@ impl Endpoint for SocketEndpoint {
         };
         for slot in inner.conns.iter().flatten() {
             slot.q.close_with(Some(bye.clone()));
-            slot.stream_cv.notify_all();
         }
         // Unblock the accept loop with a dummy dial to our own listener.
         let _ = inner.listener.addr().connect();
         // Let each writer flush everything, its Bye included, and exit
-        // (within a bound), then hard-close the streams so blocked readers
-        // unblock.
+        // (within a bound), then shut the connections down so blocked
+        // readers return.
         let threads = std::mem::take(&mut *inner.threads.lock());
         let deadline = Instant::now() + Duration::from_secs(2);
         for slot in inner.conns.iter().flatten() {
             slot.q.wait_writer_gone(deadline);
-            if let Some(s) = slot.stream.lock().take() {
+            if let Some(s) = slot.stream.get() {
                 s.shutdown_both();
             }
         }
@@ -939,16 +827,14 @@ fn new_inner(
         n,
         kind,
         listener,
-        addrs: Mutex::new(vec![None; n]),
         conns: (0..n)
             .map(|p| {
                 (p != me).then(|| ConnSlot {
                     q: SendQ::new(),
-                    stream: Mutex::new(None),
-                    stream_cv: Condvar::new(),
-                    generation: AtomicU64::new(0),
+                    stream: OnceLock::new(),
                     orderly: AtomicBool::new(false),
-                    reader_done: AtomicU64::new(0),
+                    reader_done: AtomicBool::new(false),
+                    failed: AtomicBool::new(false),
                 })
             })
             .collect(),
@@ -960,7 +846,7 @@ fn new_inner(
         threads: Mutex::new(Vec::new()),
     });
     // Writer threads exist for the endpoint's lifetime; the accept loop
-    // keeps the listener serving (re)connections.
+    // admits the peers that dial this rank and refuses everyone else.
     let mut threads = inner.threads.lock();
     for p in 0..n {
         if p == me {
@@ -1026,20 +912,10 @@ pub fn local_mesh(
         let listener = bind_listener(kind, path).map_err(|e| io_err(me, e))?;
         inners.push(new_inner(me, n, kind, listener, reg));
     }
-    let addrs: Vec<AddrSpec> = inners.iter().map(|i| i.listener.addr()).collect();
-    for i in inners.iter() {
-        let mut a = i.addrs.lock();
-        for (p, addr) in addrs.iter().enumerate() {
-            if p != i.me {
-                a[p] = Some(addr.clone());
-            }
-        }
-    }
     // Rank i dials every j < i; accepts fill in the rest.
     for inner in inners.iter() {
-        for j in 0..inner.me {
-            let (stream, codec) = inner.dial(j, &addrs[j])?;
-            inner.install_stream(j, stream, codec);
+        for (j, peer) in inners[..inner.me].iter().enumerate() {
+            inner.install_stream(inner.dial(j, &peer.listener.addr())?);
         }
     }
     for inner in inners.iter() {
@@ -1097,9 +973,7 @@ pub fn remote_endpoint(
     let deadline = Instant::now() + RENDEZVOUS_TIMEOUT;
     for j in 0..me {
         let peer_addr = read_addr_file(dir, j, deadline)?;
-        inner.addrs.lock()[j] = Some(peer_addr.clone());
-        let (stream, codec) = inner.dial(j, &peer_addr)?;
-        inner.install_stream(j, stream, codec);
+        inner.install_stream(inner.dial(j, &peer_addr)?);
     }
     inner.wait_ready(n.saturating_sub(1), RENDEZVOUS_TIMEOUT)?;
     Ok(Arc::new(SocketEndpoint { inner }))
@@ -1109,6 +983,7 @@ pub fn remote_endpoint(
 mod tests {
     use super::*;
     use parking_lot::Mutex as PMutex;
+    use std::io::Read;
     use ttg_telemetry::MetricKey;
 
     fn collect_sink() -> (Sink, Arc<PMutex<Vec<(Rank, Frame)>>>) {
@@ -1122,11 +997,64 @@ mod tests {
         (sink, got)
     }
 
+    fn error_sink() -> (Sink, Arc<PMutex<Vec<TransportError>>>) {
+        let errors: Arc<PMutex<Vec<TransportError>>> = Arc::new(PMutex::new(Vec::new()));
+        let e = Arc::clone(&errors);
+        let sink: Sink = Arc::new(move |_, ev| {
+            if let Err(err) = ev {
+                e.lock().push(err);
+            }
+        });
+        (sink, errors)
+    }
+
     fn wait_for<F: Fn() -> bool>(cond: F, what: &str) {
         let deadline = Instant::now() + Duration::from_secs(10);
         while !cond() {
             assert!(Instant::now() < deadline, "timeout waiting for {what}");
             std::thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    fn counter(reg: &Registry, name: &'static str) -> u64 {
+        reg.snapshot()
+            .counter(&MetricKey::global("transport", name))
+    }
+
+    fn hello_from(rank: u32) -> Vec<u8> {
+        Frame::Hello {
+            magic: MAGIC,
+            version: PROTOCOL_VERSION,
+            rank,
+            ranks: 2,
+        }
+        .encode_vec()
+    }
+
+    /// Rank 0 of a 2-rank TCP job that rank 1 has not dialed yet: the test
+    /// dials in as rank 1.
+    fn lone_endpoint(reg: &Registry) -> (SocketEndpoint, std::net::SocketAddr) {
+        let listener = bind_listener(TransportKind::Tcp, None).expect("listener");
+        let ep = SocketEndpoint {
+            inner: new_inner(0, 2, TransportKind::Tcp, listener, reg),
+        };
+        let AddrSpec::Tcp(addr) = ep.listen_addr() else {
+            panic!("tcp addr")
+        };
+        (ep, addr)
+    }
+
+    /// The endpoint dropped the stranger's connection: it reads to EOF
+    /// (past the endpoint's own `Hello`).
+    fn assert_dropped(mut s: TcpStream) {
+        let mut buf = [0u8; 64];
+        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        loop {
+            match s.read(&mut buf) {
+                Ok(0) => break,
+                Ok(_) => continue,
+                Err(e) => panic!("expected EOF, got {e}"),
+            }
         }
     }
 
@@ -1139,11 +1067,7 @@ mod tests {
             ep.start(sink);
             gots.push(got);
         }
-        // 0 -> 2 ordered burst, 2 -> 0 single, 1 -> 0 single. The burst is
-        // queued while the test holds that link's stream, so its writer can
-        // take it in at most two batches: the gather below is certain.
-        let slot = eps[0].inner.conns[2].as_ref().expect("conn slot");
-        let held = slot.stream.lock();
+        // 0 -> 2 ordered burst, 2 -> 0 single, 1 -> 0 single.
         for seq in 1..=20u64 {
             eps[0]
                 .link(2)
@@ -1155,7 +1079,6 @@ mod tests {
                 })
                 .unwrap();
         }
-        drop(held);
         eps[2].link(0).send(Frame::TermProbe { round: 1 }).unwrap();
         eps[1].link(0).send(Frame::TermProbe { round: 2 }).unwrap();
         wait_for(|| gots[2].lock().len() == 20, "rank 2 frames");
@@ -1173,24 +1096,23 @@ mod tests {
             }
         }
         drop(r2);
-        // Telemetry: connections were counted, bytes moved, hwm recorded.
-        let snap = reg.snapshot();
-        assert!(snap.counter(&MetricKey::global("transport", "connects")) >= 3);
-        assert!(snap.counter(&MetricKey::global("transport", "tx_bytes")) > 2000);
-        assert!(snap.counter(&MetricKey::global("transport", "rx_bytes")) > 2000);
         // Writer accounting: every queued frame either had its own write
         // or rode a coalesced one — 22 frames were sent above. (Handshake
-        // Hellos are written inline, outside the writer counters.)
-        let writes = snap.counter(&MetricKey::global("transport", "tx_writes"));
-        let coalesced = snap.counter(&MetricKey::global("transport", "tx_frames_coalesced"));
-        assert!(writes >= 1, "no writer writes counted");
-        assert_eq!(writes + coalesced, 22, "frames-per-write accounting");
-        assert!(coalesced >= 18, "the writer gathered {coalesced} of 20");
+        // Hellos are written inline, outside the writer counters.) A
+        // writer counts its write after it returned: wait for the last.
+        let counted = || counter(&reg, "tx_writes") + counter(&reg, "tx_frames_coalesced");
+        wait_for(|| counted() >= 22, "the writers' counts");
+        assert_eq!(counted(), 22, "frames-per-write accounting");
+        // Telemetry: connections were counted, bytes moved, hwm recorded.
+        let snap = reg.snapshot();
+        assert_eq!(snap.counter(&MetricKey::global("transport", "connects")), 6);
+        assert!(snap.counter(&MetricKey::global("transport", "tx_bytes")) > 2000);
+        assert!(snap.counter(&MetricKey::global("transport", "rx_bytes")) > 2000);
         assert_eq!(
             snap.counter(&MetricKey::global("transport", "tx_frames_abandoned")),
             0
         );
-        assert!(snap.gauge(&MetricKey::ranked(2, "transport", "send_queue_hwm")) >= 1);
+        assert!(snap.gauge(&MetricKey::ranked(2, "transport", "queue_hwm")) >= 1);
         for ep in &eps {
             ep.shutdown();
         }
@@ -1207,28 +1129,60 @@ mod tests {
     }
 
     #[test]
+    fn a_burst_queued_before_the_connection_leaves_in_one_write() {
+        // The writer waits for its connection and then takes the whole
+        // backlog: the burst follows the endpoint's Hello, in order, in one
+        // gathered write.
+        let reg = Registry::new();
+        let (ep, addr) = lone_endpoint(&reg);
+        let am = |seq: u64| Frame::Am {
+            from: 0,
+            handler: 9,
+            seq,
+            payload: vec![seq as u8; 100],
+        };
+        for seq in 1..=20 {
+            ep.link(1).send(am(seq)).unwrap();
+        }
+        let mut s = TcpStream::connect(addr).unwrap();
+        s.write_all(&hello_from(1)).unwrap();
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let (mut codec, mut got, mut buf) = (FrameCodec::new(), Vec::new(), [0u8; 4096]);
+        while got.len() < 21 {
+            let k = s.read(&mut buf).unwrap();
+            assert!(k > 0, "stream ended after {} frames", got.len());
+            codec.feed(&buf[..k], &mut |f| got.push(f)).unwrap();
+        }
+        assert!(matches!(got[0], Frame::Hello { rank: 0, .. }));
+        assert_eq!(got[1..], (1..=20).map(am).collect::<Vec<_>>());
+        // The writer counts a write after it returned, ending with the
+        // frames that rode along.
+        wait_for(
+            || counter(&reg, "tx_frames_coalesced") > 0,
+            "the write's count",
+        );
+        let writes = (
+            counter(&reg, "tx_writes"),
+            counter(&reg, "tx_frames_coalesced"),
+        );
+        assert_eq!(writes, (1, 19));
+        ep.shutdown();
+    }
+
+    #[test]
     fn frames_right_behind_hello_are_not_lost() {
         // Regression: the accept-side handshake used to read the peer's
         // Hello into a throwaway decoder, silently dropping any bytes of
         // the frames behind it and desynchronizing the stream (seen as
         // flaky multi-process barrier hangs). Write Hello, an Am and a bulk
         // Am in a single burst: both must reach the sink, the second with
-        // its head staged by the handshake and its body received in place.
+        // its head read by the handshake and its body received in place.
         let reg = Registry::new();
-        let eps = local_mesh(TransportKind::Tcp, 2, &reg).expect("mesh");
+        let (ep, addr) = lone_endpoint(&reg);
         let (sink, got) = collect_sink();
-        eps[0].start(sink);
-        let AddrSpec::Tcp(addr) = eps[0].listen_addr() else {
-            panic!("tcp addr")
-        };
+        ep.start(sink);
         let mut s = TcpStream::connect(addr).unwrap();
-        let mut burst = Frame::Hello {
-            magic: MAGIC,
-            version: PROTOCOL_VERSION,
-            rank: 1,
-            ranks: 2,
-        }
-        .encode_vec();
+        let mut burst = hello_from(1);
         Frame::Am {
             from: 1,
             handler: 3,
@@ -1249,9 +1203,7 @@ mod tests {
         assert!(matches!(got[0], (1, Frame::Am { seq: 9, .. })));
         assert_eq!(got[1], (1, bulk));
         drop(got);
-        for ep in &eps {
-            ep.shutdown();
-        }
+        ep.shutdown();
     }
 
     #[test]
@@ -1273,26 +1225,105 @@ mod tests {
         };
         s.write_all(&bad.encode_vec()).unwrap();
         wait_for(
-            || {
-                reg.snapshot()
-                    .counter(&MetricKey::global("transport", "handshake_failures"))
-                    >= 1
-            },
+            || counter(&reg, "handshake_failures") >= 1,
             "handshake failure count",
         );
-        // The stranger's connection is dropped (EOF on read).
-        let mut buf = [0u8; 64];
-        s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-        loop {
-            match s.read(&mut buf) {
-                Ok(0) => break,
-                Ok(_) => continue, // the listener's own Hello reply
-                Err(e) => panic!("expected EOF, got {e}"),
-            }
-        }
+        assert_dropped(s);
         for ep in &eps {
             ep.shutdown();
         }
+    }
+
+    #[test]
+    fn a_strangers_hello_for_a_connected_rank_is_refused() {
+        // A valid Hello claiming rank 1, with an Am behind it, after the
+        // mesh is up: refused and counted, and rank 1 keeps its link.
+        let reg = Registry::new();
+        let eps = local_mesh(TransportKind::Tcp, 2, &reg).expect("mesh");
+        let (sink, got) = collect_sink();
+        eps[0].start(sink);
+        let AddrSpec::Tcp(addr) = eps[0].listen_addr() else {
+            panic!("tcp addr")
+        };
+        let mut s = TcpStream::connect(addr).unwrap();
+        let mut burst = hello_from(1);
+        Frame::Am {
+            from: 1,
+            handler: 3,
+            seq: 666,
+            payload: vec![6u8; 8],
+        }
+        .encode(&mut burst);
+        s.write_all(&burst).unwrap();
+        wait_for(
+            || counter(&reg, "handshake_failures") == 1,
+            "the stranger's refusal",
+        );
+        assert_dropped(s);
+        eps[1].link(0).send(Frame::TermProbe { round: 7 }).unwrap();
+        wait_for(|| !got.lock().is_empty(), "rank 1's frame");
+        for ep in &eps {
+            ep.shutdown();
+        }
+        assert_eq!(*got.lock(), vec![(1, Frame::TermProbe { round: 7 })]);
+        assert_eq!(
+            (counter(&reg, "connects"), counter(&reg, "reconnects")),
+            (2, 0)
+        );
+    }
+
+    fn cut_connection(kind: TransportKind) {
+        // A connection cut without Bye is a lost peer: each side reports it
+        // once, both links close, nothing redials, and teardown is prompt.
+        let reg = Registry::new();
+        let eps = local_mesh(kind, 2, &reg).expect("mesh");
+        let mut errors = Vec::new();
+        for ep in &eps {
+            let (sink, errs) = error_sink();
+            ep.start(sink);
+            errors.push(errs);
+        }
+        let stream = eps[0].inner.slot(1).stream.get().expect("connected");
+        stream.shutdown_both();
+        let cut = Instant::now();
+        for (from, to) in [(0, 1), (1, 0)] {
+            // A frame sent before its side has met the cut is abandoned.
+            let link = eps[from].link(to);
+            while link.send(Frame::TermDone) != Err(TransportError::Closed { peer: to }) {
+                let open = cut.elapsed();
+                assert!(
+                    open < Duration::from_millis(500),
+                    "{kind}: {from}->{to} open"
+                );
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        for ep in &eps {
+            let t = Instant::now();
+            ep.shutdown();
+            let took = t.elapsed();
+            assert!(
+                took < Duration::from_millis(200),
+                "{kind}: shutdown {took:?}"
+            );
+        }
+        for (r, errs) in errors.iter().enumerate() {
+            let errs = errs.lock();
+            let once = matches!(errs[..], [TransportError::PeerReset { .. }]);
+            assert!(once, "{kind}: rank {r} reported {:?}", &errs[..]);
+        }
+        assert_eq!(counter(&reg, "reconnects"), 0);
+        assert!(counter(&reg, "tx_frames_abandoned") >= 2);
+    }
+
+    #[test]
+    fn tcp_cut_connection_is_reported_once_and_closes_both_links() {
+        cut_connection(TransportKind::Tcp);
+    }
+
+    #[test]
+    fn uds_cut_connection_is_reported_once_and_closes_both_links() {
+        cut_connection(TransportKind::Uds);
     }
 
     #[test]
@@ -1311,11 +1342,7 @@ mod tests {
         };
         s.write_all(&skewed.encode_vec()).unwrap();
         wait_for(
-            || {
-                reg.snapshot()
-                    .counter(&MetricKey::global("transport", "handshake_failures"))
-                    >= 1
-            },
+            || counter(&reg, "handshake_failures") >= 1,
             "version-skew refusal",
         );
         for ep in &eps {

@@ -84,7 +84,9 @@ fn an_announced_length_costs_the_bytes_received_not_the_bytes_announced() {
     refused(FrameCodec::new().feed(&over, &mut |_| {}).unwrap_err());
     refused(FrameCodec::new().feed(&over[..4], &mut |_| {}).unwrap_err());
     let mut staged = FrameCodec::new();
-    staged.push(&over[..3]);
+    staged
+        .feed(&over[..3], &mut |_| {})
+        .expect("a partial prefix");
     let e = staged
         .read_from(&mut &over[3..], &mut scratch, &mut |_| {})
         .unwrap_err();

@@ -12,7 +12,7 @@ use ttg_transport::{local_mesh, Endpoint, Frame, TransportKind};
 fn a_mesh_whose_peer_left_mid_traffic_tears_down_at_once() {
     // Rank 0 leaves while rank 1 still has data and acks queued for it:
     // rank 1's writer meets a closed socket, possibly before its reader
-    // met the Bye. Neither side's shutdown may wait out a redial.
+    // met the Bye. Neither side's shutdown may wait on the other.
     for round in 0..50 {
         let reg = Registry::new();
         let eps = local_mesh(TransportKind::Uds, 2, &reg).expect("mesh");

@@ -92,14 +92,15 @@ impl Read for Cut<'_> {
     }
 }
 
-/// Decode `data`, cut at `cuts`, through the reader path; `staged` bytes
-/// of it went through the handshake's `push` first.
+/// Decode `data`, cut at `cuts`, through the reader path; the first
+/// `staged` bytes of it were read by the handshake, in one piece.
 fn read_all(data: &[u8], staged: usize, cuts: &[usize]) -> (Vec<Frame>, u64) {
     let mut codec = FrameCodec::new();
-    codec.push(&data[..staged]);
     let mut got = Vec::new();
     let mut out = |f: Frame| got.push(f);
-    codec.feed(&[], &mut out).expect("staged bytes decode");
+    codec
+        .feed(&data[..staged], &mut out)
+        .expect("staged bytes decode");
     let mut r = Cut {
         data: &data[staged..],
         at: 0,
@@ -167,8 +168,8 @@ fn feed_decodes_whatever_the_chunk_size() {
 
 #[test]
 fn a_bulk_frame_staged_by_the_handshake_loses_no_byte() {
-    // The handshake reads with `push`/`next`; whatever it pulled in behind
-    // the peer's Hello — here any part of a small Am and of the bulk Am
+    // The handshake reads through the reader's decoder; whatever it pulled
+    // in behind the peer's Hello — here any part of a small Am and of the bulk Am
     // behind it, from a sliver of a length prefix to a head plus body
     // bytes — must reach the reader path.
     let mut rng = Rng(7);

@@ -59,13 +59,11 @@ const KEYS: &[&str] = &[
     "sched/wakeups[r]",
     "transport/connects",
     "transport/handshake_failures",
+    "transport/queue_bytes_hwm[r]",
+    "transport/queue_hwm[r]",
     "transport/reconnects",
     "transport/rx_bytes",
     "transport/rx_direct_frames",
-    "transport/send_queue_bytes_hwm[r]",
-    "transport/send_queue_bytes_hwm_lifetime[r]",
-    "transport/send_queue_hwm[r]",
-    "transport/send_queue_hwm_lifetime[r]",
     "transport/tx_bytes",
     "transport/tx_direct_frames",
     "transport/tx_frames_abandoned",

@@ -15,7 +15,7 @@ use ttg::core::am::{am_header, MSG_DATA_SPLITMD};
 use ttg::core::prelude::*;
 use ttg::linalg::{Dist2D, Tile, TiledMatrix};
 use ttg::transport::frame::MAGIC;
-use ttg::transport::{local_mesh, AddrSpec, Endpoint, Frame, PROTOCOL_VERSION};
+use ttg::transport::{local_mesh, remote_endpoint, AddrSpec, Endpoint, Frame, PROTOCOL_VERSION};
 
 fn factor(a: &TiledMatrix, transport: TransportSpec) -> (TiledMatrix, ttg::core::ExecReport) {
     let cfg = cholesky::ttg::Config {
@@ -72,18 +72,21 @@ fn gathered_write_of_mixed_frames_decodes_losslessly() {
     // control and data frames without losing or reordering any of them.
     // Emulate the worst case by hand: one write() carrying the handshake
     // Hello, a data Am, a bulk Am (its body is received in place, DESIGN
-    // §12) and a batched AckRange back to back.
-    let reg = ttg::telemetry::Registry::new();
-    let eps = local_mesh(TransportKind::Tcp, 2, &reg).expect("mesh");
-    let got: Arc<Mutex<Vec<(usize, Frame)>>> = Arc::new(Mutex::new(Vec::new()));
-    let sink_got = Arc::clone(&got);
-    eps[0].start(Arc::new(move |src, res| {
-        if let Ok(f) = res {
-            sink_got.lock().unwrap().push((src, f));
+    // §12) and a batched AckRange back to back, from a hand-made rank 1 of
+    // a 2-rank TCP job whose rank 0 waits at rendezvous.
+    let reg = Arc::new(ttg::telemetry::Registry::new());
+    let dir = std::env::temp_dir().join(format!("ttg-gathered-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let rank0 = {
+        let (dir, reg) = (dir.clone(), Arc::clone(&reg));
+        std::thread::spawn(move || remote_endpoint(TransportKind::Tcp, 0, 2, &dir, &reg))
+    };
+    let addr = loop {
+        let text = std::fs::read_to_string(dir.join("rank-0.addr")).unwrap_or_default();
+        if let Some(AddrSpec::Tcp(addr)) = AddrSpec::parse(&text) {
+            break addr;
         }
-    }));
-    let AddrSpec::Tcp(addr) = eps[0].listen_addr() else {
-        panic!("tcp mesh must listen on a tcp address")
+        std::thread::sleep(Duration::from_millis(5));
     };
 
     let mut burst = Vec::new();
@@ -118,6 +121,14 @@ fn gathered_write_of_mixed_frames_decodes_losslessly() {
 
     let mut s = TcpStream::connect(addr).unwrap();
     s.write_all(&burst).unwrap();
+    let ep = rank0.join().unwrap().expect("rank 0 admits rank 1");
+    let got: Arc<Mutex<Vec<(usize, Frame)>>> = Arc::new(Mutex::new(Vec::new()));
+    let sink_got = Arc::clone(&got);
+    ep.start(Arc::new(move |src, res| {
+        if let Ok(f) = res {
+            sink_got.lock().unwrap().push((src, f));
+        }
+    }));
 
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
@@ -160,9 +171,8 @@ fn gathered_write_of_mixed_frames_decodes_losslessly() {
         );
         std::thread::sleep(Duration::from_millis(5));
     }
-    for ep in &eps {
-        ep.shutdown();
-    }
+    ep.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Bytes in a frame body of the bulk streams below.
@@ -278,8 +288,7 @@ fn bulk_streams_both_ways_with_reader_replies_stay_inside_the_byte_bound() {
         // in flight.
         let bound = (1 << 20) + (BODY + 21) + 64;
         for r in 0..2 {
-            let key =
-                ttg::telemetry::MetricKey::ranked(r, "transport", "send_queue_bytes_hwm_lifetime");
+            let key = ttg::telemetry::MetricKey::ranked(r, "transport", "queue_bytes_hwm");
             let hwm = reg.gauge(key).get();
             assert!(
                 hwm > BODY as i64,
