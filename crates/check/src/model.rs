@@ -3,7 +3,7 @@
 //!
 //! Each corpus entry is a model-sized extraction of a real concurrency
 //! protocol (worker sleep/wake, batched submit, sharded matching, the
-//! reliable dedup window and ack protocol, the recovery ledger, the
+//! reliable dedup window and ack protocol, the coordinated rollback, the
 //! transport handshake) explored exhaustively up to its preemption bound.
 //! A violated invariant becomes a **TTG054 error** carrying the failing
 //! schedule; a clean exhaustive exploration becomes a **TTG055 note**

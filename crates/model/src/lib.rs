@@ -13,7 +13,7 @@
 //! [`protocols`] holds model-sized extractions of the real protocols this
 //! repo depends on (worker sleep/wake, the event count every sleeper parks
 //! on — the production definition itself — batched submit, sharded matching,
-//! dedup window, reliable acks and retransmission, recovery ledger,
+//! dedup window, reliable acks and retransmission, coordinated rollback,
 //! multi-process termination, transport handshake), each with invariants
 //! and known-bad mutations the checker must catch. `ttg-check --model`
 //! runs that corpus and reports in the standard diagnostic format.

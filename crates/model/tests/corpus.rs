@@ -4,7 +4,7 @@
 //! coverage evidence CI archives.
 
 use ttg_model::protocols::{
-    ack, batch, corpus, dedup, event, handshake, matching, recover, term, wake,
+    ack, batch, corpus, dedup, event, handshake, matching, rollback, term, wake,
 };
 use ttg_model::{Config, Sample, ViolationKind};
 
@@ -154,42 +154,26 @@ fn ack_hole_rule_off_leaves_a_loss_waiting_on_a_restarted_clock() {
 }
 
 #[test]
-fn recover_shipped_rules_break_exactly_once_on_a_second_kill() {
-    // The shared counter and its four rules, kept as a regression: a
-    // second kill of the same rank re-drives content the first restore's
-    // copies consumed from the peer's content log, and it is processed
-    // twice. (The counter itself balances on every schedule the model
-    // reaches; the run-time double debit was not reproduced here.)
-    let v = recover::check(
-        Config::bounded(1),
-        recover::Ledger::Shipped,
-        recover::Mutation::None,
-    )
-    .expect_err("the shipped rules must be caught");
+fn rollback_with_a_rank_left_running_at_the_cut_is_caught() {
+    // The cut reads rank 1's link mid-packet: processed, not yet settled.
+    let v = rollback::check(Config::bounded(1), rollback::Mutation::Unpaused)
+        .expect_err("mutation must be caught");
     assert_eq!(v.kind, ViolationKind::Assert, "got: {v}");
-    assert!(v.message.contains("exactly-once broken"), "got: {v}");
+    assert!(v.message.contains("ledger imbalance"), "got: {v}");
 }
 
 #[test]
-fn recover_restore_by_delta_is_caught() {
-    let v = recover::check(
-        Config::bounded(2),
-        recover::Ledger::PerLink,
-        recover::Mutation::RestoreByDelta,
-    )
-    .expect_err("mutation must be caught");
+fn rollback_dedup_hit_settling_is_caught() {
+    let v = rollback::check(Config::bounded(1), rollback::Mutation::DedupSettles)
+        .expect_err("mutation must be caught");
     assert_eq!(v.kind, ViolationKind::Assert, "got: {v}");
     assert!(v.message.contains("settled past issued"), "got: {v}");
 }
 
 #[test]
-fn recover_dedup_hit_settling_is_caught() {
-    let v = recover::check(
-        Config::bounded(2),
-        recover::Ledger::PerLink,
-        recover::Mutation::DedupSettles,
-    )
-    .expect_err("mutation must be caught");
+fn rollback_without_the_epoch_fence_is_caught() {
+    let v = rollback::check(Config::bounded(1), rollback::Mutation::NoFence)
+        .expect_err("mutation must be caught");
     assert_eq!(v.kind, ViolationKind::Assert, "got: {v}");
     assert!(v.message.contains("settled past issued"), "got: {v}");
 }
