@@ -88,15 +88,15 @@ pub enum CommErrorKind {
     /// The link layer failed: connect refused, peer reset, handshake
     /// mismatch, or framing garbage (socket transports only).
     TransportFailure,
-    /// A killed rank was restored from its last snapshot and its logged
-    /// messages replayed (informational: recorded in the recovery log,
-    /// not the error sink).
+    /// A kill rolled every rank back to the last global cut; names the
+    /// killed rank (informational: recorded in the recovery log, not the
+    /// error sink).
     RankRecovered,
-    /// A periodic state snapshot could not be captured or persisted; the
-    /// previous snapshot remains the restore point.
+    /// A periodic global cut could not be captured or persisted; the
+    /// previous cut remains the rollback point.
     SnapshotFailed,
-    /// A rank restore/replay attempt failed; the rank stays dead and the
-    /// run degrades to the PR 5 fail-and-report path.
+    /// A rollback could not load or decode the last cut, and the run ends;
+    /// or the in-flight ledger refused a settle past a link's issued count.
     RecoveryFailed,
 }
 

@@ -14,7 +14,7 @@
 //!   it composes lives in modules that see a narrow *port* (named in each
 //!   module's header; DESIGN §9 has the map), never the fabric: [`links`]
 //!   (the link layer as data), [`chaos`] over [`reliable`] (the reliable
-//!   layer a [`FaultPlan`] installs), [`recover`] (checkpoint/restore),
+//!   layer a [`FaultPlan`] installs), [`recover`] (the global cut and the rollback),
 //!   [`control`] (a multi-process rank's barrier and termination),
 //!   [`rma`] (one-sided regions), [`stats`], [`error`], [`ledger`] (the
 //!   in-flight ledger), [`wake`] (the progress thread's schedule);
@@ -54,7 +54,7 @@ pub use fabric::Fabric;
 pub use fault::{FaultPlan, KillScript, RetryPolicy};
 pub use links::{Packet, Rank};
 pub use pool::{pool_stats, PoolStats};
-pub use recover::{MemorySnapshotSink, Recovery, SnapshotSink};
+pub use recover::Recovery;
 pub use reliable::SeqWindow;
 pub use rma::RegionId;
 pub use stats::{FabricStats, StatsSnapshot};

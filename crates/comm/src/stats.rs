@@ -60,9 +60,9 @@ ttg_telemetry::metrics! {
         /// delivery thread, ns (decode, matching-table inserts, batch flush).
         pub am_deliver_ns: histogram("comm", "am_deliver_ns")
             => am_deliver_p50_ns, am_deliver_p99_ns,
-        /// Time a rank's delivery thread spends on one due snapshot, ns: the
-        /// wait for its pool to drain, plus composing and committing the
-        /// snapshot when the pool drained in time.
+        /// Time every rank stays paused for one global cut, ns: the wait
+        /// for delivery to stop and the pools to drain, plus composing and
+        /// committing the cut.
         pub snapshot_pause_ns: histogram("comm", "snapshot_pause_ns")
             => snapshot_pause_p50_ns, snapshot_pause_p99_ns,
         /// Per-rank bytes put on the wire (AM payloads + RMA reads served).
@@ -74,15 +74,15 @@ ttg_telemetry::metrics! {
         /// depend on the runtime crate, so it re-attaches to the pools'
         /// cells by key here.
         pub(crate) sched_ready_hwm: ranked gauge("sched", "ready_hwm"),
-        /// Recovery: per-rank state snapshots captured.
-        pub(crate) snapshots_taken: counter("comm", "snapshots_taken"),
+        /// Recovery: global cuts committed.
+        pub snapshots_taken: counter("comm", "snapshots_taken"),
         /// Recovery: bytes persisted through the snapshot sink.
-        pub(crate) snapshot_bytes: counter("comm", "snapshot_bytes"),
-        /// Recovery: snapshots restored into a rank.
+        pub snapshot_bytes: counter("comm", "snapshot_bytes"),
+        /// Recovery: rollbacks of every rank to the last cut.
         pub(crate) restores: counter("comm", "restores"),
-        /// Recovery: killed ranks brought back to life.
+        /// Recovery: killed ranks brought back by a rollback.
         pub(crate) recoveries: counter("comm", "recoveries"),
-        /// Recovery: logged messages retransmitted during replay.
+        /// Recovery: unacked entries and seeds a rollback re-armed.
         pub(crate) replayed_sends: counter("comm", "replayed_sends"),
         /// The link layer's counters (zero on the in-process wire, which has
         /// no framing to measure).

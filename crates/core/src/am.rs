@@ -30,8 +30,6 @@
 //! in the value's metadata; the receiver reads the payload one-sidedly out
 //! of `region` on rank `owner` — which takes an owner in the receiver's
 //! address space, so the sender chooses it only there ([`AmPlan::send`]).
-//! The fabric's recovery content key masks `from_task` and the bracketed
-//! pair by these offsets (`Fabric::am_content_key`).
 
 use std::sync::Arc;
 
@@ -64,11 +62,14 @@ pub fn am_header(b: &mut WriteBuf, from_task: u64, msg_type: u8, terminal: u16) 
 /// protocol: the type and the backend opt in, and there is a one-sided read
 /// to fetch the payload with — every rank's region table is in this address
 /// space. Between OS processes there is none, and the value rides inside
-/// its AM at any size (DESIGN §9).
+/// its AM at any size (DESIGN §9). Under a recovery plan it rides inside
+/// its AM too: a global cut holds the AMs in flight, not the region table
+/// (DESIGN §13).
 fn two_stage<V: Data>(ctx: &RuntimeCtx) -> bool {
     V::KIND == WireKind::SplitMd
         && ctx.backend.supports_splitmd
         && ctx.fabric.local_rank().is_none()
+        && !ctx.fabric.recovering()
 }
 
 /// One data AM in the making: the groups bound for one rank.
@@ -164,10 +165,10 @@ impl AmPlan {
     /// written straight into the one AM's pooled buffer when there is a
     /// single destination, copied from one encoding when there are more.
     /// An AM to `src_rank` itself (loopback under recovery, where even
-    /// local sends are sequenced and logged) is always inline.
+    /// local sends are sequenced and every AM is inline) is always inline.
     /// `wire_from` is the fabric sender: `src_rank`, or for an external
     /// seed (inline, as loopback) the out-of-fabric sentinel, whose sends a
-    /// restore replays like any peer's.
+    /// rollback re-arms.
     pub fn send<V: Data>(
         &mut self,
         v: &V,

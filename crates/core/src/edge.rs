@@ -253,9 +253,9 @@ impl<K: Key, V: Data> ConsumerPort<K, V> for PortImpl<K, V> {
     ) {
         let node = self.node();
         let n_ranks = ctx.n_ranks();
-        // Recovery is on: loopback sends must be sequenced and replay-logged
-        // on the diagonal link, so they take the wire like any other.
-        let wire_local = ctx.fabric.wire_local_sends();
+        // Recovery is on: loopback sends must be sequenced on the diagonal
+        // link, so they take the wire like any other.
+        let wire_local = ctx.fabric.recovering();
         let mut n_local = 0;
         for k in keys {
             let r = node.owner(k, n_ranks);
@@ -300,7 +300,7 @@ pub(crate) fn port_set_stream_size<K: Key>(
     ctx: &Arc<RuntimeCtx>,
 ) {
     let owner = node.owner(k, ctx.n_ranks());
-    if owner == src_rank && !ctx.fabric.wire_local_sends() {
+    if owner == src_rank && !ctx.fabric.recovering() {
         or_panic(node.set_stream_size(owner, terminal as usize, k.clone(), n, ctx));
     } else {
         // header(11) + key + size(8).
@@ -322,7 +322,7 @@ pub(crate) fn port_finalize<K: Key>(
     ctx: &Arc<RuntimeCtx>,
 ) {
     let owner = node.owner(k, ctx.n_ranks());
-    if owner == src_rank && !ctx.fabric.wire_local_sends() {
+    if owner == src_rank && !ctx.fabric.recovering() {
         or_panic(node.finalize_stream(owner, terminal as usize, k.clone(), ctx));
     } else {
         // header(11) + key.
@@ -349,11 +349,10 @@ pub(crate) fn port_seed<K: Key, V: Data>(
     if !ctx.is_local(owner) {
         return;
     }
-    if ctx.fabric.wire_local_sends() {
+    if ctx.fabric.recovering() {
         // Seeds are logical messages too: under recovery they are
-        // sequenced on the sentinel's link to the owner, so a restore
-        // (an empty-snapshot one included) re-drives them from the replay
-        // log.
+        // sequenced on the sentinel's link to the owner, so a rollback
+        // (one to the start of the run included) re-arms them.
         let mut plan = AmPlan::new::<V>(ctx);
         plan.add(owner, ctx.n_ranks(), node.id, terminal, &k);
         plan.send(&v, 0, owner, usize::MAX, ctx);

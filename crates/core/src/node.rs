@@ -423,7 +423,7 @@ pub trait AnyNode: Send + Sync {
     fn export_rank(&self, rank: usize, b: &mut WriteBuf) -> Result<(), WireError>;
     /// Replace rank `rank`'s matching-table state with the snapshot in `r`.
     fn import_rank(&self, rank: usize, r: &mut ReadBuf<'_>) -> Result<(), WireError>;
-    /// Drop rank `rank`'s matching-table state (restore-to-empty path).
+    /// Drop rank `rank`'s matching-table state (a rollback to the start).
     fn clear_rank(&self, rank: usize);
 }
 
@@ -1165,8 +1165,8 @@ impl<K: Key> AnyNode for NodeInner<K> {
 
     fn export_rank(&self, rank: usize, b: &mut WriteBuf) -> Result<(), WireError> {
         let table = &self.tables.get().expect("node not attached")[rank];
-        // Entry count first; the comm thread only snapshots while the
-        // rank's worker pool is idle, so the count cannot change between
+        // Entry count first; a cut is taken only while delivery is paused
+        // and every worker pool is idle, so the count cannot change between
         // the two passes.
         let total: usize = table.shards.iter().map(|s| s.lock().len()).sum();
         b.put_u64(total as u64);
@@ -1228,7 +1228,9 @@ impl<K: Key> AnyNode for NodeInner<K> {
         for _ in 0..total {
             let k = K::decode(r)?;
             let ndeps = r.get_u32()? as usize;
-            let mut deps = Vec::with_capacity(ndeps);
+            // A dep is 32 bytes: an untrusted count reserves no more than
+            // the bytes left could hold.
+            let mut deps = Vec::with_capacity(ndeps.min(r.remaining() / 32));
             for _ in 0..ndeps {
                 deps.push(Dep {
                     from_task: r.get_u64()?,
