@@ -56,18 +56,30 @@ type K3 = (u64, u64, u64);
 
 /// Run the factorization; returns the factor and the execution report.
 pub fn run(a: &TiledMatrix, cfg: &Config) -> (TiledMatrix, ExecReport) {
-    let nt = a.nt() as u64;
+    let nt_tiles = a.nt();
+    let nt = nt_tiles as u64;
     let nb = a.nb();
     let dist = Dist2D::for_ranks(cfg.ranks);
 
     // INITIATOR moves each tile out of this copy — unless recovery may run
-    // it again for a restored rank, which needs the tile still there.
-    let input = Arc::new(Mutex::new(a.clone()));
+    // it again for a restored rank, which needs the tile still there. It
+    // reads the lower triangle only, so only that is copied; the tiles
+    // above the diagonal stay empty (`0 × 0`).
+    let lower = (0..nt_tiles * nt_tiles).map(|at| {
+        let (i, j) = (at % nt_tiles, at / nt_tiles);
+        if i >= j {
+            a.tile(i, j).clone()
+        } else {
+            Tile::zeros(0, 0)
+        }
+    });
+    let input = TiledMatrix::from_tiles(nt_tiles, nb, lower.collect());
+    let input = Arc::new(Mutex::new(input));
     let rerunnable = cfg.faults.as_ref().is_some_and(|p| p.recover.is_some());
     // RESULT keeps the handles it is given; they are unwrapped into the
     // factor once the run is over and nothing else holds them.
     let output: Arc<Mutex<Vec<Option<Arc<Tile>>>>> =
-        Arc::new(Mutex::new(vec![None; a.nt() * a.nt()]));
+        Arc::new(Mutex::new(vec![None; nt_tiles * nt_tiles]));
 
     // Edges (names follow Listing 1).
     // Accumulator chains (to_potrf/trsm_a/syrk_a/gemm_a) carry owned tiles:
@@ -209,7 +221,6 @@ pub fn run(a: &TiledMatrix, cfg: &Config) -> (TiledMatrix, ExecReport) {
     // RESULT: collect factor tiles.
     let out2 = Arc::clone(&output);
     let d2 = dist;
-    let nt_tiles = a.nt();
     let result_tt = g.make_tt(
         "RESULT",
         (result,),
@@ -281,7 +292,7 @@ pub fn run(a: &TiledMatrix, cfg: &Config) -> (TiledMatrix, ExecReport) {
     // RESULT collected — in a multi-process run those of this rank; the
     // other ranks' stay empty.
     let l = TiledMatrix::from_tiles(
-        a.nt(),
+        nt_tiles,
         nb,
         std::mem::take(&mut *output.lock().unwrap())
             .into_iter()

@@ -9,20 +9,23 @@
 //! blocks, with the nest as their `O(n³)` part and a scalar `NR`-wide
 //! triangle.
 //!
-//! **One body, two instantiations.** Each kernel is written once, generic
-//! over the register block's row count, and compiled twice: with 4 rows for
-//! the build's baseline instruction set (the only arm off x86-64), and with
-//! 8 rows inside a function compiled for AVX2, which `dispatch` picks per
-//! call when the CPU has it ([`isa`] says which). Nothing else selects an
-//! arm.
+//! **One body, three instantiations.** Each kernel is written once, generic
+//! over the register block's row count, and compiled three times: with 4
+//! rows for the build's baseline instruction set (the only arm off x86-64),
+//! with 8 rows inside a function compiled for AVX2, and with 24 rows inside
+//! one compiled for AVX-512. `dispatch` picks per call from the CPU and the
+//! height of the call's `C` ([`arm`]; [`isa`] names the widest available).
+//! Nothing else selects an arm.
 //!
 //! **Results do not depend on the arm.** Every element accumulates its
 //! terms in ascending inner index, each as a separately rounded multiply
 //! and add (a fused one rounds once and would make a bit depend on the CPU),
 //! and no term is skipped for being zero — `0 · ∞` poisons an element
-//! wherever it sits. The two arms are therefore bit-identical to each
-//! other, and on finite inputs to the scalar loops they replaced, which
-//! live on as the test oracle (`crate::scalar`).
+//! wherever it sits. The arms are therefore bit-identical to each other,
+//! and on finite inputs to the scalar loops they replaced, which live on as
+//! the test oracle (`crate::scalar`). The AVX-512 arm is compiled with the
+//! `fma` target feature (`avx512f` implies it); bits still hold because
+//! Rust never contracts `a * b + c` into a fused multiply-add.
 
 use crate::micro::{update, Madd, NR};
 use crate::tile::Tile;
@@ -36,32 +39,75 @@ const MR_BASELINE: usize = 4;
 #[cfg(target_arch = "x86_64")]
 const MR_AVX2: usize = 8;
 
+/// Rows of the register block when compiled for AVX-512: three 8-lane
+/// vectors per column, twelve accumulators for the `24 × NR` block (32
+/// rows spilled registers and ran at a quarter of the rate in a prototype).
+#[cfg(target_arch = "x86_64")]
+const MR_AVX512: usize = 24;
+
+/// Fewest rows of `C` a call needs to take the AVX-512 arm. Below it the
+/// wide block never fills and its setup costs more than it saves: an 8 × 8
+/// `minplus` ran 5–10 % slower there than on AVX2.
+const AVX512_MIN_ROWS: usize = 16;
+
 /// A kernel with its arguments bound, generic over the register block's
-/// row count — the one thing its two instantiations differ in.
+/// row count — the one thing its instantiations differ in.
 trait Kernel {
     type Out;
+    /// Rows of the `C` the kernel writes: what picks its arm.
+    fn rows(&self) -> usize;
     fn run<const MR: usize>(self) -> Self::Out;
 }
 
-/// Whether calls take the AVX2 instantiation (std caches the detection).
-fn has_avx2() -> bool {
+/// An instantiation of the kernels.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Arm {
+    Baseline,
+    Avx2,
+    Avx512,
+}
+
+/// The instruction-set extensions an arm needs, as detected on a CPU.
+#[derive(Clone, Copy, Default)]
+struct Cpu {
+    avx2: bool,
+    avx512f: bool,
+}
+
+/// This process's CPU (std caches the detection).
+fn cpu() -> Cpu {
     #[cfg(target_arch = "x86_64")]
     {
-        std::arch::is_x86_feature_detected!("avx2")
+        Cpu {
+            avx2: std::arch::is_x86_feature_detected!("avx2"),
+            avx512f: std::arch::is_x86_feature_detected!("avx512f"),
+        }
     }
     #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
+    Cpu::default()
+}
+
+/// The arm a call whose `C` has `rows` rows takes on `cpu`: AVX-512 from
+/// [`AVX512_MIN_ROWS`] rows up, else AVX2, each only where the CPU has it.
+fn arm(rows: usize, cpu: Cpu) -> Arm {
+    if cpu.avx512f && rows >= AVX512_MIN_ROWS {
+        Arm::Avx512
+    } else if cpu.avx2 {
+        Arm::Avx2
+    } else {
+        Arm::Baseline
     }
 }
 
-/// The instantiation every kernel call in this process runs: `"avx2"` or
-/// `"baseline"`. Informational — results are bit-identical on both.
+/// The widest instantiation this process's kernel calls can take:
+/// `"avx512"`, `"avx2"` or `"baseline"`. A call whose `C` has fewer than
+/// 16 rows still takes AVX2 on an AVX-512 CPU. Informational — results are
+/// bit-identical on every arm.
 pub fn isa() -> &'static str {
-    if has_avx2() {
-        "avx2"
-    } else {
-        "baseline"
+    match arm(usize::MAX, cpu()) {
+        Arm::Avx512 => "avx512",
+        Arm::Avx2 => "avx2",
+        Arm::Baseline => "baseline",
     }
 }
 
@@ -73,14 +119,28 @@ fn run_avx2<K: Kernel>(kernel: K) -> K::Out {
     kernel.run::<MR_AVX2>()
 }
 
-/// Run `kernel` on the widest instantiation this CPU supports.
+/// `kernel`'s body compiled with AVX-512 enabled: the same indexed loops,
+/// with the accumulators in 512-bit registers.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn run_avx512<K: Kernel>(kernel: K) -> K::Out {
+    kernel.run::<MR_AVX512>()
+}
+
+/// Run `kernel` on the arm [`arm`] picks for it on this CPU.
 fn dispatch<K: Kernel>(kernel: K) -> K::Out {
     #[cfg(target_arch = "x86_64")]
-    if has_avx2() {
-        // SAFETY: `run_avx2` requires a CPU with AVX2, which `has_avx2`
-        // has just detected at run time.
-        return unsafe { run_avx2(kernel) };
+    {
+        let run = match arm(kernel.rows(), cpu()) {
+            Arm::Avx512 => run_avx512::<K>,
+            Arm::Avx2 => run_avx2::<K>,
+            Arm::Baseline => return kernel.run::<MR_BASELINE>(),
+        };
+        // SAFETY: `arm` picks an instantiation only for a CPU on which
+        // `cpu` has detected, at run time, the features it was compiled for.
+        unsafe { run(kernel) }
     }
+    #[cfg(not(target_arch = "x86_64"))]
     kernel.run::<MR_BASELINE>()
 }
 
@@ -134,6 +194,9 @@ struct Product<'a, Op> {
 
 impl<Op: Madd> Kernel for Product<'_, Op> {
     type Out = ();
+    fn rows(&self) -> usize {
+        self.dims.0
+    }
     #[inline(always)]
     fn run<const MR: usize>(self) {
         update::<MR>(self.op, self.lower, self.dims, self.a, self.b, self.c);
@@ -233,6 +296,9 @@ struct Trsm<'a> {
 
 impl Kernel for Trsm<'_> {
     type Out = ();
+    fn rows(&self) -> usize {
+        self.a_mk.rows()
+    }
 
     /// `X[:, j] = (A[:, j] - Σ_{l<j} X[:, l]·L[j, l]) / L[j, j]`, left-looking
     /// over blocks of `NR` columns: the terms from solved columns left of
@@ -291,6 +357,9 @@ struct Potrf<'a> {
 
 impl Kernel for Potrf<'_> {
     type Out = Result<(), usize>;
+    fn rows(&self) -> usize {
+        self.a.rows()
+    }
 
     /// Left-looking over blocks of `NR` columns: the block's columns first
     /// take every term from the factored columns to their left (one
@@ -493,15 +562,25 @@ mod tests {
     // ---- Bit-identity with the scalar oracle, on every arm ----------------
 
     /// The ways a kernel can run on this host: the baseline instantiation
-    /// called directly, the 8-row body compiled without AVX2 (the same bits
-    /// by construction, and it walks the 8-row ladder on hosts without
-    /// AVX2), and whatever `dispatch` picks — the AVX2 arm when detected.
-    const ARMS: [&str; 3] = ["baseline", "8 rows at baseline width", "dispatched"];
+    /// called directly, the 8- and 24-row bodies compiled without AVX2 or
+    /// AVX-512 (the same bits by construction, and they walk the 8- and
+    /// 24-row ladders on hosts without those extensions), and whatever
+    /// `dispatch` picks — the AVX2 or AVX-512 arm when detected.
+    const ARMS: [&str; 4] = [
+        "baseline",
+        "8 rows at baseline width",
+        "24 rows at baseline width",
+        "dispatched",
+    ];
+
+    /// The index of the dispatched arm in [`ARMS`].
+    const DISPATCHED: usize = ARMS.len() - 1;
 
     fn run_on<K: Kernel>(arm: usize, kernel: K) -> K::Out {
         match arm {
             0 => kernel.run::<MR_BASELINE>(),
             1 => kernel.run::<8>(),
+            2 => kernel.run::<24>(),
             _ => dispatch(kernel),
         }
     }
@@ -521,10 +600,12 @@ mod tests {
         }
     }
 
-    /// Widths that exercise every rung of both ladders, the `KC` boundary
-    /// and the tile sizes the applications use.
+    /// Widths that exercise every rung of the three ladders (16, 8, 4, 2,
+    /// 1 under a 24-row block), both sides of the 16-row arm boundary and of
+    /// the 24-row block, the `KC` boundary and the tile sizes the
+    /// applications use.
     fn widths() -> impl Iterator<Item = usize> + Clone {
-        (0..=19).chain([30, 32, 45, 64, 127, 128, 129])
+        (0..=25).chain([30, 32, 45, 47, 48, 49, 64, 127, 128, 129])
     }
 
     /// `(m, n, k)`: every combination of the small widths, each larger
@@ -612,7 +693,7 @@ mod tests {
                     let b = (operand.data(), strides.0, strides.1);
                     let c = (got.data_mut(), m);
                     match arm {
-                        2 => gemm_strided((m, n, k), a, b, c),
+                        DISPATCHED => gemm_strided((m, n, k), a, b, c),
                         _ => run_on(
                             arm,
                             Product {
@@ -786,11 +867,39 @@ mod tests {
     }
 
     #[test]
+    fn the_row_rule_sends_only_tall_tiles_to_avx512() {
+        let all = Cpu {
+            avx2: true,
+            avx512f: true,
+        };
+        let avx2 = Cpu {
+            avx512f: false,
+            ..all
+        };
+        let none = Cpu::default();
+        assert_eq!(arm(15, all), Arm::Avx2);
+        assert_eq!(arm(16, all), Arm::Avx512);
+        assert_eq!(arm(128, all), Arm::Avx512);
+        for rows in [0, 8, 15, 16, 24, 128] {
+            assert_eq!(arm(rows, avx2), Arm::Avx2, "{rows} rows");
+            assert_eq!(arm(rows, none), Arm::Baseline, "{rows} rows");
+        }
+    }
+
+    #[test]
     fn isa_names_the_arm_dispatch_takes() {
         #[cfg(target_arch = "x86_64")]
-        let avx2 = std::arch::is_x86_feature_detected!("avx2");
+        let (avx2, avx512f) = (
+            std::arch::is_x86_feature_detected!("avx2"),
+            std::arch::is_x86_feature_detected!("avx512f"),
+        );
         #[cfg(not(target_arch = "x86_64"))]
-        let avx2 = false;
-        assert_eq!(isa(), if avx2 { "avx2" } else { "baseline" });
+        let (avx2, avx512f) = (false, false);
+        let want = match (avx512f, avx2) {
+            (true, _) => "avx512",
+            (false, true) => "avx2",
+            (false, false) => "baseline",
+        };
+        assert_eq!(isa(), want);
     }
 }

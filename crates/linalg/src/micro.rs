@@ -22,8 +22,8 @@
 //! does not depend on `MR`, on how the tails were split, on `KC`, or on the
 //! vector width.
 
-/// Columns of `C` in a full register block. Both instantiations of the
-/// kernels use it; what differs between them is `MR`.
+/// Columns of `C` in a full register block. Every instantiation of the
+/// kernels uses it; what differs between them is `MR`.
 pub(crate) const NR: usize = 4;
 
 /// Longest run of the inner dimension a block accumulates in one go: the
@@ -102,9 +102,9 @@ fn block<const MR: usize, const NC: usize>(
 }
 
 /// Rows `i..m` of one `NC`-wide column group against the strip `t`, top to
-/// bottom in blocks of `MR` rows and then a descending ladder (4, 2, 1)
-/// over what is left, so a ragged tile spends all but at most one row in
-/// vector code.
+/// bottom in blocks of `MR` rows and then a descending ladder (16, 8, 4, 2,
+/// 1; each rung below `MR` only) over what is left, so a ragged tile spends
+/// all but at most one row in vector code.
 #[inline(always)]
 fn strip<const MR: usize, const NC: usize>(
     op: impl Madd,
@@ -122,6 +122,14 @@ fn strip<const MR: usize, const NC: usize>(
     while i + MR <= m {
         block::<MR, NC>(op, (&a[i..], lda), t, (&mut c[i..], ldc), below(i));
         i += MR;
+    }
+    if MR > 16 && i + 16 <= m {
+        block::<16, NC>(op, (&a[i..], lda), t, (&mut c[i..], ldc), below(i));
+        i += 16;
+    }
+    if MR > 8 && i + 8 <= m {
+        block::<8, NC>(op, (&a[i..], lda), t, (&mut c[i..], ldc), below(i));
+        i += 8;
     }
     if MR > 4 && i + 4 <= m {
         block::<4, NC>(op, (&a[i..], lda), t, (&mut c[i..], ldc), below(i));
