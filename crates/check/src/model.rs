@@ -1,10 +1,12 @@
 //! `--model` mode: run the `ttg-model` protocol corpus and report the
 //! outcome in the checker's diagnostic vocabulary (TTG054/TTG055).
 //!
-//! Each corpus entry is a model-sized extraction of a real concurrency
-//! protocol (worker sleep/wake, batched submit, sharded matching, the
-//! reliable dedup window and ack protocol, the coordinated rollback, the
-//! transport handshake) explored exhaustively up to its preemption bound.
+//! Each corpus entry is a real concurrency protocol (the event count every
+//! sleeper parks on) or a model-sized extraction of one (batched submit,
+//! sharded matching, the coordinated rollback, multi-process termination,
+//! the transport handshake) explored exhaustively up to its preemption
+//! bound. The reliable layer's dedup window and acks are explored as
+//! shipped by `ttg-comm`'s own model cases (`--cfg ttg_model`), not here.
 //! A violated invariant becomes a **TTG054 error** carrying the failing
 //! schedule; a clean exhaustive exploration becomes a **TTG055 note**
 //! recording the coverage (schedules explored, pruned, truncated) so CI
@@ -142,9 +144,9 @@ mod tests {
     fn violations_become_ttg054() {
         // Drive one known-bad mutation through the same rendering path the
         // corpus uses, so a regression in trace capture shows up here.
-        let v = ttg_model::protocols::wake::check(
+        let v = ttg_model::protocols::event::check(
             Config::bounded(3),
-            ttg_model::protocols::wake::Mutation::BumpOutsideLock,
+            ttg_model::protocols::event::Mutation::BumpOutsideLock,
         )
         .expect_err("mutation must be caught");
         let d = Diagnostic::error("TTG054", v.message.clone())

@@ -12,8 +12,8 @@
 //! error sink. The fabric implements the wire; the tests use queues.
 
 use std::sync::Arc;
-use std::time::{Duration, Instant};
-use ttg_model::sync::{AtomicBool, AtomicU64, Mutex, Ordering};
+use std::time::Duration;
+use ttg_model::sync::{AtomicBool, AtomicU64, Instant, Mutex, Ordering};
 
 use crate::error::{CommError, CommErrorKind, SendError};
 use crate::fault::{salt, FaultPlan};
@@ -625,5 +625,13 @@ fn earliest(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
 }
 
 #[cfg(test)]
+#[path = "chaos_harness.rs"]
+mod harness;
+
+#[cfg(all(test, not(ttg_model)))]
 #[path = "chaos_tests.rs"]
 mod tests;
+
+#[cfg(all(test, ttg_model))]
+#[path = "chaos_model.rs"]
+mod model;

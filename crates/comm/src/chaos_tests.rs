@@ -1,92 +1,10 @@
 //! Tests of the reliable layer's state machine, driven on one thread
-//! through a queue-backed [`ChaosWire`].
+//! through the queue-backed [`Harness`] against the wall clock.
 
+use super::harness::Harness;
 use super::*;
 use crate::recover::Recovery;
-use std::collections::VecDeque;
 use std::time::Duration;
-use ttg_telemetry::Registry;
-
-/// One delivered physical copy: `(from, handler, seq, payload)`.
-type Copy = (Rank, u32, u64, Arc<Vec<u8>>);
-
-/// A queue-backed [`ChaosWire`] with the counters and sink a
-/// [`ChaosPort`] names, for driving a [`ChaosState`] on one thread.
-struct Harness {
-    cs: ChaosState,
-    stats: FabricStats,
-    ledger: Ledger,
-    errors: Mutex<Vec<CommError>>,
-    queues: Vec<Mutex<VecDeque<Copy>>>,
-    /// Answer every ack batch as a closed link does: refused, ranges lost.
-    refuse_acks: AtomicBool,
-}
-
-impl ChaosWire for Harness {
-    fn deliver(
-        &self,
-        from: Rank,
-        to: Rank,
-        handler: u32,
-        seq: u64,
-        payload: &Arc<Vec<u8>>,
-    ) -> Result<(), SendError> {
-        self.queues[to]
-            .lock()
-            .push_back((from, handler, seq, Arc::clone(payload)));
-        Ok(())
-    }
-
-    fn send_ack_range(&self, _: Rank, _: Rank, ranges: AckRanges) -> AckSent {
-        let refused = self.refuse_acks.load(Ordering::SeqCst);
-        Err((!refused).then_some(ranges))
-    }
-}
-
-impl Harness {
-    fn new(n: usize, plan: FaultPlan) -> Harness {
-        Harness {
-            cs: ChaosState::new(plan, n),
-            stats: FabricStats::register(&Registry::new(), n),
-            ledger: Ledger::new(n, None, Arc::new(ttg_model::sync::EventCount::new())),
-            errors: Mutex::new(Vec::new()),
-            queues: (0..n).map(|_| Mutex::new(VecDeque::new())).collect(),
-            refuse_acks: AtomicBool::new(false),
-        }
-    }
-
-    fn port(&self) -> ChaosPort<'_> {
-        ChaosPort {
-            wire: self,
-            stats: &self.stats,
-            ledger: &self.ledger,
-            errors: &self.errors,
-        }
-    }
-
-    fn send(&self, from: Rank, to: Rank, payload: Vec<u8>) {
-        self.cs.send(&self.port(), from, to, 7, payload);
-    }
-
-    fn progress(&self) {
-        self.cs.progress(&self.port());
-    }
-
-    fn in_flight(&self) -> u64 {
-        self.ledger.in_flight()
-    }
-
-    /// Take one copy off `rank`'s queue, classify it, and retire it if
-    /// fresh (what a delivery thread does); `None` when nothing waits.
-    fn pump(&self, rank: Rank) -> Option<bool> {
-        let (from, _, seq, _) = self.queues[rank].lock().pop_front()?;
-        let fresh = self.cs.rx_accept(&self.port(), rank, from, seq);
-        if fresh {
-            self.port().settle(self.cs.link_idx(from, rank));
-        }
-        Some(fresh)
-    }
-}
 
 #[test]
 fn reliable_layer_sequences_and_delivers_exactly_once() {

@@ -684,6 +684,7 @@ fn progress_loop(fabric: Weak<Fabric>, clock: Arc<ProgressClock>) {
 }
 
 #[cfg(test)]
+#[cfg(not(ttg_model))]
 mod tests {
     use super::*;
     use std::time::{Duration, Instant};

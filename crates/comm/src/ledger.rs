@@ -21,7 +21,6 @@ use ttg_model::sync::{AtomicU64, EventCount, Ordering::SeqCst};
 use crate::error::{CommError, CommErrorKind};
 use crate::links::Rank;
 
-#[derive(Default)]
 struct Row {
     issued: AtomicU64,
     settled: AtomicU64,
@@ -38,7 +37,11 @@ pub(crate) struct Ledger {
 
 impl Ledger {
     pub(crate) fn new(n: usize, local: Option<Rank>, events: Arc<EventCount>) -> Ledger {
-        let rows = (0..(n + 1) * n).map(|_| Row::default()).collect();
+        let row = |_| Row {
+            issued: AtomicU64::new(0),
+            settled: AtomicU64::new(0),
+        };
+        let rows = (0..(n + 1) * n).map(row).collect();
         Ledger {
             n,
             local,
@@ -159,6 +162,7 @@ pub(crate) fn name_links(n: usize, what: impl Fn(usize) -> Option<String>) -> St
 }
 
 #[cfg(test)]
+#[cfg(not(ttg_model))]
 mod tests {
     use super::*;
     use std::time::{Duration, Instant};

@@ -13,8 +13,7 @@
 //!
 //! Port: the [`ChaosPort`] of [`crate::chaos`].
 
-use std::time::Instant;
-use ttg_model::sync::{MutexGuard, Ordering::SeqCst};
+use ttg_model::sync::{Instant, MutexGuard, Ordering::SeqCst};
 
 use crate::buf::{ReadBuf, WireError, WriteBuf};
 use crate::chaos::{ChaosPort, ChaosState};

@@ -32,7 +32,8 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
+use ttg_model::sync::Instant;
 
 use crate::buf::{ReadBuf, WireError, WriteBuf};
 use crate::fault::RetryPolicy;
@@ -386,6 +387,7 @@ impl PendingAcks {
 }
 
 #[cfg(test)]
+#[cfg(not(ttg_model))]
 mod tests {
     use super::*;
 

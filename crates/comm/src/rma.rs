@@ -147,13 +147,14 @@ impl RegionTable {
     }
 
     /// Number of live (unreleased) regions owned by `rank`.
-    #[cfg(test)]
+    #[cfg(all(test, not(ttg_model)))]
     fn live(&self, rank: Rank) -> usize {
         self.live[rank].lock().len()
     }
 }
 
 #[cfg(test)]
+#[cfg(not(ttg_model))]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicBool;

@@ -8,8 +8,8 @@
 //! waking late is a bug, so every deadline published here is a lower
 //! bound.
 
-use std::time::{Duration, Instant};
-use ttg_model::sync::{AtomicU64, EventCount, Ordering};
+use std::time::Duration;
+use ttg_model::sync::{AtomicU64, EventCount, Instant, Ordering};
 
 /// `park_until` while the thread runs a pass: every site arms into
 /// `armed`, which the thread folds in before it parks.
@@ -130,6 +130,7 @@ impl ProgressClock {
 }
 
 #[cfg(test)]
+#[cfg(not(ttg_model))]
 mod tests {
     use super::*;
 

@@ -227,7 +227,7 @@ pub fn explore_iterative(
 
 /// Fold one finished run into `stats`, or surface its violation.
 fn record(sched: &Arc<Scheduler>, stats: &mut Stats) -> Result<Vec<Rec>, Box<Violation>> {
-    let (recs, abort, preemptions, trace, steps) = sched.outcome();
+    let (recs, abort, preemptions, steps) = sched.outcome();
     stats.max_depth = stats.max_depth.max(steps);
     match abort {
         None => {
@@ -246,13 +246,13 @@ fn record(sched: &Arc<Scheduler>, stats: &mut Stats) -> Result<Vec<Rec>, Box<Vio
         Some(AbortReason::Assert(message)) => Err(Box::new(Violation {
             kind: ViolationKind::Assert,
             message,
-            trace,
+            trace: sched.trace(),
             stats: stats.clone(),
         })),
         Some(AbortReason::Deadlock(message)) => Err(Box::new(Violation {
             kind: ViolationKind::Deadlock,
             message,
-            trace,
+            trace: sched.trace(),
             stats: stats.clone(),
         })),
     }

@@ -10,13 +10,15 @@
 //! and optional seeded random sampling for larger state spaces. A failing
 //! schedule comes back as a [`Violation`] carrying the exact interleaving.
 //!
-//! [`protocols`] holds model-sized extractions of the real protocols this
-//! repo depends on (worker sleep/wake, the event count every sleeper parks
-//! on — the production definition itself — batched submit, sharded matching,
-//! dedup window, reliable acks and retransmission, coordinated rollback,
-//! multi-process termination, transport handshake), each with invariants
-//! and known-bad mutations the checker must catch. `ttg-check --model`
-//! runs that corpus and reports in the standard diagnostic format.
+//! [`protocols`] is the corpus: the event count every sleeper parks on
+//! (the production definition itself) and model-sized extractions of
+//! batched submit, sharded matching, coordinated rollback, multi-process
+//! termination and the transport handshake, each with invariants and
+//! known-bad mutations the checker must catch. `ttg-check --model` runs
+//! it and reports in the standard diagnostic format. The reliable layer's
+//! dedup window and ack protocol are explored as shipped: `ttg-comm`'s
+//! `chaos` model cases drive `ChaosState` itself under `--cfg ttg_model`,
+//! on the facade's logical clock ([`time`]).
 
 pub mod explore;
 pub mod protocols;
@@ -24,6 +26,7 @@ pub mod sched;
 pub mod shadow;
 pub mod sync;
 pub mod thread;
+pub mod time;
 
 pub use explore::{explore, explore_iterative, Config, Sample, Stats, Violation, ViolationKind};
 pub use sched::nondet;

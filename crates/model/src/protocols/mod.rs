@@ -5,15 +5,12 @@
 //! one that actually shipped: the transport handshake byte-drop) — which
 //! the checker must find.
 
-pub mod ack;
 pub mod batch;
-pub mod dedup;
 pub mod event;
 pub mod handshake;
 pub mod matching;
 pub mod rollback;
 pub mod term;
-pub mod wake;
 
 use crate::explore::{Config, Stats, Violation};
 
@@ -34,13 +31,6 @@ pub struct CorpusEntry {
 pub fn corpus() -> Vec<CorpusEntry> {
     vec![
         CorpusEntry {
-            name: "wake_seq",
-            invariant: "worker sleep/wake: a submit concurrent with a parking worker \
-                        leaves the task claimed or the worker awake (no lost wakeup)",
-            run: |cfg| wake::check(cfg, wake::Mutation::None),
-            default_bound: 3,
-        },
-        CorpusEntry {
             name: "event_count",
             invariant: "event count with a deadline: a sleeper that prepares, re-checks and \
                         commits never sleeps through a signal, and leaves no sleeper counted",
@@ -59,21 +49,6 @@ pub fn corpus() -> Vec<CorpusEntry> {
             invariant: "sharded matching: racing put/take of one key matches exactly once",
             run: |cfg| matching::check(cfg, matching::Mutation::None),
             default_bound: 3,
-        },
-        CorpusEntry {
-            name: "dedup_window",
-            invariant: "reliable dedup window: per seq, exactly one of {delivered, lost} \
-                        across retransmit, poison, and window-slide races",
-            run: |cfg| dedup::check(cfg, dedup::Mutation::None),
-            default_bound: 2,
-        },
-        CorpusEntry {
-            name: "ack_retire",
-            invariant: "reliable acks and retransmission: no seq is retired unless the \
-                        receiver accepted it, and at quiescence every sent seq is retired \
-                        or reported lost, never both",
-            run: |cfg| ack::check(cfg, ack::Mutation::None),
-            default_bound: 2,
         },
         CorpusEntry {
             name: "rollback",

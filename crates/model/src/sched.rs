@@ -15,8 +15,9 @@
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::explore::Config;
 
@@ -25,6 +26,9 @@ pub type Tid = usize;
 
 /// Identifier of a shadow object (atomic, mutex, condvar, channel, thread).
 pub type ObjId = u64;
+
+/// The run's logical clock ([`crate::time`]): object 0 of every run.
+pub(crate) const CLOCK: ObjId = 0;
 
 /// What a pending synchronization operation does, for enabledness and
 /// independence classification.
@@ -99,6 +103,8 @@ struct ThreadInfo {
     pending: Option<Op>,
     /// Human-readable origin, for violation traces.
     name: String,
+    /// What the thread waits on for the baton: a switch wakes one thread.
+    baton: Arc<Condvar>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -138,6 +144,13 @@ pub(crate) enum Rec {
         /// Which one was taken.
         chosen: u64,
     },
+}
+
+/// One executed segment of a run: an operation, or a nondet choice.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Op(Tid, Op),
+    Choice { arity: u64, chosen: u64 },
 }
 
 /// The choices a replay prefix pins down (one per decision point).
@@ -184,11 +197,13 @@ struct Inner {
     abort_reason: Option<AbortReason>,
     done: bool,
     finished_threads: usize,
-    /// Trace of executed segments, for violation reports.
-    trace: Vec<String>,
+    /// Executed segments, formatted only for a violation report.
+    trace: Vec<Step>,
     cfg: Config,
     /// splitmix64 state for sampling mode (`None` = exhaustive DFS).
     sample_rng: Option<u64>,
+    /// Logical time since the run started ([`crate::time`]).
+    clock: Duration,
 }
 
 /// Panic payload used to unwind model threads when a run is cut short.
@@ -197,6 +212,7 @@ pub(crate) struct ModelAbort;
 /// The per-run scheduler shared by all model threads of that run.
 pub struct Scheduler {
     inner: Mutex<Inner>,
+    /// What the explorer waits on for the end of the run.
     cv: Condvar,
     /// OS handles of the controlled threads, joined at run teardown.
     pub(crate) handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
@@ -240,8 +256,8 @@ impl Scheduler {
                 threads: Vec::new(),
                 current: None,
                 prev: None,
-                objs: HashMap::new(),
-                obj_names: HashMap::new(),
+                objs: HashMap::from([(CLOCK, ObjState::Plain)]),
+                obj_names: HashMap::from([(CLOCK, "clock".to_string())]),
                 cv_waiters: HashMap::new(),
                 next_obj: 1,
                 recs: Vec::new(),
@@ -257,6 +273,7 @@ impl Scheduler {
                 trace: Vec::new(),
                 cfg,
                 sample_rng: sample_seed,
+                clock: Duration::ZERO,
             }),
             cv: Condvar::new(),
             handles: Mutex::new(Vec::new()),
@@ -290,6 +307,15 @@ impl Scheduler {
         }
     }
 
+    /// The run's logical time.
+    pub(crate) fn clock(&self) -> Duration {
+        self.inner.lock().clock
+    }
+
+    pub(crate) fn advance_clock(&self, d: Duration) {
+        self.inner.lock().clock += d;
+    }
+
     // ------------------------------------------------------- thread admin
 
     /// Register a new model thread with its `Start` op pending, making it
@@ -302,6 +328,7 @@ impl Scheduler {
             state: TState::Ready,
             pending: Some(Op::new(OpKind::Start, thread_obj(tid))),
             name,
+            baton: Arc::new(Condvar::new()),
         });
         tid
     }
@@ -311,8 +338,25 @@ impl Scheduler {
     pub(crate) fn start(&self) {
         let mut g = self.inner.lock();
         self.schedule_next(&mut g);
-        drop(g);
-        self.cv.notify_all();
+        self.pass_baton(&g);
+    }
+
+    /// Wake the thread the baton went to or, once the run is over or
+    /// aborting, every thread and the explorer.
+    fn pass_baton(&self, g: &Inner) {
+        if g.aborting || g.done {
+            for t in &g.threads {
+                t.baton.notify_all();
+            }
+            self.cv.notify_all();
+        } else if let Some(t) = g.current {
+            g.threads[t].baton.notify_one();
+        }
+    }
+
+    fn wait_baton(g: &mut MutexGuard<'_, Inner>, tid: Tid) {
+        let baton = Arc::clone(&g.threads[tid].baton);
+        baton.wait(g);
     }
 
     /// Block the explorer until the run completes (all threads finished).
@@ -323,15 +367,27 @@ impl Scheduler {
         }
     }
 
-    pub(crate) fn outcome(&self) -> (Vec<Rec>, Option<AbortReason>, usize, Vec<String>, usize) {
+    /// How the finished run went: its decisions (taken), how it ended,
+    /// its preemptions and its scheduling decisions.
+    pub(crate) fn outcome(&self) -> (Vec<Rec>, Option<AbortReason>, usize, usize) {
+        let mut g = self.inner.lock();
+        let recs = std::mem::take(&mut g.recs);
+        (recs, g.abort_reason.clone(), g.preemptions, g.steps)
+    }
+
+    /// The run's executed operations in order, for a violation report.
+    pub(crate) fn trace(&self) -> Vec<String> {
         let g = self.inner.lock();
-        (
-            g.recs.clone(),
-            g.abort_reason.clone(),
-            g.preemptions,
-            g.trace.clone(),
-            g.steps,
-        )
+        let step = |s: &Step| match *s {
+            Step::Op(tid, op) => format!(
+                "T{tid}({}) {:?} {}",
+                g.threads[tid].name,
+                op.kind,
+                Self::obj_name(&g, op.obj)
+            ),
+            Step::Choice { arity, chosen } => format!("choice {chosen}/{arity}"),
+        };
+        g.trace.iter().map(step).collect()
     }
 
     /// First scheduling of a thread: wait for the baton without declaring a
@@ -343,7 +399,7 @@ impl Scheduler {
                 drop(g);
                 std::panic::panic_any(ModelAbort);
             }
-            self.cv.wait(&mut g);
+            Self::wait_baton(&mut g, tid);
         }
         let op = g.threads[tid].pending.expect("start op pending");
         self.apply_effect(&mut g, tid, op);
@@ -372,8 +428,7 @@ impl Scheduler {
             g.current = None;
             self.schedule_next(&mut g);
         }
-        drop(g);
-        self.cv.notify_all();
+        self.pass_baton(&g);
     }
 
     // -------------------------------------------------------- yield point
@@ -387,14 +442,14 @@ impl Scheduler {
         if g.current == Some(tid) {
             g.current = None;
             self.schedule_next(&mut g);
-            self.cv.notify_all();
+            self.pass_baton(&g);
         }
         while g.current != Some(tid) {
             if g.aborting {
                 drop(g);
                 std::panic::panic_any(ModelAbort);
             }
-            self.cv.wait(&mut g);
+            Self::wait_baton(&mut g, tid);
         }
         // Granted. Apply scheduler-side effects while still holding the
         // state lock; the caller then performs the data part serially.
@@ -406,13 +461,7 @@ impl Scheduler {
     }
 
     fn apply_effect(&self, g: &mut Inner, tid: Tid, op: Op) {
-        let desc = format!(
-            "T{tid}({}) {:?} {}",
-            g.threads[tid].name,
-            op.kind,
-            Self::obj_name(g, op.obj)
-        );
-        g.trace.push(desc);
+        g.trace.push(Step::Op(tid, op));
         match op.kind {
             OpKind::Lock => {
                 debug_assert!(matches!(g.objs.get(&op.obj), Some(ObjState::MutexFree)));
@@ -464,8 +513,7 @@ impl Scheduler {
     pub(crate) fn force_unlock(&self, obj: ObjId) {
         let mut g = self.inner.lock();
         g.objs.insert(obj, ObjState::MutexFree);
-        drop(g);
-        self.cv.notify_all();
+        self.pass_baton(&g);
     }
 
     /// Close a channel: blocked receivers become enabled and observe
@@ -486,8 +534,7 @@ impl Scheduler {
         if let Some(ObjState::Chan { closed, .. }) = g.objs.get_mut(&obj) {
             *closed = true;
         }
-        drop(g);
-        self.cv.notify_all();
+        self.pass_baton(&g);
     }
 
     /// Explicit nondeterminism: branch over `arity` alternatives. Returns
@@ -513,8 +560,7 @@ impl Scheduler {
         };
         g.cursor += 1;
         g.recs.push(Rec::Choice { arity, chosen });
-        let t = format!("choice {chosen}/{arity}");
-        g.trace.push(t);
+        g.trace.push(Step::Choice { arity, chosen });
         chosen
     }
 
@@ -703,7 +749,7 @@ impl Scheduler {
         if g.current == Some(tid) {
             g.current = None;
             self.schedule_next(&mut g);
-            self.cv.notify_all();
+            self.pass_baton(&g);
         }
         loop {
             if g.aborting {
@@ -713,7 +759,7 @@ impl Scheduler {
             if g.threads[tid].state == TState::Ready && g.current == Some(tid) {
                 break;
             }
-            self.cv.wait(&mut g);
+            Self::wait_baton(&mut g, tid);
         }
         // Scheduled with the re-acquire Lock op granted: apply it.
         let op = g.threads[tid].pending.expect("cv reacquire op");

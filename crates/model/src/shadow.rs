@@ -13,6 +13,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use crate::sched::{self, sync_op, Op, OpKind};
+use crate::time::Deadline;
 
 // ------------------------------------------------------------------ atomics
 
@@ -273,14 +274,15 @@ impl Condvar {
         WaitTimeoutResult(true)
     }
 
-    /// Wait with a deadline. The model has no clock, so the deadline is a
-    /// nondeterministic choice: it fires at once (as [`wait_for`](Self::wait_for)
-    /// models a timeout) or lies beyond every notify — an untimed wait, in
-    /// which a lost wakeup is a deadlock the explorer reports.
+    /// Wait with a deadline, wall-clock or logical. Either way the
+    /// deadline is a nondeterministic choice: it fires at once (as
+    /// [`wait_for`](Self::wait_for) models a timeout) or lies beyond every
+    /// notify — an untimed wait, in which a lost wakeup is a deadlock the
+    /// explorer reports.
     pub fn wait_until<T>(
         &self,
         guard: &mut MutexGuard<'_, T>,
-        _deadline: std::time::Instant,
+        _deadline: impl Deadline,
     ) -> WaitTimeoutResult {
         if sched::nondet(2) == 1 {
             return self.wait_for(guard, std::time::Duration::ZERO);

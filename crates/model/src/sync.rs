@@ -6,7 +6,8 @@
 //! - Under `RUSTFLAGS="--cfg ttg_model"` the same names resolve to the
 //!   scheduler-routed shadow primitives from [`crate::shadow`], so every
 //!   atomic load/store/RMW, lock acquire, and channel op becomes a
-//!   schedule-exploration yield point.
+//!   schedule-exploration yield point, and `Instant` to the run's logical
+//!   clock ([`crate::time`]), which only the model moves.
 //!
 //! [`EventCount`] — the one sleeping primitive of the runtime (DESIGN §5,
 //! "Wake discipline") — is defined once over the facade types, so it is
@@ -20,6 +21,12 @@ pub use std::sync::atomic::Ordering;
 pub use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize};
 
 #[cfg(not(ttg_model))]
+pub use std::time::Instant;
+
+#[cfg(ttg_model)]
+pub use crate::time::Instant;
+
+#[cfg(not(ttg_model))]
 pub use parking_lot::{Condvar, Mutex, MutexGuard};
 
 #[cfg(not(ttg_model))]
@@ -31,9 +38,9 @@ pub use crate::shadow::{
     RecvError, Sender,
 };
 
-/// Defines `EventCount` over whatever `AtomicU64`, `AtomicUsize`, `Mutex`
-/// and `Condvar` are in scope where it is invoked: the facade's here, the
-/// shadow primitives in the model corpus.
+/// Defines `EventCount` over whatever `AtomicU64`, `AtomicUsize`, `Mutex`,
+/// `Condvar` and `Instant` are in scope where it is invoked: the facade's
+/// here, the shadow primitives in the model corpus.
 macro_rules! event_count {
     () => {
         /// Event count for lost-wakeup-free sleeping (Taskflow's two-phase
@@ -96,7 +103,7 @@ macro_rules! event_count {
             /// Commit with a deadline: sleep until a signal moves the epoch
             /// past `epoch` or `deadline` passes. Returns whether a signal
             /// ended the wait.
-            pub fn wait_until(&self, epoch: u64, deadline: std::time::Instant) -> bool {
+            pub fn wait_until(&self, epoch: u64, deadline: Instant) -> bool {
                 let mut g = self.lock.lock();
                 let mut signalled = true;
                 while self.seq.load(Ordering::SeqCst) == epoch {

@@ -3,9 +3,8 @@
 //! caught deterministically. The printed per-model schedule counts are the
 //! coverage evidence CI archives.
 
-use ttg_model::protocols::{
-    ack, batch, corpus, dedup, event, handshake, matching, rollback, term, wake,
-};
+use std::sync::{Arc, Mutex};
+use ttg_model::protocols::{batch, corpus, event, handshake, matching, rollback, term};
 use ttg_model::{Config, Sample, ViolationKind};
 
 #[test]
@@ -29,30 +28,22 @@ fn corpus_correct_protocols_pass_exhaustively() {
 }
 
 #[test]
-fn wake_bump_outside_lock_is_a_lost_wakeup() {
-    let v = wake::check(Config::bounded(3), wake::Mutation::BumpOutsideLock)
-        .expect_err("mutation must be caught");
-    assert_eq!(v.kind, ViolationKind::Deadlock, "got: {v}");
-    assert!(v.message.contains("waiting on condvar"), "got: {v}");
-}
-
-#[test]
-fn wake_mutation_found_without_sleep_sets_too() {
+fn event_count_mutation_found_without_sleep_sets_too() {
     // The pruning must never hide a bug: the same mutation is caught with
     // sleep sets disabled (and with them on, strictly fewer runs).
     let mut cfg = Config::bounded(3);
     cfg.sleep_sets = false;
-    let v = wake::check(cfg, wake::Mutation::BumpOutsideLock)
+    let v = event::check(cfg, event::Mutation::BumpOutsideLock)
         .expect_err("mutation must be caught without sleep sets");
     assert_eq!(v.kind, ViolationKind::Deadlock);
 }
 
 #[test]
 fn sleep_sets_prune_without_changing_coverage_verdict() {
-    let with = wake::check(Config::bounded(2), wake::Mutation::None).unwrap();
+    let with = event::check(Config::bounded(2), event::Mutation::None).unwrap();
     let mut cfg = Config::bounded(2);
     cfg.sleep_sets = false;
-    let without = wake::check(cfg, wake::Mutation::None).unwrap();
+    let without = event::check(cfg, event::Mutation::None).unwrap();
     assert!(with.exhaustive && without.exhaustive);
     assert!(
         with.schedules <= without.schedules,
@@ -100,57 +91,6 @@ fn matching_check_then_act_breaks_exactly_once() {
         .expect_err("mutation must be caught");
     assert_eq!(v.kind, ViolationKind::Assert, "got: {v}");
     assert!(v.message.contains("exactly-once"), "got: {v}");
-}
-
-#[test]
-fn dedup_double_accept_race_is_double_delivery() {
-    let v = dedup::check(Config::bounded(2), dedup::Mutation::DoubleAcceptRace)
-        .expect_err("mutation must be caught");
-    assert_eq!(v.kind, ViolationKind::Assert, "got: {v}");
-    assert!(v.message.contains("delivered"), "got: {v}");
-}
-
-#[test]
-fn dedup_poison_ignoring_window_double_accounts() {
-    let v = dedup::check(Config::bounded(2), dedup::Mutation::PoisonIgnoresWindow)
-        .expect_err("mutation must be caught");
-    assert_eq!(v.kind, ViolationKind::Assert, "got: {v}");
-    assert!(v.message.contains("double-accounted"), "got: {v}");
-}
-
-#[test]
-fn ack_range_covering_an_unreceived_seq_retires_it() {
-    let v = ack::check(Config::bounded(2), ack::Mutation::CumulativeAck)
-        .expect_err("mutation must be caught");
-    assert_eq!(v.kind, ViolationKind::Assert, "got: {v}");
-    assert!(
-        v.message
-            .contains("without the receiver having accepted it"),
-        "got: {v}"
-    );
-}
-
-#[test]
-fn ack_lost_with_no_later_traffic_strands_a_delivered_seq() {
-    let v = ack::check(Config::bounded(2), ack::Mutation::NoTickFlush)
-        .expect_err("mutation must be caught");
-    assert_eq!(v.kind, ViolationKind::Assert, "got: {v}");
-    assert!(
-        v.message.contains("neither retired nor reported lost"),
-        "got: {v}"
-    );
-}
-
-#[test]
-fn ack_hole_rule_off_leaves_a_loss_waiting_on_a_restarted_clock() {
-    let v = ack::check(Config::bounded(2), ack::Mutation::HoleRuleOff)
-        .expect_err("mutation must be caught");
-    assert_eq!(v.kind, ViolationKind::Assert, "got: {v}");
-    assert!(
-        v.message
-            .contains("seq 1 neither retired nor reported lost"),
-        "got: {v}"
-    );
 }
 
 #[test]
@@ -228,8 +168,8 @@ fn handshake_bulk_handoff_dropping_its_staged_prefix_starves_the_reader() {
 
 #[test]
 fn violations_replay_deterministically() {
-    let a = wake::check(Config::bounded(3), wake::Mutation::BumpOutsideLock).unwrap_err();
-    let b = wake::check(Config::bounded(3), wake::Mutation::BumpOutsideLock).unwrap_err();
+    let a = event::check(Config::bounded(3), event::Mutation::BumpOutsideLock).unwrap_err();
+    let b = event::check(Config::bounded(3), event::Mutation::BumpOutsideLock).unwrap_err();
     assert_eq!(a.trace, b.trace, "same config must find the same schedule");
     assert_eq!(a.stats.runs(), b.stats.runs());
 }
@@ -255,12 +195,35 @@ fn iterative_bounding_reports_per_bound_coverage() {
 }
 
 #[test]
+fn a_clock_read_sees_an_advance_in_either_order_and_after_a_join() {
+    use std::collections::BTreeSet;
+    use std::time::Duration;
+    use ttg_model::time::{advance, Instant};
+    let seen = Arc::new(Mutex::new(BTreeSet::new()));
+    let record = Arc::clone(&seen);
+    let tick = Duration::from_millis(1);
+    let stats = ttg_model::explore(Config::bounded(2), move || {
+        let t0 = Instant::now();
+        let h = ttg_model::thread::spawn(move || advance(tick));
+        let t1 = Instant::now();
+        h.join();
+        assert_eq!(t0.elapsed(), tick, "a joined advance is seen");
+        let read = t1.saturating_duration_since(t0);
+        record.lock().unwrap().insert(read);
+    })
+    .unwrap();
+    assert!(stats.exhaustive);
+    let both = BTreeSet::from([Duration::ZERO, tick]);
+    assert_eq!(*seen.lock().unwrap(), both, "reads race the advance");
+}
+
+#[test]
 fn sampling_mode_is_seeded_and_bounded() {
     let cfg = Config {
         sample: Some(Sample { seed: 42, runs: 64 }),
         ..Config::default()
     };
-    let s = wake::check(cfg, wake::Mutation::None).unwrap();
+    let s = event::check(cfg, event::Mutation::None).unwrap();
     assert!(!s.exhaustive);
     assert_eq!(s.runs(), 64);
 }
