@@ -330,13 +330,6 @@ where
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Apply `f` to every locally stored (key, value) pair on `rank`.
-    pub fn for_each_local(&self, rank: usize, mut f: impl FnMut(&K, &V)) {
-        for (k, v) in self.shards[rank].lock().iter() {
-            f(k, v);
-        }
-    }
 }
 
 impl Drop for World {

@@ -11,13 +11,16 @@
 //! the scope, so a scope allocates nothing.
 //!
 //! Quiescence stays airtight: jobs are buffered only while the parent
-//! work item is still active (its own quiescence unit — or the in-flight
-//! packet on the comm thread — is not released until after the scope
-//! drops and the pool has registered every child).
+//! work item is still active (its job keeps its pool busy — or the
+//! in-flight packet on the comm thread is not retired — until after the
+//! scope drops and the pools have counted every child).
 
 use std::cell::RefCell;
+use std::sync::Arc;
 
 use crate::ctx::RuntimeCtx;
+
+type Job = ttg_runtime::Job<Arc<RuntimeCtx>>;
 
 /// Largest buffer a thread keeps between scopes; one burst of seeds must
 /// not pin its high-water mark for the rest of the run.
@@ -27,7 +30,7 @@ const KEEP_CAP: usize = 1024;
 /// it, tagged with their destination rank.
 struct Pending {
     open: bool,
-    jobs: Vec<(usize, ttg_runtime::Job)>,
+    jobs: Vec<(usize, Job)>,
 }
 
 thread_local! {
@@ -85,7 +88,7 @@ impl Drop for BatchScope<'_> {
 
 /// Route a spawned job: buffered when a batch scope is active on this
 /// thread, direct submit otherwise (external seeds, user threads).
-pub(crate) fn enqueue(rank: usize, job: ttg_runtime::Job, ctx: &RuntimeCtx) {
+pub(crate) fn enqueue(rank: usize, job: Job, ctx: &RuntimeCtx) {
     let unbuffered = PENDING.with(|p| {
         let mut p = p.borrow_mut();
         if p.open {

@@ -1,5 +1,6 @@
 //! Shared per-execution runtime context.
 
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -57,6 +58,25 @@ impl CoreMetrics {
     }
 }
 
+/// A rank's worker pool: each worker holds one handle on the context for
+/// its lifetime, and every job runs with a borrow of it.
+pub type TaskPool = WorkerPool<Arc<RuntimeCtx>>;
+
+/// Task ids a thread takes from its context at a time: allocating one
+/// writes only the thread's own block, and the context's counter once a
+/// block.
+const TASK_ID_BLOCK: u64 = 256;
+
+/// Source of context serials, which tell a thread's block of task ids
+/// which context it was taken from.
+static NEXT_CTX_SERIAL: AtomicU64 = AtomicU64::new(1);
+
+thread_local! {
+    /// The calling thread's block of task ids: `(context serial, next,
+    /// end)`.
+    static TASK_IDS: Cell<(u64, u64, u64)> = const { Cell::new((0, 0, 0)) };
+}
+
 /// Everything a task or a delivery path needs at run time: the fabric, the
 /// per-rank pools, the backend configuration, the quiescence tracker, and
 /// the optional trace recorder.
@@ -64,7 +84,7 @@ pub struct RuntimeCtx {
     /// The simulated communication fabric.
     pub fabric: Arc<Fabric>,
     /// Per-rank worker pools (set once by the executor).
-    pub pools: OnceLock<Vec<WorkerPool>>,
+    pub pools: OnceLock<Vec<TaskPool>>,
     /// Global quiescence tracker backing `Executor::wait`; it signals the
     /// fabric's event count, so one wait parks on both.
     pub quiescence: Arc<Quiescence>,
@@ -79,7 +99,9 @@ pub struct RuntimeCtx {
     /// Runtime-sanitizer violation log (populated by `checked` call sites
     /// and zero-consumer edge drops; drained into the execution report).
     pub sanitizer: crate::inspect::Sanitizer,
-    next_task: AtomicU64,
+    serial: u64,
+    /// Start of the next block of task ids.
+    next_task_block: AtomicU64,
 }
 
 impl RuntimeCtx {
@@ -100,7 +122,8 @@ impl RuntimeCtx {
             nodes: OnceLock::new(),
             metrics,
             sanitizer: crate::inspect::Sanitizer::default(),
-            next_task: AtomicU64::new(1),
+            serial: NEXT_CTX_SERIAL.fetch_add(1, Ordering::Relaxed),
+            next_task_block: AtomicU64::new(1),
         })
     }
 
@@ -120,7 +143,7 @@ impl RuntimeCtx {
     /// A multi-process rank hosts exactly one pool (its own), so every
     /// rank maps to it — callers always name ranks whose work is local,
     /// which in that mode is only this one.
-    pub fn pool(&self, rank: usize) -> &WorkerPool {
+    pub fn pool(&self, rank: usize) -> &TaskPool {
         let pools = self.pools.get().expect("executor not started");
         if pools.len() == 1 {
             &pools[0]
@@ -129,9 +152,20 @@ impl RuntimeCtx {
         }
     }
 
-    /// Allocate a globally unique task id (≥ 1; 0 means "external seed").
+    /// Allocate a task id unique within this context (≥ 1; 0 means
+    /// "external seed"), from the calling thread's block.
     pub fn alloc_task_id(&self) -> u64 {
-        self.next_task.fetch_add(1, Ordering::Relaxed)
+        TASK_IDS.with(|ids| {
+            let (serial, mut next, mut end) = ids.get();
+            if serial != self.serial || next == end {
+                next = self
+                    .next_task_block
+                    .fetch_add(TASK_ID_BLOCK, Ordering::Relaxed);
+                end = next + TASK_ID_BLOCK;
+            }
+            ids.set((self.serial, next + 1, end));
+            next
+        })
     }
 
     /// Look up a node by id (`None`: the graph has no such node — ids also

@@ -197,7 +197,7 @@ impl Executor {
             Some(me) => vec![me],
             None => (0..cfg.ranks).collect(),
         };
-        let pools: Vec<WorkerPool> = local_ranks
+        let pools: Vec<_> = local_ranks
             .iter()
             .map(|&r| {
                 WorkerPool::with_options(
@@ -209,6 +209,7 @@ impl Executor {
                     // One stream family per rank so ranks don't mirror
                     // each other's victim order.
                     cfg.sched_seed.map(|s| s ^ ((r as u64) << 32)),
+                    Arc::clone(&ctx),
                 )
             })
             .collect();
@@ -341,12 +342,6 @@ impl Executor {
     /// Number of ranks.
     pub fn n_ranks(&self) -> usize {
         self.ctx.n_ranks()
-    }
-
-    /// Reset the elapsed-time origin (call after seeding if setup time
-    /// should be excluded).
-    pub fn restart_clock(&mut self) {
-        self.started = Instant::now();
     }
 
     /// Block until the execution has terminated: no task running or queued

@@ -134,11 +134,9 @@ impl<T, V: Data> Fanout<'_, '_, T, V> {
 /// streaming terminals (per-key stream sizes, finalization) from within
 /// task bodies — the TTG `tt->in<i>()` idiom.
 pub struct InRef<K: Key, V: Data> {
-    // Holds the node strongly: unlike edge consumer ports (which must be
-    // `Weak` to break the node → edge → port cycle), an `InRef` is an
-    // external handle with no cycle, and a strong pointer keeps the seeding
-    // hot path free of both a heap allocation per handle and the
-    // upgrade/downgrade refcount traffic per call.
+    // Holds the node strongly: an `InRef` is an external handle with no
+    // cycle through it, and seeding is not the task path (edge consumer
+    // ports name their node by id and find it in the context instead).
     node: Arc<NodeInner<K>>,
     terminal: u16,
     _ph: std::marker::PhantomData<fn() -> V>,

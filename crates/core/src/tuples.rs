@@ -86,7 +86,7 @@ macro_rules! impl_edge_list {
             fn connect(&self, node: &Arc<NodeInner<K>>) {
                 $(
                     self.$idx.add_consumer(Arc::new(PortImpl::<K, $V>::new(
-                        Arc::downgrade(node),
+                        node.id,
                         $idx as u16,
                     )));
                 )+

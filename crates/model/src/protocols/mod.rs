@@ -38,9 +38,10 @@ pub fn corpus() -> Vec<CorpusEntry> {
             default_bound: 3,
         },
         CorpusEntry {
-            name: "submit_batch",
+            name: "batch",
             invariant: "batched submit: one wake_seq bump per group, no task stranded, and \
-                        the group's quiescence units registered before its first enqueue",
+                        a pool's quiescence unit registered when it turns busy, before \
+                        the first enqueue, and released when its last job finishes",
             run: |cfg| batch::check(cfg, batch::Mutation::None),
             default_bound: 2,
         },

@@ -86,6 +86,14 @@ fn batch_registering_units_after_the_enqueue_reads_idle_with_work_queued() {
 }
 
 #[test]
+fn batch_releasing_the_pool_unit_at_dequeue_reads_idle_with_a_job_running() {
+    let v = batch::check(Config::bounded(2), batch::Mutation::ReleaseAtDequeue)
+        .expect_err("mutation must be caught");
+    assert_eq!(v.kind, ViolationKind::Assert, "got: {v}");
+    assert!(v.message.contains("idle with work queued"), "got: {v}");
+}
+
+#[test]
 fn matching_check_then_act_breaks_exactly_once() {
     let v = matching::check(Config::bounded(3), matching::Mutation::CheckThenAct)
         .expect_err("mutation must be caught");

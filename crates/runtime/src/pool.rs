@@ -18,7 +18,7 @@ use std::time::Instant;
 use ttg_model::sync::{AtomicBool, AtomicU64, AtomicUsize, EventCount, Mutex, Ordering};
 
 use crossbeam_deque::{Injector, Stealer, Worker};
-use ttg_telemetry::Registry;
+use ttg_telemetry::{Padded, Registry};
 
 use crate::quiesce::Quiescence;
 
@@ -31,8 +31,11 @@ pub enum SchedulerKind {
     Central,
 }
 
-/// A schedulable unit of work.
-pub struct Job {
+/// A schedulable unit of work. A job runs with a borrow of its worker's
+/// context `C` (see [`WorkerPool::with_options`]): what every job of the
+/// pool needs, the worker holds once for its lifetime, instead of each
+/// queued job holding a handle of its own.
+pub struct Job<C = ()> {
     /// Larger runs earlier (only in work-stealing pools).
     pub priority: i32,
     /// Preferred worker whose cache likely holds this job's inputs.
@@ -41,21 +44,24 @@ pub struct Job {
     /// only); other workers may still poach them when the preferred
     /// worker falls behind.
     pub locality: Option<u32>,
-    f: Box<dyn FnOnce() + Send + 'static>,
+    f: Box<dyn FnOnce(&C) + Send + 'static>,
 }
 
 impl Job {
     /// Create a job with priority 0.
     pub fn new(f: impl FnOnce() + Send + 'static) -> Self {
-        Job {
-            priority: 0,
-            locality: None,
-            f: Box::new(f),
-        }
+        Self::with_priority(0, f)
     }
 
     /// Create a job with an explicit priority.
     pub fn with_priority(priority: i32, f: impl FnOnce() + Send + 'static) -> Self {
+        Job::in_context(priority, move |_: &()| f())
+    }
+}
+
+impl<C> Job<C> {
+    /// Create a job that runs with a borrow of its worker's context.
+    pub fn in_context(priority: i32, f: impl FnOnce(&C) + Send + 'static) -> Self {
         Job {
             priority,
             locality: None,
@@ -70,24 +76,24 @@ impl Job {
     }
 }
 
-struct PrioJob {
+struct PrioJob<C> {
     priority: i32,
     seq: u64,
-    job: Job,
+    job: Job<C>,
 }
 
-impl PartialEq for PrioJob {
+impl<C> PartialEq for PrioJob<C> {
     fn eq(&self, other: &Self) -> bool {
         self.priority == other.priority && self.seq == other.seq
     }
 }
-impl Eq for PrioJob {}
-impl PartialOrd for PrioJob {
+impl<C> Eq for PrioJob<C> {}
+impl<C> PartialOrd for PrioJob<C> {
     fn partial_cmp(&self, other: &Self) -> Option<CmpOrdering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for PrioJob {
+impl<C> Ord for PrioJob<C> {
     fn cmp(&self, other: &Self) -> CmpOrdering {
         // Max-heap on priority; FIFO (min seq) among equal priorities.
         self.priority
@@ -128,13 +134,13 @@ ttg_telemetry::metrics! {
 
 /// One worker's locality (bound) queue: zero-priority jobs whose inputs
 /// are expected to be hot in that worker's cache. FIFO, peer-stealable.
-struct Bound {
-    q: Mutex<VecDeque<Job>>,
+struct Bound<C> {
+    q: Mutex<VecDeque<Job<C>>>,
     /// Occupancy mirror so peers can skip the lock when empty.
     len: AtomicUsize,
 }
 
-impl Bound {
+impl<C> Bound<C> {
     fn new() -> Self {
         Bound {
             q: Mutex::new(VecDeque::new()),
@@ -142,7 +148,7 @@ impl Bound {
         }
     }
 
-    fn push(&self, job: Job) -> usize {
+    fn push(&self, job: Job<C>) -> usize {
         let mut q = self.q.lock();
         q.push_back(job);
         let n = q.len();
@@ -150,7 +156,7 @@ impl Bound {
         n
     }
 
-    fn pop(&self) -> Option<Job> {
+    fn pop(&self) -> Option<Job<C>> {
         if self.len.load(Ordering::Acquire) == 0 {
             return None;
         }
@@ -161,17 +167,17 @@ impl Bound {
     }
 }
 
-struct Shared {
-    injector: Injector<Job>,
-    stealers: Vec<Stealer<Job>>,
+struct Shared<C> {
+    injector: Injector<Job<C>>,
+    stealers: Vec<Stealer<Job<C>>>,
     /// Per-worker locality queues (work-stealing pools; same length as
-    /// `stealers`).
-    bound: Vec<Bound>,
-    prio: Mutex<BinaryHeap<PrioJob>>,
+    /// `stealers`). A queue's lock is taken per job: [`Padded`].
+    bound: Vec<Padded<Bound<C>>>,
+    prio: Mutex<BinaryHeap<PrioJob<C>>>,
     /// Heap occupancy mirror, maintained under the `prio` lock. Lets the
     /// common zero-priority dispatch skip the heap mutex entirely.
     prio_count: AtomicUsize,
-    central: Mutex<VecDeque<Job>>,
+    central: Mutex<VecDeque<Job<C>>>,
     kind: SchedulerKind,
     shutdown: AtomicBool,
     seq: AtomicU64,
@@ -179,37 +185,42 @@ struct Shared {
     /// job, up to the number asleep) and by shutdown (all).
     wake: EventCount,
     metrics: PoolMetrics,
+    /// Jobs accepted and not yet finished: queued or running. Only this
+    /// rank's workers and its submitters write it.
+    busy: AtomicU64,
+    /// The execution's tracker, in which a busy pool is one unit: it is
+    /// registered when `busy` leaves 0 and released when it returns there,
+    /// so the shared count moves per idle period, not per job.
     quiescence: Arc<Quiescence>,
     /// Set by [`WorkerPool::idle_or_signal_drain`]: the job that drains the
     /// pool signals the quiescence tracker's event count.
     signal_drain: AtomicBool,
 }
 
-impl Shared {
+impl<C> Shared<C> {
     /// See [`WorkerPool::is_idle`].
     fn is_idle(&self) -> bool {
-        let executed = self.metrics.executed.get();
-        let submitted = self.metrics.submitted.get();
-        executed == submitted
+        self.busy.load(Ordering::SeqCst) == 0
     }
 
-    /// Account one finished job; the one that drains a watched pool
-    /// signals.
+    /// Account one finished job. The one that drains the pool releases its
+    /// quiescence unit and, when the pool is watched, signals.
     fn job_done(&self) {
         self.metrics.executed.inc();
+        if self.busy.fetch_sub(1, Ordering::SeqCst) != 1 {
+            return;
+        }
         self.quiescence.activity_finished();
-        // Orders the count above before the flag read, against the
-        // watcher's flag store before its idle read.
-        std::sync::atomic::fence(Ordering::SeqCst);
-        if self.signal_drain.load(Ordering::SeqCst) && self.is_idle() {
-            self.signal_drain.store(false, Ordering::SeqCst);
+        // Both sides are SeqCst: either the watcher's idle read sees the
+        // drain, or this flag read sees the watcher's store.
+        if self.signal_drain.swap(false, Ordering::SeqCst) {
             self.quiescence.events().signal_all();
         }
     }
 
     /// Pop the highest-priority heap job, if any, keeping the occupancy
     /// mirror in sync.
-    fn pop_prio(&self) -> Option<Job> {
+    fn pop_prio(&self) -> Option<Job<C>> {
         if self.prio_count.load(Ordering::Acquire) == 0 {
             return None;
         }
@@ -219,7 +230,7 @@ impl Shared {
         pj.map(|p| p.job)
     }
 
-    fn find_job(&self, local: &Worker<Job>, me: usize, rng: &mut u64) -> Option<Job> {
+    fn find_job(&self, local: &Worker<Job<C>>, me: usize, rng: &mut u64) -> Option<Job<C>> {
         match self.kind {
             SchedulerKind::Central => self.central.lock().pop_front(),
             SchedulerKind::WorkStealing => {
@@ -289,7 +300,7 @@ impl Shared {
 
     /// Queue `job` without waking anybody (callers pair this with
     /// [`Shared::announce_work`] or a single batch announcement).
-    fn enqueue_job(&self, job: Job) {
+    fn enqueue_job(&self, job: Job<C>) {
         match self.kind {
             SchedulerKind::Central => self.central.lock().push_back(job),
             SchedulerKind::WorkStealing => {
@@ -375,18 +386,22 @@ thread_local! {
         const { std::cell::Cell::new(None) };
 }
 
-/// A pool of worker threads executing [`Job`]s for one logical rank.
-pub struct WorkerPool {
-    shared: Arc<Shared>,
+/// A pool of worker threads executing [`Job`]s for one logical rank. Each
+/// worker holds its own clone of the context `C` its jobs run with.
+pub struct WorkerPool<C = ()> {
+    /// [`Padded`]: `busy` moves per job, and the pools of two ranks are
+    /// made one after the other.
+    shared: Arc<Padded<Shared<C>>>,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl WorkerPool {
     /// Spawn `workers` threads with the given scheduling discipline.
     ///
-    /// Every submitted job is tracked in `quiescence` from submission until
-    /// it finishes executing. Scheduler metrics count into standalone cells;
-    /// use [`WorkerPool::with_telemetry`] to register them for export.
+    /// The pool is one unit of `quiescence` from the submission that finds
+    /// it idle until the job that leaves it idle finishes. Scheduler metrics
+    /// count into standalone cells; use [`WorkerPool::with_telemetry`] to
+    /// register them for export.
     pub fn new(
         workers: usize,
         kind: SchedulerKind,
@@ -408,12 +423,15 @@ impl WorkerPool {
         name: &str,
         registry: Option<(&Registry, usize)>,
     ) -> Self {
-        Self::with_options(workers, kind, quiescence, name, registry, None)
+        Self::with_options(workers, kind, quiescence, name, registry, None, ())
     }
+}
 
+impl<C: Clone + Send + 'static> WorkerPool<C> {
     /// Like [`WorkerPool::with_telemetry`], with an optional seed for the
-    /// steal-victim PRNG streams (see [`steal_rng_seed`]); `None` keeps
-    /// the entropy default.
+    /// steal-victim PRNG streams (see [`steal_rng_seed`]; `None` keeps
+    /// the entropy default) and the context `cx` every job runs with: each
+    /// worker takes one clone of it for its lifetime.
     pub fn with_options(
         workers: usize,
         kind: SchedulerKind,
@@ -421,14 +439,15 @@ impl WorkerPool {
         name: &str,
         registry: Option<(&Registry, usize)>,
         steal_seed: Option<u64>,
+        cx: C,
     ) -> Self {
         assert!(workers > 0, "pool needs at least one worker");
-        let locals: Vec<Worker<Job>> = (0..workers).map(|_| Worker::new_lifo()).collect();
+        let locals: Vec<Worker<Job<C>>> = (0..workers).map(|_| Worker::new_lifo()).collect();
         let stealers = locals.iter().map(|w| w.stealer()).collect();
-        let shared = Arc::new(Shared {
+        let shared = Arc::new(Padded::new(Shared {
             injector: Injector::new(),
             stealers,
-            bound: (0..workers).map(|_| Bound::new()).collect(),
+            bound: (0..workers).map(|_| Padded::new(Bound::new())).collect(),
             prio: Mutex::new(BinaryHeap::new()),
             prio_count: AtomicUsize::new(0),
             central: Mutex::new(VecDeque::new()),
@@ -441,13 +460,15 @@ impl WorkerPool {
                 Some((reg, rank)) => PoolMetrics::register(reg, rank),
                 None => PoolMetrics::register(&Registry::new(), 0),
             },
+            busy: AtomicU64::new(0),
             quiescence,
-        });
+        }));
         let mut threads = Vec::with_capacity(workers);
         for (i, local) in locals.into_iter().enumerate() {
             let shared = Arc::clone(&shared);
             let tname = format!("{name}-w{i}");
             let rng = steal_rng_seed(steal_seed, i);
+            let cx = cx.clone();
             threads.push(
                 std::thread::Builder::new()
                     .name(tname.clone())
@@ -456,7 +477,7 @@ impl WorkerPool {
                         ttg_telemetry::span::name_current_thread(tname);
                         #[cfg(not(feature = "telemetry"))]
                         drop(tname);
-                        worker_loop(shared, local, i, rng)
+                        worker_loop(shared, local, i, rng, cx)
                     })
                     .expect("failed to spawn worker"),
             );
@@ -468,7 +489,7 @@ impl WorkerPool {
     }
 
     /// Submit a job for execution.
-    pub fn submit(&self, job: Job) {
+    pub fn submit(&self, job: Job<C>) {
         self.submit_group(std::iter::once(job));
     }
 
@@ -476,21 +497,23 @@ impl WorkerPool {
     /// bump covers the whole successor group instead of one per job, and
     /// wakes at most one parked worker per job (Taskflow-style batched
     /// activation).
-    pub fn submit_batch(&self, jobs: Vec<Job>) {
+    pub fn submit_batch(&self, jobs: Vec<Job<C>>) {
         self.submit_group(jobs.into_iter());
     }
 
     /// [`submit_batch`](Self::submit_batch) for a group that already sits
-    /// in a buffer of the caller's. The group's quiescence units and counts
-    /// are registered with one add each *before* the first job is queued:
-    /// a worker may finish a job the moment it is, and its unit must exist
-    /// by then.
-    pub fn submit_group(&self, jobs: impl ExactSizeIterator<Item = Job>) {
+    /// in a buffer of the caller's. The group is counted with one add
+    /// *before* the first job is queued, and a pool the add finds idle
+    /// registers its quiescence unit first: a worker may finish a job the
+    /// moment it is queued, and the count and unit must exist by then.
+    pub fn submit_group(&self, jobs: impl ExactSizeIterator<Item = Job<C>>) {
         let n = jobs.len();
         if n == 0 {
             return;
         }
-        self.shared.quiescence.activities_started(n as u64);
+        if self.shared.busy.fetch_add(n as u64, Ordering::SeqCst) == 0 {
+            self.shared.quiescence.activity_started();
+        }
         self.shared.metrics.submitted.add(n as u64);
         self.shared.metrics.queue_depth.add(n as i64);
         for job in jobs {
@@ -519,8 +542,8 @@ impl WorkerPool {
     }
 
     /// Whether every accepted job has run to completion: no job queued, no
-    /// job mid-execution. `executed` is read *before* `submitted` so a
-    /// concurrent submit can only make an idle pool look busy, never the
+    /// job mid-execution. A submit counts its group before queuing it, so
+    /// a concurrent submit can only make an idle pool look busy, never the
     /// reverse — the recovery drive loop relies on that one-sided error.
     pub fn is_idle(&self) -> bool {
         self.shared.is_idle()
@@ -535,7 +558,7 @@ impl WorkerPool {
     }
 
     /// Stop accepting progress and join all workers. Pending jobs are
-    /// dropped (their quiescence units are released). Idempotent.
+    /// dropped (and a busy pool's quiescence unit released). Idempotent.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
         // Workers between their shutdown check and their park are counted
@@ -544,33 +567,38 @@ impl WorkerPool {
         for t in self.threads.lock().drain(..) {
             t.join().expect("worker panicked");
         }
-        // Release quiescence units of jobs that never ran.
-        loop {
-            let job = match self.shared.kind {
-                SchedulerKind::Central => self.shared.central.lock().pop_front(),
-                SchedulerKind::WorkStealing => self
-                    .shared
-                    .pop_prio()
-                    .or_else(|| match self.shared.injector.steal() {
-                        crossbeam_deque::Steal::Success(j) => Some(j),
-                        _ => None,
-                    })
-                    .or_else(|| self.shared.bound.iter().find_map(Bound::pop)),
-            };
-            match job {
-                Some(_) => self.shared.quiescence.activity_finished(),
-                None => break,
-            }
+        // Drop the jobs that never ran (they may hold handles on whatever
+        // owns this pool), then the unit they kept the pool busy with.
+        let pop = || match self.shared.kind {
+            SchedulerKind::Central => self.shared.central.lock().pop_front(),
+            SchedulerKind::WorkStealing => self
+                .shared
+                .pop_prio()
+                .or_else(|| match self.shared.injector.steal() {
+                    crossbeam_deque::Steal::Success(j) => Some(j),
+                    _ => None,
+                })
+                .or_else(|| self.shared.bound.iter().find_map(|b| b.pop())),
+        };
+        while pop().is_some() {}
+        if self.shared.busy.swap(0, Ordering::SeqCst) != 0 {
+            self.shared.quiescence.activity_finished();
         }
     }
 }
 
-fn worker_loop(shared: Arc<Shared>, local: Worker<Job>, me: usize, mut rng: u64) {
+fn worker_loop<C>(
+    shared: Arc<Padded<Shared<C>>>,
+    local: Worker<Job<C>>,
+    me: usize,
+    mut rng: u64,
+    cx: C,
+) {
     CURRENT_WORKER.with(|c| c.set(Some((Arc::as_ptr(&shared) as usize, me as u32))));
     loop {
         if let Some(job) = shared.find_job(&local, me, &mut rng) {
             shared.metrics.queue_depth.add(-1);
-            (job.f)();
+            (job.f)(&cx);
             shared.job_done();
             continue;
         }
@@ -584,7 +612,7 @@ fn worker_loop(shared: Arc<Shared>, local: Worker<Job>, me: usize, mut rng: u64)
         if let Some(job) = shared.find_job(&local, me, &mut rng) {
             shared.wake.cancel();
             shared.metrics.queue_depth.add(-1);
-            (job.f)();
+            (job.f)(&cx);
             shared.job_done();
             continue;
         }

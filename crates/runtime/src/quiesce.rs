@@ -18,10 +18,12 @@ use ttg_model::sync::{AtomicU64, EventCount, Ordering};
 
 /// Epoch-validated activity counter.
 ///
-/// `active` counts units of pending work (queued jobs, running jobs,
-/// unprocessed packets). `epoch` increments on every activity *start*, which
-/// lets a detector rule out the race where activity briefly reached zero and
-/// then resumed between two observations.
+/// `active` counts units of pending work: a worker pool with jobs queued or
+/// running is one unit, whatever the number of its jobs (the pool counts
+/// those itself), and so is a backend's unprocessed message. `epoch`
+/// increments on every activity *start*, which lets a detector rule out the
+/// race where activity briefly reached zero and then resumed between two
+/// observations.
 pub struct Quiescence {
     active: AtomicU64,
     epoch: AtomicU64,
@@ -59,15 +61,8 @@ impl Quiescence {
     /// Record the start of a unit of activity.
     #[inline]
     pub fn activity_started(&self) {
-        self.activities_started(1);
-    }
-
-    /// Record the start of `n` units of activity at once (a batch of jobs,
-    /// registered before the first of them can finish).
-    #[inline]
-    pub fn activities_started(&self, n: u64) {
-        self.epoch.fetch_add(n, Ordering::SeqCst);
-        self.active.fetch_add(n, Ordering::SeqCst);
+        self.epoch.fetch_add(1, Ordering::SeqCst);
+        self.active.fetch_add(1, Ordering::SeqCst);
     }
 
     /// Record the end of a unit of activity; the last one signals.

@@ -34,7 +34,7 @@ pub mod table;
 
 pub use chrome::{ChromeTraceBuilder, TaskSlice};
 pub use metrics::{
-    Counter, Gauge, HistSnapshot, Histogram, MetricKey, MetricValue, Registry, Snapshot,
+    Counter, Gauge, HistSnapshot, Histogram, MetricKey, MetricValue, Padded, Registry, Snapshot,
 };
 pub use span::{
     drain_events, enabled, instant, now_ns, set_enabled, span, span_for_rank, thread_names,
