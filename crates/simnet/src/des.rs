@@ -19,7 +19,9 @@ use crate::machines::MachineModel;
 /// One executed task instance from a trace.
 #[derive(Debug, Clone)]
 pub struct TraceTask {
-    /// Unique id (topologically ordered: producers have smaller ids).
+    /// Unique id. Ids order nothing: `ttg-core` takes them from per-thread
+    /// blocks, so a consumer may have a smaller id than its producer; they
+    /// only break ties, deterministically.
     pub id: u64,
     /// Rank (= node) the task executed on.
     pub rank: usize,
@@ -71,7 +73,8 @@ pub struct SimResult {
 
 // Event key: (time, kind, −priority, id, task index). At equal times:
 // finishes are processed before arrivals; among arrivals, higher priority
-// wins, then FIFO by id. Ids are unique, so the index never decides.
+// wins, then the smaller id (a deterministic tie-break, not arrival
+// order). Ids are unique, so the index never decides.
 type EvKey = (u64, u8, i64, u64, usize);
 const EV_DONE: u8 = 0;
 const EV_ARRIVE: u8 = 1;
@@ -100,7 +103,7 @@ pub fn simulate(tasks: &[TraceTask], machine: &MachineModel) -> SimResult {
         }
     }
     // Serve high-priority consumers first at the NIC (priority-aware
-    // communication scheduling), then FIFO by id for determinism.
+    // communication scheduling), then by id for determinism.
     for list in succs.iter_mut() {
         list.sort_by_key(|&i| (nprio(i), tasks[i].id));
         list.dedup();
