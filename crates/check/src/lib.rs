@@ -35,9 +35,9 @@
 //! stack itself rather than a user graph — lock-order analysis of the
 //! crates' annotated lock sets ([`locks`], TTG050/TTG051), wire-protocol
 //! state-machine checks ([`protocol`], TTG052/TTG053), and a `--model`
-//! mode ([`model_from_args`]) that exhaustively explores the `ttg-model`
-//! protocol corpus and reports TTG054 violations / TTG055 coverage in the
-//! same JSON report schema.
+//! mode ([`model_from_args`]) that exhaustively explores `ttg-model`'s
+//! `event_count` case and reports TTG054 violations / TTG055 coverage in
+//! the same JSON report schema.
 
 #![warn(missing_docs)]
 

@@ -1,19 +1,18 @@
-//! `--model` mode: run the `ttg-model` protocol corpus and report the
-//! outcome in the checker's diagnostic vocabulary (TTG054/TTG055).
+//! `--model` mode: run the `event_count` model and report the outcome in
+//! the checker's diagnostic vocabulary (TTG054/TTG055).
 //!
-//! Each corpus entry is a real concurrency protocol (the event count every
-//! sleeper parks on) or a model-sized extraction of one (batched submit,
-//! sharded matching, the coordinated rollback, multi-process termination,
-//! the transport handshake) explored exhaustively up to its preemption
-//! bound. The reliable layer's dedup window and acks are explored as
-//! shipped by `ttg-comm`'s own model cases (`--cfg ttg_model`), not here.
-//! A violated invariant becomes a **TTG054 error** carrying the failing
-//! schedule; a clean exhaustive exploration becomes a **TTG055 note**
-//! recording the coverage (schedules explored, pruned, truncated) so CI
-//! artifacts show what "passed" meant.
+//! `event_count` explores the event count every sleeper parks on — the
+//! production definition over the model checker's shadow primitives —
+//! exhaustively up to its preemption bound. The other concurrent protocols
+//! are explored as shipped by model cases beside their code, compiled with
+//! `--cfg ttg_model`: CI runs those (`cargo test --lib` per crate), not
+//! `--model`. A violated invariant becomes a **TTG054 error** carrying the
+//! failing schedule; a clean exhaustive exploration becomes a **TTG055
+//! note** recording the coverage (schedules explored, pruned, truncated)
+//! so CI artifacts show what "passed" meant.
 //!
 //! Wired into binaries next to `--check`: [`model_from_args`] runs the
-//! corpus when `--model` appears on the command line, prints the report,
+//! model when `--model` appears on the command line, prints the report,
 //! writes [`MODEL_REPORT_PATH`] in the same `ttg-check-report/1` JSON
 //! schema as the static verifier, and exits the process (non-zero iff a
 //! model failed). Lock-order (TTG050/TTG051) and wire-protocol
@@ -24,7 +23,8 @@ use std::path::Path;
 
 use crate::report::{Diagnostic, Report};
 use crate::{locks, protocol};
-use ttg_model::Config;
+use ttg_model::event::{self, Mutation};
+use ttg_model::{Config, Stats, Violation};
 
 /// Default location of the exported model-check JSON report.
 pub const MODEL_REPORT_PATH: &str = "results/model_report.json";
@@ -33,55 +33,67 @@ pub const MODEL_REPORT_PATH: &str = "results/model_report.json";
 /// diagnostic (full traces can run to hundreds of steps).
 const TRACE_TAIL: usize = 12;
 
-/// Run the model-checker corpus plus the static lock-order and
-/// wire-protocol analyses, merged into one report. The report counts
-/// corpus models as "nodes" and explored schedules as "edges".
-pub fn run_corpus() -> Report {
-    let entries = ttg_model::protocols::corpus();
-    let mut report = Report::new(entries.len(), 0);
-    for e in &entries {
-        match (e.run)(Config::bounded(e.default_bound)) {
-            Ok(stats) => {
-                report.edges += stats.schedules;
-                report.push(
-                    Diagnostic::note(
-                        "TTG055",
-                        format!(
-                            "model '{}' holds \"{}\": {} at preemption bound {}",
-                            e.name, e.invariant, stats, e.default_bound
-                        ),
-                    )
-                    .on_node(e.name),
-                );
-            }
-            Err(v) => {
-                let tail: Vec<&str> = v
-                    .trace
-                    .iter()
-                    .rev()
-                    .take(TRACE_TAIL)
-                    .rev()
-                    .map(String::as_str)
-                    .collect();
-                report.edges += v.stats.runs();
-                report.push(
-                    Diagnostic::error(
-                        "TTG054",
-                        format!(
-                            "model '{}' violates \"{}\" ({:?}): {}",
-                            e.name, e.invariant, v.kind, v.message
-                        ),
-                    )
-                    .on_node(e.name)
-                    .for_key(format!("schedule {}", v.stats.runs()))
-                    .with_help(format!(
-                        "deterministic repro; failing schedule tail: {}",
-                        tail.join(" | ")
-                    )),
-                );
-            }
+/// The one model `--model` explores, and its invariant.
+const EVENT_COUNT: &str = "event_count";
+const INVARIANT: &str = "event count with a deadline: a sleeper that prepares, re-checks and \
+                         commits never sleeps through a signal, and leaves no sleeper counted";
+/// The preemption bound it explores exhaustively at.
+const BOUND: usize = 3;
+
+/// The report entry for one exploration of `event_count`.
+fn diagnose(outcome: Result<Stats, Box<Violation>>, report: &mut Report) {
+    match outcome {
+        Ok(stats) => {
+            report.edges += stats.schedules;
+            report.push(
+                Diagnostic::note(
+                    "TTG055",
+                    format!(
+                        "model '{EVENT_COUNT}' holds \"{INVARIANT}\": {stats} at preemption \
+                         bound {BOUND}"
+                    ),
+                )
+                .on_node(EVENT_COUNT),
+            );
+        }
+        Err(v) => {
+            let tail: Vec<&str> = v
+                .trace
+                .iter()
+                .rev()
+                .take(TRACE_TAIL)
+                .rev()
+                .map(String::as_str)
+                .collect();
+            report.edges += v.stats.runs();
+            report.push(
+                Diagnostic::error(
+                    "TTG054",
+                    format!(
+                        "model '{EVENT_COUNT}' violates \"{INVARIANT}\" ({:?}): {}",
+                        v.kind, v.message
+                    ),
+                )
+                .on_node(EVENT_COUNT)
+                .for_key(format!("schedule {}", v.stats.runs()))
+                .with_help(format!(
+                    "deterministic repro; failing schedule tail: {}",
+                    tail.join(" | ")
+                )),
+            );
         }
     }
+}
+
+/// Explore `event_count`, then run the static lock-order and
+/// wire-protocol analyses, merged into one report. The report counts the
+/// model as a "node" and explored schedules as "edges".
+pub fn run_corpus() -> Report {
+    let mut report = Report::new(1, 0);
+    diagnose(
+        event::check(Config::bounded(BOUND), Mutation::None),
+        &mut report,
+    );
     for d in locks::analyze(&locks::annotated()).diagnostics {
         report.push(d);
     }
@@ -126,32 +138,26 @@ mod tests {
         let report = run_corpus();
         assert!(!report.has_code("TTG054"), "{}", report.render());
         assert!(report.is_clean(), "{}", report.render());
-        // One TTG055 coverage note per corpus model.
-        assert_eq!(
-            report
-                .diagnostics
-                .iter()
-                .filter(|d| d.code == "TTG055")
-                .count(),
-            ttg_model::protocols::corpus().len()
-        );
-        assert!(report.edges > 100, "coverage counter looks wrong");
+        // One TTG055 coverage note: the event count's.
+        let notes = report.diagnostics.iter().filter(|d| d.code == "TTG055");
+        assert_eq!(notes.count(), 1);
+        assert!(report.edges > 1, "coverage counter looks wrong");
         // The merged report round-trips through the schema-checked JSON.
         assert!(report.to_json().contains("ttg-check-report/1"));
     }
 
     #[test]
     fn violations_become_ttg054() {
-        // Drive one known-bad mutation through the same rendering path the
-        // corpus uses, so a regression in trace capture shows up here.
-        let v = ttg_model::protocols::event::check(
-            Config::bounded(3),
-            ttg_model::protocols::event::Mutation::BumpOutsideLock,
-        )
-        .expect_err("mutation must be caught");
-        let d = Diagnostic::error("TTG054", v.message.clone())
-            .for_key(format!("schedule {}", v.stats.runs()));
-        assert!(!v.trace.is_empty(), "violation lost its schedule trace");
+        // Drive a known-bad mutation through the rendering path the clean
+        // run takes, so a regression in trace capture shows up here.
+        let mut report = Report::new(1, 0);
+        diagnose(
+            event::check(Config::bounded(BOUND), Mutation::BumpOutsideLock),
+            &mut report,
+        );
+        let d = &report.diagnostics[0];
         assert_eq!(d.code, "TTG054");
+        assert!(d.message.contains("Deadlock"), "{}", report.render());
+        assert!(report.edges > 0, "the failing run is counted");
     }
 }

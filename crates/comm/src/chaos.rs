@@ -626,7 +626,7 @@ fn earliest(a: Option<Instant>, b: Option<Instant>) -> Option<Instant> {
 
 #[cfg(test)]
 #[path = "chaos_harness.rs"]
-mod harness;
+pub(crate) mod harness;
 
 #[cfg(all(test, not(ttg_model)))]
 #[path = "chaos_tests.rs"]

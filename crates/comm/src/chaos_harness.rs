@@ -12,20 +12,20 @@ type Copy = (Rank, u32, u64, Arc<Vec<u8>>);
 
 /// A queue-backed [`ChaosWire`] with the counters and sink a
 /// [`ChaosPort`] names.
-pub(super) struct Harness {
-    pub(super) cs: ChaosState,
-    pub(super) stats: FabricStats,
-    pub(super) ledger: Ledger,
-    pub(super) errors: Mutex<Vec<CommError>>,
-    pub(super) queues: Vec<Mutex<VecDeque<Copy>>>,
+pub(crate) struct Harness {
+    pub(crate) cs: ChaosState,
+    pub(crate) stats: FabricStats,
+    pub(crate) ledger: Ledger,
+    pub(crate) errors: Mutex<Vec<CommError>>,
+    pub(crate) queues: Vec<Mutex<VecDeque<Copy>>>,
     /// Answer every ack batch as a closed link does: refused, ranges lost.
-    pub(super) refuse_acks: AtomicBool,
+    pub(crate) refuse_acks: AtomicBool,
     /// Carry ack batches as frames on `acks`, for the sender's delivery
     /// thread to apply, as a socket does; otherwise the flushing thread
     /// applies them through shared memory, as the channel wire does.
-    pub(super) ack_wire: bool,
+    pub(crate) ack_wire: bool,
     /// Ack batches in flight to each rank, as `(acker, ranges)`.
-    pub(super) acks: Vec<Mutex<VecDeque<(Rank, AckRanges)>>>,
+    pub(crate) acks: Vec<Mutex<VecDeque<(Rank, AckRanges)>>>,
 }
 
 impl ChaosWire for Harness {
@@ -54,7 +54,7 @@ impl ChaosWire for Harness {
 }
 
 impl Harness {
-    pub(super) fn new(n: usize, plan: FaultPlan) -> Harness {
+    pub(crate) fn new(n: usize, plan: FaultPlan) -> Harness {
         Harness {
             cs: ChaosState::new(plan, n),
             stats: FabricStats::register(&Registry::new(), n),
@@ -67,7 +67,7 @@ impl Harness {
         }
     }
 
-    pub(super) fn port(&self) -> ChaosPort<'_> {
+    pub(crate) fn port(&self) -> ChaosPort<'_> {
         ChaosPort {
             wire: self,
             stats: &self.stats,
@@ -76,21 +76,21 @@ impl Harness {
         }
     }
 
-    pub(super) fn send(&self, from: Rank, to: Rank, payload: Vec<u8>) {
+    pub(crate) fn send(&self, from: Rank, to: Rank, payload: Vec<u8>) {
         self.cs.send(&self.port(), from, to, 7, payload);
     }
 
-    pub(super) fn progress(&self) {
+    pub(crate) fn progress(&self) {
         self.cs.progress(&self.port());
     }
 
-    pub(super) fn in_flight(&self) -> u64 {
+    pub(crate) fn in_flight(&self) -> u64 {
         self.ledger.in_flight()
     }
 
     /// Take one copy off `rank`'s queue, classify it, and retire it if
     /// fresh (what a delivery thread does); `None` when nothing waits.
-    pub(super) fn pump(&self, rank: Rank) -> Option<bool> {
+    pub(crate) fn pump(&self, rank: Rank) -> Option<bool> {
         let (from, _, seq, _) = self.queues[rank].lock().pop_front()?;
         let fresh = self.cs.rx_accept(&self.port(), rank, from, seq);
         if fresh {

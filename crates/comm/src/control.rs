@@ -14,7 +14,7 @@
 //! drained, and a rank answers a probe only once it is — a busy rank defers
 //! the reply, and its parked wait loop sends it when the drain wakes it.
 //! Every termination frame signals the execution's event count, on which
-//! the wait loops park (`ttg-model`'s `term_probe`).
+//! the wait loops park (`control_model.rs` explores the protocol).
 //!
 //! Port: [`ControlPort`] — this rank's links (send, with failures reported
 //! where the fabric reports them) and the in-flight ledger.
@@ -343,3 +343,7 @@ impl ControlPlane {
         self.barrier_cv.notify_all();
     }
 }
+
+#[cfg(all(test, ttg_model))]
+#[path = "control_model.rs"]
+mod model;

@@ -377,7 +377,7 @@ impl Fabric {
             } => {
                 // Between processes this ledger issues the frame as it comes
                 // off the wire; within one process the sender issued it.
-                // It settles when processed (`ttg-model`'s `term_probe`).
+                // It settles when processed (`control_model.rs`).
                 let arrived = self.control.as_ref().map(|cp| {
                     cp.frame_arrived();
                     self.stats.rx_bytes[to].add(payload.len() as u64);

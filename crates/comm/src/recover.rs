@@ -13,12 +13,81 @@
 //!
 //! Port: the [`ChaosPort`] of [`crate::chaos`].
 
-use ttg_model::sync::{Instant, MutexGuard, Ordering::SeqCst};
+use ttg_model::sync::{AtomicBool, AtomicUsize, EventCount, Instant, MutexGuard, Ordering::SeqCst};
 
 use crate::buf::{ReadBuf, WireError, WriteBuf};
 use crate::chaos::{ChaosPort, ChaosState};
 use crate::links::Rank;
 use crate::reliable::{next_epoch, LinkTx, SeqWindow, Unacked};
+
+/// The pause gate. A delivery thread enters it before `rx_accept`
+/// classifies a packet and leaves once the packet is processed or
+/// discarded. A thread counts itself inside before it looks at the gate,
+/// and the coordinator raises the gate before it looks at the count: either
+/// the thread sees the gate raised and backs out, or the coordinator sees
+/// it inside and waits for it to leave.
+pub struct Gate {
+    raised: AtomicBool,
+    inside: AtomicUsize,
+    /// Where a delivery thread waits for the gate to be lowered.
+    lowered: EventCount,
+}
+
+impl Default for Gate {
+    fn default() -> Gate {
+        Gate {
+            raised: AtomicBool::new(false),
+            inside: AtomicUsize::new(0),
+            lowered: EventCount::new(),
+        }
+    }
+}
+
+impl Gate {
+    /// Enter, waiting while the gate is raised. `events` is the
+    /// execution's event count, which the coordinator waits on.
+    #[inline]
+    pub fn enter(&self, events: &EventCount) {
+        loop {
+            self.inside.fetch_add(1, SeqCst);
+            if !self.raised.load(SeqCst) {
+                return;
+            }
+            self.leave(events);
+            let epoch = self.lowered.prepare();
+            if self.raised.load(SeqCst) {
+                self.lowered.wait(epoch);
+            } else {
+                self.lowered.cancel();
+            }
+        }
+    }
+
+    /// Leave; under a raised gate, wake the coordinator.
+    #[inline]
+    pub fn leave(&self, events: &EventCount) {
+        self.inside.fetch_sub(1, SeqCst);
+        if self.raised.load(SeqCst) {
+            events.signal_all();
+        }
+    }
+
+    /// Stop every delivery at its next packet boundary.
+    pub fn raise(&self) {
+        self.raised.store(true, SeqCst);
+    }
+
+    /// Whether no delivery thread is inside (read after [`raise`](Self::raise)).
+    pub fn stopped(&self) -> bool {
+        self.inside.load(SeqCst) == 0
+    }
+
+    /// Let the deliveries go on.
+    pub fn lower(&self) {
+        self.raised.store(false, SeqCst);
+        self.lowered.signal_all();
+    }
+}
 
 /// The comm layer's half of a decoded cut: per rank its packet counter
 /// and receive windows, every ledger row, and every rank's outgoing links.
@@ -224,3 +293,7 @@ impl Drop for Paused<'_> {
         cs.clock.arm_retransmit(Instant::now());
     }
 }
+
+#[cfg(all(test, ttg_model))]
+#[path = "recover_model.rs"]
+mod model;

@@ -366,6 +366,9 @@ impl Executor {
     /// what this process still waits on, and returns — degraded, not hung.
     pub fn wait(&self) {
         use std::sync::atomic::Ordering;
+        // The deadline is the event count's: the logical clock under
+        // `--cfg ttg_model`.
+        use ttg_model::sync::Instant;
         let fabric = &self.ctx.fabric;
         let remote = fabric.local_rank().is_some();
         // Start fence, once per execution: no rank may begin probing for

@@ -14,7 +14,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use ttg_comm::{ReadBuf, WireError, WriteBuf};
 use ttg_telemetry::Padded;
 
@@ -357,7 +357,7 @@ struct ShardedTable<K: Key> {
     executed: Padded<AtomicU64>,
 }
 
-type Stripe<K> = Mutex<HashMap<K, PendingE, FxBuildHasher>>;
+type Stripe<K> = ttg_model::sync::Mutex<HashMap<K, PendingE, FxBuildHasher>>;
 
 impl<K: Key> ShardedTable<K> {
     /// A cache line's worth of stripes. Only the end of the stripes needs
@@ -371,7 +371,7 @@ impl<K: Key> ShardedTable<K> {
     fn new(n_shards: usize) -> Self {
         let n = n_shards.max(1).next_power_of_two();
         let mut shards = Vec::with_capacity(n + Self::SPARE);
-        shards.extend((0..n).map(|_| Mutex::new(HashMap::with_hasher(FxBuildHasher))));
+        shards.extend((0..n).map(|_| Stripe::new(HashMap::with_hasher(FxBuildHasher))));
         ShardedTable {
             shards,
             mask: n - 1,
@@ -389,6 +389,37 @@ impl<K: Key> ShardedTable<K> {
 
     fn pending(&self) -> usize {
         self.shards.iter().map(|s| s.lock().len()).sum()
+    }
+
+    /// A match: under `k`'s stripe lock, `fill` the key's entry (a fresh
+    /// one of `n_inputs` slots if it has none) and take the entry out if
+    /// that completed it. The lookup and the claim are one critical
+    /// section, so of the arrivals that complete a key exactly one takes
+    /// it. A refusal leaves the table as it was and returns the key.
+    #[inline]
+    fn arrive<E>(
+        &self,
+        k: K,
+        n_inputs: usize,
+        fill: impl FnOnce(&mut PendingE) -> Result<(), E>,
+    ) -> Result<Option<(K, PendingE)>, (E, K)> {
+        match self.shard(&k).lock().entry(k) {
+            Entry::Occupied(mut e) => match fill(e.get_mut()) {
+                Err(m) => Err((m, e.key().clone())),
+                Ok(()) => Ok(e.get().all_complete().then(|| e.remove_entry())),
+            },
+            Entry::Vacant(v) => {
+                let mut entry = PendingE::new(n_inputs);
+                match fill(&mut entry) {
+                    Err(m) => Err((m, v.into_key())),
+                    Ok(()) if entry.all_complete() => Ok(Some((v.into_key(), entry))),
+                    Ok(()) => {
+                        v.insert(entry);
+                        Ok(None)
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -620,29 +651,12 @@ impl<K: Key> NodeInner<K> {
         ctx: &Arc<RuntimeCtx>,
     ) -> Result<(), WireError> {
         debug_assert_eq!(self.owner(&k, ctx.n_ranks()), rank, "misrouted message");
-        let ready = match self.table(rank, &k).lock().entry(k) {
-            Entry::Occupied(mut e) => {
-                if let Err(m) = self.fill(e.get_mut(), rank, terminal, val, dep, ctx) {
-                    return self.refuse(m, terminal, e.key(), ctx);
-                }
-                e.get().all_complete().then(|| e.remove_entry())
-            }
-            Entry::Vacant(v) => {
-                let mut entry = PendingE::new(self.n_inputs);
-                if let Err(m) = self.fill(&mut entry, rank, terminal, val, dep, ctx) {
-                    return self.refuse(m, terminal, v.key(), ctx);
-                }
-                if entry.all_complete() {
-                    Some((v.into_key(), entry))
-                } else {
-                    v.insert(entry);
-                    None
-                }
-            }
-        };
-        match ready {
-            Some((k, entry)) => self.launch(rank, k, entry, ctx),
-            None => Ok(()),
+        let table = &self.tables.get().expect("node not attached")[rank];
+        let fill = |entry: &mut PendingE| self.fill(entry, rank, terminal, val, dep, ctx);
+        match table.arrive(k, self.n_inputs, fill) {
+            Ok(Some((k, entry))) => self.launch(rank, k, entry, ctx),
+            Ok(None) => Ok(()),
+            Err((m, k)) => self.refuse(m, terminal, &k, ctx),
         }
     }
 
@@ -1388,6 +1402,10 @@ impl Arrival {
         }
     }
 }
+
+#[cfg(all(test, ttg_model))]
+#[path = "node_model.rs"]
+mod model;
 
 #[cfg(test)]
 mod tests {

@@ -12,14 +12,12 @@
 //! fired — imports every rank from the last blob and lets the comm layer
 //! roll back ([`Recovery::rollback`]). Then it lowers the gate.
 
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use ttg_comm::recover::{CommCut, Paused};
+use ttg_comm::recover::{CommCut, Gate, Paused};
 use ttg_comm::{CommError, CommErrorKind, ReadBuf, Recovery, WireError, WriteBuf};
-use ttg_runtime::EventCount;
 
 use crate::ctx::RuntimeCtx;
 
@@ -57,47 +55,6 @@ impl SnapshotSink for MemorySnapshotSink {
     }
 }
 
-/// The pause gate. A delivery thread enters it before `rx_accept`
-/// classifies a packet and leaves once the packet is processed or
-/// discarded. A thread counts itself inside before it looks at the gate,
-/// and the coordinator raises the gate before it looks at the count: either
-/// the thread sees the gate raised and backs out, or the coordinator sees
-/// it inside and waits for it to leave.
-pub(crate) struct Gate {
-    raised: AtomicBool,
-    inside: AtomicUsize,
-    /// Where a delivery thread waits for the gate to be lowered.
-    lowered: EventCount,
-}
-
-impl Gate {
-    /// Enter, waiting while the gate is raised. `events` is the
-    /// execution's event count, which the coordinator waits on.
-    pub(crate) fn enter(&self, events: &EventCount) {
-        loop {
-            self.inside.fetch_add(1, SeqCst);
-            if !self.raised.load(SeqCst) {
-                return;
-            }
-            self.leave(events);
-            let epoch = self.lowered.prepare();
-            if self.raised.load(SeqCst) {
-                self.lowered.wait(epoch);
-            } else {
-                self.lowered.cancel();
-            }
-        }
-    }
-
-    /// Leave; under a raised gate, wake the coordinator.
-    pub(crate) fn leave(&self, events: &EventCount) {
-        self.inside.fetch_sub(1, SeqCst);
-        if self.raised.load(SeqCst) {
-            events.signal_all();
-        }
-    }
-}
-
 /// What the coordinator of a recovery-enabled execution holds: the gate
 /// its delivery threads pass, the sink its cuts persist through, and one
 /// TTG046 per killed rank it rolled back — kept apart from the error sink,
@@ -111,11 +68,7 @@ pub(crate) struct Coordinator {
 impl Coordinator {
     pub(crate) fn new() -> Coordinator {
         Coordinator {
-            gate: Gate {
-                raised: AtomicBool::new(false),
-                inside: AtomicUsize::new(0),
-                lowered: EventCount::new(),
-            },
+            gate: Gate::default(),
             sink: Mutex::new(Arc::new(MemorySnapshotSink::new())),
             recovered: Mutex::new(Vec::new()),
         }
@@ -131,11 +84,11 @@ impl Coordinator {
         // delivery threads the gate is about to stop), and stays stopped
         // until the gate is lowered: no retry budget runs meanwhile.
         let paused = rec.pause();
-        self.gate.raised.store(true, SeqCst);
+        self.gate.raise();
         let (events, pools) = (ctx.fabric.events(), ctx.pools.get().expect("pools missing"));
         loop {
             let epoch = events.prepare();
-            let stopped = self.gate.inside.load(SeqCst) == 0;
+            let stopped = self.gate.stopped();
             if stopped && pools.iter().all(|p| p.idle_or_signal_drain()) {
                 events.cancel();
                 break;
@@ -151,8 +104,7 @@ impl Coordinator {
         } else {
             self.roll_back(ctx, rec, paused)
         };
-        self.gate.raised.store(false, SeqCst);
-        self.gate.lowered.signal_all();
+        self.gate.lower();
         ok
     }
 

@@ -1,6 +1,8 @@
-//! Model of [`crate::sync::EventCount`], the runtime's one sleeping
-//! primitive — the same definition, instantiated here over the shadow
-//! primitives — with a deadline-bounded commit.
+//! The `event_count` case: [`crate::sync::EventCount`], the runtime's one
+//! sleeping primitive — the same definition, instantiated here over the
+//! shadow primitives — with a deadline-bounded commit. `ttg-check --model`
+//! runs it; the other protocols are checked as shipped, by model cases in
+//! their own crates under `--cfg ttg_model`.
 //!
 //! Protocol under check — sleeper side (every waiting thread of the
 //! runtime: a parking worker, the termination wait, the progress thread):

@@ -12,13 +12,12 @@
 //! cheapest schedule of its class. So a bug reachable within `k`
 //! preemptions can hide at bound `k` with pruning on, every schedule of its
 //! class that fits the bound having been pruned in favour of one that does
-//! not. `term_probe`'s `OneRound` mutation is the corpus instance: two
-//! preemptions reach it (the coordinator after rank 1's reply, rank 1's
-//! handler after its send), but its representative spends a third, so bound
-//! 2 explores clean and bound 3 catches it in ~3k runs (bound 2 finds it
-//! only with [`Config::sleep_sets`] off, after ~277k). A clean result at
-//! bound `k` therefore says "no violating class whose representative fits
-//! in `k` preemptions": a regression test for a bug known to need `k`
+//! not. A termination model's declare-on-one-round mutation was the
+//! instance seen: two preemptions reach it, but its representative spent a
+//! third, so bound 2 explored clean and bound 3 caught it (bound 2 found it
+//! only with [`Config::sleep_sets`] off, after ~277k runs). A clean result
+//! at bound `k` therefore says "no violating class whose representative
+//! fits in `k` preemptions": a regression test for a bug known to need `k`
 //! preemptions runs at `k + 1`, or with pruning off.
 
 use std::collections::BTreeMap;

@@ -3,27 +3,30 @@
 //!
 //! A loom/CHESS-style stateless-search checker, built in-repo with no
 //! external dependencies (same policy as `shims/`). A model is a plain
-//! closure using the shadow primitives in [`shadow`] (or, for production
-//! code compiled with `--cfg ttg_model`, the [`sync`] facade); the
+//! closure over code that takes its atomics, locks, spawns and clock from
+//! the [`sync`] facade, compiled with `--cfg ttg_model` so that they are
+//! the scheduler's shadow primitives and logical clock; the
 //! [`explore`] driver re-executes it under every schedule up to a
 //! preemption bound, with sleep-set pruning of equivalent interleavings
 //! and optional seeded random sampling for larger state spaces. A failing
 //! schedule comes back as a [`Violation`] carrying the exact interleaving.
 //!
-//! [`protocols`] is the corpus: the event count every sleeper parks on
-//! (the production definition itself) and model-sized extractions of
-//! batched submit, sharded matching, coordinated rollback, multi-process
-//! termination and the transport handshake, each with invariants and
-//! known-bad mutations the checker must catch. `ttg-check --model` runs
-//! it and reports in the standard diagnostic format. The reliable layer's
-//! dedup window and ack protocol are explored as shipped: `ttg-comm`'s
-//! `chaos` model cases drive `ChaosState` itself under `--cfg ttg_model`,
-//! on the facade's logical clock ([`time`]).
+//! The checker explores shipped code: a crate's model cases, compiled
+//! with `--cfg ttg_model` and kept beside the code they check, drive its
+//! own functions through the [`sync`] facade (the pause gate, cut and
+//! rollback and the reliable layer's dedup window and acks in `ttg-comm`,
+//! its termination protocol, the transport's handshake handoff, the
+//! pool's group submit, the matching table). Each crate's `mutants/`
+//! holds patches that break its source; CI applies each and requires the
+//! case its `Case:` line names to report a violation. Here stays only
+//! [`event`]: the event count every sleeper parks on, the production
+//! definition itself over the shadow primitives, which `ttg-check
+//! --model` runs and reports in the standard diagnostic format.
 
+pub mod event;
 pub mod explore;
-pub mod protocols;
-pub mod sched;
-pub mod shadow;
+mod sched;
+mod shadow;
 pub mod sync;
 pub mod thread;
 pub mod time;

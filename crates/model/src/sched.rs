@@ -24,7 +24,7 @@ use crate::explore::Config;
 /// Model thread index (0 = the root closure).
 pub type Tid = usize;
 
-/// Identifier of a shadow object (atomic, mutex, condvar, channel, thread).
+/// Identifier of a shadow object (atomic, mutex, condvar, thread).
 pub type ObjId = u64;
 
 /// The run's logical clock ([`crate::time`]): object 0 of every run.
@@ -48,10 +48,6 @@ pub enum OpKind {
     CvWait,
     /// Condvar notify (one or all).
     CvNotify,
-    /// Channel send (always enabled; model channels are unbounded).
-    Send,
-    /// Channel receive (enabled when non-empty or closed).
-    Recv,
     /// First scheduling of a freshly spawned thread.
     Start,
     /// Join on another model thread (enabled once it finished).
@@ -111,11 +107,6 @@ struct ThreadInfo {
 enum ObjState {
     MutexFree,
     MutexHeld(Tid),
-    /// Queue length and closed flag of a channel.
-    Chan {
-        len: usize,
-        closed: bool,
-    },
     /// Stateless from the scheduler's perspective.
     Plain,
 }
@@ -289,10 +280,6 @@ impl Scheduler {
         g.next_obj += 1;
         let state = match kind {
             "mutex" => ObjState::MutexFree,
-            "chan" => ObjState::Chan {
-                len: 0,
-                closed: false,
-            },
             _ => ObjState::Plain,
         };
         g.objs.insert(id, state);
@@ -437,6 +424,11 @@ impl Scheduler {
     /// the baton to the scheduler, and return once this thread is granted
     /// execution (with the op's scheduler-side effects applied).
     pub fn yield_op(&self, tid: Tid, op: Op) {
+        if std::thread::panicking() {
+            // A drop on the way out of an aborted run (a guard that locks,
+            // a clock shift): no schedule point, no second panic.
+            return;
+        }
         let mut g = self.inner.lock();
         g.threads[tid].pending = Some(op);
         if g.current == Some(tid) {
@@ -493,16 +485,6 @@ impl Scheduler {
                     g.threads[w].pending = Some(Op::new(OpKind::Lock, mutex));
                 }
             }
-            OpKind::Send => {
-                if let Some(ObjState::Chan { len, .. }) = g.objs.get_mut(&op.obj) {
-                    *len += 1;
-                }
-            }
-            OpKind::Recv => {
-                if let Some(ObjState::Chan { len, .. }) = g.objs.get_mut(&op.obj) {
-                    *len = len.saturating_sub(1);
-                }
-            }
             _ => {}
         }
     }
@@ -513,27 +495,6 @@ impl Scheduler {
     pub(crate) fn force_unlock(&self, obj: ObjId) {
         let mut g = self.inner.lock();
         g.objs.insert(obj, ObjState::MutexFree);
-        self.pass_baton(&g);
-    }
-
-    /// Close a channel: blocked receivers become enabled and observe
-    /// disconnection. The close itself is a (Send-classified) yield point.
-    pub fn chan_close(&self, tid: Tid, obj: ObjId) {
-        self.yield_op(tid, Op::new(OpKind::Send, obj));
-        let mut g = self.inner.lock();
-        if let Some(ObjState::Chan { len, closed }) = g.objs.get_mut(&obj) {
-            // The Send effect bumped the length; undo — closing adds no item.
-            *len = len.saturating_sub(1);
-            *closed = true;
-        }
-    }
-
-    /// Channel close without a schedule point (unwind path).
-    pub(crate) fn force_close_chan(&self, obj: ObjId) {
-        let mut g = self.inner.lock();
-        if let Some(ObjState::Chan { closed, .. }) = g.objs.get_mut(&obj) {
-            *closed = true;
-        }
         self.pass_baton(&g);
     }
 
@@ -569,10 +530,6 @@ impl Scheduler {
     fn op_enabled(g: &Inner, op: &Op) -> bool {
         match op.kind {
             OpKind::Lock => matches!(g.objs.get(&op.obj), Some(ObjState::MutexFree)),
-            OpKind::Recv => match g.objs.get(&op.obj) {
-                Some(ObjState::Chan { len, closed }) => *len > 0 || *closed,
-                _ => false,
-            },
             OpKind::Join => {
                 let target = op.arg as usize;
                 g.threads

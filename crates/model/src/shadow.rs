@@ -1,141 +1,128 @@
 //! Shadow synchronization primitives: API-compatible stand-ins for the
 //! std/parking_lot types whose every operation is a scheduler yield point.
-//! The protocol models use these directly; production crates get them
+//! The `event_count` case uses these directly; production crates get them
 //! transparently through [`crate::sync`] when built with `--cfg ttg_model`.
 //!
 //! All state lives behind real (parking_lot) locks, but the scheduler
 //! serializes model threads, so those locks are never contended — they
 //! just make the types `Sync` without `unsafe`.
 
-use std::collections::VecDeque;
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 
 use crate::sched::{self, sync_op, Op, OpKind};
 use crate::time::Deadline;
 
 // ------------------------------------------------------------------ atomics
 
-macro_rules! shadow_atomic_common {
-    ($name:ident, $ty:ty) => {
-        /// Shadow counterpart of the std atomic; memory orderings are
-        /// accepted for API compatibility and treated as SeqCst (the model
-        /// explores sequentially consistent interleavings only).
-        pub struct $name {
-            id: sched::ObjId,
-            v: parking_lot::Mutex<$ty>,
-        }
-
-        impl $name {
-            pub fn new(v: $ty) -> Self {
-                Self::named(v, stringify!($name))
-            }
-
-            /// Like `new`, with a name that shows up in violation traces.
-            pub fn named(v: $ty, name: &str) -> Self {
-                let (s, _) = sched::current();
-                $name {
-                    id: s.register_obj(name, "atomic"),
-                    v: parking_lot::Mutex::new(v),
-                }
-            }
-
-            pub fn load(&self, _o: Ordering) -> $ty {
-                sync_op(OpKind::Read, self.id);
-                *self.v.lock()
-            }
-
-            pub fn store(&self, val: $ty, _o: Ordering) {
-                sync_op(OpKind::Write, self.id);
-                *self.v.lock() = val;
-            }
-
-            pub fn swap(&self, val: $ty, _o: Ordering) -> $ty {
-                sync_op(OpKind::Rmw, self.id);
-                std::mem::replace(&mut *self.v.lock(), val)
-            }
-
-            pub fn compare_exchange(
-                &self,
-                current: $ty,
-                new: $ty,
-                _success: Ordering,
-                _failure: Ordering,
-            ) -> Result<$ty, $ty> {
-                sync_op(OpKind::Rmw, self.id);
-                let mut g = self.v.lock();
-                if *g == current {
-                    *g = new;
-                    Ok(current)
-                } else {
-                    Err(*g)
-                }
-            }
-        }
-    };
+/// Shadow counterpart of a std atomic; memory orderings are accepted for
+/// API compatibility and treated as SeqCst (the model explores
+/// sequentially consistent interleavings only).
+pub struct Atomic<T> {
+    id: sched::ObjId,
+    v: parking_lot::Mutex<T>,
 }
 
-macro_rules! shadow_atomic_int {
-    ($name:ident, $ty:ty) => {
-        shadow_atomic_common!($name, $ty);
+/// Shadow `AtomicBool`.
+pub type AtomicBool = Atomic<bool>;
+/// Shadow `AtomicU64`.
+pub type AtomicU64 = Atomic<u64>;
+/// Shadow `AtomicUsize`.
+pub type AtomicUsize = Atomic<usize>;
 
-        impl $name {
-            pub fn fetch_add(&self, val: $ty, _o: Ordering) -> $ty {
-                sync_op(OpKind::Rmw, self.id);
-                let mut g = self.v.lock();
-                let old = *g;
-                *g = old.wrapping_add(val);
-                old
-            }
-
-            pub fn fetch_sub(&self, val: $ty, _o: Ordering) -> $ty {
-                sync_op(OpKind::Rmw, self.id);
-                let mut g = self.v.lock();
-                let old = *g;
-                *g = old.wrapping_sub(val);
-                old
-            }
-
-            pub fn fetch_max(&self, val: $ty, _o: Ordering) -> $ty {
-                sync_op(OpKind::Rmw, self.id);
-                let mut g = self.v.lock();
-                let old = *g;
-                *g = old.max(val);
-                old
-            }
-
-            pub fn fetch_min(&self, val: $ty, _o: Ordering) -> $ty {
-                sync_op(OpKind::Rmw, self.id);
-                let mut g = self.v.lock();
-                let old = *g;
-                *g = old.min(val);
-                old
-            }
-        }
-    };
-}
-
-shadow_atomic_int!(AtomicUsize, usize);
-shadow_atomic_int!(AtomicU64, u64);
-shadow_atomic_int!(AtomicU32, u32);
-shadow_atomic_common!(AtomicBool, bool);
-
-impl AtomicBool {
-    pub fn fetch_or(&self, val: bool, _o: Ordering) -> bool {
-        sync_op(OpKind::Rmw, self.id);
-        let mut g = self.v.lock();
-        let old = *g;
-        *g = old | val;
-        old
+impl<T: Copy + PartialEq> Atomic<T> {
+    pub fn new(v: T) -> Self {
+        Self::named(v, "atomic")
     }
 
-    pub fn fetch_and(&self, val: bool, _o: Ordering) -> bool {
+    /// Like `new`, with a name that shows up in violation traces.
+    pub fn named(v: T, name: &str) -> Self {
+        let (s, _) = sched::current();
+        Atomic {
+            id: s.register_obj(name, "atomic"),
+            v: parking_lot::Mutex::new(v),
+        }
+    }
+
+    pub fn load(&self, _o: Ordering) -> T {
+        sync_op(OpKind::Read, self.id);
+        *self.v.lock()
+    }
+
+    pub fn store(&self, val: T, _o: Ordering) {
+        sync_op(OpKind::Write, self.id);
+        *self.v.lock() = val;
+    }
+
+    /// Apply `f` as one read-modify-write; returns the old value.
+    fn rmw(&self, f: impl FnOnce(T) -> T) -> T {
         sync_op(OpKind::Rmw, self.id);
         let mut g = self.v.lock();
         let old = *g;
-        *g = old & val;
+        *g = f(old);
         old
+    }
+}
+
+/// The read-modify-writes only production code calls, through the facade.
+#[cfg(ttg_model)]
+impl<T: Copy + PartialEq> Atomic<T> {
+    pub fn swap(&self, val: T, _o: Ordering) -> T {
+        self.rmw(|_| val)
+    }
+
+    pub fn compare_exchange(
+        &self,
+        current: T,
+        new: T,
+        _success: Ordering,
+        _failure: Ordering,
+    ) -> Result<T, T> {
+        let old = self.rmw(|v| if v == current { new } else { v });
+        if old == current {
+            Ok(old)
+        } else {
+            Err(old)
+        }
+    }
+}
+
+/// The integers a shadow atomic counts with.
+pub trait Int: Copy + Ord {
+    fn wrapping_add(self, v: Self) -> Self;
+    fn wrapping_sub(self, v: Self) -> Self;
+}
+
+impl Int for u64 {
+    fn wrapping_add(self, v: u64) -> u64 {
+        u64::wrapping_add(self, v)
+    }
+    fn wrapping_sub(self, v: u64) -> u64 {
+        u64::wrapping_sub(self, v)
+    }
+}
+
+impl Int for usize {
+    fn wrapping_add(self, v: usize) -> usize {
+        usize::wrapping_add(self, v)
+    }
+    fn wrapping_sub(self, v: usize) -> usize {
+        usize::wrapping_sub(self, v)
+    }
+}
+
+impl<T: Int> Atomic<T> {
+    pub fn fetch_add(&self, val: T, _o: Ordering) -> T {
+        self.rmw(|v| v.wrapping_add(val))
+    }
+
+    pub fn fetch_sub(&self, val: T, _o: Ordering) -> T {
+        self.rmw(|v| v.wrapping_sub(val))
+    }
+
+    #[cfg(ttg_model)]
+    pub fn fetch_min(&self, val: T, _o: Ordering) -> T {
+        self.rmw(|v| v.min(val))
     }
 }
 
@@ -150,27 +137,26 @@ pub struct Mutex<T> {
 
 impl<T> Mutex<T> {
     pub fn new(v: T) -> Self {
-        Self::named(v, "Mutex")
-    }
-
-    /// Like `new`, with a name that shows up in violation traces.
-    pub fn named(v: T, name: &str) -> Self {
         let (s, _) = sched::current();
         Mutex {
-            id: s.register_obj(name, "mutex"),
+            id: s.register_obj("Mutex", "mutex"),
             inner: parking_lot::Mutex::new(v),
         }
     }
 
     pub fn lock(&self) -> MutexGuard<'_, T> {
         sync_op(OpKind::Lock, self.id);
+        let inner = if std::thread::panicking() {
+            // Unwinding an aborted run, unscheduled: the holder unwinds too.
+            self.inner.lock()
+        } else {
+            self.inner
+                .try_lock()
+                .expect("model mutex granted but OS lock contended")
+        };
         MutexGuard {
             lock: self,
-            inner: Some(
-                self.inner
-                    .try_lock()
-                    .expect("model mutex granted but OS lock contended"),
-            ),
+            inner: Some(inner),
         }
     }
 }
@@ -330,71 +316,5 @@ impl WaitTimeoutResult {
 impl Default for Condvar {
     fn default() -> Self {
         Self::new()
-    }
-}
-
-// ------------------------------------------------------------------ channel
-
-struct ChanShared<T> {
-    id: sched::ObjId,
-    q: parking_lot::Mutex<VecDeque<T>>,
-    senders: std::sync::atomic::AtomicUsize,
-}
-
-/// Receiving on a closed, drained channel.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecvError;
-
-/// Sending half of an unbounded model channel.
-pub struct Sender<T>(Arc<ChanShared<T>>);
-
-/// Receiving half of an unbounded model channel.
-pub struct Receiver<T>(Arc<ChanShared<T>>);
-
-/// Unbounded MPSC channel whose send/recv are yield points; `recv` blocks
-/// (in scheduler terms) until a message or disconnection arrives.
-pub fn channel<T>() -> (Sender<T>, Receiver<T>) {
-    let (s, _) = sched::current();
-    let shared = Arc::new(ChanShared {
-        id: s.register_obj("channel", "chan"),
-        q: parking_lot::Mutex::new(VecDeque::new()),
-        senders: std::sync::atomic::AtomicUsize::new(1),
-    });
-    (Sender(Arc::clone(&shared)), Receiver(shared))
-}
-
-impl<T> Sender<T> {
-    pub fn send(&self, v: T) {
-        sync_op(OpKind::Send, self.0.id);
-        self.0.q.lock().push_back(v);
-    }
-}
-
-impl<T> Clone for Sender<T> {
-    fn clone(&self) -> Self {
-        self.0.senders.fetch_add(1, Ordering::SeqCst);
-        Sender(Arc::clone(&self.0))
-    }
-}
-
-impl<T> Drop for Sender<T> {
-    fn drop(&mut self) {
-        if self.0.senders.fetch_sub(1, Ordering::SeqCst) != 1 {
-            return;
-        }
-        let (s, tid) = sched::current();
-        if std::thread::panicking() {
-            s.force_close_chan(self.0.id);
-        } else {
-            s.chan_close(tid, self.0.id);
-        }
-    }
-}
-
-impl<T> Receiver<T> {
-    pub fn recv(&self) -> Result<T, RecvError> {
-        sync_op(OpKind::Recv, self.0.id);
-        // Granted: either a message is queued or the channel closed empty.
-        self.0.q.lock().pop_front().ok_or(RecvError)
     }
 }

@@ -1,24 +1,24 @@
 //! The switchable sync facade. Production crates import their atomics,
-//! locks, and channels from here instead of std/parking_lot:
+//! locks and thread spawns from here instead of std/parking_lot:
 //!
 //! - In a normal build this module is zero-cost re-exports of the real
 //!   types — nothing changes.
 //! - Under `RUSTFLAGS="--cfg ttg_model"` the same names resolve to the
-//!   scheduler-routed shadow primitives from [`crate::shadow`], so every
-//!   atomic load/store/RMW, lock acquire, and channel op becomes a
-//!   schedule-exploration yield point, and `Instant` to the run's logical
-//!   clock ([`crate::time`]), which only the model moves.
+//!   scheduler-routed shadow primitives from `crate::shadow`, so every
+//!   atomic load/store/RMW and lock acquire becomes a schedule-exploration
+//!   yield point, a spawned thread a model thread, and `Instant` the run's
+//!   logical clock ([`crate::time`]), which only the model moves.
 //!
 //! [`EventCount`] — the one sleeping primitive of the runtime (DESIGN §5,
 //! "Wake discipline") — is defined once over the facade types, so it is
-//! automatically model-checkable too; the corpus case `event_count`
-//! (`crate::protocols::event`) instantiates the same definition over the
+//! automatically model-checkable too; the `event_count` case
+//! ([`crate::event`]) instantiates the same definition over the
 //! shadow primitives and explores it.
 
 pub use std::sync::atomic::Ordering;
 
 #[cfg(not(ttg_model))]
-pub use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize};
+pub use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize};
 
 #[cfg(not(ttg_model))]
 pub use std::time::Instant;
@@ -30,17 +30,45 @@ pub use crate::time::Instant;
 pub use parking_lot::{Condvar, Mutex, MutexGuard};
 
 #[cfg(not(ttg_model))]
-pub use std::sync::mpsc::{channel, Receiver, RecvError, Sender};
+pub use std::thread::JoinHandle;
+
+/// Spawn a thread named `name`: a `std::thread` in a normal build, a model
+/// thread under `--cfg ttg_model`.
+#[cfg(not(ttg_model))]
+pub fn spawn<T: Send + 'static>(
+    name: String,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> std::io::Result<JoinHandle<T>> {
+    std::thread::Builder::new().name(name).spawn(f)
+}
+
+/// A model thread behind the `std::thread::JoinHandle` API.
+#[cfg(ttg_model)]
+pub struct JoinHandle<T>(crate::thread::JoinHandle<T>);
 
 #[cfg(ttg_model)]
-pub use crate::shadow::{
-    channel, AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Condvar, Mutex, MutexGuard, Receiver,
-    RecvError, Sender,
-};
+impl<T> JoinHandle<T> {
+    /// Wait for the thread to finish (a schedule point).
+    pub fn join(self) -> std::thread::Result<T> {
+        Ok(self.0.join())
+    }
+}
+
+/// Spawn a model thread named `name`.
+#[cfg(ttg_model)]
+pub fn spawn<T: Send + 'static>(
+    name: String,
+    f: impl FnOnce() -> T + Send + 'static,
+) -> std::io::Result<JoinHandle<T>> {
+    Ok(JoinHandle(crate::thread::spawn_named(&name, f)))
+}
+
+#[cfg(ttg_model)]
+pub use crate::shadow::{AtomicBool, AtomicU64, AtomicUsize, Condvar, Mutex, MutexGuard};
 
 /// Defines `EventCount` over whatever `AtomicU64`, `AtomicUsize`, `Mutex`,
 /// `Condvar` and `Instant` are in scope where it is invoked: the facade's
-/// here, the shadow primitives in the model corpus.
+/// here, the shadow primitives in the `event_count` case.
 macro_rules! event_count {
     () => {
         /// Event count for lost-wakeup-free sleeping (Taskflow's two-phase

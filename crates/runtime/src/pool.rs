@@ -15,7 +15,9 @@ use std::cmp::Ordering as CmpOrdering;
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 use std::time::Instant;
-use ttg_model::sync::{AtomicBool, AtomicU64, AtomicUsize, EventCount, Mutex, Ordering};
+use ttg_model::sync::{
+    AtomicBool, AtomicU64, AtomicUsize, EventCount, JoinHandle, Mutex, Ordering,
+};
 
 use crossbeam_deque::{Injector, Stealer, Worker};
 use ttg_telemetry::{Padded, Registry};
@@ -392,7 +394,7 @@ pub struct WorkerPool<C = ()> {
     /// [`Padded`]: `busy` moves per job, and the pools of two ranks are
     /// made one after the other.
     shared: Arc<Padded<Shared<C>>>,
-    threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    threads: Mutex<Vec<JoinHandle<()>>>,
 }
 
 impl WorkerPool {
@@ -470,16 +472,14 @@ impl<C: Clone + Send + 'static> WorkerPool<C> {
             let rng = steal_rng_seed(steal_seed, i);
             let cx = cx.clone();
             threads.push(
-                std::thread::Builder::new()
-                    .name(tname.clone())
-                    .spawn(move || {
-                        #[cfg(feature = "telemetry")]
-                        ttg_telemetry::span::name_current_thread(tname);
-                        #[cfg(not(feature = "telemetry"))]
-                        drop(tname);
-                        worker_loop(shared, local, i, rng, cx)
-                    })
-                    .expect("failed to spawn worker"),
+                ttg_model::sync::spawn(tname.clone(), move || {
+                    #[cfg(feature = "telemetry")]
+                    ttg_telemetry::span::name_current_thread(tname);
+                    #[cfg(not(feature = "telemetry"))]
+                    drop(tname);
+                    worker_loop(shared, local, i, rng, cx)
+                })
+                .expect("failed to spawn worker"),
             );
         }
         WorkerPool {
@@ -628,6 +628,10 @@ fn worker_loop<C>(
             .add(parked.elapsed().as_nanos() as u64);
     }
 }
+
+#[cfg(all(test, ttg_model))]
+#[path = "pool_model.rs"]
+mod model;
 
 #[cfg(test)]
 mod tests {

@@ -693,6 +693,30 @@ impl FrameCodec {
     }
 }
 
+/// Read `r` until its first frame completes, through the decoder the
+/// reader loop carries on with: returns that decoder and every frame the
+/// reads completed, the first one first. A read may pull in frames behind
+/// the first, or the start of one that the decoder stages, and a fresh
+/// decoder would lose them. A read error `retry` accepts is tried again;
+/// the end of the stream is `UnexpectedEof`.
+pub(crate) fn read_first<R: Read>(
+    r: &mut R,
+    retry: impl Fn(&std::io::Error) -> bool,
+) -> std::io::Result<(FrameCodec, Vec<Frame>)> {
+    let mut codec = FrameCodec::new();
+    let mut got = Vec::new();
+    let mut buf = [0u8; 256];
+    while got.is_empty() {
+        match codec.read_from(r, &mut buf, &mut |f| got.push(f)) {
+            Ok(0) => return Err(std::io::ErrorKind::UnexpectedEof.into()),
+            Ok(_) => {}
+            Err(e) if retry(&e) => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok((codec, got))
+}
+
 /// How many leading bytes of the frame starting at `b` (any prefix of it)
 /// must be contiguous to decode — a bulk frame's head, else the whole
 /// frame — and the length of the bulk body behind them (else 0).
@@ -731,6 +755,10 @@ fn frame_len(hdr: &[u8]) -> Result<usize, FrameError> {
     }
     Ok(len)
 }
+
+#[cfg(all(test, ttg_model))]
+#[path = "frame_model.rs"]
+mod model;
 
 #[cfg(test)]
 mod tests {

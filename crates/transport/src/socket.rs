@@ -41,7 +41,7 @@ use ttg_model::sync::{AtomicBool, Condvar, Mutex, Ordering};
 
 use ttg_telemetry::Registry;
 
-use crate::frame::{Frame, FrameCodec, WireBatch, MAGIC, PROTOCOL_VERSION};
+use crate::frame::{read_first, Frame, FrameCodec, WireBatch, MAGIC, PROTOCOL_VERSION};
 use crate::link::{Endpoint, Link, Rank, Sink, TransportError, TransportKind, TransportMetrics};
 
 /// Frames a single peer queue may hold before `Link::send` blocks.
@@ -576,20 +576,22 @@ impl Inner {
         if let Err(e) = (&stream).write_all(&hello.encode_vec()) {
             return fail(format!("hello send failed: {e}"));
         }
-        let mut codec = FrameCodec::new();
-        let mut got = Vec::new();
-        let mut buf = [0u8; 256];
-        while got.is_empty() {
-            match stream.read_step(&mut codec, &mut buf, &mut |f| got.push(f)) {
-                Ok(0) => return fail("peer closed during handshake".into()),
-                Ok(_) => {}
-                Err(e)
-                    if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
-                        && Instant::now() < deadline
-                        && !self.stop.load(Ordering::SeqCst) => {}
-                Err(e) => return fail(format!("hello read failed: {e}")),
+        let retry = |e: &std::io::Error| {
+            matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut)
+                && Instant::now() < deadline
+                && !self.stop.load(Ordering::SeqCst)
+        };
+        let first = match &stream {
+            Stream::Tcp(s) => read_first(&mut &*s, retry),
+            Stream::Uds(s) => read_first(&mut &*s, retry),
+        };
+        let (codec, mut got) = match first {
+            Ok(first) => first,
+            Err(e) if e.kind() == ErrorKind::UnexpectedEof => {
+                return fail("peer closed during handshake".into())
             }
-        }
+            Err(e) => return fail(format!("hello read failed: {e}")),
+        };
         let frame = got.remove(0);
         let Frame::Hello {
             magic,

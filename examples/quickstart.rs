@@ -8,7 +8,7 @@
 //! Run with: `cargo run --release --example quickstart`
 //!
 //! With `--model`, skip the demo and run the concurrency audit instead:
-//! the ttg-model protocol corpus (exhaustive schedule exploration) plus
+//! the ttg-model `event_count` case (exhaustive schedule exploration) plus
 //! the lock-order and wire-protocol analyses, exported to
 //! `results/model_report.json`.
 
