@@ -4,22 +4,25 @@
 //! test -p ttg-comm --lib`).
 //!
 //! Rank 0's one seeded task sends an AM to rank 1, whose handler may (a
-//! `nondet` choice) answer with one to rank 0. Each rank has a link thread
-//! that does what a rank's reader and delivery thread do between them: a
-//! control frame goes to [`ControlPlane::on_frame`]; an AM is issued on the
-//! inbound ledger row as it leaves the wire, handled, and settled
-//! (`Fabric::packet_processed`). Rank 1's wait loop answers a deferred
-//! probe when a settle wakes it, here on the link thread after each
-//! settle. Rank 0's wait loop polls termination as `Executor::wait` does,
-//! parked on its event count in between.
+//! `nondet` choice) answer it. An answer starts an exchange: each handler
+//! answers the AM it runs with one to the other rank, up to [`HOPS`] AMs
+//! in all. Each rank has the two threads the real stack gives it. Its
+//! reader does what `Fabric::link_rx` does: a control frame goes to
+//! [`ControlPlane::on_frame`]; an AM is issued on the inbound ledger row
+//! as it leaves the wire and queued for delivery. Its delivery thread
+//! does what the executor's comm thread does: it runs the handler, then
+//! settles the row (`Fabric::packet_processed`). So a reader may answer a
+//! probe while its delivery thread is inside a handler. Rank 1's wait
+//! loop answers a deferred probe when a settle wakes it, here on the
+//! delivery thread after each settle. Rank 0's wait loop polls termination
+//! as `Executor::wait` does, parked on its event count in between.
 //!
 //! Invariant: nothing that is still work — the task, a frame leaving the
 //! wire, a handler starting or finishing — finds termination declared.
 
 use super::*;
 use crate::ledger::Ledger;
-use std::collections::VecDeque;
-use ttg_model::{explore, nondet, thread, Config};
+use ttg_model::{explore, nondet, thread, Config, Queue};
 
 /// The preemption bound the case explores exhaustively.
 const BOUND: usize = 1;
@@ -27,52 +30,28 @@ const BOUND: usize = 1;
 /// Ranks in the job.
 const N: usize = 2;
 
+/// AMs in an exchange. Four is the fewest with which rank 1 can reply to
+/// a probe idle and then, through a 0→1→0 exchange that follows, be busy
+/// again while the sums balance: what a declaration on one round misses.
+const HOPS: usize = 4;
+
 /// What a link carries to a rank.
 enum Msg {
-    /// An AM, from the rank named.
-    Am(Rank),
+    /// An AM from the rank named, the `.1`th of the run.
+    Am(Rank, usize),
     Control(Frame),
     /// The model's end of the run (a real link ends with its endpoint).
     Stop,
 }
 
-/// A link into a rank: frames in order, and the event its thread parks on.
-struct Link {
-    frames: Mutex<VecDeque<Msg>>,
-    arrived: EventCount,
-}
-
-impl Link {
-    fn new() -> Link {
-        Link {
-            frames: Mutex::new(VecDeque::new()),
-            arrived: EventCount::new(),
-        }
-    }
-
-    fn send(&self, msg: Msg) {
-        self.frames.lock().push_back(msg);
-        self.arrived.signal_all();
-    }
-
-    fn recv(&self) -> Msg {
-        loop {
-            let epoch = self.arrived.prepare();
-            if let Some(msg) = self.frames.lock().pop_front() {
-                self.arrived.cancel();
-                return msg;
-            }
-            self.arrived.wait(epoch);
-        }
-    }
-}
-
 /// Every rank of the job: control planes, ledgers, the links into each
-/// rank, and rank 0's pool.
+/// rank and each rank's delivery queue, and rank 0's pool.
 struct Job {
     planes: [ControlPlane; N],
     ledgers: [Ledger; N],
-    links: [Link; N],
+    links: [Queue<Msg>; N],
+    /// An AM's inbound row and hop, or `None` at the end of the run.
+    deliveries: [Queue<Option<(usize, usize)>>; N],
     /// Rank 0's pool: its one seeded task, until it finishes.
     active: AtomicU64,
 }
@@ -82,7 +61,7 @@ struct Port<'a>(&'a Job, Rank);
 
 impl ControlPort for Port<'_> {
     fn send_control(&self, _from: Rank, to: Rank, frame: Frame) {
-        self.0.links[to].send(Msg::Control(frame));
+        self.0.links[to].push(Msg::Control(frame));
     }
 
     fn ledger(&self) -> &Ledger {
@@ -100,32 +79,40 @@ impl Job {
     }
 
     /// `Fabric::send_am` between processes: issue, then the link send.
-    fn send_am(&self, from: Rank, to: Rank) {
+    fn send_am(&self, from: Rank, to: Rank, hop: usize) {
         self.ledgers[from].issue(from, to);
-        self.links[to].send(Msg::Am(from));
+        self.links[to].push(Msg::Am(from, hop));
     }
 }
 
-/// Rank `me`'s link thread.
-fn link(job: &Job, me: Rank) {
+/// Rank `me`'s reader: the receive dispatch of `Fabric::link_rx`.
+fn reader(job: &Job, me: Rank) {
     let port = Port(job, me);
     loop {
-        match job.links[me].recv() {
-            Msg::Am(from) => {
+        match job.links[me].pop() {
+            Msg::Am(from, hop) => {
                 job.still_work("a frame left the wire");
                 let li = job.ledgers[me].issue(from, me);
-                job.still_work("a handler started");
-                if me == 1 && nondet(2) == 1 {
-                    job.send_am(1, 0);
-                }
-                job.still_work("a handler finished");
-                job.ledgers[me].settle(li).expect("settled once");
-                if me != 0 {
-                    job.planes[me].step(&port);
-                }
+                job.deliveries[me].push(Some((li, hop)));
             }
             Msg::Control(frame) => job.planes[me].on_frame(&port, frame),
-            Msg::Stop => return,
+            Msg::Stop => return job.deliveries[me].push(None),
+        }
+    }
+}
+
+/// Rank `me`'s delivery thread: the handler, then the settle.
+fn deliver(job: &Job, me: Rank) {
+    let port = Port(job, me);
+    while let Some((li, hop)) = job.deliveries[me].pop() {
+        job.still_work("a handler started");
+        if hop < HOPS && (hop > 1 || nondet(2) == 1) {
+            job.send_am(me, 1 - me, hop + 1);
+        }
+        job.still_work("a handler finished");
+        job.ledgers[me].settle(li).expect("settled once");
+        if me != 0 {
+            job.planes[me].step(&port);
         }
     }
 }
@@ -150,7 +137,8 @@ fn term() {
     let job = Arc::new(Job {
         planes: std::array::from_fn(|r| ControlPlane::new(r, N, None, Arc::clone(&events[r]))),
         ledgers: std::array::from_fn(|r| Ledger::new(N, Some(r), Arc::clone(&events[r]))),
-        links: std::array::from_fn(|_| Link::new()),
+        links: std::array::from_fn(|_| Queue::new()),
+        deliveries: std::array::from_fn(|_| Queue::new()),
         active: AtomicU64::new(1),
     });
     let idle = Arc::clone(&job);
@@ -169,24 +157,26 @@ fn term() {
             "task0",
             Box::new(|job| {
                 job.still_work("the seeded task ran");
-                job.send_am(0, 1);
+                job.send_am(0, 1, 1);
                 job.active.store(0, Ordering::SeqCst);
                 job.ledgers[0].events().signal_all();
             }),
         ),
         spawn("wait0", Box::new(wait)),
     ];
-    let links = [
-        spawn("link0", Box::new(|job| link(job, 0))),
-        spawn("link1", Box::new(|job| link(job, 1))),
+    let ranks = [
+        spawn("reader0", Box::new(|job| reader(job, 0))),
+        spawn("deliver0", Box::new(|job| deliver(job, 0))),
+        spawn("reader1", Box::new(|job| reader(job, 1))),
+        spawn("deliver1", Box::new(|job| deliver(job, 1))),
     ];
     for t in work {
         t.join();
     }
     for l in &job.links {
-        l.send(Msg::Stop);
+        l.push(Msg::Stop);
     }
-    for t in links {
+    for t in ranks {
         t.join();
     }
 }

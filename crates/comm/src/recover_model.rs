@@ -26,6 +26,10 @@
 //! the ledger balances and no error was recorded (no settle past issued,
 //! no message given up); and a run that never rolled back retransmitted
 //! nothing, since time spent paused counts against no retry budget.
+//!
+//! A pass that runs inside a pause resends there; giving a message up
+//! takes a second pass a backoff later, more preemptions than this case
+//! explores. [`pause`] checks that on its own, with no retry to spend.
 
 use super::{Gate, Paused, Recovery};
 use crate::buf::WriteBuf;
@@ -217,7 +221,43 @@ fn rollback() {
     }
 }
 
-/// The preemption bound the case explores exhaustively.
+/// A pause against a progress pass, on their own: a message to rank 1
+/// waits unacknowledged with no retry left (`max_retries` 0), the
+/// coordinator pauses for longer than its backoff, and the progress thread
+/// runs one pass. A pass that ran inside the pause would find the message
+/// overdue and give it up, as one that waited on a long task did before the
+/// pause held the passes off. Invariant: nothing is given up.
+fn pause() {
+    let mut plan = FaultPlan::seeded(0)
+        .with_ack_flush(Duration::ZERO)
+        .with_recovery(1_000);
+    plan.retry = RetryPolicy {
+        base: UNIT,
+        cap: UNIT,
+        max_retries: 0,
+    };
+    let h = Arc::new(Harness::new(2, plan));
+    h.send(0, 1, vec![1]);
+    let progress = {
+        let h = Arc::clone(&h);
+        thread::spawn_named("progress", move || h.progress())
+    };
+    let rec = Recovery {
+        cs: &h.cs,
+        port: h.port(),
+    };
+    let paused = rec.pause();
+    time::advance(PAUSE);
+    drop(paused);
+    progress.join();
+    let errors = h.errors.lock().clone();
+    assert!(
+        errors.is_empty(),
+        "the pause ran a retry budget: {errors:?}"
+    );
+}
+
+/// The preemption bound the cases explore exhaustively.
 const BOUND: usize = 1;
 
 #[test]
@@ -226,4 +266,12 @@ fn rollback_case() {
         .unwrap_or_else(|v| panic!("model case rollback: {v}"));
     println!("model recover::rollback bound={BOUND} {stats}");
     assert!(stats.exhaustive && stats.schedules > 1, "rollback: {stats}");
+}
+
+#[test]
+fn pause_case() {
+    let stats =
+        explore(Config::bounded(BOUND), pause).unwrap_or_else(|v| panic!("model case pause: {v}"));
+    println!("model recover::pause bound={BOUND} {stats}");
+    assert!(stats.exhaustive && stats.schedules > 1, "pause: {stats}");
 }

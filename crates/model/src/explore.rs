@@ -24,7 +24,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Once};
 
-use crate::sched::{AbortReason, PrefixStep, Rec, Scheduler};
+use crate::sched::{AbortReason, ModelAbort, PrefixStep, Rec, Scheduler};
 
 /// Exploration parameters.
 #[derive(Debug, Clone)]
@@ -258,20 +258,19 @@ fn record(sched: &Arc<Scheduler>, stats: &mut Stats) -> Result<Vec<Rec>, Box<Vio
 }
 
 /// Execute `f` once under `sched` as model thread 0 and wait for the run
-/// (and every OS thread it spawned) to finish.
+/// (and the body of every model thread it spawned) to finish.
 fn run_once(sched: &Arc<Scheduler>, f: Arc<dyn Fn() + Send + Sync>) {
     let tid = sched.register_thread("main".into());
     let s2 = Arc::clone(sched);
-    let h = std::thread::Builder::new()
-        .name("ttg-model-main".into())
-        .spawn(move || crate::thread::run_model_thread(s2, tid, move || f()))
-        .expect("spawn model root thread");
-    sched.handles.lock().push(h);
+    let exited = crate::thread::run_pooled(Box::new(move || {
+        crate::thread::run_model_thread(s2, tid, move || f())
+    }));
+    sched.exits.lock().push(exited);
     sched.start();
     sched.wait_done();
-    let handles: Vec<_> = sched.handles.lock().drain(..).collect();
-    for h in handles {
-        let _ = h.join();
+    let exits: Vec<_> = sched.exits.lock().drain(..).collect();
+    for exited in exits {
+        let _ = exited.recv();
     }
 }
 
@@ -336,6 +335,14 @@ fn install_quiet_panic_hook() {
         let prev = std::panic::take_hook();
         std::panic::set_hook(Box::new(move |info| {
             if crate::sched::in_model() {
+                // End the run as the panic starts, not once it has unwound:
+                // a thread parked inside a critical section unwinds too,
+                // releasing what this thread's drops may lock. A panic is
+                // a violation even if the code under test catches it.
+                if info.payload().downcast_ref::<ModelAbort>().is_none() {
+                    let (s, _) = crate::sched::current();
+                    s.fail(crate::thread::panic_message(info.payload()));
+                }
                 return;
             }
             prev(info);

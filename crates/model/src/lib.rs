@@ -21,7 +21,8 @@
 //! case its `Case:` line names to report a violation. Here stays only
 //! [`event`]: the event count every sleeper parks on, the production
 //! definition itself over the shadow primitives, which `ttg-check
-//! --model` runs and reports in the standard diagnostic format.
+//! --model` runs and reports in the standard diagnostic format. A case's
+//! fake links are [`Queue`]s, one scheduling point per transfer.
 
 pub mod event;
 pub mod explore;
@@ -33,3 +34,4 @@ pub mod time;
 
 pub use explore::{explore, explore_iterative, Config, Sample, Stats, Violation, ViolationKind};
 pub use sched::nondet;
+pub use shadow::Queue;

@@ -52,6 +52,10 @@ pub enum OpKind {
     Start,
     /// Join on another model thread (enabled once it finished).
     Join,
+    /// Queue push.
+    Push,
+    /// Queue pop (enabled while the queue holds an item).
+    Pop,
 }
 
 /// One pending operation: the kind plus the object it touches.
@@ -107,6 +111,8 @@ struct ThreadInfo {
 enum ObjState {
     MutexFree,
     MutexHeld(Tid),
+    /// A queue and the items it holds.
+    Queue(usize),
     /// Stateless from the scheduler's perspective.
     Plain,
 }
@@ -205,8 +211,9 @@ pub struct Scheduler {
     inner: Mutex<Inner>,
     /// What the explorer waits on for the end of the run.
     cv: Condvar,
-    /// OS handles of the controlled threads, joined at run teardown.
-    pub(crate) handles: Mutex<Vec<std::thread::JoinHandle<()>>>,
+    /// One per controlled thread: yields once its body has returned
+    /// (awaited at run teardown).
+    pub(crate) exits: Mutex<Vec<std::sync::mpsc::Receiver<()>>>,
 }
 
 thread_local! {
@@ -267,7 +274,7 @@ impl Scheduler {
                 clock: Duration::ZERO,
             }),
             cv: Condvar::new(),
-            handles: Mutex::new(Vec::new()),
+            exits: Mutex::new(Vec::new()),
         }
     }
 
@@ -280,6 +287,7 @@ impl Scheduler {
         g.next_obj += 1;
         let state = match kind {
             "mutex" => ObjState::MutexFree,
+            "queue" => ObjState::Queue(0),
             _ => ObjState::Plain,
         };
         g.objs.insert(id, state);
@@ -418,6 +426,20 @@ impl Scheduler {
         self.pass_baton(&g);
     }
 
+    /// A model thread began to panic: abort the run with its message now.
+    /// Skipped when the panic struck inside the scheduler, which holds its
+    /// lock: the thread's exit reports it.
+    pub(crate) fn fail(&self, msg: String) {
+        let Some(mut g) = self.inner.try_lock() else {
+            return;
+        };
+        if !g.aborting {
+            g.abort_reason = Some(AbortReason::Assert(msg));
+            g.aborting = true;
+        }
+        self.pass_baton(&g);
+    }
+
     // -------------------------------------------------------- yield point
 
     /// Core protocol: declare the op this thread is about to perform, hand
@@ -461,6 +483,15 @@ impl Scheduler {
             }
             OpKind::Unlock => {
                 g.objs.insert(op.obj, ObjState::MutexFree);
+            }
+            OpKind::Push | OpKind::Pop => {
+                if let Some(ObjState::Queue(n)) = g.objs.get_mut(&op.obj) {
+                    *n = if op.kind == OpKind::Push {
+                        *n + 1
+                    } else {
+                        *n - 1
+                    };
+                }
             }
             OpKind::CvWait => {
                 // Release the mutex (arg) and move to the condvar's FIFO.
@@ -530,6 +561,7 @@ impl Scheduler {
     fn op_enabled(g: &Inner, op: &Op) -> bool {
         match op.kind {
             OpKind::Lock => matches!(g.objs.get(&op.obj), Some(ObjState::MutexFree)),
+            OpKind::Pop => matches!(g.objs.get(&op.obj), Some(ObjState::Queue(n)) if *n > 0),
             OpKind::Join => {
                 let target = op.arg as usize;
                 g.threads

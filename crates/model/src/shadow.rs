@@ -147,7 +147,9 @@ impl<T> Mutex<T> {
     pub fn lock(&self) -> MutexGuard<'_, T> {
         sync_op(OpKind::Lock, self.id);
         let inner = if std::thread::panicking() {
-            // Unwinding an aborted run, unscheduled: the holder unwinds too.
+            // Unwinding, unscheduled. The run aborted as the panic began,
+            // so a holder parked inside its critical section unwinds too
+            // and lets go.
             self.inner.lock()
         } else {
             self.inner
@@ -194,6 +196,43 @@ impl<T> Drop for MutexGuard<'_, T> {
         } else {
             sync_op(OpKind::Unlock, self.lock.id);
         }
+    }
+}
+
+// -------------------------------------------------------------------- queue
+
+/// Unbounded FIFO whose push and pop are yield points; `pop` blocks (in
+/// scheduler terms) while it is empty. A case's stand-in for a link or a
+/// delivery queue: one scheduling point per transfer.
+pub struct Queue<T> {
+    id: sched::ObjId,
+    items: parking_lot::Mutex<std::collections::VecDeque<T>>,
+}
+
+impl<T> Queue<T> {
+    pub fn new() -> Self {
+        let (s, _) = sched::current();
+        Queue {
+            id: s.register_obj("Queue", "queue"),
+            items: parking_lot::Mutex::new(std::collections::VecDeque::new()),
+        }
+    }
+
+    pub fn push(&self, item: T) {
+        sync_op(OpKind::Push, self.id);
+        self.items.lock().push_back(item);
+    }
+
+    pub fn pop(&self) -> T {
+        sync_op(OpKind::Pop, self.id);
+        let item = self.items.lock().pop_front();
+        item.expect("a pop granted on an empty queue")
+    }
+}
+
+impl<T> Default for Queue<T> {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
@@ -316,5 +355,42 @@ impl WaitTimeoutResult {
 impl Default for Condvar {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::explore::{explore, Config};
+    use std::sync::Arc;
+
+    /// Locks its mutex when dropped, as `Paused`'s drop locks every link.
+    struct LocksOnDrop(Arc<Mutex<()>>);
+
+    impl Drop for LocksOnDrop {
+        fn drop(&mut self) {
+            drop(self.0.lock());
+        }
+    }
+
+    #[test]
+    fn an_assertion_unwinding_into_a_held_lock_is_reported() {
+        let v = explore(Config::bounded(2), || {
+            let m = Arc::new(Mutex::new(()));
+            let held = Arc::new(AtomicBool::new(false));
+            let holder = {
+                let (m, held) = (Arc::clone(&m), Arc::clone(&held));
+                crate::thread::spawn_named("holder", move || {
+                    let _guard = m.lock();
+                    held.store(true, Ordering::SeqCst);
+                    held.store(false, Ordering::SeqCst);
+                })
+            };
+            let _locks = LocksOnDrop(m);
+            assert!(!held.load(Ordering::SeqCst), "found the lock held");
+            holder.join();
+        })
+        .expect_err("the holder can be preempted inside its critical section");
+        assert!(v.message.contains("found the lock held"), "{v}");
     }
 }

@@ -191,6 +191,7 @@ pub(crate) use event_count;
 event_count!();
 
 #[cfg(test)]
+#[cfg(not(ttg_model))]
 mod tests {
     use super::*;
     use std::sync::Arc;

@@ -1,11 +1,17 @@
 //! Model threads: controlled [`spawn`]/[`JoinHandle::join`] whose
-//! interleaving the scheduler owns. Each model thread is a real OS thread,
-//! but the baton-passing in [`crate::sched`] ensures only one runs at a
-//! time and registration happens serially in the spawner, so thread
+//! interleaving the scheduler owns. Each model thread runs on a real OS
+//! thread, but the baton-passing in [`crate::sched`] ensures only one runs
+//! at a time and registration happens serially in the spawner, so thread
 //! identity is deterministic across replays.
+//!
+//! The OS threads are pooled: an exploration runs thousands of schedules
+//! of a handful of model threads each, and creating an OS thread per model
+//! thread per schedule was about a quarter of its time. A pooled thread
+//! keeps its thread-locals from one model thread to the next, so code
+//! under test must not leave one bound past the body that set it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 
 use crate::sched::{self, ModelAbort, Op, OpKind, Scheduler, Tid};
 
@@ -48,16 +54,13 @@ where
     let result = Arc::new(parking_lot::Mutex::new(None));
     let slot = Arc::clone(&result);
     let s2 = Arc::clone(&s);
-    let h = std::thread::Builder::new()
-        .name(format!("ttg-model-{name}"))
-        .spawn(move || {
-            run_model_thread(s2, tid, move || {
-                let out = f();
-                *slot.lock() = Some(out);
-            })
+    let exited = run_pooled(Box::new(move || {
+        run_model_thread(s2, tid, move || {
+            let out = f();
+            *slot.lock() = Some(out);
         })
-        .expect("spawn model thread");
-    s.handles.lock().push(h);
+    }));
+    s.exits.lock().push(exited);
     JoinHandle { tid, result }
 }
 
@@ -68,6 +71,39 @@ where
     F: FnOnce() -> T + Send + 'static,
 {
     spawn_named("thread", f)
+}
+
+/// What a pooled OS thread runs next, and where it reports that it
+/// returned.
+type Body = (Box<dyn FnOnce() + Send>, mpsc::Sender<()>);
+
+/// Pooled OS threads waiting for a body.
+static IDLE: parking_lot::Mutex<Vec<mpsc::Sender<Body>>> = parking_lot::Mutex::new(Vec::new());
+
+/// Run `body` on an idle pooled OS thread, or on a new one. The receiver
+/// yields once `body` has returned.
+pub(crate) fn run_pooled(body: Box<dyn FnOnce() + Send>) -> mpsc::Receiver<()> {
+    let (exited, on_exit) = mpsc::channel();
+    let idle = IDLE.lock().pop();
+    let thread = idle.unwrap_or_else(|| {
+        let (thread, bodies) = mpsc::channel::<Body>();
+        let me = thread.clone();
+        std::thread::Builder::new()
+            .name("ttg-model".into())
+            .spawn(move || {
+                for (body, exited) in bodies {
+                    body();
+                    IDLE.lock().push(me.clone());
+                    let _ = exited.send(());
+                }
+            })
+            .expect("spawn model thread");
+        thread
+    });
+    thread
+        .send((body, exited))
+        .expect("a pooled model thread never exits");
+    on_exit
 }
 
 /// Body of every model OS thread: bind the scheduler, wait for the first
@@ -88,7 +124,7 @@ pub(crate) fn run_model_thread(s: Arc<Scheduler>, tid: Tid, f: impl FnOnce()) {
     sched::set_current(None);
 }
 
-fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
+pub(crate) fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     if let Some(s) = p.downcast_ref::<&str>() {
         (*s).to_string()
     } else if let Some(s) = p.downcast_ref::<String>() {

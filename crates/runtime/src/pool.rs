@@ -595,6 +595,15 @@ fn worker_loop<C>(
     cx: C,
 ) {
     CURRENT_WORKER.with(|c| c.set(Some((Arc::as_ptr(&shared) as usize, me as u32))));
+    // However the loop ends, the thread stops naming this pool's worker:
+    // a model thread's OS thread runs other model threads after it.
+    struct Unbind;
+    impl Drop for Unbind {
+        fn drop(&mut self) {
+            CURRENT_WORKER.with(|c| c.set(None));
+        }
+    }
+    let _unbind = Unbind;
     loop {
         if let Some(job) = shared.find_job(&local, me, &mut rng) {
             shared.metrics.queue_depth.add(-1);
