@@ -1,5 +1,5 @@
 //! DBCSR-like comparator: a 2.5D communication-reducing SUMMA
-//! (paper §III-D, [36]).
+//! (paper §III-D, \[36\]).
 //!
 //! The process grid is `g × g × c`: `c` layers each hold a replica of C
 //! and process a disjoint slice of the summation index `k`; after the

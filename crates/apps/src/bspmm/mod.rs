@@ -19,11 +19,11 @@ use ttg_sparse::BlockSparse;
 #[derive(Debug, Clone, Default)]
 pub struct MulPlan {
     /// For each k: the `i` with `A[i,k] ≠ 0`.
-    pub a_rows: Vec<Vec<u32>>,
+    pub(crate) a_rows: Vec<Vec<u32>>,
     /// For each k: the `j` with `B[k,j] ≠ 0`.
-    pub b_cols: Vec<Vec<u32>>,
+    pub(crate) b_cols: Vec<Vec<u32>>,
     /// Number of nonzero terms contributing to `C[i,j]`.
-    pub terms: std::collections::HashMap<(u32, u32), usize>,
+    pub(crate) terms: std::collections::HashMap<(u32, u32), usize>,
     /// Total multiply-add tasks.
     pub total_gemms: usize,
 }

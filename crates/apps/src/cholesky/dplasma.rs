@@ -23,7 +23,7 @@ const RESULT: usize = 4;
 /// Input message: PTG activation is count-based, so values carry a role tag
 /// (0 = accumulated tile, 1 = first L operand, 2 = second L operand).
 #[derive(Debug, Clone)]
-pub struct Msg {
+pub(crate) struct Msg {
     role: u8,
     tile: Tile,
 }

@@ -37,7 +37,8 @@ pub struct Config {
 
 impl Config {
     /// Small local config for tests.
-    pub fn local(backend: BackendSpec) -> Self {
+    #[cfg(test)]
+    pub(crate) fn local(backend: BackendSpec) -> Self {
         Config {
             ranks: 2,
             workers: 2,
@@ -75,7 +76,7 @@ pub fn run(a: &TiledMatrix, cfg: &Config) -> (TiledMatrix, ExecReport) {
     });
     let input = TiledMatrix::from_tiles(nt_tiles, nb, lower.collect());
     let input = Arc::new(Mutex::new(input));
-    let rerunnable = cfg.faults.as_ref().is_some_and(|p| p.recover.is_some());
+    let rerunnable = cfg.faults.as_ref().is_some_and(|p| p.recovers());
     // RESULT keeps the handles it is given; they are unwrapped into the
     // factor once the run is over and nothing else holds them.
     let output: Arc<Mutex<Vec<Option<Arc<Tile>>>>> =

@@ -7,15 +7,15 @@
 /// constant; it is a model of those nodes, not a measurement of
 /// `ttg-linalg`'s kernels, which run their real flops at whatever rate the
 /// host gives (12–20 GFLOP/s per core on an AVX2 host, DESIGN §14).
-pub const FLOPS_PER_NS: f64 = 8.0;
+pub(crate) const FLOPS_PER_NS: f64 = 8.0;
 
 /// Modelled duration of a kernel executing `flops` floating-point ops.
-pub fn ns_for_flops(flops: u64) -> u64 {
+pub(crate) fn ns_for_flops(flops: u64) -> u64 {
     ((flops as f64 / FLOPS_PER_NS) as u64).max(200)
 }
 
 /// Duration of an `nb³`-flavored kernel (TRSM/SYRK: `nb³` flops).
-pub fn ns_cubed(nb: usize) -> u64 {
+pub(crate) fn ns_cubed(nb: usize) -> u64 {
     ns_for_flops((nb * nb * nb) as u64)
 }
 

@@ -127,7 +127,7 @@ pub fn reference(m: &TiledMatrix) -> TiledMatrix {
 }
 
 /// Serial blocked reference — validates the four kernels against
-/// [`reference`].
+/// [`reference()`].
 pub fn blocked_reference(m: &TiledMatrix) -> TiledMatrix {
     let nt = m.nt();
     let mut d = m.clone();
@@ -163,7 +163,7 @@ pub fn blocked_reference(m: &TiledMatrix) -> TiledMatrix {
 }
 
 /// Flops (min-plus op pairs) of one `nb³` FW kernel.
-pub fn kernel_flops(nb: usize) -> u64 {
+pub(crate) fn kernel_flops(nb: usize) -> u64 {
     2 * (nb as u64).pow(3)
 }
 

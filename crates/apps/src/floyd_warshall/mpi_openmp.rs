@@ -1,4 +1,4 @@
-//! MPI+OpenMP-like Floyd–Warshall comparator (paper §III-C, [27]):
+//! MPI+OpenMP-like Floyd–Warshall comparator (paper §III-C, \[27\]):
 //! per round, the diagonal kernel runs on its owner, super-tiles are
 //! exchanged along rows and columns with blocking MPI broadcasts, kernels
 //! within a rank run as fork-join (OpenMP) tasks, and each phase ends in

@@ -15,6 +15,6 @@
 
 pub mod bspmm;
 pub mod cholesky;
-pub mod cost;
+mod cost;
 pub mod floyd_warshall;
 pub mod mra;

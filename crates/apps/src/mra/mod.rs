@@ -27,7 +27,7 @@ pub struct Workload {
     /// Truncation threshold.
     pub tol: f64,
     /// Maximum refinement depth.
-    pub max_depth: u8,
+    pub(crate) max_depth: u8,
 }
 
 impl Workload {
@@ -74,7 +74,7 @@ pub fn reference(w: &Workload) -> Reference {
 }
 
 /// Modelled cost of the per-node numerical kernels (ns), order-k basis.
-pub fn node_cost_ns(k: usize) -> u64 {
+pub(crate) fn node_cost_ns(k: usize) -> u64 {
     // Tensor transform: 3 modes × (2k)³ × 2k multiply-adds.
     let n = 2 * k as u64;
     crate::cost::ns_for_flops(2 * 3 * n * n * n * n)

@@ -1,5 +1,5 @@
 //! "Native MADNESS" comparator: the same MRA numerics driven through the
-//! futures/global-namespace runtime of [`ttg_madness::world`], with an
+//! SPMD task runtime of [`ttg_madness::world`], with an
 //! explicit global fence after every computational step — projection,
 //! compression, reconstruction, norm — exactly the structure the paper
 //! identifies as the scalability limiter of the native implementation
@@ -7,8 +7,8 @@
 //! re-allocation of data", §III-E).
 //!
 //! Two entry points:
-//! * [`run_world`] — real execution on the `World` runtime (futures, AM
-//!   servers, containers), used for correctness and wall-clock timing;
+//! * [`run_world`] — real execution on the `World` runtime (a pool per
+//!   rank, global fences), used for correctness and wall-clock timing;
 //! * [`run_trace`] — the equivalent level-synchronous BSP trace for
 //!   discrete-event projection to paper-scale node counts.
 

@@ -22,7 +22,7 @@ type FK = (u32, Node3);
 
 /// A value of the compress stream, in the two shapes it takes.
 #[derive(Debug, Clone)]
-pub enum Blocks {
+pub(crate) enum Blocks {
     /// What is sent: one child's s-coefficient block (k³) and its index.
     Child(u8, Coeffs3),
     /// What the reducer folds into, and what Compress then transforms in
@@ -116,7 +116,7 @@ pub struct MraResult {
 /// subtrees scatter randomly (paper: "a task ID map that randomly
 /// distributes function tree nodes (and their children) across processes at
 /// some target level of refinement").
-pub fn node_owner(fid: u32, node: &Node3, ranks: usize) -> usize {
+pub(crate) fn node_owner(fid: u32, node: &Node3, ranks: usize) -> usize {
     let target = 2u8.min(node.n);
     let shift = node.n - target;
     let anc = [node.l[0] >> shift, node.l[1] >> shift, node.l[2] >> shift];

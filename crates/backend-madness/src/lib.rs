@@ -8,9 +8,8 @@
 //! over MADNESS suffers due to data copies and high communication
 //! overhead").
 //!
-//! The crate also provides [`world`]: a small futures + global-namespace
-//! runtime in the style of the native MADNESS parallel runtime (futures,
-//! containers with one-sided access, remote method invocation, global
+//! The crate also provides [`world`]: a small SPMD task runtime in the style
+//! of the native MADNESS parallel runtime (a worker pool per rank and global
 //! fences). The "native MADNESS" MRA comparator is written against it.
 
 #![warn(missing_docs)]

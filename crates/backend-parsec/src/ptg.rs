@@ -14,12 +14,11 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use parking_lot::Mutex;
 use ttg_comm::{Fabric, Packet, ReadBuf, StatsSnapshot, WriteBuf};
-use ttg_core::trace::{Dep, TaskEvent, TraceRecorder};
-use ttg_core::types::{Data, Key};
+use ttg_core::{Data, Dep, Key, TaskEvent, TraceRecorder};
 use ttg_runtime::{Quiescence, SchedulerKind, WorkerPool};
 
 /// Context handed to PTG task bodies for emitting downstream data.
@@ -33,16 +32,6 @@ impl<'a, K: Key, V: Data> PtgCtx<'a, K, V> {
     /// Send `v` as one input of task `key` of `class`.
     pub fn send(&self, class: usize, key: K, v: V) {
         self.rt.deliver(class, key, v, self.task_id, self.rank);
-    }
-
-    /// Rank executing the current task.
-    pub fn rank(&self) -> usize {
-        self.rank
-    }
-
-    /// Number of ranks.
-    pub fn n_ranks(&self) -> usize {
-        self.rt.fabric.num_ranks()
     }
 }
 
@@ -196,16 +185,12 @@ impl<K: Key, V: Data> RtInner<K, V> {
 /// Report of a PTG execution.
 #[derive(Debug)]
 pub struct PtgReport {
-    /// Wall-clock time to quiescence.
-    pub elapsed: Duration,
     /// Fabric counters.
     pub comm: StatsSnapshot,
     /// Tasks executed.
     pub tasks: u64,
     /// Trace (when enabled).
     pub trace: Option<Vec<TaskEvent>>,
-    /// Full telemetry snapshot (comm, sched, backend subsystems).
-    pub telemetry: ttg_telemetry::Snapshot,
     /// Structured communication failures recorded during the run.
     pub comm_errors: Vec<ttg_comm::CommError>,
 }
@@ -214,15 +199,9 @@ pub struct PtgReport {
 pub struct PtgRuntime<K: Key, V: Data> {
     inner: Arc<RtInner<K, V>>,
     comm_threads: Vec<std::thread::JoinHandle<()>>,
-    started: Instant,
 }
 
 impl<K: Key, V: Data> PtgRuntime<K, V> {
-    /// Launch `classes` over `ranks × workers` with optional tracing.
-    pub fn new(classes: Vec<TaskClass<K, V>>, ranks: usize, workers: usize, trace: bool) -> Self {
-        Self::with_faults(classes, ranks, workers, trace, None)
-    }
-
     /// Launch with a fault-injection plan installed on the fabric (chaos
     /// testing; `None` = perfect network).
     pub fn with_faults(
@@ -332,7 +311,6 @@ impl<K: Key, V: Data> PtgRuntime<K, V> {
         PtgRuntime {
             inner,
             comm_threads,
-            started: Instant::now(),
         }
     }
 
@@ -369,7 +347,6 @@ impl<K: Key, V: Data> PtgRuntime<K, V> {
             }
             fabric.events().wait(epoch);
         }
-        let elapsed = self.started.elapsed();
         self.inner.fabric.shutdown_all();
         for t in self.comm_threads {
             t.join().expect("ptg comm thread panicked");
@@ -378,11 +355,9 @@ impl<K: Key, V: Data> PtgRuntime<K, V> {
             p.shutdown();
         }
         PtgReport {
-            elapsed,
             comm: self.inner.fabric.stats().snapshot(),
             tasks: self.inner.tasks_run.load(Ordering::Relaxed),
             trace: self.inner.trace.as_ref().map(|t| t.take()),
-            telemetry: self.inner.fabric.telemetry().snapshot(),
             comm_errors: self.inner.fabric.take_errors(),
         }
     }
@@ -425,7 +400,7 @@ mod tests {
     #[test]
     fn chain_runs_across_ranks() {
         let sink = Arc::new(Mutex::new(Vec::new()));
-        let rt = PtgRuntime::new(fib_classes(Arc::clone(&sink)), 3, 2, false);
+        let rt = PtgRuntime::with_faults(fib_classes(Arc::clone(&sink)), 3, 2, false, None);
         rt.seed(0, 0, 100);
         let report = rt.finish();
         assert_eq!(report.tasks, 12); // 11 chain tasks + 1 done
@@ -458,7 +433,7 @@ mod tests {
                 sink2.lock().push(vals.iter().sum::<i64>());
             }),
         };
-        let rt = PtgRuntime::new(vec![producer, join], 2, 2, true);
+        let rt = PtgRuntime::with_faults(vec![producer, join], 2, 2, true, None);
         for k in 0..4u64 {
             rt.seed(0, k, 10);
         }

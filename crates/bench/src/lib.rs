@@ -18,9 +18,9 @@ use ttg_simnet::{des::from_core_trace, simulate, MachineModel, SimResult, TraceT
 #[derive(Debug, Clone)]
 pub struct Series {
     /// Legend label.
-    pub name: String,
+    pub(crate) name: String,
     /// Data points.
-    pub points: Vec<(f64, f64)>,
+    pub(crate) points: Vec<(f64, f64)>,
 }
 
 impl Series {
@@ -86,11 +86,6 @@ pub fn gflops(flops: u64, makespan_ns: u64) -> f64 {
     } else {
         flops as f64 / makespan_ns as f64
     }
-}
-
-/// Shorthand: seconds from nanoseconds.
-pub fn secs(ns: u64) -> f64 {
-    ns as f64 / 1e9
 }
 
 #[cfg(test)]

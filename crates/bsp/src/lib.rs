@@ -62,11 +62,6 @@ impl BspProgram {
         p
     }
 
-    /// Number of ranks.
-    pub fn ranks(&self) -> usize {
-        self.ranks
-    }
-
     fn push(&mut self, rank: usize, cost_ns: u64, deps: Vec<BspDep>) -> u64 {
         let id = self.next;
         self.next += 1;
@@ -187,16 +182,6 @@ impl BspProgram {
     /// Finish and return the trace.
     pub fn into_trace(self) -> Vec<TraceTask> {
         self.tasks
-    }
-
-    /// Tasks recorded so far (including markers and barrier bookkeeping).
-    pub fn len(&self) -> usize {
-        self.tasks.len()
-    }
-
-    /// Whether no task has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.tasks.is_empty()
     }
 }
 

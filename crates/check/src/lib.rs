@@ -15,7 +15,7 @@
 //! Two halves:
 //!
 //! * **Static verification** ([`verify`]) walks a built
-//!   [`Graph`](ttg_core::Graph) before anything runs: terminal/edge
+//!   [`Graph`] before anything runs: terminal/edge
 //!   topology (TTG001/TTG002), reducer configuration (TTG003), sampled
 //!   keymap probing (TTG004/TTG005), seed-reachability (TTG006), duplicate
 //!   names (TTG007). Post-attach mutations surface as TTG010 through
@@ -31,13 +31,17 @@
 //! to stderr, writes `results/check_report.json`, and exits non-zero on
 //! errors. Without the flag, nothing happens.
 //!
-//! A third half, since PR 8: **concurrency diagnostics** over the runtime
-//! stack itself rather than a user graph — lock-order analysis of the
-//! crates' annotated lock sets ([`locks`], TTG050/TTG051), wire-protocol
-//! state-machine checks ([`protocol`], TTG052/TTG053), and a `--model`
-//! mode ([`model_from_args`]) that exhaustively explores `ttg-model`'s
-//! `event_count` case and reports TTG054 violations / TTG055 coverage in
-//! the same JSON report schema.
+//! A third half: **concurrency diagnostics** over the runtime stack itself
+//! rather than a user graph — lock-order analysis of the crates' annotated
+//! lock sets (TTG050/TTG051), wire-protocol state-machine checks
+//! (TTG052/TTG053), and a `--model` mode ([`model_from_args`]) that
+//! exhaustively explores `ttg-model`'s `event_count` case and reports
+//! TTG054 violations / TTG055 coverage in the same JSON report schema.
+//!
+//! The crate exports exactly those entry points ([`verify`],
+//! [`report_from_exec`], [`stuck_diagnostic`], the `--check`/`--model`
+//! switches) and the [`Diagnostic`] records with their [`Severity`]; the
+//! passes themselves are private.
 
 #![warn(missing_docs)]
 
@@ -47,20 +51,21 @@ use std::sync::Mutex;
 
 use ttg_core::Graph;
 
-pub mod locks;
-pub mod model;
-pub mod protocol;
-pub mod report;
-pub mod sanitize;
-pub mod verify;
+mod locks;
+mod model;
+mod protocol;
+mod report;
+mod sanitize;
+mod verify;
 
-pub use model::{model_from_args, run_corpus, MODEL_REPORT_PATH};
-pub use report::{Diagnostic, Report, Severity};
-pub use sanitize::{comm_diagnostic, report_from_exec, stuck_diagnostic, violation_diagnostic};
+pub use model::model_from_args;
+use report::Report;
+pub use report::{Diagnostic, Severity};
+pub use sanitize::{report_from_exec, stuck_diagnostic};
 pub use verify::verify;
 
 /// Default location of the exported JSON report.
-pub const REPORT_PATH: &str = "results/check_report.json";
+pub(crate) const REPORT_PATH: &str = "results/check_report.json";
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static LAST_SUMMARY: Mutex<Option<Summary>> = Mutex::new(None);
@@ -100,7 +105,7 @@ pub fn enable() {
 }
 
 /// Whether verification is on.
-pub fn enabled() -> bool {
+pub(crate) fn enabled() -> bool {
     ENABLED.load(Ordering::SeqCst)
 }
 
@@ -119,13 +124,13 @@ pub fn last_summary() -> Option<Summary> {
     *LAST_SUMMARY.lock().expect("summary lock poisoned")
 }
 
-/// If verification is [`enabled`], verify `graph`, print the diagnostics to
-/// stderr, export [`REPORT_PATH`], and **exit the process with status 1**
+/// If verification is enabled, verify `graph`, print the diagnostics to
+/// stderr, export `results/check_report.json`, and **exit the process with status 1**
 /// when any error-severity finding exists. Returns the report (or `None`
 /// when disabled) so callers can inspect warnings.
 ///
 /// `seeds` is the list of externally seeded `(node id, terminal)` pairs —
-/// build it from the [`InRef`](ttg_core::InRef)s the caller seeds through
+/// build it from the [`InRef`](ttg_core::prelude::InRef)s the caller seeds through
 /// (`(r.node_id(), r.terminal())`).
 pub fn check_if_enabled(graph: &Graph, n_ranks: usize, seeds: &[(u32, usize)]) -> Option<Report> {
     if !enabled() {

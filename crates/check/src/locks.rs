@@ -28,20 +28,20 @@ use crate::report::{Diagnostic, Report};
 
 /// One crate's published lock annotations.
 #[derive(Debug, Clone)]
-pub struct LockSet {
+pub(crate) struct LockSet {
     /// Crate the annotations come from (diagnostic location).
-    pub crate_name: &'static str,
+    pub(crate) crate_name: &'static str,
     /// Lock classes the crate defines.
-    pub classes: &'static [&'static str],
+    pub(crate) classes: &'static [&'static str],
     /// Permitted `(outer, inner)` nestings.
-    pub order: &'static [(&'static str, &'static str)],
+    pub(crate) order: &'static [(&'static str, &'static str)],
     /// `(class, index_ordered)` striped classes.
-    pub striped: &'static [(&'static str, bool)],
+    pub(crate) striped: &'static [(&'static str, bool)],
 }
 
 /// The concurrency core's annotated lock sets, aggregated from the
 /// `lockdoc` modules of the crates that own mutexes.
-pub fn annotated() -> Vec<LockSet> {
+pub(crate) fn annotated() -> Vec<LockSet> {
     vec![
         LockSet {
             crate_name: "ttg-runtime",
@@ -72,7 +72,7 @@ pub fn annotated() -> Vec<LockSet> {
 
 /// Analyze the aggregated lock sets; the report counts classes as "nodes"
 /// and permitted nestings as "edges".
-pub fn analyze(sets: &[LockSet]) -> Report {
+pub(crate) fn analyze(sets: &[LockSet]) -> Report {
     // Qualify names per crate so identically named classes in different
     // crates stay distinct; an annotation may reference another crate's
     // class by writing the qualified form itself.

@@ -27,7 +27,7 @@ use ttg_model::event::{self, Mutation};
 use ttg_model::{Config, Stats, Violation};
 
 /// Default location of the exported model-check JSON report.
-pub const MODEL_REPORT_PATH: &str = "results/model_report.json";
+pub(crate) const MODEL_REPORT_PATH: &str = "results/model_report.json";
 
 /// How many trailing schedule steps of a failing trace to embed in the
 /// diagnostic (full traces can run to hundreds of steps).
@@ -88,7 +88,7 @@ fn diagnose(outcome: Result<Stats, Box<Violation>>, report: &mut Report) {
 /// Explore `event_count`, then run the static lock-order and
 /// wire-protocol analyses, merged into one report. The report counts the
 /// model as a "node" and explored schedules as "edges".
-pub fn run_corpus() -> Report {
+pub(crate) fn run_corpus() -> Report {
     let mut report = Report::new(1, 0);
     diagnose(
         event::check(Config::bounded(BOUND), Mutation::None),
@@ -103,8 +103,8 @@ pub fn run_corpus() -> Report {
     report
 }
 
-/// If `--model` appears on the command line, run [`run_corpus`], print the
-/// report to stderr, write [`MODEL_REPORT_PATH`], and **exit the process**
+/// If `--model` appears on the command line, run the model corpus, print the
+/// report to stderr, write `results/model_report.json`, and **exit the process**
 /// (status 1 iff any error-severity finding). Returns quietly when the
 /// flag is absent. Binaries call this once at startup, next to
 /// [`crate::enable_from_args`].

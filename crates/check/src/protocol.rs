@@ -24,18 +24,18 @@ use ttg_transport::frame::KindSpec;
 /// A wire protocol to check: the annotated frame vocabulary plus the kinds
 /// the receiving stack terminates.
 #[derive(Debug, Clone)]
-pub struct WireSpec {
+pub(crate) struct WireSpec {
     /// Protocol name (diagnostic location).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// `(kind, is_ack, has_seq, expected_response)` annotations.
-    pub kinds: &'static [KindSpec],
+    pub(crate) kinds: &'static [KindSpec],
     /// Kinds consumed somewhere in the stack.
-    pub consumed: &'static [&'static str],
+    pub(crate) consumed: &'static [&'static str],
 }
 
 /// The production protocol: transport frame table joined with the fabric's
 /// consumed-kind list.
-pub fn transport_spec() -> WireSpec {
+pub(crate) fn transport_spec() -> WireSpec {
     WireSpec {
         name: "ttg-transport/ttg-comm",
         kinds: ttg_transport::frame::WIRE_KINDS,
@@ -45,7 +45,7 @@ pub fn transport_spec() -> WireSpec {
 
 /// Analyze one protocol; the report counts kinds as "nodes" and declared
 /// request/response pairs as "edges".
-pub fn analyze(spec: &WireSpec) -> Report {
+pub(crate) fn analyze(spec: &WireSpec) -> Report {
     let consumed: BTreeSet<&str> = spec.consumed.iter().copied().collect();
     let defined: BTreeSet<&str> = spec.kinds.iter().map(|k| k.0).collect();
     let mut report = Report::new(spec.kinds.len(), 0);

@@ -24,7 +24,7 @@ pub enum Severity {
 
 impl Severity {
     /// The rustc-style label (`error` / `warning` / `note`).
-    pub fn label(&self) -> &'static str {
+    pub(crate) fn label(&self) -> &'static str {
         match self {
             Severity::Error => "error",
             Severity::Warning => "warning",
@@ -56,7 +56,7 @@ pub struct Diagnostic {
     /// Rank the finding was observed on.
     pub rank: Option<usize>,
     /// Suggested fix, rendered as a `= help:` line.
-    pub help: Option<String>,
+    pub(crate) help: Option<String>,
 }
 
 impl Diagnostic {
@@ -80,12 +80,12 @@ impl Diagnostic {
     }
 
     /// A warning-severity diagnostic.
-    pub fn warning(code: &'static str, message: impl Into<String>) -> Self {
+    pub(crate) fn warning(code: &'static str, message: impl Into<String>) -> Self {
         Self::new(Severity::Warning, code, message)
     }
 
     /// A note-severity diagnostic.
-    pub fn note(code: &'static str, message: impl Into<String>) -> Self {
+    pub(crate) fn note(code: &'static str, message: impl Into<String>) -> Self {
         Self::new(Severity::Note, code, message)
     }
 
@@ -108,13 +108,13 @@ impl Diagnostic {
     }
 
     /// Attach the task ID.
-    pub fn for_key(mut self, key: impl Into<String>) -> Self {
+    pub(crate) fn for_key(mut self, key: impl Into<String>) -> Self {
         self.key = Some(key.into());
         self
     }
 
     /// Attach the observing rank.
-    pub fn on_rank(mut self, rank: usize) -> Self {
+    pub(crate) fn on_rank(mut self, rank: usize) -> Self {
         self.rank = Some(rank);
         self
     }
@@ -224,7 +224,7 @@ pub struct Report {
 impl Report {
     /// An empty report over a graph of `nodes` template tasks and `edges`
     /// distinct edges.
-    pub fn new(nodes: usize, edges: usize) -> Self {
+    pub(crate) fn new(nodes: usize, edges: usize) -> Self {
         Report {
             diagnostics: Vec::new(),
             nodes,
@@ -233,7 +233,7 @@ impl Report {
     }
 
     /// Append a finding.
-    pub fn push(&mut self, d: Diagnostic) {
+    pub(crate) fn push(&mut self, d: Diagnostic) {
         self.diagnostics.push(d);
     }
 
@@ -294,7 +294,7 @@ impl Report {
     }
 
     /// Print [`Self::render`] to stderr.
-    pub fn print_stderr(&self) {
+    pub(crate) fn print_stderr(&self) {
         eprint!("{}", self.render());
     }
 
@@ -328,7 +328,7 @@ impl Report {
     }
 
     /// Write [`Self::to_json`] to `path`, creating parent directories.
-    pub fn write_json(&self, path: &Path) -> io::Result<()> {
+    pub(crate) fn write_json(&self, path: &Path) -> io::Result<()> {
         if let Some(parent) = path.parent() {
             if !parent.as_os_str().is_empty() {
                 std::fs::create_dir_all(parent)?;

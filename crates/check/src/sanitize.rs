@@ -11,7 +11,7 @@ use crate::report::{Diagnostic, Report};
 /// Diagnostic for one runtime violation. The code comes from
 /// [`Violation::code`]; the violation's own display text (minus the code
 /// prefix) becomes the message.
-pub fn violation_diagnostic(v: &Violation) -> Diagnostic {
+pub(crate) fn violation_diagnostic(v: &Violation) -> Diagnostic {
     let full = v.to_string();
     let message = full
         .strip_prefix(v.code())
@@ -99,7 +99,7 @@ pub fn stuck_diagnostic(s: &StuckEntry) -> Diagnostic {
 /// gave up); a post-shutdown send on a closed channel is
 /// only a warning (expected during teardown races), and a `RankRecovered`
 /// event is informational — a kill that the runtime survived.
-pub fn comm_diagnostic(e: &CommError) -> Diagnostic {
+pub(crate) fn comm_diagnostic(e: &CommError) -> Diagnostic {
     let mut d = match e.kind {
         CommErrorKind::ChannelClosed => Diagnostic::warning(e.code(), e.to_string()),
         CommErrorKind::RankRecovered => Diagnostic::warning(e.code(), e.to_string()),
@@ -148,7 +148,7 @@ pub fn comm_diagnostic(e: &CommError) -> Diagnostic {
     d
 }
 
-/// Convert an execution's runtime findings into a coded [`Report`].
+/// Convert an execution's runtime findings into a coded report.
 ///
 /// Empty `violations`, `stuck`, and `comm_errors` produce a clean report.
 /// Violations keep their [`Violation::code`]s (TTG02x, TTG031); each stuck

@@ -1,10 +1,10 @@
 //! The static graph verifier: topology, reducer-configuration, and keymap
 //! checks over a built [`Graph`], before any task runs.
 //!
-//! Every check works through the type-erased
-//! [`AnyNode`](ttg_core::node::AnyNode) interface: terminal→edge
-//! declarations recorded at `make_tt` time, declared reducers, and sampled
-//! keymap probes (see [`TtHandle::set_check_samples`]). Codes:
+//! Every check works through `ttg-core`'s type-erased `AnyNode` interface:
+//! terminal→edge declarations recorded at `make_tt` time, declared
+//! reducers, and sampled keymap probes (see
+//! [`TtHandle::set_check_samples`]). Codes:
 //!
 //! | code   | severity | finding |
 //! |--------|----------|---------|
@@ -28,7 +28,7 @@ use crate::report::{Diagnostic, Report};
 /// Verify `graph` for an execution over `n_ranks` ranks.
 ///
 /// `seeds` declares which `(node_id, terminal)` pairs receive messages from
-/// outside the graph (via [`InRef::seed`](ttg_core::InRef::seed)); they
+/// outside the graph (via [`InRef::seed`](ttg_core::prelude::InRef::seed)); they
 /// satisfy TTG001 for their terminal and act as roots for the TTG006
 /// reachability sweep. An empty `seeds` slice disables TTG006 (no root
 /// information) but leaves every other check active.

@@ -197,11 +197,6 @@ impl<'a> ReadBuf<'a> {
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
-
-    /// Current cursor offset.
-    pub fn position(&self) -> usize {
-        self.pos
-    }
 }
 
 #[cfg(test)]

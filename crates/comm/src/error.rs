@@ -8,9 +8,9 @@ use crate::rma::RegionId;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SendError {
     /// Sending rank (may be the external-seed sentinel).
-    pub from: Rank,
+    pub(crate) from: Rank,
     /// Destination rank whose channel is gone.
-    pub to: Rank,
+    pub(crate) to: Rank,
 }
 
 impl std::fmt::Display for SendError {
@@ -102,7 +102,7 @@ pub enum CommErrorKind {
 
 impl CommErrorKind {
     /// Stable diagnostic code (rendered by `ttg-check`, DESIGN §8).
-    pub fn code(&self) -> &'static str {
+    pub(crate) fn code(&self) -> &'static str {
         match self {
             CommErrorKind::RetryBudgetExhausted => "TTG040",
             CommErrorKind::DeadlineMissed => "TTG041",
@@ -130,7 +130,7 @@ pub struct CommError {
     /// Destination handler (template-task id), when known.
     pub handler: Option<u32>,
     /// Link sequence number, when known.
-    pub seq: Option<u64>,
+    pub(crate) seq: Option<u64>,
     /// Human-readable context.
     pub detail: String,
 }

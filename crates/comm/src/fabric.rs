@@ -83,11 +83,6 @@ pub struct Fabric {
 }
 
 impl Fabric {
-    /// Create a fabric with `n` ranks and a perfect network.
-    pub fn new(n: usize) -> Arc<Fabric> {
-        Self::with_faults(n, None)
-    }
-
     /// Create a fabric with `n` ranks, optionally under a [`FaultPlan`].
     ///
     /// Installing a plan activates the reliable-delivery layer (sequence
@@ -189,7 +184,7 @@ impl Fabric {
     }
 
     /// The metrics registry this fabric's counters live in. Snapshots taken
-    /// here include everything [`FabricStats`] reports plus the per-rank
+    /// here include everything [`StatsSnapshot`](crate::StatsSnapshot) reports plus the per-rank
     /// `tx_bytes`/`rx_bytes` breakdown, keyed under subsystem `"comm"`.
     pub fn telemetry(&self) -> &Arc<Registry> {
         &self.telemetry
@@ -237,7 +232,7 @@ impl Fabric {
     /// bypass the chaos layer (process-internal delivery cannot fail).
     ///
     /// A send to a rank whose channel is closed (post-shutdown teardown)
-    /// is a counted no-op reported as [`SendError`] — never a panic.
+    /// is a counted no-op reported as a `SendError` — never a panic.
     pub fn send_am(
         &self,
         from: Rank,
@@ -481,16 +476,6 @@ impl Fabric {
         true
     }
 
-    /// One pass of the reliability progress engine: release due delayed
-    /// packets, retransmit overdue unacked packets, abandon packets whose
-    /// retry budget is spent. Called periodically by the progress thread;
-    /// exposed for deterministic single-threaded tests.
-    pub fn progress(&self) {
-        if let Some(cs) = &self.chaos {
-            cs.progress(&self.chaos_port());
-        }
-    }
-
     /// Report the packet this thread last accepted
     /// ([`rx_accept`](Self::rx_accept)) as fully processed: it settles on
     /// its link, which the termination detector reads. A call with no
@@ -574,14 +559,14 @@ impl Fabric {
     /// involving the owner's CPU — which is only possible where the
     /// owner's region table is in this address space (every in-process
     /// fabric; a multi-process rank reaches only its own). Any other owner
-    /// is [`RmaError::ForeignOwner`], returned without an error record of
+    /// is `RmaError::ForeignOwner`, returned without an error record of
     /// its own: the failed delivery is the report.
     ///
     /// The fetch that satisfies the region's expected count triggers its
     /// release. A duplicate or late fetch of an already-released region is
     /// answered idempotently from a bounded cache of recently released
     /// regions; a fetch of a region the owner never held (or that has been
-    /// evicted) ends in [`RmaError::UnknownRegion`] and a TTG044 record —
+    /// evicted) ends in `RmaError::UnknownRegion` and a TTG044 record —
     /// never a panic.
     pub fn rma_fetch(
         &self,
@@ -739,7 +724,7 @@ mod tests {
 
     #[test]
     fn local_am_not_counted_as_wire_traffic() {
-        let fabric = Fabric::new(1);
+        let fabric = Fabric::with_faults(1, None);
         let rx = fabric.take_receiver(0);
         fabric.send_am(0, 0, 1, vec![0; 64]).unwrap();
         let _ = rx.recv().unwrap();
@@ -751,7 +736,7 @@ mod tests {
 
     #[test]
     fn send_to_closed_rank_is_counted_error_not_panic() {
-        let fabric = Fabric::new(2);
+        let fabric = Fabric::with_faults(2, None);
         {
             let _rx = fabric.take_receiver(1);
             // Receiver dropped here: rank 1's channel closes.
@@ -769,7 +754,7 @@ mod tests {
 
     #[test]
     fn unknown_region_is_structured_error_not_panic() {
-        let fabric = Fabric::new(2);
+        let fabric = Fabric::with_faults(2, None);
         let err = fabric
             .rma_fetch(1, 0, 999)
             .expect_err("unknown region must error");
@@ -789,7 +774,7 @@ mod tests {
 
     #[test]
     fn barrier_synchronizes_ranks() {
-        let fabric = Fabric::new(4);
+        let fabric = Fabric::with_faults(4, None);
         let counter = Arc::new(AtomicU64::new(0));
         let mut handles = Vec::new();
         for _ in 0..4 {
@@ -809,7 +794,7 @@ mod tests {
 
     #[test]
     fn shutdown_reaches_every_rank() {
-        let fabric = Fabric::new(2);
+        let fabric = Fabric::with_faults(2, None);
         let rx0 = fabric.take_receiver(0);
         let rx1 = fabric.take_receiver(1);
         fabric.shutdown_all();
@@ -835,7 +820,9 @@ mod tests {
             let (mut fresh, mut dups) = (0, 0);
             let deadline = Instant::now() + Duration::from_secs(10);
             while (fresh < n || dups < n) && Instant::now() < deadline {
-                fabric.progress();
+                if let Some(cs) = &fabric.chaos {
+                    cs.progress(&fabric.chaos_port());
+                }
                 while let Ok(Packet::Am { from, seq, .. }) = rx1.try_recv() {
                     if fabric.rx_accept(1, from, seq) {
                         fabric.packet_processed();
@@ -1005,7 +992,7 @@ mod tests {
         for ep in &eps {
             ep.shutdown();
         }
-        let local = Fabric::new(2);
+        let local = Fabric::with_faults(2, None);
         assert!(matches!(
             local.rma_fetch(0, 2, 1),
             Err(RmaError::ForeignOwner { owner: 2, .. })

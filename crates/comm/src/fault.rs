@@ -36,17 +36,17 @@ fn mix(mut x: u64) -> u64 {
 /// Decision salts: every fault class rolls its own independent stream.
 pub(crate) mod salt {
     /// Drop the physical packet.
-    pub const DROP: u64 = 1;
+    pub(crate) const DROP: u64 = 1;
     /// Duplicate the physical packet.
-    pub const DUP: u64 = 2;
+    pub(crate) const DUP: u64 = 2;
     /// Hold the packet for a long delay.
-    pub const DELAY: u64 = 3;
+    pub(crate) const DELAY: u64 = 3;
     /// Hold the packet briefly so later packets overtake it.
-    pub const REORDER: u64 = 4;
+    pub(crate) const REORDER: u64 = 4;
     /// Lose the acknowledgement (forces a spurious retransmit).
-    pub const ACK: u64 = 5;
+    pub(crate) const ACK: u64 = 5;
     /// Magnitude of an injected delay.
-    pub const DELAY_LEN: u64 = 6;
+    pub(crate) const DELAY_LEN: u64 = 6;
 }
 
 /// Kill script: rank `rank` stops communicating (all packets to and from it
@@ -109,20 +109,20 @@ pub struct FaultPlan {
     /// Per-packet probability of a long delivery delay.
     pub delay: f64,
     /// Range of the long delay, microseconds (inclusive bounds).
-    pub delay_us: (u64, u64),
+    pub(crate) delay_us: (u64, u64),
     /// Targeted rank deaths.
     pub kills: Vec<KillScript>,
     /// Retransmission policy for the reliable layer.
-    pub retry: RetryPolicy,
+    pub(crate) retry: RetryPolicy,
     /// How long the oldest seq of a pending ack batch waits before the
     /// batch is sent, by the receiving thread or the progress thread.
-    pub ack_flush: Duration,
+    pub(crate) ack_flush: Duration,
     /// Coordinated rollback: `Some(n)` takes a global cut of every rank
     /// once some rank has accepted `n` packets since the last one and,
     /// when a kill script fires, rolls every rank back to the last cut
     /// instead of reporting retry-budget exhaustion (DESIGN §13). `None`
     /// (the default) keeps the fail-and-report behavior.
-    pub recover: Option<u64>,
+    pub(crate) recover: Option<u64>,
 }
 
 impl FaultPlan {
@@ -183,7 +183,8 @@ impl FaultPlan {
     }
 
     /// Set the batched-ack flush timer.
-    pub fn with_ack_flush(mut self, flush: Duration) -> Self {
+    #[cfg(test)]
+    pub(crate) fn with_ack_flush(mut self, flush: Duration) -> Self {
         self.ack_flush = flush;
         self
     }
@@ -193,6 +194,12 @@ impl FaultPlan {
     pub fn with_recovery(mut self, every_packets: u64) -> Self {
         self.recover = Some(every_packets.max(1));
         self
+    }
+
+    /// Whether the plan turns coordinated rollback on
+    /// ([`FaultPlan::with_recovery`]).
+    pub fn recovers(&self) -> bool {
+        self.recover.is_some()
     }
 
     /// Whether the plan's only faults are targeted kills — no
@@ -210,7 +217,7 @@ impl FaultPlan {
     /// refused with the reason: dice need the ack/dedup state only ranks of
     /// one process share, and nobody could recover the death of rank 0,
     /// which coordinates the barrier and termination protocols.
-    pub fn remote_kill_after(&self, me: Rank) -> Result<Option<u64>, String> {
+    pub(crate) fn remote_kill_after(&self, me: Rank) -> Result<Option<u64>, String> {
         if !self.is_kill_only() {
             return Err("probabilistic fault injection (drop/dup/reorder/delay) \
                         requires an in-process transport (inproc/tcp/uds); \
@@ -229,13 +236,13 @@ impl FaultPlan {
 
     /// A uniform draw in `[0, 1)`, fully determined by the plan seed and
     /// the packet identity `(salt, link, seq, attempt)`.
-    pub fn roll(&self, salt: u64, link: u64, seq: u64, attempt: u32) -> f64 {
+    pub(crate) fn roll(&self, salt: u64, link: u64, seq: u64, attempt: u32) -> f64 {
         let h = mix(self.seed ^ mix(salt ^ mix(link ^ mix(seq ^ u64::from(attempt)))));
         (h >> 11) as f64 / (1u64 << 53) as f64
     }
 
     /// Draw a delay duration for a packet held by the long-delay fault.
-    pub fn delay_for(&self, link: u64, seq: u64, attempt: u32) -> Duration {
+    pub(crate) fn delay_for(&self, link: u64, seq: u64, attempt: u32) -> Duration {
         let (lo, hi) = self.delay_us;
         let span = hi.saturating_sub(lo).max(1);
         let r = self.roll(salt::DELAY_LEN, link, seq, attempt);

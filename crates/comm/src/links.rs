@@ -20,7 +20,7 @@ use ttg_transport::{
 };
 
 /// Logical process rank within the fabric.
-pub type Rank = usize;
+pub(crate) type Rank = usize;
 
 /// A packet travelling between ranks.
 #[derive(Debug)]

@@ -11,7 +11,7 @@
 //! unacked entry and every seed; the restored windows dedup what the cut
 //! had already processed.
 //!
-//! Port: the [`ChaosPort`] of [`crate::chaos`].
+//! Port: the `ChaosPort` of the crate's `chaos` module.
 
 use ttg_model::sync::{AtomicBool, AtomicUsize, EventCount, Instant, MutexGuard, Ordering::SeqCst};
 

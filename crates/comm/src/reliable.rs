@@ -47,20 +47,20 @@ use crate::fault::RetryPolicy;
 /// raw seq itself: a run that never rolls back is bit-identical on the
 /// wire. The epoch counts modulo `2^EPOCH_BITS` ([`next_epoch`]): a copy
 /// would have to outlive 256 rollbacks to pass for a current one.
-pub const EPOCH_BITS: u32 = 8;
+pub(crate) const EPOCH_BITS: u32 = 8;
 const SEQ_BITS: u32 = 64 - EPOCH_BITS;
 
 const SEQ_MASK: u64 = (1 << SEQ_BITS) - 1;
 
 /// The rollback epoch after `epoch`, wrapping within [`EPOCH_BITS`].
 #[inline]
-pub fn next_epoch(epoch: u64) -> u64 {
+pub(crate) fn next_epoch(epoch: u64) -> u64 {
     (epoch + 1) & ((1 << EPOCH_BITS) - 1)
 }
 
 /// Pack a rollback epoch into the high bits of a raw sequence number.
 #[inline]
-pub fn pack_seq(epoch: u64, raw: u64) -> u64 {
+pub(crate) fn pack_seq(epoch: u64, raw: u64) -> u64 {
     debug_assert!(epoch < 1 << EPOCH_BITS, "epoch overflows its bits");
     debug_assert!(raw <= SEQ_MASK, "raw seq overflows epoch packing");
     (epoch << SEQ_BITS) | (raw & SEQ_MASK)
@@ -68,13 +68,13 @@ pub fn pack_seq(epoch: u64, raw: u64) -> u64 {
 
 /// Split a wire sequence number into (epoch, raw seq).
 #[inline]
-pub fn unpack_seq(wire: u64) -> (u64, u64) {
+pub(crate) fn unpack_seq(wire: u64) -> (u64, u64) {
     (wire >> SEQ_BITS, wire & SEQ_MASK)
 }
 
 /// Sequence numbers tracked per window: packets more than `WINDOW` behind
 /// the link's high-water mark are classified duplicates unconditionally.
-pub const WINDOW: usize = 1024;
+pub(crate) const WINDOW: usize = 1024;
 
 const WORDS: usize = WINDOW / 64;
 
@@ -84,7 +84,7 @@ const WORDS: usize = WINDOW / 64;
 /// Sequence numbers start at 1 and are *mostly* contiguous; the bitmap
 /// absorbs reordering up to [`WINDOW`] packets deep.
 #[derive(Debug, Clone)]
-pub struct SeqWindow {
+pub(crate) struct SeqWindow {
     /// Highest sequence number accepted so far (0 = none yet).
     high: u64,
     /// Ring bitmap over the last `WINDOW` sequence numbers.
@@ -102,7 +102,7 @@ impl Default for SeqWindow {
 
 impl SeqWindow {
     /// Fresh window.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -122,7 +122,7 @@ impl SeqWindow {
 
     /// Classify `seq`: `true` = first sighting (deliver it), `false` =
     /// duplicate or beyond-window stray (drop it).
-    pub fn accept(&mut self, seq: u64) -> bool {
+    pub(crate) fn accept(&mut self, seq: u64) -> bool {
         if seq == 0 {
             // 0 is the "unsequenced" sentinel; never tracked.
             return true;
@@ -149,14 +149,9 @@ impl SeqWindow {
         self.test_and_set(seq)
     }
 
-    /// Highest sequence number accepted.
-    pub fn high(&self) -> u64 {
-        self.high
-    }
-
     /// Serialize the full window state (high-water mark + ring bitmap)
     /// into a snapshot buffer.
-    pub fn export(&self, b: &mut WriteBuf) {
+    pub(crate) fn export(&self, b: &mut WriteBuf) {
         b.put_u64(self.high);
         for w in &self.bits {
             b.put_u64(*w);
@@ -164,7 +159,7 @@ impl SeqWindow {
     }
 
     /// Restore a window previously written by [`SeqWindow::export`].
-    pub fn import(r: &mut ReadBuf<'_>) -> Result<SeqWindow, WireError> {
+    pub(crate) fn import(r: &mut ReadBuf<'_>) -> Result<SeqWindow, WireError> {
         let high = r.get_u64()?;
         let mut bits = [0u64; WORDS];
         for w in bits.iter_mut() {
@@ -176,46 +171,46 @@ impl SeqWindow {
 
 /// One unacknowledged logical packet held for retransmission.
 #[derive(Debug, Clone)]
-pub struct Unacked {
+pub(crate) struct Unacked {
     /// Destination handler.
-    pub handler: u32,
+    pub(crate) handler: u32,
     /// Serialized payload (shared with in-flight physical copies).
-    pub payload: Arc<Vec<u8>>,
+    pub(crate) payload: Arc<Vec<u8>>,
     /// Retransmissions performed so far.
-    pub attempts: u32,
+    pub(crate) attempts: u32,
     /// Backoff deadline: resent past it on evidence of loss, or abandoned.
-    pub next_retry: Instant,
+    pub(crate) next_retry: Instant,
     /// Set by the receiver the moment a copy is accepted. The *ack*
     /// (removal from this table) may be lost by fault injection, but the
     /// delivered flag is ground truth: an exhausted entry that was
     /// delivered is dropped silently instead of reported lost.
-    pub delivered: bool,
+    pub(crate) delivered: bool,
 }
 
 /// Sender-side state of one directed link.
 #[derive(Debug, Default)]
-pub struct LinkTx {
+pub(crate) struct LinkTx {
     /// Last sequence number assigned (numbers start at 1).
-    pub next_seq: u64,
+    pub(crate) next_seq: u64,
     /// In-flight (sent, unacked) packets by sequence number.
-    pub unacked: HashMap<u64, Unacked>,
+    pub(crate) unacked: HashMap<u64, Unacked>,
     /// Highest seq an ack has retired: an entry below it is a hole.
-    pub retired_high: u64,
+    pub(crate) retired_high: u64,
     /// Retransmission clock, started by a send that finds nothing pending
     /// and restarted by each retiring ack; `None` on a restored link.
-    pub clock: Option<Instant>,
+    pub(crate) clock: Option<Instant>,
 }
 
 impl LinkTx {
     /// Assign the next sequence number on this link.
-    pub fn assign_seq(&mut self) -> u64 {
+    pub(crate) fn assign_seq(&mut self) -> u64 {
         self.next_seq += 1;
         self.next_seq
     }
 
     /// Retire every held seq `ranges` covers, skipping a range packed with
     /// another epoch than `epoch` ([`pack_seq`]); retiring any is progress.
-    pub fn retire(&mut self, ranges: &[(u64, u64)], epoch: u64, now: Instant) {
+    pub(crate) fn retire(&mut self, ranges: &[(u64, u64)], epoch: u64, now: Instant) {
         let current = ranges
             .iter()
             .filter(|&&(first, _)| unpack_seq(first).0 == epoch);
@@ -233,7 +228,7 @@ impl LinkTx {
     /// spent, sits below a retired seq (a hole), or is the oldest on a link
     /// silent for its backoff (a restored link, with no clock, counts as
     /// silent). `None`: only an ack can make an entry actionable.
-    pub fn next_due(&self, retry: &RetryPolicy) -> Option<Instant> {
+    pub(crate) fn next_due(&self, retry: &RetryPolicy) -> Option<Instant> {
         let oldest = self.unacked.keys().min().copied();
         let due = |(&seq, e): (&u64, &Unacked)| match self.clock {
             _ if e.attempts >= retry.max_retries || seq < self.retired_high => Some(e.next_retry),
@@ -249,7 +244,7 @@ impl LinkTx {
     /// Serialize the sender-side link state: the seq counter plus every
     /// in-flight packet (payload included — a rollback re-arms it without
     /// re-running the task that produced it).
-    pub fn export(&self, b: &mut WriteBuf) {
+    pub(crate) fn export(&self, b: &mut WriteBuf) {
         b.put_u64(self.next_seq);
         b.put_u64(self.unacked.len() as u64);
         for (seq, u) in &self.unacked {
@@ -265,7 +260,7 @@ impl LinkTx {
     /// immediately — the link clock is not running — so the progress pass
     /// after a rollback re-arms the whole in-flight set (receiver windows
     /// dedup the copies the cut had already processed).
-    pub fn import(r: &mut ReadBuf<'_>, now: Instant) -> Result<LinkTx, WireError> {
+    pub(crate) fn import(r: &mut ReadBuf<'_>, now: Instant) -> Result<LinkTx, WireError> {
         let next_seq = r.get_u64()?;
         let n = r.get_u64()? as usize;
         let mut tx = LinkTx::default();
@@ -294,9 +289,9 @@ impl LinkTx {
 }
 
 /// Inclusive `(first, last)` seq ranges of one ack batch, ascending.
-pub type AckRanges = Vec<(u64, u64)>;
+pub(crate) type AckRanges = Vec<(u64, u64)>;
 /// `Err(Some(..))`: no wire carries the pair; `Err(None)`: the link refused.
-pub type AckSent = Result<(), Option<AckRanges>>;
+pub(crate) type AckSent = Result<(), Option<AckRanges>>;
 
 /// Receive-side accumulator of acknowledgements owed on one incoming link.
 ///
@@ -313,7 +308,7 @@ pub type AckSent = Result<(), Option<AckRanges>>;
 /// entry is always cleared eventually (liveness does not depend on any
 /// single flush surviving).
 #[derive(Debug, Default)]
-pub struct PendingAcks {
+pub(crate) struct PendingAcks {
     /// Inclusive, sorted, non-overlapping ranges of accepted seqs.
     ranges: AckRanges,
     /// When the oldest currently-pending ack was noted (timer anchor).
@@ -324,7 +319,7 @@ pub struct PendingAcks {
 
 impl PendingAcks {
     /// Record that `seq` was accepted (or re-accepted) at `now`.
-    pub fn note(&mut self, seq: u64, now: Instant) {
+    pub(crate) fn note(&mut self, seq: u64, now: Instant) {
         if self.oldest.is_none() {
             self.oldest = Some(now);
         }
@@ -358,30 +353,30 @@ impl PendingAcks {
     }
 
     /// Whether any acks are pending.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.ranges.is_empty()
     }
 
     /// Whether the oldest pending ack has waited at least `flush_after`.
-    pub fn due(&self, now: Instant, flush_after: Duration) -> bool {
+    pub(crate) fn due(&self, now: Instant, flush_after: Duration) -> bool {
         self.due_at(flush_after).is_some_and(|at| now >= at)
     }
 
     /// When the batch falls due (`None` while nothing is pending).
-    pub fn due_at(&self, flush_after: Duration) -> Option<Instant> {
+    pub(crate) fn due_at(&self, flush_after: Duration) -> Option<Instant> {
         self.oldest.map(|t| t + flush_after)
     }
 
     /// Drain the pending ranges for one flush, returning them together
     /// with the flush ordinal (for deterministic loss salting).
-    pub fn take(&mut self) -> (AckRanges, u64) {
+    pub(crate) fn take(&mut self) -> (AckRanges, u64) {
         self.oldest = None;
         self.flushes += 1;
         (std::mem::take(&mut self.ranges), self.flushes)
     }
 
     /// Total sequence numbers covered by the pending ranges.
-    pub fn pending(&self) -> u64 {
+    pub(crate) fn pending(&self) -> u64 {
         self.ranges.iter().map(|&(f, l)| l - f + 1).sum()
     }
 }
@@ -397,7 +392,7 @@ mod tests {
         for s in 1..=10_000u64 {
             assert!(w.accept(s), "seq {s} wrongly flagged duplicate");
         }
-        assert_eq!(w.high(), 10_000);
+        assert_eq!(w.high, 10_000);
     }
 
     #[test]
@@ -475,7 +470,7 @@ mod tests {
         for s in 3..=(WINDOW as u64 + 1) {
             assert!(w.accept(s));
         }
-        assert_eq!(w.high(), WINDOW as u64 + 1);
+        assert_eq!(w.high, WINDOW as u64 + 1);
         // Never delivered, but its slot is out the back of the window:
         // dropped, and the sender's retry budget reports the loss.
         assert!(!w.accept(1), "stale seq at the exact edge accepted");
@@ -498,7 +493,7 @@ mod tests {
         for s in 6..=(4 + WINDOW as u64) {
             assert!(w.accept(s));
         }
-        assert_eq!(w.high(), 4 + WINDOW as u64);
+        assert_eq!(w.high, 4 + WINDOW as u64);
         assert!(
             !w.accept(5),
             "retransmit inside the window double-delivered"
@@ -540,7 +535,7 @@ mod tests {
         let mut w = SeqWindow::new();
         assert!(w.accept(0));
         assert!(w.accept(0));
-        assert_eq!(w.high(), 0);
+        assert_eq!(w.high, 0);
     }
 
     #[test]
@@ -626,7 +621,7 @@ mod tests {
             }
         }
         let mut r = roundtrip(&w);
-        assert_eq!(r.high(), w.high());
+        assert_eq!(r.high, w.high);
         for s in 1..=5_100u64 {
             assert_eq!(
                 w.accept(s),

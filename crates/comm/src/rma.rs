@@ -15,7 +15,7 @@ use crate::links::Rank;
 use crate::stats::FabricStats;
 
 /// Identifier of a registered RMA region, unique per fabric.
-pub type RegionId = u64;
+pub(crate) type RegionId = u64;
 
 /// Released regions kept around per owner to answer duplicated or late
 /// one-sided fetches.

@@ -14,7 +14,7 @@
 //! A **data** message carries one value to every consumer it has on the
 //! destination rank — any number of task IDs on any number of `(node,
 //! terminal)` pairs: the keys of one broadcast, the consumer ports of one
-//! edge, and the output terminals of one [`fanout`](crate::Outs::fanout)
+//! edge, and the output terminals of one [`fanout`](crate::prelude::Outs::fanout)
 //! (Listing 1's `ttg::broadcast<0, 1, 2, 3>`) all share it, so a value
 //! crosses a rank boundary once.
 //!
@@ -29,14 +29,16 @@
 //! archive encoding. `MSG_DATA_SPLITMD` carries the bracketed pair and ends
 //! in the value's metadata; the receiver reads the payload one-sidedly out
 //! of `region` on rank `owner` — which takes an owner in the receiver's
-//! address space, so the sender chooses it only there ([`AmPlan::send`]).
+//! address space, so the sender chooses it only there (`AmPlan::send`).
 
+use std::any::{Any, TypeId};
 use std::sync::Arc;
 
-use ttg_comm::{WireKind, WriteBuf};
+use ttg_comm::{WireError, WireKind, WriteBuf};
 
 use crate::ctx::RuntimeCtx;
-use crate::types::{Data, Key};
+use crate::node::InputMeta;
+use crate::types::{Data, ErasedVal, Key, LocalPass};
 
 /// AM message type: inline (archive/trivial) data.
 pub const MSG_DATA_INLINE: u8 = 0;
@@ -91,7 +93,7 @@ struct PlannedAm {
 /// value is bound for on which rank. Consumer ports [`add`](Self::add)
 /// their keys — every port of an edge, every terminal of a fan-out — and
 /// [`send`](Self::send) ships one AM per destination rank.
-pub struct AmPlan {
+pub(crate) struct AmPlan {
     ams: Vec<PlannedAm>,
     /// `slot_of[rank]` is the rank's index in `ams`; sized on first use,
     /// so a send that stays on its rank allocates nothing.
@@ -105,7 +107,7 @@ pub struct AmPlan {
 
 impl AmPlan {
     /// An empty plan for a value of type `V`.
-    pub fn new<V: Data>(ctx: &RuntimeCtx) -> Self {
+    pub(crate) fn new<V: Data>(ctx: &RuntimeCtx) -> Self {
         let two_stage = two_stage::<V>(ctx);
         AmPlan {
             ams: Vec::new(),
@@ -117,7 +119,14 @@ impl AmPlan {
     }
 
     /// Bind the value for task `k` on `terminal` of `node`, owned by `dest`.
-    pub fn add<K: Key>(&mut self, dest: usize, n_ranks: usize, node: u32, terminal: u16, k: &K) {
+    pub(crate) fn add<K: Key>(
+        &mut self,
+        dest: usize,
+        n_ranks: usize,
+        node: u32,
+        terminal: u16,
+        k: &K,
+    ) {
         self.keys += 1;
         let at = if self.merge {
             if self.slot_of.is_empty() {
@@ -169,7 +178,7 @@ impl AmPlan {
     /// `wire_from` is the fabric sender: `src_rank`, or for an external
     /// seed (inline, as loopback) the out-of-fabric sentinel, whose sends a
     /// rollback re-arms.
-    pub fn send<V: Data>(
+    pub(crate) fn send<V: Data>(
         &mut self,
         v: &V,
         from_task: u64,
@@ -242,6 +251,68 @@ impl AmPlan {
             fabric
                 .stats()
                 .count_broadcast_dedup(sends_saved, sends_saved * unit as u64);
+        }
+    }
+}
+
+/// The one decoded value of a data AM on its way to every consumer the
+/// AM's groups name.
+pub struct Arrival {
+    val: ArrivalVal,
+    pub(crate) value_type: TypeId,
+}
+
+enum ArrivalVal {
+    /// Share local-pass and several consumers: they alias one allocation
+    /// instead of each getting a deep copy.
+    Shared(Arc<dyn Any + Send + Sync>),
+    /// One consumer, or Copy local-pass: a clone for each of the `left`
+    /// consumers but the last, which takes the value itself.
+    Owned(Option<Box<dyn Any + Send>>, usize),
+}
+
+impl Arrival {
+    pub(crate) fn new(
+        val: Box<dyn Any + Send>,
+        consumers: usize,
+        meta: &InputMeta,
+        rank: usize,
+        ctx: &RuntimeCtx,
+    ) -> Self {
+        let val = if consumers > 1 && ctx.backend.local_pass == LocalPass::Share {
+            ctx.metrics.values_shared[rank].inc();
+            ArrivalVal::Shared((meta.to_shared)(val))
+        } else {
+            ArrivalVal::Owned(Some(val), consumers)
+        };
+        Arrival {
+            val,
+            value_type: meta.value_type,
+        }
+    }
+
+    /// The value for the next consumer, a terminal described by `meta`.
+    pub(crate) fn next(
+        &mut self,
+        meta: &InputMeta,
+        rank: usize,
+        ctx: &RuntimeCtx,
+    ) -> Result<ErasedVal, WireError> {
+        match &mut self.val {
+            ArrivalVal::Shared(arc) => {
+                ctx.metrics.local_shared[rank].inc();
+                Ok(ErasedVal::Shared(Arc::clone(arc)))
+            }
+            ArrivalVal::Owned(val, left) => {
+                let next = match *left {
+                    0 => None,
+                    1 => val.take(),
+                    _ => val.as_deref().map(|v| (meta.clone_boxed)(v)),
+                };
+                *left = left.saturating_sub(1);
+                next.map(ErasedVal::Owned)
+                    .ok_or_else(|| WireError::new("more keys than the message announced"))
+            }
         }
     }
 }

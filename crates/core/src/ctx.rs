@@ -47,7 +47,7 @@ ttg_telemetry::metrics! {
 impl CoreMetrics {
     /// A consumer on `rank` raced live readers of a shared value and paid a
     /// copy-on-write clone of `bytes` bytes.
-    pub fn count_cow_clone(&self, rank: usize, bytes: u64) {
+    pub(crate) fn count_cow_clone(&self, rank: usize, bytes: u64) {
         self.cow_clones[rank].inc();
         self.cloned_bytes[rank].add(bytes);
     }
@@ -60,7 +60,7 @@ impl CoreMetrics {
 
 /// A rank's worker pool: each worker holds one handle on the context for
 /// its lifetime, and every job runs with a borrow of it.
-pub type TaskPool = WorkerPool<Arc<RuntimeCtx>>;
+pub(crate) type TaskPool = WorkerPool<Arc<RuntimeCtx>>;
 
 /// Task ids a thread takes from its context at a time: allocating one
 /// writes only the thread's own block, and the context's counter once a
@@ -84,21 +84,21 @@ pub struct RuntimeCtx {
     /// The simulated communication fabric.
     pub fabric: Arc<Fabric>,
     /// Per-rank worker pools (set once by the executor).
-    pub pools: OnceLock<Vec<TaskPool>>,
+    pub(crate) pools: OnceLock<Vec<TaskPool>>,
     /// Global quiescence tracker backing `Executor::wait`; it signals the
     /// fabric's event count, so one wait parks on both.
     pub quiescence: Arc<Quiescence>,
     /// Active backend configuration.
-    pub backend: BackendSpec,
+    pub(crate) backend: BackendSpec,
     /// Trace recorder, present when tracing is enabled.
-    pub trace: Option<TraceRecorder>,
+    pub(crate) trace: Option<TraceRecorder>,
     /// All template-task nodes, indexed by node id (set once).
-    pub nodes: OnceLock<Vec<Arc<dyn AnyNode>>>,
+    pub(crate) nodes: OnceLock<Vec<Arc<dyn AnyNode>>>,
     /// Core-layer counters (activations, folds, local-pass behavior).
     pub metrics: CoreMetrics,
     /// Runtime-sanitizer violation log (populated by `checked` call sites
     /// and zero-consumer edge drops; drained into the execution report).
-    pub sanitizer: crate::inspect::Sanitizer,
+    pub(crate) sanitizer: crate::inspect::Sanitizer,
     serial: u64,
     /// Start of the next block of task ids.
     next_task_block: AtomicU64,
@@ -106,7 +106,7 @@ pub struct RuntimeCtx {
 
 impl RuntimeCtx {
     /// Create a context over `fabric` with the given backend.
-    pub fn new(fabric: Arc<Fabric>, backend: BackendSpec, trace: bool) -> Arc<Self> {
+    pub(crate) fn new(fabric: Arc<Fabric>, backend: BackendSpec, trace: bool) -> Arc<Self> {
         let metrics = CoreMetrics::register(fabric.telemetry(), fabric.num_ranks());
         let quiescence = Arc::new(Quiescence::with_events(Arc::clone(fabric.events())));
         Arc::new(RuntimeCtx {
@@ -128,7 +128,7 @@ impl RuntimeCtx {
     }
 
     /// Number of ranks in this execution.
-    pub fn n_ranks(&self) -> usize {
+    pub(crate) fn n_ranks(&self) -> usize {
         self.fabric.num_ranks()
     }
 
@@ -143,7 +143,7 @@ impl RuntimeCtx {
     /// A multi-process rank hosts exactly one pool (its own), so every
     /// rank maps to it — callers always name ranks whose work is local,
     /// which in that mode is only this one.
-    pub fn pool(&self, rank: usize) -> &TaskPool {
+    pub(crate) fn pool(&self, rank: usize) -> &TaskPool {
         let pools = self.pools.get().expect("executor not started");
         if pools.len() == 1 {
             &pools[0]
@@ -154,7 +154,7 @@ impl RuntimeCtx {
 
     /// Allocate a task id unique within this context (≥ 1; 0 means
     /// "external seed"), from the calling thread's block.
-    pub fn alloc_task_id(&self) -> u64 {
+    pub(crate) fn alloc_task_id(&self) -> u64 {
         TASK_IDS.with(|ids| {
             let (serial, mut next, mut end) = ids.get();
             if serial != self.serial || next == end {

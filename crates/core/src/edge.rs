@@ -21,7 +21,7 @@ use crate::trace::Dep;
 use crate::types::{Data, ErasedVal, FanoutVal, Key, LocalPass};
 
 /// A consumer endpoint of an edge: one input terminal of one template task.
-pub trait ConsumerPort<K: Key, V: Data>: Send + Sync {
+pub(crate) trait ConsumerPort<K: Key, V: Data>: Send + Sync {
     /// Route `v` to the tasks `keys`: those other ranks own join `plan`,
     /// the ones `src_rank` owns receive the value now. The producer-side
     /// terminal decides the ownership mode. A send to a single port arrives
@@ -38,12 +38,6 @@ pub trait ConsumerPort<K: Key, V: Data>: Send + Sync {
         src_rank: usize,
         ctx: &Arc<RuntimeCtx>,
     );
-    /// Set the expected stream size for key `k` on this terminal.
-    fn set_stream_size(&self, k: &K, n: usize, src_rank: usize, ctx: &Arc<RuntimeCtx>);
-    /// Finalize the stream for key `k` on this terminal.
-    fn finalize(&self, k: &K, src_rank: usize, ctx: &Arc<RuntimeCtx>);
-    /// Directly insert a seed value (main-thread injection, no provenance).
-    fn seed(&self, k: K, v: V, ctx: &Arc<RuntimeCtx>);
 }
 
 /// Process-global edge id allocator: gives every edge a stable identity the
@@ -54,7 +48,7 @@ static NEXT_EDGE_ID: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64
 type Ports<K, V> = Vec<Arc<dyn ConsumerPort<K, V>>>;
 
 /// Shared state of an edge: the registered consumer ports.
-pub struct EdgeState<K: Key, V: Data> {
+pub(crate) struct EdgeState<K: Key, V: Data> {
     id: u64,
     name: String,
     /// Ports registered while the graph is built.
@@ -93,17 +87,13 @@ impl<K: Key, V: Data> Edge<K, V> {
     }
 
     /// Edge name (diagnostics).
-    pub fn name(&self) -> &str {
+    #[cfg(feature = "checked")]
+    pub(crate) fn name(&self) -> &str {
         &self.state.name
     }
 
-    /// Process-unique edge id: clones of this edge share it.
-    pub fn id(&self) -> u64 {
-        self.state.id
-    }
-
     /// Identity declaration recorded on node terminal lists by `make_tt`.
-    pub fn decl(&self) -> crate::inspect::EdgeDecl {
+    pub(crate) fn decl(&self) -> crate::inspect::EdgeDecl {
         crate::inspect::EdgeDecl {
             edge_id: self.state.id,
             name: self.state.name.clone(),
@@ -113,7 +103,7 @@ impl<K: Key, V: Data> Edge<K, V> {
     /// Register a consumer port (done by `make_tt` for each input edge).
     /// Panics once the edge has carried a message: its consumers are
     /// fixed by then.
-    pub fn add_consumer(&self, port: Arc<dyn ConsumerPort<K, V>>) {
+    pub(crate) fn add_consumer(&self, port: Arc<dyn ConsumerPort<K, V>>) {
         assert!(
             self.state.consumers.get().is_none(),
             "edge {} gained a consumer after its first send",
@@ -140,7 +130,7 @@ impl<K: Key, V: Data> Default for Edge<K, V> {
 /// terminal, applying backend data-passing semantics. It names its node by
 /// id and finds it in the context's node table, so a send touches no
 /// reference count (and the node → edge → port chain holds no cycle).
-pub struct PortImpl<K: Key, V: Data> {
+pub(crate) struct PortImpl<K: Key, V: Data> {
     node: u32,
     terminal: u16,
     _ph: std::marker::PhantomData<fn() -> (K, V)>,
@@ -154,7 +144,7 @@ impl<K: Key, V: Data> Clone for PortImpl<K, V> {
 
 impl<K: Key, V: Data> PortImpl<K, V> {
     /// Create a port for input `terminal` of node `node`.
-    pub fn new(node: u32, terminal: u16) -> Self {
+    pub(crate) fn new(node: u32, terminal: u16) -> Self {
         PortImpl {
             node,
             terminal,
@@ -280,18 +270,6 @@ impl<K: Key, V: Data> ConsumerPort<K, V> for PortImpl<K, V> {
             self.deliver_local(node, src_rank, keys, n_local, v, from_task, src_rank, ctx);
         }
     }
-
-    fn set_stream_size(&self, k: &K, n: usize, src_rank: usize, ctx: &Arc<RuntimeCtx>) {
-        port_set_stream_size(self.node(ctx), self.terminal, k, n, src_rank, ctx);
-    }
-
-    fn finalize(&self, k: &K, src_rank: usize, ctx: &Arc<RuntimeCtx>) {
-        port_finalize(self.node(ctx), self.terminal, k, src_rank, ctx);
-    }
-
-    fn seed(&self, k: K, v: V, ctx: &Arc<RuntimeCtx>) {
-        port_seed(self.node(ctx), self.terminal, k, v, ctx);
-    }
 }
 
 // Port operations shared between edge consumer ports (which find their
@@ -415,12 +393,19 @@ pub struct OutTerm<K: Key, V: Data> {
 
 impl<K: Key, V: Data> OutTerm<K, V> {
     /// Wrap an edge as an output terminal.
-    pub fn new(edge: Edge<K, V>) -> Self {
+    pub(crate) fn new(edge: Edge<K, V>) -> Self {
         OutTerm { edge }
     }
 
     /// Send `v` to the single task `k` on every consumer of the edge.
-    pub fn send_one(&self, k: K, v: V, from_task: u64, src_rank: usize, ctx: &Arc<RuntimeCtx>) {
+    pub(crate) fn send_one(
+        &self,
+        k: K,
+        v: V,
+        from_task: u64,
+        src_rank: usize,
+        ctx: &Arc<RuntimeCtx>,
+    ) {
         self.broadcast_keys(std::slice::from_ref(&k), v, from_task, src_rank, ctx);
     }
 
@@ -432,7 +417,7 @@ impl<K: Key, V: Data> OutTerm<K, V> {
     /// not double-deliver (exactly-once matching would reject it) or
     /// double-count broadcast bytes. A multi-port broadcast erases the value
     /// once into a shared handle instead of deep-cloning it per port.
-    pub fn broadcast_keys(
+    pub(crate) fn broadcast_keys(
         &self,
         keys: &[K],
         v: V,
@@ -511,10 +496,5 @@ impl<K: Key, V: Data> OutTerm<K, V> {
             return;
         }
         f(keys, ports)
-    }
-
-    /// The underlying edge.
-    pub fn edge(&self) -> &Edge<K, V> {
-        &self.edge
     }
 }

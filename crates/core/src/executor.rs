@@ -339,11 +339,6 @@ impl Executor {
         &self.ctx
     }
 
-    /// Number of ranks.
-    pub fn n_ranks(&self) -> usize {
-        self.ctx.n_ranks()
-    }
-
     /// Block until the execution has terminated: no task running or queued
     /// on any rank and no message in flight. That is one rule — two
     /// consecutive identical all-idle observations with as many messages

@@ -69,16 +69,6 @@ impl GraphBuilder {
             nodes: self.nodes.into(),
         }
     }
-
-    /// Number of template tasks added so far.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Whether no template task was added yet.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
-    }
 }
 
 /// An immutable template task graph, ready for execution.
@@ -200,11 +190,5 @@ impl<K: Key, VS: 'static, TS> TtHandle<K, VS, TS> {
     /// when a verifier runs, so this is cheap to call unconditionally.
     pub fn set_check_samples(&self, keys: Vec<K>) {
         self.node.set_check_samples(keys);
-    }
-
-    /// Tasks of this template executed so far.
-    pub fn tasks_executed(&self) -> u64 {
-        use crate::node::AnyNode as _;
-        self.node.tasks_executed()
     }
 }

@@ -35,8 +35,6 @@ pub struct ReducerDecl {
 /// Outcome of evaluating a node's keymap over registered sample keys.
 #[derive(Debug, Clone, Default)]
 pub struct KeymapProbe {
-    /// Number of sample keys evaluated.
-    pub samples: usize,
     /// Keys (debug-rendered) whose raw keymap value was `>= n_ranks`,
     /// with the value returned.
     pub out_of_range: Vec<(String, usize)>,
@@ -48,8 +46,6 @@ pub struct KeymapProbe {
 /// the anatomy of a silent hang.
 #[derive(Debug, Clone)]
 pub struct StuckEntry {
-    /// Id of the owning template task.
-    pub node_id: u32,
     /// Name of the owning template task.
     pub node: &'static str,
     /// Rank whose table holds the entry.
@@ -323,28 +319,19 @@ impl fmt::Display for Violation {
 /// the feature off the log stays empty and costs one untouched mutex per
 /// execution.
 #[derive(Default)]
-pub struct Sanitizer {
+pub(crate) struct Sanitizer {
     log: Mutex<Vec<Violation>>,
 }
 
 impl Sanitizer {
     /// Append a violation.
-    pub fn record(&self, v: Violation) {
+    #[cfg(feature = "checked")]
+    pub(crate) fn record(&self, v: Violation) {
         self.log.lock().push(v);
     }
 
-    /// Number of violations recorded so far.
-    pub fn len(&self) -> usize {
-        self.log.lock().len()
-    }
-
-    /// Whether no violation was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.log.lock().is_empty()
-    }
-
     /// Drain the log (done once by `Executor::finish`).
-    pub fn take(&self) -> Vec<Violation> {
+    pub(crate) fn take(&self) -> Vec<Violation> {
         std::mem::take(&mut *self.log.lock())
     }
 }

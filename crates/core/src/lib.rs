@@ -44,40 +44,42 @@
 //! out.sort();
 //! assert_eq!(out, vec![(0, 20), (1, 22), (2, 24), (3, 26)]);
 //! ```
+//!
+//! A program sees [`prelude`]: graph, template tasks, terminals, edges,
+//! keymaps and the executor. Beside it the crate exports only what the
+//! layers around it name: the task trace ([`TaskEvent`], [`chrome_trace`]),
+//! the diagnostics records ([`StuckEntry`], [`Violation`],
+//! [`MutationError`]), the AM header ([`am`], for `ttg-check`'s protocol
+//! pass) and the lock classes ([`lockdoc`]). Matching, streaming, launch
+//! and delivery stay inside.
 
 #![warn(missing_docs)]
 
 pub mod am;
-pub mod backend;
+mod backend;
 pub(crate) mod batch;
-pub mod ctx;
-pub mod edge;
-pub mod executor;
-pub mod export;
-pub mod graph;
-pub mod inspect;
+mod ctx;
+mod edge;
+mod executor;
+mod export;
+mod graph;
+mod inspect;
 pub mod lockdoc;
-pub mod node;
-pub mod outs;
+mod node;
+mod outs;
 mod recovery;
-pub mod trace;
-pub mod tuples;
-pub mod types;
+mod trace;
+mod tuples;
+mod types;
 
 pub use backend::BackendSpec;
-pub use ctx::RuntimeCtx;
-pub use edge::{ConsumerPort, Edge, OutTerm};
-pub use executor::{ExecConfig, ExecReport, Executor};
+pub use executor::ExecReport;
 pub use export::{chrome_trace, layout_task_slices};
-pub use graph::{Graph, GraphBuilder, TtHandle};
-pub use inspect::{EdgeDecl, KeymapProbe, MutationError, ReducerDecl, StuckEntry, Violation};
-pub use outs::{Fanout, InRef, Outs};
+pub use graph::Graph;
+pub use inspect::{MutationError, StuckEntry, Violation};
 pub use trace::{Dep, TaskEvent, TraceRecorder};
-pub use ttg_comm::{
-    CommError, CommErrorKind, FaultPlan, KillScript, RemoteHandle, RetryPolicy, TransportKind,
-    TransportSpec,
-};
-pub use types::{Ctl, Data, Key, LocalPass};
+pub use ttg_comm::{CommError, CommErrorKind};
+pub use types::{Data, Key, LocalPass};
 
 /// Everything needed to write a TTG program.
 pub mod prelude {

@@ -3,26 +3,25 @@
 //! A template task ("TT") matches incoming messages by task ID across all of
 //! its input terminals; when every terminal has a complete input for some ID
 //! a task instance is created and scheduled (paper §II). The public, fully
-//! typed API lives in `graph`/`outs`; this module implements the matching
-//! tables, streaming-terminal reduction, task launch, and the delivery of
-//! active messages (whose wire format is [`crate::am`]'s).
+//! typed API lives in `graph`/`outs`; this module implements task launch,
+//! the delivery of active messages (whose wire format and decoded value,
+//! [`crate::am::Arrival`], are `am`'s), export/import of a rank's pending
+//! entries, and diagnostics. The matching table is `table`; streaming
+//! terminals are `stream`.
 
 use std::any::{Any, TypeId};
-use std::collections::hash_map::{Entry, HashMap};
-use std::hash::{BuildHasher, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 use parking_lot::RwLock;
 use ttg_comm::{ReadBuf, WireError, WriteBuf};
-use ttg_telemetry::Padded;
 
-use crate::am::{MSG_DATA_INLINE, MSG_DATA_SPLITMD, MSG_FINALIZE, MSG_SET_SIZE};
+use crate::am::{Arrival, MSG_DATA_INLINE, MSG_DATA_SPLITMD, MSG_FINALIZE, MSG_SET_SIZE};
 use crate::ctx::RuntimeCtx;
 use crate::inspect::{EdgeDecl, KeymapProbe, MutationError, ReducerDecl, StuckEntry};
 use crate::trace::{Dep, TaskEvent};
-use crate::types::{ErasedVal, Key, LocalPass};
+use crate::types::{ErasedVal, Key};
 
 #[cfg(feature = "checked")]
 use crate::inspect::Violation;
@@ -45,6 +44,12 @@ macro_rules! misuse {
     }};
 }
 
+mod stream;
+mod table;
+
+pub(crate) use table::Inputs;
+use table::{PendingE, ShardedTable, SlotE, Stripe};
+
 /// Outcome of a matching-table call made on behalf of a task body (or a
 /// seed) of this process: see [`misuse`].
 pub(crate) fn or_panic(r: Result<(), WireError>) {
@@ -54,104 +59,52 @@ pub(crate) fn or_panic(r: Result<(), WireError>) {
 }
 
 /// Type-erased reduction operator for a streaming terminal.
-pub type ErasedReduce = Arc<dyn Fn(&mut Box<dyn Any + Send>, ErasedVal) + Send + Sync>;
+pub(crate) type ErasedReduce = Arc<dyn Fn(&mut Box<dyn Any + Send>, ErasedVal) + Send + Sync>;
 
 /// Type-erased conversion of the first stream message into the accumulator.
-pub type ErasedInit = Arc<dyn Fn(ErasedVal) -> Box<dyn Any + Send> + Send + Sync>;
+pub(crate) type ErasedInit = Arc<dyn Fn(ErasedVal) -> Box<dyn Any + Send> + Send + Sync>;
 
 /// Reducer installed on an input terminal (paper §II-B streaming terminals).
 #[derive(Clone)]
-pub struct ReducerSpec {
+pub(crate) struct ReducerSpec {
     /// Converts the first message into the accumulator.
-    pub init: ErasedInit,
+    pub(crate) init: ErasedInit,
     /// Folds one more message into the accumulator.
-    pub op: ErasedReduce,
+    pub(crate) op: ErasedReduce,
     /// Default expected stream length (None = unbounded, requires
     /// finalize or a per-key size).
-    pub default_size: Option<usize>,
+    pub(crate) default_size: Option<usize>,
 }
 
 /// Fixed (construction-time) per-terminal vtable.
 pub struct InputMeta {
     /// The terminal's value type: a data AM's value, decoded once, may only
     /// be handed to terminals of it.
-    pub value_type: TypeId,
+    pub(crate) value_type: TypeId,
     /// Decode an inline value from an AM.
-    pub decode:
+    pub(crate) decode:
         Arc<dyn Fn(&mut ReadBuf<'_>) -> Result<Box<dyn Any + Send>, WireError> + Send + Sync>,
     /// Decode a split-metadata value: metadata cursor + RMA payload bytes.
-    pub decode_splitmd: Arc<
+    pub(crate) decode_splitmd: Arc<
         dyn Fn(&mut ReadBuf<'_>, &[u8]) -> Result<Box<dyn Any + Send>, WireError> + Send + Sync,
     >,
     /// Clone an erased boxed value (for multi-key deliveries in `Copy`
     /// local-pass mode).
-    pub clone_boxed: Arc<dyn Fn(&(dyn Any + Send)) -> Box<dyn Any + Send> + Send + Sync>,
+    pub(crate) clone_boxed: Arc<dyn Fn(&(dyn Any + Send)) -> Box<dyn Any + Send> + Send + Sync>,
     /// Promote an erased boxed value into a shared handle (for multi-key
     /// deliveries in `Share` local-pass mode: piggybacked consumers alias
     /// one allocation instead of each receiving a deep copy).
-    pub to_shared: Arc<dyn Fn(Box<dyn Any + Send>) -> Arc<dyn Any + Send + Sync> + Send + Sync>,
+    pub(crate) to_shared:
+        Arc<dyn Fn(Box<dyn Any + Send>) -> Arc<dyn Any + Send + Sync> + Send + Sync>,
     /// Re-encode a live slot value in place (checkpoint export). Fails on a
     /// type mismatch, which aborts the snapshot attempt gracefully.
-    pub encode: Arc<dyn Fn(&ErasedVal, &mut WriteBuf) -> Result<(), WireError> + Send + Sync>,
+    pub(crate) encode:
+        Arc<dyn Fn(&ErasedVal, &mut WriteBuf) -> Result<(), WireError> + Send + Sync>,
     /// Re-encode a stream accumulator (checkpoint export). Fails when the
     /// accumulator type differs from the terminal's wire type — such
     /// terminals make the owning rank unsnapshottable, not broken.
-    pub encode_boxed:
+    pub(crate) encode_boxed:
         Arc<dyn Fn(&(dyn Any + Send), &mut WriteBuf) -> Result<(), WireError> + Send + Sync>,
-}
-
-/// State of one input terminal for one pending task ID.
-pub enum SlotE {
-    /// No message yet.
-    Empty,
-    /// Single-message terminal, satisfied.
-    Plain(ErasedVal),
-    /// Streaming terminal accumulating messages.
-    Stream {
-        /// Reduction accumulator (None until the first message).
-        acc: Option<Box<dyn Any + Send>>,
-        /// Messages folded so far.
-        received: usize,
-        /// Expected stream length (terminal default or per-key override).
-        expected: Option<usize>,
-        /// Explicitly finalized via `finalize`.
-        finalized: bool,
-    },
-}
-
-impl SlotE {
-    fn is_complete(&self) -> bool {
-        match self {
-            SlotE::Empty => false,
-            SlotE::Plain(_) => true,
-            SlotE::Stream {
-                received,
-                expected,
-                finalized,
-                ..
-            } => *finalized || expected.is_some_and(|e| *received >= e),
-        }
-    }
-
-    /// Human-readable state, for stuck-key deadlock reports.
-    fn describe(&self) -> String {
-        match self {
-            SlotE::Empty => "empty (no message received)".into(),
-            SlotE::Plain(_) => "filled".into(),
-            SlotE::Stream {
-                received,
-                expected,
-                finalized,
-                ..
-            } => match expected {
-                Some(e) => format!(
-                    "stream received {received} of {e}{}",
-                    if *finalized { ", finalized" } else { "" }
-                ),
-                None => format!("unbounded stream received {received}, not finalized"),
-            },
-        }
-    }
 }
 
 /// Why a slot did not take a value (see [`NodeInner::refuse`]).
@@ -162,265 +115,6 @@ enum Refused {
     Overrun(usize),
     /// A `set_stream_size` made a stream of a terminal without a reducer.
     NoReducer,
-}
-
-/// Terminals a pending entry keeps inline in the map entry. Covers every
-/// template of the paper's four applications (GEMM and `FW_D` take 3): no
-/// heap allocation per pending key, and the slot write lands on the entry's
-/// already-hot cachelines instead of chasing a `Vec` pointer.
-const INLINE_SLOTS: usize = 4;
-
-/// Terminal slots of one pending entry: inline up to [`INLINE_SLOTS`]
-/// inputs, spilled to a `Vec` beyond.
-enum Slots {
-    Inline { arr: [SlotE; INLINE_SLOTS], n: u8 },
-    Spill(Vec<SlotE>),
-}
-
-impl Slots {
-    fn new(n: usize) -> Self {
-        if n <= INLINE_SLOTS {
-            Slots::Inline {
-                arr: std::array::from_fn(|_| SlotE::Empty),
-                n: n as u8,
-            }
-        } else {
-            Slots::Spill((0..n).map(|_| SlotE::Empty).collect())
-        }
-    }
-
-    fn get_mut(&mut self, i: usize) -> &mut SlotE {
-        match self {
-            Slots::Inline { arr, n } => {
-                debug_assert!(i < *n as usize, "terminal {i} out of range");
-                &mut arr[i]
-            }
-            Slots::Spill(v) => &mut v[i],
-        }
-    }
-
-    fn as_slice(&self) -> &[SlotE] {
-        match self {
-            Slots::Inline { arr, n } => &arr[..*n as usize],
-            Slots::Spill(v) => v,
-        }
-    }
-}
-
-enum SlotsIter {
-    Inline(std::iter::Take<std::array::IntoIter<SlotE, INLINE_SLOTS>>),
-    Spill(std::vec::IntoIter<SlotE>),
-}
-
-/// The matched inputs of one task, in terminal order: the slots of its
-/// completed entry, moved into the job as they are. The task body's
-/// prologue pulls its erased values out of them one by one.
-pub struct Inputs(SlotsIter);
-
-impl Iterator for Inputs {
-    type Item = ErasedVal;
-    fn next(&mut self) -> Option<ErasedVal> {
-        let slot = match &mut self.0 {
-            SlotsIter::Inline(it) => it.next(),
-            SlotsIter::Spill(it) => it.next(),
-        }?;
-        Some(match slot {
-            SlotE::Plain(v) => v,
-            SlotE::Stream { acc: Some(a), .. } => ErasedVal::Owned(a),
-            SlotE::Stream { acc: None, .. } => unreachable!("checked at launch"),
-            SlotE::Empty => unreachable!("incomplete slot at launch"),
-        })
-    }
-}
-
-impl From<Slots> for Inputs {
-    fn from(slots: Slots) -> Self {
-        Inputs(match slots {
-            Slots::Inline { arr, n } => SlotsIter::Inline(arr.into_iter().take(n as usize)),
-            Slots::Spill(v) => SlotsIter::Spill(v.into_iter()),
-        })
-    }
-}
-
-/// Matching-table entry: all terminal states plus trace provenance.
-pub struct PendingE {
-    slots: Slots,
-    deps: Vec<Dep>,
-}
-
-impl PendingE {
-    fn new(n: usize) -> Self {
-        PendingE {
-            slots: Slots::new(n),
-            deps: Vec::new(),
-        }
-    }
-    fn all_complete(&self) -> bool {
-        self.slots.as_slice().iter().all(|s| s.is_complete())
-    }
-}
-
-/// FxHash-style multiply-xor hasher for the matching table. Task keys are
-/// runtime-generated, never attacker-controlled, so SipHash's hash-flooding
-/// resistance buys nothing on this path while costing an order of magnitude
-/// more per key than one rotate-xor-multiply round.
-#[derive(Clone, Copy, Default)]
-struct FxHasher {
-    hash: u64,
-}
-
-const FX_SEED: u64 = 0x517c_c1b7_2722_0a95;
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
-    }
-}
-
-impl Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.hash
-    }
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        let mut chunks = bytes.chunks_exact(8);
-        for c in &mut chunks {
-            self.add(u64::from_le_bytes(c.try_into().unwrap()));
-        }
-        let rem = chunks.remainder();
-        if !rem.is_empty() {
-            let mut buf = [0u8; 8];
-            buf[..rem.len()].copy_from_slice(rem);
-            self.add(u64::from_le_bytes(buf));
-        }
-    }
-    #[inline]
-    fn write_u8(&mut self, i: u8) {
-        self.add(i as u64);
-    }
-    #[inline]
-    fn write_u16(&mut self, i: u16) {
-        self.add(i as u64);
-    }
-    #[inline]
-    fn write_u32(&mut self, i: u32) {
-        self.add(i as u64);
-    }
-    #[inline]
-    fn write_u64(&mut self, i: u64) {
-        self.add(i);
-    }
-    #[inline]
-    fn write_u128(&mut self, i: u128) {
-        self.add(i as u64);
-        self.add((i >> 64) as u64);
-    }
-    #[inline]
-    fn write_usize(&mut self, i: usize) {
-        self.add(i as u64);
-    }
-}
-
-#[derive(Clone, Copy, Default)]
-struct FxBuildHasher;
-
-impl BuildHasher for FxBuildHasher {
-    type Hasher = FxHasher;
-    #[inline]
-    fn build_hasher(&self) -> FxHasher {
-        FxHasher::default()
-    }
-}
-
-/// Lock-striped matching table of one rank.
-///
-/// Every message insert and AM delivery for a rank used to serialize behind
-/// a single `Mutex<HashMap>`; striping the key space over `2 × workers`
-/// shards (rounded up to a power of two) lets concurrent workers insert
-/// disjoint keys without contending. A key always hashes to the same shard,
-/// so per-key matching, streaming and completion semantics are untouched.
-///
-/// The table also counts the rank's executed tasks. The tables of a node's
-/// ranks are made one after the other: their structs sit in one `Vec` and
-/// their stripes in consecutive allocations. The count moves per task and
-/// a stripe's lock is taken per insert, so neither may share a line with
-/// another rank's: the count is [`Padded`], and the stripes are followed by
-/// a line of spare capacity.
-struct ShardedTable<K: Key> {
-    /// `mask + 1` stripes, then [`ShardedTable::SPARE`] stripes' worth of
-    /// capacity that nothing writes. Never shrink it or rebuild it with a
-    /// `collect`: `a_tables_stripes_are_followed_by_a_spare_line` checks it.
-    shards: Vec<Stripe<K>>,
-    mask: usize,
-    executed: Padded<AtomicU64>,
-}
-
-type Stripe<K> = ttg_model::sync::Mutex<HashMap<K, PendingE, FxBuildHasher>>;
-
-impl<K: Key> ShardedTable<K> {
-    /// A cache line's worth of stripes. Only the end of the stripes needs
-    /// one, since the next allocation is the next rank's stripes. Padding
-    /// every stripe instead raised `chol_compute`'s peak RSS by 8–12 %, and
-    /// guard stripes in place of the spare capacity read two chains at
-    /// 1.33–1.36× per link of one against 1.20–1.21× (30 alternating runs
-    /// each way on a 2-core host).
-    const SPARE: usize = 64usize.div_ceil(std::mem::size_of::<Stripe<K>>());
-
-    fn new(n_shards: usize) -> Self {
-        let n = n_shards.max(1).next_power_of_two();
-        let mut shards = Vec::with_capacity(n + Self::SPARE);
-        shards.extend((0..n).map(|_| Stripe::new(HashMap::with_hasher(FxBuildHasher))));
-        ShardedTable {
-            shards,
-            mask: n - 1,
-            executed: Padded::new(AtomicU64::new(0)),
-        }
-    }
-
-    fn shard(&self, k: &K) -> &Stripe<K> {
-        // Pick the shard from the *high* half of the hash: the map inside the
-        // shard buckets on the low bits of the same hash function, so using
-        // disjoint bits avoids correlated bucket skew within a shard.
-        let h = FxBuildHasher.hash_one(k);
-        &self.shards[((h >> 32) as usize) & self.mask]
-    }
-
-    fn pending(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
-    }
-
-    /// A match: under `k`'s stripe lock, `fill` the key's entry (a fresh
-    /// one of `n_inputs` slots if it has none) and take the entry out if
-    /// that completed it. The lookup and the claim are one critical
-    /// section, so of the arrivals that complete a key exactly one takes
-    /// it. A refusal leaves the table as it was and returns the key.
-    #[inline]
-    fn arrive<E>(
-        &self,
-        k: K,
-        n_inputs: usize,
-        fill: impl FnOnce(&mut PendingE) -> Result<(), E>,
-    ) -> Result<Option<(K, PendingE)>, (E, K)> {
-        match self.shard(&k).lock().entry(k) {
-            Entry::Occupied(mut e) => match fill(e.get_mut()) {
-                Err(m) => Err((m, e.key().clone())),
-                Ok(()) => Ok(e.get().all_complete().then(|| e.remove_entry())),
-            },
-            Entry::Vacant(v) => {
-                let mut entry = PendingE::new(n_inputs);
-                match fill(&mut entry) {
-                    Err(m) => Err((m, v.into_key())),
-                    Ok(()) if entry.all_complete() => Ok(Some((v.into_key(), entry))),
-                    Ok(()) => {
-                        v.insert(entry);
-                        Ok(None)
-                    }
-                }
-            }
-        }
-    }
 }
 
 /// Type-erased interface of a template task, used by the executor's
@@ -504,11 +198,11 @@ struct FrozenMaps<K: Key> {
 /// The shared implementation behind every template task.
 pub struct NodeInner<K: Key> {
     /// Node id within the graph.
-    pub id: u32,
+    pub(crate) id: u32,
     /// Node name (for traces and debugging).
-    pub name: &'static str,
+    pub(crate) name: &'static str,
     /// Number of input terminals.
-    pub n_inputs: usize,
+    pub(crate) n_inputs: usize,
     tables: OnceLock<Vec<ShardedTable<K>>>,
     frozen: OnceLock<FrozenMaps<K>>,
     keymap: RwLock<KeyMapFn<K>>,
@@ -523,7 +217,7 @@ pub struct NodeInner<K: Key> {
 
 impl<K: Key> NodeInner<K> {
     /// Construct a node; `metas` has one entry per input terminal.
-    pub fn new(
+    pub(crate) fn new(
         id: u32,
         name: &'static str,
         metas: Vec<InputMeta>,
@@ -556,7 +250,7 @@ impl<K: Key> NodeInner<K> {
     }
 
     /// Install the task body (done once by `make_tt`).
-    pub fn set_invoke(&self, f: InvokeFn<K>) {
+    pub(crate) fn set_invoke(&self, f: InvokeFn<K>) {
         if self.invoke.set(f).is_err() {
             panic!("invoke already set for node {}", self.name);
         }
@@ -564,7 +258,7 @@ impl<K: Key> NodeInner<K> {
 
     /// Record the edge identities of the input and output terminals (done
     /// once by `make_tt`; consumed by the static verifier).
-    pub fn set_topology(&self, inputs: Vec<EdgeDecl>, outputs: Vec<EdgeDecl>) {
+    pub(crate) fn set_topology(&self, inputs: Vec<EdgeDecl>, outputs: Vec<EdgeDecl>) {
         if self.topo.set((inputs, outputs)).is_err() {
             panic!("topology already set for node {}", self.name);
         }
@@ -573,7 +267,7 @@ impl<K: Key> NodeInner<K> {
     /// Register sample keys for static keymap probing (`ttg-check`
     /// diagnostics TTG004/TTG005). Cheap to call unconditionally: the keys
     /// are only evaluated when a verifier runs.
-    pub fn set_check_samples(&self, keys: Vec<K>) {
+    pub(crate) fn set_check_samples(&self, keys: Vec<K>) {
         *self.check_samples.write() = keys;
     }
 
@@ -589,21 +283,21 @@ impl<K: Key> NodeInner<K> {
 
     /// Install a streaming reducer on terminal `t`. Fails with `TTG010`
     /// once the executor has frozen the node maps.
-    pub fn set_reducer(&self, t: usize, spec: ReducerSpec) -> Result<(), MutationError> {
+    pub(crate) fn set_reducer(&self, t: usize, spec: ReducerSpec) -> Result<(), MutationError> {
         self.guard_mutation("set_reducer")?;
         *self.reducers[t].write() = Some(spec);
         Ok(())
     }
 
     /// Replace the keymap. Fails with `TTG010` after executor attach.
-    pub fn set_keymap(&self, f: KeyMapFn<K>) -> Result<(), MutationError> {
+    pub(crate) fn set_keymap(&self, f: KeyMapFn<K>) -> Result<(), MutationError> {
         self.guard_mutation("set_keymap")?;
         *self.keymap.write() = f;
         Ok(())
     }
 
     /// Install a priority map. Fails with `TTG010` after executor attach.
-    pub fn set_priomap(&self, f: PrioMapFn<K>) -> Result<(), MutationError> {
+    pub(crate) fn set_priomap(&self, f: PrioMapFn<K>) -> Result<(), MutationError> {
         self.guard_mutation("set_priority_map")?;
         *self.priomap.write() = Some(f);
         Ok(())
@@ -611,14 +305,14 @@ impl<K: Key> NodeInner<K> {
 
     /// Install a cost model for trace-based projection. Fails with `TTG010`
     /// after executor attach.
-    pub fn set_costmap(&self, f: CostMapFn<K>) -> Result<(), MutationError> {
+    pub(crate) fn set_costmap(&self, f: CostMapFn<K>) -> Result<(), MutationError> {
         self.guard_mutation("set_cost_model")?;
         *self.costmap.write() = Some(f);
         Ok(())
     }
 
     /// Rank owning task `k` (bounded by the fabric size).
-    pub fn owner(&self, k: &K, n_ranks: usize) -> usize {
+    pub(crate) fn owner(&self, k: &K, n_ranks: usize) -> usize {
         match self.frozen.get() {
             Some(f) => (f.keymap)(k) % n_ranks,
             None => (self.keymap.read())(k) % n_ranks,
@@ -641,7 +335,7 @@ impl<K: Key> NodeInner<K> {
     /// once: an entry the value completes leaves with its key, and a key
     /// whose first message completes it (every 1-input template) never
     /// enters.
-    pub fn insert(
+    pub(crate) fn insert(
         &self,
         rank: usize,
         terminal: usize,
@@ -765,135 +459,6 @@ impl<K: Key> NodeInner<K> {
                 self.name,
                 k
             ),
-        }
-    }
-
-    /// Set the expected stream length for `(k, terminal)`; may complete the
-    /// task if the stream already received that many messages.
-    pub fn set_stream_size(
-        &self,
-        rank: usize,
-        terminal: usize,
-        k: K,
-        n: usize,
-        ctx: &Arc<RuntimeCtx>,
-    ) -> Result<(), WireError> {
-        let ready = {
-            let mut table = self.table(rank, &k).lock();
-            let entry = table
-                .entry(k.clone())
-                .or_insert_with(|| PendingE::new(self.n_inputs));
-            let slot = entry.slots.get_mut(terminal);
-            match slot {
-                SlotE::Empty => {
-                    *slot = SlotE::Stream {
-                        acc: None,
-                        received: 0,
-                        expected: Some(n),
-                        finalized: false,
-                    };
-                }
-                SlotE::Stream {
-                    received, expected, ..
-                } => {
-                    if *received > n {
-                        misuse!(
-                            ctx,
-                            Violation::SizeBelowReceived {
-                                node: self.name,
-                                terminal,
-                                key: format!("{k:?}"),
-                                size: n,
-                                received: *received,
-                            },
-                            "stream size {} below already-received {} on {} {:?}",
-                            n,
-                            received,
-                            self.name,
-                            k
-                        );
-                    }
-                    *expected = Some(n);
-                }
-                SlotE::Plain(_) => misuse!(
-                    ctx,
-                    Violation::SetSizeOnPlain {
-                        node: self.name,
-                        terminal,
-                        key: format!("{k:?}"),
-                    },
-                    "set_stream_size on non-streaming terminal of {}",
-                    self.name
-                ),
-            }
-            if entry.all_complete() {
-                Some(table.remove(&k).unwrap())
-            } else {
-                None
-            }
-        };
-        match ready {
-            Some(entry) => self.launch(rank, k, entry, ctx),
-            None => Ok(()),
-        }
-    }
-
-    /// Close an unbounded stream for `(k, terminal)` now.
-    pub fn finalize_stream(
-        &self,
-        rank: usize,
-        terminal: usize,
-        k: K,
-        ctx: &Arc<RuntimeCtx>,
-    ) -> Result<(), WireError> {
-        let ready = {
-            let mut table = self.table(rank, &k).lock();
-            let Some(entry) = table.get_mut(&k) else {
-                misuse!(
-                    ctx,
-                    Violation::FinalizeUnknownKey {
-                        node: self.name,
-                        terminal,
-                        key: format!("{k:?}"),
-                    },
-                    "finalize on {} for unknown key {:?} (no messages received)",
-                    self.name,
-                    k
-                )
-            };
-            match entry.slots.get_mut(terminal) {
-                SlotE::Stream { finalized, .. } => {
-                    #[cfg(feature = "checked")]
-                    if *finalized {
-                        ctx.sanitizer.record(Violation::DoubleFinalize {
-                            node: self.name,
-                            terminal,
-                            key: format!("{k:?}"),
-                        });
-                        return Ok(());
-                    }
-                    *finalized = true;
-                }
-                _ => misuse!(
-                    ctx,
-                    Violation::FinalizeNonStream {
-                        node: self.name,
-                        terminal,
-                        key: format!("{k:?}"),
-                    },
-                    "finalize on non-streaming terminal of {}",
-                    self.name
-                ),
-            }
-            if entry.all_complete() {
-                Some(table.remove(&k).unwrap())
-            } else {
-                None
-            }
-        };
-        match ready {
-            Some(entry) => self.launch(rank, k, entry, ctx),
-            None => Ok(()),
         }
     }
 
@@ -1165,10 +730,7 @@ impl<K: Key> AnyNode for NodeInner<K> {
             Some(f) => Arc::clone(&f.keymap),
             None => Arc::clone(&self.keymap.read()),
         };
-        let mut probe = KeymapProbe {
-            samples: samples.len(),
-            ..KeymapProbe::default()
-        };
+        let mut probe = KeymapProbe::default();
         for k in &samples {
             let r1 = km(k);
             let r2 = km(k);
@@ -1201,7 +763,6 @@ impl<K: Key> AnyNode for NodeInner<K> {
                         }
                     }
                     out.push(StuckEntry {
-                        node_id: self.id,
                         node: self.name,
                         rank,
                         key: format!("{k:?}"),
@@ -1341,81 +902,6 @@ impl<K: Key> AnyNode for NodeInner<K> {
     }
 }
 
-/// The one decoded value of a data AM on its way to every consumer the
-/// AM's groups name.
-pub struct Arrival {
-    val: ArrivalVal,
-    value_type: TypeId,
-}
-
-enum ArrivalVal {
-    /// Share local-pass and several consumers: they alias one allocation
-    /// instead of each getting a deep copy.
-    Shared(Arc<dyn Any + Send + Sync>),
-    /// One consumer, or Copy local-pass: a clone for each of the `left`
-    /// consumers but the last, which takes the value itself.
-    Owned(Option<Box<dyn Any + Send>>, usize),
-}
-
-impl Arrival {
-    fn new(
-        val: Box<dyn Any + Send>,
-        consumers: usize,
-        meta: &InputMeta,
-        rank: usize,
-        ctx: &RuntimeCtx,
-    ) -> Self {
-        let val = if consumers > 1 && ctx.backend.local_pass == LocalPass::Share {
-            ctx.metrics.values_shared[rank].inc();
-            ArrivalVal::Shared((meta.to_shared)(val))
-        } else {
-            ArrivalVal::Owned(Some(val), consumers)
-        };
-        Arrival {
-            val,
-            value_type: meta.value_type,
-        }
-    }
-
-    /// The value for the next consumer, a terminal described by `meta`.
-    fn next(
-        &mut self,
-        meta: &InputMeta,
-        rank: usize,
-        ctx: &RuntimeCtx,
-    ) -> Result<ErasedVal, WireError> {
-        match &mut self.val {
-            ArrivalVal::Shared(arc) => {
-                ctx.metrics.local_shared[rank].inc();
-                Ok(ErasedVal::Shared(Arc::clone(arc)))
-            }
-            ArrivalVal::Owned(val, left) => {
-                let next = match *left {
-                    0 => None,
-                    1 => val.take(),
-                    _ => val.as_deref().map(|v| (meta.clone_boxed)(v)),
-                };
-                *left = left.saturating_sub(1);
-                next.map(ErasedVal::Owned)
-                    .ok_or_else(|| WireError::new("more keys than the message announced"))
-            }
-        }
-    }
-}
-
 #[cfg(all(test, ttg_model))]
 #[path = "node_model.rs"]
 mod model;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn a_tables_stripes_are_followed_by_a_spare_line() {
-        let table = ShardedTable::<u64>::new(3);
-        assert_eq!(table.shards.len(), 4);
-        let spare = table.shards.capacity() - table.shards.len();
-        assert!(spare * std::mem::size_of::<Stripe<u64>>() >= 64);
-    }
-}

@@ -83,16 +83,6 @@ impl<'a, T> Outs<'a, T> {
         self.rank
     }
 
-    /// Number of ranks in the execution.
-    pub fn n_ranks(&self) -> usize {
-        self.ctx.n_ranks()
-    }
-
-    /// Unique id of the executing task instance.
-    pub fn task_id(&self) -> u64 {
-        self.task_id
-    }
-
     /// Runtime context (advanced use: stream control via [`InRef`]).
     pub fn ctx(&self) -> &Arc<RuntimeCtx> {
         self.ctx
@@ -159,16 +149,6 @@ impl<K: Key, V: Data> InRef<K, V> {
             terminal,
             _ph: std::marker::PhantomData,
         }
-    }
-
-    /// Id of the template task this terminal belongs to.
-    pub fn node_id(&self) -> u32 {
-        self.node.id
-    }
-
-    /// Input terminal index within the template task.
-    pub fn terminal(&self) -> usize {
-        self.terminal as usize
     }
 
     /// Inject a seed message from outside the graph (no provenance).

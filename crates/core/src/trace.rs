@@ -66,16 +66,6 @@ impl TraceRecorder {
         v.sort_by_key(|e| e.id);
         v
     }
-
-    /// Number of recorded events.
-    pub fn len(&self) -> usize {
-        self.events.lock().len()
-    }
-
-    /// Whether no events were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 #[cfg(test)]
@@ -96,9 +86,8 @@ mod tests {
                 deps: vec![],
             });
         }
-        assert_eq!(t.len(), 3);
         let evs = t.take();
         assert_eq!(evs.iter().map(|e| e.id).collect::<Vec<_>>(), vec![1, 2, 3]);
-        assert!(t.is_empty());
+        assert!(t.take().is_empty());
     }
 }

@@ -16,7 +16,7 @@ use crate::node::{InputMeta, Inputs, NodeInner};
 use crate::types::{Data, ErasedVal, Key};
 
 /// Build the per-terminal vtable for value type `V`.
-pub fn meta_for<V: Data>() -> InputMeta {
+pub(crate) fn meta_for<V: Data>() -> InputMeta {
     InputMeta {
         value_type: std::any::TypeId::of::<V>(),
         decode: Arc::new(|r: &mut ReadBuf<'_>| {

@@ -52,7 +52,7 @@ pub enum LocalPass {
 /// common case still moves the value end to end. A send that spans consumer
 /// ports or output terminals erases the value once into an `Arc` that every
 /// port — and through it every rank-local consumer — shares.
-pub enum FanoutVal<V: Data> {
+pub(crate) enum FanoutVal<V: Data> {
     /// Exclusively owned: the single-consumer-port fast path.
     Owned(V),
     /// Shared across the consumer ports and terminals of one send.
@@ -61,7 +61,7 @@ pub enum FanoutVal<V: Data> {
 
 impl<V: Data> FanoutVal<V> {
     /// Borrow the value (for encoding and metadata).
-    pub fn get(&self) -> &V {
+    pub(crate) fn get(&self) -> &V {
         match self {
             FanoutVal::Owned(v) => v,
             FanoutVal::Shared(a) => a,
@@ -97,7 +97,7 @@ impl ErasedVal {
     /// Erase an owned `v`, storing it inline when it is small and free of
     /// drop glue — the overwhelmingly common case for task-ID-sized payloads
     /// on the matching hot path — and boxing it otherwise.
-    pub fn erase<V: Data>(v: V) -> Self {
+    pub(crate) fn erase<V: Data>(v: V) -> Self {
         if std::mem::size_of::<V>() <= SMALL_CAP && !std::mem::needs_drop::<V>() {
             let mut bytes = [std::mem::MaybeUninit::<u8>::uninit(); SMALL_CAP];
             // SAFETY: size checked above; the bytes are only re-read as `V`
@@ -118,19 +118,19 @@ impl ErasedVal {
     /// Erase an `Arc`-shared value for multi-consumer fan-out: every
     /// consumer holds the same allocation, and [`ErasedVal::take`] moves it
     /// out (refcount 1) or clones-on-write (still shared).
-    pub fn erase_shared<V: Data>(arc: Arc<V>) -> Self {
+    pub(crate) fn erase_shared<V: Data>(arc: Arc<V>) -> Self {
         ErasedVal::Shared(arc as Arc<dyn Any + Send + Sync>)
     }
 
     /// Whether this value is held through a shared (`Arc`) handle.
-    pub fn is_shared(&self) -> bool {
+    pub(crate) fn is_shared(&self) -> bool {
         matches!(self, ErasedVal::Shared(_))
     }
 
     /// Recover the concrete value, cloning only when the handle is still
     /// shared with other consumers. Returns `None` on a type mismatch
     /// (which indicates graph-construction bug and is asserted upstream).
-    pub fn take<V: Data>(self) -> Option<(V, bool)> {
+    pub(crate) fn take<V: Data>(self) -> Option<(V, bool)> {
         match self {
             ErasedVal::Owned(b) => b.downcast::<V>().ok().map(|v| (*v, false)),
             ErasedVal::Shared(arc) => {
@@ -152,17 +152,10 @@ impl ErasedVal {
         }
     }
 
-    /// Convert into an owned boxed value (cloning if shared), for use as a
-    /// reduction accumulator.
-    pub fn into_owned<V: Data>(self) -> Option<(Box<dyn Any + Send>, bool)> {
-        let (v, copied) = self.take::<V>()?;
-        Some((Box::new(v), copied))
-    }
-
     /// Borrow the concrete value without consuming the handle (the
     /// checkpoint encoder walks live matching-table slots in place).
     /// Returns `None` on a type mismatch.
-    pub fn with_ref<V: Data, R>(&self, f: impl FnOnce(&V) -> R) -> Option<R> {
+    pub(crate) fn with_ref<V: Data, R>(&self, f: impl FnOnce(&V) -> R) -> Option<R> {
         match self {
             ErasedVal::Owned(b) => b.downcast_ref::<V>().map(f),
             ErasedVal::Shared(arc) => arc.downcast_ref::<V>().map(f),

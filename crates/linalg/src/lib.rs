@@ -8,12 +8,12 @@
 
 #![warn(missing_docs)]
 
-pub mod kernels;
-pub mod matrix;
+mod kernels;
+mod matrix;
 mod micro;
 #[cfg(test)]
 mod scalar;
-pub mod tile;
+mod tile;
 
 pub use kernels::{gemm_nn, gemm_nt, gemm_strided, isa, minplus, potrf_l, syrk_ln, trsm_rlt};
 pub use matrix::{Dist2D, TiledMatrix};

@@ -74,18 +74,6 @@ impl TiledMatrix {
         self.tile_mut(i / nb, j / nb).set(i % nb, j % nb, v);
     }
 
-    /// Frobenius norm of the whole matrix.
-    pub fn norm_fro(&self) -> f64 {
-        self.tiles
-            .iter()
-            .map(|t| {
-                let n = t.norm_fro();
-                n * n
-            })
-            .sum::<f64>()
-            .sqrt()
-    }
-
     /// Maximum absolute element difference.
     pub fn max_abs_diff(&self, other: &TiledMatrix) -> f64 {
         assert_eq!((self.nt, self.nb), (other.nt, other.nb));
@@ -185,11 +173,6 @@ impl Dist2D {
     pub fn owner(&self, i: usize, j: usize) -> usize {
         (i % self.p) * self.q + (j % self.q)
     }
-
-    /// Total ranks in the grid.
-    pub fn ranks(&self) -> usize {
-        self.p * self.q
-    }
 }
 
 #[cfg(test)]
@@ -237,7 +220,7 @@ mod tests {
     #[test]
     fn dist2d_balances_and_partitions() {
         let d = Dist2D::for_ranks(6);
-        assert_eq!(d.ranks(), 6);
+        assert_eq!(d.p * d.q, 6);
         let mut counts = vec![0usize; 6];
         for i in 0..12 {
             for j in 0..12 {
@@ -251,7 +234,7 @@ mod tests {
     #[test]
     fn dist2d_for_primes_degenerates_gracefully() {
         let d = Dist2D::for_ranks(7);
-        assert_eq!(d.ranks(), 7);
+        assert_eq!(d.p * d.q, 7);
         assert_eq!(d.p, 1);
     }
 }

@@ -83,14 +83,14 @@ pub struct Stats {
     /// Branches cut by sleep-set pruning (redundant interleavings).
     pub pruned: usize,
     /// Runs stopped at the step cap.
-    pub truncated: usize,
+    pub(crate) truncated: usize,
     /// Completed schedules keyed by how many preemptions they used.
-    pub by_preemptions: BTreeMap<usize, usize>,
+    pub(crate) by_preemptions: BTreeMap<usize, usize>,
     /// Whether the decision tree was fully enumerated within the bound
     /// (false when the schedule budget ran out or in sampling mode).
     pub exhaustive: bool,
     /// Longest schedule seen, in scheduling decisions.
-    pub max_depth: usize,
+    pub(crate) max_depth: usize,
 }
 
 impl Stats {

@@ -25,7 +25,7 @@
 //! fake links are [`Queue`]s, one scheduling point per transfer.
 
 pub mod event;
-pub mod explore;
+mod explore;
 mod sched;
 mod shadow;
 pub mod sync;

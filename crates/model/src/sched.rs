@@ -22,10 +22,10 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use crate::explore::Config;
 
 /// Model thread index (0 = the root closure).
-pub type Tid = usize;
+pub(crate) type Tid = usize;
 
 /// Identifier of a shadow object (atomic, mutex, condvar, thread).
-pub type ObjId = u64;
+pub(crate) type ObjId = u64;
 
 /// The run's logical clock ([`crate::time`]): object 0 of every run.
 pub(crate) const CLOCK: ObjId = 0;
@@ -33,7 +33,7 @@ pub(crate) const CLOCK: ObjId = 0;
 /// What a pending synchronization operation does, for enabledness and
 /// independence classification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpKind {
+pub(crate) enum OpKind {
     /// Atomic load.
     Read,
     /// Atomic store.
@@ -60,14 +60,14 @@ pub enum OpKind {
 
 /// One pending operation: the kind plus the object it touches.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Op {
+pub(crate) struct Op {
     /// Operation class.
-    pub kind: OpKind,
+    pub(crate) kind: OpKind,
     /// Target object.
-    pub obj: ObjId,
+    pub(crate) obj: ObjId,
     /// Kind-specific payload: notify-all flag, mutex of a CvWait, join
     /// target…
-    pub arg: u64,
+    pub(crate) arg: u64,
 }
 
 impl Op {
@@ -79,7 +79,7 @@ impl Op {
 /// Two operations are *dependent* when reordering them can change the
 /// outcome: they touch the same object and at least one mutates it. The
 /// sleep-set pruning in the explorer only commutes independent pairs.
-pub fn conflicts(a: &Op, b: &Op) -> bool {
+pub(crate) fn conflicts(a: &Op, b: &Op) -> bool {
     if a.obj != b.obj {
         return false;
     }
@@ -159,7 +159,7 @@ pub(crate) enum PrefixStep {
 
 /// Why a run ended without completing normally.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum AbortReason {
+pub(crate) enum AbortReason {
     /// A model assertion failed (panic in a model thread).
     Assert(String),
     /// No thread can make progress but some have not finished.
@@ -207,7 +207,7 @@ struct Inner {
 pub(crate) struct ModelAbort;
 
 /// The per-run scheduler shared by all model threads of that run.
-pub struct Scheduler {
+pub(crate) struct Scheduler {
     inner: Mutex<Inner>,
     /// What the explorer waits on for the end of the run.
     cv: Condvar,
@@ -222,7 +222,7 @@ thread_local! {
 
 /// The scheduler driving the current model thread. Panics outside a model
 /// run: shadow primitives only work under [`crate::explore`].
-pub fn current() -> (Arc<Scheduler>, Tid) {
+pub(crate) fn current() -> (Arc<Scheduler>, Tid) {
     CURRENT.with(|c| {
         c.borrow()
             .clone()
@@ -231,7 +231,7 @@ pub fn current() -> (Arc<Scheduler>, Tid) {
 }
 
 /// Whether the calling thread is a controlled model thread.
-pub fn in_model() -> bool {
+pub(crate) fn in_model() -> bool {
     CURRENT.with(|c| c.borrow().is_some())
 }
 
@@ -281,7 +281,7 @@ impl Scheduler {
     // ------------------------------------------------------------ objects
 
     /// Register a shadow object; `name` feeds violation traces.
-    pub fn register_obj(&self, name: &str, kind: &'static str) -> ObjId {
+    pub(crate) fn register_obj(&self, name: &str, kind: &'static str) -> ObjId {
         let mut g = self.inner.lock();
         let id = g.next_obj;
         g.next_obj += 1;
@@ -445,7 +445,7 @@ impl Scheduler {
     /// Core protocol: declare the op this thread is about to perform, hand
     /// the baton to the scheduler, and return once this thread is granted
     /// execution (with the op's scheduler-side effects applied).
-    pub fn yield_op(&self, tid: Tid, op: Op) {
+    pub(crate) fn yield_op(&self, tid: Tid, op: Op) {
         if std::thread::panicking() {
             // A drop on the way out of an aborted run (a guard that locks,
             // a clock shift): no schedule point, no second panic.
@@ -531,7 +531,7 @@ impl Scheduler {
 
     /// Explicit nondeterminism: branch over `arity` alternatives. Returns
     /// the chosen alternative; the explorer enumerates all of them.
-    pub fn choose(&self, _tid: Tid, arity: u64) -> u64 {
+    pub(crate) fn choose(&self, _tid: Tid, arity: u64) -> u64 {
         assert!(arity > 0, "nondet() needs at least one alternative");
         let mut g = self.inner.lock();
         if g.aborting {
@@ -733,7 +733,7 @@ impl Scheduler {
     /// Second phase of a condvar wait: after the `CvWait` op was granted
     /// (mutex released, thread parked), block until a notify re-arms this
     /// thread's pending `Lock` and the scheduler grants it.
-    pub fn cv_block(&self, tid: Tid) {
+    pub(crate) fn cv_block(&self, tid: Tid) {
         let mut g = self.inner.lock();
         if g.current == Some(tid) {
             g.current = None;
@@ -758,7 +758,7 @@ impl Scheduler {
 }
 
 /// Object id namespace for threads (Join/Start ops).
-pub fn thread_obj(tid: Tid) -> ObjId {
+pub(crate) fn thread_obj(tid: Tid) -> ObjId {
     u64::MAX - tid as u64
 }
 
@@ -766,7 +766,7 @@ pub fn thread_obj(tid: Tid) -> ObjId {
 
 /// Declare-and-perform helper used by the shadow primitives: yields with
 /// `kind` on `obj`, returning once granted.
-pub fn sync_op(kind: OpKind, obj: ObjId) {
+pub(crate) fn sync_op(kind: OpKind, obj: ObjId) {
     let (s, tid) = current();
     s.yield_op(tid, Op::new(kind, obj));
 }

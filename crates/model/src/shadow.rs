@@ -7,6 +7,18 @@
 //! serializes model threads, so those locks are never contended — they
 //! just make the types `Sync` without `unsafe`.
 
+/// Declares an item `pub` where the [`crate::sync`] facade re-exports it
+/// (`--cfg ttg_model`), and crate-private otherwise, where only the
+/// `event_count` case uses it.
+macro_rules! facade_pub {
+    ($(#[$m:meta])* $kw:ident $($rest:tt)*) => {
+        #[cfg(ttg_model)]
+        $(#[$m])* pub $kw $($rest)*
+        #[cfg(not(ttg_model))]
+        $(#[$m])* pub(crate) $kw $($rest)*
+    };
+}
+
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::Ordering;
 
@@ -15,28 +27,38 @@ use crate::time::Deadline;
 
 // ------------------------------------------------------------------ atomics
 
-/// Shadow counterpart of a std atomic; memory orderings are accepted for
-/// API compatibility and treated as SeqCst (the model explores
-/// sequentially consistent interleavings only).
-pub struct Atomic<T> {
-    id: sched::ObjId,
-    v: parking_lot::Mutex<T>,
+facade_pub! {
+    /// Shadow counterpart of a std atomic; memory orderings are accepted for
+    /// API compatibility and treated as SeqCst (the model explores
+    /// sequentially consistent interleavings only).
+    struct Atomic<T> {
+        id: sched::ObjId,
+        v: parking_lot::Mutex<T>,
+    }
 }
 
-/// Shadow `AtomicBool`.
-pub type AtomicBool = Atomic<bool>;
-/// Shadow `AtomicU64`.
-pub type AtomicU64 = Atomic<u64>;
-/// Shadow `AtomicUsize`.
-pub type AtomicUsize = Atomic<usize>;
+facade_pub! {
+    /// Shadow `AtomicBool`.
+    type AtomicBool = Atomic<bool>;
+}
+facade_pub! {
+    /// Shadow `AtomicU64`.
+    type AtomicU64 = Atomic<u64>;
+}
+facade_pub! {
+    /// Shadow `AtomicUsize`.
+    type AtomicUsize = Atomic<usize>;
+}
 
 impl<T: Copy + PartialEq> Atomic<T> {
-    pub fn new(v: T) -> Self {
-        Self::named(v, "atomic")
+    facade_pub! {
+        fn new(v: T) -> Self {
+            Self::named(v, "atomic")
+        }
     }
 
     /// Like `new`, with a name that shows up in violation traces.
-    pub fn named(v: T, name: &str) -> Self {
+    pub(crate) fn named(v: T, name: &str) -> Self {
         let (s, _) = sched::current();
         Atomic {
             id: s.register_obj(name, "atomic"),
@@ -44,14 +66,18 @@ impl<T: Copy + PartialEq> Atomic<T> {
         }
     }
 
-    pub fn load(&self, _o: Ordering) -> T {
-        sync_op(OpKind::Read, self.id);
-        *self.v.lock()
+    facade_pub! {
+        fn load(&self, _o: Ordering) -> T {
+            sync_op(OpKind::Read, self.id);
+            *self.v.lock()
+        }
     }
 
-    pub fn store(&self, val: T, _o: Ordering) {
-        sync_op(OpKind::Write, self.id);
-        *self.v.lock() = val;
+    facade_pub! {
+        fn store(&self, val: T, _o: Ordering) {
+            sync_op(OpKind::Write, self.id);
+            *self.v.lock() = val;
+        }
     }
 
     /// Apply `f` as one read-modify-write; returns the old value.
@@ -87,10 +113,12 @@ impl<T: Copy + PartialEq> Atomic<T> {
     }
 }
 
-/// The integers a shadow atomic counts with.
-pub trait Int: Copy + Ord {
-    fn wrapping_add(self, v: Self) -> Self;
-    fn wrapping_sub(self, v: Self) -> Self;
+facade_pub! {
+    /// The integers a shadow atomic counts with.
+    trait Int: Copy + Ord {
+        fn wrapping_add(self, v: Self) -> Self;
+        fn wrapping_sub(self, v: Self) -> Self;
+    }
 }
 
 impl Int for u64 {
@@ -112,12 +140,16 @@ impl Int for usize {
 }
 
 impl<T: Int> Atomic<T> {
-    pub fn fetch_add(&self, val: T, _o: Ordering) -> T {
-        self.rmw(|v| v.wrapping_add(val))
+    facade_pub! {
+        fn fetch_add(&self, val: T, _o: Ordering) -> T {
+            self.rmw(|v| v.wrapping_add(val))
+        }
     }
 
-    pub fn fetch_sub(&self, val: T, _o: Ordering) -> T {
-        self.rmw(|v| v.wrapping_sub(val))
+    facade_pub! {
+        fn fetch_sub(&self, val: T, _o: Ordering) -> T {
+            self.rmw(|v| v.wrapping_sub(val))
+        }
     }
 
     #[cfg(ttg_model)]
@@ -128,45 +160,53 @@ impl<T: Int> Atomic<T> {
 
 // -------------------------------------------------------------------- mutex
 
-/// Shadow mutex: `lock()` is a yield point that blocks (in scheduler
-/// terms) until the model mutex is free.
-pub struct Mutex<T> {
-    id: sched::ObjId,
-    inner: parking_lot::Mutex<T>,
+facade_pub! {
+    /// Shadow mutex: `lock()` is a yield point that blocks (in scheduler
+    /// terms) until the model mutex is free.
+    struct Mutex<T> {
+        id: sched::ObjId,
+        inner: parking_lot::Mutex<T>,
+    }
 }
 
 impl<T> Mutex<T> {
-    pub fn new(v: T) -> Self {
-        let (s, _) = sched::current();
-        Mutex {
-            id: s.register_obj("Mutex", "mutex"),
-            inner: parking_lot::Mutex::new(v),
+    facade_pub! {
+        fn new(v: T) -> Self {
+            let (s, _) = sched::current();
+            Mutex {
+                id: s.register_obj("Mutex", "mutex"),
+                inner: parking_lot::Mutex::new(v),
+            }
         }
     }
 
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        sync_op(OpKind::Lock, self.id);
-        let inner = if std::thread::panicking() {
-            // Unwinding, unscheduled. The run aborted as the panic began,
-            // so a holder parked inside its critical section unwinds too
-            // and lets go.
-            self.inner.lock()
-        } else {
-            self.inner
-                .try_lock()
-                .expect("model mutex granted but OS lock contended")
-        };
-        MutexGuard {
-            lock: self,
-            inner: Some(inner),
+    facade_pub! {
+        fn lock(&self) -> MutexGuard<'_, T> {
+            sync_op(OpKind::Lock, self.id);
+            let inner = if std::thread::panicking() {
+                // Unwinding, unscheduled. The run aborted as the panic began,
+                // so a holder parked inside its critical section unwinds too
+                // and lets go.
+                self.inner.lock()
+            } else {
+                self.inner
+                    .try_lock()
+                    .expect("model mutex granted but OS lock contended")
+            };
+            MutexGuard {
+                lock: self,
+                inner: Some(inner),
+            }
         }
     }
 }
 
-/// Guard whose drop is the `Unlock` yield point.
-pub struct MutexGuard<'a, T> {
-    lock: &'a Mutex<T>,
-    inner: Option<parking_lot::MutexGuard<'a, T>>,
+facade_pub! {
+    /// Guard whose drop is the `Unlock` yield point.
+    struct MutexGuard<'a, T> {
+        lock: &'a Mutex<T>,
+        inner: Option<parking_lot::MutexGuard<'a, T>>,
+    }
 }
 
 impl<T> Deref for MutexGuard<'_, T> {
@@ -238,116 +278,132 @@ impl<T> Default for Queue<T> {
 
 // ------------------------------------------------------------------ condvar
 
-/// Shadow condition variable. No spurious wakeups are modeled: a waiter
-/// only resumes after a notify (callers still need the usual predicate
-/// loop, which the models under check do have).
-pub struct Condvar {
-    id: sched::ObjId,
+facade_pub! {
+    /// Shadow condition variable. No spurious wakeups are modeled: a waiter
+    /// only resumes after a notify (callers still need the usual predicate
+    /// loop, which the models under check do have).
+    struct Condvar {
+        id: sched::ObjId,
+    }
 }
 
 impl Condvar {
-    pub fn new() -> Self {
-        let (s, _) = sched::current();
-        Condvar {
-            id: s.register_obj("Condvar", "condvar"),
+    facade_pub! {
+        fn new() -> Self {
+            let (s, _) = sched::current();
+            Condvar {
+                id: s.register_obj("Condvar", "condvar"),
+            }
         }
     }
 
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let (s, tid) = sched::current();
-        let mutex_id = guard.lock.id;
-        // Atomically (in model terms) release the mutex and park.
-        guard.inner = None;
-        s.yield_op(
-            tid,
-            Op {
-                kind: OpKind::CvWait,
-                obj: self.id,
-                arg: mutex_id,
-            },
-        );
-        s.cv_block(tid);
-        // Scheduled again with the mutex re-granted.
-        guard.inner = Some(
-            guard
-                .lock
-                .inner
-                .try_lock()
-                .expect("model mutex re-granted but OS lock contended"),
-        );
-    }
-
-    /// Timed wait. The model has no clock: the timeout is taken as firing
-    /// immediately, which is always a legal execution of a timed wait (the
-    /// caller's predicate loop must absorb it like a spurious wakeup).
-    /// The mutex is still released and reacquired across yield points, so
-    /// other threads interleave exactly as they could in a real timeout.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        _timeout: std::time::Duration,
-    ) -> WaitTimeoutResult {
-        let m = guard.lock;
-        guard.inner = None;
-        sync_op(OpKind::Unlock, m.id);
-        sync_op(OpKind::Lock, m.id);
-        guard.inner = Some(
-            m.inner
-                .try_lock()
-                .expect("model mutex re-granted but OS lock contended"),
-        );
-        WaitTimeoutResult(true)
-    }
-
-    /// Wait with a deadline, wall-clock or logical. Either way the
-    /// deadline is a nondeterministic choice: it fires at once (as
-    /// [`wait_for`](Self::wait_for) models a timeout) or lies beyond every
-    /// notify — an untimed wait, in which a lost wakeup is a deadlock the
-    /// explorer reports.
-    pub fn wait_until<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        _deadline: impl Deadline,
-    ) -> WaitTimeoutResult {
-        if sched::nondet(2) == 1 {
-            return self.wait_for(guard, std::time::Duration::ZERO);
+    facade_pub! {
+        fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+            let (s, tid) = sched::current();
+            let mutex_id = guard.lock.id;
+            // Atomically (in model terms) release the mutex and park.
+            guard.inner = None;
+            s.yield_op(
+                tid,
+                Op {
+                    kind: OpKind::CvWait,
+                    obj: self.id,
+                    arg: mutex_id,
+                },
+            );
+            s.cv_block(tid);
+            // Scheduled again with the mutex re-granted.
+            guard.inner = Some(
+                guard
+                    .lock
+                    .inner
+                    .try_lock()
+                    .expect("model mutex re-granted but OS lock contended"),
+            );
         }
-        self.wait(guard);
-        WaitTimeoutResult(false)
     }
 
-    pub fn notify_one(&self) {
-        let (s, tid) = sched::current();
-        s.yield_op(
-            tid,
-            Op {
-                kind: OpKind::CvNotify,
-                obj: self.id,
-                arg: 0,
-            },
-        );
+    facade_pub! {
+        /// Timed wait. The model has no clock: the timeout is taken as firing
+        /// immediately, which is always a legal execution of a timed wait (the
+        /// caller's predicate loop must absorb it like a spurious wakeup).
+        /// The mutex is still released and reacquired across yield points, so
+        /// other threads interleave exactly as they could in a real timeout.
+        fn wait_for<T>(
+            &self,
+            guard: &mut MutexGuard<'_, T>,
+            _timeout: std::time::Duration,
+        ) -> WaitTimeoutResult {
+            let m = guard.lock;
+            guard.inner = None;
+            sync_op(OpKind::Unlock, m.id);
+            sync_op(OpKind::Lock, m.id);
+            guard.inner = Some(
+                m.inner
+                    .try_lock()
+                    .expect("model mutex re-granted but OS lock contended"),
+            );
+            WaitTimeoutResult(true)
+        }
     }
 
-    pub fn notify_all(&self) {
-        let (s, tid) = sched::current();
-        s.yield_op(
-            tid,
-            Op {
-                kind: OpKind::CvNotify,
-                obj: self.id,
-                arg: u64::MAX,
-            },
-        );
+    facade_pub! {
+        /// Wait with a deadline, wall-clock or logical. Either way the
+        /// deadline is a nondeterministic choice: it fires at once (as
+        /// [`wait_for`](Self::wait_for) models a timeout) or lies beyond every
+        /// notify — an untimed wait, in which a lost wakeup is a deadlock the
+        /// explorer reports.
+        fn wait_until<T>(
+            &self,
+            guard: &mut MutexGuard<'_, T>,
+            _deadline: impl Deadline,
+        ) -> WaitTimeoutResult {
+            if sched::nondet(2) == 1 {
+                return self.wait_for(guard, std::time::Duration::ZERO);
+            }
+            self.wait(guard);
+            WaitTimeoutResult(false)
+        }
+    }
+
+    facade_pub! {
+        fn notify_one(&self) {
+            let (s, tid) = sched::current();
+            s.yield_op(
+                tid,
+                Op {
+                    kind: OpKind::CvNotify,
+                    obj: self.id,
+                    arg: 0,
+                },
+            );
+        }
+    }
+
+    facade_pub! {
+        fn notify_all(&self) {
+            let (s, tid) = sched::current();
+            s.yield_op(
+                tid,
+                Op {
+                    kind: OpKind::CvNotify,
+                    obj: self.id,
+                    arg: u64::MAX,
+                },
+            );
+        }
     }
 }
 
-/// Result of [`Condvar::wait_for`]; mirrors the parking_lot API.
-#[derive(Debug, Clone, Copy)]
-pub struct WaitTimeoutResult(bool);
+facade_pub! {
+    /// Result of [`Condvar::wait_for`]; mirrors the parking_lot API.
+    #[derive(Debug, Clone, Copy)]
+    struct WaitTimeoutResult(bool);
+}
 
 impl WaitTimeoutResult {
     /// Whether the wait ended by timeout rather than a notification.
-    pub fn timed_out(&self) -> bool {
+    pub(crate) fn timed_out(&self) -> bool {
         self.0
     }
 }

@@ -1,6 +1,6 @@
 //! Model threads: controlled [`spawn`]/[`JoinHandle::join`] whose
 //! interleaving the scheduler owns. Each model thread runs on a real OS
-//! thread, but the baton-passing in [`crate::sched`] ensures only one runs
+//! thread, but the baton-passing in the scheduler ensures only one runs
 //! at a time and registration happens serially in the spawner, so thread
 //! identity is deterministic across replays.
 //!

@@ -59,7 +59,7 @@ pub fn advance(d: Duration) {
 
 /// What a shadow deadline wait accepts: the wall-clock instant the
 /// transport passes or the logical one. The wait ignores it
-/// ([`crate::shadow::Condvar::wait_until`]).
+/// (the shadow `Condvar::wait_until`).
 pub trait Deadline {}
 
 impl Deadline for std::time::Instant {}

@@ -91,14 +91,6 @@ pub struct Gaussian3 {
     pub expnt: f64,
 }
 
-impl Gaussian3 {
-    /// Evaluate at a point.
-    pub fn eval(&self, x: [f64; 3]) -> f64 {
-        let r2 = (0..3).map(|d| (x[d] - self.center[d]).powi(2)).sum::<f64>();
-        self.coeff * (-self.expnt * r2).exp()
-    }
-}
-
 /// k³ coefficient block of one octree node (x fastest dimension).
 pub type Coeffs3 = Vec<f64>;
 
@@ -106,7 +98,7 @@ pub type Coeffs3 = Vec<f64>;
 #[derive(Clone)]
 pub struct Mra3 {
     /// 1-D context (quadrature, filters).
-    pub mra1: Mra1,
+    pub(crate) mra1: Mra1,
     /// Basis order.
     pub k: usize,
     /// The orthogonal 2k×2k filter matrix [H0 H1; G0 G1], row-major.
@@ -140,7 +132,7 @@ impl Mra3 {
     }
 
     /// Project a sum of Gaussians onto node `node` (separable quadrature).
-    pub fn project_box(&self, f: &[Gaussian3], node: Node3) -> Coeffs3 {
+    pub(crate) fn project_box(&self, f: &[Gaussian3], node: Node3) -> Coeffs3 {
         let k = self.k;
         let mut s = vec![0.0; k * k * k];
         // The three 1-D projections of one Gaussian: x, y, z, `k` each.
@@ -407,16 +399,6 @@ impl Mra3 {
             .sum::<f64>()
             .sqrt()
     }
-
-    /// L² norm from compressed form.
-    pub fn norm_compressed(root: &Coeffs3, details: &HashMap<Node3, Vec<f64>>) -> f64 {
-        let e: f64 = root.iter().map(|x| x * x).sum::<f64>()
-            + details
-                .values()
-                .map(|d| d.iter().map(|x| x * x).sum::<f64>())
-                .sum::<f64>();
-        e.sqrt()
-    }
 }
 
 /// Generate `count` random Gaussians in the style of the paper's benchmark
@@ -455,6 +437,22 @@ pub fn random_gaussians(count: usize, expnt: f64, seed: u64) -> Vec<Gaussian3> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Evaluate `g` at a point.
+    fn eval(g: &Gaussian3, x: [f64; 3]) -> f64 {
+        let r2 = (0..3).map(|d| (x[d] - g.center[d]).powi(2)).sum::<f64>();
+        g.coeff * (-g.expnt * r2).exp()
+    }
+
+    /// L² norm from compressed form.
+    fn norm_compressed(root: &Coeffs3, details: &HashMap<Node3, Vec<f64>>) -> f64 {
+        let e: f64 = root.iter().map(|x| x * x).sum::<f64>()
+            + details
+                .values()
+                .map(|d| d.iter().map(|x| x * x).sum::<f64>())
+                .sum::<f64>();
+        e.sqrt()
+    }
 
     #[test]
     fn node_addressing() {
@@ -553,7 +551,7 @@ mod tests {
                 }
             }
         }
-        assert!((v - g.eval(x)).abs() < 1e-5, "{v} vs {}", g.eval(x));
+        assert!((v - eval(&g, x)).abs() < 1e-5, "{v} vs {}", eval(&g, x));
     }
 
     #[test]
@@ -584,7 +582,7 @@ mod tests {
         }
         assert!(max_diff < 1e-10, "roundtrip diff {max_diff}");
         let n1 = Mra3::norm_leaves(&leaves);
-        let n2 = Mra3::norm_compressed(&root, &details);
+        let n2 = norm_compressed(&root, &details);
         assert!((n1 - n2).abs() < 1e-10);
         assert!(n1 > 0.0);
     }

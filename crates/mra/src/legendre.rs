@@ -7,7 +7,7 @@
 
 /// Evaluate Legendre polynomials P_0..P_{k-1} at `x ∈ [−1, 1]` via the
 /// three-term recurrence.
-pub fn legendre(k: usize, x: f64) -> Vec<f64> {
+pub(crate) fn legendre(k: usize, x: f64) -> Vec<f64> {
     let mut p = Vec::with_capacity(k);
     if k == 0 {
         return p;
@@ -36,7 +36,7 @@ fn legendre_deriv(n: usize, x: f64, pn: f64, pnm1: f64) -> f64 {
 }
 
 /// Orthonormal scaling functions φ_0..φ_{k−1} on [0, 1] at `x`.
-pub fn phi(k: usize, x: f64) -> Vec<f64> {
+pub(crate) fn phi(k: usize, x: f64) -> Vec<f64> {
     let p = legendre(k, 2.0 * x - 1.0);
     p.into_iter()
         .enumerate()
@@ -46,7 +46,7 @@ pub fn phi(k: usize, x: f64) -> Vec<f64> {
 
 /// Gauss–Legendre nodes and weights on [−1, 1] (order `n`), by Newton
 /// iteration from Chebyshev initial guesses.
-pub fn gauss_legendre(n: usize) -> (Vec<f64>, Vec<f64>) {
+pub(crate) fn gauss_legendre(n: usize) -> (Vec<f64>, Vec<f64>) {
     let mut xs = vec![0.0; n];
     let mut ws = vec![0.0; n];
     for i in 0..n {
@@ -74,7 +74,7 @@ pub fn gauss_legendre(n: usize) -> (Vec<f64>, Vec<f64>) {
 }
 
 /// Gauss–Legendre quadrature mapped to [0, 1].
-pub fn gauss_legendre_unit(n: usize) -> (Vec<f64>, Vec<f64>) {
+pub(crate) fn gauss_legendre_unit(n: usize) -> (Vec<f64>, Vec<f64>) {
     let (xs, ws) = gauss_legendre(n);
     (
         xs.iter().map(|x| 0.5 * (x + 1.0)).collect(),

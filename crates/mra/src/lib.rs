@@ -8,13 +8,11 @@
 
 #![warn(missing_docs)]
 
-pub mod function1d;
-pub mod function3d;
-pub mod legendre;
+mod function1d;
+mod function3d;
+mod legendre;
 #[cfg(test)]
 mod scalar;
-pub mod twoscale;
+mod twoscale;
 
-pub use function1d::{Mra1, Node1};
 pub use function3d::{random_gaussians, Coeffs3, Gaussian3, Mra3, Node3};
-pub use twoscale::Filters;

@@ -12,22 +12,20 @@ use crate::legendre::{gauss_legendre_unit, phi};
 
 /// The filter bank for multiwavelets of order `k`.
 #[derive(Debug, Clone)]
-pub struct Filters {
-    /// Basis order.
-    pub k: usize,
+pub(crate) struct Filters {
     /// `h0[j][l]`: contribution of child-0 coefficient `l` to parent `j`.
-    pub h0: Vec<Vec<f64>>,
+    pub(crate) h0: Vec<Vec<f64>>,
     /// `h1[j][l]`: contribution of child-1 coefficient `l` to parent `j`.
-    pub h1: Vec<Vec<f64>>,
+    pub(crate) h1: Vec<Vec<f64>>,
     /// Wavelet filters completing `[H0 H1]` to an orthogonal matrix.
-    pub g0: Vec<Vec<f64>>,
+    pub(crate) g0: Vec<Vec<f64>>,
     /// Second half of the wavelet filters.
-    pub g1: Vec<Vec<f64>>,
+    pub(crate) g1: Vec<Vec<f64>>,
 }
 
 impl Filters {
     /// Build the order-`k` filter bank.
-    pub fn new(k: usize) -> Self {
+    pub(crate) fn new(k: usize) -> Self {
         assert!(k >= 1);
         // H via quadrature: parent φ_j restricted to child c, expanded in
         // the child's orthonormal basis.
@@ -86,48 +84,7 @@ impl Filters {
         let g0: Vec<Vec<f64>> = g_rows.iter().map(|r| r[..k].to_vec()).collect();
         let g1: Vec<Vec<f64>> = g_rows.iter().map(|r| r[k..].to_vec()).collect();
         rows.clear();
-        Filters { k, h0, h1, g0, g1 }
-    }
-
-    /// Forward transform: children s-coefficients → (parent s, detail d).
-    pub fn compress_pair(&self, s0: &[f64], s1: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        let k = self.k;
-        assert_eq!(s0.len(), k);
-        assert_eq!(s1.len(), k);
-        let mut s = vec![0.0; k];
-        let mut d = vec![0.0; k];
-        for j in 0..k {
-            let mut sv = 0.0;
-            let mut dv = 0.0;
-            for l in 0..k {
-                sv += self.h0[j][l] * s0[l] + self.h1[j][l] * s1[l];
-                dv += self.g0[j][l] * s0[l] + self.g1[j][l] * s1[l];
-            }
-            s[j] = sv;
-            d[j] = dv;
-        }
-        (s, d)
-    }
-
-    /// Inverse transform: (parent s, detail d) → children s-coefficients.
-    pub fn reconstruct_pair(&self, s: &[f64], d: &[f64]) -> (Vec<f64>, Vec<f64>) {
-        let k = self.k;
-        assert_eq!(s.len(), k);
-        assert_eq!(d.len(), k);
-        let mut s0 = vec![0.0; k];
-        let mut s1 = vec![0.0; k];
-        // The 2k×2k filter matrix is orthogonal: inverse = transpose.
-        for l in 0..k {
-            let mut v0 = 0.0;
-            let mut v1 = 0.0;
-            for j in 0..k {
-                v0 += self.h0[j][l] * s[j] + self.g0[j][l] * d[j];
-                v1 += self.h1[j][l] * s[j] + self.g1[j][l] * d[j];
-            }
-            s0[l] = v0;
-            s1[l] = v1;
-        }
-        (s0, s1)
+        Filters { h0, h1, g0, g1 }
     }
 }
 
@@ -137,6 +94,20 @@ mod tests {
 
     fn dot(a: &[f64], b: &[f64]) -> f64 {
         a.iter().zip(b).map(|(x, y)| x * y).sum()
+    }
+
+    /// Forward transform: children s-coefficients → (parent s, detail d).
+    fn compress_pair(f: &Filters, s0: &[f64], s1: &[f64]) -> (Vec<f64>, Vec<f64>) {
+        let k = s0.len();
+        let mut s = vec![0.0; k];
+        let mut d = vec![0.0; k];
+        for j in 0..k {
+            for l in 0..k {
+                s[j] += f.h0[j][l] * s0[l] + f.h1[j][l] * s1[l];
+                d[j] += f.g0[j][l] * s0[l] + f.g1[j][l] * s1[l];
+            }
+        }
+        (s, d)
     }
 
     #[test]
@@ -166,26 +137,12 @@ mod tests {
     }
 
     #[test]
-    fn compress_reconstruct_roundtrip() {
-        let k = 10;
-        let f = Filters::new(k);
-        let s0: Vec<f64> = (0..k).map(|i| (i as f64 * 0.7).sin()).collect();
-        let s1: Vec<f64> = (0..k).map(|i| (i as f64 * 1.3).cos()).collect();
-        let (s, d) = f.compress_pair(&s0, &s1);
-        let (r0, r1) = f.reconstruct_pair(&s, &d);
-        for i in 0..k {
-            assert!((r0[i] - s0[i]).abs() < 1e-12);
-            assert!((r1[i] - s1[i]).abs() < 1e-12);
-        }
-    }
-
-    #[test]
     fn norm_is_preserved() {
         let k = 6;
         let f = Filters::new(k);
         let s0: Vec<f64> = (0..k).map(|i| 1.0 / (i + 1) as f64).collect();
         let s1: Vec<f64> = (0..k).map(|i| (i as f64).sqrt()).collect();
-        let (s, d) = f.compress_pair(&s0, &s1);
+        let (s, d) = compress_pair(&f, &s0, &s1);
         let before = dot(&s0, &s0) + dot(&s1, &s1);
         let after = dot(&s, &s) + dot(&d, &d);
         assert!((before - after).abs() < 1e-10);
@@ -211,7 +168,7 @@ mod tests {
             }
         }
         let s1 = s0.clone();
-        let (s, d) = f.compress_pair(&s0, &s1);
+        let (s, d) = compress_pair(&f, &s0, &s1);
         for j in 0..k {
             assert!(d[j].abs() < 1e-10, "d[{j}] = {}", d[j]);
         }

@@ -39,13 +39,13 @@ pub enum SchedulerKind {
 /// queued job holding a handle of its own.
 pub struct Job<C = ()> {
     /// Larger runs earlier (only in work-stealing pools).
-    pub priority: i32,
+    pub(crate) priority: i32,
     /// Preferred worker whose cache likely holds this job's inputs.
     /// Zero-priority jobs carrying a hint are enqueued on that worker's
     /// bound queue instead of the shared injector (work-stealing pools
     /// only); other workers may still poach them when the preferred
     /// worker falls behind.
-    pub locality: Option<u32>,
+    pub(crate) locality: Option<u32>,
     f: Box<dyn FnOnce(&C) + Send + 'static>,
 }
 
@@ -71,7 +71,7 @@ impl<C> Job<C> {
         }
     }
 
-    /// Tag the job with a preferred worker (see [`Job::locality`]).
+    /// Tag the job with a preferred worker (see `Job::locality`).
     pub fn with_locality(mut self, worker: u32) -> Self {
         self.locality = Some(worker);
         self
@@ -431,7 +431,7 @@ impl WorkerPool {
 
 impl<C: Clone + Send + 'static> WorkerPool<C> {
     /// Like [`WorkerPool::with_telemetry`], with an optional seed for the
-    /// steal-victim PRNG streams (see [`steal_rng_seed`]; `None` keeps
+    /// steal-victim PRNG streams (see `steal_rng_seed`; `None` keeps
     /// the entropy default) and the context `cx` every job runs with: each
     /// worker takes one clone of it for its lifetime.
     pub fn with_options(
@@ -545,11 +545,7 @@ impl<C: Clone + Send + 'static> WorkerPool<C> {
     /// job mid-execution. A submit counts its group before queuing it, so
     /// a concurrent submit can only make an idle pool look busy, never the
     /// reverse — the recovery drive loop relies on that one-sided error.
-    pub fn is_idle(&self) -> bool {
-        self.shared.is_idle()
-    }
-
-    /// [`is_idle`](Self::is_idle); when it reads busy, the worker that
+    /// When it reads busy, the worker that
     /// drains the pool signals the quiescence tracker's event count, so a
     /// waiter that prepared on it before asking cannot miss the drain.
     pub fn idle_or_signal_drain(&self) -> bool {

@@ -54,7 +54,7 @@ impl Quiescence {
     }
 
     /// The event count waiters park on.
-    pub fn events(&self) -> &Arc<EventCount> {
+    pub(crate) fn events(&self) -> &Arc<EventCount> {
         &self.events
     }
 

@@ -60,7 +60,7 @@ pub struct SimResult {
     /// Projected end-to-end time in nanoseconds.
     pub makespan_ns: u64,
     /// Total compute work in nanoseconds (sum of task costs).
-    pub total_work_ns: u64,
+    pub(crate) total_work_ns: u64,
     /// Bytes that crossed node boundaries.
     pub network_bytes: u64,
     /// Number of inter-node transfers.
@@ -68,7 +68,7 @@ pub struct SimResult {
     /// Average core utilization in [0, 1].
     pub utilization: f64,
     /// Tasks simulated.
-    pub tasks: usize,
+    pub(crate) tasks: usize,
 }
 
 // Event key: (time, kind, −priority, id, task index). At equal times:

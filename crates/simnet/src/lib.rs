@@ -16,7 +16,7 @@
 #![warn(missing_docs)]
 
 pub mod des;
-pub mod machines;
+mod machines;
 
-pub use des::{from_core_trace, simulate, SimResult, TraceTask};
+pub use des::{simulate, SimResult, TraceTask};
 pub use machines::MachineModel;

@@ -47,11 +47,6 @@ impl BlockSparse {
         self.blocks.insert((i, j), t);
     }
 
-    /// Remove and return block `(i, j)`.
-    pub fn remove(&mut self, i: usize, j: usize) -> Option<Tile> {
-        self.blocks.remove(&(i, j))
-    }
-
     /// Block `(i, j)` if present.
     pub fn block(&self, i: usize, j: usize) -> Option<&Tile> {
         self.blocks.get(&(i, j))
@@ -97,7 +92,7 @@ impl BlockSparse {
 
     /// Drop blocks whose per-element Frobenius norm is below `tol`
     /// (the paper's 1e-8 filtering).
-    pub fn filter(&mut self, tol: f64) {
+    pub(crate) fn filter(&mut self, tol: f64) {
         self.blocks.retain(|_, t| t.norm_fro_per_element() >= tol);
     }
 
@@ -122,7 +117,7 @@ impl BlockSparse {
     }
 
     /// Densify into a flat row-major buffer (small matrices, verification).
-    pub fn to_dense(&self) -> Vec<Vec<f64>> {
+    pub(crate) fn to_dense(&self) -> Vec<Vec<f64>> {
         let (m, n) = self.dims();
         let mut out = vec![vec![0.0; n]; m];
         let row_off = offsets(&self.row_sizes);
@@ -153,7 +148,7 @@ impl BlockSparse {
 }
 
 /// Prefix offsets of a panel-size list.
-pub fn offsets(sizes: &[usize]) -> Vec<usize> {
+pub(crate) fn offsets(sizes: &[usize]) -> Vec<usize> {
     let mut out = Vec::with_capacity(sizes.len());
     let mut acc = 0;
     for &s in sizes {

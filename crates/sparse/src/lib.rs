@@ -8,8 +8,8 @@
 
 #![warn(missing_docs)]
 
-pub mod block;
-pub mod yukawa;
+mod block;
+mod yukawa;
 
-pub use block::{offsets, BlockSparse};
-pub use yukawa::{generate, YukawaMatrix, YukawaParams};
+pub use block::BlockSparse;
+pub use yukawa::{generate, YukawaParams};

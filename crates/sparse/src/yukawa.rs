@@ -70,18 +70,22 @@ impl YukawaParams {
     }
 }
 
-/// Output of the generator: the matrix plus the tile → centroid geometry
-/// (useful for distribution experiments).
+/// Output of the generator.
 #[derive(Debug, Clone)]
 pub struct YukawaMatrix {
     /// The block-sparse operator matrix (symmetric structure).
     pub matrix: BlockSparse,
-    /// Spatial centroid of each tile's atoms.
-    pub tile_centers: Vec<[f64; 3]>,
 }
 
 /// Generate the synthetic Yukawa-like operator matrix.
 pub fn generate(params: &YukawaParams) -> YukawaMatrix {
+    YukawaMatrix {
+        matrix: build(params).0,
+    }
+}
+
+/// The matrix and the spatial centroid of each tile's atoms.
+fn build(params: &YukawaParams) -> (BlockSparse, Vec<[f64; 3]>) {
     let mut rng = ChaCha8Rng::seed_from_u64(params.seed);
 
     // Clustered atom positions.
@@ -157,10 +161,7 @@ pub fn generate(params: &YukawaParams) -> YukawaMatrix {
         }
     }
     matrix.filter(params.drop_tol);
-    YukawaMatrix {
-        matrix,
-        tile_centers,
-    }
+    (matrix, tile_centers)
 }
 
 fn centroid(pts: &[[f64; 3]]) -> [f64; 3] {
@@ -215,15 +216,15 @@ mod tests {
     #[test]
     fn norms_decay_with_distance() {
         let p = YukawaParams::small();
-        let y = generate(&p);
+        let (matrix, tile_centers) = build(&p);
         // Pick the first row: blocks at larger centroid distance must have
         // smaller per-element norms (monotone up to randomness; compare
         // nearest vs farthest present).
-        let mut pairs: Vec<(f64, f64)> = (0..y.matrix.block_cols())
+        let mut pairs: Vec<(f64, f64)> = (0..matrix.block_cols())
             .filter_map(|j| {
-                y.matrix.block(0, j).map(|t| {
+                matrix.block(0, j).map(|t| {
                     (
-                        super::dist(&y.tile_centers[0], &y.tile_centers[j]),
+                        super::dist(&tile_centers[0], &tile_centers[j]),
                         t.norm_fro_per_element(),
                     )
                 })

@@ -1,10 +1,9 @@
 //! Chrome trace-event JSON export (loadable in Perfetto and
 //! `chrome://tracing`).
 //!
-//! The builder merges three sources onto one timeline:
-//! * span/instant [`EventRec`]s drained from the span layer,
-//! * [`TaskSlice`]s adapted from the runtime's task trace, and
-//! * counter samples (e.g. queue depth over time).
+//! The builder merges two sources onto one timeline:
+//! * span/instant [`EventRec`]s drained from the span layer, and
+//! * [`TaskSlice`]s adapted from the runtime's task trace.
 //!
 //! Logical ranks map to trace *processes* (`pid = rank + 1`; `pid 0` holds
 //! unranked runtime events) and recording threads map to trace *threads*.
@@ -40,7 +39,7 @@ pub struct TaskSlice {
 }
 
 /// Map a rank attribution to a trace pid.
-pub fn pid_for(rank: Option<u32>) -> u64 {
+pub(crate) fn pid_for(rank: Option<u32>) -> u64 {
     match rank {
         Some(r) => r as u64 + 1,
         None => 0,
@@ -68,20 +67,11 @@ struct InstantRow {
     args: [Option<(&'static str, u64)>; 2],
 }
 
-#[derive(Debug, Clone)]
-struct CounterRow {
-    pid: u64,
-    name: String,
-    ts_ns: u64,
-    value: u64,
-}
-
 /// Accumulates events and serializes them as Chrome trace-event JSON.
 #[derive(Debug, Default)]
 pub struct ChromeTraceBuilder {
     spans: Vec<SpanRow>,
     instants: Vec<InstantRow>,
-    counters: Vec<CounterRow>,
     thread_names: BTreeMap<u32, String>,
 }
 
@@ -142,23 +132,6 @@ impl ChromeTraceBuilder {
         self
     }
 
-    /// Add a counter sample (rendered as a stacked area track per pid).
-    pub fn add_counter(
-        &mut self,
-        rank: Option<u32>,
-        name: impl Into<String>,
-        ts_ns: u64,
-        value: u64,
-    ) -> &mut Self {
-        self.counters.push(CounterRow {
-            pid: pid_for(rank),
-            name: name.into(),
-            ts_ns,
-            value,
-        });
-        self
-    }
-
     /// Serialize everything as `{"traceEvents":[...],"displayTimeUnit":"ms"}`.
     pub fn build(&self) -> String {
         let mut events: Vec<String> = Vec::new();
@@ -173,9 +146,6 @@ impl ChromeTraceBuilder {
         for i in &self.instants {
             pids.push(i.pid);
             lanes.push((i.pid, i.tid));
-        }
-        for c in &self.counters {
-            pids.push(c.pid);
         }
         pids.sort_unstable();
         pids.dedup();
@@ -251,17 +221,6 @@ impl ChromeTraceBuilder {
             ));
         }
 
-        for c in &self.counters {
-            events.push(format!(
-                "{{\"ph\":\"C\",\"name\":\"{}\",\"ts\":{},\"pid\":{},\"tid\":0,\
-                 \"args\":{{\"value\":{}}}}}",
-                escape(&c.name),
-                ts_us(c.ts_ns),
-                c.pid,
-                c.value
-            ));
-        }
-
         let mut out = String::from("{\"traceEvents\":[");
         out.push_str(&events.join(","));
         out.push_str("],\"displayTimeUnit\":\"ms\"}");
@@ -331,7 +290,6 @@ mod tests {
             dur_ns: 2_500,
             args: [Some(("prio", 3)), None],
         });
-        b.add_counter(Some(0), "queue_depth", 1_500, 4);
         b.add_thread_names([(0, "worker-0".to_string())]);
 
         let json = b.build();
@@ -343,7 +301,6 @@ mod tests {
         assert_eq!(begins, ends);
         assert!(json.contains("\"ph\":\"M\""));
         assert!(json.contains("\"ph\":\"i\""));
-        assert!(json.contains("\"ph\":\"C\""));
         assert!(json.contains("\"name\":\"rank 0\""));
         assert!(json.contains("\"name\":\"worker-0\""));
         assert!(json.contains("\"ts\":1.000"));

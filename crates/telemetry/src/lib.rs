@@ -9,7 +9,7 @@
 //!    shared cell. Snapshots are cheap, diffable, and serialize to JSON.
 //!    A component declares its handles with [`metrics!`], one table row per
 //!    metric.
-//! 2. **Span tracing** ([`span`]/[`SpanGuard`]): RAII begin/end timestamps
+//! 2. **Span tracing** ([`span()`] and its guard): RAII begin/end timestamps
 //!    recorded into per-thread buffers, plus instant events for one-shot
 //!    occurrences (wire transfers). Recording is gated by a global runtime
 //!    toggle ([`set_enabled`]) and costs nothing when off beyond one
@@ -26,29 +26,13 @@
 
 #![warn(missing_docs)]
 
-pub mod chrome;
+mod chrome;
 pub mod json;
-pub mod metrics;
+mod metrics;
 pub mod span;
-pub mod table;
+mod table;
 
 pub use chrome::{ChromeTraceBuilder, TaskSlice};
-pub use metrics::{
-    Counter, Gauge, HistSnapshot, Histogram, MetricKey, MetricValue, Padded, Registry, Snapshot,
-};
-pub use span::{
-    drain_events, enabled, instant, now_ns, set_enabled, span, span_for_rank, thread_names,
-    EventRec, SpanGuard,
-};
+pub use metrics::{Counter, Gauge, Histogram, MetricKey, MetricValue, Padded, Registry, Snapshot};
+pub use span::{drain_events, instant, set_enabled, span, span_for_rank, thread_names};
 pub use table::Reading;
-
-use std::sync::OnceLock;
-
-static GLOBAL: OnceLock<Registry> = OnceLock::new();
-
-/// Process-wide default registry. Components that can carry their own
-/// [`Registry`] instance (e.g. one per fabric) should prefer that; the
-/// global registry serves call sites with no natural owner.
-pub fn global() -> &'static Registry {
-    GLOBAL.get_or_init(Registry::new)
-}

@@ -157,7 +157,7 @@ impl Gauge {
 
 /// Number of log₂ buckets: bucket `b` holds values in `[2^(b-1), 2^b)`
 /// (bucket 0 holds the value 0).
-pub const HIST_BUCKETS: usize = 65;
+pub(crate) const HIST_BUCKETS: usize = 65;
 
 #[derive(Debug)]
 struct HistogramCore {
@@ -186,7 +186,7 @@ pub struct Histogram(Arc<HistogramCore>);
 
 /// Index of the log₂ bucket for `v`.
 #[inline]
-pub fn bucket_of(v: u64) -> usize {
+pub(crate) fn bucket_of(v: u64) -> usize {
     (64 - v.leading_zeros()) as usize
 }
 
@@ -216,11 +216,6 @@ impl Histogram {
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.0.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of observations.
-    pub fn sum(&self) -> u64 {
-        self.0.sum.load(Ordering::Relaxed)
     }
 
     /// Point-in-time summary of this histogram.
@@ -273,7 +268,7 @@ pub struct HistSnapshot {
     /// Observations.
     pub count: u64,
     /// Sum of observations.
-    pub sum: u64,
+    pub(crate) sum: u64,
     /// Smallest observation (0 when empty).
     pub min: u64,
     /// Largest observation.
@@ -301,8 +296,8 @@ impl HistSnapshot {
     }
 }
 
-/// A collection of metrics. One registry per observed component (the fabric
-/// creates one per execution); [`crate::global`] serves everything else.
+/// A collection of metrics: one registry per observed component (the fabric
+/// creates one per execution).
 #[derive(Debug, Default)]
 pub struct Registry {
     shards: [RwLock<HashMap<MetricKey, Metric>>; SHARDS],
@@ -537,7 +532,6 @@ mod tests {
             h.record(v);
         }
         assert_eq!(h.count(), 5);
-        assert_eq!(h.sum(), 1030);
     }
 
     #[test]

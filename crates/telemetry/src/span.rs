@@ -36,12 +36,12 @@ pub fn set_enabled(on: bool) {
 
 /// Whether recording is currently on.
 #[inline]
-pub fn enabled() -> bool {
+pub(crate) fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
 /// Nanoseconds since the process-wide telemetry epoch.
-pub fn now_ns() -> u64 {
+pub(crate) fn now_ns() -> u64 {
     EPOCH.get_or_init(Instant::now).elapsed().as_nanos() as u64
 }
 
@@ -50,19 +50,19 @@ pub fn now_ns() -> u64 {
 #[derive(Debug, Clone)]
 pub struct EventRec {
     /// Telemetry thread id of the recording thread (dense, 0-based).
-    pub tid: u32,
+    pub(crate) tid: u32,
     /// Logical rank the event belongs to, if attributed.
-    pub rank: Option<u32>,
+    pub(crate) rank: Option<u32>,
     /// Category (`"task"`, `"sched"`, `"comm"`, ...).
-    pub cat: &'static str,
+    pub(crate) cat: &'static str,
     /// Event name.
-    pub name: String,
+    pub(crate) name: String,
     /// Start time, ns since the telemetry epoch.
-    pub t0_ns: u64,
+    pub(crate) t0_ns: u64,
     /// Duration in ns, or `None` for instant events.
-    pub dur_ns: Option<u64>,
+    pub(crate) dur_ns: Option<u64>,
     /// Up to two numeric arguments attached to the event.
-    pub args: [Option<(&'static str, u64)>; 2],
+    pub(crate) args: [Option<(&'static str, u64)>; 2],
 }
 
 struct ThreadBuf {

@@ -15,7 +15,7 @@
 //! malformed instead of allocating unboundedly — a garbage or hostile peer
 //! must not be able to OOM a rank.
 //!
-//! An `Am` whose payload reaches [`BULK_MIN`] takes the **bulk path**
+//! An `Am` whose payload reaches `BULK_MIN` takes the **bulk path**
 //! (DESIGN §12): [`WireBatch`] queues
 //! the body by ownership and writes it with a vectored write, and
 //! [`FrameCodec::read_from`] reads it from the socket straight into its

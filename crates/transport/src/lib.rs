@@ -8,10 +8,10 @@
 //!
 //! One implementation ships, over two socket kinds:
 //!
-//! * [`socket::local_mesh`] over [`TransportKind::Tcp`] — TCP loopback;
-//! * [`socket::local_mesh`] over [`TransportKind::Uds`] — Unix sockets;
+//! * [`local_mesh`] over [`TransportKind::Tcp`] — TCP loopback;
+//! * [`local_mesh`] over [`TransportKind::Uds`] — Unix sockets;
 //!
-//! plus [`socket::remote_endpoint`], which connects one rank of a
+//! plus [`remote_endpoint`], which connects one rank of a
 //! **multi-process** job (one OS process per rank, spawned by the
 //! `ttg-launch` binary) through a file-based rendezvous directory.
 //! [`TransportKind::InProc`] names the wire that needs none of this: the
@@ -24,18 +24,18 @@
 #![warn(missing_docs)]
 
 pub mod frame;
-pub mod link;
+mod link;
 pub mod lockdoc;
 pub mod pool;
-pub mod socket;
+mod socket;
 
 use std::sync::Arc;
 
 use ttg_telemetry::Registry;
 
 pub use frame::{Frame, FrameCodec, FrameError, WireBatch, MAX_FRAME, PROTOCOL_VERSION};
-pub use link::{Endpoint, Link, Rank, Sink, TransportError, TransportKind, TransportMetrics};
-pub use pool::{pool_stats, PoolStats};
+use link::Rank;
+pub use link::{Endpoint, Link, Sink, TransportError, TransportKind, TransportMetrics};
 pub use socket::{local_mesh, remote_endpoint, AddrSpec, SocketEndpoint};
 
 /// Which link layer an execution should run on, carried by
@@ -52,7 +52,7 @@ pub enum TransportSpec {
     Uds,
     /// This process is **one rank** of a multi-process job; the handle
     /// carries its already-connected endpoint (built by `ttg-launch` via
-    /// [`socket::remote_endpoint`]).
+    /// [`remote_endpoint`]).
     Remote(RemoteHandle),
 }
 
@@ -75,7 +75,7 @@ impl std::fmt::Debug for TransportSpec {
 
 impl TransportSpec {
     /// The in-process socket-mesh spec for `kind`, or `InProc`.
-    pub fn mesh(kind: TransportKind) -> TransportSpec {
+    pub(crate) fn mesh(kind: TransportKind) -> TransportSpec {
         match kind {
             TransportKind::InProc => TransportSpec::InProc,
             TransportKind::Tcp => TransportSpec::Tcp,

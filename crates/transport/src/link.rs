@@ -12,8 +12,8 @@ use std::sync::Arc;
 
 use crate::frame::Frame;
 
-/// Logical process rank (mirrors `ttg_comm::Rank` without the dependency).
-pub type Rank = usize;
+/// Logical process rank (the same `usize` as `ttg-comm`'s, without the dependency).
+pub(crate) type Rank = usize;
 
 /// Which link-layer implementation a fabric runs on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,7 +29,7 @@ pub enum TransportKind {
 
 impl TransportKind {
     /// Stable lowercase name (CLI flag value / display).
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         match self {
             TransportKind::InProc => "inproc",
             TransportKind::Tcp => "tcp",
@@ -92,19 +92,6 @@ pub enum TransportError {
         /// Codec diagnosis.
         detail: String,
     },
-}
-
-impl TransportError {
-    /// Peer rank this error is about.
-    pub fn peer(&self) -> Rank {
-        match self {
-            TransportError::ConnectRefused { peer, .. }
-            | TransportError::PeerReset { peer, .. }
-            | TransportError::HandshakeMismatch { peer, .. }
-            | TransportError::Closed { peer }
-            | TransportError::Framing { peer, .. } => *peer,
-        }
-    }
 }
 
 impl std::fmt::Display for TransportError {
@@ -205,7 +192,7 @@ ttg_telemetry::metrics! {
         /// not said `Bye`: the batch in hand when the connection was lost.
         /// The writer then ends and its queue closes; this counter is the
         /// transport's only record of the loss.
-        pub tx_frames_abandoned: counter("transport", "tx_frames_abandoned"),
+        pub(crate) tx_frames_abandoned: counter("transport", "tx_frames_abandoned"),
         /// Frames whose body went to the socket from the buffer that held it
         /// (queued by ownership, written vectored) instead of being copied.
         pub tx_direct_frames: counter("transport", "tx_direct_frames"),
@@ -222,7 +209,7 @@ ttg_telemetry::metrics! {
 impl TransportMetrics {
     /// Raise the high-water marks of `peer`'s send queue to at least
     /// `frames` and `bytes`.
-    pub fn note_queue(&self, peer: Rank, frames: usize, bytes: usize) {
+    pub(crate) fn note_queue(&self, peer: Rank, frames: usize, bytes: usize) {
         for (marks, v) in [(&self.queue_hwm, frames), (&self.queue_bytes_hwm, bytes)] {
             // Load first: this runs on every send, and a raise is rare.
             if let Some(g) = marks.get(peer).filter(|g| v as i64 > g.get()) {

@@ -1,7 +1,7 @@
 //! Free-list recycling for hot-path wire buffers.
 //!
 //! Every active message used to allocate a fresh `Vec<u8>` on send and drop
-//! it after delivery. The [`BufPool`] keeps a small sharded free-list of
+//! it after delivery. The pool keeps a small sharded free-list of
 //! retired buffers so steady-state traffic reuses allocations instead of
 //! round-tripping through the global allocator. Shards are picked per
 //! thread, so the common pattern — comm thread recycles what worker threads
@@ -13,10 +13,10 @@
 //! the copy or the vectored write), one the reader decoded into by the
 //! executor after dispatch.
 //!
-//! The pool is deliberately bounded: buffers above [`MAX_POOLED_CAP`] are
+//! The pool is deliberately bounded: buffers above `MAX_POOLED_CAP` are
 //! dropped rather than cached (a single giant splitmd payload must not pin
 //! a megabyte per shard forever), and each shard holds at most
-//! [`SHARD_DEPTH`] buffers. Hit/miss/recycled/dropped counters are exposed
+//! `SHARD_DEPTH` buffers. Hit/miss/recycled/dropped counters are exposed
 //! through [`pool_stats`] for the benchmark reports.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -222,33 +222,9 @@ pub struct PoolStats {
     /// Acquires that fell back to a fresh allocation.
     pub misses: u64,
     /// Buffers successfully returned to the free-list.
-    pub recycled: u64,
+    pub(crate) recycled: u64,
     /// Buffers dropped on recycle (oversized or shard full).
-    pub dropped: u64,
-}
-
-impl PoolStats {
-    /// Fraction of acquires served from the pool, in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Render the stats as a JSON object string.
-    pub fn json(&self) -> String {
-        format!(
-            "{{\"hits\":{},\"misses\":{},\"recycled\":{},\"dropped\":{},\"hit_rate\":{:.4}}}",
-            self.hits,
-            self.misses,
-            self.recycled,
-            self.dropped,
-            self.hit_rate()
-        )
-    }
+    pub(crate) dropped: u64,
 }
 
 /// Snapshot the process-wide pool counters.
@@ -314,18 +290,5 @@ mod tests {
         recycle(Vec::new());
         assert!(pool_stats().dropped > before.dropped);
         assert_eq!(kept_here(), 0);
-    }
-
-    #[test]
-    fn hit_rate_bounds() {
-        let s = PoolStats {
-            hits: 3,
-            misses: 1,
-            recycled: 0,
-            dropped: 0,
-        };
-        assert!((s.hit_rate() - 0.75).abs() < 1e-12);
-        assert_eq!(PoolStats::default().hit_rate(), 0.0);
-        assert!(s.json().contains("\"hits\":3"));
     }
 }

@@ -145,7 +145,7 @@ pub enum AddrSpec {
 
 impl AddrSpec {
     /// Render the rendezvous-file text form.
-    pub fn to_text(&self) -> String {
+    pub(crate) fn to_text(&self) -> String {
         match self {
             AddrSpec::Tcp(a) => format!("tcp:{a}"),
             AddrSpec::Uds(p) => format!("uds:{}", p.display()),
@@ -677,13 +677,7 @@ pub struct SocketEndpoint {
     inner: Arc<Inner>,
 }
 
-impl SocketEndpoint {
-    /// The address this endpoint's listener is bound to (rendezvous and
-    /// tests).
-    pub fn listen_addr(&self) -> AddrSpec {
-        self.inner.listener.addr()
-    }
-}
+impl SocketEndpoint {}
 
 struct SocketLink {
     inner: Arc<Inner>,
@@ -958,7 +952,7 @@ fn read_addr_file(dir: &Path, rank: Rank, deadline: Instant) -> Result<AddrSpec,
 /// Build one rank's endpoint of a **multi-process** job (tier-2): bind a
 /// listener, publish its address in the shared rendezvous directory `dir`,
 /// dial every lower rank as its address appears, and accept every higher
-/// rank. Blocks until the full mesh is up or [`RENDEZVOUS_TIMEOUT`] passes.
+/// rank. Blocks until the full mesh is up or `RENDEZVOUS_TIMEOUT` passes.
 pub fn remote_endpoint(
     kind: TransportKind,
     me: Rank,
@@ -1040,7 +1034,7 @@ mod tests {
         let ep = SocketEndpoint {
             inner: new_inner(0, 2, TransportKind::Tcp, listener, reg),
         };
-        let AddrSpec::Tcp(addr) = ep.listen_addr() else {
+        let AddrSpec::Tcp(addr) = ep.inner.listener.addr() else {
             panic!("tcp addr")
         };
         (ep, addr)
@@ -1214,7 +1208,7 @@ mod tests {
         let eps = local_mesh(TransportKind::Tcp, 2, &reg).expect("mesh");
         let (sink, _got) = collect_sink();
         eps[0].start(sink);
-        let AddrSpec::Tcp(addr) = eps[0].listen_addr() else {
+        let AddrSpec::Tcp(addr) = eps[0].inner.listener.addr() else {
             panic!("tcp addr")
         };
         // A stranger with the wrong magic dials rank 0's listener.
@@ -1244,7 +1238,7 @@ mod tests {
         let eps = local_mesh(TransportKind::Tcp, 2, &reg).expect("mesh");
         let (sink, got) = collect_sink();
         eps[0].start(sink);
-        let AddrSpec::Tcp(addr) = eps[0].listen_addr() else {
+        let AddrSpec::Tcp(addr) = eps[0].inner.listener.addr() else {
             panic!("tcp addr")
         };
         let mut s = TcpStream::connect(addr).unwrap();
@@ -1332,7 +1326,7 @@ mod tests {
     fn version_skew_is_refused() {
         let reg = Registry::new();
         let eps = local_mesh(TransportKind::Tcp, 2, &reg).expect("mesh");
-        let AddrSpec::Tcp(addr) = eps[1].listen_addr() else {
+        let AddrSpec::Tcp(addr) = eps[1].inner.listener.addr() else {
             panic!("tcp addr")
         };
         let mut s = TcpStream::connect(addr).unwrap();
