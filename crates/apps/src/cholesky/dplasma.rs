@@ -69,7 +69,7 @@ pub fn run_with_faults(
             n_deps: Arc::new(|_| 1),
             owner: Arc::new(move |k: &K| own_ij(k.0, k.0)),
             priority: Arc::new(move |k: &K| 10 * (nt as i32 - k.0 as i32) + 3),
-            cost: Arc::new(move |_| ns_for_flops(potrf_flops(nb))),
+            cost: Some(Arc::new(move |_| ns_for_flops(potrf_flops(nb)))),
             body: Arc::new(move |key, mut vals, ctx| {
                 let k = key.0;
                 let mut tile = vals.pop().unwrap().tile;
@@ -92,7 +92,7 @@ pub fn run_with_faults(
             n_deps: Arc::new(|_| 2),
             owner: Arc::new(move |k: &K| own_ij(k.0, k.1)),
             priority: Arc::new(move |k: &K| 10 * (nt as i32 - k.1 as i32) + 2),
-            cost: Arc::new(move |_| ns_cubed(nb)),
+            cost: Some(Arc::new(move |_| ns_cubed(nb))),
             body: Arc::new(move |key, vals, ctx| {
                 let (m, k, _) = *key;
                 let mut l_kk = None;
@@ -149,7 +149,7 @@ pub fn run_with_faults(
             n_deps: Arc::new(|_| 2),
             owner: Arc::new(move |k: &K| own_ij(k.1, k.1)),
             priority: Arc::new(move |k: &K| 10 * (nt as i32 - k.0 as i32) + 1),
-            cost: Arc::new(move |_| ns_cubed(nb)),
+            cost: Some(Arc::new(move |_| ns_cubed(nb))),
             body: Arc::new(move |key, vals, ctx| {
                 let (k, m, _) = *key;
                 let mut a_mm = None;
@@ -189,7 +189,7 @@ pub fn run_with_faults(
             n_deps: Arc::new(|_| 3),
             owner: Arc::new(move |k: &K| own_ij(k.0, k.1)),
             priority: Arc::new(|_| 0),
-            cost: Arc::new(move |_| ns_for_flops(gemm_flops(nb, nb, nb))),
+            cost: Some(Arc::new(move |_| ns_for_flops(gemm_flops(nb, nb, nb)))),
             body: Arc::new(move |key, vals, ctx| {
                 let (i, j, k) = *key;
                 let mut a_ij = None;
@@ -234,7 +234,7 @@ pub fn run_with_faults(
             n_deps: Arc::new(|_| 1),
             owner: Arc::new(move |k: &K| own_ij(k.0, k.1)),
             priority: Arc::new(|_| 0),
-            cost: Arc::new(|_| 200),
+            cost: Some(Arc::new(|_| 200)),
             body: {
                 let out = Arc::clone(&output);
                 Arc::new(move |key, mut vals, _ctx| {

@@ -13,8 +13,8 @@
 //! Figures on `Workload::gaussians(3, 5, 400.0, 1e-4, 42)` (a tensor is
 //! 8 000 B, the three trees have 307 interior nodes), smallest – largest
 //! over 19 runs of the parent commit and 24 of the change that set the
-//! budget, release and debug profiles, plain and with `ttg/telemetry` and
-//! `ttg/checked`:
+//! budget, release and debug profiles, plain and with the `ttg/telemetry`
+//! feature (since deleted) and `ttg/checked`:
 //!
 //! | commit           | tensors | per node | bytes allocated         | live-heap peak        |
 //! |------------------|---------|----------|-------------------------|-----------------------|

@@ -14,7 +14,6 @@
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use parking_lot::Mutex;
 use ttg_comm::{Fabric, Packet, ReadBuf, StatsSnapshot, WriteBuf};
@@ -47,8 +46,9 @@ pub struct TaskClass<K: Key, V: Data> {
     pub owner: Arc<dyn Fn(&K) -> usize + Send + Sync>,
     /// Task priority (native PaRSEC priority support).
     pub priority: Arc<dyn Fn(&K) -> i32 + Send + Sync>,
-    /// Modelled cost (ns) of task `k`, for trace projection.
-    pub cost: Arc<dyn Fn(&K) -> u64 + Send + Sync>,
+    /// Modelled cost (ns) of task `k`, for trace projection; `None`
+    /// projects from the measured duration.
+    pub cost: Option<Arc<dyn Fn(&K) -> u64 + Send + Sync>>,
     /// Task body.
     pub body: BodyFn<K, V>,
 }
@@ -120,7 +120,10 @@ impl<K: Key, V: Data> RtInner<K, V> {
                 deps: Vec::new(),
             });
             entry.vals.push(v);
-            entry.deps.push(dep);
+            // Provenance is only consumed by the tracer.
+            if self.trace.is_some() {
+                entry.deps.push(dep);
+            }
             let need = (self.classes[class].n_deps)(&key);
             assert!(
                 entry.vals.len() <= need,
@@ -143,41 +146,41 @@ impl<K: Key, V: Data> RtInner<K, V> {
     fn launch(self: &Arc<Self>, class: usize, rank: usize, key: K, entry: PendingCnt<V>) {
         let rt = Arc::clone(self);
         let task_id = self.next_task.fetch_add(1, Ordering::Relaxed);
-        let prio = (self.classes[class].priority)(&key);
+        let tc = &self.classes[class];
+        let prio = (tc.priority)(&key);
         self.metrics.activations[rank].inc();
+        let PendingCnt { vals, deps } = entry;
+        // As in `ttg-core`: the record starts here, where the last input
+        // arrived, and the job fills in who ran it and when.
+        let traced = self.trace.as_ref().map(|tr| {
+            Box::new(TaskEvent {
+                id: task_id,
+                node: class as u32,
+                name: tc.name,
+                rank,
+                worker: 0,
+                ready_ns: tr.now_ns(),
+                start_ns: 0,
+                end_ns: 0,
+                model_ns: tc.cost.as_ref().map(|f| f(&key)),
+                priority: prio,
+                deps,
+            })
+        });
         self.pools[rank].submit(ttg_runtime::Job::with_priority(prio, move || {
             let ctx = PtgCtx {
                 rt: &rt,
                 rank,
                 task_id,
             };
-            let t0 = Instant::now();
-            {
-                #[cfg(feature = "telemetry")]
-                let _span = ttg_telemetry::span_for_rank(rank, "task", rt.classes[class].name)
-                    .arg("task", task_id);
-                (rt.classes[class].body)(&key, entry.vals, &ctx);
+            let body = &rt.classes[class].body;
+            match (traced, &rt.trace) {
+                (Some(ev), Some(tr)) => tr.run(*ev, rt.pools[rank].current_worker(), || {
+                    body(&key, vals, &ctx)
+                }),
+                _ => body(&key, vals, &ctx),
             }
-            let measured = t0.elapsed().as_nanos() as u64;
             rt.tasks_run.fetch_add(1, Ordering::Relaxed);
-            if let Some(tr) = &rt.trace {
-                tr.record(TaskEvent {
-                    id: task_id,
-                    node: class as u32,
-                    name: rt.classes[class].name,
-                    rank,
-                    priority: prio,
-                    cost_ns: {
-                        let c = (rt.classes[class].cost)(&key);
-                        if c == 0 {
-                            measured
-                        } else {
-                            c
-                        }
-                    },
-                    deps: entry.deps,
-                });
-            }
         }));
     }
 }
@@ -374,7 +377,7 @@ mod tests {
             n_deps: Arc::new(|_| 1),
             owner: Arc::new(|k: &u64| *k as usize),
             priority: Arc::new(|_| 0),
-            cost: Arc::new(|_| 0),
+            cost: None,
             body: Arc::new(move |k, vals, ctx: &PtgCtx<'_, u64, i64>| {
                 let v = vals[0] + 1;
                 if *k < 10 {
@@ -389,7 +392,7 @@ mod tests {
             n_deps: Arc::new(|_| 1),
             owner: Arc::new(|_| 0),
             priority: Arc::new(|_| 0),
-            cost: Arc::new(|_| 0),
+            cost: None,
             body: Arc::new(move |k, vals, _ctx: &PtgCtx<'_, u64, i64>| {
                 sink.lock().push((*k, vals[0]));
             }),
@@ -418,7 +421,7 @@ mod tests {
             n_deps: Arc::new(|_| 1),
             owner: Arc::new(|k: &u64| *k as usize),
             priority: Arc::new(|_| 0),
-            cost: Arc::new(|_| 0),
+            cost: None,
             body: Arc::new(|k, vals: Vec<i64>, ctx: &PtgCtx<'_, u64, i64>| {
                 ctx.send(1, 99, vals[0] * (*k as i64 + 1));
             }),
@@ -428,7 +431,7 @@ mod tests {
             n_deps: Arc::new(|_| 4),
             owner: Arc::new(|_| 1),
             priority: Arc::new(|_| 0),
-            cost: Arc::new(|_| 0),
+            cost: None,
             body: Arc::new(move |_k, vals: Vec<i64>, _ctx: &PtgCtx<'_, u64, i64>| {
                 sink2.lock().push(vals.iter().sum::<i64>());
             }),

@@ -1,3 +1,4 @@
+#![cfg(test)]
 //! A queue-backed [`ChaosWire`] for driving a [`ChaosState`] without a
 //! fabric: on one thread against the wall clock (`chaos_tests.rs`), and on
 //! model threads against the logical clock (`chaos_model.rs`, under

@@ -1,3 +1,4 @@
+#![cfg(all(test, ttg_model))]
 //! Model cases of the reliable layer: the shipped [`ChaosState`] explored
 //! by `ttg_model::explore` (`RUSTFLAGS="--cfg ttg_model" cargo test -p
 //! ttg-comm --lib`). The queue-backed [`Harness`] runs on the threads a

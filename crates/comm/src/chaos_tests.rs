@@ -1,3 +1,4 @@
+#![cfg(all(test, not(ttg_model)))]
 //! Tests of the reliable layer's state machine, driven on one thread
 //! through the queue-backed [`Harness`] against the wall clock.
 

@@ -1,3 +1,4 @@
+#![cfg(all(test, ttg_model))]
 //! Model case of multi-process termination (DESIGN §9): two shipped
 //! [`ControlPlane`]s and their ledgers behind a fake [`ControlPort`],
 //! explored by `ttg_model::explore` (`RUSTFLAGS="--cfg ttg_model" cargo

@@ -1,3 +1,4 @@
+#![cfg(all(test, ttg_model))]
 //! Model case of the coordinated rollback (DESIGN §13): the shipped
 //! [`Gate`], [`Recovery`], [`Paused`] and ledger on the reliable layer's
 //! queue-backed harness, explored by `ttg_model::explore`

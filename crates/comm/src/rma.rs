@@ -132,13 +132,6 @@ impl RegionTable {
             stats.rma_bytes.add(bytes);
             stats.tx_bytes[owner].add(bytes);
             stats.rx_bytes[caller].add(bytes);
-            #[cfg(feature = "telemetry")]
-            ttg_telemetry::instant(
-                Some(caller as u32),
-                "comm",
-                "rma_get",
-                &[("owner", owner as u64), ("bytes", bytes)],
-            );
         }
         if let Some(f) = release {
             f();

@@ -136,13 +136,6 @@ impl FabricStats {
             tx.add(bytes);
         }
         self.rx_bytes[to].add(bytes);
-        #[cfg(feature = "telemetry")]
-        ttg_telemetry::instant(
-            Some(to as u32),
-            "comm",
-            "am",
-            &[("from", from as u64), ("bytes", bytes)],
-        );
     }
 
     /// Record what the optimized broadcast saved versus naive per-key

@@ -74,7 +74,7 @@ mod types;
 
 pub use backend::BackendSpec;
 pub use executor::ExecReport;
-pub use export::{chrome_trace, layout_task_slices};
+pub use export::chrome_trace;
 pub use graph::Graph;
 pub use inspect::{MutationError, StuckEntry, Violation};
 pub use trace::{Dep, TaskEvent, TraceRecorder};

@@ -12,7 +12,6 @@
 use std::any::{Any, TypeId};
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
 
 use parking_lot::RwLock;
 use ttg_comm::{ReadBuf, WireError, WriteBuf};
@@ -498,6 +497,24 @@ impl<K: Key> NodeInner<K> {
         let inputs = Inputs::from(slots);
         ctx.metrics.activations[rank].inc();
         let pool = ctx.pool(rank);
+        // A traced task carries its record from here, where its last input
+        // arrived; the job fills in who ran it and when. The clock is read
+        // only for a trace to consume.
+        let traced = ctx.trace.as_ref().map(|tr| {
+            Box::new(TaskEvent {
+                id: task_id,
+                node: id,
+                name: self.name,
+                rank,
+                worker: 0,
+                ready_ns: tr.now_ns(),
+                start_ns: 0,
+                end_ns: 0,
+                model_ns: frozen.costmap.as_ref().map(|f| f(&k)),
+                priority: prio,
+                deps,
+            })
+        });
         // The job holds no handle: it runs with its worker's context and
         // finds its node there by id.
         let mut job = ttg_runtime::Job::in_context(prio, move |ctx: &Arc<RuntimeCtx>| {
@@ -510,30 +527,15 @@ impl<K: Key> NodeInner<K> {
                 .invoke
                 .get()
                 .unwrap_or_else(|| panic!("node {} has no task body", node.name));
-            // The clock is read only for a trace to consume.
-            let t0 = ctx.trace.as_ref().map(|_| Instant::now());
-            {
-                #[cfg(feature = "telemetry")]
-                let _span =
-                    ttg_telemetry::span_for_rank(rank, "task", node.name).arg("task", task_id);
-                invoke(&k, inputs, task_id, rank, ctx);
+            match (traced, &ctx.trace) {
+                (Some(ev), Some(tr)) => tr.run(*ev, ctx.pool(rank).current_worker(), || {
+                    invoke(&k, inputs, task_id, rank, ctx)
+                }),
+                _ => invoke(&k, inputs, task_id, rank, ctx),
             }
-            let measured_ns = t0.map(|t| t.elapsed().as_nanos() as u64);
             node.tables.get().expect("node not attached")[rank]
                 .executed
                 .fetch_add(1, Ordering::Relaxed);
-            if let (Some(tr), Some(measured_ns)) = (&ctx.trace, measured_ns) {
-                let costmap = node.frozen.get().and_then(|f| f.costmap.as_ref());
-                tr.record(TaskEvent {
-                    id: task_id,
-                    node: id,
-                    name: node.name,
-                    rank,
-                    cost_ns: costmap.map_or(measured_ns, |f| f(&k)),
-                    priority: prio,
-                    deps,
-                });
-            }
         });
         // Successors spawned by a worker inherit that worker's cache: bind
         // them to it so the pool's locality queue serves them hot.

@@ -118,7 +118,7 @@ enum SlotsIter {
 /// The matched inputs of one task, in terminal order: the slots of its
 /// completed entry, moved into the job as they are. The task body's
 /// prologue pulls its erased values out of them one by one.
-pub struct Inputs(SlotsIter);
+pub(crate) struct Inputs(SlotsIter);
 
 impl Iterator for Inputs {
     type Item = ErasedVal;

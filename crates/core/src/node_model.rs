@@ -1,3 +1,4 @@
+#![cfg(all(test, ttg_model))]
 //! Model case of the matching table (DESIGN §5): the shipped
 //! [`ShardedTable::arrive`] explored by `ttg_model::explore`
 //! (`RUSTFLAGS="--cfg ttg_model" cargo test -p ttg-core --lib`), its

@@ -53,15 +53,26 @@ impl<'a, T> Outs<'a, T> {
     }
 
     /// Send one value to task IDs on several output terminals — Listing
-    /// 1's `ttg::broadcast<0, 1, 2, 3>(..)`:
+    /// 1's `ttg::broadcast<0, 1, 2, 3>(..)`, here with two terminals:
     ///
-    /// ```ignore
+    /// ```
+    /// # use ttg_core::prelude::*;
+    /// # let tiles: Edge<u32, f64> = Edge::new("tiles");
+    /// # let rows: Edge<u32, f64> = Edge::new("rows");
+    /// # let cells: Edge<(u32, u32), f64> = Edge::new("cells");
+    /// # let mut g = GraphBuilder::new();
+    /// # let src = g.make_tt("src", (tiles,), (rows.clone(), cells.clone()), |_: &u32| 0,
+    /// #     |k, (tile,): (f64,), outs| {
     /// outs.fanout(tile)
-    ///     .to::<0>(&[(m, k)])
-    ///     .to::<1>(&[(k, m)])
-    ///     .to::<2>(&row_ids)
-    ///     .to::<3>(&col_ids)
+    ///     .to::<0>(&[*k, *k + 1])
+    ///     .to::<1>(&[(*k, 0), (*k, 1)])
     ///     .send();
+    /// # });
+    /// # g.make_tt("row", (rows,), (), |k: &u32| *k as usize, |_, (_,): (f64,), _| {});
+    /// # g.make_tt("cell", (cells,), (), |k: &(u32, u32)| k.1 as usize, |_, (_,): (f64,), _| {});
+    /// # let exec = Executor::new(g.build(), ExecConfig::distributed(2, 1, BackendSpec::default()));
+    /// # src.in_ref::<0>().seed(exec.ctx(), 0, 1.5);
+    /// # assert_eq!(exec.finish().tasks, 5);
     /// ```
     ///
     /// The terminals share the value type and are free to differ in key

@@ -2,9 +2,12 @@
 //!
 //! When enabled, every executed task instance is recorded together with its
 //! data dependencies (which task produced each of its inputs, how many bytes
-//! crossed which rank boundary) and a modelled or measured duration. The
+//! crossed which rank boundary), the worker that ran it and when: the time
+//! its last input arrived, and the times its body started and ended. The
 //! `ttg-simnet` crate replays these traces on a machine model to project
-//! performance at the paper's node counts.
+//! performance at the paper's node counts; `chrome_trace` draws them.
+
+use std::time::Instant;
 
 use parking_lot::Mutex;
 
@@ -23,7 +26,8 @@ pub struct Dep {
     pub msg: u64,
 }
 
-/// One executed task instance.
+/// One executed task instance. Times are nanoseconds since the epoch of
+/// the [`TraceRecorder`] that recorded it.
 #[derive(Debug, Clone)]
 pub struct TaskEvent {
     /// Unique id (1-based; 0 is reserved for external seeds).
@@ -34,8 +38,17 @@ pub struct TaskEvent {
     pub name: &'static str,
     /// Rank the task executed on.
     pub rank: usize,
-    /// Modelled duration (ns) if a cost model is set, else measured.
-    pub cost_ns: u64,
+    /// Worker of the executing pool that ran the task.
+    pub worker: u32,
+    /// When the input that completed the task's match arrived and the task
+    /// was launched.
+    pub ready_ns: u64,
+    /// When the task body started.
+    pub start_ns: u64,
+    /// When the task body ended.
+    pub end_ns: u64,
+    /// The cost model's duration (ns), when the template task has one.
+    pub model_ns: Option<u64>,
     /// Scheduler priority the task ran with (0 unless a priority map was
     /// set and the backend honors priorities).
     pub priority: i32,
@@ -43,20 +56,40 @@ pub struct TaskEvent {
     pub deps: Vec<Dep>,
 }
 
-/// Thread-safe trace sink.
-#[derive(Debug, Default)]
+/// Thread-safe trace sink with its own clock epoch.
+#[derive(Debug)]
 pub struct TraceRecorder {
+    epoch: Instant,
     events: Mutex<Vec<TaskEvent>>,
 }
 
+impl Default for TraceRecorder {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl TraceRecorder {
-    /// Create an empty recorder.
+    /// Create an empty recorder whose epoch is now.
     pub fn new() -> Self {
-        Self::default()
+        TraceRecorder {
+            epoch: Instant::now(),
+            events: Mutex::new(Vec::new()),
+        }
     }
 
-    /// Append one task event.
-    pub fn record(&self, ev: TaskEvent) {
+    /// Nanoseconds since this recorder's epoch.
+    pub fn now_ns(&self) -> u64 {
+        self.epoch.elapsed().as_nanos() as u64
+    }
+
+    /// Run `body`, the task `ev` was made for at its launch, and record it
+    /// with the worker that ran it and the body's start and end.
+    pub fn run(&self, mut ev: TaskEvent, worker: Option<u32>, body: impl FnOnce()) {
+        ev.worker = worker.unwrap_or(0);
+        ev.start_ns = self.now_ns();
+        body();
+        ev.end_ns = self.now_ns();
         self.events.lock().push(ev);
     }
 
@@ -73,21 +106,33 @@ mod tests {
     use super::*;
 
     #[test]
-    fn record_and_take_sorted() {
+    fn run_records_the_worker_and_times_and_take_sorts() {
         let t = TraceRecorder::new();
         for id in [3u64, 1, 2] {
-            t.record(TaskEvent {
+            let ev = TaskEvent {
                 id,
                 node: 0,
                 name: "n",
                 rank: 0,
-                cost_ns: 10,
+                worker: 0,
+                ready_ns: t.now_ns(),
+                start_ns: 0,
+                end_ns: 0,
+                model_ns: None,
                 priority: 0,
                 deps: vec![],
+            };
+            t.run(ev, Some(id as u32), || {
+                std::thread::sleep(std::time::Duration::from_micros(50))
             });
         }
         let evs = t.take();
         assert_eq!(evs.iter().map(|e| e.id).collect::<Vec<_>>(), vec![1, 2, 3]);
+        for e in &evs {
+            assert_eq!(e.worker, e.id as u32);
+            assert!(e.ready_ns <= e.start_ns);
+            assert!(e.end_ns >= e.start_ns + 50_000, "{e:?}");
+        }
         assert!(t.take().is_empty());
     }
 }

@@ -12,7 +12,7 @@ use ttg_comm::{ReadBuf, WireError, WriteBuf};
 
 use crate::ctx::RuntimeCtx;
 use crate::edge::{Edge, OutTerm, PortImpl};
-use crate::node::{InputMeta, Inputs, NodeInner};
+use crate::node::{InputMeta, NodeInner};
 use crate::types::{Data, ErasedVal, Key};
 
 /// Build the per-terminal vtable for value type `V`.
@@ -50,30 +50,45 @@ pub(crate) fn meta_for<V: Data>() -> InputMeta {
 }
 
 /// A tuple of input edges `(Edge<K, V0>, ..)` — all sharing the task-ID
-/// type `K` of the consuming template task.
-pub trait EdgeList<K: Key>: 'static {
-    /// Tuple of the input value types `(V0, ..)`.
-    type Values: Send + 'static;
-    /// Number of input terminals.
-    const N: usize;
-    /// Per-terminal vtables.
-    fn metas(&self) -> Vec<InputMeta>;
-    /// Edge identity of each input terminal (for the static verifier).
-    fn decls(&self) -> Vec<crate::inspect::EdgeDecl>;
-    /// Register one consumer port per edge on `node`.
-    fn connect(&self, node: &Arc<NodeInner<K>>);
-    /// Downcast the matched inputs into the typed tuple, tracking the
-    /// copy plane: moves out of shared handles and refcount-bump clones
-    /// count as avoided deep copies, deep clones of still-shared values
-    /// count as copy-on-write clones (with their byte cost).
-    fn extract(inputs: Inputs, rank: usize, ctx: &RuntimeCtx) -> Self::Values;
+/// type `K` of the consuming template task. Implemented for tuples of one
+/// to six edges, and sealed: what `make_tt` does with the edges belongs to
+/// a supertrait no program can name.
+pub trait EdgeList<K: Key>: sealed::InputEdges<K> {}
+
+impl<K: Key, T: sealed::InputEdges<K>> EdgeList<K> for T {}
+
+mod sealed {
+    use super::*;
+
+    /// How `make_tt` wires a tuple of input edges and reads a task's
+    /// matched inputs. `pub` only for [`EdgeList`] to name it; the module
+    /// is private, so no program can.
+    pub trait InputEdges<K: Key>: 'static {
+        /// Tuple of the input value types `(V0, ..)`.
+        type Values: Send + 'static;
+        /// Per-terminal vtables.
+        fn metas(&self) -> Vec<InputMeta>;
+        /// Edge identity of each input terminal (for the static verifier).
+        fn decls(&self) -> Vec<crate::inspect::EdgeDecl>;
+        /// Register one consumer port per edge on `node`.
+        fn connect(&self, node: &Arc<NodeInner<K>>);
+        /// Downcast a task's matched inputs, in terminal order, into the
+        /// typed tuple, tracking the copy plane: moves out of shared
+        /// handles and refcount-bump clones count as avoided deep copies,
+        /// deep clones of still-shared values count as copy-on-write clones
+        /// (with their byte cost).
+        fn extract(
+            inputs: impl Iterator<Item = ErasedVal>,
+            rank: usize,
+            ctx: &RuntimeCtx,
+        ) -> Self::Values;
+    }
 }
 
 macro_rules! impl_edge_list {
-    ($n:expr; $($V:ident : $idx:tt),+) => {
-        impl<K: Key, $($V: Data),+> EdgeList<K> for ($(Edge<K, $V>,)+) {
+    ($($V:ident : $idx:tt),+) => {
+        impl<K: Key, $($V: Data),+> sealed::InputEdges<K> for ($(Edge<K, $V>,)+) {
             type Values = ($($V,)+);
-            const N: usize = $n;
 
             fn metas(&self) -> Vec<InputMeta> {
                 vec![$(meta_for::<$V>()),+]
@@ -92,7 +107,11 @@ macro_rules! impl_edge_list {
                 )+
             }
 
-            fn extract(mut inputs: Inputs, rank: usize, ctx: &RuntimeCtx) -> Self::Values {
+            fn extract(
+                mut inputs: impl Iterator<Item = ErasedVal>,
+                rank: usize,
+                ctx: &RuntimeCtx,
+            ) -> Self::Values {
                 ($(
                     {
                         let ev = inputs.next().expect("missing input value");
@@ -129,12 +148,12 @@ macro_rules! impl_edge_list {
     };
 }
 
-impl_edge_list!(1; V0: 0);
-impl_edge_list!(2; V0: 0, V1: 1);
-impl_edge_list!(3; V0: 0, V1: 1, V2: 2);
-impl_edge_list!(4; V0: 0, V1: 1, V2: 2, V3: 3);
-impl_edge_list!(5; V0: 0, V1: 1, V2: 2, V3: 3, V4: 4);
-impl_edge_list!(6; V0: 0, V1: 1, V2: 2, V3: 3, V4: 4, V5: 5);
+impl_edge_list!(V0: 0);
+impl_edge_list!(V0: 0, V1: 1);
+impl_edge_list!(V0: 0, V1: 1, V2: 2);
+impl_edge_list!(V0: 0, V1: 1, V2: 2, V3: 3);
+impl_edge_list!(V0: 0, V1: 1, V2: 2, V3: 3, V4: 4);
+impl_edge_list!(V0: 0, V1: 1, V2: 2, V3: 3, V4: 4, V5: 5);
 
 /// A tuple of output edges `(Edge<K0, W0>, ..)` — each with its own key and
 /// value type.

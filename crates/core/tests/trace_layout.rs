@@ -1,53 +1,70 @@
-//! The Chrome-trace layout of a real execution draws every task after the
-//! tasks it depends on, though task ids (taken from per-thread blocks) are
-//! no topological order.
+//! The trace records when each task ran, and the recorded times agree with
+//! the dependencies and with the workers: a task is ready no earlier than
+//! its producers started, a worker runs one task at a time, and a consumer
+//! that ran on its producer's worker started after the producer ended.
+//! Task ids (taken from per-thread blocks) are no topological order, so
+//! nothing here relies on them.
+//!
+//! Across workers or ranks a consumer may start before its producer ends:
+//! a producer's value leaves mid-body, so that is not checked.
 
 use std::collections::HashMap;
 
 use ttg_core::prelude::*;
-use ttg_core::{layout_task_slices, TaskEvent};
+use ttg_core::{chrome_trace, TaskEvent};
 
-/// Check that every laid-out task starts no earlier than each of its
-/// traced producers finishes, and that no two tasks overlap on one lane.
-fn assert_layout_respects_dependencies(trace: &[TaskEvent], lanes: usize) {
-    let slices = layout_task_slices(trace, lanes);
-    assert_eq!(slices.len(), trace.len(), "every task is laid out");
-    let by_id: HashMap<u64, (u64, u64)> = slices
-        .iter()
-        .map(|s| {
-            let id = s.name.rsplit('#').next().unwrap().parse().unwrap();
-            (id, (s.start_ns, s.start_ns + s.dur_ns))
-        })
-        .collect();
+/// Check the recorded times of every task and every traced dependency.
+fn assert_recorded_times_hold(trace: &[TaskEvent]) {
+    let by_id: HashMap<u64, &TaskEvent> = trace.iter().map(|e| (e.id, e)).collect();
+    assert_eq!(by_id.len(), trace.len(), "task ids are unique");
     for ev in trace {
-        let (start, _) = by_id[&ev.id];
+        assert!(
+            ev.ready_ns <= ev.start_ns && ev.start_ns <= ev.end_ns,
+            "task {} is ready at {}, starts at {}, ends at {}",
+            ev.id,
+            ev.ready_ns,
+            ev.start_ns,
+            ev.end_ns
+        );
         for d in ev.deps.iter().filter(|d| d.from_task != 0) {
-            let (_, producer_end) = by_id[&d.from_task];
+            let p = by_id[&d.from_task];
             assert!(
-                start >= producer_end,
-                "task {} starts at {start}, before its producer {} ends at {producer_end}",
+                ev.ready_ns >= p.start_ns,
+                "task {} is ready at {}, before its producer {} started at {}",
                 ev.id,
-                d.from_task
+                ev.ready_ns,
+                p.id,
+                p.start_ns
             );
+            if (p.rank, p.worker) == (ev.rank, ev.worker) {
+                assert!(
+                    ev.start_ns >= p.end_ns,
+                    "task {} starts at {} on its producer {}'s worker, which ends at {}",
+                    ev.id,
+                    ev.start_ns,
+                    p.id,
+                    p.end_ns
+                );
+            }
         }
     }
-    let mut lanes_busy: HashMap<(u32, u32), Vec<(u64, u64)>> = HashMap::new();
-    for s in &slices {
-        lanes_busy
-            .entry((s.rank, s.tid))
+    let mut lanes: HashMap<(usize, u32), Vec<(u64, u64)>> = HashMap::new();
+    for ev in trace {
+        lanes
+            .entry((ev.rank, ev.worker))
             .or_default()
-            .push((s.start_ns, s.start_ns + s.dur_ns));
+            .push((ev.start_ns, ev.end_ns));
     }
-    for spans in lanes_busy.values_mut() {
+    for spans in lanes.values_mut() {
         spans.sort_unstable();
         for w in spans.windows(2) {
-            assert!(w[0].1 <= w[1].0, "two tasks overlap on one lane: {w:?}");
+            assert!(w[0].1 <= w[1].0, "two tasks overlap on one worker: {w:?}");
         }
     }
 }
 
 #[test]
-fn a_consumer_launched_from_an_older_id_block_is_drawn_after_its_producer() {
+fn a_consumer_launched_from_an_older_id_block_is_ready_after_its_producer_ran() {
     let seeds: Edge<u64, u64> = Edge::new("seeds");
     let mid: Edge<u64, u64> = Edge::new("mid");
     let left: Edge<u64, u64> = Edge::new("left");
@@ -84,17 +101,21 @@ fn a_consumer_launched_from_an_older_id_block_is_drawn_after_its_producer() {
     let report = exec.finish();
 
     let trace = report.trace.expect("tracing was on");
-    let id_of = |name: &str| trace.iter().find(|e| e.name == name).unwrap().id;
-    let (b, c) = (id_of("b"), id_of("c"));
+    let by_name = |name: &str| trace.iter().find(|e| e.name == name).unwrap();
+    let (b, c) = (by_name("b"), by_name("c"));
     assert!(
-        c < b,
-        "c ({c}) should have a smaller id than its producer b ({b})"
+        c.id < b.id,
+        "c ({}) should have a smaller id than its producer b ({})",
+        c.id,
+        b.id
     );
-    assert_layout_respects_dependencies(&trace, 2);
+    // `c` became ready only when its second input was seeded, after `b`.
+    assert!(c.ready_ns >= b.end_ns);
+    assert_recorded_times_hold(&trace);
 }
 
 #[test]
-fn a_wavefront_on_two_ranks_of_two_workers_lays_out_in_dependency_order() {
+fn a_wavefront_on_two_ranks_of_two_workers_records_consistent_times() {
     const N: u32 = 24;
     let right: Edge<(u32, u32), u64> = Edge::new("right");
     let down: Edge<(u32, u32), u64> = Edge::new("down");
@@ -127,5 +148,20 @@ fn a_wavefront_on_two_ranks_of_two_workers_lays_out_in_dependency_order() {
 
     assert_eq!(report.tasks, u64::from(N * N));
     let trace = report.trace.expect("tracing was on");
-    assert_layout_respects_dependencies(&trace, 2);
+    assert_eq!(trace.len(), (N * N) as usize);
+    assert!(trace.iter().all(|e| e.worker < 2 && e.model_ns.is_none()));
+    assert_recorded_times_hold(&trace);
+
+    let json = chrome_trace(&trace);
+    ttg_telemetry::json::validate(&json).expect("the export is valid JSON");
+    assert_eq!(json.matches("\"ph\":\"X\"").count(), trace.len());
+    for ev in &trace {
+        assert_eq!(
+            json.matches(&format!("\"name\":\"cell#{}\"", ev.id))
+                .count(),
+            1,
+            "task {} is one event",
+            ev.id
+        );
+    }
 }

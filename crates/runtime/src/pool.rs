@@ -468,15 +468,10 @@ impl<C: Clone + Send + 'static> WorkerPool<C> {
         let mut threads = Vec::with_capacity(workers);
         for (i, local) in locals.into_iter().enumerate() {
             let shared = Arc::clone(&shared);
-            let tname = format!("{name}-w{i}");
             let rng = steal_rng_seed(steal_seed, i);
             let cx = cx.clone();
             threads.push(
-                ttg_model::sync::spawn(tname.clone(), move || {
-                    #[cfg(feature = "telemetry")]
-                    ttg_telemetry::span::name_current_thread(tname);
-                    #[cfg(not(feature = "telemetry"))]
-                    drop(tname);
+                ttg_model::sync::spawn(format!("{name}-w{i}"), move || {
                     worker_loop(shared, local, i, rng, cx)
                 })
                 .expect("failed to spawn worker"),

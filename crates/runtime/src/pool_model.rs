@@ -1,3 +1,4 @@
+#![cfg(all(test, ttg_model))]
 //! Model case of a pool's group submit and its quiescence unit: the
 //! shipped [`WorkerPool`] and [`Quiescence`] explored by
 //! `ttg_model::explore` (`RUSTFLAGS="--cfg ttg_model" cargo test -p

@@ -36,14 +36,15 @@ pub struct TraceTask {
     pub deps: Vec<(u64, u64, usize, u64)>,
 }
 
-/// Build simulator input from a `ttg-core` trace.
+/// Build simulator input from a `ttg-core` trace. A task costs its cost
+/// model's duration when it has one, else its measured one.
 pub fn from_core_trace(events: &[ttg_core::TaskEvent]) -> Vec<TraceTask> {
     events
         .iter()
         .map(|e| TraceTask {
             id: e.id,
             rank: e.rank,
-            cost_ns: e.cost_ns,
+            cost_ns: e.model_ns.unwrap_or(e.end_ns.saturating_sub(e.start_ns)),
             priority: e.priority,
             deps: e
                 .deps
@@ -265,6 +266,40 @@ mod tests {
         assert_eq!(r.makespan_ns, 1000 + 9 * 1001);
         assert_eq!(r.network_msgs, 9);
         assert_eq!(r.network_bytes, 90);
+    }
+
+    #[test]
+    fn a_core_trace_projects_from_its_cost_model_else_from_its_recorded_times() {
+        // `a` has a cost model: its 9 µs of recorded time do not count. `b`
+        // has none and ran from 1 000 to 1 750 ns.
+        let ev = |id, model_ns, start_ns, end_ns, deps: Vec<ttg_core::Dep>| ttg_core::TaskEvent {
+            id,
+            node: 0,
+            name: "t",
+            rank: 0,
+            worker: 0,
+            ready_ns: start_ns,
+            start_ns,
+            end_ns,
+            model_ns,
+            priority: 0,
+            deps,
+        };
+        let from_a = ttg_core::Dep {
+            from_task: 1,
+            bytes: 0,
+            src_rank: 0,
+            msg: 0,
+        };
+        let trace = [
+            ev(1, Some(500), 100, 9_100, vec![]),
+            ev(2, None, 1_000, 1_750, vec![from_a]),
+        ];
+        let tasks = from_core_trace(&trace);
+        let costs: Vec<u64> = tasks.iter().map(|t| t.cost_ns).collect();
+        assert_eq!(costs, [500, 750]);
+        assert_eq!(tasks[1].deps, [(1, 0, 0, 0)]);
+        assert_eq!(simulate(&tasks, &machine(1, 4)).makespan_ns, 500 + 750);
     }
 
     #[test]

@@ -1,3 +1,4 @@
+#![cfg(all(test, ttg_model))]
 //! Model case of the handshake's decoder handoff (DESIGN §12): the shipped
 //! [`read_first`] and [`FrameCodec`] explored by `ttg_model::explore`
 //! (`RUSTFLAGS="--cfg ttg_model" cargo test -p ttg-transport --lib`).

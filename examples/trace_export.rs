@@ -4,19 +4,13 @@
 //!
 //! Run with: `cargo run --release --example trace_export`
 //!
-//! With the `telemetry` feature the trace additionally contains live span
-//! events (per-task spans with worker-thread attribution, comm instants):
-//! `cargo run --release --features telemetry --example trace_export`
+//! Every task is drawn where and when it ran: one slice per task on its
+//! rank's worker lane, from its recorded start to its recorded end.
 
 use ttg::apps::cholesky::{self, ttg as chol};
 use ttg::linalg::TiledMatrix;
-use ttg::telemetry::set_enabled;
 
 fn main() {
-    // Enable runtime recording (spans are also compiled out entirely
-    // unless the `telemetry` cargo feature is on).
-    set_enabled(true);
-
     let nt = 6;
     let nb = 24;
     let a = TiledMatrix::random_spd(nt, nb, 7);
@@ -36,10 +30,9 @@ fn main() {
         cfg.ranks, report.tasks, report.elapsed
     );
 
-    // Chrome trace: task trace laid out per rank/worker lane, merged with
-    // any live spans the telemetry feature recorded.
+    // Chrome trace: the recorded task trace, one lane per rank and worker.
     let trace = report.trace.as_ref().expect("trace was enabled");
-    let json = ttg::core::chrome_trace(trace, cfg.workers);
+    let json = ttg::core::chrome_trace(trace);
     std::fs::write("cholesky_trace.json", &json).expect("write trace");
     println!(
         "wrote cholesky_trace.json ({} events) — open in https://ui.perfetto.dev",

@@ -15,14 +15,14 @@ const EXPORTS: &[&str] = &[
     "bsp: BspDep BspProgram",
     "check: Diagnostic Severity Summary check_if_enabled enable enable_from_args last_summary model_from_args report_from_exec stuck_diagnostic verify",
     "comm: CommError CommErrorKind Fabric FaultPlan KillScript Packet PoolStats ReadBuf Recovery RemoteHandle RetryPolicy StatsSnapshot TransportKind TransportSpec Wire WireError WireKind WriteBuf bytes_to_f64s f64s_to_bytes fabric from_bytes lockdoc pool pool_stats recover to_bytes",
-    "core: BackendSpec CommError CommErrorKind Data Dep ExecReport Graph Key LocalPass MutationError StuckEntry TaskEvent TraceRecorder Violation am chrome_trace layout_task_slices lockdoc prelude",
+    "core: BackendSpec CommError CommErrorKind Data Dep ExecReport Graph Key LocalPass MutationError StuckEntry TaskEvent TraceRecorder Violation am chrome_trace lockdoc prelude",
     "linalg: Dist2D Tile TiledMatrix gemm_flops gemm_nn gemm_nt gemm_strided isa minplus potrf_flops potrf_l syrk_ln trsm_rlt",
     "model: Config Queue Sample Stats Violation ViolationKind event explore explore_iterative nondet sync thread time",
     "mra: Coeffs3 Gaussian3 Mra3 Node3 random_gaussians",
     "runtime: Job Quiescence SchedulerKind WorkerPool lockdoc",
     "simnet: MachineModel SimResult TraceTask des simulate",
     "sparse: BlockSparse YukawaParams generate",
-    "telemetry: ChromeTraceBuilder Counter Gauge Histogram MetricKey MetricValue Padded Reading Registry Snapshot TaskSlice drain_events instant json set_enabled span span_for_rank thread_names",
+    "telemetry: Counter Gauge Histogram MetricKey MetricValue Padded Reading Registry Snapshot json",
     "transport: AddrSpec Endpoint Frame FrameCodec FrameError Link MAX_FRAME PROTOCOL_VERSION RemoteHandle Sink SocketEndpoint TransportError TransportKind TransportMetrics TransportSpec WireBatch frame local_mesh lockdoc pool remote_endpoint",
     "ttg: apps bsp check comm core linalg madness mra parsec runtime simnet sparse telemetry transport",
 ];
