@@ -15,14 +15,12 @@
 //! model when `--model` appears on the command line, prints the report,
 //! writes [`MODEL_REPORT_PATH`] in the same `ttg-check-report/1` JSON
 //! schema as the static verifier, and exits the process (non-zero iff a
-//! model failed). Lock-order (TTG050/TTG051) and wire-protocol
-//! (TTG052/TTG053) findings over the crates' annotations ride along in
-//! the same report — `--model` is the one-stop concurrency audit.
+//! model failed). Lock order (TTG050/TTG051) is observed by the `checked`
+//! feature on the shipped locks (`ttg_model::sync`), not here.
 
 use std::path::Path;
 
 use crate::report::{Diagnostic, Report};
-use crate::{locks, protocol};
 use ttg_model::event::{self, Mutation};
 use ttg_model::{Config, Stats, Violation};
 
@@ -85,21 +83,14 @@ fn diagnose(outcome: Result<Stats, Box<Violation>>, report: &mut Report) {
     }
 }
 
-/// Explore `event_count`, then run the static lock-order and
-/// wire-protocol analyses, merged into one report. The report counts the
-/// model as a "node" and explored schedules as "edges".
+/// Explore `event_count` into a report that counts the model as a "node"
+/// and explored schedules as "edges".
 pub(crate) fn run_corpus() -> Report {
     let mut report = Report::new(1, 0);
     diagnose(
         event::check(Config::bounded(BOUND), Mutation::None),
         &mut report,
     );
-    for d in locks::analyze(&locks::annotated()).diagnostics {
-        report.push(d);
-    }
-    for d in protocol::analyze(&protocol::transport_spec()).diagnostics {
-        report.push(d);
-    }
     report
 }
 

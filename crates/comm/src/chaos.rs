@@ -110,7 +110,14 @@ pub(crate) struct ChaosState {
     /// `recover` packets later).
     pub(crate) last_snap: Vec<AtomicU64>,
     /// Held through a progress pass under recovery, and for a whole pause
-    /// ([`crate::recover::Paused`]): the two exclude each other.
+    /// ([`crate::recover::Paused`]): the two exclude each other. Every
+    /// other lock of this state nests under it: a cut and a rollback take
+    /// the windows, the links, the seed log, the ack batches and the delay
+    /// queue one at a time under it, and a window claim settles (and
+    /// records its TTG040) under its window lock within a pass, so a cut
+    /// sees the claim and the settle both or neither. No delivery thread
+    /// or task takes it, so the coordinator may wait for them while it
+    /// holds it.
     pub(crate) pass: Mutex<()>,
     /// When the progress thread must next run `progress()`.
     pub(crate) clock: Arc<ProgressClock>,
@@ -390,6 +397,9 @@ impl ChaosState {
     /// sequences, and a later flush covers them.
     /// The accumulator stays locked until its batch is sent or applied: a
     /// batch overtaking an earlier one would show the sender a false hole.
+    /// So a refused batch retires from `links[li]` under it, and that is
+    /// the order of the two: an accumulator, then a link, never the
+    /// reverse.
     fn flush_acks(&self, port: &ChaosPort<'_>, li: usize) {
         let mut pa = self.pending_acks[li].lock();
         if pa.is_empty() {
@@ -521,6 +531,8 @@ impl ChaosState {
             let from = self.row_sender(from_row);
             let mut retransmit: Vec<(u64, u32, Arc<Vec<u8>>, u32)> = Vec::new();
             let mut exhausted: Vec<(u64, u32, u32, bool)> = Vec::new();
+            // The link's lock ends with this block: no window is taken
+            // under it.
             {
                 let mut link = l.lock();
                 if link.unacked.is_empty() {

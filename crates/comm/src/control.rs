@@ -82,6 +82,9 @@ pub(crate) struct ControlPlane {
     barrier_cv: Condvar,
     /// Coordinator only: entry counts per in-progress epoch.
     barrier_entered: Mutex<HashMap<u64, usize>>,
+    /// The coordinator's round state. `drive_termination` keeps it across
+    /// `observe_local`, which takes `idle_probe`: the control plane's one
+    /// nesting.
     term: Mutex<TermDriver>,
     /// Scripted self-abort: kill this process after receiving this many
     /// AM frames (remote `kill=r@n` fault plans; the launcher's watchdog

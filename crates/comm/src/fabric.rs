@@ -33,28 +33,6 @@ use crate::rma::{RegionId, RegionTable};
 use crate::stats::FabricStats;
 use crate::wake::ProgressClock;
 
-/// Frame kinds some layer of the stack consumes, cross-referenced by the
-/// `ttg-check` protocol analysis against the transport's
-/// [`WIRE_KINDS`](ttg_transport::frame::WIRE_KINDS) table (TTG052: a kind
-/// the wire defines but nobody terminates means sends silently vanish).
-///
-/// `Hello` and `Bye` terminate inside the transport (handshake and reader
-/// teardown); every other kind terminates in an arm of the fabric's one
-/// receive dispatch (`Fabric::link_rx`), which has no wildcard — `Am` in
-/// the destination rank's channel, `AckRange` in the reliable layer, the
-/// barrier and termination kinds in the control plane.
-pub const CONSUMED_FRAME_KINDS: &[&str] = &[
-    "Hello",
-    "Am",
-    "AckRange",
-    "BarrierEnter",
-    "BarrierRelease",
-    "TermProbe",
-    "TermReply",
-    "TermDone",
-    "Bye",
-];
-
 /// The fabric connecting `n` ranks — in one process over channels or a
 /// socket mesh, or one rank per process over [`TransportSpec::Remote`].
 pub struct Fabric {
@@ -343,9 +321,10 @@ impl Fabric {
 
     /// The one receive dispatch, installed as the sink of every endpoint:
     /// rank `to` received `res` from rank `src`. Runs on the endpoint's
-    /// reader threads. Each frame kind ends in exactly one arm, and there
-    /// is no wildcard: a new kind is a compile error here until somebody
-    /// terminates it (and lists it in [`CONSUMED_FRAME_KINDS`]).
+    /// reader threads. Each frame kind ends in exactly one arm, and the
+    /// lint forbids a wildcard: a new kind is a compile error here until
+    /// somebody terminates it.
+    #[deny(clippy::wildcard_enum_match_arm)]
     fn link_rx(&self, to: Rank, src: Rank, res: Result<Frame, TransportError>) {
         let frame = match res {
             Ok(frame) => frame,

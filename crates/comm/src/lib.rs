@@ -13,13 +13,10 @@
 //! * the [`Fabric`] of logical ranks: construction, `send_am`, physical
 //!   delivery, the one receive dispatch, shutdown; its [`Packet`]s, its
 //!   counters ([`StatsSnapshot`]) and its structured errors ([`CommError`]);
-//!   [`fabric`] also names the frame kinds the fabric consumes;
 //! * [`FaultPlan`] — seeded, deterministic fault injection: per-link
 //!   drop/duplicate/reorder/delay probabilities and scripted rank deaths
 //!   ([`KillScript`]), parseable from a `--faults seed=K,drop=p` CLI spec;
-//! * [`recover`] — the comm half of coordinated rollback ([`Recovery`]);
-//! * [`lockdoc`] — the crate's lock classes, for `ttg-check`'s lock-order
-//!   analysis.
+//! * [`recover`] — the comm half of coordinated rollback ([`Recovery`]).
 //!
 //! Everything the fabric composes is private to the crate and sees a narrow
 //! *port* (named in each module's header; DESIGN §9 has the map), never the
@@ -38,11 +35,10 @@ mod buf;
 mod chaos;
 mod control;
 mod error;
-pub mod fabric;
+mod fabric;
 mod fault;
 mod ledger;
 mod links;
-pub mod lockdoc;
 pub mod recover;
 mod reliable;
 mod rma;

@@ -25,7 +25,9 @@ use crate::reliable::{next_epoch, LinkTx, SeqWindow, Unacked};
 /// discarded. A thread counts itself inside before it looks at the gate,
 /// and the coordinator raises the gate before it looks at the count: either
 /// the thread sees the gate raised and backs out, or the coordinator sees
-/// it inside and waits for it to leave.
+/// it inside and waits for it to leave. A delivery thread waits at the gate
+/// holding no lock; the coordinator waits holding the pass lock
+/// ([`Paused`]), which nothing it waits for takes.
 pub struct Gate {
     raised: AtomicBool,
     inside: AtomicUsize,

@@ -10,7 +10,7 @@
 
 use std::sync::{Arc, OnceLock};
 
-use parking_lot::Mutex;
+use ttg_model::sync::Mutex;
 
 use ttg_comm::WriteBuf;
 

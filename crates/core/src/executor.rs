@@ -325,13 +325,13 @@ impl Executor {
         }
     }
 
-    /// Install the sink global cuts persist through, in place of the
-    /// in-memory one (a no-op without a recovery plan).
+    /// The recovery coordinator, for tests that install its sink or take a
+    /// cut themselves.
     #[cfg(test)]
-    pub(crate) fn install_snapshot_sink(&self, sink: Arc<dyn crate::recovery::SnapshotSink>) {
-        if let Some(c) = &self.coordinator {
-            *c.sink.lock() = sink;
-        }
+    pub(crate) fn coordinator(&self) -> &Coordinator {
+        self.coordinator
+            .as_deref()
+            .expect("the plan enables recovery")
     }
 
     /// Runtime context (needed for seeding through [`crate::outs::InRef`]).

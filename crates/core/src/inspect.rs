@@ -10,7 +10,7 @@
 
 use std::fmt;
 
-use parking_lot::Mutex;
+use ttg_model::sync::Mutex;
 
 /// Identity of one edge as recorded on a node's input/output terminal lists.
 ///

@@ -49,9 +49,9 @@
 //! keymaps and the executor. Beside it the crate exports only what the
 //! layers around it name: the task trace ([`TaskEvent`], [`chrome_trace`]),
 //! the diagnostics records ([`StuckEntry`], [`Violation`],
-//! [`MutationError`]), the AM header ([`am`], for `ttg-check`'s protocol
-//! pass) and the lock classes ([`lockdoc`]). Matching, streaming, launch
-//! and delivery stay inside.
+//! [`MutationError`]) and the AM header ([`am`], which the hostile-input
+//! tests forge frames with). Matching, streaming, launch and delivery stay
+//! inside.
 
 #![warn(missing_docs)]
 
@@ -64,7 +64,6 @@ mod executor;
 mod export;
 mod graph;
 mod inspect;
-pub mod lockdoc;
 mod node;
 mod outs;
 mod recovery;

@@ -299,6 +299,11 @@ impl<K: Key> ShardedTable<K> {
     /// that completed it. The lookup and the claim are one critical
     /// section, so of the arrivals that complete a key exactly one takes
     /// it. A refusal leaves the table as it was and returns the key.
+    ///
+    /// The stripe is released when this returns, before the caller
+    /// launches the task it took: the launch may send to any stripe of any
+    /// table, so launching under the lock could deadlock
+    /// (release-then-launch, the whole lock discipline of matching).
     #[inline]
     pub(super) fn arrive<E>(
         &self,

@@ -15,9 +15,9 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use parking_lot::Mutex;
 use ttg_comm::recover::{CommCut, Gate, Paused};
 use ttg_comm::{CommError, CommErrorKind, ReadBuf, Recovery, WireError, WriteBuf};
+use ttg_model::sync::Mutex;
 
 use crate::ctx::RuntimeCtx;
 
@@ -61,7 +61,10 @@ impl SnapshotSink for MemorySnapshotSink {
 /// so a fully recovered run still reports zero comm errors.
 pub(crate) struct Coordinator {
     pub(crate) gate: Gate,
+    /// Taken under the comm layer's pass lock, as the matching stripes a
+    /// cut exports and a rollback imports are, one at a time.
     pub(crate) sink: Mutex<Arc<dyn SnapshotSink>>,
+    /// Taken alone, after the pause.
     pub(crate) recovered: Mutex<Vec<CommError>>,
 }
 
@@ -241,8 +244,14 @@ mod tests {
 
     /// `CHAINS` chains of `LEN` steps hopping across 4 ranks under `plan`,
     /// cuts persisted through `sink`: the executor, seeded, and where the
-    /// chains' ends land.
-    fn chains(plan: FaultPlan, sink: Arc<dyn SnapshotSink>) -> (Executor, Arc<StdMutex<Vec<u64>>>) {
+    /// chains' ends land. With `cut_first` the coordinator takes one cut
+    /// before any seed, so a kill finds a cut to roll back to however
+    /// soon it fires.
+    fn chains(
+        plan: FaultPlan,
+        sink: Arc<dyn SnapshotSink>,
+        cut_first: bool,
+    ) -> (Executor, Arc<StdMutex<Vec<u64>>>) {
         let ends = Arc::new(StdMutex::new(Vec::new()));
         let out = Arc::clone(&ends);
         let step: Edge<u64, u64> = Edge::new("step");
@@ -264,7 +273,18 @@ mod tests {
             .with_faults(plan)
             .with_deadline(Duration::from_secs(10));
         let exec = Executor::new(g.build(), cfg);
-        exec.install_snapshot_sink(sink);
+        *exec.coordinator().sink.lock() = sink;
+        if cut_first {
+            let rec = exec
+                .ctx()
+                .fabric
+                .recovery()
+                .expect("the plan enables recovery");
+            assert!(
+                exec.coordinator().coordinate(exec.ctx(), &rec),
+                "the first cut"
+            );
+        }
         let seed = tt.in_ref::<0>();
         for c in 0..CHAINS {
             seed.seed(exec.ctx(), c * 1000, c);
@@ -293,7 +313,7 @@ mod tests {
     fn a_cut_that_does_not_load_ends_the_run_with_a_ttg048() {
         let plan = FaultPlan::seeded(1).with_kill(1, 30).with_recovery(8);
         let sink = Arc::new(Corrupting(MemorySnapshotSink::new()));
-        let (exec, _) = chains(plan, sink);
+        let (exec, _) = chains(plan, sink, true);
         let started = Instant::now();
         let r = exec.finish();
         assert!(
@@ -310,7 +330,7 @@ mod tests {
     fn a_damaged_cut_is_a_wire_error_and_never_a_panic() {
         let sink = Arc::new(MemorySnapshotSink::new());
         let plan = FaultPlan::seeded(2).with_recovery(8);
-        let (exec, ends) = chains(plan, Arc::clone(&sink) as Arc<dyn SnapshotSink>);
+        let (exec, ends) = chains(plan, Arc::clone(&sink) as Arc<dyn SnapshotSink>, false);
         let ctx = Arc::clone(exec.ctx());
         let r = exec.finish();
         assert!(r.comm_errors.is_empty(), "{:?}", r.comm_errors);
@@ -358,7 +378,7 @@ mod tests {
             }
         }
         let plan = FaultPlan::seeded(3).with_recovery(8);
-        let (exec, ends) = chains(plan, Arc::new(FullDisk));
+        let (exec, ends) = chains(plan, Arc::new(FullDisk), false);
         let r = exec.finish();
         assert_eq!(ends.lock().unwrap().len() as u64, CHAINS);
         assert_eq!(r.comm.snapshots_taken, 0, "a refused cut is not counted");

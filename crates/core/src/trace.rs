@@ -9,7 +9,7 @@
 
 use std::time::Instant;
 
-use parking_lot::Mutex;
+use ttg_model::sync::Mutex;
 
 /// One satisfied input dependency of a task instance.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

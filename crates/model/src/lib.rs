@@ -26,6 +26,8 @@
 
 pub mod event;
 mod explore;
+#[cfg(all(feature = "checked", not(ttg_model)))]
+mod lockdep;
 mod sched;
 mod shadow;
 pub mod sync;

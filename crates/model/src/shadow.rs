@@ -201,6 +201,23 @@ impl<T> Mutex<T> {
     }
 }
 
+/// For production structs that derive `Default` over a facade lock.
+#[cfg(ttg_model)]
+impl<T: Default> Default for Mutex<T> {
+    fn default() -> Self {
+        Mutex::new(T::default())
+    }
+}
+
+/// For production structs that derive `Debug` over a facade lock; reading
+/// the value would be a schedule point, so it is not shown.
+#[cfg(ttg_model)]
+impl<T> std::fmt::Debug for Mutex<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Mutex").finish_non_exhaustive()
+    }
+}
+
 facade_pub! {
     /// Guard whose drop is the `Unlock` yield point.
     struct MutexGuard<'a, T> {

@@ -3,6 +3,9 @@
 //!
 //! - In a normal build this module is zero-cost re-exports of the real
 //!   types — nothing changes.
+//! - Under the `checked` feature the locks are parking_lot's wrapped to
+//!   record the order they are taken in (`lockdep`: a cycle is TTG050,
+//!   two locks built at one site held at once TTG051).
 //! - Under `RUSTFLAGS="--cfg ttg_model"` the same names resolve to the
 //!   scheduler-routed shadow primitives from `crate::shadow`, so every
 //!   atomic load/store/RMW and lock acquire becomes a schedule-exploration
@@ -26,8 +29,11 @@ pub use std::time::Instant;
 #[cfg(ttg_model)]
 pub use crate::time::Instant;
 
-#[cfg(not(ttg_model))]
+#[cfg(all(not(ttg_model), not(feature = "checked")))]
 pub use parking_lot::{Condvar, Mutex, MutexGuard};
+
+#[cfg(all(not(ttg_model), feature = "checked"))]
+pub use crate::lockdep::{Condvar, Mutex, MutexGuard};
 
 #[cfg(not(ttg_model))]
 pub use std::thread::JoinHandle;
@@ -94,7 +100,9 @@ macro_rules! event_count {
         }
 
         impl EventCount {
-            /// An event count nobody sleeps on yet.
+            /// An event count nobody sleeps on yet. Under `checked` its
+            /// lock's class is the caller's source location.
+            #[cfg_attr(feature = "checked", track_caller)]
             pub fn new() -> Self {
                 EventCount {
                     seq: AtomicU64::new(0),
@@ -172,6 +180,8 @@ macro_rules! event_count {
                 self.cv.notify_all();
             }
 
+            /// Takes the lock with nothing under it, so signalling while
+            /// another lock is held cannot close a lock-order cycle.
             fn bump(&self) {
                 let _g = self.lock.lock();
                 self.seq.fetch_add(1, Ordering::SeqCst);

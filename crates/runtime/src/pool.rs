@@ -137,6 +137,8 @@ ttg_telemetry::metrics! {
 /// One worker's locality (bound) queue: zero-priority jobs whose inputs
 /// are expected to be hot in that worker's cache. FIFO, peer-stealable.
 struct Bound<C> {
+    /// Taken only inside `push` and `pop`, so a worker never holds two
+    /// queues: it lets go of its own before it poaches a peer's.
     q: Mutex<VecDeque<Job<C>>>,
     /// Occupancy mirror so peers can skip the lock when empty.
     len: AtomicUsize,
@@ -184,7 +186,9 @@ struct Shared<C> {
     shutdown: AtomicBool,
     seq: AtomicU64,
     /// Where idle workers park: signalled by every submit (one worker per
-    /// job, up to the number asleep) and by shutdown (all).
+    /// job, up to the number asleep) and by shutdown (all). A worker parks
+    /// holding no pool lock: the park protocol rests on the event count
+    /// pairing its own lock with its epoch, never on nesting.
     wake: EventCount,
     metrics: PoolMetrics,
     /// Jobs accepted and not yet finished: queued or running. Only this

@@ -134,37 +134,6 @@ pub enum Frame {
     },
 }
 
-/// Declarative wire-protocol annotation for one frame kind, consumed by
-/// the `ttg-check` protocol analysis (TTG052/TTG053):
-/// `(name, is_ack, has_seq, expected_response)`.
-///
-/// * `is_ack` — the kind acknowledges a prior sequenced send and must
-///   identify it (`has_seq`), or the sender's retransmit entry can never
-///   be cleared.
-/// * `expected_response` — the kind a compliant peer answers with, for
-///   request/response pairs.
-pub type KindSpec = (&'static str, bool, bool, Option<&'static str>);
-
-/// The full frame vocabulary, annotated. Kept adjacent to [`Frame`] so an
-/// enum change and its annotation travel in the same diff; `ttg-check`
-/// cross-references this table against the fabric's consumed-kind list.
-pub const WIRE_KINDS: &[KindSpec] = &[
-    // The handshake is symmetric: each side's Hello answers the other's.
-    ("Hello", false, false, Some("Hello")),
-    // Am carries a reliable-layer seq (0 when the layer is off); its ack
-    // is conditional on that layer, so no response is *required*.
-    ("Am", false, true, None),
-    // AckRange identifies its acked sends by (first, last) seq ranges; the
-    // `has_seq` bit covers that ranged form.
-    ("AckRange", true, true, None),
-    ("BarrierEnter", false, true, Some("BarrierRelease")),
-    ("BarrierRelease", false, true, None),
-    ("TermProbe", false, true, Some("TermReply")),
-    ("TermReply", false, true, None),
-    ("TermDone", false, false, None),
-    ("Bye", false, false, None),
-];
-
 /// Why a byte stream could not be decoded into frames.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameError {

@@ -1,6 +1,6 @@
 //! `ttg-transport`: the pluggable link layer under the TTG fabric.
 //!
-//! The fabric (`ttg_comm::fabric`) models everything *above* the wire —
+//! The fabric (`ttg_comm::Fabric`) models everything *above* the wire —
 //! active messages, the reliable ack/retry layer, fault injection, RMA
 //! emulation. This crate models the wire itself: framed byte delivery,
 //! connection lifecycle, and peer addressing, behind the
@@ -25,7 +25,6 @@
 
 pub mod frame;
 mod link;
-pub mod lockdoc;
 pub mod pool;
 mod socket;
 

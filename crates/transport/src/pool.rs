@@ -21,6 +21,10 @@
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
+// Not the sync facade's lock, which a `const` cannot build. A shard's lock
+// is a leaf: it is held only to move buffers, nothing is taken under it, and
+// a thread waits only on its home shard (a sibling is only `try_lock`ed),
+// so it can close no lock-order cycle.
 use parking_lot::Mutex;
 
 /// Number of independent free-lists; threads hash onto one at first use.

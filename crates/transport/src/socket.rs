@@ -201,6 +201,9 @@ impl Listener {
 /// the whole backlog by swapping its own emptied batch in, so no byte is
 /// copied on the way out and a batch self-sizes to the arrival rate.
 struct SendQ {
+    /// The queue's one lock. A blocking push or pop waits on the condvars
+    /// tied to it and takes nothing else under it, and the writer writes
+    /// only after its swap: no socket write happens under `state`.
     state: Mutex<QState>,
     not_full: Condvar,
     not_empty: Condvar,
