@@ -31,14 +31,16 @@ pub enum Style {
     Chameleon,
 }
 
-/// Run the comparator: returns the factor and the trace for projection.
+/// Run the comparator: returns the factor (its lower triangle, the tiles
+/// above it empty) and the trace for projection.
 pub fn run(a: &TiledMatrix, ranks: usize, style: Style) -> (TiledMatrix, Vec<TraceTask>) {
     let nt = a.nt();
     let nb = a.nb();
     let dist = Dist2D::for_ranks(ranks);
     let tile_bytes = (nb * nb * 8 + 16) as u64;
 
-    let mut l = a.clone();
+    // Factored in place; the tiles above the diagonal stay empty.
+    let mut l = a.lower();
     let mut p = BspProgram::new(ranks);
 
     let potrf_ns = ns_for_flops(potrf_flops(nb));
@@ -134,12 +136,6 @@ pub fn run(a: &TiledMatrix, ranks: usize, style: Style) -> (TiledMatrix, Vec<Tra
         }
     }
 
-    // Zero the strict upper block triangle for clean residual checks.
-    for i in 0..nt {
-        for j in (i + 1)..nt {
-            *l.tile_mut(i, j) = ttg_linalg::Tile::zeros(nb, nb);
-        }
-    }
     (l, p.into_trace())
 }
 

@@ -43,7 +43,8 @@ impl Wire for Msg {
 
 type K = (u64, u64, u64);
 
-/// Run the DPLASMA-like factorization over `ranks × workers`.
+/// Run the DPLASMA-like factorization over `ranks × workers`. The factor
+/// is its lower triangle: the tiles above it are empty.
 pub fn run(a: &TiledMatrix, ranks: usize, workers: usize, trace: bool) -> (TiledMatrix, PtgReport) {
     run_with_faults(a, ranks, workers, trace, None)
 }
@@ -59,7 +60,9 @@ pub fn run_with_faults(
     let nt = a.nt() as u64;
     let nb = a.nb();
     let dist = Dist2D::for_ranks(ranks);
-    let output = Arc::new(Mutex::new(TiledMatrix::zeros(a.nt(), nb)));
+    // RESULT fills the lower triangle; the tiles above it stay empty.
+    let empty = || TiledMatrix::from_tiles(a.nt(), nb, vec![Tile::zeros(0, 0); a.nt() * a.nt()]);
+    let output = Arc::new(Mutex::new(empty()));
 
     let own_ij = move |i: u64, j: u64| dist.owner(i as usize, j as usize);
 
@@ -265,7 +268,7 @@ pub fn run_with_faults(
         }
     }
     let report = rt.finish();
-    let l = output.lock().unwrap().clone();
+    let l = std::mem::replace(&mut *output.lock().unwrap(), empty());
     (l, report)
 }
 

@@ -56,6 +56,9 @@ type K2 = (u64, u64);
 type K3 = (u64, u64, u64);
 
 /// Run the factorization; returns the factor and the execution report.
+/// The factor is its lower triangle: the tiles above the diagonal are empty
+/// (`0 × 0`), and reading an element of one panics. In a multi-process run
+/// so are the tiles other ranks own.
 pub fn run(a: &TiledMatrix, cfg: &Config) -> (TiledMatrix, ExecReport) {
     let nt_tiles = a.nt();
     let nt = nt_tiles as u64;
@@ -64,18 +67,8 @@ pub fn run(a: &TiledMatrix, cfg: &Config) -> (TiledMatrix, ExecReport) {
 
     // INITIATOR moves each tile out of this copy — unless recovery may run
     // it again for a restored rank, which needs the tile still there. It
-    // reads the lower triangle only, so only that is copied; the tiles
-    // above the diagonal stay empty (`0 × 0`).
-    let lower = (0..nt_tiles * nt_tiles).map(|at| {
-        let (i, j) = (at % nt_tiles, at / nt_tiles);
-        if i >= j {
-            a.tile(i, j).clone()
-        } else {
-            Tile::zeros(0, 0)
-        }
-    });
-    let input = TiledMatrix::from_tiles(nt_tiles, nb, lower.collect());
-    let input = Arc::new(Mutex::new(input));
+    // reads the lower triangle only, so only that is copied.
+    let input = Arc::new(Mutex::new(a.lower()));
     let rerunnable = cfg.faults.as_ref().is_some_and(|p| p.recovers());
     // RESULT keeps the handles it is given; they are unwrapped into the
     // factor once the run is over and nothing else holds them.
@@ -289,18 +282,15 @@ pub fn run(a: &TiledMatrix, cfg: &Config) -> (TiledMatrix, ExecReport) {
         }
     }
     let report = exec.finish();
-    // The factor: zero above the diagonal, and on and below it the tiles
-    // RESULT collected — in a multi-process run those of this rank; the
-    // other ranks' stay empty.
+    // The factor: the tiles RESULT collected — in a multi-process run those
+    // of this rank — and empty ones everywhere else.
     let l = TiledMatrix::from_tiles(
         nt_tiles,
         nb,
         std::mem::take(&mut *output.lock().unwrap())
             .into_iter()
-            .enumerate()
-            .map(|(at, tile)| match tile {
+            .map(|tile| match tile {
                 Some(t) => Arc::try_unwrap(t).unwrap_or_else(|t| (*t).clone()),
-                None if at % nt_tiles < at / nt_tiles => Tile::zeros(nb, nb),
                 None => Tile::zeros(0, 0),
             })
             .collect(),

@@ -29,7 +29,7 @@ use crate::ledger::Ledger;
 use crate::links::{Links, Packet, Rank};
 use crate::recover::Recovery;
 use crate::reliable::{AckRanges, AckSent};
-use crate::rma::{RegionId, RegionTable};
+use crate::rma::{RegionBytes, RegionId, RegionTable};
 use crate::stats::FabricStats;
 use crate::wake::ProgressClock;
 
@@ -519,14 +519,18 @@ impl Fabric {
         self.links.shutdown();
     }
 
-    /// Register `data` as an RMA-readable region owned by `owner`.
+    /// Register `data` as an RMA-readable region owned by `owner`. The
+    /// table keeps the handle, not a copy: a region built from a shared
+    /// value ([`Wire::split_share`](crate::Wire::split_share)) is that
+    /// value's memory until the last fetch (and the released cache) drops
+    /// it.
     ///
     /// The region is released (and `on_release` runs) after `expected_gets`
     /// fetches. `expected_gets == 0` releases immediately.
     pub fn register_region(
         &self,
         owner: Rank,
-        data: Arc<Vec<u8>>,
+        data: RegionBytes,
         expected_gets: usize,
         on_release: Option<Box<dyn FnOnce() + Send>>,
     ) -> RegionId {
@@ -534,8 +538,9 @@ impl Fabric {
     }
 
     /// One-sided fetch of a region owned by `owner`: the caller obtains a
-    /// zero-copy handle to the region bytes, read in place without
-    /// involving the owner's CPU — which is only possible where the
+    /// clone of the registered handle, so the fetch copies nothing and the
+    /// reader's attach is the one copy. It reads in place without involving
+    /// the owner's CPU, which is only possible where the
     /// owner's region table is in this address space (every in-process
     /// fabric; a multi-process rank reaches only its own). Any other owner
     /// is `RmaError::ForeignOwner`, returned without an error record of
@@ -552,7 +557,7 @@ impl Fabric {
         caller: Rank,
         owner: Rank,
         id: RegionId,
-    ) -> Result<Arc<Vec<u8>>, RmaError> {
+    ) -> Result<RegionBytes, RmaError> {
         if owner >= self.n || self.local_rank().is_some_and(|me| me != owner) {
             return Err(RmaError::ForeignOwner { caller, owner, id });
         }
@@ -954,7 +959,7 @@ mod tests {
         // on an owner index a peer chose.
         let (eps, spec) = remote_spec(TransportKind::Uds, 0);
         let f = Fabric::with_transport(2, None, &spec).unwrap();
-        let own = f.register_region(0, Arc::new(vec![4u8; 8]), 1, None);
+        let own = f.register_region(0, RegionBytes::copy_of(&[4u8; 8]), 1, None);
         assert_eq!(*f.rma_fetch(0, 0, own).unwrap(), vec![4u8; 8]);
         for owner in [1, 2, usize::MAX] {
             assert_eq!(

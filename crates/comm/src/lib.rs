@@ -58,8 +58,9 @@ pub use fault::{FaultPlan, KillScript, RetryPolicy};
 pub use links::Packet;
 pub use pool::{pool_stats, PoolStats};
 pub use recover::Recovery;
+pub use rma::RegionBytes;
 pub use stats::StatsSnapshot;
 // Link-layer selection re-exported so executors and apps need no direct
 // ttg-transport dependency (DESIGN §9).
 pub use ttg_transport::{RemoteHandle, TransportKind, TransportSpec};
-pub use wire::{bytes_to_f64s, f64s_to_bytes, from_bytes, to_bytes, Wire, WireKind};
+pub use wire::{bytes_to_f64s, f64s_as_bytes, from_bytes, to_bytes, Wire, WireKind};

@@ -3,6 +3,11 @@
 //! released regions, so a duplicated or late fetch is answered
 //! idempotently instead of aborting the owner.
 //!
+//! A region is a [`RegionBytes`] handle: on the producer's value itself
+//! where that is a shared handle, else on one copy made at registration.
+//! A fetch hands out another handle, never bytes, so the reader's attach
+//! is the only copy a fetch makes.
+//!
 //! Port: the table sees the fabric's [`FabricStats`] and nothing else; which
 //! owners a process may read at all is the fabric's decision.
 
@@ -13,16 +18,83 @@ use ttg_model::sync::{AtomicU64, Mutex, Ordering};
 use crate::error::RmaError;
 use crate::links::Rank;
 use crate::stats::FabricStats;
+use crate::wire::Wire;
 
 /// Identifier of a registered RMA region, unique per fabric.
 pub(crate) type RegionId = u64;
 
 /// Released regions kept around per owner to answer duplicated or late
-/// one-sided fetches.
+/// one-sided fetches. An entry is a handle: on a shared value it keeps the
+/// producer's value alive, not a copy of it.
 const RELEASED_CACHE: usize = 64;
 
+/// The bytes a region serves, behind a handle whose clone is a refcount
+/// bump. Built by the runtime from a value being sent: out of the value's
+/// own memory where it is a shared handle ([`Wire::split_share`]), else
+/// as one copy of its [`Wire::split_bytes`] ([`copy_of`](Self::copy_of)).
+/// Derefs to the bytes.
+#[derive(Clone)]
+pub struct RegionBytes(Held);
+
+#[derive(Clone)]
+enum Held {
+    Copy(Arc<[u8]>),
+    Shared(Arc<dyn SplitView>),
+}
+
+/// A value a region reads in place.
+trait SplitView: Send + Sync {
+    fn view(&self) -> &[u8];
+}
+
+impl<T: Wire + Sync> SplitView for T {
+    fn view(&self) -> &[u8] {
+        // `shared` admits only values that have a view, and an `Arc`'s
+        // value no longer changes.
+        self.split_bytes().unwrap_or_default()
+    }
+}
+
+impl RegionBytes {
+    /// A region of one copy of `bytes`.
+    pub fn copy_of(bytes: &[u8]) -> Self {
+        RegionBytes(Held::Copy(Arc::from(bytes)))
+    }
+
+    /// A region on `v`'s own memory: a clone of the handle, no copy.
+    /// `None` if `v` has no in-place payload.
+    pub(crate) fn shared<T: Wire + Sync>(v: &Arc<T>) -> Option<Self> {
+        v.split_bytes()?;
+        Some(RegionBytes(Held::Shared(
+            Arc::clone(v) as Arc<dyn SplitView>
+        )))
+    }
+}
+
+impl std::ops::Deref for RegionBytes {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        match &self.0 {
+            Held::Copy(bytes) => bytes,
+            Held::Shared(v) => v.view(),
+        }
+    }
+}
+
+impl std::fmt::Debug for RegionBytes {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "RegionBytes({} B)", self.len())
+    }
+}
+
+impl PartialEq for RegionBytes {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
 struct Region {
-    data: Arc<Vec<u8>>,
+    data: RegionBytes,
     remaining: usize,
     on_release: Option<Box<dyn FnOnce() + Send>>,
 }
@@ -31,7 +103,7 @@ struct Region {
 pub(crate) struct RegionTable {
     live: Vec<Mutex<HashMap<RegionId, Region>>>,
     /// Recently released regions, least recently served first.
-    released: Vec<Mutex<Vec<(RegionId, Arc<Vec<u8>>)>>>,
+    released: Vec<Mutex<Vec<(RegionId, RegionBytes)>>>,
     next_id: AtomicU64,
 }
 
@@ -50,7 +122,7 @@ impl RegionTable {
     pub(crate) fn register(
         &self,
         owner: Rank,
-        data: Arc<Vec<u8>>,
+        data: RegionBytes,
         expected_gets: usize,
         on_release: Option<Box<dyn FnOnce() + Send>>,
     ) -> RegionId {
@@ -82,13 +154,13 @@ impl RegionTable {
         caller: Rank,
         owner: Rank,
         id: RegionId,
-    ) -> Result<Arc<Vec<u8>>, RmaError> {
+    ) -> Result<RegionBytes, RmaError> {
         let looked_up = {
             let mut table = self.live[owner].lock();
             match table.get_mut(&id) {
                 None => None,
                 Some(region) => {
-                    let data = Arc::clone(&region.data);
+                    let data = region.data.clone();
                     region.remaining -= 1;
                     if region.remaining == 0 {
                         let region = table.remove(&id).expect("entry just seen");
@@ -109,13 +181,13 @@ impl RegionTable {
                 .position(|(rid, _)| *rid == id)
                 .ok_or(RmaError::UnknownRegion { caller, owner, id })?;
             let entry = cache.remove(pos);
-            let data = Arc::clone(&entry.1);
+            let data = entry.1.clone();
             cache.push(entry);
             stats.rma_stale_gets.inc();
             return Ok(data);
         };
         if consumed {
-            // Fully consumed: remember the bytes so duplicate or late gets
+            // Fully consumed: keep the handle so duplicate or late gets
             // racing this removal stay answerable. Least-recently-served
             // entries (front) are evicted first, so a region still fielding
             // late duplicates survives churn from newer releases.
@@ -124,7 +196,7 @@ impl RegionTable {
                 cache.remove(0);
                 stats.rma_released_evictions.inc();
             }
-            cache.push((id, Arc::clone(&data)));
+            cache.push((id, data.clone()));
         }
         if caller != owner {
             let bytes = data.len() as u64;
@@ -167,7 +239,7 @@ mod tests {
         let flag = Arc::clone(&released);
         let id = t.register(
             0,
-            Arc::new(vec![9u8; 128]),
+            RegionBytes::copy_of(&[9u8; 128]),
             2,
             Some(Box::new(move || flag.store(true, Ordering::SeqCst))),
         );
@@ -191,7 +263,7 @@ mod tests {
     #[test]
     fn duplicate_get_after_release_is_idempotent() {
         let (t, stats) = table(2);
-        let id = t.register(0, Arc::new(vec![5u8; 16]), 1, None);
+        let id = t.register(0, RegionBytes::copy_of(&[5u8; 16]), 1, None);
         let first = t.fetch(&stats, 1, 0, id).unwrap();
         assert_eq!(t.live(0), 0);
         // A duplicated/late get racing the release: answered from the
@@ -209,10 +281,10 @@ mod tests {
         let (t, stats) = table(2);
         // Release the probe region first, then churn the cache to one slot
         // short of evicting it.
-        let probe = t.register(0, Arc::new(vec![9u8; 8]), 1, None);
+        let probe = t.register(0, RegionBytes::copy_of(&[9u8; 8]), 1, None);
         let _ = t.fetch(&stats, 1, 0, probe).unwrap();
         for _ in 0..RELEASED_CACHE - 1 {
-            let id = t.register(0, Arc::new(vec![0u8; 8]), 1, None);
+            let id = t.register(0, RegionBytes::copy_of(&[0u8; 8]), 1, None);
             let _ = t.fetch(&stats, 1, 0, id).unwrap();
         }
         assert_eq!(stats.snapshot().rma_released_evictions, 0);
@@ -221,13 +293,49 @@ mod tests {
         assert_eq!(*dup, vec![9u8; 8]);
         // ...so the next release evicts the oldest *other* entry and the
         // probe stays answerable, while the cache stays at its cap.
-        let id = t.register(0, Arc::new(vec![0u8; 8]), 1, None);
+        let id = t.register(0, RegionBytes::copy_of(&[0u8; 8]), 1, None);
         let _ = t.fetch(&stats, 1, 0, id).unwrap();
         assert_eq!(stats.snapshot().rma_released_evictions, 1);
         let dup2 = t.fetch(&stats, 1, 0, probe).unwrap();
         assert_eq!(*dup2, vec![9u8; 8]);
         // Without the LRU refresh the probe (oldest insert) would have
         // been the eviction victim and this get would be UnknownRegion.
+    }
+
+    /// An `f64` buffer exposed in place, as a tile is.
+    struct Floats(Vec<f64>);
+
+    impl Wire for Floats {
+        fn encode(&self, b: &mut crate::WriteBuf) {
+            self.0.encode(b);
+        }
+        fn decode(r: &mut crate::ReadBuf<'_>) -> Result<Self, crate::WireError> {
+            Ok(Floats(Vec::decode(r)?))
+        }
+        fn split_bytes(&self) -> Option<&[u8]> {
+            crate::wire::f64s_as_bytes(&self.0)
+        }
+    }
+
+    #[test]
+    #[cfg(target_endian = "little")]
+    fn a_region_of_a_shared_value_serves_its_memory_in_place() {
+        let (t, stats) = table(2);
+        let v = Arc::new(Floats((0..16).map(f64::from).collect()));
+        let at = v.0.as_ptr() as *const u8;
+        let id = t.register(0, v.split_share().expect("an in-place view"), 1, None);
+        let got = t.fetch(&stats, 1, 0, id).unwrap();
+        assert_eq!(got.as_ptr(), at, "the producer's own memory, not a copy");
+        assert_eq!(got.len(), 16 * 8);
+        assert_eq!(t.live(0), 0);
+        drop(got);
+        // Released, and a duplicate fetch still answers out of the value.
+        let dup = t.fetch(&stats, 1, 0, id).unwrap();
+        assert_eq!(dup.as_ptr(), at);
+        assert_eq!(stats.snapshot().rma_stale_gets, 1);
+        // The released cache holds a handle on the value, nothing more.
+        drop(dup);
+        assert_eq!(Arc::strong_count(&v), 2);
     }
 
     #[test]
@@ -237,7 +345,7 @@ mod tests {
         let flag = Arc::clone(&released);
         t.register(
             0,
-            Arc::new(vec![1]),
+            RegionBytes::copy_of(&[1]),
             0,
             Some(Box::new(move || flag.store(true, Ordering::SeqCst))),
         );

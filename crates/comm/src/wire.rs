@@ -10,12 +10,17 @@
 //!   record travels eagerly, while the object's contiguous payload is fetched
 //!   by the receiver via (emulated) RMA and attached to a freshly allocated
 //!   object. Intrusive: types opt in by implementing the `split_*` hooks.
+//!   The sender exposes the payload in place ([`Wire::split_bytes`]); a
+//!   shared handle (`Arc<T>`) is registered as the region itself, so the
+//!   receiver's attach is the one copy the payload ever takes, as with the
+//!   paper's RMA.
 //!
 //! The protocol actually used for a transfer is chosen per-type by
 //! [`Wire::KIND`] and per-backend by whether the backend supports splitmd
 //! (the paper's preference order: splitmd, trivial, archive).
 
 use crate::buf::{ReadBuf, WireError, WriteBuf};
+use crate::rma::RegionBytes;
 
 /// Which transfer protocol a type prefers (paper §II-C).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -99,16 +104,31 @@ pub trait Wire: Sized + Send + 'static {
         Self::decode(r)
     }
 
-    /// SplitMd stage 2 (sender): the contiguous payload to expose via RMA.
-    /// `None` means the type has no split payload and the metadata carried
-    /// everything.
-    fn split_payload(&self) -> Option<Vec<u8>> {
+    /// SplitMd stage 2 (sender): the contiguous payload to expose via RMA,
+    /// borrowed in place — exposing it copies nothing. `None` means there
+    /// is no in-place payload: the type has none, or its memory is not its
+    /// wire encoding (an `f64` buffer on a big-endian target, see
+    /// [`f64s_as_bytes`]). The value then rides inside its AM, encoded like
+    /// any other.
+    fn split_bytes(&self) -> Option<&[u8]> {
+        None
+    }
+
+    /// SplitMd stage 2 (sender), overridden by shared handles only: a region
+    /// that serves [`split_bytes`](Wire::split_bytes) out of this very
+    /// value by holding a clone of the handle. `None` (the default) makes
+    /// registration copy the bytes once instead — a value the sender owns
+    /// outright may be moved on and mutated after its send.
+    fn split_share(&self) -> Option<RegionBytes> {
         None
     }
 
     /// SplitMd stage 2 (receiver): attach the RMA-fetched payload bytes to a
-    /// metadata-allocated object.
-    fn split_attach(&mut self, _bytes: &[u8]) {}
+    /// metadata-allocated object. Bytes that disagree with the metadata are
+    /// an error, never a panic: both came from a peer.
+    fn split_attach(&mut self, _bytes: &[u8]) -> Result<(), WireError> {
+        Ok(())
+    }
 }
 
 macro_rules! wire_prim {
@@ -200,6 +220,25 @@ wire_prim!(i64, put_i64, get_i64, 8);
 wire_prim!(f32, put_f32, get_f32, 4);
 wire_prim!(f64, put_f64, get_f64, 8);
 
+/// An `f64` buffer's memory as bytes, in place, where that is its wire
+/// encoding: little-endian, the same cast as `encode_slice`'s. `None` on a
+/// big-endian target. The [`Wire::split_bytes`] of an `f64`-buffer type.
+pub fn f64s_as_bytes(data: &[f64]) -> Option<&[u8]> {
+    #[cfg(target_endian = "little")]
+    {
+        // SAFETY: any initialized memory may be read as bytes; the view
+        // borrows `data` and covers exactly its `size_of_val` bytes.
+        Some(unsafe {
+            std::slice::from_raw_parts(data.as_ptr() as *const u8, std::mem::size_of_val(data))
+        })
+    }
+    #[cfg(not(target_endian = "little"))]
+    {
+        let _ = data;
+        None
+    }
+}
+
 impl Wire for usize {
     const KIND: WireKind = WireKind::Trivial;
     #[inline]
@@ -286,7 +325,9 @@ impl<T: Wire> Wire for Vec<T> {
 /// Its distinguishing property is `clone_cost_bytes() == 0`: cloning an
 /// `Arc` is a refcount bump, which is what lets applications opt broadcast
 /// edges into the zero-copy value plane (`Edge<K, Arc<Tile>>`) without
-/// changing the wire format.
+/// changing the wire format. For the same reason a splitmd region of an
+/// `Arc` is the sender's value itself ([`Wire::split_share`]): nobody can
+/// mutate it behind the readers' backs.
 impl<T: Wire + Sync> Wire for std::sync::Arc<T> {
     const KIND: WireKind = T::KIND;
     #[inline]
@@ -311,15 +352,18 @@ impl<T: Wire + Sync> Wire for std::sync::Arc<T> {
     fn split_decode_md(r: &mut ReadBuf<'_>) -> Result<Self, WireError> {
         Ok(std::sync::Arc::new(T::split_decode_md(r)?))
     }
-    fn split_payload(&self) -> Option<Vec<u8>> {
-        T::split_payload(self)
+    fn split_bytes(&self) -> Option<&[u8]> {
+        T::split_bytes(self)
     }
-    fn split_attach(&mut self, bytes: &[u8]) {
-        // Only reached on freshly decoded (uniquely owned) values: stage 2
-        // of splitmd attaches the RMA payload before the value is shared.
+    fn split_share(&self) -> Option<RegionBytes> {
+        RegionBytes::shared(self)
+    }
+    fn split_attach(&mut self, bytes: &[u8]) -> Result<(), WireError> {
+        // Stage 2 of splitmd attaches the RMA payload to a freshly decoded
+        // value, before anything else can hold it.
         std::sync::Arc::get_mut(self)
-            .expect("split_attach on a shared Arc")
-            .split_attach(bytes);
+            .ok_or_else(|| WireError::new("split_attach on a shared Arc"))?
+            .split_attach(bytes)
     }
 }
 
@@ -401,18 +445,8 @@ macro_rules! wire_struct {
     };
 }
 
-/// Encode a `Vec<f64>` payload as raw little-endian bytes.
-///
-/// Helper for SplitMd types whose contiguous segment is an `f64` buffer
-/// (e.g. matrix tiles, spectral coefficients).
-pub fn f64s_to_bytes(data: &[f64]) -> Vec<u8> {
-    let mut b = WriteBuf::with_capacity(data.len() * 8);
-    f64::encode_slice(data, &mut b);
-    b.into_vec()
-}
-
-/// Decode raw little-endian bytes into an `f64` buffer (inverse of
-/// [`f64s_to_bytes`]). Trailing bytes past the last whole `f64` are
+/// Decode raw little-endian bytes into an `f64` buffer (the receiving half
+/// of [`f64s_as_bytes`]). Trailing bytes past the last whole `f64` are
 /// ignored, matching the historical `chunks_exact` behavior.
 pub fn bytes_to_f64s(bytes: &[u8]) -> Vec<f64> {
     let n = bytes.len() / 8;
@@ -487,9 +521,13 @@ mod tests {
     #[test]
     fn f64_bytes_roundtrip() {
         let xs = vec![0.0, -1.5, f64::MAX, f64::MIN_POSITIVE, 42.0];
-        let b = f64s_to_bytes(&xs);
+        let mut b = WriteBuf::new();
+        f64::encode_slice(&xs, &mut b);
         assert_eq!(b.len(), xs.len() * 8);
-        assert_eq!(bytes_to_f64s(&b), xs);
+        // The in-place view is the wire encoding, byte for byte.
+        #[cfg(target_endian = "little")]
+        assert_eq!(f64s_as_bytes(&xs), Some(b.as_slice()));
+        assert_eq!(bytes_to_f64s(b.as_slice()), xs);
     }
 
     #[test]
@@ -519,7 +557,9 @@ mod tests {
     #[test]
     fn decode_slice_underrun_is_error() {
         let xs = vec![1.0f64, 2.0];
-        let bytes = f64s_to_bytes(&xs);
+        let mut b = WriteBuf::new();
+        f64::encode_slice(&xs, &mut b);
+        let bytes = b.into_vec();
         let mut r = ReadBuf::new(&bytes);
         assert!(f64::decode_slice(&mut r, 3).is_err());
         // Cursor untouched on failure: a whole-slice read still works.

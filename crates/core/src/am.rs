@@ -30,11 +30,14 @@
 //! in the value's metadata; the receiver reads the payload one-sidedly out
 //! of `region` on rank `owner` — which takes an owner in the receiver's
 //! address space, so the sender chooses it only there (`AmPlan::send`).
+//! The region is the sent value itself where that is a shared handle
+//! (`Arc<T>`), else one copy of it: either way the receiver's attach is the
+//! payload's only other copy.
 
 use std::any::{Any, TypeId};
 use std::sync::Arc;
 
-use ttg_comm::{WireError, WireKind, WriteBuf};
+use ttg_comm::{RegionBytes, WireError, WireKind, WriteBuf};
 
 use crate::ctx::RuntimeCtx;
 use crate::node::InputMeta;
@@ -170,7 +173,10 @@ impl AmPlan {
     ///
     /// Two-stage (see [`two_stage`]): the contiguous payload is registered
     /// once as a region that every destination rank reads, and the AMs
-    /// carry metadata. Otherwise the value's encoding rides in the AM —
+    /// carry metadata. The region of a shared handle is the value's own
+    /// memory; any other value's is one copy, counted as a serialization.
+    /// A value with no in-place payload travels inline. Otherwise the
+    /// value's encoding rides in the AM —
     /// written straight into the one AM's pooled buffer when there is a
     /// single destination, copied from one encoding when there are more.
     /// An AM to `src_rank` itself (loopback under recovery, where even
@@ -192,18 +198,19 @@ impl AmPlan {
         let fabric = &ctx.fabric;
         self.slot_of.clear();
         let sends_saved = (std::mem::take(&mut self.keys) - self.ams.len()) as u64;
-        let n_split = if self.two_stage {
-            self.ams.iter().filter(|am| am.dest != src_rank).count()
+        let n_remote = self.ams.iter().filter(|am| am.dest != src_rank).count();
+        let payload = if self.two_stage && n_remote > 0 {
+            v.split_share().or_else(|| {
+                let bytes = v.split_bytes()?;
+                fabric.stats().serializations.inc();
+                Some(RegionBytes::copy_of(bytes))
+            })
         } else {
-            0
+            None
         };
-        let mut payload_len = 0;
-        let region = (n_split > 0).then(|| {
-            fabric.stats().serializations.inc();
-            let payload = Arc::new(v.split_payload().unwrap_or_default());
-            payload_len = payload.len();
-            fabric.register_region(src_rank, payload, n_split, None)
-        });
+        let n_split = if payload.is_some() { n_remote } else { 0 };
+        let payload_len = payload.as_ref().map_or(0, |p| p.len());
+        let region = payload.map(|p| fabric.register_region(src_rank, p, n_split, None));
         let n_inline = self.ams.len() - n_split;
         let encoded = (n_inline > 1 && self.merge).then(|| {
             fabric.stats().serializations.inc();

@@ -24,7 +24,7 @@ pub(crate) fn meta_for<V: Data>() -> InputMeta {
         }),
         decode_splitmd: Arc::new(|r: &mut ReadBuf<'_>, payload: &[u8]| {
             let mut v = V::split_decode_md(r)?;
-            v.split_attach(payload);
+            v.split_attach(payload)?;
             Ok::<_, WireError>(Box::new(v) as Box<dyn Any + Send>)
         }),
         clone_boxed: Arc::new(|b: &(dyn Any + Send)| {

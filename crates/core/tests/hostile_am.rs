@@ -9,9 +9,56 @@
 //! sanitizer violations instead (crates/check/tests/sanitizer.rs).
 #![cfg(not(feature = "checked"))]
 
-use ttg_comm::{Wire, WriteBuf};
-use ttg_core::am::{am_header, MSG_DATA_INLINE, MSG_FINALIZE, MSG_SET_SIZE};
+use std::sync::Arc;
+
+use ttg_comm::{ReadBuf, RegionBytes, Wire, WireError, WireKind, WriteBuf};
+use ttg_core::am::{am_header, MSG_DATA_INLINE, MSG_DATA_SPLITMD, MSG_FINALIZE, MSG_SET_SIZE};
 use ttg_core::prelude::*;
+
+/// A splitmd value: the metadata is its length, the payload its `f64`s.
+#[derive(Clone)]
+struct Floats {
+    len: usize,
+    data: Vec<f64>,
+}
+
+impl Wire for Floats {
+    const KIND: WireKind = WireKind::SplitMd;
+    fn encode(&self, b: &mut WriteBuf) {
+        self.data.encode(b);
+    }
+    fn decode(r: &mut ReadBuf<'_>) -> Result<Self, WireError> {
+        let data = Vec::<f64>::decode(r)?;
+        Ok(Floats {
+            len: data.len(),
+            data,
+        })
+    }
+    fn split_encode_md(&self, b: &mut WriteBuf) {
+        b.put_usize(self.len);
+    }
+    fn split_decode_md(r: &mut ReadBuf<'_>) -> Result<Self, WireError> {
+        let len = r.get_usize()?;
+        Ok(Floats {
+            len,
+            data: Vec::new(),
+        })
+    }
+    fn split_bytes(&self) -> Option<&[u8]> {
+        ttg_comm::f64s_as_bytes(&self.data)
+    }
+    fn split_attach(&mut self, bytes: &[u8]) -> Result<(), WireError> {
+        if bytes.len() != self.len * 8 {
+            return Err(WireError::new(format!(
+                "payload of {} B for {} f64s",
+                bytes.len(),
+                self.len
+            )));
+        }
+        self.data = ttg_comm::bytes_to_f64s(bytes);
+        Ok(())
+    }
+}
 
 /// Template tasks of the graph under attack, all on rank 0: node ids.
 struct Rig {
@@ -26,6 +73,8 @@ struct Rig {
     solo: u32,
     /// `(String,)`.
     text: u32,
+    /// `(Arc<Floats>,)`, by splitmd.
+    floats: u32,
 }
 
 fn rig() -> Rig {
@@ -38,6 +87,8 @@ fn rig() -> Rig {
     let solo = g.make_tt("solo", (s,), (), |_| 0usize, |_, _: (u64,), _| {});
     let t: Edge<u32, String> = Edge::new("t");
     let text = g.make_tt("text", (t,), (), |_| 0usize, |_, _: (String,), _| {});
+    let f: Edge<u32, Arc<Floats>> = Edge::new("f");
+    let floats = g.make_tt("floats", (f,), (), |_| 0usize, |_, _: (Arc<Floats>,), _| {});
     fold.set_input_reducer::<0>(|a, b| *a += b, None).unwrap();
     one.set_input_reducer::<0>(|a, b| *a += b, Some(1)).unwrap();
     solo.set_input_reducer::<0>(|a, b| *a += b, None).unwrap();
@@ -47,6 +98,7 @@ fn rig() -> Rig {
         one.node_id(),
         solo.node_id(),
         text.node_id(),
+        floats.node_id(),
     );
     let exec = Executor::new(
         g.build(),
@@ -59,6 +111,7 @@ fn rig() -> Rig {
         one: ids.2,
         solo: ids.3,
         text: ids.4,
+        floats: ids.5,
     }
 }
 
@@ -68,6 +121,13 @@ fn value_to(node: u32, terminal: u16, keys: &[u32], consumers: u32, v: u64) -> V
     let mut am = WriteBuf::new();
     am_header(&mut am, 0, MSG_DATA_INLINE, terminal);
     am.put_u64(1); // source rank
+    put_group(&mut am, node, terminal, keys, consumers);
+    v.encode(&mut am);
+    am.into_vec()
+}
+
+/// The consumer count and the one `(node, terminal)` group of a data AM.
+fn put_group(am: &mut WriteBuf, node: u32, terminal: u16, keys: &[u32], consumers: u32) {
     am.put_u32(consumers);
     let mut group = WriteBuf::new();
     group.put_u32(node);
@@ -78,8 +138,6 @@ fn value_to(node: u32, terminal: u16, keys: &[u32], consumers: u32, v: u64) -> V
     }
     am.put_u32(group.len() as u32);
     am.put_bytes(group.as_slice());
-    v.encode(&mut am);
-    am.into_vec()
 }
 
 fn value(node: u32, terminal: u16, key: u32) -> Vec<u8> {
@@ -227,6 +285,23 @@ fn more_keys_than_announced() {
         let ams = [(r.join, value_to(r.join, 0, &[7, 8], announced, 5))];
         provoke(r, &ams, "more keys than the message announced");
     }
+}
+
+#[test]
+fn a_region_shorter_than_its_metadata() {
+    // Rank 1's region holds two `f64`s; the metadata announces four.
+    let r = rig();
+    let fabric = &r.exec.ctx().fabric;
+    let region = fabric.register_region(1, RegionBytes::copy_of(&[0u8; 16]), 1, None);
+    let mut am = WriteBuf::new();
+    am_header(&mut am, 0, MSG_DATA_SPLITMD, 0);
+    am.put_u64(1); // source rank
+    am.put_u64(region);
+    am.put_u64(1); // owner
+    put_group(&mut am, r.floats, 0, &[7], 1);
+    am.put_usize(4);
+    let ams = [(r.floats, am.into_vec())];
+    provoke(r, &ams, "payload of 16 B for 4 f64s");
 }
 
 #[test]

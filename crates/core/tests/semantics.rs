@@ -425,11 +425,12 @@ impl Wire for Blob {
             data: Vec::with_capacity(n),
         })
     }
-    fn split_payload(&self) -> Option<Vec<u8>> {
-        Some(ttg_comm::f64s_to_bytes(&self.data))
+    fn split_bytes(&self) -> Option<&[u8]> {
+        ttg_comm::f64s_as_bytes(&self.data)
     }
-    fn split_attach(&mut self, bytes: &[u8]) {
+    fn split_attach(&mut self, bytes: &[u8]) -> Result<(), WireError> {
         self.data = ttg_comm::bytes_to_f64s(bytes);
+        Ok(())
     }
 }
 

@@ -24,12 +24,29 @@ impl TiledMatrix {
         }
     }
 
-    /// Matrix of the given tiles, tile `(i, j)` at `i + j * nt`. A gather
-    /// that moves its tiles in may leave ones it never received empty
-    /// (`0 × 0`).
+    /// Matrix of the given tiles, tile `(i, j)` at `i + j * nt`. A tile may
+    /// be empty (`0 × 0`): a Cholesky factor is its lower triangle, so its
+    /// tiles above the diagonal are, and a gather that moves its tiles in
+    /// leaves the ones it never received so. Reading an element of an
+    /// empty tile panics.
     pub fn from_tiles(nt: usize, nb: usize, tiles: Vec<Tile>) -> Self {
         assert_eq!(tiles.len(), nt * nt, "tile count");
         TiledMatrix { nt, nb, tiles }
+    }
+
+    /// A copy of the lower triangle, diagonal included; the tiles above it
+    /// are empty (`0 × 0`). What a Cholesky factorization reads of its
+    /// input.
+    pub fn lower(&self) -> Self {
+        let nt = self.nt;
+        let tiles = (0..nt * nt).map(|at| {
+            if at % nt >= at / nt {
+                self.tiles[at].clone()
+            } else {
+                Tile::zeros(0, 0)
+            }
+        });
+        TiledMatrix::from_tiles(nt, self.nb, tiles.collect())
     }
 
     /// Number of tile rows/cols.
@@ -57,7 +74,8 @@ impl TiledMatrix {
         &mut self.tiles[i + j * self.nt]
     }
 
-    /// Take the tile out, leaving a zero tile (move semantics into a TTG).
+    /// Take the tile out, leaving an empty (`0 × 0`) one (move semantics
+    /// into a TTG).
     pub fn take_tile(&mut self, i: usize, j: usize) -> Tile {
         std::mem::replace(&mut self.tiles[i + j * self.nt], Tile::zeros(0, 0))
     }
@@ -102,7 +120,9 @@ impl TiledMatrix {
     }
 
     /// Sequential right-looking tiled Cholesky (reference implementation).
-    /// Overwrites `self` with the lower factor `L` (block lower triangle).
+    /// Overwrites `self` with the lower factor `L`, which is its block lower
+    /// triangle: the tiles above the diagonal are left empty (`0 × 0`), as
+    /// every factor's are, and reading an element of one panics.
     pub fn potrf_reference(&mut self) -> Result<(), usize> {
         let nt = self.nt;
         for k in 0..nt {
@@ -121,15 +141,17 @@ impl TiledMatrix {
                     gemm_nt(-1.0, &aik, &amk, self.tile_mut(i, m));
                 }
             }
-            // Zero the block upper triangle of column k for clean checks.
+            // Row k above the diagonal is no part of the factor.
             for j in (k + 1)..nt {
-                *self.tile_mut(k, j) = Tile::zeros(self.nb, self.nb);
+                *self.tile_mut(k, j) = Tile::zeros(0, 0);
             }
         }
         Ok(())
     }
 
-    /// `‖A − L·Lᵀ‖_max` — verification residual for Cholesky results.
+    /// `‖A − L·Lᵀ‖_max` — verification residual for Cholesky results. `l`
+    /// is a factor: only its lower triangle is read, so its tiles above the
+    /// diagonal may be (and from every factorization here are) empty.
     pub fn cholesky_residual(original: &TiledMatrix, l: &TiledMatrix) -> f64 {
         assert_eq!((original.nt, original.nb), (l.nt, l.nb));
         let nt = original.nt;
@@ -138,7 +160,9 @@ impl TiledMatrix {
         for i in 0..nt {
             for j in 0..=i {
                 let mut rec = Tile::zeros(nb, nb);
-                for k in 0..nt {
+                // `L(i, k) · L(j, k)ᵀ` is zero for `k > j`: `L(j, k)` is
+                // above the diagonal.
+                for k in 0..=j {
                     gemm_nt(1.0, l.tile(i, k), l.tile(j, k), &mut rec);
                 }
                 max = max.max(rec.max_abs_diff(original.tile(i, j)));

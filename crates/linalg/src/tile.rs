@@ -2,10 +2,10 @@
 //!
 //! `Tile` is the datum flowing through the linear-algebra TTGs. It opts into
 //! the split-metadata wire protocol: the metadata is the shape, the payload
-//! is the contiguous element buffer — exactly the `MatrixTile` example of
-//! the paper's Fig. 4.
+//! is the contiguous element buffer, exposed in place — exactly the
+//! `MatrixTile` example of the paper's Fig. 4.
 
-use ttg_comm::{bytes_to_f64s, f64s_to_bytes, ReadBuf, Wire, WireError, WireKind, WriteBuf};
+use ttg_comm::{bytes_to_f64s, f64s_as_bytes, ReadBuf, Wire, WireError, WireKind, WriteBuf};
 
 /// A dense column-major matrix tile.
 #[derive(Debug, Clone, PartialEq)]
@@ -153,13 +153,22 @@ impl Wire for Tile {
         })
     }
 
-    fn split_payload(&self) -> Option<Vec<u8>> {
-        Some(f64s_to_bytes(&self.data))
+    fn split_bytes(&self) -> Option<&[u8]> {
+        f64s_as_bytes(&self.data)
     }
 
-    fn split_attach(&mut self, bytes: &[u8]) {
+    fn split_attach(&mut self, bytes: &[u8]) -> Result<(), WireError> {
+        let want = self.rows.saturating_mul(self.cols).saturating_mul(8);
+        if bytes.len() != want {
+            return Err(WireError::new(format!(
+                "payload of {} B for a {}x{} tile",
+                bytes.len(),
+                self.rows,
+                self.cols
+            )));
+        }
         self.data = bytes_to_f64s(bytes);
-        assert_eq!(self.data.len(), self.rows * self.cols, "payload mismatch");
+        Ok(())
     }
 }
 
@@ -229,13 +238,27 @@ mod tests {
         let t = Tile::from_data(4, 4, (0..16).map(|x| x as f64).collect());
         let mut md = WriteBuf::new();
         t.split_encode_md(&mut md);
-        let payload = t.split_payload().unwrap();
+        let payload = t.split_bytes().unwrap();
         let md_bytes = md.into_vec();
         assert!(md_bytes.len() < 32, "metadata stays eager-sized");
         let mut r = ReadBuf::new(&md_bytes);
         let mut u = Tile::split_decode_md(&mut r).unwrap();
-        u.split_attach(&payload);
+        u.split_attach(payload).unwrap();
         assert_eq!(t, u);
+    }
+
+    #[test]
+    fn a_payload_that_disagrees_with_the_shape_is_an_error() {
+        let mut md = WriteBuf::new();
+        Tile::zeros(2, 2).split_encode_md(&mut md);
+        let md = md.into_vec();
+        for len in [0, 24, 40] {
+            let mut u = Tile::split_decode_md(&mut ReadBuf::new(&md)).unwrap();
+            let err = u.split_attach(&vec![0u8; len]).unwrap_err();
+            assert!(err
+                .to_string()
+                .ends_with(&format!("payload of {len} B for a 2x2 tile")));
+        }
     }
 
     #[test]

@@ -91,11 +91,11 @@ fn tile_wire_roundtrip() {
         // SplitMd path too.
         let mut md = ttg::comm::WriteBuf::new();
         ttg::comm::Wire::split_encode_md(&t, &mut md);
-        let payload = ttg::comm::Wire::split_payload(&t).unwrap();
+        let payload = ttg::comm::Wire::split_bytes(&t).unwrap();
         let md = md.into_vec();
         let mut r = ttg::comm::ReadBuf::new(&md);
         let mut v: Tile = ttg::comm::Wire::split_decode_md(&mut r).unwrap();
-        ttg::comm::Wire::split_attach(&mut v, &payload);
+        ttg::comm::Wire::split_attach(&mut v, payload).unwrap();
         assert_eq!(t, v, "case {case}");
     }
 }
