@@ -62,7 +62,6 @@ pub fn run(a: &TiledMatrix, ranks: usize, style: Style) -> (TiledMatrix, Vec<Tra
         );
         writer[k][k] = (potrf_id, own_kk);
 
-        let lkk = l.tile(k, k).clone();
         // Chameleon-like runs lack the optimized per-rank broadcast: every
         // consumer task pays its own point-to-point transfer.
         let panel = if style == Style::Chameleon {
@@ -72,7 +71,8 @@ pub fn run(a: &TiledMatrix, ranks: usize, style: Style) -> (TiledMatrix, Vec<Tra
         };
         let mut trsm_ids = vec![(0u64, 0usize); nt];
         for m in (k + 1)..nt {
-            trsm_rlt(&lkk, l.tile_mut(m, k));
+            let ([lkk], lmk) = l.kernel_tiles([(k, k)], (m, k));
+            trsm_rlt(lkk, lmk);
             let own = dist.owner(m, k);
             let (wt, wr) = writer[m][k];
             let id = p.task(
@@ -100,8 +100,8 @@ pub fn run(a: &TiledMatrix, ranks: usize, style: Style) -> (TiledMatrix, Vec<Tra
             });
         }
         for m in (k + 1)..nt {
-            let lmk = l.tile(m, k).clone();
-            syrk_ln(&lmk, l.tile_mut(m, m));
+            let ([lmk], lmm) = l.kernel_tiles([(m, k)], (m, m));
+            syrk_ln(lmk, lmm);
             let own = dist.owner(m, m);
             let (wt, wr) = writer[m][m];
             let id = p.task(
@@ -114,9 +114,8 @@ pub fn run(a: &TiledMatrix, ranks: usize, style: Style) -> (TiledMatrix, Vec<Tra
             );
             writer[m][m] = (id, own);
             for j in (k + 1)..m {
-                let lik = l.tile(m, k).clone();
-                let ljk = l.tile(j, k).clone();
-                gemm_nt(-1.0, &lik, &ljk, l.tile_mut(m, j));
+                let ([lmk, ljk], lmj) = l.kernel_tiles([(m, k), (j, k)], (m, j));
+                gemm_nt(-1.0, lmk, ljk, lmj);
                 let own = dist.owner(m, j);
                 let (wt, wr) = writer[m][j];
                 let id = p.task(

@@ -369,9 +369,7 @@ impl ChaosState {
         // recorded on the sender entry via `delivered`; only the ack
         // traffic is lossy: the sequence parks in the per-link range
         // accumulator and leaves with its batch once the batch is due.
-        if let Some(e) = self.links[link].lock().unacked.get_mut(&raw) {
-            e.delivered = true;
-        }
+        self.links[link].lock().unacked.mark_delivered(raw);
         let (now, mut pa) = (Instant::now(), self.pending_acks[link].lock());
         let arms = pa.is_empty();
         pa.note(raw, now);
@@ -433,7 +431,7 @@ impl ChaosState {
             let ranges = back.unwrap_or_else(|| {
                 let acked = link.unacked.iter().filter(|(_, e)| e.delivered);
                 acked
-                    .map(|(&seq, _)| (pack_seq(epoch, seq), pack_seq(epoch, seq)))
+                    .map(|(seq, _)| (pack_seq(epoch, seq), pack_seq(epoch, seq)))
                     .collect()
             });
             let due = self.retire(&mut link, &ranges);
@@ -545,33 +543,28 @@ impl ChaosState {
                 // link is dead: every entry past its deadline goes too.
                 let (high, clock) = (link.retired_high, link.clock);
                 let silent_for = |d| clock.is_none_or(|c| now.saturating_duration_since(c) >= d);
-                let oldest = link.unacked.keys().min().copied();
-                let dead = oldest.is_some_and(|seq| {
-                    let e = &link.unacked[&seq];
+                let oldest = link.unacked.oldest().map(|(seq, _)| seq);
+                let dead = link.unacked.oldest().is_some_and(|(_, e)| {
                     e.attempts >= retry.max_retries && now >= e.next_retry && silent_for(budget)
                 });
-                let mut give_up: Vec<u64> = Vec::new();
-                for (&seq, e) in link.unacked.iter_mut() {
+                link.unacked.retain_mut(|seq, e| {
                     if now < e.next_retry {
-                        continue;
+                        return true;
                     }
                     if dead || e.attempts >= retry.max_retries {
-                        give_up.push(seq);
-                        continue;
+                        exhausted.push((seq, e.handler, e.attempts, e.delivered));
+                        return false;
                     }
                     let silence = retry.backoff(e.attempts + 1);
                     let silent = clock.is_none() || (oldest == Some(seq) && silent_for(silence));
                     if seq >= high && !silent {
-                        continue; // no hole, no silence: no evidence of loss
+                        return true; // no hole, no silence: no evidence of loss
                     }
                     e.attempts += 1;
                     e.next_retry = now + retry.backoff(e.attempts + 1);
                     retransmit.push((seq, e.handler, Arc::clone(&e.payload), e.attempts));
-                }
-                for seq in give_up {
-                    let e = link.unacked.remove(&seq).expect("seq just listed");
-                    exhausted.push((seq, e.handler, e.attempts, e.delivered));
-                }
+                    true
+                });
                 next = earliest(next, link.next_due(retry));
             }
             for (seq, handler, payload, attempt) in retransmit {

@@ -145,10 +145,7 @@ fn apply_ack(run: &Run) -> Option<()> {
     let li = h.cs.link_idx(0, acker);
     let held = || -> BTreeMap<u64, bool> {
         let link = h.cs.links[li].lock();
-        link.unacked
-            .iter()
-            .map(|(&s, e)| (s, e.delivered))
-            .collect()
+        link.unacked.iter().map(|(s, e)| (s, e.delivered)).collect()
     };
     let before = held();
     h.cs.apply_ack_ranges(li, &ranges);

@@ -195,7 +195,12 @@ fn a_lost_tail_is_resent_once_the_link_falls_silent() {
     std::thread::sleep(Duration::from_micros(200));
     h.progress();
     let li = h.cs.link_idx(0, 1);
-    let held: Vec<u64> = h.cs.links[li].lock().unacked.keys().copied().collect();
+    let held: Vec<u64> = h.cs.links[li]
+        .lock()
+        .unacked
+        .iter()
+        .map(|(seq, _)| seq)
+        .collect();
     assert_eq!(held, vec![tail], "the rest of the burst is retired");
     let deadline = Instant::now() + Duration::from_secs(5);
     while h.stats.snapshot().am_retries == 0 && Instant::now() < deadline {
@@ -362,7 +367,12 @@ fn a_refused_ack_batch_is_retired_through_shared_memory() {
     std::thread::sleep(Duration::from_micros(200));
     h.progress();
     let li = h.cs.link_idx(0, 1);
-    let held: Vec<u64> = h.cs.links[li].lock().unacked.keys().copied().collect();
+    let held: Vec<u64> = h.cs.links[li]
+        .lock()
+        .unacked
+        .iter()
+        .map(|(seq, _)| seq)
+        .collect();
     assert_eq!(held, vec![lost], "only the copy never received is held");
     let s = h.stats.snapshot();
     assert_eq!((s.ack_flushes, s.am_retries), (1, 0));
@@ -455,7 +465,7 @@ fn a_pause_counts_against_no_retry_budget() {
     };
     h.send(0, 1, vec![3]);
     let li = h.cs.link_idx(0, 1);
-    let attempts = || h.cs.links[li].lock().unacked[&1].attempts;
+    let attempts = || h.cs.links[li].lock().unacked.oldest().unwrap().1.attempts;
     let deadline = Instant::now() + Duration::from_secs(5);
     while attempts() < 2 && Instant::now() < deadline {
         std::thread::sleep(Duration::from_micros(100));

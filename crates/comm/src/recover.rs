@@ -285,11 +285,7 @@ impl Drop for Paused<'_> {
             // A copy left unread in a paused rank's channel is not late.
             let paused = since.elapsed();
             for link in &cs.links {
-                let mut link = link.lock();
-                link.clock = link.clock.map(|c| c + paused);
-                for e in link.unacked.values_mut() {
-                    e.next_retry += paused;
-                }
+                link.lock().postpone(paused);
             }
         }
         cs.clock.arm_retransmit(Instant::now());

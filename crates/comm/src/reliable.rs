@@ -30,7 +30,7 @@
 //! ([`pack_seq`]): after a rollback (DESIGN §13) a copy or an ack sent
 //! before it is dropped.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Duration;
 use ttg_model::sync::Instant;
@@ -187,13 +187,96 @@ pub(crate) struct Unacked {
     pub(crate) delivered: bool,
 }
 
+/// The sent, unacknowledged packets of one link, ordered by seq: a send
+/// appends at the back, an in-order ack pops the front, and anything else
+/// binary-searches. It holds one slot per entry, never one per seq between
+/// its oldest and its newest, so a hole costs nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Outstanding {
+    entries: VecDeque<(u64, Unacked)>,
+    /// Entries resent at least once. With none, no entry is spent, and
+    /// [`LinkTx::next_due`] looks no further than the front and the holes.
+    retried: usize,
+}
+
+impl Outstanding {
+    pub(crate) fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// The entry with the lowest seq.
+    pub(crate) fn oldest(&self) -> Option<(u64, &Unacked)> {
+        self.entries.front().map(|(seq, e)| (*seq, e))
+    }
+
+    /// Every entry, in ascending seq.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, &Unacked)> {
+        self.entries.iter().map(|(seq, e)| (*seq, e))
+    }
+
+    /// Hold `e` under `seq`, replacing an entry held under it.
+    pub(crate) fn insert(&mut self, seq: u64, e: Unacked) {
+        self.retried += usize::from(e.attempts > 0);
+        match self.entries.back() {
+            Some(&(last, _)) if last >= seq => {
+                match self.entries.binary_search_by_key(&seq, |&(s, _)| s) {
+                    Ok(i) => {
+                        let old = std::mem::replace(&mut self.entries[i].1, e);
+                        self.retried -= usize::from(old.attempts > 0);
+                    }
+                    Err(i) => self.entries.insert(i, (seq, e)),
+                }
+            }
+            _ => self.entries.push_back((seq, e)),
+        }
+    }
+
+    /// Mark `seq` accepted by the receiver, if it is held.
+    pub(crate) fn mark_delivered(&mut self, seq: u64) {
+        if let Ok(i) = self.entries.binary_search_by_key(&seq, |&(s, _)| s) {
+            self.entries[i].1.delivered = true;
+        }
+    }
+
+    /// Keep the entries `keep` returns `true` for, in ascending seq; it may
+    /// change what it keeps.
+    pub(crate) fn retain_mut(&mut self, mut keep: impl FnMut(u64, &mut Unacked) -> bool) {
+        self.entries.retain_mut(|(seq, e)| keep(*seq, e));
+        self.retried = self.entries.iter().filter(|(_, e)| e.attempts > 0).count();
+    }
+
+    /// Drop every entry in `first..=last`, returning the highest seq
+    /// dropped, if any.
+    fn remove_range(&mut self, first: u64, last: u64) -> Option<u64> {
+        let lo = self.entries.partition_point(|&(s, _)| s < first);
+        let hi = self.entries.partition_point(|&(s, _)| s <= last);
+        if lo >= hi {
+            return None;
+        }
+        let high = self.entries[hi - 1].0;
+        for (_, e) in self.entries.drain(lo..hi) {
+            self.retried -= usize::from(e.attempts > 0);
+        }
+        Some(high)
+    }
+
+    /// How many entries sit below `seq`.
+    fn below(&self, seq: u64) -> usize {
+        self.entries.partition_point(|&(s, _)| s < seq)
+    }
+}
+
 /// Sender-side state of one directed link.
 #[derive(Debug, Default)]
 pub(crate) struct LinkTx {
     /// Last sequence number assigned (numbers start at 1).
     pub(crate) next_seq: u64,
-    /// In-flight (sent, unacked) packets by sequence number.
-    pub(crate) unacked: HashMap<u64, Unacked>,
+    /// In-flight (sent, unacked) packets, ordered by sequence number.
+    pub(crate) unacked: Outstanding,
     /// Highest seq an ack has retired: an entry below it is a hole.
     pub(crate) retired_high: u64,
     /// Retransmission clock, started by a send that finds nothing pending
@@ -214,9 +297,9 @@ impl LinkTx {
         let current = ranges
             .iter()
             .filter(|&&(first, _)| unpack_seq(first).0 == epoch);
-        let seqs = current.flat_map(|&(first, last)| unpack_seq(first).1..=unpack_seq(last).1);
-        for seq in seqs {
-            if self.unacked.remove(&seq).is_some() {
+        for &(first, last) in current {
+            let (first, last) = (unpack_seq(first).1, unpack_seq(last).1);
+            if let Some(seq) = self.unacked.remove_range(first, last) {
                 self.retired_high = self.retired_high.max(seq);
                 self.clock = Some(now);
             }
@@ -229,8 +312,8 @@ impl LinkTx {
     /// silent for its backoff (a restored link, with no clock, counts as
     /// silent). `None`: only an ack can make an entry actionable.
     pub(crate) fn next_due(&self, retry: &RetryPolicy) -> Option<Instant> {
-        let oldest = self.unacked.keys().min().copied();
-        let due = |(&seq, e): (&u64, &Unacked)| match self.clock {
+        let oldest = self.unacked.oldest().map(|(seq, _)| seq);
+        let due = |(seq, e): (u64, &Unacked)| match self.clock {
             _ if e.attempts >= retry.max_retries || seq < self.retired_high => Some(e.next_retry),
             None => Some(e.next_retry),
             Some(c) if oldest == Some(seq) => {
@@ -238,17 +321,34 @@ impl LinkTx {
             }
             Some(_) => None,
         };
-        self.unacked.iter().filter_map(due).min()
+        // Past the holes and the front, only a spent entry can be due, or
+        // any entry of a restored link.
+        let any_spent = self.unacked.retried > 0 || retry.max_retries == 0;
+        let scan = if any_spent || self.clock.is_none() {
+            self.unacked.len()
+        } else {
+            self.unacked.below(self.retired_high).max(1)
+        };
+        self.unacked.iter().take(scan).filter_map(due).min()
+    }
+
+    /// Move the link clock and every deadline `by` later: time a pause
+    /// kept the receivers from reading does not count as silence.
+    pub(crate) fn postpone(&mut self, by: Duration) {
+        self.clock = self.clock.map(|c| c + by);
+        for (_, e) in self.unacked.entries.iter_mut() {
+            e.next_retry += by;
+        }
     }
 
     /// Serialize the sender-side link state: the seq counter plus every
-    /// in-flight packet (payload included — a rollback re-arms it without
-    /// re-running the task that produced it).
+    /// in-flight packet in ascending seq (payload included — a rollback
+    /// re-arms it without re-running the task that produced it).
     pub(crate) fn export(&self, b: &mut WriteBuf) {
         b.put_u64(self.next_seq);
         b.put_u64(self.unacked.len() as u64);
-        for (seq, u) in &self.unacked {
-            b.put_u64(*seq);
+        for (seq, u) in self.unacked.iter() {
+            b.put_u64(seq);
             b.put_u32(u.handler);
             b.put_u8(u.delivered as u8);
             b.put_len_bytes(&u.payload);
@@ -262,29 +362,37 @@ impl LinkTx {
     /// dedup the copies the cut had already processed).
     pub(crate) fn import(r: &mut ReadBuf<'_>, now: Instant) -> Result<LinkTx, WireError> {
         let next_seq = r.get_u64()?;
-        let n = r.get_u64()? as usize;
-        let mut tx = LinkTx::default();
+        let n = r.get_u64()?;
         // An entry takes at least 21 bytes: an untrusted count reserves no
         // more than the bytes left could hold.
-        tx.unacked.reserve(n.min(r.remaining() / 21));
+        let mut entries = Vec::with_capacity(n.min(r.remaining() as u64 / 21) as usize);
         for _ in 0..n {
             let seq = r.get_u64()?;
             let handler = r.get_u32()?;
             let delivered = r.get_u8()? != 0;
             let payload = Arc::new(r.get_len_bytes()?.to_vec());
-            tx.unacked.insert(
-                seq,
-                Unacked {
-                    handler,
-                    payload,
-                    attempts: 0,
-                    next_retry: now,
-                    delivered,
-                },
-            );
+            let e = Unacked {
+                handler,
+                payload,
+                attempts: 0,
+                next_retry: now,
+                delivered,
+            };
+            entries.push((seq, e));
         }
-        tx.next_seq = next_seq;
-        Ok(tx)
+        // `export` writes ascending seqs; other bytes are put in order,
+        // and of two entries under one seq the first read is kept.
+        entries.sort_by_key(|&(seq, _)| seq);
+        entries.dedup_by_key(|&mut (seq, _)| seq);
+        let unacked = Outstanding {
+            entries: entries.into(),
+            retried: 0,
+        };
+        Ok(LinkTx {
+            next_seq,
+            unacked,
+            ..LinkTx::default()
+        })
     }
 }
 
@@ -380,6 +488,10 @@ impl PendingAcks {
         self.ranges.iter().map(|&(f, l)| l - f + 1).sum()
     }
 }
+
+#[cfg(all(test, not(ttg_model)))]
+#[path = "reliable_table_tests.rs"]
+mod table_tests;
 
 #[cfg(test)]
 #[cfg(not(ttg_model))]
@@ -689,11 +801,11 @@ mod tests {
         assert_eq!(got.unacked.len(), 2);
         // No retired seq and no running clock: every entry is due at once.
         assert_eq!((got.retired_high, got.clock), (0, None));
-        for (seq, u) in &got.unacked {
+        for (seq, u) in got.unacked.iter() {
             assert_eq!(u.attempts, 0, "attempts must reset on restore");
             assert!(u.next_retry <= now, "restored entries must be due");
-            assert_eq!(u.delivered, *seq == 2);
-            assert_eq!(u.payload.as_slice(), &vec![*seq as u8; 4]);
+            assert_eq!(u.delivered, seq == 2);
+            assert_eq!(u.payload.as_slice(), &vec![seq as u8; 4]);
         }
     }
 

@@ -74,6 +74,27 @@ impl TiledMatrix {
         &mut self.tiles[i + j * self.nt]
     }
 
+    /// The tiles at `reads`, shared, beside the tile at `write`, mutable:
+    /// what one kernel call borrows, with no tile copied. Panics if `write`
+    /// is among `reads`.
+    pub fn kernel_tiles<const N: usize>(
+        &mut self,
+        reads: [(usize, usize); N],
+        write: (usize, usize),
+    ) -> ([&Tile; N], &mut Tile) {
+        let at = |(i, j): (usize, usize)| i + j * self.nt;
+        let w = at(write);
+        let reads = reads.map(at);
+        let (before, rest) = self.tiles.split_at_mut(w);
+        let (out, after) = rest.split_first_mut().expect("tile in range");
+        let read = |r: usize| match r.cmp(&w) {
+            std::cmp::Ordering::Less => &before[r],
+            std::cmp::Ordering::Greater => &after[r - w - 1],
+            std::cmp::Ordering::Equal => panic!("tile {write:?} both read and written"),
+        };
+        (reads.map(read), out)
+    }
+
     /// Take the tile out, leaving an empty (`0 × 0`) one (move semantics
     /// into a TTG).
     pub fn take_tile(&mut self, i: usize, j: usize) -> Tile {
@@ -127,18 +148,18 @@ impl TiledMatrix {
         let nt = self.nt;
         for k in 0..nt {
             potrf_l(self.tile_mut(k, k)).map_err(|p| k * self.nb + p)?;
-            let lkk = self.tile(k, k).clone();
             for m in (k + 1)..nt {
-                trsm_rlt(&lkk, self.tile_mut(m, k));
+                let ([lkk], lmk) = self.kernel_tiles([(k, k)], (m, k));
+                trsm_rlt(lkk, lmk);
             }
             for m in (k + 1)..nt {
-                let amk = self.tile(m, k).clone();
                 // SYRK on the diagonal block.
-                crate::kernels::syrk_ln(&amk, self.tile_mut(m, m));
+                let ([lmk], lmm) = self.kernel_tiles([(m, k)], (m, m));
+                crate::kernels::syrk_ln(lmk, lmm);
                 // GEMMs below the diagonal in column m.
                 for i in (m + 1)..nt {
-                    let aik = self.tile(i, k).clone();
-                    gemm_nt(-1.0, &aik, &amk, self.tile_mut(i, m));
+                    let ([lik, lmk], lim) = self.kernel_tiles([(i, k), (m, k)], (i, m));
+                    gemm_nt(-1.0, lik, lmk, lim);
                 }
             }
             // Row k above the diagonal is no part of the factor.

@@ -27,9 +27,9 @@
 //! were encoded into at push time, bulk bodies from the buffers that were
 //! queued by ownership. The reader mirrors it ([`FrameCodec::read_from`]):
 //! small frames decode out of the read buffer, a bulk body is read from
-//! the socket into its final, pooled buffer. The queue holds at most
-//! [`SEND_QUEUE_CAP`] frames and admits an `Am` only while it holds less
-//! than [`SEND_QUEUE_BYTES`] bytes.
+//! the socket into its final, pooled buffer. The queue admits an `Am` only
+//! while it holds fewer than [`SEND_QUEUE_CAP`] frames and less than
+//! [`SEND_QUEUE_BYTES`] bytes; every other kind is admitted at once.
 
 use std::io::{ErrorKind, Write};
 use std::net::{TcpListener, TcpStream};
@@ -44,7 +44,7 @@ use ttg_telemetry::Registry;
 use crate::frame::{read_first, Frame, FrameCodec, WireBatch, MAGIC, PROTOCOL_VERSION};
 use crate::link::{Endpoint, Link, Rank, Sink, TransportError, TransportKind, TransportMetrics};
 
-/// Frames a single peer queue may hold before `Link::send` blocks.
+/// Queued frames at which `Link::send` blocks an `Am`.
 const SEND_QUEUE_CAP: usize = 1024;
 /// Budget for one dial: retries × pause (listeners may not be up yet).
 const DIAL_RETRIES: u32 = 300;
@@ -60,8 +60,8 @@ const RENDEZVOUS_TIMEOUT: Duration = Duration::from_secs(60);
 /// producer to refill while the writer is in one `writev`, and ~2 MiB per
 /// streaming link instead of the frame cap's 64 MiB (measured: DESIGN
 /// §12). Frames sent from a receive path (acks, barrier,
-/// termination) are not held by it: two readers waiting on each other's
-/// queues would deadlock.
+/// termination) are held by neither bound: two readers waiting on each
+/// other's queues would deadlock.
 const SEND_QUEUE_BYTES: usize = 1 << 20;
 /// How long a writer whose write failed waits for its reader to reach the
 /// peer's `Bye` (or end of stream) before treating the failure as a fault.
@@ -227,18 +227,15 @@ impl SendQ {
         }
     }
 
-    /// Blocking bounded push: waits for a frame slot and, if `byte_gated`,
-    /// for less than [`SEND_QUEUE_BYTES`] queued; then `add` appends one
-    /// frame. Returns the queue's (frames, bytes) or `Err` if closed.
-    fn push(
-        &self,
-        byte_gated: bool,
-        add: impl FnOnce(&mut WireBatch),
-    ) -> Result<(usize, usize), ()> {
+    /// Push one frame (appended by `add`). A `gated` push first waits for
+    /// a frame slot and for less than [`SEND_QUEUE_BYTES`] queued; an
+    /// ungated one never waits. Returns the queue's (frames, bytes) or
+    /// `Err` if closed.
+    fn push(&self, gated: bool, add: impl FnOnce(&mut WireBatch)) -> Result<(usize, usize), ()> {
         let mut st = self.state.lock();
         while !st.closed
-            && (st.batch.frames() >= SEND_QUEUE_CAP
-                || (byte_gated && st.batch.bytes() >= SEND_QUEUE_BYTES))
+            && gated
+            && (st.batch.frames() >= SEND_QUEUE_CAP || st.batch.bytes() >= SEND_QUEUE_BYTES)
         {
             self.not_full.wait(&mut st);
         }
@@ -295,6 +292,13 @@ impl SendQ {
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
+}
+
+/// Whether a push of `frame` waits for the queue's bounds: only an `Am`
+/// does, as every other kind can be sent from a receive path (see
+/// [`SEND_QUEUE_BYTES`]).
+fn gated(frame: &Frame) -> bool {
+    matches!(frame, Frame::Am { .. })
 }
 
 // ------------------------------------------------------------- connections
@@ -688,13 +692,10 @@ struct SocketLink {
 }
 
 impl SocketLink {
-    /// Queue one frame (appended by `add`), blocking under backpressure.
-    fn push(
-        &self,
-        byte_gated: bool,
-        add: impl FnOnce(&mut WireBatch),
-    ) -> Result<(), TransportError> {
-        match self.inner.slot(self.peer).q.push(byte_gated, add) {
+    /// Queue one frame (appended by `add`), a `gated` one blocking under
+    /// backpressure.
+    fn push(&self, gated: bool, add: impl FnOnce(&mut WireBatch)) -> Result<(), TransportError> {
+        match self.inner.slot(self.peer).q.push(gated, add) {
             Ok((frames, bytes)) => {
                 self.inner.metrics.note_queue(self.peer, frames, bytes);
                 Ok(())
@@ -710,9 +711,7 @@ impl Link for SocketLink {
     }
 
     fn send(&self, frame: Frame) -> Result<(), TransportError> {
-        // Only `Am`s wait for queue bytes: every other kind can be sent
-        // from a receive path (see `SEND_QUEUE_BYTES`).
-        self.push(matches!(frame, Frame::Am { .. }), |batch| batch.push(frame))
+        self.push(gated(&frame), |batch| batch.push(frame))
     }
 
     fn send_am_shared(
@@ -1401,6 +1400,37 @@ mod tests {
         batch.clear();
         assert!(!q.pop(&mut batch));
         assert!(q.push(false, |b| b.push(Frame::TermDone)).is_err());
+    }
+
+    #[test]
+    fn a_full_queue_holds_an_am_and_never_a_receive_path_frame() {
+        let am = || Frame::Am {
+            from: 0,
+            handler: 1,
+            seq: 9,
+            payload: vec![3u8; 8],
+        };
+        // No writer pops: the queue fills to its frame cap.
+        let q = Arc::new(SendQ::new());
+        for _ in 0..SEND_QUEUE_CAP {
+            let f = am();
+            q.push(gated(&f), |b| b.push(f)).unwrap();
+        }
+        let ack = Frame::AckRange {
+            from: 1,
+            ranges: vec![(1, SEND_QUEUE_CAP as u64)],
+        };
+        let (frames, _) = q.push(gated(&ack), |b| b.push(ack)).unwrap();
+        assert_eq!(frames, SEND_QUEUE_CAP + 1, "the ack passed the cap");
+        let held = {
+            let (q, f) = (Arc::clone(&q), am());
+            std::thread::spawn(move || q.push(gated(&f), |b| b.push(f)).map(|_| ()))
+        };
+        std::thread::sleep(Duration::from_millis(30));
+        assert!(!held.is_finished(), "an Am passed a full queue");
+        let mut batch = WireBatch::default();
+        assert!(q.pop(&mut batch));
+        assert_eq!(held.join().unwrap(), Ok(()));
     }
 
     #[test]

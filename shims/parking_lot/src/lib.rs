@@ -9,6 +9,7 @@
 
 use std::fmt;
 use std::ops::{Deref, DerefMut};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{self, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -98,9 +99,14 @@ impl WaitTimeoutResult {
 }
 
 /// Condition variable compatible with [`Mutex`].
+///
+/// It counts its waiters, as upstream does: a waiter is counted from
+/// before it releases the caller's mutex until it holds it again, so a
+/// notify that finds none has nobody to wake and makes no syscall.
 #[derive(Default)]
 pub struct Condvar {
     inner: sync::Condvar,
+    waiters: AtomicUsize,
 }
 
 impl Condvar {
@@ -108,13 +114,17 @@ impl Condvar {
     pub const fn new() -> Self {
         Condvar {
             inner: sync::Condvar::new(),
+            waiters: AtomicUsize::new(0),
         }
     }
 
     /// Block until notified, releasing the guard's lock while waiting.
     pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
         let g = guard.inner.take().expect("guard taken during wait");
-        guard.inner = Some(self.inner.wait(g).unwrap_or_else(PoisonError::into_inner));
+        self.waiters.fetch_add(1, Ordering::SeqCst);
+        let g = self.inner.wait(g).unwrap_or_else(PoisonError::into_inner);
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
+        guard.inner = Some(g);
     }
 
     /// Block until notified or `timeout` elapses.
@@ -124,10 +134,12 @@ impl Condvar {
         timeout: Duration,
     ) -> WaitTimeoutResult {
         let g = guard.inner.take().expect("guard taken during wait");
+        self.waiters.fetch_add(1, Ordering::SeqCst);
         let (g, res) = match self.inner.wait_timeout(g, timeout) {
             Ok((g, r)) => (g, r),
             Err(p) => p.into_inner(),
         };
+        self.waiters.fetch_sub(1, Ordering::SeqCst);
         guard.inner = Some(g);
         WaitTimeoutResult {
             timed_out: res.timed_out(),
@@ -147,14 +159,18 @@ impl Condvar {
         self.wait_for(guard, deadline - now)
     }
 
-    /// Wake one waiter.
+    /// Wake one waiter, if any waits.
     pub fn notify_one(&self) {
-        self.inner.notify_one();
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            self.inner.notify_one();
+        }
     }
 
-    /// Wake all waiters.
+    /// Wake all waiters, if any wait.
     pub fn notify_all(&self) {
-        self.inner.notify_all();
+        if self.waiters.load(Ordering::SeqCst) > 0 {
+            self.inner.notify_all();
+        }
     }
 }
 
@@ -274,6 +290,76 @@ mod tests {
             cv.wait(&mut done);
         }
         t.join().unwrap();
+    }
+
+    #[test]
+    fn notify_without_a_waiter_is_a_no_op() {
+        let m = Mutex::new(());
+        let cv = Condvar::new();
+        cv.notify_one();
+        cv.notify_all();
+        assert_eq!(cv.waiters.load(Ordering::SeqCst), 0);
+        // Nothing was stored for a later waiter: it waits out its timeout.
+        let mut g = m.lock();
+        assert!(cv.wait_for(&mut g, Duration::from_millis(5)).timed_out());
+        assert_eq!(cv.waiters.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn ping_pong_loses_no_wakeup() {
+        const ROUNDS: u64 = 100_000;
+        // Each thread takes its turn `ROUNDS` times: the main thread at an
+        // even count, the other at an odd one.
+        let turn = Arc::new((Mutex::new(0u64), Condvar::new()));
+        let play = |turn: &(Mutex<u64>, Condvar), parity: u64| {
+            let (m, cv) = turn;
+            let mut t = m.lock();
+            for _ in 0..ROUNDS {
+                while *t % 2 != parity {
+                    cv.wait(&mut t);
+                }
+                *t += 1;
+                cv.notify_one();
+            }
+        };
+        let t2 = Arc::clone(&turn);
+        let other = std::thread::spawn(move || play(&t2, 1));
+        play(&turn, 0);
+        other.join().unwrap();
+        assert_eq!(*turn.0.lock(), 2 * ROUNDS);
+    }
+
+    #[test]
+    fn timeouts_racing_notify_all_lose_no_wakeup() {
+        // Waiters with short timeouts re-wait until the generation they
+        // saw moves on; the notifier bumps it while they time out around
+        // it. Every waiter must see every generation end.
+        const GENERATIONS: u64 = 2_000;
+        let gen = Arc::new((Mutex::new(0u64), Condvar::new()));
+        let waiters: Vec<_> = (0..3)
+            .map(|_| {
+                let g2 = Arc::clone(&gen);
+                std::thread::spawn(move || {
+                    let (m, cv) = &*g2;
+                    let mut g = m.lock();
+                    while *g < GENERATIONS {
+                        let seen = *g;
+                        while *g == seen {
+                            cv.wait_for(&mut g, Duration::from_micros(50));
+                        }
+                    }
+                })
+            })
+            .collect();
+        let (m, cv) = &*gen;
+        for _ in 0..GENERATIONS {
+            *m.lock() += 1;
+            cv.notify_all();
+        }
+        for w in waiters {
+            w.join().unwrap();
+        }
+        assert_eq!(cv.waiters.load(Ordering::SeqCst), 0);
     }
 
     #[test]
